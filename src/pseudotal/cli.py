@@ -45,8 +45,30 @@ class SchemaError(Exception):
     """Input file missing, unparsable, or shaped wrong."""
 
 
+# The one float formatter of every output: 6 significant digits. JSON values
+# are its text parsed back to float, so json writes them as Python's shortest
+# repr (123456.0, 1234570.0, 1e-05, NaN); the wavelet CSV keeps its raw text.
+_G6 = "{:.6g}".format
+
+
 def _round6(x: float) -> float:
-    return float(f"{float(x):.6g}")
+    return float(_G6(float(x)))
+
+
+def _jsonable_array(a: np.ndarray):
+    """An ndarray as nested lists, formatted in one flat pass over its values."""
+    if a.ndim == 0:
+        return _jsonable(a.item())
+    if a.size == 0:
+        return a.tolist()
+    flat = a.ravel().tolist()
+    if a.dtype.kind == "f":
+        flat = list(map(float, map(_G6, flat)))
+    elif a.dtype.kind not in "biu":
+        flat = [_jsonable(v) for v in flat]
+    for n in reversed(a.shape[1:]):
+        flat = [flat[i : i + n] for i in range(0, len(flat), n)]
+    return flat
 
 
 def _jsonable(value):
@@ -56,7 +78,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return _jsonable_array(value)
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -370,9 +392,8 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> int:
             )
             fh.write("t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)) + "\n")
             centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
-            for i, t in enumerate(centers):
-                cells = ",".join(f"{wavelet.values[i, c]:.6g}" for c in range(grid.class_count))
-                fh.write(f"{t:.6g},{cells}\n")
+            for t, row in zip(centers.tolist(), wavelet.values.tolist()):
+                fh.write(_G6(t) + "," + ",".join(map(_G6, row)) + "\n")
     return 0
 
 
@@ -485,7 +506,9 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
         }
         return vid, entry
 
+    t0 = time.perf_counter()
     results = _over_videos(list(preds), work, args.jobs)
+    elapsed = (time.perf_counter() - t0) * 1000.0
     per_video = {vid: entry for vid, entry in results}
     n = len(per_video)
     mean = {
@@ -496,7 +519,8 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
         1 for entry in per_video.values() if entry["empty_positives"]
     )
     _write_report(
-        args.output, cfg, {"per_video": per_video, "mean": mean}, _timings(args, None)
+        args.output, cfg, {"per_video": per_video, "mean": mean},
+        _timings(args, {"losses": elapsed}),
     )
     return 0
 

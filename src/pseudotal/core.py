@@ -128,6 +128,8 @@ class SnippetPredictions:
             raise ValueError("class_scores must be (T, C+1) with T matching attention")
         if cls.shape[1] < 2:
             raise ValueError("class_scores needs at least one foreground column plus background")
+        if not (np.isfinite(att).all() and np.isfinite(cls).all()):
+            raise ValueError("attention and class_scores must be finite")
         if att.size and (att.min() < -1e-9 or att.max() > 1 + 1e-9):
             raise ValueError("attention values must lie in [0, 1]")
         row_sums = cls.sum(axis=1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core import Interval, PseudoProposal, SnippetPredictions, TimeGrid
-from .evaluation import EvalReport, GroundTruthSet, pseudo_quality
+from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels
 from .weak_branch import VideoLabel, weak_proposals
 
@@ -302,7 +302,7 @@ def pipeline_pseudo_labels(
 class BenchmarkResult:
     """Per-strategy pseudo-label quality on one simulated corpus."""
 
-    reports: Mapping[str, EvalReport]
+    reports: Mapping[str, PseudoQuality]
     timings_ms: Mapping[str, float]
 
     def to_dict(self) -> dict:
@@ -332,11 +332,11 @@ def run_benchmark(
     layout = gen_corpus(cfg)
     predictions = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
     timings = {"simulate": (time.perf_counter() - t0) * 1000.0}
-    reports: dict[str, EvalReport] = {}
+    reports: dict[str, PseudoQuality] = {}
     for name in strategies:
         t1 = time.perf_counter()
         pseudos = pipeline_pseudo_labels(layout, predictions, name, pipe)
-        reports[name] = pseudo_quality(pseudos, layout.ground_truth, pipe.eval_tious).report
+        reports[name] = pseudo_quality(pseudos, layout.ground_truth, pipe.eval_tious)
         timings[name] = (time.perf_counter() - t1) * 1000.0
     return BenchmarkResult(reports, timings)
 

@@ -115,7 +115,12 @@ class AnchorTargets:
                 raise ValueError(f"{name} must have one entry per anchor")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        pos = arrays["class_label"] > 0
+        label = arrays["class_label"]
+        if np.any((label < 0) | (label > self.grid.class_count)):
+            raise ValueError(
+                f"class_label must lie in [0, {self.grid.class_count}] for this grid"
+            )
+        pos = label > 0
         if np.any((arrays["reg_left"][pos] + arrays["reg_right"][pos]) <= 0):
             raise ValueError("positive anchors need reg_left + reg_right > 0")
         if np.any(arrays["iou_weight"][~pos] != 0):

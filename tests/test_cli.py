@@ -336,6 +336,17 @@ class TestLosses:
         assert report["metrics"]["mean"]["empty_positives"] == 0
         assert report["timings_ms"] is None
 
+    def test_timings_flag(self, tmp_path):
+        sp, gt, targets, preds = self._prepare(tmp_path, [[1.0, 0.0]] * 16)
+        out = tmp_path / "losses.json"
+        assert (
+            run("losses", "--input", preds, "--input", targets,
+                "--input", sp, "--gt", gt, "--output", out, "--timings")
+            == 0
+        )
+        timings = read_report(out)["timings_ms"]
+        assert set(timings) == {"losses"} and timings["losses"] >= 0.0
+
     def test_attention_loss_reported(self, tmp_path):
         sp, gt, targets, preds = self._prepare(tmp_path, [[0.5, 0.5]] * 16)
         out = tmp_path / "losses.json"
@@ -436,6 +447,10 @@ class TestBenchmark:
         assert set(report["metrics"]["strategies"]) == {"ricker", "soft"}
         assert "PCG64" in report["metrics"]["rng"]
         assert report["metrics"]["sim"]["num_videos"] == 3
+        for metrics in report["metrics"]["strategies"].values():
+            for key in ("precision", "recall"):
+                assert len(metrics[key]) == len(metrics["thresholds"])
+                assert all(0.0 <= v <= 1.0 for v in metrics[key])
 
     def test_default_strategies_cover_all_six(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -523,6 +538,60 @@ class TestExitCodes:
         code = run("fuse", "--input", props, "--input", grid_file,
                    "--output", tmp_path / "o.jsonl")
         assert code == 3
+
+    def test_class_label_outside_grid(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(
+            grid_file,
+            [{"video_id": "v", "num_snippets": 16, "snippet_duration_s": 1.0, "class_count": 2}],
+        )
+        pseudos = tmp_path / "pseudos.jsonl"
+        write_jsonl(
+            pseudos,
+            [{"video_id": "v", "start_s": 2.0, "end_s": 6.0, "score": 1.0, "class_id": 5}],
+        )
+        code = run("targets", "--input", pseudos, "--input", grid_file,
+                   "--output", tmp_path / "t.jsonl")
+        assert code == 3
+        # a hand-written targets file with the same label reaches losses
+        sizes = [math.ceil(16 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        labels = [0] * n
+        labels[3] = 5
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 16, "snippet_duration_s": 1.0,
+            "class_count": 2, "level_sizes": sizes,
+            "class_label": labels, "reg_left": [1.0] * n, "reg_right": [1.0] * n,
+            "iou_weight": [1.0 if l else 0.0 for l in labels], "mask_bit": [1] * n,
+        }])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{
+            "video_id": "v", "class_probs": [[0.2, 0.3, 0.5]] * n,
+            "reg_left": [1.0] * n, "reg_right": [1.0] * n,
+        }])
+        capsys.readouterr()
+        code = run("losses", "--input", preds, "--input", targets, "--output", tmp_path / "l.json")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: class_label") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["attention", "class_scores"])
+    def test_non_finite_snippet_predictions(self, tmp_path, capsys, field):
+        row = {"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+               "attention": [0.5] * 4, "class_scores": [[0.5, 0.5]] * 4}
+        if field == "attention":
+            row["attention"][2] = float("nan")
+        else:
+            row["class_scores"][2] = [float("nan"), 0.5]
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [row])
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        code = run("extract", "--input", sp, "--gt", gt, "--output", tmp_path / "p.jsonl")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: attention and class_scores must be finite\n"
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -128,7 +128,7 @@ class TestBuildTargets:
         assert np.all(tgt.mask_bit == 1)
 
     def test_shorter_proposal_wins_containment_ties(self):
-        grid = TimeGrid(16, 1.0, 1)
+        grid = TimeGrid(16, 1.0, 2)
         cfg = PyramidConfig(num_levels=2, regression_ranges=((0, 2), (2, math.inf)))
         pseudos = [_pseudo(2, 8, class_id=1), _pseudo(3, 7, class_id=2)]
         tgt = build_targets(pseudos, MaskParams(0.0, 0.0), cfg, grid)
