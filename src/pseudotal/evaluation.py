@@ -5,17 +5,20 @@ greedily in score order against unmatched ground truth at a tIoU
 threshold, and the all-point interpolated area under the
 precision/recall curve is accumulated. The PR arithmetic runs on exact
 rationals so results are reproducible to the last bit regardless of
-summation order.
+summation order. Each call computes the tIoU of every same-video,
+same-class (prediction, ground truth) pair once and sweeps every
+threshold over those pairs.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, PseudoProposal, tiou
+from .core import Interval, Proposal, PseudoProposal
 from .weak_branch import soft_nms
 
 __all__ = [
@@ -76,6 +79,9 @@ class EvalReport:
     def average_map(self) -> float:
         return sum(self.map_values) / len(self.map_values)
 
+    def _has_threshold(self, threshold: float) -> bool:
+        return any(abs(t - threshold) < 1e-9 for t in self.thresholds)
+
     def map_at(self, threshold: float) -> float:
         for t, v in zip(self.thresholds, self.map_values):
             if abs(t - threshold) < 1e-9:
@@ -94,12 +100,13 @@ class EvalReport:
         return sum(cells) / len(cells)
 
     def to_dict(self) -> dict:
-        ranges = {}
-        for lo, hi in RANGE_AVERAGES:
-            try:
-                ranges[f"{lo:.1f}:{hi:.1f}"] = self.average_between(lo, hi)
-            except KeyError:
-                continue
+        """Report fields; a range average only when both of its endpoints
+        are among the thresholds."""
+        ranges = {
+            f"{lo:.1f}:{hi:.1f}": self.average_between(lo, hi)
+            for lo, hi in RANGE_AVERAGES
+            if self._has_threshold(lo) and self._has_threshold(hi)
+        }
         return {
             "thresholds": list(self.thresholds),
             "map": list(self.map_values),
@@ -117,68 +124,184 @@ class EvalReport:
         return head + "\n" + row
 
 
-def _match_flags(
-    preds: Sequence[tuple[str, Interval, float]],
-    gts: Mapping[str, list[Interval]],
-    threshold: float,
-) -> tuple[list[bool], int]:
-    """Greedy matching of score-sorted predictions against ground truth.
+@dataclass(frozen=True, eq=False)
+class _PairTable:
+    """Every same-video, same-class (prediction, ground truth) pair of a corpus
+    with its tIoU.
 
-    Each prediction claims its highest-tIoU unmatched segment in the same
-    video when that tIoU meets the threshold; tIoU ties go to the segment
-    with the earlier start. Returns per-prediction TP flags (prediction
-    order preserved) and the ground-truth count.
+    Predictions are flattened in input order (video order of the mapping,
+    then list order). Ground-truth segments are sorted by (class, video,
+    start), input order on ties, so the segments of one video and class are
+    contiguous and in the order the matcher breaks tIoU ties by. `gt_input`
+    maps that sorted position back to the input position.
     """
-    npos = sum(len(v) for v in gts.values())
-    order = sorted(
-        range(len(preds)), key=lambda i: (-preds[i][2], preds[i][1].start_s, preds[i][1].end_s)
-    )
-    taken: dict[str, list[bool]] = {vid: [False] * len(v) for vid, v in gts.items()}
-    flags = [False] * len(preds)
-    for i in order:
-        vid, iv, _ = preds[i]
-        candidates = gts.get(vid, [])
-        best_j = -1
-        best_t = 0.0
-        for j, g in enumerate(candidates):
-            if taken[vid][j]:
+
+    pred_class: np.ndarray
+    pred_start: np.ndarray
+    pred_end: np.ndarray
+    pred_score: np.ndarray
+    gt_input: np.ndarray
+    npos: Counter
+    pair_pred: np.ndarray
+    pair_gt: np.ndarray
+    pair_tiou: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        predictions: Mapping[str, Sequence[Proposal]],
+        ground_truth: GroundTruthSet,
+    ) -> "_PairTable":
+        video_key = {vid: k for k, vid in enumerate(ground_truth.segments)}
+        n_videos = len(video_key)
+        gt_rows = [
+            (c * n_videos + video_key[vid], iv.start_s, iv.end_s)
+            for vid, items in ground_truth.segments.items()
+            for iv, c in items
+        ]
+        g_key, g_start, g_end = _columns(gt_rows, (np.int64, np.float64, np.float64))
+        gt_input = np.lexsort((g_start, g_key))
+        g_key, g_start, g_end = g_key[gt_input], g_start[gt_input], g_end[gt_input]
+        npos = Counter(c for items in ground_truth.segments.values() for _, c in items)
+
+        rows = [
+            (
+                p.class_id * n_videos + video_key[vid] if vid in video_key else -1,
+                p.class_id,
+                p.interval.start_s,
+                p.interval.end_s,
+                p.score,
+            )
+            for vid, plist in predictions.items()
+            for p in plist
+        ]
+        p_key, p_class, p_start, p_end, p_score = _columns(
+            rows, (np.int64, np.int64, np.float64, np.float64, np.float64)
+        )
+
+        lo = np.searchsorted(g_key, p_key, side="left")
+        counts = np.searchsorted(g_key, p_key, side="right") - lo
+        pair_pred = np.repeat(np.arange(p_key.shape[0]), counts)
+        first = np.cumsum(counts) - counts
+        pair_gt = np.arange(pair_pred.shape[0]) + np.repeat(lo - first, counts)
+        return cls(
+            p_class, p_start, p_end, p_score, gt_input, npos, pair_pred, pair_gt,
+            _tiou_pairs(p_start[pair_pred], p_end[pair_pred], g_start[pair_gt], g_end[pair_gt]),
+        )
+
+    def ap_table(
+        self, class_ids: Sequence[int], thresholds: Sequence[float]
+    ) -> list[tuple[float, ...]]:
+        """AP of each class at each threshold, swept over the pairs once.
+
+        Per class, predictions go in (score desc, start, end) order, input
+        order on ties; each claims its highest-tIoU unclaimed segment in the
+        same video (earlier start on tIoU ties) when that tIoU meets the
+        threshold. The claimed sets differ per threshold, so one pass keeps
+        one per threshold.
+        """
+        order = np.lexsort((self.pred_end, self.pred_start, -self.pred_score, self.pred_class))
+        sorted_class = self.pred_class[order]
+        rank = np.empty_like(order)
+        rank[order] = (
+            np.arange(order.shape[0])
+            - np.searchsorted(sorted_class, sorted_class, side="left")
+            + 1
+        )
+        positive = self.pair_tiou > 0.0
+        pp, pg, pt = self.pair_pred[positive], self.pair_gt[positive], self.pair_tiou[positive]
+        walk = np.lexsort((pg, rank[pp], self.pred_class[pp]))
+        pp, pg, pt = pp[walk], pg[walk].tolist(), pt[walk].tolist()
+        pair_rank = rank[pp].tolist()
+        pair_class = self.pred_class[pp].tolist()
+        pp = pp.tolist()
+
+        tp_ranks = {c: [[] for _ in thresholds] for c in class_ids}
+        taken = [set() for _ in thresholds]  # sorted ground-truth positions
+        i, n = 0, len(pp)
+        while i < n:
+            j = i + 1
+            while j < n and pp[j] == pp[i]:
+                j += 1
+            ranks = tp_ranks.get(pair_class[i])
+            if ranks is not None:
+                candidates = list(zip(pg[i:j], pt[i:j]))
+                for k, threshold in enumerate(thresholds):
+                    claimed = taken[k]
+                    best_g, best_t = -1, 0.0
+                    for g, t in candidates:
+                        if t > best_t and g not in claimed:
+                            best_g, best_t = g, t
+                    if best_g >= 0 and best_t >= threshold:
+                        claimed.add(best_g)
+                        ranks[k].append(pair_rank[i])
+            i = j
+        return [
+            tuple(_interpolated_ap(r, self.npos.get(c, 0)) for r in tp_ranks[c])
+            for c in class_ids
+        ]
+
+    def matched_counts(self, thresholds: Sequence[float]) -> list[int]:
+        """Rank-free greedy matches at each threshold, from one greedy pass.
+
+        The highest-tIoU pair goes first (earlier prediction, then earlier
+        segment on ties); a threshold only cuts that sequence short, so the
+        matches at a threshold are the pass's matches at or above it.
+        """
+        keep = self.pair_tiou >= min(thresholds)
+        pp, pg, pt = self.pair_pred[keep], self.gt_input[self.pair_gt[keep]], self.pair_tiou[keep]
+        walk = np.lexsort((pg, pp, -pt))
+        used_p: set[int] = set()
+        used_g: set[int] = set()
+        matched: list[float] = []
+        for p, g, t in zip(pp[walk].tolist(), pg[walk].tolist(), pt[walk].tolist()):
+            if p in used_p or g in used_g:
                 continue
-            t = tiou(iv, g)
-            if t > best_t or (t == best_t and best_j >= 0 and g.start_s < candidates[best_j].start_s):
-                best_t = t
-                best_j = j
-        if best_j >= 0 and best_t >= threshold:
-            taken[vid][best_j] = True
-            flags[i] = True
-    return flags, npos
+            used_p.add(p)
+            used_g.add(g)
+            matched.append(t)
+        return [sum(1 for t in matched if t >= threshold) for threshold in thresholds]
 
 
-def _interpolated_ap(flags_in_score_order: Sequence[bool], npos: int) -> Fraction:
-    """All-point interpolated AP from ordered TP flags, on exact rationals."""
+def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
+    """Rows of equal-length tuples as one 1-D array per column."""
+    cols = list(zip(*rows)) if rows else [()] * len(dtypes)
+    return [np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)]
+
+
+def _tiou_pairs(
+    a_start: np.ndarray, a_end: np.ndarray, b_start: np.ndarray, b_end: np.ndarray
+) -> np.ndarray:
+    """Elementwise `core.tiou` of intervals a and b, in the same IEEE
+    operations and order, so every value is bit-identical to it."""
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    union = (a_end - a_start) + (b_end - b_start) - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=inter > 0.0)
+    return out
+
+
+def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:
+    """All-point interpolated AP from the ascending 1-based ranks of the true
+    positives: (1/npos) * sum_k max_{j>=k} j / rank_j, on exact rationals.
+
+    Precision peaks at true-positive ranks and recall steps by 1/npos only
+    there, so this is the area under the interpolated precision/recall curve.
+    """
     if npos == 0:
-        return Fraction(0)
-    precisions: list[Fraction] = []
-    recalls: list[Fraction] = []
-    tp = 0
-    for n, flag in enumerate(flags_in_score_order, start=1):
-        if flag:
-            tp += 1
-        precisions.append(Fraction(tp, n))
-        recalls.append(Fraction(tp, npos))
-    ap = Fraction(0)
-    prev_recall = Fraction(0)
-    # sweep from the end so each precision is the max over higher recalls
-    best = Fraction(0)
-    area: list[tuple[Fraction, Fraction]] = []
-    for p, r in zip(reversed(precisions), reversed(recalls)):
-        if p > best:
-            best = p
-        area.append((r, best))
-    area.reverse()
-    for r, p in area:
-        ap += (r - prev_recall) * p
-        prev_recall = r
-    return ap
+        return 0.0
+    total = Fraction(0)
+    best_j, best_rank, run = 0, 1, 0
+    for j in range(len(tp_ranks), 0, -1):
+        rank = tp_ranks[j - 1]
+        if j * best_rank > best_j * rank:
+            if run:
+                total += Fraction(best_j * run, best_rank)
+            best_j, best_rank, run = j, rank, 0
+        run += 1
+    if run:
+        total += Fraction(best_j * run, best_rank)
+    return float(total / npos)
 
 
 def average_precision(
@@ -188,25 +311,8 @@ def average_precision(
     threshold: float,
 ) -> float:
     """AP of one class at one tIoU threshold over the whole corpus."""
-    preds = [
-        (vid, p.interval, p.score)
-        for vid, plist in predictions.items()
-        for p in plist
-        if p.class_id == class_id
-    ]
-    gts = {
-        vid: [iv for iv, c in items if c == class_id]
-        for vid, items in ground_truth.segments.items()
-    }
-    gts = {vid: items for vid, items in gts.items() if items}
-    flags, npos = _match_flags(preds, gts, threshold)
-    if npos == 0:
-        return 0.0
-    order = sorted(
-        range(len(preds)), key=lambda i: (-preds[i][2], preds[i][1].start_s, preds[i][1].end_s)
-    )
-    ordered_flags = [flags[i] for i in order]
-    return float(_interpolated_ap(ordered_flags, npos))
+    table = _PairTable.build(predictions, ground_truth)
+    return table.ap_table([class_id], [threshold])[0][0]
 
 
 def map_table(
@@ -220,12 +326,8 @@ def map_table(
     class_ids = ground_truth.class_ids
     if not class_ids:
         raise ValueError("ground truth holds no segments")
-    per_class = []
-    for cid in class_ids:
-        aps = tuple(
-            average_precision(predictions, ground_truth, cid, t) for t in thresholds
-        )
-        per_class.append((cid, aps))
+    table = _PairTable.build(predictions, ground_truth)
+    per_class = list(zip(class_ids, table.ap_table(class_ids, thresholds)))
     maps = tuple(
         sum(aps[k] for _, aps in per_class) / len(per_class)
         for k in range(len(thresholds))
@@ -254,34 +356,6 @@ def postprocess_inference(
                 raise ValueError("video_scores shorter than the class range")
         kept = [p for p in kept if scores[p.class_id - 1] >= class_thresh]
     return soft_nms(kept, sigma_nms=sigma_nms, min_score=min_score)
-
-
-def _greedy_match_count(
-    pseudos: Sequence[tuple[Interval, int]],
-    gts: Sequence[tuple[Interval, int]],
-    threshold: float,
-) -> int:
-    """Rank-free greedy matching: repeatedly pair the highest-tiou
-    same-class (pseudo, gt) couple at or above the threshold."""
-    pairs = [
-        (tiou(piv, giv), i, j)
-        for i, (piv, pc) in enumerate(pseudos)
-        for j, (giv, gc) in enumerate(gts)
-        if pc == gc
-    ]
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
-    used_p: set[int] = set()
-    used_g: set[int] = set()
-    matched = 0
-    for t, i, j in pairs:
-        if t < threshold:
-            break
-        if i in used_p or j in used_g:
-            continue
-        used_p.add(i)
-        used_g.add(j)
-        matched += 1
-    return matched
 
 
 @dataclass(frozen=True)
@@ -321,15 +395,7 @@ def pseudo_quality(
     report = map_table(as_props, ground_truth, thresholds)
     n_pseudo = sum(len(v) for v in pseudos_by_video.values())
     n_gt = sum(len(v) for v in ground_truth.segments.values())
-    precision = []
-    recall = []
-    for t in thresholds:
-        matched = 0
-        for vid, items in ground_truth.segments.items():
-            plist = [
-                (p.interval, p.class_id) for p in pseudos_by_video.get(vid, ())
-            ]
-            matched += _greedy_match_count(plist, list(items), t)
-        precision.append(matched / n_pseudo if n_pseudo else 0.0)
-        recall.append(matched / n_gt if n_gt else 0.0)
-    return PseudoQuality(report, tuple(precision), tuple(recall))
+    matched = _PairTable.build(as_props, ground_truth).matched_counts(thresholds)
+    precision = tuple(m / n_pseudo if n_pseudo else 0.0 for m in matched)
+    recall = tuple(m / n_gt if n_gt else 0.0 for m in matched)
+    return PseudoQuality(report, precision, recall)

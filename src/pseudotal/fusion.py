@@ -275,7 +275,13 @@ def generate_pseudo_labels(
     score_threshold: float = 0.2,
     group_tiou: float = 0.5,
 ) -> list[PseudoProposal]:
-    """Dispatch by name over wavelet fusion ("ricker") and the baselines."""
+    """Dispatch by name over wavelet fusion ("ricker") and the baselines.
+
+    Every strategy rejects a proposal whose class lies outside the grid.
+    """
+    for p in proposals:
+        if not 1 <= p.class_id <= grid.class_count:
+            raise ValueError("proposal class out of grid range")
     if strategy.lower() == "ricker":
         wavelet = fuse_ricker(proposals, grid)
         return segments_from_wavelet(wavelet, min_duration_s=min_duration_s)

@@ -452,6 +452,30 @@ class TestBenchmark:
                 assert len(metrics[key]) == len(metrics["thresholds"])
                 assert all(0.0 <= v <= 1.0 for v in metrics[key])
 
+    def test_timings_keys(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"seed": 2, "num_videos": 2}}))
+        out = tmp_path / "bench.json"
+        assert (
+            run("benchmark", "--config", cfg, "--strategy", "ricker",
+                "--strategy", "gauss", "--output", out, "--timings")
+            == 0
+        )
+        timings = read_report(out)["timings_ms"]
+        assert list(timings) == ["gauss", "ricker", "simulate", "weak_branch"]
+        assert all(v >= 0.0 for v in timings.values())
+
+    def test_range_averages_need_both_endpoints(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps({"eval_tious": [0.1, 0.5], "sim": {"seed": 2, "num_videos": 3}})
+        )
+        out = tmp_path / "bench.json"
+        assert run("benchmark", "--config", cfg, "--strategy", "ricker", "--output", out) == 0
+        ricker = read_report(out)["metrics"]["strategies"]["ricker"]
+        assert list(ricker["range_averages"]) == ["0.1:0.5"]
+        assert ricker["range_averages"]["0.1:0.5"] == ricker["average_map"]
+
     def test_default_strategies_cover_all_six(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"sim": {"seed": 2, "num_videos": 2}}))
@@ -575,6 +599,27 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: class_label") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "strategy", ["ricker", "soft", "hard", "topk", "threshold", "gauss"]
+    )
+    def test_fuse_class_outside_grid(self, tmp_path, capsys, strategy):
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(
+            grid_file,
+            [{"video_id": "v", "num_snippets": 16, "snippet_duration_s": 1.0, "class_count": 2}],
+        )
+        props = tmp_path / "props.jsonl"
+        write_jsonl(
+            props,
+            [{"video_id": "v", "start_s": 2.0, "end_s": 9.0, "score": 0.9, "class_id": 7}],
+        )
+        out = tmp_path / "pseudos.jsonl"
+        code = run("fuse", "--input", props, "--input", grid_file,
+                   "--strategy", strategy, "--output", out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: proposal class out of grid range\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["attention", "class_scores"])
     def test_non_finite_snippet_predictions(self, tmp_path, capsys, field):

@@ -302,6 +302,17 @@ class TestPseudoQuality:
         assert "precision" in d and "recall" in d and "map" in d
 
 
+def test_range_averages_only_for_covered_ranges():
+    report = EvalReport((0.1, 0.5), (0.75, 0.25), ((1, (0.75, 0.25)),))
+    assert report.to_dict()["range_averages"] == {"0.1:0.5": 0.5}
+    report = EvalReport((0.3, 0.5), (0.75, 0.25), ((1, (0.75, 0.25)),))
+    assert report.to_dict()["range_averages"] == {}
+    full = EvalReport(
+        DEFAULT_TIOU_THRESHOLDS, (0.5,) * 7, ((1, (0.5,) * 7),)
+    ).to_dict()["range_averages"]
+    assert list(full) == ["0.1:0.5", "0.3:0.7", "0.1:0.7"]
+
+
 def test_report_shapes():
     report = EvalReport((0.5,), (0.25,), ((1, (0.25,)),))
     assert report.average_map == 0.25

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pseudotal import sim
 from pseudotal.config import PipelineConfig
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
@@ -206,6 +207,30 @@ class TestBenchmark:
         b = run_benchmark(cfg, ["ricker", "soft"])
         for name in ("ricker", "soft"):
             assert a.reports[name].to_dict() == b.reports[name].to_dict()
+
+    def test_weak_branch_runs_once_per_video(self, monkeypatch):
+        calls = []
+
+        def counting(preds, grid, label, *args, **kwargs):
+            calls.append(grid)
+            return weak_proposals(preds, grid, label, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "weak_proposals", counting)
+        cfg = SimConfig(seed=3, num_videos=5, attention_noise_std=0.1)
+        result = run_benchmark(cfg, ["ricker", "soft", "gauss"])
+        assert len(calls) == cfg.num_videos
+        assert set(result.timings_ms) == {"simulate", "weak_branch", "ricker", "soft", "gauss"}
+        # each strategy scores the same shared proposals a separate pipeline would make
+        monkeypatch.undo()
+        layout = gen_corpus(cfg)
+        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        for name in ("ricker", "soft", "gauss"):
+            alone = pseudo_quality(
+                pipeline_pseudo_labels(layout, preds, name, PIPE),
+                layout.ground_truth,
+                PIPE.eval_tious,
+            )
+            assert result.reports[name] == alone
 
     def test_requires_strategies(self):
         with pytest.raises(ValueError):
