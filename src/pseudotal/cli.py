@@ -2,10 +2,9 @@
 
 Subcommands: extract, fuse, mask, targets, losses, eval, simulate,
 benchmark. Every output file is a pure function of its inputs and the
-config: floats are written at 6 significant digits, rows are ordered by
-video_id, and worker-pool parallelism (--jobs) never changes bytes.
-Exit codes: 0 success, 2 missing/malformed input, 3 domain-constraint
-violation.
+config: floats are written at 6 significant digits and rows are ordered
+by video_id. Exit codes: 0 success, 2 missing/malformed input, 3
+domain-constraint violation.
 """
 from __future__ import annotations
 
@@ -14,14 +13,13 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import TOOL_VERSION, PipelineConfig
-from .core import Interval, Proposal, PseudoProposal, SnippetPredictions, TimeGrid
+from .config import TOOL_VERSION, PipelineConfig, UnknownKeysError
+from .core import Interval, Proposal, SnippetPredictions, TimeGrid, runs, snippet_centers
 from .evaluation import GroundTruthSet, map_table
 from .fusion import fuse_ricker, generate_pseudo_labels
 from .mask import MaskParams, SnippetMask, decay_schedule, mask_for_proposal, union_masks
@@ -120,6 +118,33 @@ def _require(row: dict, keys: Sequence[str], path: str) -> None:
         raise SchemaError(f"{path}: row missing keys {missing}")
 
 
+def _video_rows(path: str, keys: Sequence[str]) -> Iterator[tuple[str, dict]]:
+    """(video_id, row) of a file with one row per video; a repeated
+    video_id is a schema error."""
+    seen: set[str] = set()
+    for row in _read_lines(path):
+        _require(row, ("video_id", *keys), path)
+        vid = str(row["video_id"])
+        if vid in seen:
+            raise SchemaError(f"{path}: duplicate video_id {vid!r}")
+        seen.add(vid)
+        yield vid, row
+
+
+def _number(row: dict, key: str, path: str) -> float:
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(row: dict, key: str, path: str) -> int:
+    value = row[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _header(cfg: PipelineConfig) -> dict:
     return {"_header": {"config_hash": cfg.config_hash(), "tool_version": TOOL_VERSION}}
 
@@ -147,12 +172,8 @@ def _write_report(path: str, cfg: PipelineConfig, metrics: dict, timings) -> Non
 
 def _parse_sp_file(path: str) -> dict[str, tuple[TimeGrid, SnippetPredictions]]:
     out: dict[str, tuple[TimeGrid, SnippetPredictions]] = {}
-    for row in _read_lines(path):
-        _require(
-            row,
-            ("video_id", "num_snippets", "snippet_duration_s", "attention", "class_scores"),
-            path,
-        )
+    keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
+    for vid, row in _video_rows(path, keys):
         att = np.asarray(row["attention"], dtype=np.float64)
         cls = np.asarray(row["class_scores"], dtype=np.float64)
         if cls.ndim != 2 or cls.shape[0] != int(row["num_snippets"]):
@@ -163,24 +184,21 @@ def _parse_sp_file(path: str) -> dict[str, tuple[TimeGrid, SnippetPredictions]]:
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
         cls = cls / sums
         grid = TimeGrid(int(row["num_snippets"]), float(row["snippet_duration_s"]), cls.shape[1] - 1)
-        out[str(row["video_id"])] = (grid, SnippetPredictions(att, cls))
+        out[vid] = (grid, SnippetPredictions(att, cls))
     return out
 
 
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     """Grid metadata from an SP-shaped file or a slim grid file."""
     out: dict[str, TimeGrid] = {}
-    for row in _read_lines(path):
-        _require(row, ("video_id", "num_snippets", "snippet_duration_s"), path)
+    for vid, row in _video_rows(path, ("num_snippets", "snippet_duration_s")):
         if "class_scores" in row:
             c = len(row["class_scores"][0]) - 1
         elif "class_count" in row:
             c = int(row["class_count"])
         else:
             raise SchemaError(f"{path}: grid rows need class_scores or class_count")
-        out[str(row["video_id"])] = TimeGrid(
-            int(row["num_snippets"]), float(row["snippet_duration_s"]), c
-        )
+        out[vid] = TimeGrid(int(row["num_snippets"]), float(row["snippet_duration_s"]), c)
     return out
 
 
@@ -190,19 +208,19 @@ def _parse_segments(path: str, with_score: bool):
     keys = ("video_id", "start_s", "end_s", "class_id") + (("score",) if with_score else ())
     for row in _read_lines(path):
         _require(row, keys, path)
-        iv = Interval(float(row["start_s"]), float(row["end_s"]))
+        iv = Interval(_number(row, "start_s", path), _number(row, "end_s", path))
+        class_id = _integer(row, "class_id", path)
         if with_score:
-            item = Proposal(iv, float(row["score"]), int(row["class_id"]))
+            item = Proposal(iv, _number(row, "score", path), class_id)
         else:
-            item = (iv, int(row["class_id"]))
+            item = (iv, class_id)
         out.setdefault(str(row["video_id"]), []).append(item)
     return out
 
 
 def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    for row in _read_lines(path):
-        _require(row, ("video_id", "bits"), path)
+    for vid, row in _video_rows(path, ("bits",)):
         bits: list[int] = []
         for pair in row["bits"]:
             if not isinstance(pair, list) or len(pair) != 2:
@@ -211,43 +229,28 @@ def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
             if value not in (0, 1) or int(count) < 1:
                 raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
             bits.extend([int(value)] * int(count))
-        out[str(row["video_id"])] = np.asarray(bits, dtype=np.uint8)
+        out[vid] = np.asarray(bits, dtype=np.uint8)
     return out
-
-
-def _rle(bits: np.ndarray) -> list[list[int]]:
-    pairs: list[list[int]] = []
-    for b in bits.tolist():
-        if pairs and pairs[-1][0] == b:
-            pairs[-1][1] += 1
-        else:
-            pairs.append([int(b), 1])
-    return pairs
 
 
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
     out: dict[str, AnchorTargets] = {}
-    for row in _read_lines(path):
-        _require(
-            row,
-            (
-                "video_id",
-                "num_snippets",
-                "snippet_duration_s",
-                "class_count",
-                "level_sizes",
-                "class_label",
-                "reg_left",
-                "reg_right",
-                "iou_weight",
-                "mask_bit",
-            ),
-            path,
-        )
+    keys = (
+        "num_snippets",
+        "snippet_duration_s",
+        "class_count",
+        "level_sizes",
+        "class_label",
+        "reg_left",
+        "reg_right",
+        "iou_weight",
+        "mask_bit",
+    )
+    for vid, row in _video_rows(path, keys):
         grid = TimeGrid(
             int(row["num_snippets"]), float(row["snippet_duration_s"]), int(row["class_count"])
         )
-        out[str(row["video_id"])] = AnchorTargets(
+        out[vid] = AnchorTargets(
             grid,
             tuple(int(s) for s in row["level_sizes"]),
             np.asarray(row["class_label"], dtype=np.int64),
@@ -261,15 +264,14 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
 
 def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     out: dict[str, AnchorPredictions] = {}
-    for row in _read_lines(path):
-        _require(row, ("video_id", "class_probs", "reg_left", "reg_right"), path)
+    for vid, row in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
         probs = np.asarray(row["class_probs"], dtype=np.float64)
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_probs rows must have positive sums")
         probs = probs / sums
         snippet = row.get("snippet_probs")
-        out[str(row["video_id"])] = AnchorPredictions(
+        out[vid] = AnchorPredictions(
             probs,
             np.asarray(row["reg_left"], dtype=np.float64),
             np.asarray(row["reg_right"], dtype=np.float64),
@@ -305,19 +307,6 @@ def _scheduled_mask_params(cfg: PipelineConfig, epoch: int | None) -> MaskParams
     )
 
 
-def _over_videos(
-    video_ids: Sequence[str], fn: Callable[[str], tuple[str, object]], jobs: int
-) -> list[tuple[str, object]]:
-    """Apply fn per video, in parallel when jobs > 1; results sorted by id."""
-    ordered = sorted(video_ids)
-    if jobs <= 1:
-        results = [fn(vid) for vid in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, ordered))
-    return sorted(results, key=lambda pair: pair[0])
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -327,8 +316,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     missing = sorted(set(sps) - set(gt))
     if missing:
         raise ValueError(f"no ground-truth labels for videos: {missing}")
-
-    def work(vid: str):
+    rows = []
+    for vid in sorted(sps):
         grid, preds = sps[vid]
         label = VideoLabel.from_classes(
             sorted({c for _, c in gt[vid]}), grid.class_count
@@ -343,10 +332,6 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
             min_score=cfg.min_score,
             extract_on=cfg.extract_on,
         )
-        return vid, proposals
-
-    rows = []
-    for vid, proposals in _over_videos(list(sps), work, args.jobs):
         rows.extend(
             _segment_row(vid, p.interval, p.class_id, p.score) for p in proposals
         )
@@ -361,8 +346,8 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> int:
     missing = sorted(set(proposals) - set(grids))
     if missing:
         raise ValueError(f"no grid metadata for videos: {missing}")
-
-    def work(vid: str):
+    rows = []
+    for vid in sorted(proposals):
         grid = grids[vid]
         pseudos = generate_pseudo_labels(
             args.strategy,
@@ -370,11 +355,6 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> int:
             grid,
             min_duration_s=cfg.min_duration_snippets * grid.snippet_duration_s,
         )
-        return vid, pseudos
-
-    results = _over_videos(list(proposals), work, args.jobs)
-    rows = []
-    for vid, pseudos in results:
         rows.extend(
             _segment_row(vid, p.interval, p.class_id, p.confidence) for p in pseudos
         )
@@ -391,8 +371,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> int:
                 f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}\n"
             )
             fh.write("t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)) + "\n")
-            centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
-            for t, row in zip(centers.tolist(), wavelet.values.tolist()):
+            for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist()):
                 fh.write(_G6(t) + "," + ",".join(map(_G6, row)) + "\n")
     return 0
 
@@ -405,21 +384,14 @@ def _cmd_mask(args, cfg: PipelineConfig) -> int:
     if missing:
         raise ValueError(f"no grid metadata for videos: {missing}")
     params = _scheduled_mask_params(cfg, args.epoch)
-
-    def work(vid: str):
+    rows = []
+    for vid in sorted(pseudos):
         grid = grids[vid]
-        masks = [
-            mask_for_proposal(
-                PseudoProposal(p.interval, p.class_id, max(p.score, 0.0)), params, grid
-            )
-            for p in pseudos[vid]
-        ]
-        return vid, union_masks(masks, grid)
-
-    rows = [
-        {"video_id": vid, "bits": _rle(mask.bits)}
-        for vid, mask in _over_videos(list(pseudos), work, args.jobs)
-    ]
+        masks = [mask_for_proposal(p.as_pseudo(), params, grid) for p in pseudos[vid]]
+        bits = union_masks(masks, grid).bits
+        rows.append(
+            {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
+        )
     _write_jsonl(args.output, cfg, rows)
     return 0
 
@@ -434,28 +406,22 @@ def _cmd_targets(args, cfg: PipelineConfig) -> int:
         raise ValueError(f"no grid metadata for videos: {missing}")
     params = _scheduled_mask_params(cfg, args.epoch)
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
-
-    def work(vid: str):
+    rows = []
+    for vid in sorted(pseudos):
         grid = grids[vid]
-        plist = [
-            PseudoProposal(p.interval, p.class_id, max(p.score, 0.0))
-            for p in pseudos[vid]
-        ]
         base = None
         if mask_bits is not None:
             if vid not in mask_bits:
                 raise ValueError(f"no mask bits for video {vid}")
             base = SnippetMask(mask_bits[vid], grid)
-        return vid, build_targets(plist, params, pyramid, grid, base_mask=base)
-
-    rows = []
-    for vid, tgt in _over_videos(list(pseudos), work, args.jobs):
+        plist = [p.as_pseudo() for p in pseudos[vid]]
+        tgt = build_targets(plist, params, pyramid, grid, base_mask=base)
         rows.append(
             {
                 "video_id": vid,
-                "num_snippets": tgt.grid.num_snippets,
-                "snippet_duration_s": tgt.grid.snippet_duration_s,
-                "class_count": tgt.grid.class_count,
+                "num_snippets": grid.num_snippets,
+                "snippet_duration_s": grid.snippet_duration_s,
+                "class_count": grid.class_count,
                 "level_sizes": list(tgt.level_sizes),
                 "class_label": tgt.class_label,
                 "reg_left": tgt.reg_left,
@@ -483,7 +449,9 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
         class_count = next(iter(sps_by_vid.values()))[0].class_count
         labels = _labels_from_gt(gt, class_count)
 
-    def work(vid: str):
+    t0 = time.perf_counter()
+    per_video = {}
+    for vid in sorted(preds):
         pred, tgt = preds[vid], targets[vid]
         l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
         l_reg = reg_loss(pred, tgt)
@@ -497,19 +465,14 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
                 pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal
             )
         has_pos = bool(((tgt.mask_bit == 1) & (tgt.class_label > 0)).any())
-        entry = {
+        per_video[vid] = {
             "cls": l_cls,
             "reg": l_reg,
             "att": l_att,
             "total": total_loss(l_reg, l_cls, l_att, cfg.lambda_att),
             "empty_positives": not has_pos,
         }
-        return vid, entry
-
-    t0 = time.perf_counter()
-    results = _over_videos(list(preds), work, args.jobs)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    per_video = {vid: entry for vid, entry in results}
     n = len(per_video)
     mean = {
         key: sum(entry[key] for entry in per_video.values()) / n
@@ -536,22 +499,8 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _sim_config(args, raw_sim: dict) -> SimConfig:
-    known = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(raw_sim) - known
-    if unknown:
-        raise SchemaError(f"unknown sim config keys: {sorted(unknown)}")
-    kwargs = dict(raw_sim)
-    for name in ("snippets_per_video", "actions_per_video", "duration_range_s"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return SimConfig(**kwargs)
-
-
 def _cmd_simulate(args, cfg: PipelineConfig, raw_sim: dict) -> int:
-    sim_cfg = _sim_config(args, raw_sim)
+    sim_cfg = SimConfig.from_dict(raw_sim)
     layout = gen_corpus(sim_cfg)
     predictions = corrupt_predictions(layout.ground_truth, layout.grids, sim_cfg)
     sp_rows = []
@@ -580,7 +529,7 @@ def _cmd_simulate(args, cfg: PipelineConfig, raw_sim: dict) -> int:
 
 
 def _cmd_benchmark(args, cfg: PipelineConfig, raw_sim: dict) -> int:
-    sim_cfg = _sim_config(args, raw_sim)
+    sim_cfg = SimConfig.from_dict(raw_sim)
     strategies = args.strategy or ["ricker", "soft", "hard", "topk", "threshold", "gauss"]
     result = run_benchmark(sim_cfg, strategies, cfg)
     metrics = {
@@ -676,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--epoch", type=int, default=None,
                         help="training epoch for mask-band scheduling")
         sp.add_argument("--seed", type=int, default=None, help="override the sim seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker threads per video")
         sp.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in reports (breaks byte reproducibility)")
         sp.add_argument("--wavelet-csv", default=None,
@@ -687,10 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         cfg, raw_sim = _load_config(args.config)
+        if args.seed is not None:
+            raw_sim["seed"] = args.seed
         if args.command == "extract":
             return _cmd_extract(args, cfg)
         if args.command == "fuse":
@@ -709,7 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "benchmark":
             return _cmd_benchmark(args, cfg, raw_sim)
         parser.error(f"unknown command {args.command}")
-    except SchemaError as exc:
+    except (SchemaError, UnknownKeysError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -7,7 +7,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["PipelineConfig", "TOOL_VERSION"]
+__all__ = ["PipelineConfig", "UnknownKeysError", "TOOL_VERSION"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -19,6 +19,25 @@ def _default_thresholds() -> tuple[float, ...]:
 
 def _default_eval_tious() -> tuple[float, ...]:
     return tuple(round(0.1 * i, 1) for i in range(1, 8))
+
+
+class UnknownKeysError(ValueError):
+    """A config mapping names keys that are not fields of the config."""
+
+
+def config_from_dict(cls, data: dict, what: str = "config"):
+    """`cls(**data)` for a config dataclass, strictly: unknown keys raise
+    `UnknownKeysError`, and every tuple-typed field takes a JSON list."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise UnknownKeysError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(
+        **{
+            k: tuple(v) if str(fields[k].type).startswith("tuple") else v
+            for k, v in data.items()
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -82,16 +101,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "thresholds" in kwargs:
-            kwargs["thresholds"] = tuple(kwargs["thresholds"])
-        if "eval_tious" in kwargs:
-            kwargs["eval_tious"] = tuple(kwargs["eval_tious"])
-        return cls(**kwargs)
+        return config_from_dict(cls, data)
 
     def config_hash(self) -> str:
         """Stable 12-hex digest of the canonical JSON form."""

@@ -1,9 +1,11 @@
-"""Temporal grid, intervals, proposal types, and temporal IoU.
+"""Temporal grid, intervals, proposal types, and the shared primitives.
 
 Everything downstream (extraction, fusion, masking, target building,
-evaluation) works on these types. Public boundaries are expressed in
-seconds; snippet indices appear only when converting to or from a grid.
-All types are immutable after construction and all functions are pure.
+evaluation) works on these types and on the one implementation of each
+primitive here: temporal IoU (scalar and elementwise), equal-value runs,
+and snippet centers. Public boundaries are expressed in seconds; snippet
+indices appear only when converting to or from a grid. All types are
+immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ __all__ = [
     "PseudoProposal",
     "SnippetPredictions",
     "tiou",
+    "pairwise_tiou",
+    "runs",
     "snippet_index_to_interval",
     "snippet_centers",
 ]
@@ -86,6 +90,11 @@ class Proposal:
             raise ValueError("proposal score must be finite")
         if self.class_id < 1:
             raise ValueError("class_id must be >= 1")
+
+    def as_pseudo(self) -> "PseudoProposal":
+        """The pseudo label over this interval and class; confidence is the
+        score, floored at 0."""
+        return PseudoProposal(self.interval, self.class_id, max(self.score, 0.0))
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,37 @@ def tiou(a: Interval, b: Interval) -> float:
         return 0.0
     union = a.duration_s + b.duration_s - inter
     return inter / union
+
+
+def pairwise_tiou(
+    a_start: np.ndarray, a_end: np.ndarray, b_start: np.ndarray, b_end: np.ndarray
+) -> np.ndarray:
+    """Elementwise `tiou` of intervals a and b (broadcast), as float64.
+
+    The same IEEE operations in the same order as `tiou`, so every value is
+    bit-identical to it; integer endpoints work too.
+    """
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    union = (a_end - a_start) + (b_end - b_start) - inter
+    out = np.zeros(np.shape(inter), dtype=np.float64)
+    np.divide(inter, union, out=out, where=inter > 0)
+    return out
+
+
+def runs(values: np.ndarray) -> list[tuple[int, int, object]]:
+    """Maximal runs of equal values of a 1-D array as inclusive
+    (first, last, value) triples, in order; the value is a Python scalar."""
+    v = np.asarray(values)
+    if v.size == 0:
+        return []
+    lasts = np.flatnonzero(v[1:] != v[:-1]).tolist()
+    lasts.append(v.size - 1)
+    items = v.tolist()
+    out, first = [], 0
+    for last in lasts:
+        out.append((first, last, items[first]))
+        first = last + 1
+    return out
 
 
 def snippet_index_to_interval(grid: TimeGrid, i: int) -> Interval:

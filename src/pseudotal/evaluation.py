@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, PseudoProposal
+from .core import Interval, Proposal, PseudoProposal, pairwise_tiou
 from .weak_branch import soft_nms
 
 __all__ = [
@@ -186,7 +186,7 @@ class _PairTable:
         pair_gt = np.arange(pair_pred.shape[0]) + np.repeat(lo - first, counts)
         return cls(
             p_class, p_start, p_end, p_score, gt_input, npos, pair_pred, pair_gt,
-            _tiou_pairs(p_start[pair_pred], p_end[pair_pred], g_start[pair_gt], g_end[pair_gt]),
+            pairwise_tiou(p_start[pair_pred], p_end[pair_pred], g_start[pair_gt], g_end[pair_gt]),
         )
 
     def ap_table(
@@ -267,18 +267,6 @@ def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
     """Rows of equal-length tuples as one 1-D array per column."""
     cols = list(zip(*rows)) if rows else [()] * len(dtypes)
     return [np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)]
-
-
-def _tiou_pairs(
-    a_start: np.ndarray, a_end: np.ndarray, b_start: np.ndarray, b_end: np.ndarray
-) -> np.ndarray:
-    """Elementwise `core.tiou` of intervals a and b, in the same IEEE
-    operations and order, so every value is bit-identical to it."""
-    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
-    union = (a_end - a_start) + (b_end - b_start) - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=inter > 0.0)
-    return out
 
 
 def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:

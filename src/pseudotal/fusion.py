@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, PseudoProposal, TimeGrid, snippet_centers, tiou
+from .core import Interval, Proposal, PseudoProposal, TimeGrid, runs, snippet_centers, tiou
 
 __all__ = [
     "FusedWavelet",
@@ -127,11 +127,9 @@ def segments_from_wavelet(
     out: list[PseudoProposal] = []
     for col in range(grid.class_count):
         vals = wavelet.values[:, col]
-        positive = vals > 0.0
-        padded = np.concatenate([[False], positive, [False]])
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        for k in range(0, len(edges), 2):
-            first, last = int(edges[k]), int(edges[k + 1]) - 1
+        for first, last, positive in runs(vals > 0.0):
+            if not positive:
+                continue
             if first == 0:
                 start = 0.0
             else:
@@ -160,10 +158,6 @@ class FusionStrategy(enum.Enum):
     GAUSS = "gauss"
 
 
-def _to_pseudo(p: Proposal) -> PseudoProposal:
-    return PseudoProposal(p.interval, p.class_id, max(p.score, 0.0))
-
-
 def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProposal]:
     """Winner-takes-all snippet ownership followed by re-segmentation.
 
@@ -189,24 +183,12 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
         take = covered & (p.score > best)
         owner[take] = i
         best[take] = p.score
-    out: list[PseudoProposal] = []
     dur = grid.snippet_duration_s
-    t = 0
-    while t < grid.num_snippets:
-        if owner[t] < 0:
-            t += 1
-            continue
-        start = t
-        while t + 1 < grid.num_snippets and owner[t + 1] == owner[start]:
-            t += 1
-        p = proposals[owner[start]]
-        out.append(
-            PseudoProposal(
-                Interval(start * dur, (t + 1) * dur), p.class_id, max(p.score, 0.0)
-            )
-        )
-        t += 1
-    return out
+    return [
+        replace(proposals[i], interval=Interval(first * dur, (last + 1) * dur)).as_pseudo()
+        for first, last, i in runs(owner)
+        if i >= 0
+    ]
 
 
 def _fuse_gauss(
@@ -251,16 +233,16 @@ def fuse_baseline(
     if strategy is FusionStrategy.HARD:
         return _fuse_hard(proposals, grid)
     if strategy is FusionStrategy.SOFT:
-        return [_to_pseudo(p) for p in proposals]
+        return [p.as_pseudo() for p in proposals]
     if strategy is FusionStrategy.TOPK:
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         ranked = sorted(
             proposals, key=lambda p: (-p.score, p.interval.start_s, p.interval.end_s)
         )
-        return [_to_pseudo(p) for p in ranked[:top_k]]
+        return [p.as_pseudo() for p in ranked[:top_k]]
     if strategy is FusionStrategy.THRESHOLD:
-        return [_to_pseudo(p) for p in proposals if p.score >= score_threshold]
+        return [p.as_pseudo() for p in proposals if p.score >= score_threshold]
     if strategy is FusionStrategy.GAUSS:
         return _fuse_gauss(proposals, group_tiou)
     raise ValueError(f"unknown fusion strategy: {strategy!r}")

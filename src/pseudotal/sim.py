@@ -6,8 +6,7 @@ attention/class rows and corrupted with boundary jitter, low-frequency
 attention noise, and false-positive segments. Every byte of output is a
 pure function of the config: video v draws from the PCG64 substream
 seeded with SeedSequence((seed, stage, v)), stage 0 for layout and 1 for
-corruption, so per-video work can run on any number of workers without
-changing results.
+corruption, so no video's draws depend on another video.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig
-from .core import Interval, Proposal, PseudoProposal, SnippetPredictions, TimeGrid
+from .config import PipelineConfig, config_from_dict
+from .core import Interval, Proposal, PseudoProposal, SnippetPredictions, TimeGrid, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels
 from .weak_branch import VideoLabel, weak_proposals
@@ -87,6 +86,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.score_temperature <= 0:
             raise ValueError("score_temperature must be positive")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimConfig":
+        return config_from_dict(cls, data, "sim config")
 
     def duration_snippet_range(self) -> tuple[int, int]:
         lo = max(1, math.ceil(self.duration_range_s[0] / self.snippet_duration_s))
@@ -206,7 +209,7 @@ def _corrupt_video(
     rng = _video_rng(cfg.seed, 1, video_index)
     t = grid.num_snippets
     dur = grid.snippet_duration_s
-    centers = (np.arange(t) + 0.5) * dur
+    centers = snippet_centers(grid)
 
     # jitter boundaries in proportion to duration, then clamp to the video
     jittered: list[tuple[float, float, int]] = []
@@ -347,10 +350,11 @@ def run_benchmark(
     across strategies, so the comparison isolates the fusion step,
     mirroring a side-by-side strategy table. Timings: `simulate` (corpus),
     `weak_branch` (proposals) and one entry per strategy (fusion plus
-    scoring).
+    scoring). A repeated strategy name is fused and scored once.
     """
     if not strategies:
         raise ValueError("at least one strategy required")
+    strategies = list(dict.fromkeys(strategies))
     pipe = pipe or PipelineConfig()
     t0 = time.perf_counter()
     layout = gen_corpus(cfg)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, PseudoProposal, TimeGrid
+from .core import Proposal, PseudoProposal, TimeGrid, pairwise_tiou
 from .fusion import fuse_ricker, segments_from_wavelet
 from .mask import MaskParams, SnippetMask, mask_for_proposal, union_masks
 from .weak_branch import VideoLabel
@@ -46,18 +46,15 @@ def _default_ranges(num_levels: int) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    """Multi-scale anchor layout: stride doubles per level, and each level
-    owns a half-open duration range (in snippets)."""
+    """Multi-scale anchor layout: level l has a stride of 2**l snippets, and
+    each level owns a half-open duration range (in snippets)."""
 
     num_levels: int = 6
-    base_stride_snippets: int = 1
     regression_ranges: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
-        if self.base_stride_snippets < 1:
-            raise ValueError("base_stride_snippets must be >= 1")
         ranges = self.regression_ranges or _default_ranges(self.num_levels)
         ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
         if len(ranges) != self.num_levels:
@@ -70,7 +67,7 @@ class PyramidConfig:
         object.__setattr__(self, "regression_ranges", ranges)
 
     def stride(self, level: int) -> int:
-        return self.base_stride_snippets * 2**level
+        return 2**level
 
     def level_sizes(self, grid: TimeGrid) -> tuple[int, ...]:
         return tuple(
@@ -80,6 +77,14 @@ class PyramidConfig:
 
     def total_anchors(self, grid: TimeGrid) -> int:
         return sum(self.level_sizes(grid))
+
+
+def _level_times(level_sizes: Sequence[int], snippet_duration_s: float) -> list[np.ndarray]:
+    """Anchor center times in seconds, one array per level (stride 2**level)."""
+    return [
+        (np.arange(size, dtype=np.float64) + 0.5) * 2**level * snippet_duration_s
+        for level, size in enumerate(level_sizes)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +145,7 @@ class AnchorTargets:
 
     def anchor_times(self) -> np.ndarray:
         """Anchor center time in seconds, level by level."""
-        dur = self.grid.snippet_duration_s
-        parts = [
-            (np.arange(size, dtype=np.float64) + 0.5) * (2**level) * dur
-            for level, size in enumerate(self.level_sizes)
-        ]
+        parts = _level_times(self.level_sizes, self.grid.snippet_duration_s)
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def decode_intervals(self, reg_left: np.ndarray, reg_right: np.ndarray) -> np.ndarray:
@@ -171,6 +172,8 @@ class AnchorPredictions:
         right = np.asarray(self.reg_right, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError("class_probs must be (num_anchors, C+1)")
+        if not (np.isfinite(probs).all() and np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValueError("class_probs and reg offsets must be finite")
         if left.shape != (probs.shape[0],) or right.shape != (probs.shape[0],):
             raise ValueError("reg offsets must match the anchor count")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
@@ -182,6 +185,8 @@ class AnchorPredictions:
             object.__setattr__(self, name, arr)
         if self.snippet_probs is not None:
             sp = np.asarray(self.snippet_probs, dtype=np.float64)
+            if not np.isfinite(sp).all():
+                raise ValueError("snippet_probs must be finite")
             sp.setflags(write=False)
             object.__setattr__(self, "snippet_probs", sp)
 
@@ -225,11 +230,19 @@ def build_targets(
     for plist in by_level.values():
         plist.sort(key=lambda p: (p.interval.duration_s, p.interval.start_s))
 
+    if base_mask is None:
+        base_mask = union_masks(
+            [mask_for_proposal(p, mask_params, grid) for p in pseudos], grid
+        )
+    elif base_mask.grid != grid:
+        raise ValueError("base mask grid disagrees with the target grid")
+    mask_bit = np.empty(total, dtype=np.uint8)
+
     dur = grid.snippet_duration_s
     offset = 0
-    for level, size in enumerate(sizes):
+    for level, times in enumerate(_level_times(sizes, dur)):
+        size = times.shape[0]
         stride = cfg.stride(level)
-        times = (np.arange(size, dtype=np.float64) + 0.5) * stride * dur
         assigned = np.zeros(size, dtype=bool)
         for p in by_level.get(level, []):
             inside = (times >= p.interval.start_s) & (times < p.interval.end_s)
@@ -242,19 +255,6 @@ def build_targets(
             reg_right[offset + idx] = (p.interval.end_s - times[idx]) / (stride * dur)
             iou_weight[offset + idx] = 1.0
             assigned |= take
-        offset += size
-
-    if base_mask is None:
-        base_mask = union_masks(
-            [mask_for_proposal(p, mask_params, grid) for p in pseudos], grid
-        )
-    elif base_mask.grid != grid:
-        raise ValueError("base mask grid disagrees with the target grid")
-    mask_bit = np.empty(total, dtype=np.uint8)
-    offset = 0
-    for level, size in enumerate(sizes):
-        stride = cfg.stride(level)
-        times = (np.arange(size, dtype=np.float64) + 0.5) * stride * dur
         snippet_idx = np.minimum((times / dur).astype(np.int64), grid.num_snippets - 1)
         mask_bit[offset : offset + size] = base_mask.bits[snippet_idx]
         offset += size
@@ -299,19 +299,6 @@ def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) ->
     return loss
 
 
-def _pair_tiou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise IoU of two (N, 2) interval arrays; invalid rows score 0."""
-    inter = np.minimum(a[:, 1], b[:, 1]) - np.maximum(a[:, 0], b[:, 0])
-    len_a = np.clip(a[:, 1] - a[:, 0], 0.0, None)
-    len_b = np.clip(b[:, 1] - b[:, 0], 0.0, None)
-    inter = np.clip(inter, 0.0, None)
-    union = len_a + len_b - inter
-    out = np.zeros(a.shape[0])
-    ok = union > 0
-    out[ok] = inter[ok] / union[ok]
-    return out
-
-
 def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     """Mean (1 - IoU) between decoded predictions and pseudo intervals over
     mask-allowed positive anchors; 0 when there are none."""
@@ -323,7 +310,8 @@ def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     idx = np.flatnonzero(pos)
     decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[idx]
     target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[idx]
-    return float((1.0 - _pair_tiou(decoded, target)).sum()) / idx.size
+    overlap = pairwise_tiou(decoded[:, 0], decoded[:, 1], target[:, 0], target[:, 1])
+    return float((1.0 - overlap).sum()) / idx.size
 
 
 def att_loss(
@@ -367,7 +355,9 @@ def update_iou_weights(pred: AnchorPredictions, tgt: AnchorTargets) -> AnchorTar
     decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)
     target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)
     weights = np.zeros(tgt.num_anchors)
-    weights[pos] = _pair_tiou(decoded[pos], target[pos])
+    weights[pos] = pairwise_tiou(
+        decoded[pos, 0], decoded[pos, 1], target[pos, 0], target[pos, 1]
+    )
     return AnchorTargets(
         tgt.grid,
         tgt.level_sizes,

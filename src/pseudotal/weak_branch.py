@@ -14,7 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, SnippetPredictions, TimeGrid
+from .core import (
+    Interval,
+    Proposal,
+    SnippetPredictions,
+    TimeGrid,
+    pairwise_tiou,
+    runs,
+    snippet_centers,
+)
 
 __all__ = [
     "VideoLevelScores",
@@ -131,13 +139,6 @@ def compute_sps(attention: np.ndarray, class_scores: np.ndarray) -> np.ndarray:
     return att[:, None] * cls
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True as inclusive (first, last) index pairs."""
-    padded = np.concatenate([[False], mask, [False]])
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(0, len(edges), 2)]
-
-
 def extract_proposals(
     sps: np.ndarray,
     grid: TimeGrid,
@@ -166,8 +167,9 @@ def extract_proposals(
             raise ValueError("video label class out of grid range")
         col = z[:, class_id - 1]
         for th in thresholds:
-            for first, last in _runs(col >= th):
-                seen.add((class_id, first, last))
+            for first, last, above in runs(col >= th):
+                if above:
+                    seen.add((class_id, first, last))
     out = [
         Proposal(Interval(first * dur, (last + 1) * dur), 0.0, class_id)
         for class_id, first, last in sorted(seen)
@@ -192,8 +194,7 @@ def oic_score(
     col = np.asarray(sps_column, dtype=np.float64)
     if col.shape[0] != grid.num_snippets:
         raise ValueError("SP column length disagrees with grid")
-    dur = grid.snippet_duration_s
-    centers = (np.arange(grid.num_snippets) + 0.5) * dur
+    centers = snippet_centers(grid)
     inner = (centers >= proposal.start_s) & (centers < proposal.end_s)
     flank = inflation * proposal.duration_s
     left_lo = max(proposal.start_s - flank, 0.0)
@@ -243,10 +244,7 @@ def soft_nms(
             rest = np.flatnonzero(alive)
             if rest.size == 0:
                 break
-            inter = np.minimum(ends[rest], ends[best]) - np.maximum(starts[rest], starts[best])
-            inter = np.clip(inter, 0.0, None)
-            union = (ends[rest] - starts[rest]) + (ends[best] - starts[best]) - inter
-            overlap = inter / union
+            overlap = pairwise_tiou(starts[rest], ends[rest], starts[best], ends[best])
             scores[rest] = scores[rest] * np.exp(-(overlap**2) / sigma_nms)
             alive[rest[scores[rest] < min_score]] = False
     out.sort(key=lambda p: (-p.score, p.class_id, p.interval.start_s, p.interval.end_s))

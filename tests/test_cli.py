@@ -96,22 +96,6 @@ class TestExtractFuse:
             set(r) == {"video_id", "start_s", "end_s", "score", "class_id"} for r in rows
         )
 
-    def test_jobs_never_change_bytes(self, sim_paths):
-        one = sim_paths["dir"] / "j1.jsonl"
-        many = sim_paths["dir"] / "j4.jsonl"
-        for out, jobs in ((one, 1), (many, 4)):
-            assert (
-                run(
-                    "extract",
-                    "--input", sim_paths["sp"],
-                    "--gt", sim_paths["gt"],
-                    "--output", out,
-                    "--jobs", jobs,
-                )
-                == 0
-            )
-        assert one.read_bytes() == many.read_bytes()
-
     def test_fuse_single_proposal_round_trip(self, tmp_path):
         grid_file = tmp_path / "grid.jsonl"
         write_jsonl(
@@ -659,6 +643,91 @@ class TestExitCodes:
         code = run("simulate", "--config", cfg, "--output", tmp_path / "o.jsonl")
         assert code == 2
 
-    def test_jobs_must_be_positive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("simulate", "--output", tmp_path / "o.jsonl", "--jobs", 0)
+    def test_bad_sim_value(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"num_videos": 0}}))
+        out = tmp_path / "o.jsonl"
+        assert run("simulate", "--config", cfg, "--output", out) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["class_probs", "reg_left", "snippet_probs"])
+    def test_non_finite_anchor_predictions(self, tmp_path, capsys, field):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+            "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+            "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+            "iou_weight": [0.0] * n, "mask_bit": [1] * n,
+        }])
+        row = {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+               "reg_left": [1.0] * n, "reg_right": [1.0] * n,
+               "snippet_probs": [[0.5, 0.5]] * 8}
+        row[field] = list(row[field])
+        row[field][1] = [float("nan"), 0.5] if field != "reg_left" else float("nan")
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [row])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("class_id", 1.7), ("class_id", True), ("class_id", "1"),
+         ("start_s", "abc"), ("end_s", None), ("score", "abc"), ("score", False)],
+    )
+    def test_segment_field_types(self, tmp_path, capsys, field, value):
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        pred = {"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1, "score": 0.9}
+        pred[field] = value
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [pred])
+        out = tmp_path / "eval.json"
+        assert run("eval", "--input", preds, "--gt", gt, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {preds}: {field} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["sp", "grid", "mask", "targets", "anchor_predictions"])
+    def test_duplicate_video_rows(self, tmp_path, capsys, kind):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        rows = {
+            "sp": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                   "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8},
+            "grid": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                     "class_count": 1},
+            "mask": {"video_id": "v", "bits": [[1, 8]]},
+            "targets": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                        "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+                        "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+                        "iou_weight": [0.0] * n, "mask_bit": [1] * n},
+            "anchor_predictions": {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                                   "reg_left": [1.0] * n, "reg_right": [1.0] * n},
+        }
+        files = {}
+        for name, row in rows.items():
+            files[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(files[name], [row, row] if name == kind else [row])
+        segments = tmp_path / "segments.jsonl"
+        write_jsonl(segments, [{"video_id": "v", "start_s": 2.0, "end_s": 5.0,
+                                "score": 1.0, "class_id": 1}])
+        out = tmp_path / "out"
+        argv = {
+            "sp": ("extract", "--input", files["sp"], "--gt", segments),
+            "grid": ("fuse", "--input", segments, "--input", files["grid"]),
+            "mask": ("targets", "--input", segments, "--input", files["grid"],
+                     "--input", files["mask"]),
+            "targets": ("losses", "--input", files["anchor_predictions"],
+                        "--input", files["targets"]),
+            "anchor_predictions": ("losses", "--input", files["anchor_predictions"],
+                                   "--input", files["targets"]),
+        }[kind]
+        assert run(*argv, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {files[kind]}: duplicate video_id 'v'\n"
+        assert not out.exists()

@@ -7,6 +7,7 @@ from pseudotal.core import (
     PseudoProposal,
     SnippetPredictions,
     TimeGrid,
+    runs,
     snippet_centers,
     snippet_index_to_interval,
     tiou,
@@ -50,6 +51,12 @@ class TestTypes:
         as_prop = p.as_proposal(2.0)
         assert as_prop.score == 1.0
         assert as_prop.class_id == 2
+
+    def test_proposal_as_pseudo_floors_score(self):
+        p = Proposal(Interval(1, 3), 0.7, 2).as_pseudo()
+        assert p == PseudoProposal(Interval(1, 3), 2, 0.7)
+        assert Proposal(Interval(1, 3), -0.2, 2).as_pseudo().confidence == 0.0
+        assert p.as_proposal().as_pseudo() == p
 
     def test_snippet_predictions_validation(self):
         att = np.array([0.5, 1.0])
@@ -110,3 +117,37 @@ class TestSnippetMapping:
     def test_centers(self):
         g = TimeGrid(4, 0.5, 1)
         assert snippet_centers(g).tolist() == [0.25, 0.75, 1.25, 1.75]
+
+
+def _naive_runs(values):
+    out = []
+    for i, v in enumerate(values.tolist()):
+        if out and out[-1][2] == v:
+            out[-1][1] = i
+        else:
+            out.append([i, i, v])
+    return [tuple(r) for r in out]
+
+
+class TestRuns:
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_matches_naive_loop(self, dtype):
+        rng = np.random.default_rng(41)
+        high = {bool: 2, np.uint8: 3, np.int64: 4}[dtype]
+        for n in (0, 1, 2, 3, 17, 200):
+            for _ in range(30):
+                values = rng.integers(-1 if dtype is np.int64 else 0, high, n).astype(dtype)
+                assert runs(values) == _naive_runs(values)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_edges(self, dtype):
+        assert runs(np.zeros(0, dtype=dtype)) == []
+        assert runs(np.ones(1, dtype=dtype)) == [(0, 0, 1)]
+        assert runs(np.ones(9, dtype=dtype)) == [(0, 8, 1)]
+        assert runs(np.zeros(4, dtype=dtype)) == [(0, 3, 0)]
+
+    def test_values_are_python_scalars(self):
+        out = runs(np.array([True, True, False]))
+        assert out == [(0, 1, True), (2, 2, False)]
+        assert all(type(v) is bool for _, _, v in out)
+        assert all(type(v) is int for _, _, v in runs(np.array([3, 3, -1], dtype=np.int64)))

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import reference_eval as ref
-from pseudotal import evaluation
-from pseudotal.core import Interval, PseudoProposal, tiou
+from pseudotal.core import Interval, PseudoProposal, pairwise_tiou, tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     GroundTruthSet,
@@ -94,13 +93,26 @@ def test_pairwise_tiou_bit_identical_to_core():
     a_end = a_start + rng.uniform(0.01, 20, n)
     b_start = rng.uniform(0, 50, n) * rng.choice([1.0, 0.1, 1 / 3], n)
     b_end = b_start + rng.uniform(0.01, 20, n)
-    got = evaluation._tiou_pairs(a_start, a_end, b_start, b_end).tolist()
+    got = pairwise_tiou(a_start, a_end, b_start, b_end).tolist()
     want = [
         tiou(Interval(*a), Interval(*b))
         for a, b in zip(zip(a_start.tolist(), a_end.tolist()), zip(b_start.tolist(), b_end.tolist()))
     ]
     assert sum(t > 0.0 for t in want) > n // 10
     assert got == want
+    # integer endpoints: a float64 result, still bit-identical to the scalar
+    a_start = rng.integers(0, 60, n)
+    a_end = a_start + rng.integers(1, 25, n)
+    b_start = rng.integers(0, 60, n)
+    b_end = b_start + rng.integers(1, 25, n)
+    got = pairwise_tiou(a_start, a_end, b_start, b_end)
+    assert got.dtype == np.float64
+    want = [
+        tiou(Interval(*a), Interval(*b))
+        for a, b in zip(zip(a_start.tolist(), a_end.tolist()), zip(b_start.tolist(), b_end.tolist()))
+    ]
+    assert sum(t > 0.0 for t in want) > n // 10
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("integer_grid", [True, False])

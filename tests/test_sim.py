@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudotal import sim
-from pseudotal.config import PipelineConfig
+from pseudotal.config import PipelineConfig, UnknownKeysError
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -25,6 +25,14 @@ class TestSimConfig:
     def test_defaults_valid(self):
         cfg = SimConfig()
         assert cfg.num_videos == 20
+
+    def test_from_dict(self):
+        cfg = SimConfig.from_dict({"seed": 4, "snippets_per_video": [10, 20]})
+        assert cfg == SimConfig(seed=4, snippets_per_video=(10, 20))
+        with pytest.raises(UnknownKeysError, match="unknown sim config keys: \\['bogus'\\]"):
+            SimConfig.from_dict({"bogus": 1})
+        with pytest.raises(ValueError):
+            SimConfig.from_dict({"num_videos": 0})
 
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
@@ -231,6 +239,21 @@ class TestBenchmark:
                 PIPE.eval_tious,
             )
             assert result.reports[name] == alone
+
+    def test_repeated_strategy_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(strategy, *args, **kwargs):
+            calls.append(strategy)
+            return generate_pseudo_labels(strategy, *args, **kwargs)
+
+        cfg = SimConfig(seed=3, num_videos=4, attention_noise_std=0.1)
+        once = run_benchmark(cfg, ["ricker", "soft"])
+        monkeypatch.setattr(sim, "generate_pseudo_labels", counting)
+        result = run_benchmark(cfg, ["ricker", "ricker", "soft"])
+        assert len(calls) == 8
+        assert result.reports == once.reports
+        assert list(result.timings_ms) == list(once.timings_ms)
 
     def test_requires_strategies(self):
         with pytest.raises(ValueError):
