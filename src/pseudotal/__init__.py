@@ -29,9 +29,7 @@ from .evaluation import (
 )
 from .fusion import (
     FusedWavelet,
-    FusionStrategy,
     RickerParams,
-    fuse_baseline,
     fuse_ricker,
     generate_pseudo_labels,
     ricker_value,
@@ -102,9 +100,7 @@ __all__ = [
     "postprocess_inference",
     "pseudo_quality",
     "FusedWavelet",
-    "FusionStrategy",
     "RickerParams",
-    "fuse_baseline",
     "fuse_ricker",
     "generate_pseudo_labels",
     "ricker_value",

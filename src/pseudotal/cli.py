@@ -1,10 +1,10 @@
 """Command-line pipeline over JSON-lines files.
 
 Subcommands: extract, fuse, mask, targets, losses, eval, simulate,
-benchmark. Every output file is a pure function of its inputs and the
-config: floats are written at 6 significant digits and rows are ordered
-by video_id. Exit codes: 0 success, 2 missing/malformed input, 3
-domain-constraint violation.
+benchmark; `COMMANDS` lists the flags each one reads. Every output file
+is a pure function of its inputs and the config: floats are written at 6
+significant digits and rows are ordered by video_id. Exit codes: 0
+success, 2 missing/malformed input, 3 domain-constraint violation.
 """
 from __future__ import annotations
 
@@ -14,14 +14,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import TOOL_VERSION, PipelineConfig, UnknownKeysError
 from .core import Interval, Proposal, SnippetPredictions, TimeGrid, runs, snippet_centers
 from .evaluation import GroundTruthSet, map_table
-from .fusion import fuse_ricker, generate_pseudo_labels
+from .fusion import STRATEGIES, fuse_ricker, generate_pseudo_labels, lookup_strategy
 from .mask import MaskParams, SnippetMask, decay_schedule, mask_for_proposal, union_masks
 from .sim import RNG_NAME, SimConfig, corrupt_predictions, gen_corpus, run_benchmark
 from .targets import (
@@ -131,18 +131,24 @@ def _video_rows(path: str, keys: Sequence[str]) -> Iterator[tuple[str, dict]]:
         yield vid, row
 
 
-def _number(row: dict, key: str, path: str) -> float:
-    value = row[key]
+def _number(value, name: str, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: {key} must be a number, got {value!r}")
+        raise SchemaError(f"{path}: {name} must be a number, got {value!r}")
     return float(value)
 
 
-def _integer(row: dict, key: str, path: str) -> int:
-    value = row[key]
+def _integer(value, name: str, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: {key} must be an integer, got {value!r}")
+        raise SchemaError(f"{path}: {name} must be an integer, got {value!r}")
     return value
+
+
+def _grid(row: dict, class_count, path: str) -> TimeGrid:
+    return TimeGrid(
+        _integer(row["num_snippets"], "num_snippets", path),
+        _number(row["snippet_duration_s"], "snippet_duration_s", path),
+        _integer(class_count, "class_count", path),
+    )
 
 
 def _header(cfg: PipelineConfig) -> dict:
@@ -176,15 +182,15 @@ def _parse_sp_file(path: str) -> dict[str, tuple[TimeGrid, SnippetPredictions]]:
     for vid, row in _video_rows(path, keys):
         att = np.asarray(row["attention"], dtype=np.float64)
         cls = np.asarray(row["class_scores"], dtype=np.float64)
-        if cls.ndim != 2 or cls.shape[0] != int(row["num_snippets"]):
+        num_snippets = _integer(row["num_snippets"], "num_snippets", path)
+        if cls.ndim != 2 or cls.shape[0] != num_snippets:
             raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
         cls = cls / sums
-        grid = TimeGrid(int(row["num_snippets"]), float(row["snippet_duration_s"]), cls.shape[1] - 1)
-        out[vid] = (grid, SnippetPredictions(att, cls))
+        out[vid] = (_grid(row, cls.shape[1] - 1, path), SnippetPredictions(att, cls))
     return out
 
 
@@ -193,12 +199,15 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     out: dict[str, TimeGrid] = {}
     for vid, row in _video_rows(path, ("num_snippets", "snippet_duration_s")):
         if "class_scores" in row:
-            c = len(row["class_scores"][0]) - 1
+            scores = row["class_scores"]
+            if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
+                raise SchemaError(f"{path}: class_scores must be a nonempty list of rows")
+            c = len(scores[0]) - 1
         elif "class_count" in row:
-            c = int(row["class_count"])
+            c = row["class_count"]
         else:
             raise SchemaError(f"{path}: grid rows need class_scores or class_count")
-        out[vid] = TimeGrid(int(row["num_snippets"]), float(row["snippet_duration_s"]), c)
+        out[vid] = _grid(row, c, path)
     return out
 
 
@@ -208,10 +217,12 @@ def _parse_segments(path: str, with_score: bool):
     keys = ("video_id", "start_s", "end_s", "class_id") + (("score",) if with_score else ())
     for row in _read_lines(path):
         _require(row, keys, path)
-        iv = Interval(_number(row, "start_s", path), _number(row, "end_s", path))
-        class_id = _integer(row, "class_id", path)
+        iv = Interval(
+            _number(row["start_s"], "start_s", path), _number(row["end_s"], "end_s", path)
+        )
+        class_id = _integer(row["class_id"], "class_id", path)
         if with_score:
-            item = Proposal(iv, _number(row, "score", path), class_id)
+            item = Proposal(iv, _number(row["score"], "score", path), class_id)
         else:
             item = (iv, class_id)
         out.setdefault(str(row["video_id"]), []).append(item)
@@ -226,9 +237,10 @@ def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{path}: bits must be [value, count] pairs")
             value, count = pair
-            if value not in (0, 1) or int(count) < 1:
+            count = _integer(count, "bits count", path)
+            if value not in (0, 1) or count < 1:
                 raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
-            bits.extend([int(value)] * int(count))
+            bits.extend([int(value)] * count)
         out[vid] = np.asarray(bits, dtype=np.uint8)
     return out
 
@@ -247,12 +259,12 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
         "mask_bit",
     )
     for vid, row in _video_rows(path, keys):
-        grid = TimeGrid(
-            int(row["num_snippets"]), float(row["snippet_duration_s"]), int(row["class_count"])
-        )
+        sizes = row["level_sizes"]
+        if not isinstance(sizes, list):
+            raise SchemaError(f"{path}: level_sizes must be a list, got {sizes!r}")
         out[vid] = AnchorTargets(
-            grid,
-            tuple(int(s) for s in row["level_sizes"]),
+            _grid(row, row["class_count"], path),
+            tuple(_integer(n, "level_sizes", path) for n in sizes),
             np.asarray(row["class_label"], dtype=np.int64),
             np.asarray(row["reg_left"], dtype=np.float64),
             np.asarray(row["reg_right"], dtype=np.float64),
@@ -307,6 +319,18 @@ def _scheduled_mask_params(cfg: PipelineConfig, epoch: int | None) -> MaskParams
     )
 
 
+def _segments_on_grids(args, what: str, allow_more: bool = False):
+    """Scored segments (first --input) and a grid source (second --input)
+    covering all their videos, plus the remaining --input paths."""
+    paths = _inputs(args, 2, what, allow_more=allow_more)
+    segments = _parse_segments(paths[0], with_score=True)
+    grids = _parse_grid_file(paths[1])
+    missing = sorted(set(segments) - set(grids))
+    if missing:
+        raise ValueError(f"no grid metadata for videos: {missing}")
+    return segments, grids, paths[2:]
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -340,12 +364,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_fuse(args, cfg: PipelineConfig) -> int:
-    paths = _inputs(args, 2, "proposals file and grid source")
-    proposals = _parse_segments(paths[0], with_score=True)
-    grids = _parse_grid_file(paths[1])
-    missing = sorted(set(proposals) - set(grids))
-    if missing:
-        raise ValueError(f"no grid metadata for videos: {missing}")
+    lookup_strategy(args.strategy)  # an unknown name fails even with no video to fuse
+    proposals, grids, _ = _segments_on_grids(args, "proposals file and grid source")
     rows = []
     for vid in sorted(proposals):
         grid = grids[vid]
@@ -377,12 +397,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_mask(args, cfg: PipelineConfig) -> int:
-    paths = _inputs(args, 2, "pseudo file and grid source")
-    pseudos = _parse_segments(paths[0], with_score=True)
-    grids = _parse_grid_file(paths[1])
-    missing = sorted(set(pseudos) - set(grids))
-    if missing:
-        raise ValueError(f"no grid metadata for videos: {missing}")
+    pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
     params = _scheduled_mask_params(cfg, args.epoch)
     rows = []
     for vid in sorted(pseudos):
@@ -397,13 +412,10 @@ def _cmd_mask(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_targets(args, cfg: PipelineConfig) -> int:
-    paths = _inputs(args, 2, "pseudo file, grid source, optional mask file", allow_more=True)
-    pseudos = _parse_segments(paths[0], with_score=True)
-    grids = _parse_grid_file(paths[1])
-    mask_bits = _parse_mask_file(paths[2]) if len(paths) > 2 else None
-    missing = sorted(set(pseudos) - set(grids))
-    if missing:
-        raise ValueError(f"no grid metadata for videos: {missing}")
+    pseudos, grids, rest = _segments_on_grids(
+        args, "pseudo file, grid source, optional mask file", allow_more=True
+    )
+    mask_bits = _parse_mask_file(rest[0]) if rest else None
     params = _scheduled_mask_params(cfg, args.epoch)
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
     rows = []
@@ -483,7 +495,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
     )
     _write_report(
         args.output, cfg, {"per_video": per_video, "mean": mean},
-        _timings(args, {"losses": elapsed}),
+        {"losses": elapsed} if args.timings else None,
     )
     return 0
 
@@ -495,14 +507,15 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    _write_report(args.output, cfg, report.to_dict(), _timings(args, {"eval": elapsed}))
+    _write_report(
+        args.output, cfg, report.to_dict(), {"eval": elapsed} if args.timings else None
+    )
     return 0
 
 
-def _cmd_simulate(args, cfg: PipelineConfig, raw_sim: dict) -> int:
-    sim_cfg = SimConfig.from_dict(raw_sim)
-    layout = gen_corpus(sim_cfg)
-    predictions = corrupt_predictions(layout.ground_truth, layout.grids, sim_cfg)
+def _cmd_simulate(args, cfg: PipelineConfig) -> int:
+    layout = gen_corpus(args.sim)
+    predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
     sp_rows = []
     for vid in layout.video_ids():
         grid = layout.grids[vid]
@@ -528,29 +541,18 @@ def _cmd_simulate(args, cfg: PipelineConfig, raw_sim: dict) -> int:
     return 0
 
 
-def _cmd_benchmark(args, cfg: PipelineConfig, raw_sim: dict) -> int:
-    sim_cfg = SimConfig.from_dict(raw_sim)
-    strategies = args.strategy or ["ricker", "soft", "hard", "topk", "threshold", "gauss"]
-    result = run_benchmark(sim_cfg, strategies, cfg)
+def _cmd_benchmark(args, cfg: PipelineConfig) -> int:
+    result = run_benchmark(args.sim, args.strategy or list(STRATEGIES), cfg).to_dict()
     metrics = {
         "rng": RNG_NAME,
-        "sim": dataclasses.asdict(sim_cfg),
-        "strategies": {
-            name: result.reports[name].to_dict() for name in sorted(result.reports)
-        },
+        "sim": dataclasses.asdict(args.sim),
+        "strategies": result["strategies"],
     }
-    _write_report(args.output, cfg, metrics, _timings(args, dict(result.timings_ms)))
+    _write_report(args.output, cfg, metrics, result["timings_ms"] if args.timings else None)
     return 0
 
 
 # ---------------------------------------------------------------- plumbing
-
-
-def _timings(args, measured: dict | None):
-    # reports are byte-reproducible by default; timings only on request
-    if getattr(args, "timings", False) and measured is not None:
-        return {k: _round6(v) for k, v in sorted(measured.items())}
-    return None
 
 
 def _need(value: str | None, flag: str) -> str:
@@ -594,69 +596,69 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, PipelineConfig], int]
+    help: str
+    flags: dict  # flag -> add_argument keywords, besides --config and --output
+
+
+_INPUT = {"action": "append", "help": "input file; repeat for several (roles: FORMATS.md)"}
+_GT = {"help": "ground-truth segments file"}
+_EPOCH = {"type": int, "help": "training epoch for mask-band scheduling"}
+_SEED = {"type": int, "help": "override the sim seed"}
+_TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte reproducibility)"}
+
+# The one list of subcommands and of the flags each one reads.
+COMMANDS = {
+    "extract": _Command(_cmd_extract, "SP file -> scored proposals (needs --gt for video labels)",
+                        {"--input": _INPUT, "--gt": _GT}),
+    "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
+        "--input": _INPUT,
+        "--strategy": {"default": "ricker", "help": f"one of {', '.join(STRATEGIES)}"},
+        "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
+    }),
+    "mask": _Command(_cmd_mask, "pseudos + grid source -> uncertainty mask file",
+                     {"--input": _INPUT, "--epoch": _EPOCH}),
+    "targets": _Command(_cmd_targets, "pseudos + grid source [+ mask file] -> anchor target file",
+                        {"--input": _INPUT, "--epoch": _EPOCH}),
+    "losses": _Command(_cmd_losses, "anchor predictions + targets [+ SP file] -> loss report",
+                       {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
+    "eval": _Command(_cmd_eval, "predictions (needs --gt) -> mAP report",
+                     {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
+    "simulate": _Command(_cmd_simulate, "config -> synthetic SP corpus (and GT via --gt)",
+                         {"--gt": {"help": "also write the ground truth here"}, "--seed": _SEED}),
+    "benchmark": _Command(_cmd_benchmark, "config -> per-strategy pseudo-label quality report", {
+        "--strategy": {"action": "append", "help": "fusion strategy; repeatable (default: all)"},
+        "--seed": _SEED,
+        "--timings": _TIMINGS,
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudotal",
         description="Pseudo-label pipeline for temporal action localization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "extract": "SP file -> scored proposals (needs --gt for video labels)",
-        "fuse": "proposals + grid source -> pseudo proposals",
-        "mask": "pseudos + grid source -> uncertainty mask file",
-        "targets": "pseudos + grid source [+ mask file] -> anchor target file",
-        "losses": "anchor predictions + targets [+ SP file] -> loss report",
-        "eval": "predictions (needs --gt) -> mAP report",
-        "simulate": "config -> synthetic SP corpus (and GT via --gt)",
-        "benchmark": "config -> per-strategy pseudo-label quality report",
-    }
-    for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text, description=help_text)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
         sp.add_argument("--config", help="pipeline config JSON (optional 'sim' section)")
-        sp.add_argument(
-            "--input",
-            action="append",
-            help="input file; repeat for subcommands taking several (see FORMATS.md)",
-        )
-        sp.add_argument("--gt", help="ground-truth segments file (read, or written by simulate)")
         sp.add_argument("--output", required=True, help="output file path")
-        sp.add_argument("--strategy", action="append", default=None,
-                        help="fusion strategy; repeatable for benchmark")
-        sp.add_argument("--epoch", type=int, default=None,
-                        help="training epoch for mask-band scheduling")
-        sp.add_argument("--seed", type=int, default=None, help="override the sim seed")
-        sp.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in reports (breaks byte reproducibility)")
-        sp.add_argument("--wavelet-csv", default=None,
-                        help="fuse only: also write the fused wavelet as CSV (single video)")
+        for flag, kwargs in command.flags.items():
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg, raw_sim = _load_config(args.config)
-        if args.seed is not None:
-            raw_sim["seed"] = args.seed
-        if args.command == "extract":
-            return _cmd_extract(args, cfg)
-        if args.command == "fuse":
-            args.strategy = (args.strategy or ["ricker"])[0]
-            return _cmd_fuse(args, cfg)
-        if args.command == "mask":
-            return _cmd_mask(args, cfg)
-        if args.command == "targets":
-            return _cmd_targets(args, cfg)
-        if args.command == "losses":
-            return _cmd_losses(args, cfg)
-        if args.command == "eval":
-            return _cmd_eval(args, cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg, raw_sim)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args, cfg, raw_sim)
-        parser.error(f"unknown command {args.command}")
+        if "seed" in args:  # simulate and benchmark, the readers of the 'sim' section
+            if args.seed is not None:
+                raw_sim["seed"] = args.seed
+            args.sim = SimConfig.from_dict(raw_sim)
+        return COMMANDS[args.command].handler(args, cfg)
     except (SchemaError, UnknownKeysError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -666,7 +668,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -111,8 +111,8 @@ class PseudoProposal:
         if not (math.isfinite(self.confidence) and self.confidence >= 0.0):
             raise ValueError("confidence must be finite and >= 0")
 
-    def as_proposal(self, score_scale: float = 1.0) -> Proposal:
-        return Proposal(self.interval, self.confidence * score_scale, self.class_id)
+    def as_proposal(self) -> Proposal:
+        return Proposal(self.interval, self.confidence, self.class_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,6 @@ class SnippetPredictions:
 
     attention: np.ndarray
     class_scores: np.ndarray
-    video_id: str = ""
 
     def __post_init__(self) -> None:
         att = np.asarray(self.attention, dtype=np.float64)

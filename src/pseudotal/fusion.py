@@ -11,14 +11,13 @@ single clean segment.
 
 Five simpler strategies (hard snippet assignment, keep-all, top-k,
 score threshold, Gaussian boundary averaging) are provided for
-benchmarking against the wavelet fusion.
+benchmarking against the wavelet fusion; `STRATEGIES` names all six.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,13 +26,18 @@ from .core import Interval, Proposal, PseudoProposal, TimeGrid, runs, snippet_ce
 __all__ = [
     "FusedWavelet",
     "RickerParams",
-    "FusionStrategy",
     "ricker_value",
     "fuse_ricker",
     "segments_from_wavelet",
-    "fuse_baseline",
+    "STRATEGIES",
+    "lookup_strategy",
     "generate_pseudo_labels",
 ]
+
+# Fixed parameters of the baseline strategies.
+TOP_K = 4
+SCORE_THRESHOLD = 0.2
+GAUSS_GROUP_TIOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -148,16 +152,6 @@ def segments_from_wavelet(
     return out
 
 
-class FusionStrategy(enum.Enum):
-    """Baseline pseudo-label generation strategies."""
-
-    HARD = "hard"
-    SOFT = "soft"
-    TOPK = "topk"
-    THRESHOLD = "threshold"
-    GAUSS = "gauss"
-
-
 def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProposal]:
     """Winner-takes-all snippet ownership followed by re-segmentation.
 
@@ -191,20 +185,19 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
     ]
 
 
-def _fuse_gauss(
-    proposals: Sequence[Proposal], group_tiou: float
-) -> list[PseudoProposal]:
+def _by_score(p: Proposal) -> tuple[float, float, float]:
+    return (-p.score, p.interval.start_s, p.interval.end_s)
+
+
+def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
     """Group same-class proposals around the current top score and average
     boundaries weighted by score."""
-    if not 0.0 < group_tiou < 1.0:
-        raise ValueError("gauss grouping tiou must lie in (0, 1)")
-    remaining = [p for p in proposals if p.score > 0.0]
-    remaining.sort(key=lambda p: (-p.score, p.interval.start_s, p.interval.end_s))
+    remaining = sorted((p for p in proposals if p.score > 0.0), key=_by_score)
     out: list[PseudoProposal] = []
     while remaining:
         top = remaining[0]
         in_group = [
-            p.class_id == top.class_id and tiou(p.interval, top.interval) >= group_tiou
+            p.class_id == top.class_id and tiou(p.interval, top.interval) >= GAUSS_GROUP_TIOU
             for p in remaining
         ]
         group = [p for p, g in zip(remaining, in_group) if g]
@@ -216,36 +209,30 @@ def _fuse_gauss(
     return out
 
 
-def fuse_baseline(
-    strategy: FusionStrategy | str,
-    proposals: Sequence[Proposal],
-    grid: TimeGrid,
-    top_k: int = 4,
-    score_threshold: float = 0.2,
-    group_tiou: float = 0.5,
-) -> list[PseudoProposal]:
-    """Apply one of the five baseline strategies to a single video's proposals."""
-    if isinstance(strategy, str):
-        try:
-            strategy = FusionStrategy(strategy.lower())
-        except ValueError:
-            raise ValueError(f"unknown fusion strategy: {strategy!r}") from None
-    if strategy is FusionStrategy.HARD:
-        return _fuse_hard(proposals, grid)
-    if strategy is FusionStrategy.SOFT:
-        return [p.as_pseudo() for p in proposals]
-    if strategy is FusionStrategy.TOPK:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        ranked = sorted(
-            proposals, key=lambda p: (-p.score, p.interval.start_s, p.interval.end_s)
-        )
-        return [p.as_pseudo() for p in ranked[:top_k]]
-    if strategy is FusionStrategy.THRESHOLD:
-        return [p.as_pseudo() for p in proposals if p.score >= score_threshold]
-    if strategy is FusionStrategy.GAUSS:
-        return _fuse_gauss(proposals, group_tiou)
-    raise ValueError(f"unknown fusion strategy: {strategy!r}")
+# name -> fuse(proposals, grid, min_duration_s); only ricker reads min_duration_s.
+# The order is `benchmark`'s default run order.
+STRATEGIES: dict[str, Callable[[Sequence[Proposal], TimeGrid, float], list[PseudoProposal]]] = {
+    "ricker": lambda props, grid, min_dur: segments_from_wavelet(
+        fuse_ricker(props, grid), min_dur
+    ),
+    "soft": lambda props, grid, min_dur: [p.as_pseudo() for p in props],
+    "hard": lambda props, grid, min_dur: _fuse_hard(props, grid),
+    "topk": lambda props, grid, min_dur: [
+        p.as_pseudo() for p in sorted(props, key=_by_score)[:TOP_K]
+    ],
+    "threshold": lambda props, grid, min_dur: [
+        p.as_pseudo() for p in props if p.score >= SCORE_THRESHOLD
+    ],
+    "gauss": lambda props, grid, min_dur: _fuse_gauss(props),
+}
+
+
+def lookup_strategy(name: str):
+    """The fuse function of a strategy name; the one unknown-name error."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown fusion strategy: {name!r}") from None
 
 
 def generate_pseudo_labels(
@@ -253,25 +240,13 @@ def generate_pseudo_labels(
     proposals: Sequence[Proposal],
     grid: TimeGrid,
     min_duration_s: float = 0.0,
-    top_k: int = 4,
-    score_threshold: float = 0.2,
-    group_tiou: float = 0.5,
 ) -> list[PseudoProposal]:
-    """Dispatch by name over wavelet fusion ("ricker") and the baselines.
+    """Fuse one video's proposals with the named strategy (see STRATEGIES).
 
     Every strategy rejects a proposal whose class lies outside the grid.
     """
+    fuse = lookup_strategy(strategy)
     for p in proposals:
         if not 1 <= p.class_id <= grid.class_count:
             raise ValueError("proposal class out of grid range")
-    if strategy.lower() == "ricker":
-        wavelet = fuse_ricker(proposals, grid)
-        return segments_from_wavelet(wavelet, min_duration_s=min_duration_s)
-    return fuse_baseline(
-        strategy,
-        proposals,
-        grid,
-        top_k=top_k,
-        score_threshold=score_threshold,
-        group_tiou=group_tiou,
-    )
+    return fuse(proposals, grid, min_duration_s)

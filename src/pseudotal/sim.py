@@ -21,7 +21,7 @@ import numpy as np
 from .config import PipelineConfig, config_from_dict
 from .core import Interval, Proposal, PseudoProposal, SnippetPredictions, TimeGrid, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
-from .fusion import generate_pseudo_labels
+from .fusion import generate_pseudo_labels, lookup_strategy
 from .weak_branch import VideoLabel, weak_proposals
 
 __all__ = [
@@ -350,11 +350,14 @@ def run_benchmark(
     across strategies, so the comparison isolates the fusion step,
     mirroring a side-by-side strategy table. Timings: `simulate` (corpus),
     `weak_branch` (proposals) and one entry per strategy (fusion plus
-    scoring). A repeated strategy name is fused and scored once.
+    scoring). A repeated strategy name is fused and scored once; an unknown
+    one raises before the corpus is built.
     """
     if not strategies:
         raise ValueError("at least one strategy required")
     strategies = list(dict.fromkeys(strategies))
+    for name in strategies:
+        lookup_strategy(name)
     pipe = pipe or PipelineConfig()
     t0 = time.perf_counter()
     layout = gen_corpus(cfg)

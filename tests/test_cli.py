@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from pseudotal.cli import main
+from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig
+from pseudotal.fusion import STRATEGIES
 
 
 def run(*argv):
@@ -137,6 +138,22 @@ class TestExtractFuse:
         )
         _, rows = read_jsonl(out)
         assert len(rows) == 2  # keep-all baseline
+
+    def test_unknown_strategy(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(
+            grid_file,
+            [{"video_id": "v", "num_snippets": 40, "snippet_duration_s": 1.0, "class_count": 1}],
+        )
+        props = tmp_path / "props.jsonl"
+        write_jsonl(props, [])  # no video to fuse: the name is still checked
+        out = tmp_path / "out.jsonl"
+        for name in ("median", "RICKER"):
+            code = run("fuse", "--input", props, "--input", grid_file,
+                       "--strategy", name, "--output", out)
+            assert code == 3
+            assert capsys.readouterr().err == f"error: unknown fusion strategy: {name!r}\n"
+            assert not out.exists()
 
     def test_wavelet_csv(self, tmp_path):
         grid_file = tmp_path / "grid.jsonl"
@@ -466,9 +483,8 @@ class TestBenchmark:
         out = tmp_path / "bench.json"
         assert run("benchmark", "--config", cfg, "--output", out) == 0
         report = read_report(out)
-        assert set(report["metrics"]["strategies"]) == {
-            "ricker", "soft", "hard", "topk", "threshold", "gauss",
-        }
+        assert list(report["metrics"]["strategies"]) == sorted(STRATEGIES)
+        assert set(STRATEGIES) == {"ricker", "soft", "hard", "topk", "threshold", "gauss"}
 
 
 class TestFullChain:
@@ -731,3 +747,169 @@ class TestExitCodes:
         assert run(*argv, "--output", out) == 2
         assert capsys.readouterr().err == f"error: {files[kind]}: duplicate video_id 'v'\n"
         assert not out.exists()
+
+
+# Besides --config and --output, the flags each subcommand reads.
+SUBCOMMAND_FLAGS = {
+    "extract": {"--input", "--gt"},
+    "fuse": {"--input", "--strategy", "--wavelet-csv"},
+    "mask": {"--input", "--epoch"},
+    "targets": {"--input", "--epoch"},
+    "losses": {"--input", "--gt", "--timings"},
+    "eval": {"--input", "--gt", "--timings"},
+    "simulate": {"--gt", "--seed"},
+    "benchmark": {"--strategy", "--seed", "--timings"},
+}
+ALL_FLAGS = sorted(set().union(*SUBCOMMAND_FLAGS.values()))
+
+
+class TestSubcommandTable:
+    def test_flags_per_subcommand(self):
+        assert {name: set(c.flags) for name, c in COMMANDS.items()} == SUBCOMMAND_FLAGS
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_help_exits_zero(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ("--config", "--output", *COMMANDS[name].flags):
+            assert flag in usage
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_unread_flags_exit_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        unread = [f for f in ALL_FLAGS if f not in COMMANDS[name].flags]
+        assert unread
+        for flag in unread:
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--output", str(out), flag, "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_fuse_strategy_is_single_valued(self, tmp_path):
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(
+            grid_file,
+            [{"video_id": "v", "num_snippets": 40, "snippet_duration_s": 1.0, "class_count": 1}],
+        )
+        props = tmp_path / "props.jsonl"
+        write_jsonl(props, [
+            {"video_id": "v", "start_s": 2.0, "end_s": 10.0, "score": 0.9, "class_id": 1},
+            {"video_id": "v", "start_s": 3.0, "end_s": 11.0, "score": 0.5, "class_id": 1},
+        ])
+        outs = {}
+        for name, extra in [("default", ()), ("ricker", ("--strategy", "ricker")),
+                            ("last", ("--strategy", "soft", "--strategy", "ricker"))]:
+            outs[name] = tmp_path / f"{name}.jsonl"
+            assert run("fuse", "--input", props, "--input", grid_file, *extra,
+                       "--output", outs[name]) == 0
+        assert outs["default"].read_bytes() == outs["ricker"].read_bytes()
+        assert outs["last"].read_bytes() == outs["ricker"].read_bytes()
+
+
+GRID_ROW = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0, "class_count": 1}
+SEGMENT_ROW = {"video_id": "v", "start_s": 2.0, "end_s": 5.0, "score": 1.0, "class_id": 1}
+
+
+def _grid_run(tmp_path, grid_row, cmd, out):
+    grid_file = tmp_path / "grid.jsonl"
+    write_jsonl(grid_file, [grid_row])
+    segments = tmp_path / "segments.jsonl"
+    write_jsonl(segments, [SEGMENT_ROW])
+    return run(cmd, "--input", segments, "--input", grid_file, "--output", out), grid_file
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets"])
+    def test_grid_source_without_class_columns(self, tmp_path, capsys, cmd):
+        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+               "class_scores": []}
+        out = tmp_path / "out.jsonl"
+        code, grid_file = _grid_run(tmp_path, row, cmd, out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_file}: class_scores must be a nonempty list of rows\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_snippets", 8.7), ("num_snippets", "abc"), ("num_snippets", True),
+         ("snippet_duration_s", "1"), ("snippet_duration_s", None),
+         ("class_count", 1.0), ("class_count", "1")],
+    )
+    def test_grid_file(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out.jsonl"
+        code, grid_file = _grid_run(tmp_path, {**GRID_ROW, field: value}, "fuse", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid_file}: {field} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_snippets", 4.0), ("num_snippets", "4"), ("snippet_duration_s", "1.0"),
+         ("snippet_duration_s", False)],
+    )
+    def test_sp_file(self, tmp_path, capsys, field, value):
+        row = {"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+               "attention": [0.5] * 4, "class_scores": [[0.5, 0.5]] * 4, field: value}
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [row])
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        out = tmp_path / "p.jsonl"
+        assert run("extract", "--input", sp, "--gt", gt, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sp}: {field} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_snippets", 8.0), ("snippet_duration_s", "1"), ("class_count", 1.5),
+         ("level_sizes", 6), ("level_sizes", "entry")],
+    )
+    def test_targets_file(self, tmp_path, capsys, field, value):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+               "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+               "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+               "iou_weight": [0.0] * n, "mask_bit": [1] * n}
+        if value == "entry":
+            row["level_sizes"] = [*sizes[:-1], 1.0]
+        else:
+            row[field] = value
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [row])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {targets}: {field} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [8.0, 7.6, "8", True])
+    def test_mask_file(self, tmp_path, capsys, count):
+        mask_file = tmp_path / "mask.jsonl"
+        write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, count]]}])
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(grid_file, [GRID_ROW])
+        segments = tmp_path / "segments.jsonl"
+        write_jsonl(segments, [SEGMENT_ROW])
+        out = tmp_path / "targets.jsonl"
+        code = run("targets", "--input", segments, "--input", grid_file,
+                   "--input", mask_file, "--output", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mask_file}: bits count must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_duration_is_a_number(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        code, _ = _grid_run(tmp_path, {**GRID_ROW, "snippet_duration_s": 1}, "fuse", out)
+        assert code == 0

@@ -48,8 +48,8 @@ class TestTypes:
         with pytest.raises(ValueError):
             PseudoProposal(Interval(0, 1), 1, -0.1)
         p = PseudoProposal(Interval(0, 4), 2, 0.5)
-        as_prop = p.as_proposal(2.0)
-        assert as_prop.score == 1.0
+        as_prop = p.as_proposal()
+        assert as_prop.score == 0.5
         assert as_prop.class_id == 2
 
     def test_proposal_as_pseudo_floors_score(self):

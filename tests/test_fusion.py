@@ -5,10 +5,12 @@ import pytest
 
 from pseudotal.core import Interval, Proposal, TimeGrid, snippet_centers
 from pseudotal.fusion import (
+    GAUSS_GROUP_TIOU,
+    SCORE_THRESHOLD,
+    STRATEGIES,
+    TOP_K,
     FusedWavelet,
-    FusionStrategy,
     RickerParams,
-    fuse_baseline,
     fuse_ricker,
     generate_pseudo_labels,
     ricker_value,
@@ -229,49 +231,66 @@ class TestBaselines:
     def setup_method(self):
         self.grid = TimeGrid(20, 1.0, 2)
 
+    def test_fixed_parameters(self):
+        assert (TOP_K, SCORE_THRESHOLD, GAUSS_GROUP_TIOU) == (4, 0.2, 0.5)
+        assert list(STRATEGIES) == ["ricker", "soft", "hard", "topk", "threshold", "gauss"]
+
     def test_topk_keeps_highest_verbatim(self):
         props = [
-            Proposal(Interval(0, 5), 0.9, 1),
-            Proposal(Interval(5, 10), 0.8, 1),
-            Proposal(Interval(10, 15), 0.1, 2),
+            Proposal(Interval(0, 3), 0.9, 1),
+            Proposal(Interval(3, 6), 0.8, 1),
+            Proposal(Interval(6, 9), 0.1, 2),
+            Proposal(Interval(9, 12), 0.7, 2),
+            Proposal(Interval(12, 15), 0.6, 1),
         ]
-        out = fuse_baseline("topk", props, self.grid, top_k=2)
-        assert sorted(p.confidence for p in out) == [0.8, 0.9]
+        out = generate_pseudo_labels("topk", props, self.grid)
+        assert len(out) == 4
+        assert sorted(p.confidence for p in out) == [0.6, 0.7, 0.8, 0.9]
         spans = {(p.interval.start_s, p.interval.end_s) for p in out}
-        assert spans == {(0.0, 5.0), (5.0, 10.0)}
+        assert spans == {(0.0, 3.0), (3.0, 6.0), (9.0, 12.0), (12.0, 15.0)}
 
     def test_threshold_filters_by_score(self):
-        props = [Proposal(Interval(0, 5), 0.9, 1), Proposal(Interval(5, 10), 0.4, 1)]
-        out = fuse_baseline("threshold", props, self.grid, score_threshold=0.5)
-        assert len(out) == 1
-        assert out[0].confidence == 0.9
+        props = [
+            Proposal(Interval(0, 5), 0.9, 1),
+            Proposal(Interval(5, 10), 0.2, 1),
+            Proposal(Interval(10, 15), 0.19999, 2),
+        ]
+        out = generate_pseudo_labels("threshold", props, self.grid)
+        assert [p.confidence for p in out] == [0.9, 0.2]
 
     def test_gauss_weighted_mean_boundaries(self):
+        # tIoU([0, 10], [2, 12]) = 8 / 12: one group
         props = [Proposal(Interval(0, 10), 2.0, 1), Proposal(Interval(2, 12), 1.0, 1)]
-        out = fuse_baseline("gauss", props, self.grid, group_tiou=0.5)
+        out = generate_pseudo_labels("gauss", props, self.grid)
         assert len(out) == 1
         assert out[0].interval.start_s == pytest.approx(2.0 / 3.0)
         assert out[0].interval.end_s == pytest.approx(32.0 / 3.0)
         assert out[0].confidence == pytest.approx(2.0)
+
+    def test_gauss_groups_at_tiou_exactly_half(self):
+        # tIoU([0, 4], [2, 4]) = 2 / 4 = 0.5 exactly: grouped; [0, 4] vs [0, 1.5] is not
+        props = [
+            Proposal(Interval(0, 4), 1.0, 1),
+            Proposal(Interval(2, 4), 1.0, 1),
+            Proposal(Interval(0, 1.5), 0.5, 1),
+        ]
+        out = generate_pseudo_labels("gauss", props, self.grid)
+        assert [(p.interval.start_s, p.interval.end_s) for p in out] == [(1.0, 4.0), (0.0, 1.5)]
 
     def test_gauss_disjoint_groups_stay_separate(self):
         props = [
             Proposal(Interval(0, 5), 1.0, 1),
             Proposal(Interval(10, 15), 0.5, 1),
         ]
-        out = fuse_baseline("gauss", props, self.grid, group_tiou=0.5)
+        out = generate_pseudo_labels("gauss", props, self.grid)
         assert len(out) == 2
-
-    def test_gauss_invalid_grouping_tiou(self):
-        with pytest.raises(ValueError):
-            fuse_baseline("gauss", [], self.grid, group_tiou=0.0)
 
     def test_soft_keeps_all(self):
         props = [
             Proposal(Interval(0, 5), 0.9, 1),
             Proposal(Interval(1, 6), 0.1, 2),
         ]
-        out = fuse_baseline("soft", props, self.grid)
+        out = generate_pseudo_labels("soft", props, self.grid)
         assert len(out) == 2
 
     def test_hard_carves_overlaps(self):
@@ -280,7 +299,7 @@ class TestBaselines:
             Proposal(Interval(4, 6), 0.9, 2),
         ]
         grid = TimeGrid(10, 1.0, 2)
-        out = fuse_baseline("hard", props, grid)
+        out = generate_pseudo_labels("hard", props, grid)
         spans = sorted(
             (p.interval.start_s, p.interval.end_s, p.class_id) for p in out
         )
@@ -292,17 +311,16 @@ class TestBaselines:
             Proposal(Interval(2, 6), 0.8, 2),
         ]
         grid = TimeGrid(6, 1.0, 2)
-        out = fuse_baseline("hard", props, grid)
+        out = generate_pseudo_labels("hard", props, grid)
         spans = sorted(
             (p.interval.start_s, p.interval.end_s, p.class_id) for p in out
         )
         assert spans == [(0.0, 4.0, 1), (4.0, 6.0, 2)]
 
     def test_unknown_strategy_errors(self):
-        with pytest.raises(ValueError, match="unknown fusion strategy"):
-            fuse_baseline("median", [], self.grid)
-        with pytest.raises(ValueError):
-            generate_pseudo_labels("median", [], self.grid)
+        for name in ("median", "RICKER", "Soft"):
+            with pytest.raises(ValueError, match="unknown fusion strategy"):
+                generate_pseudo_labels(name, [], self.grid)
 
     def test_no_strategy_invents_classes(self):
         rng = np.random.default_rng(31)
@@ -320,12 +338,6 @@ class TestBaselines:
             for name in ("ricker", "hard", "soft", "topk", "threshold", "gauss"):
                 out = generate_pseudo_labels(name, props, grid)
                 assert {p.class_id for p in out} <= present
-
-    def test_enum_and_string_dispatch_agree(self):
-        props = [Proposal(Interval(0, 5), 0.9, 1)]
-        by_enum = fuse_baseline(FusionStrategy.SOFT, props, self.grid)
-        by_name = fuse_baseline("soft", props, self.grid)
-        assert by_enum == by_name
 
     def test_ricker_dispatch_matches_direct_path(self):
         props = [Proposal(Interval(2, 8), 1.0, 1), Proposal(Interval(5, 11), 0.7, 1)]

@@ -255,6 +255,20 @@ class TestBenchmark:
         assert result.reports == once.reports
         assert list(result.timings_ms) == list(once.timings_ms)
 
+    def test_unknown_strategy_raises_before_the_corpus(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return gen_corpus(cfg)
+
+        monkeypatch.setattr(sim, "gen_corpus", counting)
+        with pytest.raises(ValueError, match="unknown fusion strategy: 'median'"):
+            run_benchmark(SimConfig(num_videos=2), ["ricker", "median"])
+        assert calls == []
+        run_benchmark(SimConfig(num_videos=2), ["ricker"])
+        assert len(calls) == 1
+
     def test_requires_strategies(self):
         with pytest.raises(ValueError):
             run_benchmark(SimConfig(num_videos=2), [])
