@@ -207,7 +207,10 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
             c = row["class_count"]
         else:
             raise SchemaError(f"{path}: grid rows need class_scores or class_count")
-        out[vid] = _grid(row, c, path)
+        grid = _grid(row, c, path)
+        if "class_scores" in row and len(row["class_scores"]) != grid.num_snippets:
+            raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
+        out[vid] = grid
     return out
 
 
@@ -236,11 +239,11 @@ def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
         for pair in row["bits"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{path}: bits must be [value, count] pairs")
-            value, count = pair
-            count = _integer(count, "bits count", path)
+            value = _integer(pair[0], "bits value", path)
+            count = _integer(pair[1], "bits count", path)
             if value not in (0, 1) or count < 1:
                 raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
-            bits.extend([int(value)] * count)
+            bits.extend([value] * count)
         out[vid] = np.asarray(bits, dtype=np.uint8)
     return out
 
@@ -319,10 +322,10 @@ def _scheduled_mask_params(cfg: PipelineConfig, epoch: int | None) -> MaskParams
     )
 
 
-def _segments_on_grids(args, what: str, allow_more: bool = False):
+def _segments_on_grids(args, what: str, most: int = 2):
     """Scored segments (first --input) and a grid source (second --input)
     covering all their videos, plus the remaining --input paths."""
-    paths = _inputs(args, 2, what, allow_more=allow_more)
+    paths = _inputs(args, 2, most, what)
     segments = _parse_segments(paths[0], with_score=True)
     grids = _parse_grid_file(paths[1])
     missing = sorted(set(segments) - set(grids))
@@ -413,7 +416,7 @@ def _cmd_mask(args, cfg: PipelineConfig) -> int:
 
 def _cmd_targets(args, cfg: PipelineConfig) -> int:
     pseudos, grids, rest = _segments_on_grids(
-        args, "pseudo file, grid source, optional mask file", allow_more=True
+        args, "pseudo file, grid source, optional mask file", most=3
     )
     mask_bits = _parse_mask_file(rest[0]) if rest else None
     params = _scheduled_mask_params(cfg, args.epoch)
@@ -447,7 +450,7 @@ def _cmd_targets(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_losses(args, cfg: PipelineConfig) -> int:
-    paths = _inputs(args, 2, "anchor predictions and targets", allow_more=True)
+    paths = _inputs(args, 2, 3, "anchor predictions, targets, optional SP file")
     preds = _parse_anchor_predictions(paths[0])
     targets = _parse_targets_file(paths[1])
     missing = sorted(set(preds) ^ set(targets))
@@ -561,18 +564,18 @@ def _need(value: str | None, flag: str) -> str:
     return value
 
 
-def _inputs(args, count: int, what: str, allow_more: bool = False) -> list[str]:
+def _inputs(args, least: int, most: int, what: str) -> list[str]:
     paths = args.input or []
-    if len(paths) < count or (not allow_more and len(paths) > count):
+    if not least <= len(paths) <= most:
+        count = least if least == most else f"{least} to {most}"
         raise SchemaError(
-            f"this subcommand takes {'at least ' if allow_more else ''}{count} "
-            f"--input paths ({what}); got {len(paths)}"
+            f"this subcommand takes {count} --input paths ({what}); got {len(paths)}"
         )
     return paths
 
 
 def _one_input(args, what: str) -> str:
-    return _inputs(args, 1, what)[0]
+    return _inputs(args, 1, 1, what)[0]
 
 
 def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
@@ -592,8 +595,10 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
         raise SchemaError(f"{path}: 'sim' must be a JSON object")
     try:
         return PipelineConfig.from_dict(raw), raw_sim
-    except (TypeError, ValueError) as exc:
+    except (TypeError, UnknownKeysError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class _Command(NamedTuple):

@@ -68,8 +68,8 @@ class PipelineConfig:
         if not ths or any(not 0.0 < t < 1.0 for t in ths):
             raise ValueError("thresholds must be a nonempty subset of (0, 1)")
         object.__setattr__(self, "thresholds", ths)
-        if self.oic_inflation < 0:
-            raise ValueError("oic_inflation must be nonnegative")
+        if not 0.0 < self.oic_inflation <= 1.0:
+            raise ValueError("oic_inflation must lie in (0, 1]")
         if self.sigma_nms <= 0:
             raise ValueError("sigma_nms must be positive")
         if self.extract_on not in ("sps", "attention"):

@@ -61,11 +61,6 @@ class GroundTruthSet:
         ids = {c for items in self.segments.values() for _, c in items}
         return sorted(ids)
 
-    def count(self, class_id: int) -> int:
-        return sum(
-            1 for items in self.segments.values() for _, c in items if c == class_id
-        )
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -116,12 +111,6 @@ class EvalReport:
                 str(cid): list(vals) for cid, vals in self.per_class
             },
         }
-
-    def to_text(self) -> str:
-        head = "tIoU  " + "  ".join(f"{t:>6.2f}" for t in self.thresholds) + "     avg"
-        row = "mAP   " + "  ".join(f"{v:>6.4f}" for v in self.map_values)
-        row += f"  {self.average_map:>6.4f}"
-        return head + "\n" + row
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,53 +38,31 @@ __all__ = [
 PROB_EPS = 1e-12
 
 
-def _default_ranges(num_levels: int) -> tuple[tuple[float, float], ...]:
-    # duration ladder 0,4,8,16,32,... in snippets, open-ended top
-    bounds = [0.0] + [4.0 * 2**i for i in range(num_levels - 1)] + [math.inf]
-    return tuple((bounds[i], bounds[i + 1]) for i in range(num_levels))
+def _levels(grid: TimeGrid, num_levels: int) -> list[tuple[int, int]]:
+    """Stride (snippets) and anchor count of each pyramid level: level l has a
+    stride of 2**l and ceil(num_snippets / 2**l) anchors."""
+    strides = [2**level for level in range(num_levels)]
+    return [(stride, math.ceil(grid.num_snippets / stride)) for stride in strides]
+
+
+def _anchor_times(stride: int, size: int, grid: TimeGrid) -> np.ndarray:
+    """Center times in seconds of the `size` anchors of one level."""
+    return (np.arange(size, dtype=np.float64) + 0.5) * stride * grid.snippet_duration_s
 
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    """Multi-scale anchor layout: level l has a stride of 2**l snippets, and
-    each level owns a half-open duration range (in snippets)."""
+    """Multi-scale anchor layout of `num_levels` levels (see `_levels`); each
+    level owns a band of proposal durations (see `assign_level`)."""
 
     num_levels: int = 6
-    regression_ranges: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
-        ranges = self.regression_ranges or _default_ranges(self.num_levels)
-        ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
-        if len(ranges) != self.num_levels:
-            raise ValueError("one regression range required per level")
-        if ranges[0][0] != 0.0 or not math.isinf(ranges[-1][1]):
-            raise ValueError("regression ranges must start at 0 and end open-ended")
-        for (lo, hi), (lo2, _) in zip(ranges, ranges[1:]):
-            if hi != lo2 or lo >= hi:
-                raise ValueError("regression ranges must be ascending and contiguous")
-        object.__setattr__(self, "regression_ranges", ranges)
-
-    def stride(self, level: int) -> int:
-        return 2**level
 
     def level_sizes(self, grid: TimeGrid) -> tuple[int, ...]:
-        return tuple(
-            math.ceil(grid.num_snippets / self.stride(level))
-            for level in range(self.num_levels)
-        )
-
-    def total_anchors(self, grid: TimeGrid) -> int:
-        return sum(self.level_sizes(grid))
-
-
-def _level_times(level_sizes: Sequence[int], snippet_duration_s: float) -> list[np.ndarray]:
-    """Anchor center times in seconds, one array per level (stride 2**level)."""
-    return [
-        (np.arange(size, dtype=np.float64) + 0.5) * 2**level * snippet_duration_s
-        for level, size in enumerate(level_sizes)
-    ]
+        return tuple(size for _, size in _levels(grid, self.num_levels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +85,13 @@ class AnchorTargets:
     mask_bit: np.ndarray
 
     def __post_init__(self) -> None:
-        n = sum(self.level_sizes)
+        sizes = tuple(self.level_sizes)
+        if not sizes or sizes != PyramidConfig(len(sizes)).level_sizes(self.grid):
+            raise ValueError(
+                f"level_sizes {list(sizes)} disagree with ceil(num_snippets / 2**l) "
+                f"for num_snippets {self.grid.num_snippets}"
+            )
+        n = sum(sizes)
         arrays = {
             "class_label": np.asarray(self.class_label, dtype=np.int64),
             "reg_left": np.asarray(self.reg_left, dtype=np.float64),
@@ -135,23 +119,12 @@ class AnchorTargets:
     def num_anchors(self) -> int:
         return int(self.class_label.shape[0])
 
-    def anchor_strides(self) -> np.ndarray:
-        """Stride (in snippets) of each anchor, level by level."""
-        parts = [
-            np.full(size, 2**level, dtype=np.float64)
-            for level, size in enumerate(self.level_sizes)
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def anchor_times(self) -> np.ndarray:
-        """Anchor center time in seconds, level by level."""
-        parts = _level_times(self.level_sizes, self.grid.snippet_duration_s)
-        return np.concatenate(parts) if parts else np.zeros(0)
-
     def decode_intervals(self, reg_left: np.ndarray, reg_right: np.ndarray) -> np.ndarray:
         """Decode per-anchor (start, end) seconds from stride-unit offsets."""
-        scale = self.anchor_strides() * self.grid.snippet_duration_s
-        times = self.anchor_times()
+        levels = _levels(self.grid, len(self.level_sizes))
+        dur = self.grid.snippet_duration_s
+        times = np.concatenate([_anchor_times(stride, size, self.grid) for stride, size in levels])
+        scale = np.concatenate([np.full(size, stride * dur) for stride, size in levels])
         return np.stack([times - reg_left * scale, times + reg_right * scale], axis=1)
 
 
@@ -192,12 +165,20 @@ class AnchorPredictions:
 
 
 def assign_level(p: PseudoProposal, cfg: PyramidConfig, grid: TimeGrid) -> int:
-    """Pyramid level whose duration range contains the proposal."""
+    """Pyramid level that owns the proposal's duration in snippets: level 0
+    owns [0, 4), each higher level doubles the bound, and the top level is
+    open-ended."""
     duration_snippets = p.interval.duration_s / grid.snippet_duration_s
-    for level, (lo, hi) in enumerate(cfg.regression_ranges):
-        if lo <= duration_snippets < hi:
-            return level
-    return cfg.num_levels - 1
+    level = 0
+    while level < cfg.num_levels - 1 and duration_snippets >= 4.0 * 2**level:
+        level += 1
+    return level
+
+
+def _union_mask(
+    pseudos: Sequence[PseudoProposal], mask_params: MaskParams, grid: TimeGrid
+) -> SnippetMask:
+    return union_masks([mask_for_proposal(p, mask_params, grid) for p in pseudos], grid)
 
 
 def build_targets(
@@ -231,18 +212,15 @@ def build_targets(
         plist.sort(key=lambda p: (p.interval.duration_s, p.interval.start_s))
 
     if base_mask is None:
-        base_mask = union_masks(
-            [mask_for_proposal(p, mask_params, grid) for p in pseudos], grid
-        )
+        base_mask = _union_mask(pseudos, mask_params, grid)
     elif base_mask.grid != grid:
         raise ValueError("base mask grid disagrees with the target grid")
     mask_bit = np.empty(total, dtype=np.uint8)
 
     dur = grid.snippet_duration_s
     offset = 0
-    for level, times in enumerate(_level_times(sizes, dur)):
-        size = times.shape[0]
-        stride = cfg.stride(level)
+    for level, (stride, size) in enumerate(_levels(grid, cfg.num_levels)):
+        times = _anchor_times(stride, size, grid)
         assigned = np.zeros(size, dtype=bool)
         for p in by_level.get(level, []):
             inside = (times >= p.interval.start_s) & (times < p.interval.end_s)
@@ -299,6 +277,13 @@ def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) ->
     return loss
 
 
+def _decoded_tiou(pred: AnchorPredictions, tgt: AnchorTargets, idx: np.ndarray) -> np.ndarray:
+    """tIoU between the predicted and the target intervals of anchors `idx`."""
+    decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[idx]
+    target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[idx]
+    return pairwise_tiou(decoded[:, 0], decoded[:, 1], target[:, 0], target[:, 1])
+
+
 def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     """Mean (1 - IoU) between decoded predictions and pseudo intervals over
     mask-allowed positive anchors; 0 when there are none."""
@@ -308,10 +293,7 @@ def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     if not pos.any():
         return 0.0
     idx = np.flatnonzero(pos)
-    decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[idx]
-    target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[idx]
-    overlap = pairwise_tiou(decoded[:, 0], decoded[:, 1], target[:, 0], target[:, 1])
-    return float((1.0 - overlap).sum()) / idx.size
+    return float((1.0 - _decoded_tiou(pred, tgt, idx)).sum()) / idx.size
 
 
 def att_loss(
@@ -352,12 +334,8 @@ def total_loss(l_reg: float, l_cls: float, l_att: float, lambda_att: float = 0.2
 def update_iou_weights(pred: AnchorPredictions, tgt: AnchorTargets) -> AnchorTargets:
     """Refresh positive-anchor iou_weight from the decoded predictions."""
     pos = tgt.class_label > 0
-    decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)
-    target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)
     weights = np.zeros(tgt.num_anchors)
-    weights[pos] = pairwise_tiou(
-        decoded[pos, 0], decoded[pos, 1], target[pos, 0], target[pos, 1]
-    )
+    weights[pos] = _decoded_tiou(pred, tgt, pos)
     return AnchorTargets(
         tgt.grid,
         tgt.level_sizes,
@@ -390,7 +368,4 @@ def refine(
     )
     wavelet = fuse_ricker(combined, grid)
     refreshed = segments_from_wavelet(wavelet, min_duration_s=min_duration_s)
-    new_mask = union_masks(
-        [mask_for_proposal(p, mask_params, grid) for p in refreshed], grid
-    )
-    return refreshed, new_mask
+    return refreshed, _union_mask(refreshed, mask_params, grid)

@@ -537,6 +537,75 @@ class TestExitCodes:
         write_jsonl(props, [])
         assert run("fuse", "--input", props, "--output", tmp_path / "o.jsonl") == 2
 
+    @pytest.mark.parametrize("cmd", ["targets", "losses"])
+    def test_extra_input_path(self, tmp_path, capsys, cmd):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        rows = {
+            "segments": SEGMENT_ROW,
+            "grid": GRID_ROW,
+            "mask": {"video_id": "v", "bits": [[1, 8]]},
+            "preds": {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                      "reg_left": [1.0] * n, "reg_right": [1.0] * n},
+            "targets": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                        "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+                        "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+                        "iou_weight": [0.0] * n, "mask_bit": [1] * n},
+            "sp": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                   "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8},
+        }
+        files = {}
+        for name, row in rows.items():
+            files[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(files[name], [row])
+        roles, flags = {
+            "targets": (("segments", "grid", "mask"), ()),
+            "losses": (("preds", "targets", "sp"), ("--gt", files["segments"])),
+        }[cmd]
+        argv = [cmd, *flags]
+        for role in roles:
+            argv += ["--input", files[role]]
+        out = tmp_path / "out"
+        assert run(*argv, "--output", out) == 0
+        out.unlink()
+        assert run(*argv, "--input", tmp_path / "nonexistent.jsonl", "--output", out) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: this subcommand takes 2 to 3 --input paths ("
+        )
+        assert not out.exists()
+
+    def test_level_sizes_disagree_with_grid(self, tmp_path, capsys):
+        # 32 anchors on one level of a 16-snippet grid: level 0 needs 16
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 16, "snippet_duration_s": 1.0,
+            "class_count": 1, "level_sizes": [32], "class_label": [0] * 32,
+            "reg_left": [0.0] * 32, "reg_right": [0.0] * 32,
+            "iou_weight": [0.0] * 32, "mask_bit": [1] * 32,
+        }])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * 32,
+                             "reg_left": [1.0] * 32, "reg_right": [1.0] * 32}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: level_sizes [32] disagree") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, code", [(0, 3), (2.0, 3), (-0.25, 3), (1.0, 0)])
+    def test_oic_inflation_range(self, tmp_path, capsys, value, code):
+        # the range oic_score enforces, checked when the config loads
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"oic_inflation": value}))
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [SEGMENT_ROW])
+        out = tmp_path / "eval.json"
+        assert run("eval", "--config", cfg, "--input", preds, "--gt", preds,
+                   "--output", out) == code
+        if code:
+            assert capsys.readouterr().err == f"error: {cfg}: oic_inflation must lie in (0, 1]\n"
+            assert not out.exists()
+
     def test_missing_gt_flag(self, tmp_path):
         preds = tmp_path / "preds.jsonl"
         write_jsonl(preds, [])
@@ -834,6 +903,19 @@ class TestNumericFields:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets"])
+    def test_sp_shaped_grid_source_length(self, tmp_path, capsys, cmd):
+        # extract rejects this row too: one class_scores row for 8 snippets
+        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+               "attention": [0.5], "class_scores": [[0.5, 0.5]]}
+        out = tmp_path / "out.jsonl"
+        code, grid_file = _grid_run(tmp_path, row, cmd, out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_file}: class_scores shape disagrees with num_snippets\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("num_snippets", 8.7), ("num_snippets", "abc"), ("num_snippets", True),
@@ -893,10 +975,18 @@ class TestNumericFields:
         assert err.startswith(f"error: {targets}: {field} must be") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("count", [8.0, 7.6, "8", True])
-    def test_mask_file(self, tmp_path, capsys, count):
+    @pytest.mark.parametrize(
+        "pair, field",
+        [pytest.param([1, 8.0], "count", id="8.0"),
+         pytest.param([1, 7.6], "count", id="7.6"),
+         pytest.param([1, "8"], "count", id="8"),
+         pytest.param([1, True], "count", id="True"),
+         pytest.param([True, 8], "value", id="value-True"),
+         pytest.param([1.0, 8], "value", id="value-1.0")],
+    )
+    def test_mask_file(self, tmp_path, capsys, pair, field):
         mask_file = tmp_path / "mask.jsonl"
-        write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, count]]}])
+        write_jsonl(mask_file, [{"video_id": "v", "bits": [pair]}])
         grid_file = tmp_path / "grid.jsonl"
         write_jsonl(grid_file, [GRID_ROW])
         segments = tmp_path / "segments.jsonl"
@@ -906,7 +996,7 @@ class TestNumericFields:
                    "--input", mask_file, "--output", out)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {mask_file}: bits count must be") and err.count("\n") == 1
+        assert err.startswith(f"error: {mask_file}: bits {field} must be") and err.count("\n") == 1
         assert not out.exists()
 
     def test_integer_duration_is_a_number(self, tmp_path):

@@ -29,9 +29,6 @@ class TestGroundTruthSet:
     def test_class_ids_and_count(self):
         gt = _gt(a=[(0, 5, 2), (10, 15, 1)], b=[(0, 5, 2)])
         assert gt.class_ids == [1, 2]
-        assert gt.count(2) == 2
-        assert gt.count(1) == 1
-        assert gt.count(9) == 0
 
     def test_rejects_bad_classes(self):
         with pytest.raises(ValueError):
@@ -204,8 +201,6 @@ class TestMapTable:
         assert report.map_at(0.5) == 1.0
         with pytest.raises(KeyError):
             report.map_at(0.85)
-        text = report.to_text()
-        assert "tIoU" in text and "1.0000" in text
 
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(59)

@@ -22,7 +22,7 @@ from pseudotal.targets import (
 )
 from pseudotal.weak_branch import VideoLabel
 
-TWO_LEVELS = PyramidConfig(num_levels=2, regression_ranges=((0, 8), (8, math.inf)))
+TWO_LEVELS = PyramidConfig(num_levels=2)  # level 0 owns [0, 4) snippets, level 1 the rest
 
 
 def _pseudo(start, end, class_id=1, confidence=1.0):
@@ -40,37 +40,38 @@ def _perfect_predictions(tgt, class_count):
 
 class TestPyramidConfig:
     def test_default_ladder(self):
-        cfg = PyramidConfig()
-        assert cfg.regression_ranges == (
-            (0.0, 4.0),
-            (4.0, 8.0),
-            (8.0, 16.0),
-            (16.0, 32.0),
-            (32.0, 64.0),
-            (64.0, math.inf),
-        )
+        # [0, 4), [4, 8), [8, 16), [16, 32), [32, 64), [64, inf) snippets
+        cfg, grid = PyramidConfig(), TimeGrid(2048, 1.0, 1)
+        assert cfg.num_levels == 6
+        durations = (0.5, 3.999, 4, 7.999, 8, 15.999, 16, 31.999, 32, 63.999, 64, 2000)
+        levels = [assign_level(_pseudo(0, d), cfg, grid) for d in durations]
+        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        for num_levels in (1, 2, 3):  # the top level is open-ended at any depth
+            cfg = PyramidConfig(num_levels=num_levels)
+            assert assign_level(_pseudo(0, 2000), cfg, grid) == num_levels - 1
 
     def test_strides_double(self):
-        cfg = PyramidConfig(num_levels=4)
-        assert [cfg.stride(i) for i in range(4)] == [1, 2, 4, 8]
+        # one stride unit each side decodes to a width of 2 * 2**l snippets
+        grid = TimeGrid(16, 0.5, 1)
+        tgt = build_targets([], MaskParams(0.0, 0.0), PyramidConfig(num_levels=4), grid)
+        ones = np.ones(tgt.num_anchors)
+        widths = np.diff(tgt.decode_intervals(ones, ones), axis=1)[:, 0]
+        bounds = np.cumsum((0, *tgt.level_sizes))
+        for level in range(4):
+            assert np.all(widths[bounds[level] : bounds[level + 1]] == 2 * 2**level * 0.5)
 
     def test_total_anchors_sum_of_ceils(self):
         cfg = PyramidConfig(num_levels=6)
         for t in (1, 17, 64, 100, 127):
             grid = TimeGrid(t, 1.0, 1)
-            expected = sum(math.ceil(t / 2**l) for l in range(6))
-            assert cfg.total_anchors(grid) == expected
+            sizes = tuple(math.ceil(t / 2**l) for l in range(6))
+            assert cfg.level_sizes(grid) == sizes
+            assert build_targets([], MaskParams(0.0, 0.0), cfg, grid).num_anchors == sum(sizes)
         grid = TimeGrid(100, 1.0, 1)
         assert cfg.level_sizes(grid) == (100, 50, 25, 13, 7, 4)
 
-    def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
-            PyramidConfig(num_levels=2, regression_ranges=((0, 8), (9, math.inf)))
-        with pytest.raises(ValueError):
-            PyramidConfig(num_levels=2, regression_ranges=((1, 8), (8, math.inf)))
-        with pytest.raises(ValueError):
-            PyramidConfig(num_levels=2, regression_ranges=((0, 8), (8, 16)))
-        with pytest.raises(ValueError):
+    def test_invalid_num_levels(self):
+        with pytest.raises(ValueError, match="num_levels"):
             PyramidConfig(num_levels=0)
 
 
@@ -96,23 +97,23 @@ class TestAssignLevel:
 class TestBuildTargets:
     def test_single_proposal_level0_geometry(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        # duration 3 < 4 -> level 0; anchor times 2.5, 3.5, 4.5 lie inside
+        tgt = build_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         assert tgt.level_sizes == (16, 8)
         level0 = tgt.class_label[:16]
-        assert np.flatnonzero(level0 == 1).tolist() == [2, 3, 4, 5]
+        assert np.flatnonzero(level0 == 1).tolist() == [2, 3, 4]
         assert np.all(tgt.class_label[16:] == 0)
 
     def test_regression_targets_are_boundary_distances(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = build_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         assert tgt.reg_left[2] == pytest.approx(0.5)  # anchor time 2.5
-        assert tgt.reg_right[2] == pytest.approx(3.5)
+        assert tgt.reg_right[2] == pytest.approx(2.5)
         assert tgt.iou_weight[2] == 1.0
 
     def test_regression_targets_in_level_stride_units(self):
         grid = TimeGrid(32, 1.0, 1)
-        cfg = PyramidConfig(num_levels=2, regression_ranges=((0, 4), (4, math.inf)))
-        tgt = build_targets([_pseudo(2, 14)], MaskParams(0.0, 0.0), cfg, grid)
+        tgt = build_targets([_pseudo(2, 14)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         # duration 12 -> level 1, stride 2; anchor j=2 sits at time 5.0
         anchor = 32 + 2
         assert tgt.class_label[anchor] == 1
@@ -129,9 +130,8 @@ class TestBuildTargets:
 
     def test_shorter_proposal_wins_containment_ties(self):
         grid = TimeGrid(16, 1.0, 2)
-        cfg = PyramidConfig(num_levels=2, regression_ranges=((0, 2), (2, math.inf)))
         pseudos = [_pseudo(2, 8, class_id=1), _pseudo(3, 7, class_id=2)]
-        tgt = build_targets(pseudos, MaskParams(0.0, 0.0), cfg, grid)
+        tgt = build_targets(pseudos, MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         # both land on level 1 (stride 2, anchor times 1,3,5,...)
         level1 = tgt.class_label[16:]
         assert level1[1] == 2 and level1[2] == 2  # times 3, 5: both contain, shorter wins
@@ -162,6 +162,14 @@ class TestBuildTargets:
             AnchorTargets(grid, (2,), [1, 0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.3], [1, 1])
         with pytest.raises(ValueError):
             AnchorTargets(grid, (2,), [1, 0, 0], [0.5, 0, 0], [0.5, 0, 0], [1, 0, 0], [1, 1, 1])
+
+    @pytest.mark.parametrize("sizes", [(), (4,), (2, 2), (3, 1), (1, 1)])
+    def test_level_sizes_follow_the_grid(self, sizes):
+        # on 2 snippets level l holds ceil(2 / 2**l) anchors: (2,), (2, 1), (2, 1, 1), ...
+        grid = TimeGrid(2, 1.0, 1)
+        n = sum(sizes)
+        with pytest.raises(ValueError, match="level_sizes"):
+            AnchorTargets(grid, sizes, [0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [1] * n)
 
 
 class TestAnchorPredictions:
@@ -235,7 +243,7 @@ class TestClsLoss:
 class TestRegLoss:
     def _targets(self):
         grid = TimeGrid(8, 1.0, 1)
-        cfg = PyramidConfig(num_levels=1, regression_ranges=((0, math.inf),))
+        cfg = PyramidConfig(num_levels=1)
         return build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), cfg, grid)
 
     def test_exact_offsets_zero(self):
