@@ -1,10 +1,13 @@
 """Command-line pipeline over JSON-lines files.
 
 Subcommands: extract, fuse, mask, targets, losses, eval, simulate,
-benchmark; `COMMANDS` lists the flags each one reads. Every output file
-is a pure function of its inputs and the config: floats are written at 6
-significant digits and rows are ordered by video_id. Exit codes: 0
-success, 2 missing/malformed input, 3 domain-constraint violation.
+benchmark; `COMMANDS` lists the flags each one reads and the writer of its
+`--output`. A handler parses its inputs, computes, and returns what goes to
+`--output` (rows, or `(metrics, timings)` for a report); `main` writes it.
+`extract` and `fuse` run the corpus stages of `sim` that `benchmark` runs.
+Every output file is a pure function of its inputs and the config: floats
+are written at 6 significant digits and rows are ordered by video_id. Exit
+codes: 0 success, 2 missing/malformed input, 3 domain-constraint violation.
 """
 from __future__ import annotations
 
@@ -21,9 +24,12 @@ import numpy as np
 from .config import TOOL_VERSION, PipelineConfig, UnknownKeysError
 from .core import Interval, Proposal, SnippetPredictions, TimeGrid, runs, snippet_centers
 from .evaluation import GroundTruthSet, map_table
+# generate_pseudo_labels and weak_proposals are not called here (the sim stages call
+# them); they stay imported because bench/tracing.py wraps them by attribute on this module
 from .fusion import STRATEGIES, fuse_ricker, generate_pseudo_labels, lookup_strategy
 from .mask import MaskParams, SnippetMask, decay_schedule, mask_for_proposal, union_masks
 from .sim import RNG_NAME, SimConfig, corrupt_predictions, gen_corpus, run_benchmark
+from .sim import proposals_by_video, pseudo_labels_by_video, video_labels
 from .targets import (
     AnchorPredictions,
     AnchorTargets,
@@ -34,7 +40,7 @@ from .targets import (
     reg_loss,
     total_loss,
 )
-from .weak_branch import VideoLabel, compute_sps, weak_proposals
+from .weak_branch import compute_sps, weak_proposals
 
 __all__ = ["main"]
 
@@ -162,7 +168,8 @@ def _write_jsonl(path: str, cfg: PipelineConfig, rows: Iterable[dict]) -> None:
             fh.write(_dump(row) + "\n")
 
 
-def _write_report(path: str, cfg: PipelineConfig, metrics: dict, timings) -> None:
+def _write_report(path: str, cfg: PipelineConfig, output: tuple[dict, dict | None]) -> None:
+    metrics, timings = output
     report = {
         "config_hash": cfg.config_hash(),
         "tool_version": TOOL_VERSION,
@@ -176,22 +183,37 @@ def _write_report(path: str, cfg: PipelineConfig, metrics: dict, timings) -> Non
 # ---------------------------------------------------------------- input parsing
 
 
-def _parse_sp_file(path: str) -> dict[str, tuple[TimeGrid, SnippetPredictions]]:
-    out: dict[str, tuple[TimeGrid, SnippetPredictions]] = {}
+def _sp_grid(row: dict, path: str) -> TimeGrid:
+    """The grid of an SP-shaped row: C is the `class_scores` width minus 1,
+    and `class_scores` and `attention` each hold `num_snippets` entries
+    (lengths only; the values are not read)."""
+    scores = row["class_scores"]
+    if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
+        raise SchemaError(f"{path}: class_scores must be a nonempty list of rows")
+    grid = _grid(row, len(scores[0]) - 1, path)
+    if len(scores) != grid.num_snippets:
+        raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
+    _require(row, ("attention",), path)
+    if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
+        raise SchemaError(f"{path}: attention length disagrees with num_snippets")
+    return grid
+
+
+def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPredictions]]:
+    grids: dict[str, TimeGrid] = {}
+    preds: dict[str, SnippetPredictions] = {}
     keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
     for vid, row in _video_rows(path, keys):
-        att = np.asarray(row["attention"], dtype=np.float64)
+        grids[vid] = _sp_grid(row, path)
         cls = np.asarray(row["class_scores"], dtype=np.float64)
-        num_snippets = _integer(row["num_snippets"], "num_snippets", path)
-        if cls.ndim != 2 or cls.shape[0] != num_snippets:
+        if cls.ndim != 2:
             raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
-        cls = cls / sums
-        out[vid] = (_grid(row, cls.shape[1] - 1, path), SnippetPredictions(att, cls))
-    return out
+        preds[vid] = SnippetPredictions(np.asarray(row["attention"], dtype=np.float64), cls / sums)
+    return grids, preds
 
 
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
@@ -199,18 +221,11 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     out: dict[str, TimeGrid] = {}
     for vid, row in _video_rows(path, ("num_snippets", "snippet_duration_s")):
         if "class_scores" in row:
-            scores = row["class_scores"]
-            if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
-                raise SchemaError(f"{path}: class_scores must be a nonempty list of rows")
-            c = len(scores[0]) - 1
+            out[vid] = _sp_grid(row, path)
         elif "class_count" in row:
-            c = row["class_count"]
+            out[vid] = _grid(row, row["class_count"], path)
         else:
             raise SchemaError(f"{path}: grid rows need class_scores or class_count")
-        grid = _grid(row, c, path)
-        if "class_scores" in row and len(row["class_scores"]) != grid.num_snippets:
-            raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
-        out[vid] = grid
     return out
 
 
@@ -295,13 +310,6 @@ def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     return out
 
 
-def _labels_from_gt(gt: dict[str, list], class_count: int) -> dict[str, VideoLabel]:
-    return {
-        vid: VideoLabel.from_classes(sorted({c for _, c in items}), class_count)
-        for vid, items in gt.items()
-    }
-
-
 def _segment_row(vid: str, iv: Interval, class_id: int, score: float | None) -> dict:
     row = {
         "video_id": vid,
@@ -337,69 +345,37 @@ def _segments_on_grids(args, what: str, most: int = 2):
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_extract(args, cfg: PipelineConfig) -> int:
-    sps = _parse_sp_file(_one_input(args, "an SP file"))
+def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
+    grids, preds = _parse_sp_file(_one_input(args, "an SP file"))
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
-    missing = sorted(set(sps) - set(gt))
+    missing = sorted(set(grids) - set(gt))
     if missing:
         raise ValueError(f"no ground-truth labels for videos: {missing}")
-    rows = []
-    for vid in sorted(sps):
-        grid, preds = sps[vid]
-        label = VideoLabel.from_classes(
-            sorted({c for _, c in gt[vid]}), grid.class_count
-        )
-        proposals = weak_proposals(
-            preds,
-            grid,
-            label,
-            cfg.thresholds,
-            oic_inflation=cfg.oic_inflation,
-            sigma_nms=cfg.sigma_nms,
-            min_score=cfg.min_score,
-            extract_on=cfg.extract_on,
-        )
-        rows.extend(
-            _segment_row(vid, p.interval, p.class_id, p.score) for p in proposals
-        )
-    _write_jsonl(args.output, cfg, rows)
-    return 0
+    proposals = proposals_by_video(grids, video_labels(gt, grids), preds, cfg)
+    return [_segment_row(vid, p.interval, p.class_id, p.score)
+            for vid, plist in proposals.items() for p in plist]
 
 
-def _cmd_fuse(args, cfg: PipelineConfig) -> int:
+def _cmd_fuse(args, cfg: PipelineConfig) -> list[dict]:
     lookup_strategy(args.strategy)  # an unknown name fails even with no video to fuse
     proposals, grids, _ = _segments_on_grids(args, "proposals file and grid source")
-    rows = []
-    for vid in sorted(proposals):
-        grid = grids[vid]
-        pseudos = generate_pseudo_labels(
-            args.strategy,
-            proposals[vid],
-            grid,
-            min_duration_s=cfg.min_duration_snippets * grid.snippet_duration_s,
-        )
-        rows.extend(
-            _segment_row(vid, p.interval, p.class_id, p.confidence) for p in pseudos
-        )
-    _write_jsonl(args.output, cfg, rows)
-
+    if args.wavelet_csv and len(proposals) != 1:
+        raise ValueError("wavelet CSV requires exactly one video in the input")
+    pseudos = pseudo_labels_by_video(proposals, grids, args.strategy, cfg)
     if args.wavelet_csv:
-        if len(proposals) != 1:
-            raise ValueError("wavelet CSV requires exactly one video in the input")
         vid = next(iter(proposals))
         grid = grids[vid]
         wavelet = fuse_ricker(proposals[vid], grid)
         with Path(args.wavelet_csv).open("w", encoding="utf-8") as fh:
-            fh.write(
-                f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}\n"
-            )
+            fh.write(f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}\n")
             fh.write("t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)) + "\n")
             for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist()):
                 fh.write(_G6(t) + "," + ",".join(map(_G6, row)) + "\n")
-    return 0
+    return [_segment_row(vid, p.interval, p.class_id, p.confidence)
+            for vid, plist in pseudos.items() for p in plist]
 
 
-def _cmd_mask(args, cfg: PipelineConfig) -> int:
+def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
     pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
     params = _scheduled_mask_params(cfg, args.epoch)
     rows = []
@@ -410,11 +386,10 @@ def _cmd_mask(args, cfg: PipelineConfig) -> int:
         rows.append(
             {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
         )
-    _write_jsonl(args.output, cfg, rows)
-    return 0
+    return rows
 
 
-def _cmd_targets(args, cfg: PipelineConfig) -> int:
+def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
     pseudos, grids, rest = _segments_on_grids(
         args, "pseudo file, grid source, optional mask file", most=3
     )
@@ -445,24 +420,24 @@ def _cmd_targets(args, cfg: PipelineConfig) -> int:
                 "mask_bit": tgt.mask_bit,
             }
         )
-    _write_jsonl(args.output, cfg, rows)
-    return 0
+    return rows
 
 
-def _cmd_losses(args, cfg: PipelineConfig) -> int:
+def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     paths = _inputs(args, 2, 3, "anchor predictions, targets, optional SP file")
+    if args.gt and len(paths) < 3:
+        raise SchemaError("--gt is read only with an SP file as the third --input")
     preds = _parse_anchor_predictions(paths[0])
     targets = _parse_targets_file(paths[1])
     missing = sorted(set(preds) ^ set(targets))
     if missing:
         raise ValueError(f"predictions and targets disagree on videos: {missing}")
-    sps_by_vid: dict[str, tuple[TimeGrid, SnippetPredictions]] = {}
-    labels: dict[str, VideoLabel] = {}
+    sps: dict[str, SnippetPredictions] = {}
+    labels = {}
     if len(paths) > 2:
-        sps_by_vid = _parse_sp_file(paths[2])
+        grids, sps = _parse_sp_file(paths[2])
         gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
-        class_count = next(iter(sps_by_vid.values()))[0].class_count
-        labels = _labels_from_gt(gt, class_count)
+        labels = video_labels(gt, grids)
 
     t0 = time.perf_counter()
     per_video = {}
@@ -471,11 +446,10 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
         l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
         l_reg = reg_loss(pred, tgt)
         l_att = 0.0
-        if vid in sps_by_vid and pred.snippet_probs is not None:
-            grid, sp = sps_by_vid[vid]
+        if vid in sps and pred.snippet_probs is not None:
             if vid not in labels:
                 raise ValueError(f"no ground-truth labels for video {vid}")
-            z = compute_sps(sp.attention, sp.class_scores)
+            z = compute_sps(sps[vid].attention, sps[vid].class_scores)
             l_att = att_loss(
                 pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal
             )
@@ -496,63 +470,48 @@ def _cmd_losses(args, cfg: PipelineConfig) -> int:
     mean["empty_positives"] = sum(
         1 for entry in per_video.values() if entry["empty_positives"]
     )
-    _write_report(
-        args.output, cfg, {"per_video": per_video, "mean": mean},
-        {"losses": elapsed} if args.timings else None,
-    )
-    return 0
+    return {"per_video": per_video, "mean": mean}, {"losses": elapsed} if args.timings else None
 
 
-def _cmd_eval(args, cfg: PipelineConfig) -> int:
+def _cmd_eval(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     preds = _parse_segments(_one_input(args, "a predictions file"), with_score=True)
     gt_rows = _parse_segments(_need(args.gt, "--gt"), with_score=False)
     gt = GroundTruthSet({vid: tuple(items) for vid, items in gt_rows.items()})
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    _write_report(
-        args.output, cfg, report.to_dict(), {"eval": elapsed} if args.timings else None
-    )
-    return 0
+    return report.to_dict(), {"eval": elapsed} if args.timings else None
 
 
-def _cmd_simulate(args, cfg: PipelineConfig) -> int:
+def _cmd_simulate(args, cfg: PipelineConfig) -> list[dict]:
     layout = gen_corpus(args.sim)
     predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
-    sp_rows = []
-    for vid in layout.video_ids():
-        grid = layout.grids[vid]
-        preds = predictions[vid]
-        sp_rows.append(
-            {
-                "video_id": vid,
-                "num_snippets": grid.num_snippets,
-                "snippet_duration_s": grid.snippet_duration_s,
-                "attention": preds.attention,
-                "class_scores": preds.class_scores,
-            }
-        )
-    _write_jsonl(args.output, cfg, sp_rows)
     if args.gt:
-        gt_rows = []
-        for vid in layout.video_ids():
-            gt_rows.extend(
-                _segment_row(vid, iv, class_id, None)
-                for iv, class_id in layout.ground_truth.segments[vid]
-            )
-        _write_jsonl(args.gt, cfg, gt_rows)
-    return 0
+        _write_jsonl(args.gt, cfg, [
+            _segment_row(vid, iv, class_id, None)
+            for vid in layout.video_ids()
+            for iv, class_id in layout.ground_truth.segments[vid]
+        ])
+    return [
+        {
+            "video_id": vid,
+            "num_snippets": layout.grids[vid].num_snippets,
+            "snippet_duration_s": layout.grids[vid].snippet_duration_s,
+            "attention": predictions[vid].attention,
+            "class_scores": predictions[vid].class_scores,
+        }
+        for vid in layout.video_ids()
+    ]
 
 
-def _cmd_benchmark(args, cfg: PipelineConfig) -> int:
+def _cmd_benchmark(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     result = run_benchmark(args.sim, args.strategy or list(STRATEGIES), cfg).to_dict()
     metrics = {
         "rng": RNG_NAME,
         "sim": dataclasses.asdict(args.sim),
         "strategies": result["strategies"],
     }
-    _write_report(args.output, cfg, metrics, result["timings_ms"] if args.timings else None)
-    return 0
+    return metrics, result["timings_ms"] if args.timings else None
 
 
 # ---------------------------------------------------------------- plumbing
@@ -602,7 +561,8 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace, PipelineConfig], int]
+    handler: Callable[[argparse.Namespace, PipelineConfig], object]  # returns the output
+    write: Callable[[str, PipelineConfig, object], None]  # writes it to --output
     help: str
     flags: dict  # flag -> add_argument keywords, besides --config and --output
 
@@ -613,26 +573,31 @@ _EPOCH = {"type": int, "help": "training epoch for mask-band scheduling"}
 _SEED = {"type": int, "help": "override the sim seed"}
 _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte reproducibility)"}
 
-# The one list of subcommands and of the flags each one reads.
+# The one list of subcommands, their writers and the flags each one reads.
 COMMANDS = {
-    "extract": _Command(_cmd_extract, "SP file -> scored proposals (needs --gt for video labels)",
+    "extract": _Command(_cmd_extract, _write_jsonl,
+                        "SP file -> scored proposals (needs --gt for video labels)",
                         {"--input": _INPUT, "--gt": _GT}),
-    "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
+    "fuse": _Command(_cmd_fuse, _write_jsonl, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
         "--strategy": {"default": "ricker", "help": f"one of {', '.join(STRATEGIES)}"},
         "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
     }),
-    "mask": _Command(_cmd_mask, "pseudos + grid source -> uncertainty mask file",
+    "mask": _Command(_cmd_mask, _write_jsonl, "pseudos + grid source -> uncertainty mask file",
                      {"--input": _INPUT, "--epoch": _EPOCH}),
-    "targets": _Command(_cmd_targets, "pseudos + grid source [+ mask file] -> anchor target file",
+    "targets": _Command(_cmd_targets, _write_jsonl,
+                        "pseudos + grid source [+ mask file] -> anchor target file",
                         {"--input": _INPUT, "--epoch": _EPOCH}),
-    "losses": _Command(_cmd_losses, "anchor predictions + targets [+ SP file] -> loss report",
+    "losses": _Command(_cmd_losses, _write_report,
+                       "anchor predictions + targets [+ SP file] -> loss report",
                        {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
-    "eval": _Command(_cmd_eval, "predictions (needs --gt) -> mAP report",
+    "eval": _Command(_cmd_eval, _write_report, "predictions (needs --gt) -> mAP report",
                      {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
-    "simulate": _Command(_cmd_simulate, "config -> synthetic SP corpus (and GT via --gt)",
+    "simulate": _Command(_cmd_simulate, _write_jsonl,
+                         "config -> synthetic SP corpus (and GT via --gt)",
                          {"--gt": {"help": "also write the ground truth here"}, "--seed": _SEED}),
-    "benchmark": _Command(_cmd_benchmark, "config -> per-strategy pseudo-label quality report", {
+    "benchmark": _Command(_cmd_benchmark, _write_report,
+                          "config -> per-strategy pseudo-label quality report", {
         "--strategy": {"action": "append", "help": "fusion strategy; repeatable (default: all)"},
         "--seed": _SEED,
         "--timings": _TIMINGS,
@@ -663,7 +628,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.seed is not None:
                 raw_sim["seed"] = args.seed
             args.sim = SimConfig.from_dict(raw_sim)
-        return COMMANDS[args.command].handler(args, cfg)
+        command = COMMANDS[args.command]
+        command.write(args.output, cfg, command.handler(args, cfg))
+        return 0
     except (SchemaError, UnknownKeysError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,11 @@ attention noise, and false-positive segments. Every byte of output is a
 pure function of the config: video v draws from the PCG64 substream
 seeded with SeedSequence((seed, stage, v)), stage 0 for layout and 1 for
 corruption, so no video's draws depend on another video.
+
+The weak-branch corpus stages `proposals_by_video` and
+`pseudo_labels_by_video` are shared by `run_benchmark` and the CLI's
+`extract` and `fuse`, and `video_labels` is the one rule that turns ground
+truth into video-level labels.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +35,9 @@ __all__ = [
     "BenchmarkResult",
     "gen_corpus",
     "corrupt_predictions",
+    "video_labels",
+    "proposals_by_video",
+    "pseudo_labels_by_video",
     "pipeline_pseudo_labels",
     "run_benchmark",
     "benchmark_many",
@@ -165,16 +173,25 @@ def gen_corpus(cfg: SimConfig) -> CorpusLayout:
     """
     gt: dict[str, tuple[tuple[Interval, int], ...]] = {}
     grids: dict[str, TimeGrid] = {}
-    labels: dict[str, VideoLabel] = {}
     for v in range(cfg.num_videos):
         vid = f"video_{v:04d}"
-        grid, segments = _layout_video(cfg, v)
+        grids[vid], segments = _layout_video(cfg, v)
         gt[vid] = tuple(segments)
-        grids[vid] = grid
-        labels[vid] = VideoLabel.from_classes(
-            sorted({c for _, c in segments}), cfg.class_count
-        )
-    return CorpusLayout(GroundTruthSet(gt), grids, labels)
+    return CorpusLayout(GroundTruthSet(gt), grids, video_labels(gt, grids))
+
+
+def video_labels(
+    ground_truth: Mapping[str, Iterable[tuple[Interval, int]]],
+    grids: Mapping[str, TimeGrid],
+) -> dict[str, VideoLabel]:
+    """Each video's label: the classes of its ground-truth segments, on its
+    own grid. Videos of `grids` without ground truth get no label; a class
+    outside a video's grid raises."""
+    return {
+        vid: VideoLabel.from_classes([c for _, c in ground_truth[vid]], grids[vid].class_count)
+        for vid in sorted(grids)
+        if vid in ground_truth
+    }
 
 
 def _softened_rows(class_ids: np.ndarray, class_count: int, temperature: float) -> np.ndarray:
@@ -272,44 +289,46 @@ def corrupt_predictions(
     return out
 
 
-def _proposals_by_video(
-    layout: CorpusLayout,
+def proposals_by_video(
+    grids: Mapping[str, TimeGrid],
+    labels: Mapping[str, VideoLabel],
     predictions: Mapping[str, SnippetPredictions],
     pipe: PipelineConfig,
 ) -> dict[str, list[Proposal]]:
-    """Weak-branch proposals per video: extract, score, suppress."""
+    """Weak-branch proposals of every video of `predictions`, in sorted
+    video-id order: extract, score, suppress."""
     return {
         vid: weak_proposals(
             predictions[vid],
-            layout.grids[vid],
-            layout.labels[vid],
+            grids[vid],
+            labels[vid],
             pipe.thresholds,
             oic_inflation=pipe.oic_inflation,
             sigma_nms=pipe.sigma_nms,
             min_score=pipe.min_score,
             extract_on=pipe.extract_on,
         )
-        for vid in layout.video_ids()
+        for vid in sorted(predictions)
     }
 
 
-def _pseudos_by_video(
-    layout: CorpusLayout,
+def pseudo_labels_by_video(
     proposals: Mapping[str, Sequence[Proposal]],
+    grids: Mapping[str, TimeGrid],
     strategy: str,
     pipe: PipelineConfig,
 ) -> dict[str, list[PseudoProposal]]:
-    """One strategy's pseudo labels per video from shared proposals."""
-    pseudos: dict[str, list[PseudoProposal]] = {}
-    for vid in layout.video_ids():
-        grid = layout.grids[vid]
-        pseudos[vid] = generate_pseudo_labels(
+    """One strategy's pseudo labels of every video of `proposals`, in
+    sorted video-id order."""
+    return {
+        vid: generate_pseudo_labels(
             strategy,
             proposals[vid],
-            grid,
-            min_duration_s=pipe.min_duration_snippets * grid.snippet_duration_s,
+            grids[vid],
+            min_duration_s=pipe.min_duration_snippets * grids[vid].snippet_duration_s,
         )
-    return pseudos
+        for vid in sorted(proposals)
+    }
 
 
 def pipeline_pseudo_labels(
@@ -319,8 +338,8 @@ def pipeline_pseudo_labels(
     pipe: PipelineConfig,
 ) -> dict[str, list[PseudoProposal]]:
     """Full pseudo-label pipeline per video: extract, score, suppress, fuse."""
-    proposals = _proposals_by_video(layout, predictions, pipe)
-    return _pseudos_by_video(layout, proposals, strategy, pipe)
+    proposals = proposals_by_video(layout.grids, layout.labels, predictions, pipe)
+    return pseudo_labels_by_video(proposals, layout.grids, strategy, pipe)
 
 
 @dataclass(frozen=True)
@@ -364,12 +383,12 @@ def run_benchmark(
     predictions = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
     timings = {"simulate": (time.perf_counter() - t0) * 1000.0}
     t0 = time.perf_counter()
-    proposals = _proposals_by_video(layout, predictions, pipe)
+    proposals = proposals_by_video(layout.grids, layout.labels, predictions, pipe)
     timings["weak_branch"] = (time.perf_counter() - t0) * 1000.0
     reports: dict[str, PseudoQuality] = {}
     for name in strategies:
         t1 = time.perf_counter()
-        pseudos = _pseudos_by_video(layout, proposals, name, pipe)
+        pseudos = pseudo_labels_by_video(proposals, layout.grids, name, pipe)
         reports[name] = pseudo_quality(pseudos, layout.ground_truth, pipe.eval_tious)
         timings[name] = (time.perf_counter() - t1) * 1000.0
     return BenchmarkResult(reports, timings)

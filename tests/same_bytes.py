@@ -10,8 +10,9 @@ of two runs are identical, so a refactor that claims "same bytes" is
 checked with one `diff` of the two listings. The chain covers every
 subcommand: `simulate`, then `extract`; for each fusion strategy `fuse`,
 `mask --epoch`, `targets` with and without the mask file, `losses` with the
-SP file and `--gt`, and `eval`; then a default `fuse`, `mask` without
-`--epoch`, `fuse --wavelet-csv` on one video, and `benchmark` run two ways.
+SP file and `--gt` and without both (no attention term), and `eval`; then
+a default `fuse`, `mask` without `--epoch`, `fuse --wavelet-csv` on one
+video, and `benchmark` run two ways.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -88,6 +89,8 @@ def run_chain(out: Path) -> list[Path]:
         _write_predictions(targets, sp, preds)
         _run("losses", *conf, "--input", preds, "--input", targets, "--input", sp,
              "--gt", gt, "--output", out / f"losses_{name}.json")
+        _run("losses", *conf, "--input", preds, "--input", targets,
+             "--output", out / f"losses_no_sp_{name}.json")
         _run("eval", *conf, "--input", pseudo, "--gt", gt, "--output", out / f"eval_{name}.json")
 
     _run("fuse", *conf, "--input", props, "--input", sp, "--output", out / "pseudo_default.jsonl")

@@ -97,6 +97,28 @@ class TestExtractFuse:
             set(r) == {"video_id", "start_s", "end_s", "score", "class_id"} for r in rows
         )
 
+    def test_rows_ordered_by_video_id(self, tmp_path):
+        # input rows in reverse id order; the corpus stages sort by video id
+        inside = [0.0] * 2 + [1.0] * 4 + [0.0] * 10
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [
+            {"video_id": vid, "num_snippets": 16, "snippet_duration_s": 1.0, "attention": inside,
+             "class_scores": [[0.9, 0.1] if a else [0.1, 0.9] for a in inside]}
+            for vid in ("b", "a")
+        ])
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": vid, "start_s": 2.0, "end_s": 6.0, "class_id": 1}
+                         for vid in ("b", "a")])
+        props = tmp_path / "props.jsonl"
+        assert run("extract", "--input", sp, "--gt", gt, "--output", props) == 0
+        _, rows = read_jsonl(props)
+        assert [r["video_id"] for r in rows] == sorted(r["video_id"] for r in rows)
+        assert {r["video_id"] for r in rows} == {"a", "b"}
+        write_jsonl(props, [{**row, "score": 1.0} for row in read_jsonl(gt)[1]])
+        pseudos = tmp_path / "pseudos.jsonl"
+        assert run("fuse", "--input", props, "--input", sp, "--output", pseudos) == 0
+        assert [r["video_id"] for r in read_jsonl(pseudos)[1]] == ["a", "b"]
+
     def test_fuse_single_proposal_round_trip(self, tmp_path):
         grid_file = tmp_path / "grid.jsonl"
         write_jsonl(
@@ -201,6 +223,7 @@ class TestExtractFuse:
             "--output", tmp_path / "p.jsonl", "--wavelet-csv", tmp_path / "w.csv",
         )
         assert code == 3
+        assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "w.csv").exists()
 
 
 class TestMaskTargets:
@@ -360,6 +383,49 @@ class TestLosses:
         expected_att = 0.25 * math.log(2)
         assert entry["att"] == pytest.approx(expected_att, abs=1e-5)
         assert entry["total"] == pytest.approx(0.2 * expected_att, abs=1e-5)
+
+    def test_empty_sp_file(self, tmp_path):
+        # no SP row, no attention term: att is 0, as for a video the SP file lacks
+        _, gt, targets, preds = self._prepare(tmp_path, [[0.5, 0.5]] * 16)
+        empty = tmp_path / "empty_sp.jsonl"
+        write_jsonl(empty, [])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets,
+                   "--input", empty, "--gt", gt, "--output", out) == 0
+        assert read_report(out)["metrics"]["per_video"]["v"]["att"] == 0.0
+
+    def test_class_count_per_video(self, tmp_path):
+        # each video's label is built on its own grid, not on the first row's
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [
+            {"video_id": "a", "num_snippets": 16, "snippet_duration_s": 1.0,
+             "attention": [1.0] * 16, "class_scores": [[0.9, 0.1]] * 16},
+            {"video_id": "b", "num_snippets": 16, "snippet_duration_s": 1.0,
+             "attention": [1.0] * 16, "class_scores": [[0.05, 0.9, 0.05]] * 16},
+        ])
+        gt = tmp_path / "gt.jsonl"
+        pseudos = tmp_path / "pseudos.jsonl"
+        segments = [{"video_id": "a", "start_s": 2.0, "end_s": 6.0, "class_id": 1},
+                    {"video_id": "b", "start_s": 2.0, "end_s": 6.0, "class_id": 2}]
+        write_jsonl(gt, segments)
+        write_jsonl(pseudos, [{**row, "score": 1.0} for row in segments])
+        targets = tmp_path / "targets.jsonl"
+        assert run("targets", "--input", pseudos, "--input", sp, "--output", targets) == 0
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [
+            {"video_id": row["video_id"],
+             "class_probs": [[1.0] * (row["class_count"] + 1)] * len(row["class_label"]),
+             "reg_left": row["reg_left"], "reg_right": row["reg_right"],
+             "snippet_probs": [[1 / (row["class_count"] + 1)] * (row["class_count"] + 1)] * 16}
+            for row in read_jsonl(targets)[1]
+        ])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets,
+                   "--input", sp, "--gt", gt, "--output", out) == 0
+        per_video = read_report(out)["metrics"]["per_video"]
+        # uniform snippet probabilities: focal(1/2) on a, focal(1/3) on b
+        assert per_video["a"]["att"] == pytest.approx(0.25 * math.log(2), abs=1e-5)
+        assert per_video["b"]["att"] == pytest.approx(4 / 9 * math.log(3), abs=1e-5)
 
     def test_empty_positives_flagged(self, tmp_path):
         sp = tmp_path / "sp.jsonl"
@@ -572,6 +638,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: this subcommand takes 2 to 3 --input paths ("
         )
+        assert not out.exists()
+
+    def test_losses_gt_without_sp_file(self, tmp_path, capsys):
+        # --gt feeds only the attention term, which needs the SP file
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+            "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+            "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+            "iou_weight": [0.0] * n, "mask_bit": [1] * n,
+        }])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
+        out = tmp_path / "losses.json"
+        argv = ["losses", "--input", preds, "--input", targets, "--output", out]
+        assert run(*argv) == 0
+        out.unlink()
+        assert run(*argv, "--gt", tmp_path / "nonexistent.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gt is read only with an SP file") and err.count("\n") == 1
         assert not out.exists()
 
     def test_level_sizes_disagree_with_grid(self, tmp_path, capsys):
@@ -903,18 +992,27 @@ class TestNumericFields:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets"])
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets", "extract"])
     def test_sp_shaped_grid_source_length(self, tmp_path, capsys, cmd):
-        # extract rejects this row too: one class_scores row for 8 snippets
-        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
-               "attention": [0.5], "class_scores": [[0.5, 0.5]]}
-        out = tmp_path / "out.jsonl"
-        code, grid_file = _grid_run(tmp_path, row, cmd, out)
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {grid_file}: class_scores shape disagrees with num_snippets\n"
-        )
-        assert not out.exists()
+        # one grid rule for SP-shaped rows, whether read as SP file or grid source
+        full = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8}
+        for field, short, what in (("class_scores", [[0.5, 0.5]], "class_scores shape"),
+                                   ("attention", [0.5], "attention length")):
+            out = tmp_path / "out.jsonl"
+            if cmd == "extract":
+                grid_file = tmp_path / "grid.jsonl"
+                write_jsonl(grid_file, [{**full, field: short}])
+                gt = tmp_path / "gt.jsonl"
+                write_jsonl(gt, [SEGMENT_ROW])
+                code = run(cmd, "--input", grid_file, "--gt", gt, "--output", out)
+            else:
+                code, grid_file = _grid_run(tmp_path, {**full, field: short}, cmd, out)
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: {grid_file}: {what} disagrees with num_snippets\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -5,6 +5,7 @@ import pytest
 
 from pseudotal import sim
 from pseudotal.config import PipelineConfig, UnknownKeysError
+from pseudotal.core import Interval, TimeGrid
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -15,6 +16,7 @@ from pseudotal.sim import (
     gen_corpus,
     pipeline_pseudo_labels,
     run_benchmark,
+    video_labels,
 )
 from pseudotal.weak_branch import weak_proposals
 
@@ -102,6 +104,18 @@ class TestGenCorpus:
         for vid, items in layout.ground_truth.segments.items():
             present = sorted({c for _, c in items})
             assert layout.labels[vid].classes == present
+
+    def test_video_labels_on_each_grid(self):
+        # each video's own class count; ground truth without a grid is ignored
+        grids = {"a": TimeGrid(8, 1.0, 1), "b": TimeGrid(8, 1.0, 3), "c": TimeGrid(8, 1.0, 2)}
+        iv = Interval(1.0, 3.0)
+        gt = {"a": [(iv, 1)], "b": [(iv, 3), (iv, 1), (iv, 3)], "x": [(iv, 9)]}
+        labels = video_labels(gt, grids)
+        assert {vid: label.onehot.tolist() for vid, label in labels.items()} == {
+            "a": [1], "b": [1, 0, 1]
+        }
+        with pytest.raises(ValueError, match="class_id out of range"):
+            video_labels({"a": [(iv, 2)]}, grids)
 
     def test_infeasible_packing_names_video(self):
         cfg = SimConfig(

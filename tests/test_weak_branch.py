@@ -58,6 +58,18 @@ class TestTopK:
             assert topk_aggregate(preds, t).base[0] == pytest.approx(col.max())
 
 
+class TestVideoLabel:
+    def test_from_classes_ignores_order_and_repeats(self):
+        sorted_set = VideoLabel.from_classes([1, 3, 4], 5).onehot.tolist()
+        assert sorted_set == [1, 0, 1, 1, 0]
+        assert VideoLabel.from_classes([4, 1, 3, 1, 4], 5).onehot.tolist() == sorted_set
+
+    @pytest.mark.parametrize("classes", [[0], [2, 6]])
+    def test_from_classes_out_of_range(self, classes):
+        with pytest.raises(ValueError, match="class_id out of range"):
+            VideoLabel.from_classes(classes, 5)
+
+
 class TestMilLoss:
     def test_perfect_predictions(self):
         label = VideoLabel(np.array([1, 0]))
