@@ -14,7 +14,6 @@ from .core import (
     SnippetPredictions,
     TimeGrid,
     snippet_centers,
-    snippet_index_to_interval,
     tiou,
 )
 from .evaluation import (
@@ -49,7 +48,6 @@ from .sim import (
     benchmark_many,
     corrupt_predictions,
     gen_corpus,
-    pipeline_pseudo_labels,
     run_benchmark,
 )
 from .targets import (
@@ -89,7 +87,6 @@ __all__ = [
     "SnippetPredictions",
     "TimeGrid",
     "snippet_centers",
-    "snippet_index_to_interval",
     "tiou",
     "DEFAULT_TIOU_THRESHOLDS",
     "EvalReport",
@@ -116,7 +113,6 @@ __all__ = [
     "benchmark_many",
     "corrupt_predictions",
     "gen_corpus",
-    "pipeline_pseudo_labels",
     "run_benchmark",
     "AnchorPredictions",
     "AnchorTargets",

@@ -184,15 +184,17 @@ def _write_report(path: str, cfg: PipelineConfig, output: tuple[dict, dict | Non
 
 
 def _sp_grid(row: dict, path: str) -> TimeGrid:
-    """The grid of an SP-shaped row: C is the `class_scores` width minus 1,
-    and `class_scores` and `attention` each hold `num_snippets` entries
-    (lengths only; the values are not read)."""
+    """The grid of an SP-shaped row: every `class_scores` row is C+1 wide, and
+    `class_scores` and `attention` each hold `num_snippets` entries (lengths
+    only; the values are not read)."""
     scores = row["class_scores"]
     if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
         raise SchemaError(f"{path}: class_scores must be a nonempty list of rows")
     grid = _grid(row, len(scores[0]) - 1, path)
     if len(scores) != grid.num_snippets:
         raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
+    if any(not isinstance(r, list) or len(r) != grid.class_count + 1 for r in scores):
+        raise SchemaError(f"{path}: class_scores must be rows of equal width")
     _require(row, ("attention",), path)
     if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
         raise SchemaError(f"{path}: attention length disagrees with num_snippets")
@@ -212,7 +214,7 @@ def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPre
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
-        preds[vid] = SnippetPredictions(np.asarray(row["attention"], dtype=np.float64), cls / sums)
+        preds[vid] = SnippetPredictions(row["attention"], cls / sums)
     return grids, preds
 
 
@@ -263,19 +265,13 @@ def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
     return out
 
 
+# The per-anchor arrays of a targets row, as named on `AnchorTargets`.
+_ANCHOR_FIELDS = ("class_label", "reg_left", "reg_right", "iou_weight", "mask_bit")
+
+
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
     out: dict[str, AnchorTargets] = {}
-    keys = (
-        "num_snippets",
-        "snippet_duration_s",
-        "class_count",
-        "level_sizes",
-        "class_label",
-        "reg_left",
-        "reg_right",
-        "iou_weight",
-        "mask_bit",
-    )
+    keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *_ANCHOR_FIELDS)
     for vid, row in _video_rows(path, keys):
         sizes = row["level_sizes"]
         if not isinstance(sizes, list):
@@ -283,11 +279,7 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
         out[vid] = AnchorTargets(
             _grid(row, row["class_count"], path),
             tuple(_integer(n, "level_sizes", path) for n in sizes),
-            np.asarray(row["class_label"], dtype=np.int64),
-            np.asarray(row["reg_left"], dtype=np.float64),
-            np.asarray(row["reg_right"], dtype=np.float64),
-            np.asarray(row["iou_weight"], dtype=np.float64),
-            np.asarray(row["mask_bit"], dtype=np.uint8),
+            **{name: row[name] for name in _ANCHOR_FIELDS},
         )
     return out
 
@@ -299,13 +291,8 @@ def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_probs rows must have positive sums")
-        probs = probs / sums
-        snippet = row.get("snippet_probs")
         out[vid] = AnchorPredictions(
-            probs,
-            np.asarray(row["reg_left"], dtype=np.float64),
-            np.asarray(row["reg_right"], dtype=np.float64),
-            None if snippet is None else np.asarray(snippet, dtype=np.float64),
+            probs / sums, row["reg_left"], row["reg_right"], row.get("snippet_probs")
         )
     return out
 
@@ -346,7 +333,7 @@ def _segments_on_grids(args, what: str, most: int = 2):
 
 
 def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
-    grids, preds = _parse_sp_file(_one_input(args, "an SP file"))
+    grids, preds = _parse_sp_file(_inputs(args, 1, 1, "an SP file")[0])
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
     missing = sorted(set(grids) - set(gt))
     if missing:
@@ -393,6 +380,8 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
     pseudos, grids, rest = _segments_on_grids(
         args, "pseudo file, grid source, optional mask file", most=3
     )
+    if rest and args.epoch is not None:
+        raise SchemaError("--epoch is read only without a mask file as the third --input")
     mask_bits = _parse_mask_file(rest[0]) if rest else None
     params = _scheduled_mask_params(cfg, args.epoch)
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
@@ -413,11 +402,7 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
                 "snippet_duration_s": grid.snippet_duration_s,
                 "class_count": grid.class_count,
                 "level_sizes": list(tgt.level_sizes),
-                "class_label": tgt.class_label,
-                "reg_left": tgt.reg_left,
-                "reg_right": tgt.reg_right,
-                "iou_weight": tgt.iou_weight,
-                "mask_bit": tgt.mask_bit,
+                **{name: getattr(tgt, name) for name in _ANCHOR_FIELDS},
             }
         )
     return rows
@@ -474,7 +459,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
-    preds = _parse_segments(_one_input(args, "a predictions file"), with_score=True)
+    preds = _parse_segments(_inputs(args, 1, 1, "a predictions file")[0], with_score=True)
     gt_rows = _parse_segments(_need(args.gt, "--gt"), with_score=False)
     gt = GroundTruthSet({vid: tuple(items) for vid, items in gt_rows.items()})
     t0 = time.perf_counter()
@@ -531,10 +516,6 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
             f"this subcommand takes {count} --input paths ({what}); got {len(paths)}"
         )
     return paths
-
-
-def _one_input(args, what: str) -> str:
-    return _inputs(args, 1, 1, what)[0]
 
 
 def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:

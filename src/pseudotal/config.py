@@ -5,20 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PipelineConfig", "UnknownKeysError", "TOOL_VERSION"]
 
 TOOL_VERSION = "0.1.0"
 
-
-def _default_thresholds() -> tuple[float, ...]:
-    # 0.10 to 0.90 in steps of 0.05
-    return tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
-
-
-def _default_eval_tious() -> tuple[float, ...]:
-    return tuple(round(0.1 * i, 1) for i in range(1, 8))
+# the mAP tIoU ladder: 0.1 to 0.7 in steps of 0.1
+DEFAULT_TIOU_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 8))
 
 
 class UnknownKeysError(ValueError):
@@ -45,7 +39,8 @@ class PipelineConfig:
     """Defaults for the whole pipeline; every stage reads from here."""
 
     k_ratio: int = 8
-    thresholds: tuple[float, ...] = field(default_factory=_default_thresholds)
+    # weak-branch extraction thresholds: 0.10 to 0.90 in steps of 0.05
+    thresholds: tuple[float, ...] = tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
     oic_inflation: float = 0.25
     sigma_nms: float = 0.5
     min_score: float = 0.001
@@ -59,7 +54,7 @@ class PipelineConfig:
     num_levels: int = 6
     warmup_epochs: int = 20
     total_epochs: int = 38
-    eval_tious: tuple[float, ...] = field(default_factory=_default_eval_tious)
+    eval_tious: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
 
     def __post_init__(self) -> None:
         if self.k_ratio < 1:
@@ -94,10 +89,7 @@ class PipelineConfig:
         object.__setattr__(self, "eval_tious", evs)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["thresholds"] = list(self.thresholds)
-        out["eval_tious"] = list(self.eval_tious)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

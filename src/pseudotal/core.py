@@ -23,7 +23,6 @@ __all__ = [
     "tiou",
     "pairwise_tiou",
     "runs",
-    "snippet_index_to_interval",
     "snippet_centers",
 ]
 
@@ -195,14 +194,6 @@ def runs(values: np.ndarray) -> list[tuple[int, int, object]]:
         out.append((first, last, items[first]))
         first = last + 1
     return out
-
-
-def snippet_index_to_interval(grid: TimeGrid, i: int) -> Interval:
-    """Time extent [i*dur, (i+1)*dur] of snippet i."""
-    if not 0 <= i < grid.num_snippets:
-        raise IndexError("snippet index out of grid")
-    dur = grid.snippet_duration_s
-    return Interval(i * dur, (i + 1) * dur)
 
 
 def snippet_centers(grid: TimeGrid) -> np.ndarray:

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_TIOU_THRESHOLDS
 from .core import Interval, Proposal, PseudoProposal, pairwise_tiou
 from .weak_branch import soft_nms
 
@@ -31,8 +32,6 @@ __all__ = [
     "pseudo_quality",
     "DEFAULT_TIOU_THRESHOLDS",
 ]
-
-DEFAULT_TIOU_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 8))
 
 # headline ranges reported alongside the full table
 RANGE_AVERAGES = ((0.1, 0.5), (0.3, 0.7), (0.1, 0.7))
@@ -74,22 +73,20 @@ class EvalReport:
     def average_map(self) -> float:
         return sum(self.map_values) / len(self.map_values)
 
-    def _has_threshold(self, threshold: float) -> bool:
-        return any(abs(t - threshold) < 1e-9 for t in self.thresholds)
+    def _cells(self, lo: float, hi: float) -> list[float]:
+        """The mAP cells with lo <= tIoU <= hi, within 1e-9."""
+        cells = zip(self.thresholds, self.map_values)
+        return [v for t, v in cells if lo - 1e-9 <= t <= hi + 1e-9]
 
     def map_at(self, threshold: float) -> float:
-        for t, v in zip(self.thresholds, self.map_values):
-            if abs(t - threshold) < 1e-9:
-                return v
-        raise KeyError(f"no mAP entry at tIoU {threshold}")
+        cells = self._cells(threshold, threshold)
+        if not cells:
+            raise KeyError(f"no mAP entry at tIoU {threshold}")
+        return cells[0]
 
     def average_between(self, lo: float, hi: float) -> float:
         """Arithmetic mean of the mAP cells with lo <= tIoU <= hi."""
-        cells = [
-            v
-            for t, v in zip(self.thresholds, self.map_values)
-            if lo - 1e-9 <= t <= hi + 1e-9
-        ]
+        cells = self._cells(lo, hi)
         if not cells:
             raise KeyError(f"no mAP entries between {lo} and {hi}")
         return sum(cells) / len(cells)
@@ -100,7 +97,7 @@ class EvalReport:
         ranges = {
             f"{lo:.1f}:{hi:.1f}": self.average_between(lo, hi)
             for lo, hi in RANGE_AVERAGES
-            if self._has_threshold(lo) and self._has_threshold(hi)
+            if self._cells(lo, lo) and self._cells(hi, hi)
         }
         return {
             "thresholds": list(self.thresholds),

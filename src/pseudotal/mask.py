@@ -78,26 +78,15 @@ def mask_for_proposal(
     return SnippetMask(bits, grid)
 
 
-def union_masks(
-    masks: Sequence[SnippetMask], grid: TimeGrid | None = None
-) -> SnippetMask:
-    """Combine masks so a snippet uncertain anywhere stays uncertain.
-
-    An empty list yields the all-certain mask, which requires `grid`.
-    """
-    if not masks:
-        if grid is None:
-            raise ValueError("grid required to union an empty mask list")
-        return SnippetMask.all_certain(grid)
-    base = masks[0].grid
-    if grid is not None and grid != base:
-        raise ValueError("mask grid mismatch")
-    bits = np.ones(base.num_snippets, dtype=np.uint8)
+def union_masks(masks: Sequence[SnippetMask], grid: TimeGrid) -> SnippetMask:
+    """Combine masks on `grid` so a snippet uncertain anywhere stays
+    uncertain; an empty list yields the all-certain mask."""
+    bits = np.ones(grid.num_snippets, dtype=np.uint8)
     for m in masks:
-        if m.grid != base:
+        if m.grid != grid:
             raise ValueError("mask grid mismatch")
         bits &= m.bits
-    return SnippetMask(bits, base)
+    return SnippetMask(bits, grid)
 
 
 def decay_schedule(

@@ -38,7 +38,6 @@ __all__ = [
     "video_labels",
     "proposals_by_video",
     "pseudo_labels_by_video",
-    "pipeline_pseudo_labels",
     "run_benchmark",
     "benchmark_many",
     "RNG_NAME",
@@ -329,17 +328,6 @@ def pseudo_labels_by_video(
         )
         for vid in sorted(proposals)
     }
-
-
-def pipeline_pseudo_labels(
-    layout: CorpusLayout,
-    predictions: Mapping[str, SnippetPredictions],
-    strategy: str,
-    pipe: PipelineConfig,
-) -> dict[str, list[PseudoProposal]]:
-    """Full pseudo-label pipeline per video: extract, score, suppress, fuse."""
-    proposals = proposals_by_video(layout.grids, layout.labels, predictions, pipe)
-    return pseudo_labels_by_video(proposals, layout.grids, strategy, pipe)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ back into the pseudo-label set through the wavelet fusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -92,16 +92,22 @@ class AnchorTargets:
                 f"for num_snippets {self.grid.num_snippets}"
             )
         n = sum(sizes)
+        # checked before the uint8 cast, which would wrap -1 and truncate 0.5
+        bits = np.asarray(self.mask_bit, dtype=np.float64)
+        if np.any((bits != 0) & (bits != 1)):
+            raise ValueError("mask_bit values must be 0 or 1")
         arrays = {
             "class_label": np.asarray(self.class_label, dtype=np.int64),
             "reg_left": np.asarray(self.reg_left, dtype=np.float64),
             "reg_right": np.asarray(self.reg_right, dtype=np.float64),
             "iou_weight": np.asarray(self.iou_weight, dtype=np.float64),
-            "mask_bit": np.asarray(self.mask_bit, dtype=np.uint8),
+            "mask_bit": bits.astype(np.uint8),
         }
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per anchor")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         label = arrays["class_label"]
@@ -140,28 +146,23 @@ class AnchorPredictions:
     snippet_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.class_probs, dtype=np.float64)
-        left = np.asarray(self.reg_left, dtype=np.float64)
-        right = np.asarray(self.reg_right, dtype=np.float64)
+        for name in ("class_probs", "reg_left", "reg_right", "snippet_probs"):
+            if getattr(self, name) is None:  # only snippet_probs is optional
+                continue
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        probs, left, right = self.class_probs, self.reg_left, self.reg_right
         if probs.ndim != 2:
             raise ValueError("class_probs must be (num_anchors, C+1)")
-        if not (np.isfinite(probs).all() and np.isfinite(left).all() and np.isfinite(right).all()):
-            raise ValueError("class_probs and reg offsets must be finite")
         if left.shape != (probs.shape[0],) or right.shape != (probs.shape[0],):
             raise ValueError("reg offsets must match the anchor count")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError("class_probs rows must sum to 1 within 1e-6")
         if np.any(left < 0) or np.any(right < 0):
             raise ValueError("reg offsets must be nonnegative")
-        for name, arr in (("class_probs", probs), ("reg_left", left), ("reg_right", right)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.snippet_probs is not None:
-            sp = np.asarray(self.snippet_probs, dtype=np.float64)
-            if not np.isfinite(sp).all():
-                raise ValueError("snippet_probs must be finite")
-            sp.setflags(write=False)
-            object.__setattr__(self, "snippet_probs", sp)
 
 
 def assign_level(p: PseudoProposal, cfg: PyramidConfig, grid: TimeGrid) -> int:
@@ -240,15 +241,13 @@ def build_targets(
     return AnchorTargets(grid, sizes, class_label, reg_left, reg_right, iou_weight, mask_bit)
 
 
-def focal_loss(p_true: float, gamma: float = 2.0) -> float:
-    """Focal term for the probability assigned to the true outcome."""
-    p = min(max(p_true, PROB_EPS), 1.0)
-    return float(-((1.0 - p) ** gamma) * math.log(p))
-
-
-def _focal_vec(p_true: np.ndarray, gamma: float) -> np.ndarray:
+def focal_loss(p_true, gamma: float = 2.0):
+    """Focal term -(1 - p)**gamma * log(p) of the probability p assigned to
+    the true outcome, with p clipped to [PROB_EPS, 1]: a float for a scalar,
+    elementwise for an array."""
     p = np.clip(p_true, PROB_EPS, 1.0)
-    return -((1.0 - p) ** gamma) * np.log(p)
+    loss = -((1.0 - p) ** gamma) * np.log(p)
+    return float(loss) if np.ndim(loss) == 0 else loss
 
 
 def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) -> float:
@@ -269,11 +268,11 @@ def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) ->
     if pos.any():
         idx = np.flatnonzero(pos)
         p_true = probs[idx, tgt.class_label[idx] - 1]
-        loss += float((tgt.iou_weight[idx] * _focal_vec(p_true, gamma)).sum()) / idx.size
+        loss += float((tgt.iou_weight[idx] * focal_loss(p_true, gamma)).sum()) / idx.size
     if neg.any():
         idx = np.flatnonzero(neg)
         p_bg = probs[idx, -1]
-        loss += float(_focal_vec(p_bg, gamma).sum()) / idx.size
+        loss += float(focal_loss(p_bg, gamma).sum()) / idx.size
     return loss
 
 
@@ -323,7 +322,7 @@ def att_loss(
     if not selected.any():
         return 0.0
     picks = probs[selected]
-    return float(_focal_vec(picks, gamma).sum()) / picks.size
+    return float(focal_loss(picks, gamma).sum()) / picks.size
 
 
 def total_loss(l_reg: float, l_cls: float, l_att: float, lambda_att: float = 0.2) -> float:
@@ -336,15 +335,7 @@ def update_iou_weights(pred: AnchorPredictions, tgt: AnchorTargets) -> AnchorTar
     pos = tgt.class_label > 0
     weights = np.zeros(tgt.num_anchors)
     weights[pos] = _decoded_tiou(pred, tgt, pos)
-    return AnchorTargets(
-        tgt.grid,
-        tgt.level_sizes,
-        tgt.class_label,
-        tgt.reg_left,
-        tgt.reg_right,
-        weights,
-        tgt.mask_bit,
-    )
+    return replace(tgt, iou_weight=weights)
 
 
 def refine(

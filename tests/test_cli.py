@@ -663,6 +663,50 @@ class TestExitCodes:
         assert err.startswith("error: --gt is read only with an SP file") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("mask_bit", -1, "mask_bit values must be 0 or 1"),
+         ("mask_bit", 2, "mask_bit values must be 0 or 1"),
+         ("reg_left", None, "reg_left must be finite")],
+    )
+    def test_targets_file_anchor_values(self, tmp_path, capsys, field, value, message):
+        # anchor 0 is a positive; the bad value goes there
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        rest = [0] * (n - 1)
+        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+               "class_count": 1, "level_sizes": sizes, "class_label": [1, *rest],
+               "reg_left": [0.5, *rest], "reg_right": [0.5, *rest],
+               "iou_weight": [1.0, *rest], "mask_bit": [1] * n}
+        row[field] = [value, *row[field][1:]]
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [row])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_targets_epoch_with_mask_file(self, tmp_path, capsys):
+        # the mask file replaces the scheduled bands, so --epoch would go unread
+        files = {}
+        for name, row in (("segments", SEGMENT_ROW), ("grid", GRID_ROW),
+                          ("mask", {"video_id": "v", "bits": [[1, 8]]})):
+            files[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(files[name], [row])
+        out = tmp_path / "targets.jsonl"
+        argv = ["targets", "--input", files["segments"], "--input", files["grid"],
+                "--input", files["mask"], "--output", out]
+        assert run(*argv) == 0
+        out.unlink()
+        assert run(*argv, "--epoch", 25) == 2
+        assert capsys.readouterr().err == (
+            "error: --epoch is read only without a mask file as the third --input\n"
+        )
+        assert not out.exists()
+
     def test_level_sizes_disagree_with_grid(self, tmp_path, capsys):
         # 32 anchors on one level of a 16-snippet grid: level 0 needs 16
         targets = tmp_path / "targets.jsonl"
@@ -997,21 +1041,26 @@ class TestNumericFields:
         # one grid rule for SP-shaped rows, whether read as SP file or grid source
         full = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
                 "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8}
-        for field, short, what in (("class_scores", [[0.5, 0.5]], "class_scores shape"),
-                                   ("attention", [0.5], "attention length")):
+        cases = (
+            ("class_scores", [[0.5, 0.5]], "class_scores shape disagrees with num_snippets"),
+            ("attention", [0.5], "attention length disagrees with num_snippets"),
+            ("class_scores", [[0.5, 0.5]] + [[0.2, 0.3, 0.5]] * 7,
+             "class_scores must be rows of equal width"),
+            ("class_scores", [[0.5, 0.5]] * 7 + [[1.0]], "class_scores must be rows of equal width"),
+            ("class_scores", [[0.5, 0.5]] * 7 + [0.5], "class_scores must be rows of equal width"),
+        )
+        for field, bad, message in cases:
             out = tmp_path / "out.jsonl"
             if cmd == "extract":
                 grid_file = tmp_path / "grid.jsonl"
-                write_jsonl(grid_file, [{**full, field: short}])
+                write_jsonl(grid_file, [{**full, field: bad}])
                 gt = tmp_path / "gt.jsonl"
                 write_jsonl(gt, [SEGMENT_ROW])
                 code = run(cmd, "--input", grid_file, "--gt", gt, "--output", out)
             else:
-                code, grid_file = _grid_run(tmp_path, {**full, field: short}, cmd, out)
+                code, grid_file = _grid_run(tmp_path, {**full, field: bad}, cmd, out)
             assert code == 2
-            assert capsys.readouterr().err == (
-                f"error: {grid_file}: {what} disagrees with num_snippets\n"
-            )
+            assert capsys.readouterr().err == f"error: {grid_file}: {message}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from pseudotal.core import (
     TimeGrid,
     runs,
     snippet_centers,
-    snippet_index_to_interval,
     tiou,
 )
 
@@ -97,23 +96,6 @@ class TestTiou:
 
 
 class TestSnippetMapping:
-    def test_examples(self):
-        g = TimeGrid(10, 0.64, 1)
-        iv = snippet_index_to_interval(g, 0)
-        assert (iv.start_s, iv.end_s) == (pytest.approx(0.0), pytest.approx(0.64))
-        iv = snippet_index_to_interval(g, 9)
-        assert (iv.start_s, iv.end_s) == (pytest.approx(5.76), pytest.approx(6.40))
-        g1 = TimeGrid(10, 1.0, 1)
-        iv = snippet_index_to_interval(g1, 5)
-        assert (iv.start_s, iv.end_s) == (5.0, 6.0)
-
-    def test_out_of_range(self):
-        g = TimeGrid(10, 1.0, 1)
-        with pytest.raises(IndexError, match="snippet index out of grid"):
-            snippet_index_to_interval(g, 10)
-        with pytest.raises(IndexError):
-            snippet_index_to_interval(g, -1)
-
     def test_centers(self):
         g = TimeGrid(4, 0.5, 1)
         assert snippet_centers(g).tolist() == [0.25, 0.75, 1.25, 1.75]

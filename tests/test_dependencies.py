@@ -1,6 +1,8 @@
 """numpy is the only runtime dependency: every module of the package imports
-only the standard library, numpy, or the package itself."""
+only the standard library, numpy, or the package itself. Every exported name
+resolves."""
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,3 +30,15 @@ def test_imports_only_stdlib_numpy_and_package(path):
 def test_scan_sees_the_package():
     assert len(list(PACKAGE.glob("*.py"))) >= 9
     assert "numpy" in _top_level_imports(PACKAGE / "core.py")
+
+
+# the package and each of its modules
+MODULES = ["pseudotal"] + [
+    f"pseudotal.{p.stem}" for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

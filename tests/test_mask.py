@@ -101,23 +101,21 @@ class TestUnionMasks:
 
     def test_single_mask_identity(self):
         m = self._mask_with_uncertain([3])
-        assert union_masks([m]).bits.tolist() == m.bits.tolist()
+        assert union_masks([m], self.grid).bits.tolist() == m.bits.tolist()
 
     def test_union_of_uncertain_regions(self):
         a = self._mask_with_uncertain([3])
         b = self._mask_with_uncertain([7])
-        assert _uncertain_indices(union_masks([a, b])) == [3, 7]
+        assert _uncertain_indices(union_masks([a, b], self.grid)) == [3, 7]
 
     def test_empty_list_all_certain(self):
-        m = union_masks([], grid=self.grid)
+        m = union_masks([], self.grid)
         assert m.uncertain_count() == 0
-        with pytest.raises(ValueError):
-            union_masks([])
 
     def test_grid_mismatch_errors(self):
         other = SnippetMask.all_certain(TimeGrid(8, 1.0, 1))
         with pytest.raises(ValueError, match="grid mismatch"):
-            union_masks([self._mask_with_uncertain([1]), other])
+            union_masks([self._mask_with_uncertain([1]), other], self.grid)
 
     def test_idempotent_commutative_associative(self):
         rng = np.random.default_rng(41)
@@ -126,12 +124,12 @@ class TestUnionMasks:
             for _ in range(3)
         ]
         a, b, c = masks
-        assert union_masks([a, a]).bits.tolist() == a.bits.tolist()
-        ab = union_masks([a, b]).bits.tolist()
-        ba = union_masks([b, a]).bits.tolist()
+        assert union_masks([a, a], self.grid).bits.tolist() == a.bits.tolist()
+        ab = union_masks([a, b], self.grid).bits.tolist()
+        ba = union_masks([b, a], self.grid).bits.tolist()
         assert ab == ba
-        left = union_masks([union_masks([a, b]), c]).bits.tolist()
-        right = union_masks([a, union_masks([b, c])]).bits.tolist()
+        left = union_masks([union_masks([a, b], self.grid), c], self.grid).bits.tolist()
+        right = union_masks([a, union_masks([b, c], self.grid)], self.grid).bits.tolist()
         assert left == right
 
 

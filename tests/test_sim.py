@@ -14,7 +14,8 @@ from pseudotal.sim import (
     benchmark_many,
     corrupt_predictions,
     gen_corpus,
-    pipeline_pseudo_labels,
+    proposals_by_video,
+    pseudo_labels_by_video,
     run_benchmark,
     video_labels,
 )
@@ -179,7 +180,8 @@ class TestCorruptPredictions:
         cfg = SimConfig(seed=11, num_videos=6)
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        pseudos = pipeline_pseudo_labels(layout, preds, "ricker", PIPE)
+        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
+        pseudos = pseudo_labels_by_video(proposals, layout.grids, "ricker", PIPE)
         q = pseudo_quality(pseudos, layout.ground_truth, PIPE.eval_tious)
         assert q.report.map_at(0.5) == 1.0
         assert q.average_map >= 0.95
@@ -188,7 +190,8 @@ class TestCorruptPredictions:
         cfg = SimConfig(seed=3, num_videos=10, boundary_jitter_frac=0.1)
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        pseudos = pipeline_pseudo_labels(layout, preds, "ricker", PIPE)
+        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
+        pseudos = pseudo_labels_by_video(proposals, layout.grids, "ricker", PIPE)
         q = pseudo_quality(pseudos, layout.ground_truth, (0.5, 0.9))
         assert q.recall[1] < q.recall[0]
 
@@ -246,9 +249,10 @@ class TestBenchmark:
         monkeypatch.undo()
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
         for name in ("ricker", "soft", "gauss"):
             alone = pseudo_quality(
-                pipeline_pseudo_labels(layout, preds, name, PIPE),
+                pseudo_labels_by_video(proposals, layout.grids, name, PIPE),
                 layout.ground_truth,
                 PIPE.eval_tious,
             )

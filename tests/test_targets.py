@@ -163,6 +163,20 @@ class TestBuildTargets:
         with pytest.raises(ValueError):
             AnchorTargets(grid, (2,), [1, 0, 0], [0.5, 0, 0], [0.5, 0, 0], [1, 0, 0], [1, 1, 1])
 
+    @pytest.mark.parametrize("bit", [-1, 2, 0.5, None])
+    def test_mask_bit_is_0_or_1(self, bit):
+        grid = TimeGrid(2, 1.0, 1)
+        with pytest.raises(ValueError, match="mask_bit values must be 0 or 1"):
+            AnchorTargets(grid, (2,), [1, 0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [1, bit])
+
+    @pytest.mark.parametrize("field", ["reg_left", "reg_right", "iou_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+    def test_per_anchor_values_finite(self, field, value):
+        arrays = {"reg_left": [0.5, 0.0], "reg_right": [0.5, 0.0], "iou_weight": [1.0, 0.0]}
+        arrays[field] = [value, 0.0]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AnchorTargets(TimeGrid(2, 1.0, 1), (2,), class_label=[1, 0], mask_bit=[1, 1], **arrays)
+
     @pytest.mark.parametrize("sizes", [(), (4,), (2, 2), (3, 1), (1, 1)])
     def test_level_sizes_follow_the_grid(self, sizes):
         # on 2 snippets level l holds ceil(2 / 2**l) anchors: (2,), (2, 1), (2, 1, 1), ...
@@ -196,6 +210,12 @@ class TestFocalLoss:
 
     def test_zero_probability_clamped(self):
         assert focal_loss(0.0, gamma=0.0) == pytest.approx(-math.log(1e-12))
+
+    def test_array_is_elementwise(self):
+        p = np.array([0.0, 0.1, 0.5, 1.0])
+        assert focal_loss(p, gamma=2.0).tolist() == pytest.approx(
+            [focal_loss(float(x), gamma=2.0) for x in p]
+        )
 
 
 class TestClsLoss:
