@@ -31,6 +31,7 @@ from .mask import MaskParams, SnippetMask, decay_schedule, mask_for_proposal, un
 from .sim import RNG_NAME, SimConfig, corrupt_predictions, gen_corpus, run_benchmark
 from .sim import proposals_by_video, pseudo_labels_by_video, video_labels
 from .targets import (
+    ANCHOR_FIELDS,
     AnchorPredictions,
     AnchorTargets,
     PyramidConfig,
@@ -231,8 +232,16 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     return out
 
 
-def _parse_segments(path: str, with_score: bool):
-    """Proposal or GT rows grouped by video id, in file order."""
+# Written times carry 6 significant digits (at most 5e-6 relative error), and
+# a video's extent is rebuilt from a written snippet duration: a segment the
+# package wrote may pass its video's end by about 1e-5 of the extent.
+_EXTENT_SLACK = 2e-5
+
+
+def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
+    """Proposal or GT rows grouped by video id, in file order. A row of a
+    video in `grids` must lie within that video: start_s >= 0 and end_s <=
+    duration_s, up to the writer's rounding."""
     out: dict[str, list] = {}
     keys = ("video_id", "start_s", "end_s", "class_id") + (("score",) if with_score else ())
     for row in _read_lines(path):
@@ -240,12 +249,21 @@ def _parse_segments(path: str, with_score: bool):
         iv = Interval(
             _number(row["start_s"], "start_s", path), _number(row["end_s"], "end_s", path)
         )
+        vid = str(row["video_id"])
+        grid = grids.get(vid) if grids else None
+        if grid is not None and not (
+            iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)
+        ):
+            raise ValueError(
+                f"{path}: segment [{iv.start_s}, {iv.end_s}] lies outside video {vid} "
+                f"[0, {grid.duration_s}]"
+            )
         class_id = _integer(row["class_id"], "class_id", path)
         if with_score:
             item = Proposal(iv, _number(row["score"], "score", path), class_id)
         else:
             item = (iv, class_id)
-        out.setdefault(str(row["video_id"]), []).append(item)
+        out.setdefault(vid, []).append(item)
     return out
 
 
@@ -265,22 +283,21 @@ def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
     return out
 
 
-# The per-anchor arrays of a targets row, as named on `AnchorTargets`.
-_ANCHOR_FIELDS = ("class_label", "reg_left", "reg_right", "iou_weight", "mask_bit")
-
-
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
     out: dict[str, AnchorTargets] = {}
-    keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *_ANCHOR_FIELDS)
+    keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
     for vid, row in _video_rows(path, keys):
         sizes = row["level_sizes"]
         if not isinstance(sizes, list):
             raise SchemaError(f"{path}: level_sizes must be a list, got {sizes!r}")
-        out[vid] = AnchorTargets(
-            _grid(row, row["class_count"], path),
-            tuple(_integer(n, "level_sizes", path) for n in sizes),
-            **{name: row[name] for name in _ANCHOR_FIELDS},
-        )
+        grid = _grid(row, row["class_count"], path)
+        level_sizes = tuple(_integer(n, "level_sizes", path) for n in sizes)
+        try:
+            out[vid] = AnchorTargets(
+                grid, level_sizes, **{name: row[name] for name in ANCHOR_FIELDS}
+            )
+        except TypeError as exc:  # a per-anchor value of the wrong JSON type
+            raise SchemaError(f"{path}: {exc}") from None
     return out
 
 
@@ -321,8 +338,8 @@ def _segments_on_grids(args, what: str, most: int = 2):
     """Scored segments (first --input) and a grid source (second --input)
     covering all their videos, plus the remaining --input paths."""
     paths = _inputs(args, 2, most, what)
-    segments = _parse_segments(paths[0], with_score=True)
     grids = _parse_grid_file(paths[1])
+    segments = _parse_segments(paths[0], with_score=True, grids=grids)
     missing = sorted(set(segments) - set(grids))
     if missing:
         raise ValueError(f"no grid metadata for videos: {missing}")
@@ -334,7 +351,7 @@ def _segments_on_grids(args, what: str, most: int = 2):
 
 def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
     grids, preds = _parse_sp_file(_inputs(args, 1, 1, "an SP file")[0])
-    gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
+    gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
     missing = sorted(set(grids) - set(gt))
     if missing:
         raise ValueError(f"no ground-truth labels for videos: {missing}")
@@ -402,7 +419,7 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
                 "snippet_duration_s": grid.snippet_duration_s,
                 "class_count": grid.class_count,
                 "level_sizes": list(tgt.level_sizes),
-                **{name: getattr(tgt, name) for name in _ANCHOR_FIELDS},
+                **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
             }
         )
     return rows
@@ -421,7 +438,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     labels = {}
     if len(paths) > 2:
         grids, sps = _parse_sp_file(paths[2])
-        gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
+        gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
         labels = video_labels(gt, grids)
 
     t0 = time.perf_counter()
@@ -618,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge JSON integer
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

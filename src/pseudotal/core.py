@@ -2,8 +2,9 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (scalar and elementwise), equal-value runs,
-and snippet centers. Public boundaries are expressed in seconds; snippet
+primitive here: temporal IoU (scalar and elementwise), equal-value runs
+(of one array, and above every threshold of many columns at once), and
+snippet centers. Public boundaries are expressed in seconds; snippet
 indices appear only when converting to or from a grid. All types are
 immutable after construction and all functions are pure.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "tiou",
     "pairwise_tiou",
     "runs",
+    "threshold_runs",
     "snippet_centers",
 ]
 
@@ -194,6 +197,31 @@ def runs(values: np.ndarray) -> list[tuple[int, int, object]]:
         out.append((first, last, items[first]))
         first = last + 1
     return out
+
+
+def threshold_runs(
+    columns: np.ndarray, thresholds: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every maximal run of entries at or above any of `thresholds` in each
+    column of a (T, n) array, as int64 arrays (column, first, last) with
+    inclusive `first`/`last`. A run found at several thresholds appears
+    once; the triples are sorted."""
+    cols = np.asarray(columns)
+    t, width = cols.shape[0], cols.shape[0] + 1
+    above = np.zeros((cols.shape[1], len(thresholds), t + 2), dtype=np.int8)
+    above[:, :, 1:-1] = cols.T[:, None, :] >= np.asarray(thresholds)[:, None]
+    # one row of `width` steps per (column, threshold): +1 at a run's first
+    # entry, -1 one past its last. Flat indices come out run by run, so the
+    # i-th start pairs with the i-th end.
+    step = np.diff(above, axis=2).ravel()
+    starts = np.flatnonzero(step == 1)
+    column, first = starts // (len(thresholds) * width), starts % width
+    last = np.flatnonzero(step == -1) % width - 1
+    # (column, first, last) in one integer that sorts like the triple; sort
+    # and drop repeats (np.unique would import numpy.ma on first use)
+    key = np.sort((column * t + first) * t + last)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key // (t * t), key // t % t, key % t
 
 
 def snippet_centers(grid: TimeGrid) -> np.ndarray:

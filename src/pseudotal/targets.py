@@ -23,6 +23,7 @@ from .weak_branch import VideoLabel
 __all__ = [
     "PyramidConfig",
     "AnchorTargets",
+    "ANCHOR_FIELDS",
     "AnchorPredictions",
     "assign_level",
     "build_targets",
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 PROB_EPS = 1e-12
+# The per-anchor arrays of `AnchorTargets`, in field order; a targets file row
+# holds one list per name.
+ANCHOR_FIELDS = ("class_label", "reg_left", "reg_right", "iou_weight", "mask_bit")
 
 
 def _levels(grid: TimeGrid, num_levels: int) -> list[tuple[int, int]]:
@@ -92,34 +96,43 @@ class AnchorTargets:
                 f"for num_snippets {self.grid.num_snippets}"
             )
         n = sum(sizes)
-        # checked before the uint8 cast, which would wrap -1 and truncate 0.5
-        bits = np.asarray(self.mask_bit, dtype=np.float64)
-        if np.any((bits != 0) & (bits != 1)):
-            raise ValueError("mask_bit values must be 0 or 1")
+        for name in ("class_label", "mask_bit"):
+            values = getattr(self, name)
+            # a list is the JSON form: a bool, float, string or null is no integer
+            if isinstance(values, (list, tuple)) and not set(map(type, values)) <= {int}:
+                raise TypeError(f"{name} values must be integers")
+        # every field as float64 first: the integer casts below would wrap -1,
+        # truncate 0.5 and overflow on huge labels
         arrays = {
-            "class_label": np.asarray(self.class_label, dtype=np.int64),
-            "reg_left": np.asarray(self.reg_left, dtype=np.float64),
-            "reg_right": np.asarray(self.reg_right, dtype=np.float64),
-            "iou_weight": np.asarray(self.iou_weight, dtype=np.float64),
-            "mask_bit": bits.astype(np.uint8),
+            name: np.asarray(getattr(self, name), dtype=np.float64) for name in ANCHOR_FIELDS
         }
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per anchor")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        label = arrays["class_label"]
+        bits, label = arrays["mask_bit"], arrays["class_label"]
+        if np.any((bits != 0) & (bits != 1)):
+            raise ValueError("mask_bit values must be 0 or 1")
         if np.any((label < 0) | (label > self.grid.class_count)):
             raise ValueError(
                 f"class_label must lie in [0, {self.grid.class_count}] for this grid"
             )
+        if np.any(arrays["reg_left"] < 0) or np.any(arrays["reg_right"] < 0):
+            raise ValueError("reg_left and reg_right must be >= 0")
+        weight = arrays["iou_weight"]
+        if np.any((weight < 0) | (weight > 1)):
+            raise ValueError("iou_weight must lie in [0, 1]")
         pos = label > 0
         if np.any((arrays["reg_left"][pos] + arrays["reg_right"][pos]) <= 0):
             raise ValueError("positive anchors need reg_left + reg_right > 0")
-        if np.any(arrays["iou_weight"][~pos] != 0):
+        if np.any(weight[~pos] != 0):
             raise ValueError("background anchors must carry iou_weight 0")
+        arrays["class_label"] = label.astype(np.int64)
+        arrays["mask_bit"] = bits.astype(np.uint8)
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_anchors(self) -> int:

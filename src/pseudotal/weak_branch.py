@@ -20,8 +20,8 @@ from .core import (
     SnippetPredictions,
     TimeGrid,
     pairwise_tiou,
-    runs,
     snippet_centers,
+    threshold_runs,
 )
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "mil_loss",
     "compute_sps",
     "extract_proposals",
+    "oic_scores",
     "oic_score",
     "soft_nms",
     "weak_proposals",
@@ -150,7 +151,8 @@ def extract_proposals(
     For every class present in the video label and every threshold, each
     maximal contiguous run of snippets at or above the threshold becomes a
     proposal. Identical (class, run) pairs produced by different thresholds
-    are deduplicated. Scores are left at 0 and assigned by `oic_score`.
+    are deduplicated; proposals come sorted by (class, first, last).
+    Scores are left at 0 and assigned by `oic_score`.
     """
     if len(thresholds) == 0:
         raise ValueError("thresholds must be nonempty")
@@ -160,20 +162,47 @@ def extract_proposals(
     z = np.asarray(sps, dtype=np.float64)
     if z.shape[0] != grid.num_snippets or z.shape[1] != grid.class_count + 1:
         raise ValueError("SP matrix shape disagrees with grid")
+    classes = video_label.classes
+    if classes[-1] > grid.class_count:
+        raise ValueError("video label class out of grid range")
+    column, first, last = threshold_runs(z[:, [c - 1 for c in classes]], thresholds)
     dur = grid.snippet_duration_s
-    seen: set[tuple[int, int, int]] = set()
-    for class_id in video_label.classes:
-        if class_id > grid.class_count:
-            raise ValueError("video label class out of grid range")
-        col = z[:, class_id - 1]
-        for th in thresholds:
-            for first, last, above in runs(col >= th):
-                if above:
-                    seen.add((class_id, first, last))
-    out = [
-        Proposal(Interval(first * dur, (last + 1) * dur), 0.0, class_id)
-        for class_id, first, last in sorted(seen)
+    return [
+        Proposal(Interval(f * dur, (l + 1) * dur), 0.0, classes[c])
+        for c, f, l in zip(column.tolist(), first.tolist(), last.tolist())
     ]
+
+
+def oic_scores(
+    sps: np.ndarray,
+    proposals: Sequence[Proposal],
+    grid: TimeGrid,
+    inflation: float = 0.25,
+) -> list[float]:
+    """`oic_score` of every proposal on the SP column of its class."""
+    if not 0.0 < inflation <= 1.0:
+        raise ValueError("inflation must lie in (0, 1]")
+    z = np.asarray(sps, dtype=np.float64)
+    if z.shape[0] != grid.num_snippets:
+        raise ValueError("SP column length disagrees with grid")
+    rows = np.ascontiguousarray(z.T)  # contiguous class columns
+    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
+    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
+    flank = inflation * (end - start)
+    # the centers are sorted, so each bound's "centers >= x" mask is the
+    # suffix from its left insertion point: every region is one slice
+    bounds = np.searchsorted(
+        snippet_centers(grid),
+        [np.maximum(start - flank, 0.0), start, end, np.minimum(end + flank, grid.duration_s)],
+    ).T.tolist()
+    out = []
+    for p, (left, a, b, right) in zip(proposals, bounds):
+        col = rows[p.class_id - 1]
+        inner = col[a:b]
+        outer = np.concatenate((col[left:a], col[b:right]))
+        inner_mean = float(inner.sum()) / inner.size if inner.size else 0.0
+        outer_mean = float(outer.sum()) / outer.size if outer.size else 0.0
+        out.append(inner_mean - outer_mean)
     return out
 
 
@@ -189,22 +218,8 @@ def oic_score(
     the video extent. Snippet membership is decided by the snippet center.
     If both flanks clip away entirely the outer mean is taken as 0.
     """
-    if not 0.0 < inflation <= 1.0:
-        raise ValueError("inflation must lie in (0, 1]")
-    col = np.asarray(sps_column, dtype=np.float64)
-    if col.shape[0] != grid.num_snippets:
-        raise ValueError("SP column length disagrees with grid")
-    centers = snippet_centers(grid)
-    inner = (centers >= proposal.start_s) & (centers < proposal.end_s)
-    flank = inflation * proposal.duration_s
-    left_lo = max(proposal.start_s - flank, 0.0)
-    right_hi = min(proposal.end_s + flank, grid.duration_s)
-    outer = ((centers >= left_lo) & (centers < proposal.start_s)) | (
-        (centers >= proposal.end_s) & (centers < right_hi)
-    )
-    inner_mean = float(col[inner].mean()) if inner.any() else 0.0
-    outer_mean = float(col[outer].mean()) if outer.any() else 0.0
-    return inner_mean - outer_mean
+    column = np.asarray(sps_column, dtype=np.float64)[:, None]
+    return oic_scores(column, [Proposal(proposal, 0.0, 1)], grid, inflation)[0]
 
 
 def soft_nms(
@@ -232,21 +247,28 @@ def soft_nms(
         starts = np.array([p.interval.start_s for p in group])
         ends = np.array([p.interval.end_s for p in group])
         scores = np.array([p.score for p in group], dtype=np.float64)
-        alive = np.ones(len(group), dtype=bool)
-        while alive.any():
-            idxs = np.flatnonzero(alive)
-            # highest current score; ties broken by earliest interval
-            best = min(idxs, key=lambda i: (-scores[i], starts[i], ends[i]))
-            if scores[best] < min_score:
+        # decay[j][i]: the factor on proposal i when proposal j is selected
+        overlap = pairwise_tiou(starts, ends, starts[:, None], ends[:, None])
+        decay = np.exp(-(overlap**2) / sigma_nms).tolist()
+        # [-score, start, end, index]: the smallest is the highest current
+        # score, ties broken by earliest interval, then by input order
+        alive = [
+            [neg, start, end, i]
+            for i, (neg, start, end) in enumerate(
+                zip((-scores).tolist(), starts.tolist(), ends.tolist())
+            )
+        ]
+        while alive:
+            best = min(alive)
+            score = -best[0]
+            if score < min_score:
                 break
-            out.append(Proposal(group[best].interval, float(scores[best]), class_id))
-            alive[best] = False
-            rest = np.flatnonzero(alive)
-            if rest.size == 0:
-                break
-            overlap = pairwise_tiou(starts[rest], ends[rest], starts[best], ends[best])
-            scores[rest] = scores[rest] * np.exp(-(overlap**2) / sigma_nms)
-            alive[rest[scores[rest] < min_score]] = False
+            out.append(Proposal(group[best[3]].interval, score, class_id))
+            alive.remove(best)
+            row = decay[best[3]]
+            for entry in alive:
+                entry[0] *= row[entry[3]]
+            alive = [entry for entry in alive if -entry[0] >= min_score]
     out.sort(key=lambda p: (-p.score, p.class_id, p.interval.start_s, p.interval.end_s))
     return out
 
@@ -276,12 +298,6 @@ def weak_proposals(
     else:
         raise ValueError("extract_on must be 'sps' or 'attention'")
     raw = extract_proposals(source, grid, thresholds, label)
-    scored = [
-        Proposal(
-            p.interval,
-            oic_score(z[:, p.class_id - 1], p.interval, grid, oic_inflation),
-            p.class_id,
-        )
-        for p in raw
-    ]
+    scores = oic_scores(z, raw, grid, oic_inflation)
+    scored = [Proposal(p.interval, s, p.class_id) for p, s in zip(raw, scores)]
     return soft_nms(scored, sigma_nms=sigma_nms, min_score=min_score)

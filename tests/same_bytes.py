@@ -8,7 +8,9 @@ OUT_DIR must not exist yet. Every line printed is `<sha256>  <file name>`,
 sorted by name. Two checkouts produce the same bytes when the printed lines
 of two runs are identical, so a refactor that claims "same bytes" is
 checked with one `diff` of the two listings. The chain covers every
-subcommand: `simulate`, then `extract`; for each fusion strategy `fuse`,
+subcommand: `simulate`, then `extract` (with the default weak-branch
+settings, with `extract_on` "attention", and with settings under which
+soft-NMS drops proposals); for each fusion strategy `fuse`,
 `mask --epoch`, `targets` with and without the mask file, `losses` with the
 SP file and `--gt` and without both (no attention term), and `eval`; then
 a default `fuse`, `mask` without `--epoch`, `fuse --wavelet-csv` on one
@@ -30,6 +32,13 @@ from pseudotal.fusion import STRATEGIES
 SIM = {
     "seed": 7, "num_videos": 30, "class_count": 6, "snippets_per_video": [60, 160],
     "attention_noise_std": 0.1, "boundary_jitter_frac": 0.1, "false_positive_rate": 1.0,
+}
+
+# `extract` beyond the defaults: runs of the attention track, and a threshold
+# ladder, inflation and min_score under which soft-NMS drops proposals
+WEAK_VARIANTS = {
+    "attention": {"extract_on": "attention"},
+    "nms_drops": {"thresholds": [0.15, 0.3, 0.45, 0.6], "oic_inflation": 1.0, "min_score": 0.2},
 }
 
 
@@ -75,6 +84,12 @@ def run_chain(out: Path) -> list[Path]:
     _run("simulate", *conf, "--output", sp, "--gt", gt)
     _run("extract", *conf, "--input", sp, "--gt", gt, "--output", props)
     _run("eval", *conf, "--input", props, "--gt", gt, "--output", out / "eval_props.json")
+    for name, weak in WEAK_VARIANTS.items():
+        weak_cfg, weak_props = work / f"config_{name}.json", out / f"props_{name}.jsonl"
+        weak_cfg.write_text(json.dumps({"tau": 0.5, **weak}))
+        _run("extract", "--config", weak_cfg, "--input", sp, "--gt", gt, "--output", weak_props)
+        _run("eval", "--config", weak_cfg, "--input", weak_props, "--gt", gt,
+             "--output", out / f"eval_props_{name}.json")
     for name in STRATEGIES:
         pseudo, mask = out / f"pseudo_{name}.jsonl", out / f"mask_{name}.jsonl"
         targets = out / f"targets_{name}.jsonl"

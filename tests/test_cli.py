@@ -667,7 +667,11 @@ class TestExitCodes:
         "field, value, message",
         [("mask_bit", -1, "mask_bit values must be 0 or 1"),
          ("mask_bit", 2, "mask_bit values must be 0 or 1"),
-         ("reg_left", None, "reg_left must be finite")],
+         ("reg_left", None, "reg_left must be finite"),
+         ("reg_left", -0.2, "reg_left and reg_right must be >= 0"),
+         ("iou_weight", 5.0, "iou_weight must lie in [0, 1]"),
+         pytest.param("class_label", 10**400, "int too large to convert to float",
+                      id="class_label-1e400")],
     )
     def test_targets_file_anchor_values(self, tmp_path, capsys, field, value, message):
         # anchor 0 is a positive; the bad value goes there
@@ -1122,6 +1126,29 @@ class TestNumericFields:
         assert err.startswith(f"error: {targets}: {field} must be") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["class_label", "mask_bit"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+    def test_targets_file_anchor_integers(self, tmp_path, capsys, field, value):
+        # anchor 0 is a positive; the value of the wrong JSON type goes there
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        rest = [0] * (n - 1)
+        row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+               "class_count": 1, "level_sizes": sizes, "class_label": [1, *rest],
+               "reg_left": [0.5, *rest], "reg_right": [0.5, *rest],
+               "iou_weight": [1.0, *rest], "mask_bit": [1] * n}
+        row[field] = [value, *row[field][1:]]
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [row])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {targets}: {field} values must be integers\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "pair, field",
         [pytest.param([1, 8.0], "count", id="8.0"),
@@ -1150,3 +1177,53 @@ class TestNumericFields:
         out = tmp_path / "out.jsonl"
         code, _ = _grid_run(tmp_path, {**GRID_ROW, "snippet_duration_s": 1}, "fuse", out)
         assert code == 0
+
+
+SP_ROW = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+          "attention": [1.0] * 8, "class_scores": [[0.9, 0.1]] * 8}
+
+
+class TestSegmentExtent:
+    """Segment rows read together with a grid (the grid source of `fuse`,
+    `mask` and `targets`, the SP file of `extract --gt` and `losses --gt`)
+    must lie within their video, up to the writer's 6-digit rounding."""
+
+    def _run(self, tmp_path, cmd, start, end):
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [SP_ROW])
+        segments = tmp_path / "segments.jsonl"
+        write_jsonl(segments, [{**SEGMENT_ROW, "start_s": start, "end_s": end}])
+        out = tmp_path / "out"
+        if cmd == "extract":
+            argv = ["extract", "--input", sp, "--gt", segments]
+        elif cmd == "losses":
+            pseudos, targets = tmp_path / "pseudos.jsonl", tmp_path / "targets.jsonl"
+            write_jsonl(pseudos, [SEGMENT_ROW])
+            assert run("targets", "--input", pseudos, "--input", sp, "--output", targets) == 0
+            n = len(read_jsonl(targets)[1][0]["class_label"])
+            preds = tmp_path / "preds.jsonl"
+            write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                                 "reg_left": [1.0] * n, "reg_right": [1.0] * n,
+                                 "snippet_probs": [[0.5, 0.5]] * 8}])
+            argv = ["losses", "--input", preds, "--input", targets, "--input", sp,
+                    "--gt", segments]
+        else:
+            argv = [cmd, "--input", segments, "--input", sp]
+        return run(*argv, "--output", out), segments, out
+
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets", "extract", "losses"])
+    @pytest.mark.parametrize("start, end", [(1e5, 1e5 + 1.0), (-1.0, 3.0), (2.0, 8.5)])
+    def test_outside_the_video_exits_3(self, tmp_path, capsys, cmd, start, end):
+        code, segments, out = self._run(tmp_path, cmd, start, end)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {segments}: segment [{start}, {end}] lies outside video v")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets", "extract", "losses"])
+    @pytest.mark.parametrize("start, end", [(0.0, 8.0), (0.0, 8.00008)])
+    def test_edges_and_rounding_are_inside(self, tmp_path, cmd, start, end):
+        # 8.00008 passes the end by 1e-5 of the extent: the rounding of a
+        # written end time and snippet duration
+        assert self._run(tmp_path, cmd, start, end)[0] == 0

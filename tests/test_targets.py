@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,9 +166,46 @@ class TestBuildTargets:
 
     @pytest.mark.parametrize("bit", [-1, 2, 0.5, None])
     def test_mask_bit_is_0_or_1(self, bit):
+        # an integer other than 0 or 1 is out of range; any other list value
+        # is no integer at all
         grid = TimeGrid(2, 1.0, 1)
-        with pytest.raises(ValueError, match="mask_bit values must be 0 or 1"):
+        error, message = (
+            (ValueError, "mask_bit values must be 0 or 1") if isinstance(bit, int)
+            else (TypeError, "mask_bit values must be integers")
+        )
+        with pytest.raises(error, match=message):
             AnchorTargets(grid, (2,), [1, 0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [1, bit])
+
+    @pytest.mark.parametrize("field", ["class_label", "mask_bit"])
+    @pytest.mark.parametrize("value", [1.0, 1.7, True, "1", None])
+    def test_integer_fields_reject_other_json_types(self, field, value):
+        grid = TimeGrid(2, 1.0, 1)
+        arrays = {"class_label": [1, 0], "mask_bit": [1, 1]}
+        arrays[field] = [value, arrays[field][1]]
+        with pytest.raises(TypeError, match=f"{field} values must be integers"):
+            AnchorTargets(grid, (2,), reg_left=[0.5, 0.0], reg_right=[0.5, 0.0],
+                          iou_weight=[1.0, 0.0], **arrays)
+
+    def test_integer_valued_arrays_pass(self):
+        # arrays built in the package keep their integer, uint8 or float dtype
+        grid = TimeGrid(2, 1.0, 1)
+        tgt = AnchorTargets(grid, (2,), np.array([1, 0]), np.array([0.5, 0.0]),
+                            np.array([0.5, 0.0]), np.array([1.0, 0.0]), np.ones(2))
+        assert tgt.class_label.dtype == np.int64 and tgt.mask_bit.dtype == np.uint8
+        assert tgt.class_label.tolist() == [1, 0] and tgt.mask_bit.tolist() == [1, 1]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("reg_left", -0.2, "reg_left and reg_right must be >= 0"),
+         ("reg_right", -1e-9, "reg_left and reg_right must be >= 0"),
+         ("iou_weight", 5.0, "iou_weight must lie in [0, 1]"),
+         ("iou_weight", -0.1, "iou_weight must lie in [0, 1]")],
+    )
+    def test_offset_and_weight_ranges(self, field, value, message):
+        arrays = {"reg_left": [0.5, 0.0], "reg_right": [0.5, 0.0], "iou_weight": [1.0, 0.0]}
+        arrays[field][0] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AnchorTargets(TimeGrid(2, 1.0, 1), (2,), class_label=[1, 0], mask_bit=[1, 1], **arrays)
 
     @pytest.mark.parametrize("field", ["reg_left", "reg_right", "iou_weight"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
