@@ -184,18 +184,22 @@ def _write_report(path: str, cfg: PipelineConfig, output: tuple[dict, dict | Non
 # ---------------------------------------------------------------- input parsing
 
 
+def _row_width(rows, name: str, path: str) -> int:
+    """Width of `rows`, a nonempty list of rows of equal width (values not read)."""
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
+        raise SchemaError(f"{path}: {name} must be a nonempty list of rows")
+    if any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows):
+        raise SchemaError(f"{path}: {name} must be rows of equal width")
+    return len(rows[0])
+
+
 def _sp_grid(row: dict, path: str) -> TimeGrid:
-    """The grid of an SP-shaped row: every `class_scores` row is C+1 wide, and
-    `class_scores` and `attention` each hold `num_snippets` entries (lengths
-    only; the values are not read)."""
+    """The grid of an SP-shaped row: C+1 is the `class_scores` row width, and
+    `class_scores` and `attention` hold `num_snippets` entries (lengths only)."""
     scores = row["class_scores"]
-    if not (isinstance(scores, list) and scores and isinstance(scores[0], list)):
-        raise SchemaError(f"{path}: class_scores must be a nonempty list of rows")
-    grid = _grid(row, len(scores[0]) - 1, path)
+    grid = _grid(row, _row_width(scores, "class_scores", path) - 1, path)
     if len(scores) != grid.num_snippets:
         raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
-    if any(not isinstance(r, list) or len(r) != grid.class_count + 1 for r in scores):
-        raise SchemaError(f"{path}: class_scores must be rows of equal width")
     _require(row, ("attention",), path)
     if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
         raise SchemaError(f"{path}: attention length disagrees with num_snippets")
@@ -267,19 +271,24 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     return out
 
 
-def _parse_mask_file(path: str) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
+def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, SnippetMask]:
+    """The masks of the videos in `grids`; a row's run lengths must add up to
+    its video's num_snippets before they are expanded."""
+    out: dict[str, SnippetMask] = {}
     for vid, row in _video_rows(path, ("bits",)):
-        bits: list[int] = []
-        for pair in row["bits"]:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{path}: bits must be [value, count] pairs")
-            value = _integer(pair[0], "bits value", path)
-            count = _integer(pair[1], "bits count", path)
-            if value not in (0, 1) or count < 1:
-                raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
-            bits.extend([value] * count)
-        out[vid] = np.asarray(bits, dtype=np.uint8)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]):
+            raise SchemaError(f"{path}: bits must be [value, count] pairs")
+        values = [_integer(value, "bits value", path) for value, _ in row["bits"]]
+        counts = [_integer(count, "bits count", path) for _, count in row["bits"]]
+        if not set(values) <= {0, 1} or min(counts, default=1) < 1:
+            raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
+        grid = grids.get(vid)
+        if grid is None:  # every pseudo video has a grid, so no target needs this row
+            continue
+        if sum(counts) != grid.num_snippets:
+            raise ValueError(f"{path}: bits of video {vid} cover {sum(counts)} snippets, "
+                             f"its grid has {grid.num_snippets}")
+        out[vid] = SnippetMask(np.repeat(np.array(values, dtype=np.uint8), counts), grid)
     return out
 
 
@@ -304,13 +313,15 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
 def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     out: dict[str, AnchorPredictions] = {}
     for vid, row in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
+        _row_width(row["class_probs"], "class_probs", path)
+        if row.get("snippet_probs") is not None:
+            _row_width(row["snippet_probs"], "snippet_probs", path)
         probs = np.asarray(row["class_probs"], dtype=np.float64)
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_probs rows must have positive sums")
-        out[vid] = AnchorPredictions(
-            probs / sums, row["reg_left"], row["reg_right"], row.get("snippet_probs")
-        )
+        out[vid] = AnchorPredictions(probs / sums, row["reg_left"], row["reg_right"],
+                                     row.get("snippet_probs"))
     return out
 
 
@@ -326,18 +337,10 @@ def _segment_row(vid: str, iv: Interval, class_id: int, score: float | None) -> 
     return row
 
 
-def _scheduled_mask_params(cfg: PipelineConfig, epoch: int | None) -> MaskParams:
-    if epoch is None:
-        return MaskParams(cfg.alpha, cfg.beta)
-    return decay_schedule(
-        epoch, cfg.warmup_epochs, cfg.total_epochs, MaskParams(cfg.alpha, cfg.beta)
-    )
-
-
-def _segments_on_grids(args, what: str, most: int = 2):
+def _segments_on_grids(args, what: str, count: int = 2):
     """Scored segments (first --input) and a grid source (second --input)
-    covering all their videos, plus the remaining --input paths."""
-    paths = _inputs(args, 2, most, what)
+    covering all their videos, plus the remaining of `count` --input paths."""
+    paths = _inputs(args, count, count, what)
     grids = _parse_grid_file(paths[1])
     segments = _parse_segments(paths[0], with_score=True, grids=grids)
     missing = sorted(set(segments) - set(grids))
@@ -381,7 +384,8 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> list[dict]:
 
 def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
     pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
-    params = _scheduled_mask_params(cfg, args.epoch)
+    initial = MaskParams(cfg.alpha, cfg.beta)
+    params = decay_schedule(args.epoch, cfg.warmup_epochs, cfg.total_epochs, initial)
     rows = []
     for vid in sorted(pseudos):
         grid = grids[vid]
@@ -394,34 +398,22 @@ def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
 
 
 def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
-    pseudos, grids, rest = _segments_on_grids(
-        args, "pseudo file, grid source, optional mask file", most=3
-    )
-    if rest and args.epoch is not None:
-        raise SchemaError("--epoch is read only without a mask file as the third --input")
-    mask_bits = _parse_mask_file(rest[0]) if rest else None
-    params = _scheduled_mask_params(cfg, args.epoch)
+    pseudos, grids, (mask_path,) = _segments_on_grids(args, "pseudos, grid source, mask file", 3)
+    masks = _parse_mask_file(mask_path, grids)
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
     rows = []
     for vid in sorted(pseudos):
-        grid = grids[vid]
-        base = None
-        if mask_bits is not None:
-            if vid not in mask_bits:
-                raise ValueError(f"no mask bits for video {vid}")
-            base = SnippetMask(mask_bits[vid], grid)
-        plist = [p.as_pseudo() for p in pseudos[vid]]
-        tgt = build_targets(plist, params, pyramid, grid, base_mask=base)
-        rows.append(
-            {
-                "video_id": vid,
-                "num_snippets": grid.num_snippets,
-                "snippet_duration_s": grid.snippet_duration_s,
-                "class_count": grid.class_count,
-                "level_sizes": list(tgt.level_sizes),
-                **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
-            }
-        )
+        if vid not in masks:
+            raise ValueError(f"no mask bits for video {vid}")
+        tgt = build_targets([p.as_pseudo() for p in pseudos[vid]], masks[vid], pyramid)
+        rows.append({
+            "video_id": vid,
+            "num_snippets": tgt.grid.num_snippets,
+            "snippet_duration_s": tgt.grid.snippet_duration_s,
+            "class_count": tgt.grid.class_count,
+            "level_sizes": list(tgt.level_sizes),
+            **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
+        })
     return rows
 
 
@@ -567,7 +559,7 @@ class _Command(NamedTuple):
 
 _INPUT = {"action": "append", "help": "input file; repeat for several (roles: FORMATS.md)"}
 _GT = {"help": "ground-truth segments file"}
-_EPOCH = {"type": int, "help": "training epoch for mask-band scheduling"}
+_EPOCH = {"type": int, "default": 0, "help": "training epoch for mask-band scheduling (default 0)"}
 _SEED = {"type": int, "help": "override the sim seed"}
 _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte reproducibility)"}
 
@@ -584,8 +576,8 @@ COMMANDS = {
     "mask": _Command(_cmd_mask, _write_jsonl, "pseudos + grid source -> uncertainty mask file",
                      {"--input": _INPUT, "--epoch": _EPOCH}),
     "targets": _Command(_cmd_targets, _write_jsonl,
-                        "pseudos + grid source [+ mask file] -> anchor target file",
-                        {"--input": _INPUT, "--epoch": _EPOCH}),
+                        "pseudos + grid source + mask file -> anchor target file",
+                        {"--input": _INPUT}),
     "losses": _Command(_cmd_losses, _write_report,
                        "anchor predictions + targets [+ SP file] -> loss report",
                        {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),

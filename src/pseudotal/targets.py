@@ -189,34 +189,25 @@ def assign_level(p: PseudoProposal, cfg: PyramidConfig, grid: TimeGrid) -> int:
     return level
 
 
-def _union_mask(
-    pseudos: Sequence[PseudoProposal], mask_params: MaskParams, grid: TimeGrid
-) -> SnippetMask:
-    return union_masks([mask_for_proposal(p, mask_params, grid) for p in pseudos], grid)
-
-
 def build_targets(
-    pseudos: Sequence[PseudoProposal],
-    mask_params: MaskParams,
-    cfg: PyramidConfig,
-    grid: TimeGrid,
-    base_mask: SnippetMask | None = None,
+    pseudos: Sequence[PseudoProposal], mask: SnippetMask, cfg: PyramidConfig
 ) -> AnchorTargets:
-    """Rasterize pseudo proposals into per-anchor labels across the pyramid.
+    """Rasterize pseudo proposals into per-anchor labels on the pyramid of `mask`'s grid.
 
     An anchor is positive for the proposal assigned to its level whose
     interval contains the anchor time; when several contain it the
     shortest wins. Regression targets are boundary distances in stride
-    units. Mask bits come from the union uncertainty mask on the base
-    grid (or `base_mask` when one is supplied), resampled by taking the
-    bit of the snippet under each anchor.
+    units. Mask bits come from `mask` (the union uncertainty mask), resampled
+    by taking the bit of the snippet under each anchor.
     """
+    grid = mask.grid
     sizes = cfg.level_sizes(grid)
     total = sum(sizes)
     class_label = np.zeros(total, dtype=np.int64)
     reg_left = np.zeros(total, dtype=np.float64)
     reg_right = np.zeros(total, dtype=np.float64)
     iou_weight = np.zeros(total, dtype=np.float64)
+    mask_bit = np.empty(total, dtype=np.uint8)
 
     by_level: dict[int, list[PseudoProposal]] = {}
     for p in pseudos:
@@ -224,12 +215,6 @@ def build_targets(
     # shortest proposal wins containment ties
     for plist in by_level.values():
         plist.sort(key=lambda p: (p.interval.duration_s, p.interval.start_s))
-
-    if base_mask is None:
-        base_mask = _union_mask(pseudos, mask_params, grid)
-    elif base_mask.grid != grid:
-        raise ValueError("base mask grid disagrees with the target grid")
-    mask_bit = np.empty(total, dtype=np.uint8)
 
     dur = grid.snippet_duration_s
     offset = 0
@@ -248,7 +233,7 @@ def build_targets(
             iou_weight[offset + idx] = 1.0
             assigned |= take
         snippet_idx = np.minimum((times / dur).astype(np.int64), grid.num_snippets - 1)
-        mask_bit[offset : offset + size] = base_mask.bits[snippet_idx]
+        mask_bit[offset : offset + size] = mask.bits[snippet_idx]
         offset += size
 
     return AnchorTargets(grid, sizes, class_label, reg_left, reg_right, iou_weight, mask_bit)
@@ -263,6 +248,13 @@ def focal_loss(p_true, gamma: float = 2.0):
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
+def _check_agreement(pred: AnchorPredictions, tgt: AnchorTargets) -> None:
+    """Raise unless `pred` has a row of C+1 class probabilities per anchor of `tgt`."""
+    shape, need = list(pred.class_probs.shape), [tgt.num_anchors, tgt.grid.class_count + 1]
+    if shape != need:
+        raise ValueError(f"class_probs shape {shape} disagrees with the targets' {need}")
+
+
 def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) -> float:
     """IoU-weighted focal classification loss over mask-allowed anchors.
 
@@ -271,9 +263,8 @@ def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) ->
     focal(background prob) normalized by theirs. An empty group
     contributes nothing.
     """
+    _check_agreement(pred, tgt)
     probs = pred.class_probs
-    if probs.shape[0] != tgt.num_anchors:
-        raise ValueError("prediction and target anchor counts disagree")
     trainable = tgt.mask_bit == 1
     pos = trainable & (tgt.class_label > 0)
     neg = trainable & (tgt.class_label == 0)
@@ -299,8 +290,7 @@ def _decoded_tiou(pred: AnchorPredictions, tgt: AnchorTargets, idx: np.ndarray) 
 def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     """Mean (1 - IoU) between decoded predictions and pseudo intervals over
     mask-allowed positive anchors; 0 when there are none."""
-    if pred.class_probs.shape[0] != tgt.num_anchors:
-        raise ValueError("prediction and target anchor counts disagree")
+    _check_agreement(pred, tgt)
     pos = (tgt.mask_bit == 1) & (tgt.class_label > 0)
     if not pos.any():
         return 0.0
@@ -345,6 +335,7 @@ def total_loss(l_reg: float, l_cls: float, l_att: float, lambda_att: float = 0.2
 
 def update_iou_weights(pred: AnchorPredictions, tgt: AnchorTargets) -> AnchorTargets:
     """Refresh positive-anchor iou_weight from the decoded predictions."""
+    _check_agreement(pred, tgt)
     pos = tgt.class_label > 0
     weights = np.zeros(tgt.num_anchors)
     weights[pos] = _decoded_tiou(pred, tgt, pos)
@@ -372,4 +363,5 @@ def refine(
     )
     wavelet = fuse_ricker(combined, grid)
     refreshed = segments_from_wavelet(wavelet, min_duration_s=min_duration_s)
-    return refreshed, _union_mask(refreshed, mask_params, grid)
+    masks = [mask_for_proposal(p, mask_params, grid) for p in refreshed]
+    return refreshed, union_masks(masks, grid)

@@ -11,8 +11,8 @@ checked with one `diff` of the two listings. The chain covers every
 subcommand: `simulate`, then `extract` (with the default weak-branch
 settings, with `extract_on` "attention", and with settings under which
 soft-NMS drops proposals); for each fusion strategy `fuse`,
-`mask --epoch`, `targets` with and without the mask file, `losses` with the
-SP file and `--gt` and without both (no attention term), and `eval`; then
+`mask --epoch`, `targets` on that mask file, `losses` with the SP file and
+`--gt` and without both (no attention term), and `eval`; then
 a default `fuse`, `mask` without `--epoch`, `fuse --wavelet-csv` on one
 video, and `benchmark` run two ways.
 This is a script, not a collected test.
@@ -97,10 +97,8 @@ def run_chain(out: Path) -> list[Path]:
         _run("fuse", *conf, "--input", props, "--input", sp, "--strategy", name,
              "--output", pseudo)
         _run("mask", *conf, "--input", pseudo, "--input", sp, "--epoch", 25, "--output", mask)
-        _run("targets", *conf, "--input", pseudo, "--input", sp, "--epoch", 25,
-             "--output", targets)
         _run("targets", *conf, "--input", pseudo, "--input", sp, "--input", mask,
-             "--output", out / f"targets_mask_{name}.jsonl")
+             "--output", targets)
         _write_predictions(targets, sp, preds)
         _run("losses", *conf, "--input", preds, "--input", targets, "--input", sp,
              "--gt", gt, "--output", out / f"losses_{name}.json")

@@ -24,7 +24,7 @@ from pseudotal.fusion import (
     ricker_value,
     segments_from_wavelet,
 )
-from pseudotal.mask import MaskParams, decay_schedule, mask_for_proposal
+from pseudotal.mask import MaskParams, decay_schedule, mask_for_proposal, union_masks
 from pseudotal.sim import SimConfig, benchmark_many, run_benchmark
 from pseudotal.targets import (
     AnchorPredictions,
@@ -277,7 +277,8 @@ def test_06_loss_contracts():
             PseudoProposal(Interval(4, 12), 1, 1.0),
             PseudoProposal(Interval(18, 26), 2, 0.8),
         ]
-        tgt = build_targets(pseudos, MaskParams(0.1, 0.25), PyramidConfig(), grid)
+        masks = [mask_for_proposal(p, MaskParams(0.1, 0.25), grid) for p in pseudos]
+        tgt = build_targets(pseudos, union_masks(masks, grid), PyramidConfig())
         probs = np.zeros((tgt.num_anchors, 3))
         probs[tgt.class_label == 0, -1] = 1.0
         pos = np.flatnonzero(tgt.class_label > 0)

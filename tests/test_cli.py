@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,12 @@ def read_jsonl(path):
         else:
             rows.append(obj)
     return header, rows
+
+
+def mask_file_for(pseudos, grid_source, out):
+    """Run `mask` on a pseudo file and a grid source; the mask file `targets` reads."""
+    assert run("mask", "--input", pseudos, "--input", grid_source, "--output", out) == 0
+    return out
 
 
 def read_report(path):
@@ -301,6 +311,70 @@ class TestMaskTargets:
         )
         assert code == 2
 
+    def test_targets_needs_the_mask_file(self, tmp_path, capsys):
+        grid_file, pseudos = self._grid_and_pseudos(tmp_path)
+        out = tmp_path / "t.jsonl"
+        assert run("targets", "--input", pseudos, "--input", grid_file, "--output", out) == 2
+        assert capsys.readouterr().err == (
+            "error: this subcommand takes 3 --input paths "
+            "(pseudos, grid source, mask file); got 2\n"
+        )
+        assert not out.exists()
+
+    def test_mask_runs_one_snippet_short(self, tmp_path, capsys):
+        grid_file, pseudos = self._grid_and_pseudos(tmp_path)
+        mask_file = tmp_path / "mask.jsonl"
+        write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, 9], [0, 1], [1, 19]]}])
+        out = tmp_path / "t.jsonl"
+        code = run("targets", "--input", pseudos, "--input", grid_file,
+                   "--input", mask_file, "--output", out)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {mask_file}: bits of video v cover 29 snippets, its grid has 30\n"
+        )
+        assert not out.exists()
+
+    def test_oversize_mask_run_is_not_expanded(self, tmp_path):
+        # the run total is checked against the grid before any run is expanded;
+        # the child's address space is capped, so an expansion fails fast
+        grid_file, pseudos = self._grid_and_pseudos(tmp_path)
+        mask_file = tmp_path / "mask.jsonl"
+        write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, 10**12]]}])
+        out = tmp_path / "t.jsonl"
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "pseudotal.cli", "targets", "--input", str(pseudos),
+             "--input", str(grid_file), "--input", str(mask_file), "--output", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error: {mask_file}: bits of video v cover {10**12} snippets, its grid has 30\n"
+        )
+        assert not out.exists()
+
+    def test_mask_epoch_defaults_to_zero(self, sim_paths):
+        # epoch 0 is never past the warm-up, so it keeps the full configured bands
+        d = sim_paths["dir"]
+        props, pseudos = d / "props.jsonl", d / "pseudos.jsonl"
+        assert run("extract", "--input", sim_paths["sp"], "--gt", sim_paths["gt"],
+                   "--output", props) == 0
+        assert run("fuse", "--input", props, "--input", sim_paths["sp"], "--output", pseudos) == 0
+        warmup, total = PipelineConfig().warmup_epochs, PipelineConfig().total_epochs
+        outputs = {}
+        for epoch in (None, 0, warmup, total):
+            out = d / f"mask_{epoch}.jsonl"
+            flags = () if epoch is None else ("--epoch", epoch)
+            assert run("mask", "--input", pseudos, "--input", sim_paths["sp"], *flags,
+                       "--output", out) == 0
+            outputs[epoch] = out.read_bytes()
+        assert outputs[None] == outputs[0] == outputs[warmup]
+        assert outputs[total] != outputs[None]  # the flag is read: bands are gone at the end
+
 
 class TestLosses:
     def _prepare(self, tmp_path, snippet_probs):
@@ -323,7 +397,9 @@ class TestLosses:
             [{"video_id": "v", "start_s": 2.0, "end_s": 6.0, "score": 1.0, "class_id": 1}],
         )
         targets = tmp_path / "targets.jsonl"
-        assert run("targets", "--input", pseudos, "--input", sp, "--output", targets) == 0
+        mask = mask_file_for(pseudos, sp, tmp_path / "mask.jsonl")
+        assert run("targets", "--input", pseudos, "--input", sp, "--input", mask,
+                   "--output", targets) == 0
         _, target_rows = read_jsonl(targets)
         row = target_rows[0]
         probs = []
@@ -410,7 +486,9 @@ class TestLosses:
         write_jsonl(gt, segments)
         write_jsonl(pseudos, [{**row, "score": 1.0} for row in segments])
         targets = tmp_path / "targets.jsonl"
-        assert run("targets", "--input", pseudos, "--input", sp, "--output", targets) == 0
+        mask = mask_file_for(pseudos, sp, tmp_path / "mask.jsonl")
+        assert run("targets", "--input", pseudos, "--input", sp, "--input", mask,
+                   "--output", targets) == 0
         preds = tmp_path / "preds.jsonl"
         write_jsonl(preds, [
             {"video_id": row["video_id"],
@@ -635,8 +713,9 @@ class TestExitCodes:
         assert run(*argv, "--output", out) == 0
         out.unlink()
         assert run(*argv, "--input", tmp_path / "nonexistent.jsonl", "--output", out) == 2
+        count = {"targets": "3", "losses": "2 to 3"}[cmd]
         assert capsys.readouterr().err.startswith(
-            "error: this subcommand takes 2 to 3 --input paths ("
+            f"error: this subcommand takes {count} --input paths ("
         )
         assert not out.exists()
 
@@ -693,22 +772,70 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_targets_epoch_with_mask_file(self, tmp_path, capsys):
-        # the mask file replaces the scheduled bands, so --epoch would go unread
-        files = {}
-        for name, row in (("segments", SEGMENT_ROW), ("grid", GRID_ROW),
-                          ("mask", {"video_id": "v", "bits": [[1, 8]]})):
-            files[name] = tmp_path / f"{name}.jsonl"
-            write_jsonl(files[name], [row])
-        out = tmp_path / "targets.jsonl"
-        argv = ["targets", "--input", files["segments"], "--input", files["grid"],
-                "--input", files["mask"], "--output", out]
-        assert run(*argv) == 0
-        out.unlink()
-        assert run(*argv, "--epoch", 25) == 2
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+    def test_prediction_width_per_class(self, tmp_path, capsys, width):
+        # three classes: one probability per class, then background
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(grid_file, [{"video_id": "v", "num_snippets": 16,
+                                 "snippet_duration_s": 1.0, "class_count": 3}])
+        pseudos = tmp_path / "pseudos.jsonl"
+        write_jsonl(pseudos, [
+            {"video_id": "v", "start_s": s, "end_s": e, "score": 1.0, "class_id": c}
+            for s, e, c in ((1.0, 4.0, 1), (6.0, 9.0, 2), (11.0, 15.0, 3))
+        ])
+        mask = mask_file_for(pseudos, grid_file, tmp_path / "mask.jsonl")
+        targets = tmp_path / "targets.jsonl"
+        assert run("targets", "--input", pseudos, "--input", grid_file, "--input", mask,
+                   "--output", targets) == 0
+        row = read_jsonl(targets)[1][0]
+        n = len(row["class_label"])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[1.0 / width] * width] * n,
+                             "reg_left": row["reg_left"], "reg_right": row["reg_right"]}])
+        out = tmp_path / "losses.json"
+        code = run("losses", "--input", preds, "--input", targets, "--output", out)
+        if width == 4:
+            assert code == 0
+            return
+        assert code == 3
         assert capsys.readouterr().err == (
-            "error: --epoch is read only without a mask file as the third --input\n"
+            f"error: class_probs shape [{n}, {width}] disagrees with the targets' [{n}, 4]\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["class_probs", "snippet_probs"])
+    @pytest.mark.parametrize(
+        "shape, message",
+        [("1-D", "must be a nonempty list of rows"),
+         ("null", "must be a nonempty list of rows"),
+         ("empty", "must be a nonempty list of rows"),
+         ("ragged", "must be rows of equal width")],
+    )
+    def test_prediction_rows(self, tmp_path, capsys, field, shape, message):
+        # the rule of an SP file's class_scores; a null snippet_probs is no snippet_probs
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+            "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+            "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+            "iou_weight": [0.0] * n, "mask_bit": [1] * n,
+        }])
+        rows = {"class_probs": n, "snippet_probs": 8}[field]
+        pred = {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                "reg_left": [1.0] * n, "reg_right": [1.0] * n, "snippet_probs": [[0.5, 0.5]] * 8}
+        pred[field] = {"1-D": [0.5] * rows, "null": None, "empty": [],
+                       "ragged": [[0.5, 0.5]] * (rows - 1) + [[1.0]]}[shape]
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [pred])
+        out = tmp_path / "losses.json"
+        code = run("losses", "--input", preds, "--input", targets, "--output", out)
+        if field == "snippet_probs" and shape == "null":
+            assert code == 0
+            return
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {preds}: {field} {message}\n"
         assert not out.exists()
 
     def test_level_sizes_disagree_with_grid(self, tmp_path, capsys):
@@ -780,8 +907,10 @@ class TestExitCodes:
             pseudos,
             [{"video_id": "v", "start_s": 2.0, "end_s": 6.0, "score": 1.0, "class_id": 5}],
         )
+        mask_file = tmp_path / "mask.jsonl"
+        write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, 16]]}])
         code = run("targets", "--input", pseudos, "--input", grid_file,
-                   "--output", tmp_path / "t.jsonl")
+                   "--input", mask_file, "--output", tmp_path / "t.jsonl")
         assert code == 3
         # a hand-written targets file with the same label reaches losses
         sizes = [math.ceil(16 / 2**l) for l in range(6)]
@@ -960,7 +1089,7 @@ SUBCOMMAND_FLAGS = {
     "extract": {"--input", "--gt"},
     "fuse": {"--input", "--strategy", "--wavelet-csv"},
     "mask": {"--input", "--epoch"},
-    "targets": {"--input", "--epoch"},
+    "targets": {"--input"},
     "losses": {"--input", "--gt", "--timings"},
     "eval": {"--input", "--gt", "--timings"},
     "simulate": {"--gt", "--seed"},
@@ -1024,7 +1153,17 @@ def _grid_run(tmp_path, grid_row, cmd, out):
     write_jsonl(grid_file, [grid_row])
     segments = tmp_path / "segments.jsonl"
     write_jsonl(segments, [SEGMENT_ROW])
-    return run(cmd, "--input", segments, "--input", grid_file, "--output", out), grid_file
+    argv = [cmd, "--input", segments, "--input", grid_file]
+    if cmd == "targets":
+        argv += ["--input", _certain_mask_file(tmp_path)]
+    return run(*argv, "--output", out), grid_file
+
+
+def _certain_mask_file(tmp_path):
+    """A mask file marking all 8 snippets of video v certain."""
+    mask_file = tmp_path / "mask.jsonl"
+    write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, 8]]}])
+    return mask_file
 
 
 class TestNumericFields:
@@ -1199,7 +1338,9 @@ class TestSegmentExtent:
         elif cmd == "losses":
             pseudos, targets = tmp_path / "pseudos.jsonl", tmp_path / "targets.jsonl"
             write_jsonl(pseudos, [SEGMENT_ROW])
-            assert run("targets", "--input", pseudos, "--input", sp, "--output", targets) == 0
+            mask = mask_file_for(pseudos, sp, tmp_path / "mask.jsonl")
+            assert run("targets", "--input", pseudos, "--input", sp, "--input", mask,
+                       "--output", targets) == 0
             n = len(read_jsonl(targets)[1][0]["class_label"])
             preds = tmp_path / "preds.jsonl"
             write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
@@ -1209,6 +1350,8 @@ class TestSegmentExtent:
                     "--gt", segments]
         else:
             argv = [cmd, "--input", segments, "--input", sp]
+            if cmd == "targets":
+                argv += ["--input", _certain_mask_file(tmp_path)]
         return run(*argv, "--output", out), segments, out
 
     @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets", "extract", "losses"])

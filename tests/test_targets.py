@@ -6,7 +6,7 @@ import pytest
 
 from pseudotal.core import Interval, Proposal, PseudoProposal, TimeGrid, tiou
 from pseudotal.fusion import fuse_ricker, segments_from_wavelet
-from pseudotal.mask import MaskParams
+from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
 from pseudotal.targets import (
     AnchorPredictions,
     AnchorTargets,
@@ -28,6 +28,12 @@ TWO_LEVELS = PyramidConfig(num_levels=2)  # level 0 owns [0, 4) snippets, level 
 
 def _pseudo(start, end, class_id=1, confidence=1.0):
     return PseudoProposal(Interval(start, end), class_id, confidence)
+
+
+def _union_targets(pseudos, params, cfg, grid):
+    """Targets of `pseudos` on the union of their masks under `params`."""
+    mask = union_masks([mask_for_proposal(p, params, grid) for p in pseudos], grid)
+    return build_targets(pseudos, mask, cfg)
 
 
 def _perfect_predictions(tgt, class_count):
@@ -54,7 +60,7 @@ class TestPyramidConfig:
     def test_strides_double(self):
         # one stride unit each side decodes to a width of 2 * 2**l snippets
         grid = TimeGrid(16, 0.5, 1)
-        tgt = build_targets([], MaskParams(0.0, 0.0), PyramidConfig(num_levels=4), grid)
+        tgt = _union_targets([], MaskParams(0.0, 0.0), PyramidConfig(num_levels=4), grid)
         ones = np.ones(tgt.num_anchors)
         widths = np.diff(tgt.decode_intervals(ones, ones), axis=1)[:, 0]
         bounds = np.cumsum((0, *tgt.level_sizes))
@@ -67,7 +73,7 @@ class TestPyramidConfig:
             grid = TimeGrid(t, 1.0, 1)
             sizes = tuple(math.ceil(t / 2**l) for l in range(6))
             assert cfg.level_sizes(grid) == sizes
-            assert build_targets([], MaskParams(0.0, 0.0), cfg, grid).num_anchors == sum(sizes)
+            assert _union_targets([], MaskParams(0.0, 0.0), cfg, grid).num_anchors == sum(sizes)
         grid = TimeGrid(100, 1.0, 1)
         assert cfg.level_sizes(grid) == (100, 50, 25, 13, 7, 4)
 
@@ -99,7 +105,7 @@ class TestBuildTargets:
     def test_single_proposal_level0_geometry(self):
         grid = TimeGrid(16, 1.0, 1)
         # duration 3 < 4 -> level 0; anchor times 2.5, 3.5, 4.5 lie inside
-        tgt = build_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         assert tgt.level_sizes == (16, 8)
         level0 = tgt.class_label[:16]
         assert np.flatnonzero(level0 == 1).tolist() == [2, 3, 4]
@@ -107,14 +113,14 @@ class TestBuildTargets:
 
     def test_regression_targets_are_boundary_distances(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 5)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         assert tgt.reg_left[2] == pytest.approx(0.5)  # anchor time 2.5
         assert tgt.reg_right[2] == pytest.approx(2.5)
         assert tgt.iou_weight[2] == 1.0
 
     def test_regression_targets_in_level_stride_units(self):
         grid = TimeGrid(32, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 14)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 14)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         # duration 12 -> level 1, stride 2; anchor j=2 sits at time 5.0
         anchor = 32 + 2
         assert tgt.class_label[anchor] == 1
@@ -123,7 +129,7 @@ class TestBuildTargets:
 
     def test_no_pseudos_all_background(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([], MaskParams(0.1, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([], MaskParams(0.1, 0.0), TWO_LEVELS, grid)
         assert np.all(tgt.class_label == 0)
         assert np.all(tgt.reg_left == 0)
         assert np.all(tgt.reg_right == 0)
@@ -132,7 +138,7 @@ class TestBuildTargets:
     def test_shorter_proposal_wins_containment_ties(self):
         grid = TimeGrid(16, 1.0, 2)
         pseudos = [_pseudo(2, 8, class_id=1), _pseudo(3, 7, class_id=2)]
-        tgt = build_targets(pseudos, MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets(pseudos, MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         # both land on level 1 (stride 2, anchor times 1,3,5,...)
         level1 = tgt.class_label[16:]
         assert level1[1] == 2 and level1[2] == 2  # times 3, 5: both contain, shorter wins
@@ -140,7 +146,7 @@ class TestBuildTargets:
 
     def test_mask_bits_from_union_mask(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
         # d=8: inner bands (4,6) and (10,12) -> base snippets 4,5,10,11
         level0 = tgt.mask_bit[:16]
         assert np.flatnonzero(level0 == 0).tolist() == [4, 5, 10, 11]
@@ -150,7 +156,7 @@ class TestBuildTargets:
 
     def test_positive_anchor_inside_band_is_masked_out(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
         # duration 8 -> level 1; its anchor at time 5 sits inside the (4, 6) band
         anchor = 16 + 2
         assert tgt.class_label[anchor] == 1 and tgt.mask_bit[anchor] == 0
@@ -265,7 +271,7 @@ class TestClsLoss:
 
     def test_perfect_one_hot_zero(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         assert cls_loss(pred, tgt) == 0.0
 
@@ -282,7 +288,7 @@ class TestClsLoss:
 
     def test_masked_out_anchors_ignored(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         base = cls_loss(pred, tgt)
         flipped = pred.class_probs.copy()
@@ -302,7 +308,7 @@ class TestRegLoss:
     def _targets(self):
         grid = TimeGrid(8, 1.0, 1)
         cfg = PyramidConfig(num_levels=1)
-        return build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), cfg, grid)
+        return _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), cfg, grid)
 
     def test_exact_offsets_zero(self):
         tgt = self._targets()
@@ -332,7 +338,7 @@ class TestRegLoss:
 
     def test_masked_out_positives_ignored(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(4, 12)], MaskParams(0.0, 0.25), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         wild_left = pred.reg_left.copy()
         wild_left[tgt.mask_bit == 0] += 7.0
@@ -341,7 +347,7 @@ class TestRegLoss:
 
     def test_no_positives_returns_zero(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         assert reg_loss(pred, tgt) == 0.0
 
@@ -402,7 +408,7 @@ class TestTotalLoss:
 class TestUpdateIouWeights:
     def test_perfect_predictions_weight_one(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         updated = update_iou_weights(pred, tgt)
         pos = tgt.class_label > 0
@@ -411,7 +417,7 @@ class TestUpdateIouWeights:
 
     def test_worse_predictions_lower_weight(self):
         grid = TimeGrid(16, 1.0, 1)
-        tgt = build_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        tgt = _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
         pred = _perfect_predictions(tgt, class_count=1)
         shrunk = AnchorPredictions(
             pred.class_probs, pred.reg_left * 0.5, pred.reg_right * 0.5
@@ -420,6 +426,25 @@ class TestUpdateIouWeights:
         pos = tgt.class_label > 0
         assert np.all(updated.iou_weight[pos] < 1.0)
         assert np.all(updated.iou_weight[pos] > 0.0)
+
+
+class TestPredictionAgreement:
+    """cls_loss, reg_loss and update_iou_weights read one row of C+1 class
+    probabilities, background last, per target anchor."""
+
+    @pytest.mark.parametrize("missing_rows, width", [(0, 2), (0, 3), (0, 5), (0, 6), (1, 4)])
+    def test_other_shapes_rejected(self, missing_rows, width):
+        grid = TimeGrid(16, 1.0, 3)
+        pseudos = [_pseudo(1, 4, 1), _pseudo(6, 9, 2), _pseudo(11, 15, 3)]
+        tgt = _union_targets(pseudos, MaskParams(0.0, 0.0), TWO_LEVELS, grid)
+        n = tgt.num_anchors
+        rows = n - missing_rows
+        left, right = tgt.reg_left[:rows].copy(), tgt.reg_right[:rows].copy()
+        pred = AnchorPredictions(np.full((rows, width), 1.0 / width), left, right)
+        message = f"class_probs shape [{rows}, {width}] disagrees with the targets' [{n}, 4]"
+        for fn in (cls_loss, reg_loss, update_iou_weights):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(pred, tgt)
 
 
 class TestRefine:
