@@ -23,7 +23,6 @@ from .evaluation import (
     PseudoQuality,
     average_precision,
     map_table,
-    postprocess_inference,
     pseudo_quality,
 )
 from .fusion import (
@@ -59,20 +58,14 @@ from .targets import (
     build_targets,
     cls_loss,
     focal_loss,
-    refine,
     reg_loss,
     total_loss,
-    update_iou_weights,
 )
 from .weak_branch import (
     VideoLabel,
-    VideoLevelScores,
     compute_sps,
     extract_proposals,
-    mil_loss,
-    oic_score,
     soft_nms,
-    topk_aggregate,
     weak_proposals,
 )
 
@@ -94,7 +87,6 @@ __all__ = [
     "PseudoQuality",
     "average_precision",
     "map_table",
-    "postprocess_inference",
     "pseudo_quality",
     "FusedWavelet",
     "RickerParams",
@@ -122,17 +114,11 @@ __all__ = [
     "build_targets",
     "cls_loss",
     "focal_loss",
-    "refine",
     "reg_loss",
     "total_loss",
-    "update_iou_weights",
     "VideoLabel",
-    "VideoLevelScores",
     "compute_sps",
     "extract_proposals",
-    "mil_loss",
-    "oic_score",
     "soft_nms",
-    "topk_aggregate",
     "weak_proposals",
 ]

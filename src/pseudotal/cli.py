@@ -193,6 +193,14 @@ def _row_width(rows, name: str, path: str) -> int:
     return len(rows[0])
 
 
+def _float_array(value, name: str, path: str) -> np.ndarray:
+    """`value` as a float64 array; an entry numpy cannot convert names `name`."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: {name} must hold only numbers") from None
+
+
 def _sp_grid(row: dict, path: str) -> TimeGrid:
     """The grid of an SP-shaped row: C+1 is the `class_scores` row width, and
     `class_scores` and `attention` hold `num_snippets` entries (lengths only)."""
@@ -212,14 +220,15 @@ def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPre
     keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
     for vid, row in _video_rows(path, keys):
         grids[vid] = _sp_grid(row, path)
-        cls = np.asarray(row["class_scores"], dtype=np.float64)
+        cls = _float_array(row["class_scores"], "class_scores", path)
         if cls.ndim != 2:
             raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
-        preds[vid] = SnippetPredictions(row["attention"], cls / sums)
+        attention = _float_array(row["attention"], "attention", path)
+        preds[vid] = SnippetPredictions(attention, cls / sums)
     return grids, preds
 
 
@@ -276,7 +285,9 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
     its video's num_snippets before they are expanded."""
     out: dict[str, SnippetMask] = {}
     for vid, row in _video_rows(path, ("bits",)):
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]):
+        if not isinstance(row["bits"], list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]
+        ):
             raise SchemaError(f"{path}: bits must be [value, count] pairs")
         values = [_integer(value, "bits value", path) for value, _ in row["bits"]]
         counts = [_integer(count, "bits count", path) for _, count in row["bits"]]
@@ -301,10 +312,11 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
             raise SchemaError(f"{path}: level_sizes must be a list, got {sizes!r}")
         grid = _grid(row, row["class_count"], path)
         level_sizes = tuple(_integer(n, "level_sizes", path) for n in sizes)
+        fields = {name: row[name] for name in ANCHOR_FIELDS}
+        for name in ("reg_left", "reg_right", "iou_weight"):  # the two others are integers
+            fields[name] = _float_array(fields[name], name, path)
         try:
-            out[vid] = AnchorTargets(
-                grid, level_sizes, **{name: row[name] for name in ANCHOR_FIELDS}
-            )
+            out[vid] = AnchorTargets(grid, level_sizes, **fields)
         except TypeError as exc:  # a per-anchor value of the wrong JSON type
             raise SchemaError(f"{path}: {exc}") from None
     return out
@@ -314,14 +326,16 @@ def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     out: dict[str, AnchorPredictions] = {}
     for vid, row in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
         _row_width(row["class_probs"], "class_probs", path)
-        if row.get("snippet_probs") is not None:
-            _row_width(row["snippet_probs"], "snippet_probs", path)
-        probs = np.asarray(row["class_probs"], dtype=np.float64)
+        snippet_probs = row.get("snippet_probs")
+        if snippet_probs is not None:
+            _row_width(snippet_probs, "snippet_probs", path)
+            snippet_probs = _float_array(snippet_probs, "snippet_probs", path)
+        probs = _float_array(row["class_probs"], "class_probs", path)
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_probs rows must have positive sums")
-        out[vid] = AnchorPredictions(probs / sums, row["reg_left"], row["reg_right"],
-                                     row.get("snippet_probs"))
+        reg = [_float_array(row[name], name, path) for name in ("reg_left", "reg_right")]
+        out[vid] = AnchorPredictions(probs / sums, *reg, snippet_probs)
     return out
 
 

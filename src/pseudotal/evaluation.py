@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import DEFAULT_TIOU_THRESHOLDS
 from .core import Interval, Proposal, PseudoProposal, pairwise_tiou
-from .weak_branch import soft_nms
 
 __all__ = [
     "GroundTruthSet",
@@ -28,7 +27,6 @@ __all__ = [
     "PseudoQuality",
     "average_precision",
     "map_table",
-    "postprocess_inference",
     "pseudo_quality",
     "DEFAULT_TIOU_THRESHOLDS",
 ]
@@ -307,29 +305,6 @@ def map_table(
         for k in range(len(thresholds))
     )
     return EvalReport(tuple(float(t) for t in thresholds), maps, tuple(per_class))
-
-
-def postprocess_inference(
-    proposals: Sequence[Proposal],
-    video_scores: Sequence[float] | None = None,
-    class_thresh: float = 0.0,
-    sigma_nms: float = 0.5,
-    min_score: float = 0.001,
-) -> list[Proposal]:
-    """Inference-time cleanup: video-level class gating then soft suppression.
-
-    When `video_scores` (one entry per foreground class) is given, every
-    proposal whose class scores below `class_thresh` at the video level is
-    dropped before the classwise soft suppression.
-    """
-    kept = list(proposals)
-    if video_scores is not None:
-        scores = np.asarray(video_scores, dtype=np.float64)
-        for p in kept:
-            if p.class_id > scores.shape[0]:
-                raise ValueError("video_scores shorter than the class range")
-        kept = [p for p in kept if scores[p.class_id - 1] >= class_thresh]
-    return soft_nms(kept, sigma_nms=sigma_nms, min_score=min_score)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,6 @@ class SnippetMask:
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def all_certain(cls, grid: TimeGrid) -> "SnippetMask":
-        return cls(np.ones(grid.num_snippets, dtype=np.uint8), grid)
-
     def uncertain_count(self) -> int:
         return int((self.bits == 0).sum())
 

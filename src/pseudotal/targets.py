@@ -4,20 +4,18 @@ Pseudo proposals are routed to pyramid levels by duration, rasterized
 into per-anchor class labels and boundary offsets, and combined with the
 uncertainty mask. The classification, regression, and snippet-attention
 losses are deterministic pure functions of (predictions, targets); no
-gradients or parameter updates live here. `refine` folds model outputs
-back into the pseudo-label set through the wavelet fusion.
+gradients or parameter updates live here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Proposal, PseudoProposal, TimeGrid, pairwise_tiou
-from .fusion import fuse_ricker, segments_from_wavelet
-from .mask import MaskParams, SnippetMask, mask_for_proposal, union_masks
+from .core import PseudoProposal, TimeGrid, pairwise_tiou
+from .mask import SnippetMask
 from .weak_branch import VideoLabel
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "reg_loss",
     "att_loss",
     "total_loss",
-    "update_iou_weights",
-    "refine",
 ]
 
 PROB_EPS = 1e-12
@@ -75,8 +71,8 @@ class AnchorTargets:
 
     class_label: 0 for background, 1..C otherwise.
     reg_left/reg_right: boundary distances in stride units at the anchor's level.
-    iou_weight: classification weight (1 for fresh positives, refreshed
-        from decoded predictions via `update_iou_weights`); 0 on background.
+    iou_weight: classification weight in [0, 1]; `build_targets` writes 1
+        on positives, and it is 0 on background.
     mask_bit: 1 where the uncertainty mask allows training.
     """
 
@@ -280,13 +276,6 @@ def cls_loss(pred: AnchorPredictions, tgt: AnchorTargets, gamma: float = 2.0) ->
     return loss
 
 
-def _decoded_tiou(pred: AnchorPredictions, tgt: AnchorTargets, idx: np.ndarray) -> np.ndarray:
-    """tIoU between the predicted and the target intervals of anchors `idx`."""
-    decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[idx]
-    target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[idx]
-    return pairwise_tiou(decoded[:, 0], decoded[:, 1], target[:, 0], target[:, 1])
-
-
 def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     """Mean (1 - IoU) between decoded predictions and pseudo intervals over
     mask-allowed positive anchors; 0 when there are none."""
@@ -295,7 +284,10 @@ def reg_loss(pred: AnchorPredictions, tgt: AnchorTargets) -> float:
     if not pos.any():
         return 0.0
     idx = np.flatnonzero(pos)
-    return float((1.0 - _decoded_tiou(pred, tgt, idx)).sum()) / idx.size
+    decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[idx]
+    target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[idx]
+    tiou = pairwise_tiou(decoded[:, 0], decoded[:, 1], target[:, 0], target[:, 1])
+    return float((1.0 - tiou).sum()) / idx.size
 
 
 def att_loss(
@@ -331,37 +323,3 @@ def att_loss(
 def total_loss(l_reg: float, l_cls: float, l_att: float, lambda_att: float = 0.2) -> float:
     """Combined objective: regression + classification + weighted attention."""
     return l_reg + l_cls + lambda_att * l_att
-
-
-def update_iou_weights(pred: AnchorPredictions, tgt: AnchorTargets) -> AnchorTargets:
-    """Refresh positive-anchor iou_weight from the decoded predictions."""
-    _check_agreement(pred, tgt)
-    pos = tgt.class_label > 0
-    weights = np.zeros(tgt.num_anchors)
-    weights[pos] = _decoded_tiou(pred, tgt, pos)
-    return replace(tgt, iou_weight=weights)
-
-
-def refine(
-    pseudos: Sequence[PseudoProposal],
-    model_out: Sequence[Proposal],
-    grid: TimeGrid,
-    mask_params: MaskParams,
-    min_duration_s: float = 0.0,
-    model_trust: float = 1.0,
-) -> tuple[list[PseudoProposal], SnippetMask]:
-    """Fold model proposals back into the pseudo labels and refresh the mask.
-
-    The existing pseudo proposals (weighted by their confidence) and the
-    model outputs (scores scaled by `model_trust`) are fused together
-    through the wavelet space; the union uncertainty mask is rebuilt from
-    the result with the currently scheduled mask ratios.
-    """
-    combined: list[Proposal] = [p.as_proposal() for p in pseudos]
-    combined.extend(
-        Proposal(p.interval, p.score * model_trust, p.class_id) for p in model_out
-    )
-    wavelet = fuse_ricker(combined, grid)
-    refreshed = segments_from_wavelet(wavelet, min_duration_s=min_duration_s)
-    masks = [mask_for_proposal(p, mask_params, grid) for p in refreshed]
-    return refreshed, union_masks(masks, grid)

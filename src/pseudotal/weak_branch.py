@@ -1,6 +1,6 @@
-"""Weak-branch math: top-k aggregation, MIL loss, snippet-level fusion,
-multi-threshold proposal extraction, outer-inner-contrastive scoring, and
-soft non-maximum suppression.
+"""Weak-branch math: snippet-level fusion, multi-threshold proposal
+extraction, outer-inner-contrastive scoring, and soft non-maximum
+suppression.
 
 These are pure functions over prediction arrays; no training happens here.
 The attention/classification predictions come either from a real extractor
@@ -8,7 +8,6 @@ or from the simulator in :mod:`pseudotal.sim`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,40 +24,13 @@ from .core import (
 )
 
 __all__ = [
-    "VideoLevelScores",
     "VideoLabel",
-    "topk_aggregate",
-    "mil_loss",
     "compute_sps",
     "extract_proposals",
     "oic_scores",
-    "oic_score",
     "soft_nms",
     "weak_proposals",
 ]
-
-LOG_EPS = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class VideoLevelScores:
-    """Video-level class scores: plain aggregation and attention-suppressed."""
-
-    base: np.ndarray
-    suppressed: np.ndarray
-
-    def __post_init__(self) -> None:
-        base = np.asarray(self.base, dtype=np.float64)
-        supp = np.asarray(self.suppressed, dtype=np.float64)
-        if base.ndim != 1 or base.shape != supp.shape:
-            raise ValueError("base and suppressed must be equal-length vectors")
-        for name, vec in (("base", base), ("suppressed", supp)):
-            if vec.size and (vec.min() < -1e-9 or vec.max() > 1 + 1e-9):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
-        base.setflags(write=False)
-        supp.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "suppressed", supp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,46 +63,6 @@ class VideoLabel:
         return [int(i) + 1 for i in np.flatnonzero(self.onehot)]
 
 
-def topk_aggregate(preds: SnippetPredictions, k_ratio: float) -> VideoLevelScores:
-    """Mean of the k largest entries per class column, k = max(1, floor(T / k_ratio)).
-
-    `base` aggregates the raw class scores; `suppressed` aggregates the
-    attention-weighted scores.
-    """
-    t = preds.num_snippets
-    k = max(1, math.floor(t / k_ratio))
-    if k > t:
-        raise ValueError("k_ratio yields k larger than the number of snippets")
-    base_src = preds.class_scores
-    supp_src = preds.attention[:, None] * preds.class_scores
-
-    def col_topk_mean(mat: np.ndarray) -> np.ndarray:
-        if k == t:
-            return mat.mean(axis=0)
-        part = np.partition(mat, t - k, axis=0)[t - k :]
-        return part.mean(axis=0)
-
-    return VideoLevelScores(col_topk_mean(base_src), col_topk_mean(supp_src))
-
-
-def mil_loss(scores: VideoLevelScores, label: VideoLabel) -> float:
-    """Multi-instance classification loss against extended video labels.
-
-    The label is extended with a background entry: 1 for the plain scores
-    (background is present in every untrimmed video) and 0 for the
-    attention-suppressed scores. Scores are clamped to [1e-12, 1] before
-    the log so perfect-zero predictions stay finite.
-    """
-    c = label.onehot.shape[0]
-    if scores.base.shape[0] != c + 1:
-        raise ValueError("scores must have C+1 entries matching the label")
-    y_base = np.concatenate([label.onehot.astype(np.float64), [1.0]])
-    y_supp = np.concatenate([label.onehot.astype(np.float64), [0.0]])
-    log_base = np.log(np.clip(scores.base, LOG_EPS, 1.0))
-    log_supp = np.log(np.clip(scores.suppressed, LOG_EPS, 1.0))
-    return float(-(y_base @ log_base + y_supp @ log_supp) + 0.0)
-
-
 def compute_sps(attention: np.ndarray, class_scores: np.ndarray) -> np.ndarray:
     """Attention-suppressed snippet-level predictions: Z[t, c] = attention[t] * scores[t, c]."""
     att = np.asarray(attention, dtype=np.float64)
@@ -152,7 +84,7 @@ def extract_proposals(
     maximal contiguous run of snippets at or above the threshold becomes a
     proposal. Identical (class, run) pairs produced by different thresholds
     are deduplicated; proposals come sorted by (class, first, last).
-    Scores are left at 0 and assigned by `oic_score`.
+    Scores are left at 0 and assigned by `oic_scores`.
     """
     if len(thresholds) == 0:
         raise ValueError("thresholds must be nonempty")
@@ -179,7 +111,13 @@ def oic_scores(
     grid: TimeGrid,
     inflation: float = 0.25,
 ) -> list[float]:
-    """`oic_score` of every proposal on the SP column of its class."""
+    """Outer-inner contrast of every proposal on the SP column of its class:
+    the inner mean minus the mean over the flanking regions.
+
+    Flanks extend `inflation * duration` seconds on each side, clipped to
+    the video extent. Snippet membership is decided by the snippet center.
+    If both flanks clip away entirely the outer mean is taken as 0.
+    """
     if not 0.0 < inflation <= 1.0:
         raise ValueError("inflation must lie in (0, 1]")
     z = np.asarray(sps, dtype=np.float64)
@@ -204,22 +142,6 @@ def oic_scores(
         outer_mean = float(outer.sum()) / outer.size if outer.size else 0.0
         out.append(inner_mean - outer_mean)
     return out
-
-
-def oic_score(
-    sps_column: np.ndarray,
-    proposal: Interval,
-    grid: TimeGrid,
-    inflation: float = 0.25,
-) -> float:
-    """Outer-inner contrast: inner mean minus the mean over flanking regions.
-
-    Flanks extend `inflation * duration` seconds on each side, clipped to
-    the video extent. Snippet membership is decided by the snippet center.
-    If both flanks clip away entirely the outer mean is taken as 0.
-    """
-    column = np.asarray(sps_column, dtype=np.float64)[:, None]
-    return oic_scores(column, [Proposal(proposal, 0.0, 1)], grid, inflation)[0]
 
 
 def soft_nms(

@@ -12,9 +12,12 @@ subcommand: `simulate`, then `extract` (with the default weak-branch
 settings, with `extract_on` "attention", and with settings under which
 soft-NMS drops proposals); for each fusion strategy `fuse`,
 `mask --epoch`, `targets` on that mask file, `losses` with the SP file and
-`--gt` and without both (no attention term), and `eval`; then
-a default `fuse`, `mask` without `--epoch`, `fuse --wavelet-csv` on one
-video, and `benchmark` run two ways.
+`--gt` and without both (no attention term), and `eval`; then one
+refinement round (`simulate` of a less noisy SP file with the same seed,
+`extract` on it, the ricker pseudos and those proposals concatenated, then
+`fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
+without `--epoch`, `fuse --wavelet-csv` on one video, and `benchmark` run
+two ways.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -105,6 +108,22 @@ def run_chain(out: Path) -> list[Path]:
         _run("losses", *conf, "--input", preds, "--input", targets,
              "--output", out / f"losses_no_sp_{name}.json")
         _run("eval", *conf, "--input", pseudo, "--gt", gt, "--output", out / f"eval_{name}.json")
+
+    # one refinement round: the ricker pseudos and the proposals of a less
+    # noisy SP file of the same seed (the model's stand-in), fused together
+    model_cfg, model_sp = work / "config_model.json", out / "sp_model.jsonl"
+    model_cfg.write_text(json.dumps({"tau": 0.5, "sim": {**SIM, "attention_noise_std": 0.05}}))
+    _run("simulate", "--config", model_cfg, "--output", model_sp)
+    _run("extract", *conf, "--input", model_sp, "--gt", gt, "--output", out / "props_model.jsonl")
+    combined = work / "round.jsonl"
+    combined.write_bytes(b"".join(
+        p.read_bytes() for p in (out / "pseudo_ricker.jsonl", out / "props_model.jsonl")
+    ))
+    refined, refined_mask = out / "pseudo_refined.jsonl", out / "mask_refined.jsonl"
+    _run("fuse", *conf, "--input", combined, "--input", sp, "--output", refined)
+    _run("mask", *conf, "--input", refined, "--input", sp, "--epoch", 25, "--output", refined_mask)
+    _run("targets", *conf, "--input", refined, "--input", sp, "--input", refined_mask,
+         "--output", out / "targets_refined.jsonl")
 
     _run("fuse", *conf, "--input", props, "--input", sp, "--output", out / "pseudo_default.jsonl")
     _run("mask", *conf, "--input", out / "pseudo_default.jsonl", "--input", sp,

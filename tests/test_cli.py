@@ -670,6 +670,79 @@ class TestFullChain:
             assert row["level_sizes"] == expected
 
 
+def _concatenate(out, *paths):
+    """`cat paths > out`: each part keeps its `_header` row."""
+    out.write_text("".join(Path(p).read_text(encoding="utf-8") for p in paths))
+    return out
+
+
+class TestRefinementRound:
+    """The paper's refinement round as a file chain: the current pseudo
+    labels and the model's proposals, concatenated, go through `fuse`, then
+    `mask` and `targets`."""
+
+    GRID = {"video_id": "v", "num_snippets": 32, "snippet_duration_s": 1.0, "class_count": 2}
+
+    def _fuse(self, tmp_path, name, *parts):
+        """`fuse` of the concatenated files `parts` on one 32-snippet video:
+        the output path and its rows by start time."""
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(grid_file, [self.GRID])
+        out = tmp_path / f"{name}.jsonl"
+        assert run("fuse", "--input", _concatenate(tmp_path / f"{name}_in.jsonl", *parts),
+                   "--input", grid_file, "--output", out) == 0
+        return out, sorted(read_jsonl(out)[1], key=lambda r: r["start_s"])
+
+    def test_pseudos_alone_keep_classes_and_boundaries(self, tmp_path):
+        pseudos = [
+            {"video_id": "v", "start_s": 4.0, "end_s": 12.0, "score": 0.7, "class_id": 1},
+            {"video_id": "v", "start_s": 18.0, "end_s": 26.0, "score": 1.2, "class_id": 2},
+        ]
+        write_jsonl(tmp_path / "pseudos.jsonl", pseudos)
+        _, refined = self._fuse(tmp_path, "refined", tmp_path / "pseudos.jsonl")
+        assert [r["class_id"] for r in refined] == [1, 2]
+        for before, after in zip(pseudos, refined):
+            assert after["start_s"] == pytest.approx(before["start_s"], abs=1.0)
+            assert after["end_s"] == pytest.approx(before["end_s"], abs=1.0)
+
+    def test_duplicated_input_doubles_confidence(self, tmp_path):
+        write_jsonl(tmp_path / "props.jsonl", [
+            {"video_id": "v", "start_s": 4.0, "end_s": 12.0, "score": 0.7, "class_id": 1}
+        ])
+        pseudo_file, _ = self._fuse(tmp_path, "pseudos", tmp_path / "props.jsonl")
+        _, once = self._fuse(tmp_path, "once", pseudo_file)
+        _, twice = self._fuse(tmp_path, "twice", pseudo_file, pseudo_file)  # two _header rows
+        assert len(once) == len(twice) == 1
+        for key in ("start_s", "end_s"):
+            assert twice[0][key] == pytest.approx(once[0][key], rel=1e-5)
+        assert twice[0]["score"] == pytest.approx(2 * once[0]["score"], rel=1e-5)
+
+    def test_round_on_a_seeded_corpus(self, tmp_path):
+        # the model's stand-in: extract on a less noisy SP file of the same seed
+        sp, gt, model_sp, model_gt = (
+            tmp_path / f"{n}.jsonl" for n in ("sp", "gt", "model_sp", "model_gt")
+        )
+        for out, out_gt, noise in ((sp, gt, 0.2), (model_sp, model_gt, 0.05)):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"sim": {"seed": 11, "num_videos": 4,
+                                               "attention_noise_std": noise}}))
+            assert run("simulate", "--config", cfg, "--output", out, "--gt", out_gt) == 0
+        assert gt.read_bytes() == model_gt.read_bytes()
+        props, pseudos, model = (tmp_path / f"{n}.jsonl" for n in ("props", "pseudos", "model"))
+        assert run("extract", "--input", sp, "--gt", gt, "--output", props) == 0
+        assert run("fuse", "--input", props, "--input", sp, "--output", pseudos) == 0
+        assert run("extract", "--input", model_sp, "--gt", gt, "--output", model) == 0
+        combined = _concatenate(tmp_path / "round.jsonl", pseudos, model)
+        refined, mask, targets = (tmp_path / f"{n}.jsonl" for n in ("refined", "mask", "targets"))
+        assert run("fuse", "--input", combined, "--input", sp, "--output", refined) == 0
+        assert run("mask", "--input", refined, "--input", sp, "--epoch", 25,
+                   "--output", mask) == 0
+        assert run("targets", "--input", refined, "--input", sp, "--input", mask,
+                   "--output", targets) == 0
+        videos = {r["video_id"] for r in read_jsonl(sp)[1]}
+        assert {r["video_id"] for r in read_jsonl(targets)[1]} == videos
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = run("extract", "--input", tmp_path / "nope.jsonl",
@@ -858,7 +931,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value, code", [(0, 3), (2.0, 3), (-0.25, 3), (1.0, 0)])
     def test_oic_inflation_range(self, tmp_path, capsys, value, code):
-        # the range oic_score enforces, checked when the config loads
+        # the range oic_scores enforces, checked when the config loads
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"oic_inflation": value}))
         preds = tmp_path / "preds.jsonl"
@@ -1081,6 +1154,84 @@ class TestExitCodes:
         }[kind]
         assert run(*argv, "--output", out) == 2
         assert capsys.readouterr().err == f"error: {files[kind]}: duplicate video_id 'v'\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("bits", [None, 5, "", {}], ids=["null", "number", "string", "object"])
+    def test_mask_bits_of_wrong_type(self, tmp_path, capsys, bits):
+        mask_file = tmp_path / "mask.jsonl"
+        write_jsonl(mask_file, [{"video_id": "v", "bits": bits}])
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(grid_file, [GRID_ROW])
+        segments = tmp_path / "segments.jsonl"
+        write_jsonl(segments, [SEGMENT_ROW])
+        out = tmp_path / "targets.jsonl"
+        code = run("targets", "--input", segments, "--input", grid_file,
+                   "--input", mask_file, "--output", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {mask_file}: bits must be [value, count] pairs\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["class_scores", "attention"])
+    def test_non_numeric_snippet_predictions(self, tmp_path, capsys, field):
+        row = {"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+               "attention": [0.5] * 4, "class_scores": [[0.5, 0.5]] * 4}
+        row[field] = [["a", 0.5] if field == "class_scores" else "a", *row[field][1:]]
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [row])
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        out = tmp_path / "p.jsonl"
+        assert run("extract", "--input", sp, "--gt", gt, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {sp}: {field} must hold only numbers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("preds", "class_probs"), ("preds", "snippet_probs"), ("preds", "reg_left"),
+         ("preds", "reg_right"), ("targets", "reg_left"), ("targets", "reg_right"),
+         ("targets", "iou_weight")],
+    )
+    def test_non_numeric_losses_inputs(self, tmp_path, capsys, kind, field):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        rows = {
+            "targets": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                        "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+                        "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+                        "iou_weight": [0.0] * n, "mask_bit": [1] * n},
+            "preds": {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                      "reg_left": [1.0] * n, "reg_right": [1.0] * n,
+                      "snippet_probs": [[0.5, 0.5]] * 8},
+        }
+        entries = rows[kind][field]
+        rows[kind][field] = [["x", 0.5] if field.endswith("probs") else "x", *entries[1:]]
+        files = {name: tmp_path / f"{name}.jsonl" for name in rows}
+        for name, row in rows.items():
+            write_jsonl(files[name], [row])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", files["preds"], "--input", files["targets"],
+                   "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {files[kind]}: {field} must hold only numbers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["reg_left", "reg_right"])
+    def test_null_prediction_offsets(self, tmp_path, capsys, field):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        targets = tmp_path / "targets.jsonl"
+        write_jsonl(targets, [{
+            "video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+            "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+            "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+            "iou_weight": [0.0] * n, "mask_bit": [1] * n,
+        }])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n, field: None}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: {field} must be finite\n"
         assert not out.exists()
 
 

@@ -10,10 +10,8 @@ from pseudotal.evaluation import (
     GroundTruthSet,
     average_precision,
     map_table,
-    postprocess_inference,
     pseudo_quality,
 )
-from pseudotal.weak_branch import soft_nms
 
 
 def _gt(**videos):
@@ -221,39 +219,6 @@ class TestMapTable:
         for _, aps in report.per_class:
             assert all(0.0 <= v <= 1.0 for v in aps)
         assert all(0.0 <= v <= 1.0 for v in report.map_values)
-
-
-class TestPostprocessInference:
-    def test_without_scores_only_nms(self):
-        props = [
-            Proposal(Interval(0, 10), 0.9, 1),
-            Proposal(Interval(0, 5), 0.8, 1),
-        ]
-        out = postprocess_inference(props)
-        expected = soft_nms(props, sigma_nms=0.5, min_score=0.001)
-        assert sorted(p.score for p in out) == sorted(p.score for p in expected)
-
-    def test_class_gating(self):
-        props = [
-            Proposal(Interval(0, 10), 0.9, 1),
-            Proposal(Interval(20, 30), 0.8, 2),
-        ]
-        out = postprocess_inference(props, video_scores=[0.9, 0.1], class_thresh=0.5)
-        assert [p.class_id for p in out] == [1]
-
-    def test_all_classes_above_threshold(self):
-        props = [Proposal(Interval(0, 10), 0.9, 1), Proposal(Interval(20, 30), 0.8, 2)]
-        out = postprocess_inference(props, video_scores=[0.9, 0.9], class_thresh=0.5)
-        assert len(out) == 2
-
-    def test_empty_input(self):
-        assert postprocess_inference([]) == []
-
-    def test_score_vector_too_short(self):
-        with pytest.raises(ValueError):
-            postprocess_inference(
-                [Proposal(Interval(0, 5), 0.9, 3)], video_scores=[0.9], class_thresh=0.0
-            )
 
 
 class TestPseudoQuality:

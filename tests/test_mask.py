@@ -39,7 +39,7 @@ class TestSnippetMask:
 
     def test_all_certain_and_count(self):
         grid = TimeGrid(4, 1.0, 1)
-        m = SnippetMask.all_certain(grid)
+        m = union_masks([], grid)
         assert m.bits.tolist() == [1, 1, 1, 1]
         assert m.uncertain_count() == 0
 
@@ -113,7 +113,7 @@ class TestUnionMasks:
         assert m.uncertain_count() == 0
 
     def test_grid_mismatch_errors(self):
-        other = SnippetMask.all_certain(TimeGrid(8, 1.0, 1))
+        other = union_masks([], TimeGrid(8, 1.0, 1))
         with pytest.raises(ValueError, match="grid mismatch"):
             union_masks([self._mask_with_uncertain([1]), other], self.grid)
 

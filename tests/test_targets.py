@@ -4,8 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, Proposal, PseudoProposal, TimeGrid, tiou
-from pseudotal.fusion import fuse_ricker, segments_from_wavelet
+from pseudotal.core import Interval, PseudoProposal, TimeGrid, tiou
 from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
 from pseudotal.targets import (
     AnchorPredictions,
@@ -16,10 +15,8 @@ from pseudotal.targets import (
     build_targets,
     cls_loss,
     focal_loss,
-    refine,
     reg_loss,
     total_loss,
-    update_iou_weights,
 )
 from pseudotal.weak_branch import VideoLabel
 
@@ -405,31 +402,8 @@ class TestTotalLoss:
         assert total_loss(0.3, 0.5, 0.0, lambda_att=0.7) == pytest.approx(0.8)
 
 
-class TestUpdateIouWeights:
-    def test_perfect_predictions_weight_one(self):
-        grid = TimeGrid(16, 1.0, 1)
-        tgt = _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
-        pred = _perfect_predictions(tgt, class_count=1)
-        updated = update_iou_weights(pred, tgt)
-        pos = tgt.class_label > 0
-        assert np.all(updated.iou_weight[pos] == pytest.approx(1.0))
-        assert np.all(updated.iou_weight[~pos] == 0.0)
-
-    def test_worse_predictions_lower_weight(self):
-        grid = TimeGrid(16, 1.0, 1)
-        tgt = _union_targets([_pseudo(2, 6)], MaskParams(0.0, 0.0), TWO_LEVELS, grid)
-        pred = _perfect_predictions(tgt, class_count=1)
-        shrunk = AnchorPredictions(
-            pred.class_probs, pred.reg_left * 0.5, pred.reg_right * 0.5
-        )
-        updated = update_iou_weights(shrunk, tgt)
-        pos = tgt.class_label > 0
-        assert np.all(updated.iou_weight[pos] < 1.0)
-        assert np.all(updated.iou_weight[pos] > 0.0)
-
-
 class TestPredictionAgreement:
-    """cls_loss, reg_loss and update_iou_weights read one row of C+1 class
+    """cls_loss and reg_loss read one row of C+1 class
     probabilities, background last, per target anchor."""
 
     @pytest.mark.parametrize("missing_rows, width", [(0, 2), (0, 3), (0, 5), (0, 6), (1, 4)])
@@ -442,57 +416,7 @@ class TestPredictionAgreement:
         left, right = tgt.reg_left[:rows].copy(), tgt.reg_right[:rows].copy()
         pred = AnchorPredictions(np.full((rows, width), 1.0 / width), left, right)
         message = f"class_probs shape [{rows}, {width}] disagrees with the targets' [{n}, 4]"
-        for fn in (cls_loss, reg_loss, update_iou_weights):
+        for fn in (cls_loss, reg_loss):
             with pytest.raises(ValueError, match=re.escape(message)):
                 fn(pred, tgt)
 
-
-class TestRefine:
-    def setup_method(self):
-        self.grid = TimeGrid(32, 1.0, 2)
-        self.params = MaskParams(0.1, 0.0)
-
-    def test_empty_model_out_round_trips(self):
-        pseudos = [_pseudo(4, 12, 1, 0.7), _pseudo(18, 26, 2, 1.2)]
-        refreshed, _ = refine(pseudos, [], self.grid, self.params)
-        assert len(refreshed) == 2
-        spacing = self.grid.snippet_duration_s
-        for before, after in zip(pseudos, sorted(refreshed, key=lambda p: p.interval.start_s)):
-            assert after.class_id == before.class_id
-            assert after.interval.start_s == pytest.approx(before.interval.start_s, abs=spacing)
-            assert after.interval.end_s == pytest.approx(before.interval.end_s, abs=spacing)
-
-    def test_duplicated_input_doubles_amplitude_keeps_zeros(self):
-        pseudos = [_pseudo(4, 12, 1, 0.7)]
-        model_out = [p.as_proposal() for p in pseudos]
-        once, _ = refine(pseudos, [], self.grid, self.params)
-        twice, _ = refine(pseudos, model_out, self.grid, self.params)
-        assert len(once) == len(twice) == 1
-        assert twice[0].interval.start_s == pytest.approx(once[0].interval.start_s, abs=1e-9)
-        assert twice[0].interval.end_s == pytest.approx(once[0].interval.end_s, abs=1e-9)
-        assert twice[0].confidence == pytest.approx(2 * once[0].confidence, abs=1e-9)
-
-    def test_empty_pseudos_reduces_to_fusion(self):
-        p = Proposal(Interval(10, 20), 0.9, 2)
-        refreshed, _ = refine([], [p], self.grid, self.params)
-        direct = segments_from_wavelet(fuse_ricker([p], self.grid))
-        assert refreshed == direct
-
-    def test_mask_rebuilt_from_refreshed_set(self):
-        pseudos = [_pseudo(10, 20, 1, 1.0)]
-        refreshed, mask = refine(pseudos, [], self.grid, self.params)
-        d = refreshed[0].interval.duration_s
-        s, e = refreshed[0].interval.start_s, refreshed[0].interval.end_s
-        centers = (np.arange(32) + 0.5) * 1.0
-        in_band = ((centers > s - 0.1 * d) & (centers < s)) | (
-            (centers > e) & (centers < e + 0.1 * d)
-        )
-        assert np.array_equal(mask.bits == 0, in_band)
-
-    def test_model_trust_scales_model_scores(self):
-        pseudos = [_pseudo(4, 12, 1, 1.0)]
-        intruder = [Proposal(Interval(20, 28), 1.0, 1)]
-        kept, _ = refine(pseudos, intruder, self.grid, self.params, model_trust=1.0)
-        ignored, _ = refine(pseudos, intruder, self.grid, self.params, model_trust=0.0)
-        assert len(kept) == 2
-        assert len(ignored) == 1

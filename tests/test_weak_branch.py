@@ -6,56 +6,12 @@ import pytest
 from pseudotal.core import Interval, Proposal, SnippetPredictions, TimeGrid
 from pseudotal.weak_branch import (
     VideoLabel,
-    VideoLevelScores,
     compute_sps,
     extract_proposals,
-    mil_loss,
-    oic_score,
+    oic_scores,
     soft_nms,
-    topk_aggregate,
     weak_proposals,
 )
-
-
-def _preds_from_column(col, class_count=1):
-    """Single-foreground-class predictions with the given class-1 column."""
-    col = np.asarray(col, dtype=np.float64)
-    rows = np.zeros((col.shape[0], class_count + 1))
-    rows[:, 0] = col
-    rows[:, -1] = 1.0 - col
-    return SnippetPredictions(np.ones_like(col), rows)
-
-
-class TestTopK:
-    def test_spec_column_examples(self):
-        preds = _preds_from_column([0.9, 0.1, 0.5, 0.7])
-        # k_ratio 2 -> k=2; ratio 4 -> k=1; ratio 1 -> k=4
-        assert topk_aggregate(preds, 2).base[0] == pytest.approx(0.8)
-        assert topk_aggregate(preds, 4).base[0] == pytest.approx(0.9)
-        assert topk_aggregate(preds, 1).base[0] == pytest.approx(0.55)
-
-    def test_k_floors_at_one(self):
-        preds = _preds_from_column([0.3, 0.6])
-        # floor(2/8) = 0 -> k = 1
-        assert topk_aggregate(preds, 8).base[0] == pytest.approx(0.6)
-
-    def test_suppressed_uses_attention(self):
-        col = np.array([0.9, 0.1, 0.5, 0.7])
-        rows = np.stack([col, 1.0 - col], axis=1)
-        att = np.array([0.0, 1.0, 1.0, 1.0])
-        preds = SnippetPredictions(att, rows)
-        agg = topk_aggregate(preds, 2)
-        assert agg.base[0] == pytest.approx(0.8)
-        assert agg.suppressed[0] == pytest.approx((0.7 + 0.5) / 2)
-
-    def test_k_equals_t_is_mean_k_one_is_max(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            t = int(rng.integers(2, 40))
-            col = rng.uniform(0, 1, t)
-            preds = _preds_from_column(col)
-            assert topk_aggregate(preds, 1).base[0] == pytest.approx(col.mean())
-            assert topk_aggregate(preds, t).base[0] == pytest.approx(col.max())
 
 
 class TestVideoLabel:
@@ -68,33 +24,6 @@ class TestVideoLabel:
     def test_from_classes_out_of_range(self, classes):
         with pytest.raises(ValueError, match="class_id out of range"):
             VideoLabel.from_classes(classes, 5)
-
-
-class TestMilLoss:
-    def test_perfect_predictions(self):
-        label = VideoLabel(np.array([1, 0]))
-        scores = VideoLevelScores(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        assert mil_loss(scores, label) == 0.0
-
-    def test_hand_computed_example(self):
-        label = VideoLabel(np.array([1, 0]))
-        scores = VideoLevelScores(np.array([0.5, 0.2, 0.5]), np.array([0.5, 0.3, 0.1]))
-        assert mil_loss(scores, label) == pytest.approx(-3 * math.log(0.5), abs=1e-9)
-
-    def test_zero_scores_clamped(self):
-        label = VideoLabel(np.array([1, 0]))
-        scores = VideoLevelScores(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        assert mil_loss(scores, label) == pytest.approx(-math.log(1e-12))
-
-    def test_nonnegative_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            c = int(rng.integers(1, 6))
-            onehot = np.zeros(c, dtype=np.int64)
-            onehot[rng.integers(0, c)] = 1
-            label = VideoLabel(onehot)
-            scores = VideoLevelScores(rng.uniform(0, 1, c + 1), rng.uniform(0, 1, c + 1))
-            assert mil_loss(scores, label) >= 0.0
 
 
 class TestComputeSps:
@@ -170,32 +99,37 @@ class TestExtractProposals:
                 assert col[first : last + 1].min() >= thresholds[0]
 
 
+def _oic(column, iv, grid, inflation):
+    """The contrast score of one class-1 proposal `iv` on the SP column `column`."""
+    return oic_scores(np.asarray(column)[:, None], [Proposal(iv, 0.0, 1)], grid, inflation)[0]
+
+
 class TestOicScore:
     def test_symmetric_flanks(self):
         z = np.array([0.1, 0.8, 0.8, 0.1])
         grid = TimeGrid(4, 1.0, 1)
-        assert oic_score(z, Interval(1, 3), grid, inflation=0.5) == pytest.approx(0.7)
+        assert _oic(z, Interval(1, 3), grid, 0.5) == pytest.approx(0.7)
 
     def test_whole_video_outer_empty(self):
         z = np.array([0.4, 0.6, 0.5])
         grid = TimeGrid(3, 1.0, 1)
-        assert oic_score(z, Interval(0, 3), grid, inflation=0.25) == pytest.approx(0.5)
+        assert _oic(z, Interval(0, 3), grid, 0.25) == pytest.approx(0.5)
 
     def test_uniform_signal_scores_zero(self):
         z = np.full(10, 0.5)
         grid = TimeGrid(10, 1.0, 1)
-        assert oic_score(z, Interval(3, 7), grid, inflation=0.25) == pytest.approx(0.0)
+        assert _oic(z, Interval(3, 7), grid, 0.25) == pytest.approx(0.0)
 
     def test_invariant_outside_flanks(self):
         rng = np.random.default_rng(13)
         grid = TimeGrid(20, 1.0, 1)
         p = Interval(8, 12)
         z = rng.uniform(0, 1, 20)
-        base = oic_score(z, p, grid, inflation=0.25)
+        base = _oic(z, p, grid, 0.25)
         z2 = z.copy()
         z2[:6] = rng.uniform(0, 1, 6)  # flanks cover [7,8) and [12,13) only
         z2[15:] = rng.uniform(0, 1, 5)
-        assert oic_score(z2, p, grid, inflation=0.25) == base
+        assert _oic(z2, p, grid, 0.25) == base
 
 
 class TestSoftNms:

@@ -16,13 +16,18 @@ from pseudotal.weak_branch import (
     VideoLabel,
     compute_sps,
     extract_proposals,
-    oic_score,
+    oic_scores,
     soft_nms,
     weak_proposals,
 )
 
 DEFAULT_THRESHOLDS = tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
 SEEDS = range(320)
+
+
+def _oic(column, iv, grid, inflation):
+    """The package's contrast score of one class-1 proposal `iv` on `column`."""
+    return oic_scores(column[:, None], [Proposal(iv, 0.0, 1)], grid, inflation)[0]
 
 
 def _values(rng, shape, quantized: bool) -> np.ndarray:
@@ -99,7 +104,7 @@ def test_weak_proposals_match_the_oracle(seed):
         scored = []
         for p in raw:
             column = z[:, p.class_id - 1]
-            score = oic_score(column, p.interval, grid, params["oic_inflation"])
+            score = _oic(column, p.interval, grid, params["oic_inflation"])
             assert score == ref.oic_score(column, p.interval, grid, params["oic_inflation"])
             scored.append(Proposal(p.interval, score, p.class_id))
         assert soft_nms(scored, params["sigma_nms"], params["min_score"]) == ref.soft_nms(
@@ -130,8 +135,8 @@ def test_the_corpora_reach_the_edge_cases():
             if not raw:
                 seen.add("no run at any threshold")
             scored = [
-                Proposal(p.interval, oic_score(z[:, p.class_id - 1], p.interval, grid,
-                                               params["oic_inflation"]), p.class_id)
+                Proposal(p.interval, _oic(z[:, p.class_id - 1], p.interval, grid,
+                                          params["oic_inflation"]), p.class_id)
                 for p in raw
             ]
             keys = [(p.class_id, p.score, p.interval.start_s) for p in scored]
@@ -161,7 +166,7 @@ def test_oic_score_off_the_grid():
         start = float(rng.uniform(-0.5 * extent, 1.2 * extent))
         iv = Interval(start, start + float(rng.uniform(1e-3, extent)))
         inflation = float(rng.choice([1.0, 0.25, rng.uniform(1e-3, 1.0)]))
-        assert oic_score(column, iv, grid, inflation) == ref.oic_score(column, iv, grid, inflation)
+        assert _oic(column, iv, grid, inflation) == ref.oic_score(column, iv, grid, inflation)
 
 
 def _random_proposals(rng, n: int, integer: bool) -> list[Proposal]:
