@@ -50,30 +50,15 @@ class SchemaError(Exception):
     """Input file missing, unparsable, or shaped wrong."""
 
 
-# The one float formatter of every output: 6 significant digits. JSON values
-# are its text parsed back to float, so json writes them as Python's shortest
-# repr (123456.0, 1234570.0, 1e-05, NaN); the wavelet CSV keeps its raw text.
+# The one float formatter of every output: 6 significant digits. A JSON value
+# is the float its text parses to, written as Python's shortest repr (123456.0,
+# 1234570.0, 1e-05, NaN): `_round6` goes through json, `_array_text` writes the
+# same text from `%.6g` itself. The wavelet CSV keeps the raw text.
 _G6 = "{:.6g}".format
 
 
 def _round6(x: float) -> float:
     return float(_G6(float(x)))
-
-
-def _jsonable_array(a: np.ndarray):
-    """An ndarray as nested lists, formatted in one flat pass over its values."""
-    if a.ndim == 0:
-        return _jsonable(a.item())
-    if a.size == 0:
-        return a.tolist()
-    flat = a.ravel().tolist()
-    if a.dtype.kind == "f":
-        flat = list(map(float, map(_G6, flat)))
-    elif a.dtype.kind not in "biu":
-        flat = [_jsonable(v) for v in flat]
-    for n in reversed(a.shape[1:]):
-        flat = [flat[i : i + n] for i in range(0, len(flat), n)]
-    return flat
 
 
 def _jsonable(value):
@@ -82,8 +67,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable_array(value)
+    if isinstance(value, np.ndarray):  # a 0-d array's tolist() is its scalar
+        return _jsonable(value.tolist())
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -93,8 +78,61 @@ def _jsonable(value):
     return value
 
 
+# Below this bound `%.6g` writes every float positionally or, under 1e-4, with
+# the exponent that repr also uses, so its text is the JSON of the rounded value
+# once ".0" follows each integer-shaped cell. From 999999.5 up `%.6g` writes
+# 1e+06 where repr writes 1000000.0. Under TINY (subnormals) two 6-digit texts
+# can name one float, so repr may print fewer digits.
+_TEXT_BOUND = 999999.5
+_TINY = np.finfo(np.float64).tiny
+_FLOAT_CELLS = ("%.6g", "%.6g.0")
+
+
+def _array_text(a: np.ndarray) -> str | None:
+    """The JSON of a numeric array from one %-format call over its values;
+    None for an array the general path writes: 0-d, empty, bool, object,
+    or float with a value non-finite, subnormal or of |x| >= _TEXT_BOUND."""
+    if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "iuf":
+        return None
+    values = a.ravel().tolist()
+    if a.dtype.kind == "f":
+        x = a.astype(np.float64, copy=False).ravel()
+        m = np.abs(x)
+        if not m.max() < _TEXT_BOUND or np.any((m > 0) & (m < _TINY)):
+            return None
+        r = np.rint(x)
+        integer = x == r
+        # a cell rounds to an integer at 6 digits only within 5e-6 relative of
+        # one (from 5e4 up every cell is that near): its own text decides
+        near = ~integer & (np.abs(x - r) <= 1e-5 * m)
+        for i in np.flatnonzero(near).tolist():
+            integer[i] = _G6(values[i]).lstrip("-").isdigit()
+        cells = [_FLOAT_CELLS[b] for b in integer.tolist()]
+    else:
+        cells = ["%d"] * a.size
+    for n in reversed(a.shape[1:]):
+        cells = ["[" + ", ".join(cells[i : i + n]) + "]" for i in range(0, len(cells), n)]
+    return ("[" + ", ".join(cells) + "]") % tuple(values)
+
+
+def _value_text(value) -> str:
+    text = _array_text(value) if isinstance(value, np.ndarray) else None
+    return text or json.dumps(_jsonable(value), sort_keys=True, separators=(", ", ": "))
+
+
 def _dump(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(", ", ": "))
+    """One JSON line. A dict of str keys holding an ndarray is written key by
+    key, so each of its arrays can take `_array_text`; any other value is one
+    json.dumps of `_jsonable(obj)`."""
+    if (
+        isinstance(obj, dict)
+        and np.ndarray in map(type, obj.values())
+        and all(type(k) is str for k in obj)
+    ):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {_value_text(obj[k])}" for k in sorted(obj)
+        ) + "}"
+    return _value_text(obj)
 
 
 def _read_lines(path: str) -> list[dict]:
@@ -193,10 +231,17 @@ def _row_width(rows, name: str, path: str) -> int:
     return len(rows[0])
 
 
+def _json_list(value, name: str, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: {name} must be a list, got {value!r}")
+    return value
+
+
 def _float_array(value, name: str, path: str) -> np.ndarray:
-    """`value` as a float64 array; an entry numpy cannot convert names `name`."""
+    """`value`, a JSON list, as a float64 array; an entry numpy cannot
+    convert names `name`."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        return np.asarray(_json_list(value, name, path), dtype=np.float64)
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: {name} must hold only numbers") from None
 
@@ -307,12 +352,10 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
     out: dict[str, AnchorTargets] = {}
     keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
     for vid, row in _video_rows(path, keys):
-        sizes = row["level_sizes"]
-        if not isinstance(sizes, list):
-            raise SchemaError(f"{path}: level_sizes must be a list, got {sizes!r}")
+        sizes = _json_list(row["level_sizes"], "level_sizes", path)
         grid = _grid(row, row["class_count"], path)
         level_sizes = tuple(_integer(n, "level_sizes", path) for n in sizes)
-        fields = {name: row[name] for name in ANCHOR_FIELDS}
+        fields = {name: _json_list(row[name], name, path) for name in ANCHOR_FIELDS}
         for name in ("reg_left", "reg_right", "iou_weight"):  # the two others are integers
             fields[name] = _float_array(fields[name], name, path)
         try:

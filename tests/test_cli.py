@@ -11,6 +11,7 @@ import pytest
 from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig
 from pseudotal.fusion import STRATEGIES
+from pseudotal.targets import ANCHOR_FIELDS
 
 
 def run(*argv):
@@ -1227,12 +1228,37 @@ class TestExitCodes:
             "iou_weight": [0.0] * n, "mask_bit": [1] * n,
         }])
         preds = tmp_path / "preds.jsonl"
-        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
-                             "reg_left": [1.0] * n, "reg_right": [1.0] * n, field: None}])
         out = tmp_path / "losses.json"
-        assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
-        assert capsys.readouterr().err == f"error: {field} must be finite\n"
-        assert not out.exists()
+        for value in (None, 5):  # a JSON null or a bare number, not a list
+            write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                                 "reg_left": [1.0] * n, "reg_right": [1.0] * n, field: value}])
+            assert run("losses", "--input", preds, "--input", targets, "--output", out) == 2
+            assert capsys.readouterr().err == (
+                f"error: {preds}: {field} must be a list, got {value!r}\n"
+            )
+            assert not out.exists()
+
+    @pytest.mark.parametrize("field", ANCHOR_FIELDS)
+    def test_targets_field_not_a_list(self, tmp_path, capsys, field):
+        sizes = [math.ceil(8 / 2**l) for l in range(6)]
+        n = sum(sizes)
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [{"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
+                             "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
+        targets = tmp_path / "targets.jsonl"
+        out = tmp_path / "losses.json"
+        for value in (None, 5, 0.5):
+            row = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                   "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
+                   "reg_left": [0.0] * n, "reg_right": [0.0] * n,
+                   "iou_weight": [0.0] * n, "mask_bit": [1] * n}
+            row[field] = value
+            write_jsonl(targets, [row])
+            assert run("losses", "--input", preds, "--input", targets, "--output", out) == 2
+            assert capsys.readouterr().err == (
+                f"error: {targets}: {field} must be a list, got {value!r}\n"
+            )
+            assert not out.exists()
 
 
 # Besides --config and --output, the flags each subcommand reads.

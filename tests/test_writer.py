@@ -108,6 +108,84 @@ def test_object_and_string_arrays():
     same_bytes(np.array(["a", "bc"]))
 
 
+# ------------------------------------------- arrays written by one %-format call
+
+# around the bound where `%.6g` switches to an exponent, and cells that are no
+# integer but round to one at 6 digits (or just fail to)
+BOUND = [999999.4, 999999.5, 999999.6]
+NEAR_INTEGERS = [99999.95, 99999.96, 12345.96, 0.9999996, 2.0000001]
+
+
+def test_text_bound_spelled_out():
+    assert cli._dump(np.array(BOUND)) == "[999999.0, 1000000.0, 1000000.0]"
+    assert cli._array_text(np.array(BOUND[:1])) == "[999999.0]"
+    # 999999.6 is "1e+06" in %.6g: those arrays take the general path
+    for value in BOUND[1:]:
+        assert cli._array_text(np.array([value])) is None
+
+
+def test_near_integers_spelled_out():
+    assert cli._dump(np.array(NEAR_INTEGERS)) == (
+        "[99999.9, 100000.0, 12346.0, 1.0, 2.0]"
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_bound_and_near_integers(dtype):
+    with np.errstate(over="ignore"):
+        a = np.array(BOUND + NEAR_INTEGERS, dtype=dtype)
+    same_bytes(a)
+    for value in a.tolist():
+        same_bytes(np.array([value, -value, 0.5], dtype=dtype))
+    below = a[np.abs(a.astype(np.float64)) < cli._TEXT_BOUND]
+    assert cli._array_text(below) is not None
+    same_bytes(below.reshape(1, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_negative_zero_in_2d(dtype):
+    a = np.array([[-0.0, 0.0, 1.5], [2.0, -0.0, -3.25]], dtype=dtype)
+    assert cli._dump(a) == "[[-0.0, 0.0, 1.5], [2.0, -0.0, -3.25]]"
+    same_bytes(a)
+
+
+def test_three_dimensional_array():
+    rng = np.random.default_rng(4)
+    # integers and fractions of 1-5 decimals, all below the bound
+    shape = (3, 4, 5)
+    a = np.round(rng.uniform(-50, 50, size=shape) * 10.0 ** rng.integers(0, 5, size=shape))
+    a = a / 10.0 ** rng.integers(0, 6, size=shape)
+    assert cli._array_text(a) is not None
+    same_bytes(a)
+    same_bytes(a.astype(np.float32))
+    same_bytes(np.arange(60, dtype=np.int64).reshape(3, 4, 5) - 30)
+
+
+def test_subnormals_take_the_general_path():
+    # 5e-324 is "4.94066e-324" in %.6g, but that text parses back to 5e-324
+    a = np.array([5e-324, 1e-310, 0.5])
+    assert cli._array_text(a) is None
+    same_bytes(a)
+
+
+def test_row_mixing_arrays_scalars_tuples_and_dicts():
+    row = {
+        "video_id": "v_1",
+        "scores": np.array([[0.123456789, 2.0000001], [999999.6, -0.0]]),
+        "attention": np.array([0.5, 12345.96, 1e-05], dtype=np.float32),
+        "labels": np.array([3, 0, 7], dtype=np.int64),
+        "bits": np.array([1, 0], dtype=np.uint8),
+        "flags": np.array([True, False]),
+        "duration_s": np.float32(0.1),
+        "n": np.int64(4),
+        "pair": (0.1, 1234567.0),
+        "nested": {"b": 1.5, "a": [np.float64(2.0 / 3.0), None]},
+        "empty": np.zeros((0, 3)),
+    }
+    same_bytes(row)
+    assert cli._dump(row).startswith('{"attention": [0.5, 12346.0, 1e-05], "bits": [1, 0], ')
+
+
 def test_round6_shares_the_formatter():
     for value in SPECIAL + [2.0 / 3.0, 1e-310, 9.999995e5]:
         assert repr(cli._round6(value)) == repr(ref._round6(value))
