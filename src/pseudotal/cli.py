@@ -135,11 +135,14 @@ def _dump(obj) -> str:
     return _value_text(obj)
 
 
-def _read_lines(path: str) -> list[dict]:
+def _read_lines(path: str) -> Iterator[tuple[dict, bool]]:
+    """Each row of a JSON-lines file, decoded as its line is read, with whether
+    that line is free of `true` and `false` (then no value in the row can be a
+    JSON boolean). A caller converts each row before the next is decoded, so
+    the first bad row in file order decides the exit."""
     p = Path(path)
     if not p.is_file():
         raise SchemaError(f"missing file: {path}")
-    rows = []
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -153,8 +156,7 @@ def _read_lines(path: str) -> list[dict]:
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object")
             if "_header" in obj:
                 continue
-            rows.append(obj)
-    return rows
+            yield obj, "true" not in line and "false" not in line
 
 
 def _require(row: dict, keys: Sequence[str], path: str) -> None:
@@ -163,17 +165,17 @@ def _require(row: dict, keys: Sequence[str], path: str) -> None:
         raise SchemaError(f"{path}: row missing keys {missing}")
 
 
-def _video_rows(path: str, keys: Sequence[str]) -> Iterator[tuple[str, dict]]:
-    """(video_id, row) of a file with one row per video; a repeated
-    video_id is a schema error."""
+def _video_rows(path: str, keys: Sequence[str]) -> Iterator[tuple[str, dict, bool]]:
+    """(video_id, row, boolean-free) of a file with one row per video; a
+    repeated video_id is a schema error."""
     seen: set[str] = set()
-    for row in _read_lines(path):
+    for row, plain in _read_lines(path):
         _require(row, ("video_id", *keys), path)
         vid = str(row["video_id"])
         if vid in seen:
             raise SchemaError(f"{path}: duplicate video_id {vid!r}")
         seen.add(vid)
-        yield vid, row
+        yield vid, row, plain
 
 
 def _number(value, name: str, path: str) -> float:
@@ -237,21 +239,49 @@ def _json_list(value, name: str, path: str) -> list:
     return value
 
 
-def _float_array(value, name: str, path: str) -> np.ndarray:
-    """`value`, a JSON list, as a float64 array; an entry numpy cannot
-    convert names `name`."""
-    try:
-        return np.asarray(_json_list(value, name, path), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: {name} must hold only numbers") from None
+def _numbers_only(value: list) -> bool:
+    """Every entry of `value`, and of its nested lists at any depth, is a JSON
+    number or null (read as NaN, which the types refuse as non-finite)."""
+    lists = [value]
+    while lists:
+        for x in lists.pop():
+            if isinstance(x, list):
+                lists.append(x)
+            elif x is not None and type(x) not in (int, float):
+                return False
+    return True
 
 
-def _sp_grid(row: dict, path: str) -> TimeGrid:
-    """The grid of an SP-shaped row: C+1 is the `class_scores` row width, and
-    `class_scores` and `attention` hold `num_snippets` entries (lengths only)."""
-    scores = row["class_scores"]
-    grid = _grid(row, _row_width(scores, "class_scores", path) - 1, path)
-    if len(scores) != grid.num_snippets:
+def _float_array(value, name: str, path: str, plain: bool, rows: bool = False) -> np.ndarray:
+    """`value`, a JSON list of numbers (of rows of numbers where `rows`), as a
+    float64 array. One numpy call converts it and must infer an integer or
+    float dtype, which strings, booleans and null fail; but numpy infers float
+    for a boolean mixed with numbers, so a row whose text could hold one
+    (`plain` false) is checked entry by entry. The Python checks run only
+    then, or when that call fails, to name the fault."""
+    if isinstance(value, list):
+        try:
+            arr = np.asarray(value)  # ragged rows raise here (numpy >= 1.24)
+        except ValueError:
+            arr = None
+        if plain and arr is not None and arr.dtype.kind in "iuf" and (arr.ndim > 1 or not rows):
+            return arr.astype(np.float64, copy=False)
+    if rows:
+        _row_width(value, name, path)
+    if _numbers_only(_json_list(value, name, path)):
+        try:  # integers beyond int64 infer as object; uneven nesting still raises
+            return np.asarray(value, dtype=np.float64)
+        except ValueError:
+            pass
+    raise SchemaError(f"{path}: {name} must hold only numbers")
+
+
+def _sp_grid(row: dict, width: int, path: str) -> TimeGrid:
+    """The grid of an SP-shaped row whose `class_scores` rows are `width`
+    (C+1) wide: `class_scores` and `attention` hold `num_snippets` entries
+    (lengths only)."""
+    grid = _grid(row, width - 1, path)
+    if len(row["class_scores"]) != grid.num_snippets:
         raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
     _require(row, ("attention",), path)
     if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
@@ -263,16 +293,16 @@ def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPre
     grids: dict[str, TimeGrid] = {}
     preds: dict[str, SnippetPredictions] = {}
     keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
-    for vid, row in _video_rows(path, keys):
-        grids[vid] = _sp_grid(row, path)
-        cls = _float_array(row["class_scores"], "class_scores", path)
+    for vid, row, plain in _video_rows(path, keys):
+        cls = _float_array(row["class_scores"], "class_scores", path, plain, rows=True)
+        grids[vid] = _sp_grid(row, cls.shape[1], path)
         if cls.ndim != 2:
             raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_scores rows must have positive sums")
-        attention = _float_array(row["attention"], "attention", path)
+        attention = _float_array(row["attention"], "attention", path, plain)
         preds[vid] = SnippetPredictions(attention, cls / sums)
     return grids, preds
 
@@ -280,9 +310,9 @@ def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPre
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     """Grid metadata from an SP-shaped file or a slim grid file."""
     out: dict[str, TimeGrid] = {}
-    for vid, row in _video_rows(path, ("num_snippets", "snippet_duration_s")):
+    for vid, row, _ in _video_rows(path, ("num_snippets", "snippet_duration_s")):
         if "class_scores" in row:
-            out[vid] = _sp_grid(row, path)
+            out[vid] = _sp_grid(row, _row_width(row["class_scores"], "class_scores", path), path)
         elif "class_count" in row:
             out[vid] = _grid(row, row["class_count"], path)
         else:
@@ -302,7 +332,7 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     duration_s, up to the writer's rounding."""
     out: dict[str, list] = {}
     keys = ("video_id", "start_s", "end_s", "class_id") + (("score",) if with_score else ())
-    for row in _read_lines(path):
+    for row, _ in _read_lines(path):
         _require(row, keys, path)
         iv = Interval(
             _number(row["start_s"], "start_s", path), _number(row["end_s"], "end_s", path)
@@ -329,7 +359,7 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
     """The masks of the videos in `grids`; a row's run lengths must add up to
     its video's num_snippets before they are expanded."""
     out: dict[str, SnippetMask] = {}
-    for vid, row in _video_rows(path, ("bits",)):
+    for vid, row, _ in _video_rows(path, ("bits",)):
         if not isinstance(row["bits"], list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]
         ):
@@ -351,13 +381,13 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
     out: dict[str, AnchorTargets] = {}
     keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
-    for vid, row in _video_rows(path, keys):
+    for vid, row, plain in _video_rows(path, keys):
         sizes = _json_list(row["level_sizes"], "level_sizes", path)
         grid = _grid(row, row["class_count"], path)
         level_sizes = tuple(_integer(n, "level_sizes", path) for n in sizes)
         fields = {name: _json_list(row[name], name, path) for name in ANCHOR_FIELDS}
         for name in ("reg_left", "reg_right", "iou_weight"):  # the two others are integers
-            fields[name] = _float_array(fields[name], name, path)
+            fields[name] = _float_array(fields[name], name, path, plain)
         try:
             out[vid] = AnchorTargets(grid, level_sizes, **fields)
         except TypeError as exc:  # a per-anchor value of the wrong JSON type
@@ -367,17 +397,15 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
 
 def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     out: dict[str, AnchorPredictions] = {}
-    for vid, row in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
-        _row_width(row["class_probs"], "class_probs", path)
+    for vid, row, plain in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
+        probs = _float_array(row["class_probs"], "class_probs", path, plain, rows=True)
         snippet_probs = row.get("snippet_probs")
         if snippet_probs is not None:
-            _row_width(snippet_probs, "snippet_probs", path)
-            snippet_probs = _float_array(snippet_probs, "snippet_probs", path)
-        probs = _float_array(row["class_probs"], "class_probs", path)
+            snippet_probs = _float_array(snippet_probs, "snippet_probs", path, plain, rows=True)
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{path}: class_probs rows must have positive sums")
-        reg = [_float_array(row[name], name, path) for name in ("reg_left", "reg_right")]
+        reg = [_float_array(row[name], name, path, plain) for name in ("reg_left", "reg_right")]
         out[vid] = AnchorPredictions(probs / sums, *reg, snippet_probs)
     return out
 

@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+# The most cells T * (C + 1) a grid may have. A video's (T, C + 1) float64
+# score matrix is then at most 128 MiB, and its largest per-video array, the
+# (C + 1) x thresholds x (T + 2) int8 run table of `threshold_runs`, about
+# 272 MiB on the default 17-threshold ladder. A slim grid row can name any
+# size, so a huge one is refused here, before any subcommand allocates for it.
+MAX_GRID_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform snippet grid of a single video.
@@ -37,6 +45,7 @@ class TimeGrid:
     num_snippets: number of temporal snippets (T).
     snippet_duration_s: seconds covered by one snippet.
     class_count: number of foreground action classes (C).
+    num_snippets * (class_count + 1) is at most MAX_GRID_CELLS.
     """
 
     num_snippets: int
@@ -50,6 +59,11 @@ class TimeGrid:
             raise ValueError("snippet_duration_s must be a positive finite real")
         if self.class_count < 1:
             raise ValueError("class_count must be >= 1")
+        if self.num_snippets * (self.class_count + 1) > MAX_GRID_CELLS:
+            raise ValueError(
+                f"num_snippets * (class_count + 1) must be at most {MAX_GRID_CELLS}, got "
+                f"{self.num_snippets} * ({self.class_count} + 1)"
+            )
 
     @property
     def duration_s(self) -> float:

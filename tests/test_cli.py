@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from pseudotal import cli
 from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig
+from pseudotal.core import MAX_GRID_CELLS
 from pseudotal.fusion import STRATEGIES
 from pseudotal.targets import ANCHOR_FIELDS
 
@@ -38,6 +40,30 @@ def mask_file_for(pseudos, grid_source, out):
 
 def read_report(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _spoil(values, case):
+    """`values`, a list of numbers or of rows of numbers, with its first entry
+    a JSON string or boolean, or with every entry a boolean."""
+    if case == "all-boolean":
+        return [[True] * len(v) if isinstance(v, list) else True for v in values]
+    entry = {"text": "a", "string": "0.5", "boolean": True}[case]
+    first = values[0]
+    return [[entry, *first[1:]] if isinstance(first, list) else entry, *values[1:]]
+
+
+def _run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 2 GiB, so
+    an oversize allocation fails fast instead of exhausting the host."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "pseudotal.cli", *map(str, argv)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+    )
 
 
 def write_jsonl(path, rows):
@@ -342,19 +368,34 @@ class TestMaskTargets:
         mask_file = tmp_path / "mask.jsonl"
         write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, 10**12]]}])
         out = tmp_path / "t.jsonl"
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "pseudotal.cli", "targets", "--input", str(pseudos),
-             "--input", str(grid_file), "--input", str(mask_file), "--output", str(out)],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_capped("targets", "--input", pseudos, "--input", grid_file,
+                           "--input", mask_file, "--output", out)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
             f"error: {mask_file}: bits of video v cover {10**12} snippets, its grid has 30\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["fuse", "mask", "targets"])
+    @pytest.mark.parametrize("field", ["num_snippets", "class_count"])
+    def test_oversize_grid_exits_before_allocating(self, tmp_path, cmd, field):
+        # a slim grid row can name any size; the grid itself refuses one past
+        # MAX_GRID_CELLS, so no subcommand allocates for it (the child's
+        # address space is capped, so an allocation would fail fast)
+        grid_file, pseudos = self._grid_and_pseudos(tmp_path)
+        row = {**read_jsonl(grid_file)[1][0], field: 10**9}
+        write_jsonl(grid_file, [row])
+        argv = [cmd, "--input", pseudos, "--input", grid_file]
+        if cmd == "targets":
+            mask_file = tmp_path / "mask.jsonl"
+            write_jsonl(mask_file, [{"video_id": "v", "bits": [[1, row["num_snippets"]]]}])
+            argv += ["--input", mask_file]
+        out = tmp_path / "out.jsonl"
+        proc = _run_capped(*argv, "--output", out)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            f"error: num_snippets * (class_count + 1) must be at most {MAX_GRID_CELLS}, got "
+            f"{row['num_snippets']} * ({row['class_count']} + 1)\n"
         )
         assert not out.exists()
 
@@ -1173,11 +1214,11 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {mask_file}: bits must be [value, count] pairs\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["class_scores", "attention"])
-    def test_non_numeric_snippet_predictions(self, tmp_path, capsys, field):
+    @staticmethod
+    def _extract_rejects(tmp_path, capsys, field, case):
         row = {"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
                "attention": [0.5] * 4, "class_scores": [[0.5, 0.5]] * 4}
-        row[field] = [["a", 0.5] if field == "class_scores" else "a", *row[field][1:]]
+        row[field] = _spoil(row[field], case)
         sp = tmp_path / "sp.jsonl"
         write_jsonl(sp, [row])
         gt = tmp_path / "gt.jsonl"
@@ -1187,13 +1228,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {sp}: {field} must hold only numbers\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "kind, field",
-        [("preds", "class_probs"), ("preds", "snippet_probs"), ("preds", "reg_left"),
-         ("preds", "reg_right"), ("targets", "reg_left"), ("targets", "reg_right"),
-         ("targets", "iou_weight")],
-    )
-    def test_non_numeric_losses_inputs(self, tmp_path, capsys, kind, field):
+    @pytest.mark.parametrize("field", ["class_scores", "attention"])
+    def test_non_numeric_snippet_predictions(self, tmp_path, capsys, field):
+        self._extract_rejects(tmp_path, capsys, field, "text")
+
+    @pytest.mark.parametrize("case", ["string", "boolean", "all-boolean"])
+    @pytest.mark.parametrize("field", ["class_scores", "attention"])
+    def test_string_or_boolean_snippet_predictions(self, tmp_path, capsys, field, case):
+        # numpy's float cast reads "0.5" and true as numbers; the file must hold JSON numbers
+        self._extract_rejects(tmp_path, capsys, field, case)
+
+    @staticmethod
+    def _losses_rejects(tmp_path, capsys, kind, field, case):
         sizes = [math.ceil(8 / 2**l) for l in range(6)]
         n = sum(sizes)
         rows = {
@@ -1205,8 +1251,7 @@ class TestExitCodes:
                       "reg_left": [1.0] * n, "reg_right": [1.0] * n,
                       "snippet_probs": [[0.5, 0.5]] * 8},
         }
-        entries = rows[kind][field]
-        rows[kind][field] = [["x", 0.5] if field.endswith("probs") else "x", *entries[1:]]
+        rows[kind][field] = _spoil(rows[kind][field], case)
         files = {name: tmp_path / f"{name}.jsonl" for name in rows}
         for name, row in rows.items():
             write_jsonl(files[name], [row])
@@ -1214,6 +1259,69 @@ class TestExitCodes:
         assert run("losses", "--input", files["preds"], "--input", files["targets"],
                    "--output", out) == 2
         assert capsys.readouterr().err == f"error: {files[kind]}: {field} must hold only numbers\n"
+        assert not out.exists()
+
+    LOSSES_ARRAYS = [("preds", "class_probs"), ("preds", "snippet_probs"), ("preds", "reg_left"),
+                     ("preds", "reg_right"), ("targets", "reg_left"), ("targets", "reg_right"),
+                     ("targets", "iou_weight")]
+
+    @pytest.mark.parametrize("kind, field", LOSSES_ARRAYS)
+    def test_non_numeric_losses_inputs(self, tmp_path, capsys, kind, field):
+        self._losses_rejects(tmp_path, capsys, kind, field, "text")
+
+    @pytest.mark.parametrize("case", ["string", "boolean", "all-boolean"])
+    @pytest.mark.parametrize("kind, field", LOSSES_ARRAYS)
+    def test_string_or_boolean_losses_inputs(self, tmp_path, capsys, kind, field, case):
+        self._losses_rejects(tmp_path, capsys, kind, field, case)
+
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_integers_beyond_int64_convert(self, plain):
+        # numpy infers no number dtype for them; the entry check hands them to the float cast
+        values = [1, 2**64, 0.5, -(2**70)]
+        assert cli._float_array(values, "x", "f.jsonl", plain).tolist() == [
+            1.0, 2.0**64, 0.5, -(2.0**70)]
+
+    def test_boolean_text_elsewhere_keeps_numbers(self, tmp_path, sim_paths):
+        # a row whose text holds `true` outside its arrays takes the entry-by-entry
+        # check, and its numbers convert as on the one-call path
+        _, rows = read_jsonl(sim_paths["sp"])
+        sp = tmp_path / "sp_true.jsonl"
+        write_jsonl(sp, [{**row, "note": True} for row in rows])
+        for path in (sim_paths["sp"], sp):
+            out = tmp_path / f"{path.stem}.props.jsonl"
+            assert run("extract", "--input", path, "--gt", sim_paths["gt"], "--output", out) == 0
+        assert (tmp_path / "sp.props.jsonl").read_bytes() == (
+            tmp_path / "sp_true.props.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["proposals", "sp"])
+    def test_first_bad_row_decides_the_exit(self, tmp_path, capsys, kind):
+        # each row is checked as it is read: row 1 breaks a constraint (exit 3)
+        # before the invalid JSON on line 3 is decoded
+        good = {"proposals": SEGMENT_ROW,
+                "sp": {"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+                       "attention": [0.5] * 4, "class_scores": [[0.5, 0.5]] * 4}}[kind]
+        bad, message = {
+            "proposals": ({**good, "start_s": 6.0}, "interval requires start_s < end_s"),
+            "sp": ({**good, "attention": [1.5] * 4}, "attention values must lie in [0, 1]"),
+        }[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(
+            json.dumps(bad) + "\n" + json.dumps({**good, "video_id": "w"}) + "\n{not json\n",
+            encoding="utf-8",
+        )
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        out = tmp_path / "out"
+        cmd = {"proposals": "eval", "sp": "extract"}[kind]
+        assert run(cmd, "--input", path, "--gt", gt, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        path.write_text(json.dumps(good) + "\n{not json\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        assert run(cmd, "--input", path, "--gt", gt, "--output", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: invalid JSON (Expecting property name enclosed in double quotes)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["reg_left", "reg_right"])

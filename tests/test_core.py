@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudotal.core import (
+    MAX_GRID_CELLS,
     Interval,
     Proposal,
     PseudoProposal,
@@ -23,6 +24,14 @@ class TestTypes:
             TimeGrid(10, 0.0, 3)
         with pytest.raises(ValueError):
             TimeGrid(10, 1.0, 0)
+
+    def test_grid_cell_bound(self):
+        # T * (C + 1) cells, at most MAX_GRID_CELLS: a huge T or a huge C alone
+        TimeGrid(MAX_GRID_CELLS // 4, 1.0, 3)
+        TimeGrid(1, 1.0, MAX_GRID_CELLS - 1)
+        for t, c in [(MAX_GRID_CELLS // 4 + 1, 3), (1, MAX_GRID_CELLS), (10**9, 1)]:
+            with pytest.raises(ValueError, match="num_snippets \\* \\(class_count \\+ 1\\)"):
+                TimeGrid(t, 1.0, c)
 
     def test_interval_rejects_degenerate(self):
         with pytest.raises(ValueError):
