@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TOOL_VERSION, PipelineConfig, UnknownKeysError
+from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
 from .core import Interval, Proposal, SnippetPredictions, TimeGrid, runs, snippet_centers
 from .evaluation import GroundTruthSet, map_table
 # generate_pseudo_labels and weak_proposals are not called here (the sim stages call
@@ -135,66 +135,71 @@ def _dump(obj) -> str:
     return _value_text(obj)
 
 
-def _read_lines(path: str) -> Iterator[tuple[dict, bool]]:
-    """Each row of a JSON-lines file, decoded as its line is read, with whether
-    that line is free of `true` and `false` (then no value in the row can be a
-    JSON boolean). A caller converts each row before the next is decoded, so
-    the first bad row in file order decides the exit."""
+def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], object],
+          unique: bool = True) -> Iterator[tuple[str, object]]:
+    """(video_id, `convert(video_id, row, plain)`) per row of a JSON-lines file.
+    Each line is decoded, checked (a string `video_id`, `keys`, and where
+    `unique` no repeated id) and converted before the next is read, so the
+    first bad row decides the exit; `plain`: the line holds no `true`/`false`.
+    An error names the file: a `SchemaError` as `<path>: <message>`, a value
+    fault of the types as `<path>: video <id>: <message>`."""
     p = Path(path)
     if not p.is_file():
         raise SchemaError(f"missing file: {path}")
+    seen: set[str] = set()
     with p.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
+            if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object")
-            if "_header" in obj:
+            if "_header" in row:
                 continue
-            yield obj, "true" not in line and "false" not in line
+            try:
+                _require(row, ("video_id", *keys))
+                vid = row["video_id"]
+                if type(vid) is not str:
+                    raise SchemaError(f"video_id must be a string, got {vid!r}")
+                if vid in seen:
+                    raise SchemaError(f"duplicate video_id {vid!r}")
+                if unique:
+                    seen.add(vid)
+                value = convert(vid, row, "true" not in line and "false" not in line)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
+            except (ValueError, TypeError, OverflowError) as exc:  # a huge JSON integer overflows
+                raise ValueError(f"{path}: video {vid}: {exc}") from None
+            yield vid, value
 
 
-def _require(row: dict, keys: Sequence[str], path: str) -> None:
+def _require(row: dict, keys: Sequence[str]) -> None:
     missing = [k for k in keys if k not in row]
     if missing:
-        raise SchemaError(f"{path}: row missing keys {missing}")
+        raise SchemaError(f"row missing keys {missing}")
 
 
-def _video_rows(path: str, keys: Sequence[str]) -> Iterator[tuple[str, dict, bool]]:
-    """(video_id, row, boolean-free) of a file with one row per video; a
-    repeated video_id is a schema error."""
-    seen: set[str] = set()
-    for row, plain in _read_lines(path):
-        _require(row, ("video_id", *keys), path)
-        vid = str(row["video_id"])
-        if vid in seen:
-            raise SchemaError(f"{path}: duplicate video_id {vid!r}")
-        seen.add(vid)
-        yield vid, row, plain
-
-
-def _number(value, name: str, path: str) -> float:
+def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: {name} must be a number, got {value!r}")
+        raise SchemaError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
-def _integer(value, name: str, path: str) -> int:
+def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: {name} must be an integer, got {value!r}")
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _grid(row: dict, class_count, path: str) -> TimeGrid:
+def _grid(row: dict, class_count) -> TimeGrid:
     return TimeGrid(
-        _integer(row["num_snippets"], "num_snippets", path),
-        _number(row["snippet_duration_s"], "snippet_duration_s", path),
-        _integer(class_count, "class_count", path),
+        _integer(row["num_snippets"], "num_snippets"),
+        _number(row["snippet_duration_s"], "snippet_duration_s"),
+        _integer(class_count, "class_count"),
     )
 
 
@@ -224,100 +229,103 @@ def _write_report(path: str, cfg: PipelineConfig, output: tuple[dict, dict | Non
 # ---------------------------------------------------------------- input parsing
 
 
-def _row_width(rows, name: str, path: str) -> int:
+def _row_width(rows, name: str) -> int:
     """Width of `rows`, a nonempty list of rows of equal width (values not read)."""
     if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
-        raise SchemaError(f"{path}: {name} must be a nonempty list of rows")
+        raise SchemaError(f"{name} must be a nonempty list of rows")
     if any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows):
-        raise SchemaError(f"{path}: {name} must be rows of equal width")
+        raise SchemaError(f"{name} must be rows of equal width")
     return len(rows[0])
 
 
-def _json_list(value, name: str, path: str) -> list:
+def _json_list(value, name: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: {name} must be a list, got {value!r}")
+        raise SchemaError(f"{name} must be a list, got {value!r}")
     return value
 
 
-def _numbers_only(value: list) -> bool:
-    """Every entry of `value`, and of its nested lists at any depth, is a JSON
-    number or null (read as NaN, which the types refuse as non-finite)."""
+def _entries_of(value: list, types: tuple) -> bool:
+    """Every entry of `value`, and of its nested lists at any depth, is of one
+    of `types` (exactly: a bool is no int)."""
     lists = [value]
     while lists:
         for x in lists.pop():
             if isinstance(x, list):
                 lists.append(x)
-            elif x is not None and type(x) not in (int, float):
+            elif type(x) not in types:
                 return False
     return True
 
 
-def _float_array(value, name: str, path: str, plain: bool, rows: bool = False) -> np.ndarray:
-    """`value`, a JSON list of numbers (of rows of numbers where `rows`), as a
-    float64 array. One numpy call converts it and must infer an integer or
-    float dtype, which strings, booleans and null fail; but numpy infers float
-    for a boolean mixed with numbers, so a row whose text could hold one
-    (`plain` false) is checked entry by entry. The Python checks run only
-    then, or when that call fails, to name the fault."""
+def _float_array(value, name: str, plain: bool, rows: bool = False,
+                 integers: bool = False) -> np.ndarray:
+    """`value`, a JSON list of numbers (of rows of numbers where `rows`, of
+    integers where `integers`; a null number is read as NaN, which the types
+    refuse), as a float64 array. One numpy call converts it and must infer an
+    integer (or float, unless `integers`) dtype, which strings, booleans and
+    null fail; but numpy infers a number for a boolean mixed with numbers, so a
+    row whose text could hold one (`plain` false) is checked entry by entry.
+    The Python checks run only then, or when that call fails, to name the fault."""
+    kinds, types = ("iu", (int,)) if integers else ("iuf", (int, float, type(None)))
     if isinstance(value, list):
         try:
             arr = np.asarray(value)  # ragged rows raise here (numpy >= 1.24)
         except ValueError:
             arr = None
-        if plain and arr is not None and arr.dtype.kind in "iuf" and (arr.ndim > 1 or not rows):
+        if plain and arr is not None and arr.dtype.kind in kinds and (arr.ndim > 1 or not rows):
             return arr.astype(np.float64, copy=False)
     if rows:
-        _row_width(value, name, path)
-    if _numbers_only(_json_list(value, name, path)):
+        _row_width(value, name)
+    if _entries_of(_json_list(value, name), types):
         try:  # integers beyond int64 infer as object; uneven nesting still raises
             return np.asarray(value, dtype=np.float64)
         except ValueError:
             pass
-    raise SchemaError(f"{path}: {name} must hold only numbers")
+    raise SchemaError(f"{name} values must be integers" if integers
+                      else f"{name} must hold only numbers")
 
 
-def _sp_grid(row: dict, width: int, path: str) -> TimeGrid:
+def _sp_grid(row: dict, width: int) -> TimeGrid:
     """The grid of an SP-shaped row whose `class_scores` rows are `width`
     (C+1) wide: `class_scores` and `attention` hold `num_snippets` entries
     (lengths only)."""
-    grid = _grid(row, width - 1, path)
+    grid = _grid(row, width - 1)
     if len(row["class_scores"]) != grid.num_snippets:
-        raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
-    _require(row, ("attention",), path)
+        raise SchemaError("class_scores shape disagrees with num_snippets")
+    _require(row, ("attention",))
     if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
-        raise SchemaError(f"{path}: attention length disagrees with num_snippets")
+        raise SchemaError("attention length disagrees with num_snippets")
     return grid
 
 
 def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPredictions]]:
-    grids: dict[str, TimeGrid] = {}
-    preds: dict[str, SnippetPredictions] = {}
-    keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
-    for vid, row, plain in _video_rows(path, keys):
-        cls = _float_array(row["class_scores"], "class_scores", path, plain, rows=True)
-        grids[vid] = _sp_grid(row, cls.shape[1], path)
+    def convert(vid: str, row: dict, plain: bool) -> tuple[TimeGrid, SnippetPredictions]:
+        cls = _float_array(row["class_scores"], "class_scores", plain, rows=True)
+        grid = _sp_grid(row, cls.shape[1])
         if cls.ndim != 2:
-            raise SchemaError(f"{path}: class_scores shape disagrees with num_snippets")
+            raise SchemaError("class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
-            raise SchemaError(f"{path}: class_scores rows must have positive sums")
-        attention = _float_array(row["attention"], "attention", path, plain)
-        preds[vid] = SnippetPredictions(attention, cls / sums)
-    return grids, preds
+            raise SchemaError("class_scores rows must have positive sums")
+        attention = _float_array(row["attention"], "attention", plain)
+        return grid, SnippetPredictions(attention, cls / sums)
+
+    keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
+    rows = dict(_rows(path, keys, convert))
+    return {vid: g for vid, (g, _) in rows.items()}, {vid: p for vid, (_, p) in rows.items()}
 
 
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     """Grid metadata from an SP-shaped file or a slim grid file."""
-    out: dict[str, TimeGrid] = {}
-    for vid, row, _ in _video_rows(path, ("num_snippets", "snippet_duration_s")):
+    def convert(vid: str, row: dict, plain: bool) -> TimeGrid:
         if "class_scores" in row:
-            out[vid] = _sp_grid(row, _row_width(row["class_scores"], "class_scores", path), path)
-        elif "class_count" in row:
-            out[vid] = _grid(row, row["class_count"], path)
-        else:
-            raise SchemaError(f"{path}: grid rows need class_scores or class_count")
-    return out
+            return _sp_grid(row, _row_width(row["class_scores"], "class_scores"))
+        if "class_count" in row:
+            return _grid(row, row["class_count"])
+        raise SchemaError("grid rows need class_scores or class_count")
+
+    return dict(_rows(path, ("num_snippets", "snippet_duration_s"), convert))
 
 
 # Written times carry 6 significant digits (at most 5e-6 relative error), and
@@ -330,27 +338,25 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     """Proposal or GT rows grouped by video id, in file order. A row of a
     video in `grids` must lie within that video: start_s >= 0 and end_s <=
     duration_s, up to the writer's rounding."""
-    out: dict[str, list] = {}
-    keys = ("video_id", "start_s", "end_s", "class_id") + (("score",) if with_score else ())
-    for row, _ in _read_lines(path):
-        _require(row, keys, path)
-        iv = Interval(
-            _number(row["start_s"], "start_s", path), _number(row["end_s"], "end_s", path)
-        )
-        vid = str(row["video_id"])
+    def convert(vid: str, row: dict, plain: bool):
+        iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
         grid = grids.get(vid) if grids else None
         if grid is not None and not (
             iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)
         ):
             raise ValueError(
-                f"{path}: segment [{iv.start_s}, {iv.end_s}] lies outside video {vid} "
-                f"[0, {grid.duration_s}]"
+                f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]"
             )
-        class_id = _integer(row["class_id"], "class_id", path)
+        class_id = _integer(row["class_id"], "class_id")
         if with_score:
-            item = Proposal(iv, _number(row["score"], "score", path), class_id)
-        else:
-            item = (iv, class_id)
+            return Proposal(iv, _number(row["score"], "score"), class_id)
+        if class_id < 1:  # the rule of GroundTruthSet, which extract and losses do not build
+            raise ValueError("ground-truth class ids are 1-based")
+        return iv, class_id
+
+    out: dict[str, list] = {}
+    keys = ("start_s", "end_s", "class_id") + (("score",) if with_score else ())
+    for vid, item in _rows(path, keys, convert, unique=False):
         out.setdefault(vid, []).append(item)
     return out
 
@@ -358,56 +364,51 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
 def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, SnippetMask]:
     """The masks of the videos in `grids`; a row's run lengths must add up to
     its video's num_snippets before they are expanded."""
-    out: dict[str, SnippetMask] = {}
-    for vid, row, _ in _video_rows(path, ("bits",)):
+    def convert(vid: str, row: dict, plain: bool) -> SnippetMask | None:
         if not isinstance(row["bits"], list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]
         ):
-            raise SchemaError(f"{path}: bits must be [value, count] pairs")
-        values = [_integer(value, "bits value", path) for value, _ in row["bits"]]
-        counts = [_integer(count, "bits count", path) for _, count in row["bits"]]
+            raise SchemaError("bits must be [value, count] pairs")
+        values = [_integer(value, "bits value") for value, _ in row["bits"]]
+        counts = [_integer(count, "bits count") for _, count in row["bits"]]
         if not set(values) <= {0, 1} or min(counts, default=1) < 1:
-            raise SchemaError(f"{path}: bits pairs need value in 0/1 and count >= 1")
+            raise SchemaError("bits pairs need value in 0/1 and count >= 1")
         grid = grids.get(vid)
         if grid is None:  # every pseudo video has a grid, so no target needs this row
-            continue
+            return None
         if sum(counts) != grid.num_snippets:
-            raise ValueError(f"{path}: bits of video {vid} cover {sum(counts)} snippets, "
-                             f"its grid has {grid.num_snippets}")
-        out[vid] = SnippetMask(np.repeat(np.array(values, dtype=np.uint8), counts), grid)
-    return out
+            raise ValueError(f"bits cover {sum(counts)} snippets, its grid has {grid.num_snippets}")
+        return SnippetMask(np.repeat(np.array(values, dtype=np.uint8), counts), grid)
+
+    return {vid: mask for vid, mask in _rows(path, ("bits",), convert) if mask is not None}
 
 
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
-    out: dict[str, AnchorTargets] = {}
+    def convert(vid: str, row: dict, plain: bool) -> AnchorTargets:
+        sizes = _json_list(row["level_sizes"], "level_sizes")
+        grid = _grid(row, row["class_count"])
+        level_sizes = tuple(_integer(n, "level_sizes") for n in sizes)
+        ints = ("class_label", "mask_bit")
+        fields = {n: _float_array(row[n], n, plain, integers=n in ints) for n in ANCHOR_FIELDS}
+        return AnchorTargets(grid, level_sizes, **fields)
+
     keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
-    for vid, row, plain in _video_rows(path, keys):
-        sizes = _json_list(row["level_sizes"], "level_sizes", path)
-        grid = _grid(row, row["class_count"], path)
-        level_sizes = tuple(_integer(n, "level_sizes", path) for n in sizes)
-        fields = {name: _json_list(row[name], name, path) for name in ANCHOR_FIELDS}
-        for name in ("reg_left", "reg_right", "iou_weight"):  # the two others are integers
-            fields[name] = _float_array(fields[name], name, path, plain)
-        try:
-            out[vid] = AnchorTargets(grid, level_sizes, **fields)
-        except TypeError as exc:  # a per-anchor value of the wrong JSON type
-            raise SchemaError(f"{path}: {exc}") from None
-    return out
+    return dict(_rows(path, keys, convert))
 
 
 def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
-    out: dict[str, AnchorPredictions] = {}
-    for vid, row, plain in _video_rows(path, ("class_probs", "reg_left", "reg_right")):
-        probs = _float_array(row["class_probs"], "class_probs", path, plain, rows=True)
+    def convert(vid: str, row: dict, plain: bool) -> AnchorPredictions:
+        probs = _float_array(row["class_probs"], "class_probs", plain, rows=True)
         snippet_probs = row.get("snippet_probs")
         if snippet_probs is not None:
-            snippet_probs = _float_array(snippet_probs, "snippet_probs", path, plain, rows=True)
+            snippet_probs = _float_array(snippet_probs, "snippet_probs", plain, rows=True)
         sums = probs.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
-            raise SchemaError(f"{path}: class_probs rows must have positive sums")
-        reg = [_float_array(row[name], name, path, plain) for name in ("reg_left", "reg_right")]
-        out[vid] = AnchorPredictions(probs / sums, *reg, snippet_probs)
-    return out
+            raise SchemaError("class_probs rows must have positive sums")
+        reg = [_float_array(row[name], name, plain) for name in ("reg_left", "reg_right")]
+        return AnchorPredictions(probs / sums, *reg, snippet_probs)
+
+    return dict(_rows(path, ("class_probs", "reg_left", "reg_right"), convert))
 
 
 def _segment_row(vid: str, iv: Interval, class_id: int, score: float | None) -> dict:
@@ -430,7 +431,7 @@ def _segments_on_grids(args, what: str, count: int = 2):
     segments = _parse_segments(paths[0], with_score=True, grids=grids)
     missing = sorted(set(segments) - set(grids))
     if missing:
-        raise ValueError(f"no grid metadata for videos: {missing}")
+        raise ValueError(f"{paths[1]}: no grid metadata for videos of {paths[0]}: {missing}")
     return segments, grids, paths[2:]
 
 
@@ -438,11 +439,12 @@ def _segments_on_grids(args, what: str, count: int = 2):
 
 
 def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
-    grids, preds = _parse_sp_file(_inputs(args, 1, 1, "an SP file")[0])
+    sp_path = _inputs(args, 1, 1, "an SP file")[0]
+    grids, preds = _parse_sp_file(sp_path)
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
     missing = sorted(set(grids) - set(gt))
     if missing:
-        raise ValueError(f"no ground-truth labels for videos: {missing}")
+        raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
     proposals = proposals_by_video(grids, video_labels(gt, grids), preds, cfg)
     return [_segment_row(vid, p.interval, p.class_id, p.score)
             for vid, plist in proposals.items() for p in plist]
@@ -489,7 +491,7 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
     rows = []
     for vid in sorted(pseudos):
         if vid not in masks:
-            raise ValueError(f"no mask bits for video {vid}")
+            raise ValueError(f"{mask_path}: no mask bits for video {vid}")
         tgt = build_targets([p.as_pseudo() for p in pseudos[vid]], masks[vid], pyramid)
         rows.append({
             "video_id": vid,
@@ -510,7 +512,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     targets = _parse_targets_file(paths[1])
     missing = sorted(set(preds) ^ set(targets))
     if missing:
-        raise ValueError(f"predictions and targets disagree on videos: {missing}")
+        raise ValueError(f"{paths[0]}: videos differ from those of {paths[1]}: {missing}")
     sps: dict[str, SnippetPredictions] = {}
     labels = {}
     if len(paths) > 2:
@@ -527,7 +529,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
         l_att = 0.0
         if vid in sps and pred.snippet_probs is not None:
             if vid not in labels:
-                raise ValueError(f"no ground-truth labels for video {vid}")
+                raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
             z = compute_sps(sps[vid].attention, sps[vid].class_scores)
             l_att = att_loss(
                 pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal
@@ -629,7 +631,7 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
         raise SchemaError(f"{path}: 'sim' must be a JSON object")
     try:
         return PipelineConfig.from_dict(raw), raw_sim
-    except (TypeError, UnknownKeysError) as exc:
+    except ConfigSchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -706,7 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         command = COMMANDS[args.command]
         command.write(args.output, cfg, command.handler(args, cfg))
         return 0
-    except (SchemaError, UnknownKeysError) as exc:
+    except (SchemaError, ConfigSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

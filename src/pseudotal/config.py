@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
-__all__ = ["PipelineConfig", "UnknownKeysError", "TOOL_VERSION"]
+from .targets import PyramidConfig
+
+__all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -15,23 +18,39 @@ TOOL_VERSION = "0.1.0"
 DEFAULT_TIOU_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 8))
 
 
-class UnknownKeysError(ValueError):
-    """A config mapping names keys that are not fields of the config."""
+class ConfigSchemaError(ValueError):
+    """A config mapping names keys that are not fields of the config, or gives
+    a field a value of the wrong JSON type."""
+
+
+# The JSON values a field of each type takes: an int field a JSON integer (a
+# bool is none), a float field any JSON number, a str field a string; a tuple
+# field takes a JSON list of its entry type.
+_JSON_TYPES = {
+    "int": ((int,), "integer"), "float": ((int, float), "number"), "str": ((str,), "string"),
+}
 
 
 def config_from_dict(cls, data: dict, what: str = "config"):
-    """`cls(**data)` for a config dataclass, strictly: unknown keys raise
-    `UnknownKeysError`, and every tuple-typed field takes a JSON list."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    """`cls(**data)` for a config dataclass, strictly: an unknown key or a
+    value of the wrong JSON type raises `ConfigSchemaError`, a non-finite
+    number `ValueError`. Values pass unconverted, but for the tuple fields'
+    lists, so a valid config keeps its `config_hash`."""
+    fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
     if unknown:
-        raise UnknownKeysError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(
-        **{
-            k: tuple(v) if str(fields[k].type).startswith("tuple") else v
-            for k, v in data.items()
-        }
-    )
+        raise ConfigSchemaError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        entry = fields[key].removeprefix("tuple[").split(",")[0]  # "tuple[int, int]": "int"
+        types, noun = _JSON_TYPES[entry]
+        many = entry != fields[key]
+        entries = value if many else [value]
+        if (many and not isinstance(value, list)) or any(type(v) not in types for v in entries):
+            need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
+            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {value!r}")
+        if not all(math.isfinite(v) for v in entries if type(v) is float):
+            raise ValueError(f"{what} key {key!r} must be finite, got {value!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -79,8 +98,7 @@ class PipelineConfig:
             raise ValueError("lambda_att must be nonnegative")
         if self.gamma_focal < 0:
             raise ValueError("gamma_focal must be nonnegative")
-        if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
+        PyramidConfig(self.num_levels)  # the anchor pyramid checks its level count
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ValueError("need 0 <= warmup_epochs < total_epochs")
         evs = tuple(float(t) for t in self.eval_tious)

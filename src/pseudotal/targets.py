@@ -50,6 +50,12 @@ def _anchor_times(stride: int, size: int, grid: TimeGrid) -> np.ndarray:
     return (np.arange(size, dtype=np.float64) + 0.5) * stride * grid.snippet_duration_s
 
 
+# Level l has a stride of 2**l snippets. From level 23 up one anchor covers
+# the longest grid (MAX_GRID_CELLS / 2 snippets), so a level past this bound
+# only adds another one-anchor level; a huge count would never finish.
+MAX_LEVELS = 32
+
+
 @dataclass(frozen=True)
 class PyramidConfig:
     """Multi-scale anchor layout of `num_levels` levels (see `_levels`); each
@@ -58,8 +64,8 @@ class PyramidConfig:
     num_levels: int = 6
 
     def __post_init__(self) -> None:
-        if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
+        if not 1 <= self.num_levels <= MAX_LEVELS:
+            raise ValueError(f"num_levels must lie in [1, {MAX_LEVELS}]")
 
     def level_sizes(self, grid: TimeGrid) -> tuple[int, ...]:
         return tuple(size for _, size in _levels(grid, self.num_levels))
@@ -92,11 +98,6 @@ class AnchorTargets:
                 f"for num_snippets {self.grid.num_snippets}"
             )
         n = sum(sizes)
-        for name in ("class_label", "mask_bit"):
-            values = getattr(self, name)
-            # a list is the JSON form: a bool, float, string or null is no integer
-            if isinstance(values, (list, tuple)) and not set(map(type, values)) <= {int}:
-                raise TypeError(f"{name} values must be integers")
         # every field as float64 first: the integer casts below would wrap -1,
         # truncate 0.5 and overflow on huge labels
         arrays = {
@@ -110,6 +111,8 @@ class AnchorTargets:
         bits, label = arrays["mask_bit"], arrays["class_label"]
         if np.any((bits != 0) & (bits != 1)):
             raise ValueError("mask_bit values must be 0 or 1")
+        if np.any(label != np.rint(label)):
+            raise ValueError("class_label values must be whole numbers")
         if np.any((label < 0) | (label > self.grid.class_count)):
             raise ValueError(
                 f"class_label must lie in [0, {self.grid.class_count}] for this grid"

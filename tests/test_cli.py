@@ -357,7 +357,7 @@ class TestMaskTargets:
                    "--input", mask_file, "--output", out)
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: {mask_file}: bits of video v cover 29 snippets, its grid has 30\n"
+            f"error: {mask_file}: video v: bits cover 29 snippets, its grid has 30\n"
         )
         assert not out.exists()
 
@@ -372,7 +372,7 @@ class TestMaskTargets:
                            "--input", mask_file, "--output", out)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
-            f"error: {mask_file}: bits of video v cover {10**12} snippets, its grid has 30\n"
+            f"error: {mask_file}: video v: bits cover {10**12} snippets, its grid has 30\n"
         )
         assert not out.exists()
 
@@ -394,7 +394,8 @@ class TestMaskTargets:
         proc = _run_capped(*argv, "--output", out)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
-            f"error: num_snippets * (class_count + 1) must be at most {MAX_GRID_CELLS}, got "
+            f"error: {grid_file}: video v: num_snippets * (class_count + 1) must be at most "
+            f"{MAX_GRID_CELLS}, got "
             f"{row['num_snippets']} * ({row['class_count']} + 1)\n"
         )
         assert not out.exists()
@@ -884,7 +885,7 @@ class TestExitCodes:
                              "reg_left": [1.0] * n, "reg_right": [1.0] * n}])
         out = tmp_path / "losses.json"
         assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {targets}: video v: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
@@ -968,7 +969,8 @@ class TestExitCodes:
         out = tmp_path / "losses.json"
         assert run("losses", "--input", preds, "--input", targets, "--output", out) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: level_sizes [32] disagree") and err.count("\n") == 1
+        assert err.startswith(f"error: {targets}: video v: level_sizes [32] disagree")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("value, code", [(0, 3), (2.0, 3), (-0.25, 3), (1.0, 0)])
@@ -1048,7 +1050,7 @@ class TestExitCodes:
         code = run("losses", "--input", preds, "--input", targets, "--output", tmp_path / "l.json")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: class_label") and err.count("\n") == 1
+        assert err.startswith(f"error: {targets}: video v: class_label") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "strategy", ["ricker", "soft", "hard", "topk", "threshold", "gauss"]
@@ -1086,7 +1088,7 @@ class TestExitCodes:
         code = run("extract", "--input", sp, "--gt", gt, "--output", tmp_path / "p.jsonl")
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "error: attention and class_scores must be finite\n"
+        assert err == f"error: {sp}: video v: attention and class_scores must be finite\n"
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1278,7 +1280,7 @@ class TestExitCodes:
     def test_integers_beyond_int64_convert(self, plain):
         # numpy infers no number dtype for them; the entry check hands them to the float cast
         values = [1, 2**64, 0.5, -(2**70)]
-        assert cli._float_array(values, "x", "f.jsonl", plain).tolist() == [
+        assert cli._float_array(values, "x", plain).tolist() == [
             1.0, 2.0**64, 0.5, -(2.0**70)]
 
     def test_boolean_text_elsewhere_keeps_numbers(self, tmp_path, sim_paths):
@@ -1314,7 +1316,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         cmd = {"proposals": "eval", "sp": "extract"}[kind]
         assert run(cmd, "--input", path, "--gt", gt, "--output", out) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: video v: {message}\n"
         assert not out.exists()
         path.write_text(json.dumps(good) + "\n{not json\n" + json.dumps(bad) + "\n",
                         encoding="utf-8")
@@ -1645,7 +1647,7 @@ class TestSegmentExtent:
         code, segments, out = self._run(tmp_path, cmd, start, end)
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {segments}: segment [{start}, {end}] lies outside video v")
+        assert err.startswith(f"error: {segments}: video v: segment [{start}, {end}] lies outside")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -1655,3 +1657,113 @@ class TestSegmentExtent:
         # 8.00008 passes the end by 1e-5 of the extent: the rounding of a
         # written end time and snippet duration
         assert self._run(tmp_path, cmd, start, end)[0] == 0
+
+
+@pytest.fixture(scope="module")
+def chain_files(tmp_path_factory):
+    """Valid inputs of every subcommand: a 6-video, 3-class noisy corpus with
+    its proposals, pseudo labels, mask, targets and anchor predictions."""
+    d = tmp_path_factory.mktemp("chain")
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps({"sim": {
+        "seed": 3, "num_videos": 6, "class_count": 3, "false_positive_rate": 2.0,
+        "attention_noise_std": 0.2, "boundary_jitter_frac": 0.2}}))
+    files = {name: d / f"{name}.jsonl" for name in ("sp", "gt", "props", "pseudos", "mask",
+                                                    "targets", "preds")}
+    assert run("simulate", "--config", cfg, "--output", files["sp"], "--gt", files["gt"]) == 0
+    assert run("extract", "--input", files["sp"], "--gt", files["gt"],
+               "--output", files["props"]) == 0
+    assert run("fuse", "--input", files["props"], "--input", files["sp"],
+               "--output", files["pseudos"]) == 0
+    mask_file_for(files["pseudos"], files["sp"], files["mask"])
+    assert run("targets", "--input", files["pseudos"], "--input", files["sp"],
+               "--input", files["mask"], "--output", files["targets"]) == 0
+    _, rows = read_jsonl(files["targets"])
+    write_jsonl(files["preds"], [
+        {"video_id": row["video_id"], "class_probs": [[0.25] * 4] * len(row["class_label"]),
+         "reg_left": [1.0] * len(row["class_label"]), "reg_right": [1.0] * len(row["class_label"])}
+        for row in rows
+    ])
+    return files
+
+
+class TestConfigTypes:
+    """Each config value is checked against its field's type when the config
+    loads: a JSON integer for an int field (no bool), a finite JSON number for
+    a float field, a list of those for a tuple field, a string for a str
+    field. A wrong type exits 2 and a non-finite number 3, both naming the
+    key, before any input is read."""
+
+    ARGV = {
+        "extract": ["--input", "sp", "--gt", "gt"],
+        "fuse": ["--input", "props", "--input", "sp"],
+        "mask": ["--input", "pseudos", "--input", "sp"],
+        "targets": ["--input", "pseudos", "--input", "sp", "--input", "mask"],
+        "losses": ["--input", "preds", "--input", "targets", "--input", "sp", "--gt", "gt"],
+        "eval": ["--input", "props", "--gt", "gt"],
+        "simulate": [],
+    }
+
+    @pytest.mark.parametrize(
+        "config, cmd, code, key",
+        [({"sigma_nms": math.nan}, "extract", 3, "sigma_nms"),
+         ({"min_score": math.nan}, "extract", 3, "min_score"),
+         ({"min_duration_snippets": math.nan}, "fuse", 2, "min_duration_snippets"),
+         ({"alpha": math.inf}, "mask", 3, "alpha"),
+         ({"gamma_focal": math.nan}, "losses", 3, "gamma_focal"),
+         ({"num_levels": 2.5}, "targets", 2, "num_levels"),
+         ({"num_levels": True}, "targets", 2, "num_levels"),
+         ({"thresholds": [0.5, "0.6"]}, "extract", 2, "thresholds"),
+         ({"thresholds": 0.5}, "extract", 2, "thresholds"),
+         ({"eval_tious": [0.5, -math.inf]}, "eval", 3, "eval_tious"),
+         ({"extract_on": 1}, "extract", 2, "extract_on"),
+         ({"tau": None}, "losses", 2, "tau"),
+         ({"sim": {"num_videos": 2.5}}, "simulate", 2, "num_videos"),
+         ({"sim": {"seed": True}}, "simulate", 2, "seed"),
+         ({"sim": {"snippets_per_video": [8, 16.0]}}, "simulate", 2, "snippets_per_video"),
+         ({"sim": {"attention_noise_std": math.nan}}, "simulate", 3, "attention_noise_std")],
+        ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
+    )
+    def test_value_of_the_wrong_type(self, tmp_path, capsys, chain_files, config, cmd, code, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = [chain_files.get(a, a) for a in self.ARGV[cmd]]
+        out = tmp_path / "out"
+        assert run(cmd, *argv, "--output", out) == 0  # the inputs are valid
+        out.unlink()
+        assert run(cmd, "--config", cfg, *argv, "--output", out) == code
+        section = "sim config" if "sim" in config else f"{cfg}: config"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section} key '{key}' must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_values_are_not_converted(self):
+        # values pass unconverted: alpha 0 stays the int 0, whose hash differs
+        # from that of alpha 0.0, so each config keeps the hash of its own values
+        data = {"alpha": 0, "tau": 0.5, "thresholds": [0.5, 0.1]}
+        assert PipelineConfig.from_dict(data).config_hash() == "3eef3343b9b9"
+        assert PipelineConfig.from_dict({**data, "alpha": 0.0}).config_hash() == "9ffcf57b9b28"
+
+
+class TestVideoIds:
+    """A `video_id` is a JSON string in every input file (exit 2 otherwise)."""
+
+    def test_null_video_id(self, tmp_path, capsys):
+        sp = tmp_path / "sp.jsonl"
+        write_jsonl(sp, [{**SP_ROW, "video_id": None}])
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}])
+        out = tmp_path / "props.jsonl"
+        assert run("extract", "--input", sp, "--gt", gt, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {sp}: video_id must be a string, got None\n"
+        assert not out.exists()
+
+    def test_number_and_string_ids_are_not_one_video(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.jsonl"
+        write_jsonl(grid_file, [{**GRID_ROW, "video_id": "5"}])
+        props = tmp_path / "props.jsonl"
+        write_jsonl(props, [{**SEGMENT_ROW, "video_id": "5"}, {**SEGMENT_ROW, "video_id": 5}])
+        out = tmp_path / "pseudos.jsonl"
+        assert run("fuse", "--input", props, "--input", grid_file, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {props}: video_id must be a string, got 5\n"
+        assert not out.exists()

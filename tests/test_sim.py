@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudotal import sim
-from pseudotal.config import PipelineConfig, UnknownKeysError
+from pseudotal.config import PipelineConfig, ConfigSchemaError
 from pseudotal.core import Interval, TimeGrid
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
@@ -32,7 +32,7 @@ class TestSimConfig:
     def test_from_dict(self):
         cfg = SimConfig.from_dict({"seed": 4, "snippets_per_video": [10, 20]})
         assert cfg == SimConfig(seed=4, snippets_per_video=(10, 20))
-        with pytest.raises(UnknownKeysError, match="unknown sim config keys: \\['bogus'\\]"):
+        with pytest.raises(ConfigSchemaError, match="unknown sim config keys: \\['bogus'\\]"):
             SimConfig.from_dict({"bogus": 1})
         with pytest.raises(ValueError):
             SimConfig.from_dict({"num_videos": 0})

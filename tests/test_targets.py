@@ -9,6 +9,7 @@ from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
 from pseudotal.targets import (
     AnchorPredictions,
     AnchorTargets,
+    MAX_LEVELS,
     PyramidConfig,
     assign_level,
     att_loss,
@@ -75,8 +76,12 @@ class TestPyramidConfig:
         assert cfg.level_sizes(grid) == (100, 50, 25, 13, 7, 4)
 
     def test_invalid_num_levels(self):
-        with pytest.raises(ValueError, match="num_levels"):
-            PyramidConfig(num_levels=0)
+        # past MAX_LEVELS each level holds one anchor on any grid; a huge
+        # count would never finish building the levels
+        for num_levels in (0, MAX_LEVELS + 1, 10**30):
+            with pytest.raises(ValueError, match=r"num_levels must lie in \[1, 32\]"):
+                PyramidConfig(num_levels=num_levels)
+        assert PyramidConfig(MAX_LEVELS).level_sizes(TimeGrid(8, 1.0, 1))[3:] == (1,) * 29
 
 
 class TestAssignLevel:
@@ -169,25 +174,29 @@ class TestBuildTargets:
 
     @pytest.mark.parametrize("bit", [-1, 2, 0.5, None])
     def test_mask_bit_is_0_or_1(self, bit):
-        # an integer other than 0 or 1 is out of range; any other list value
-        # is no integer at all
+        # a null is read as NaN; any other value but 0 or 1 is out of range
         grid = TimeGrid(2, 1.0, 1)
-        error, message = (
-            (ValueError, "mask_bit values must be 0 or 1") if isinstance(bit, int)
-            else (TypeError, "mask_bit values must be integers")
-        )
-        with pytest.raises(error, match=message):
+        message = "mask_bit must be finite" if bit is None else "mask_bit values must be 0 or 1"
+        with pytest.raises(ValueError, match=message):
             AnchorTargets(grid, (2,), [1, 0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [1, bit])
 
     @pytest.mark.parametrize("field", ["class_label", "mask_bit"])
     @pytest.mark.parametrize("value", [1.0, 1.7, True, "1", None])
     def test_integer_fields_reject_other_json_types(self, field, value):
+        # the JSON type of a file's entry is the reader's rule (test_cli's
+        # test_targets_file_anchor_integers); the type reads each entry as a
+        # number, so 1.0, true and "1" are the value 1, and 1.7 and null (NaN)
+        # are no whole number
         grid = TimeGrid(2, 1.0, 1)
         arrays = {"class_label": [1, 0], "mask_bit": [1, 1]}
         arrays[field] = [value, arrays[field][1]]
-        with pytest.raises(TypeError, match=f"{field} values must be integers"):
-            AnchorTargets(grid, (2,), reg_left=[0.5, 0.0], reg_right=[0.5, 0.0],
-                          iou_weight=[1.0, 0.0], **arrays)
+        args = dict(reg_left=[0.5, 0.0], reg_right=[0.5, 0.0], iou_weight=[1.0, 0.0], **arrays)
+        if value in (1.7, None):
+            with pytest.raises(ValueError, match="whole numbers|0 or 1|must be finite"):
+                AnchorTargets(grid, (2,), **args)
+        else:
+            tgt = AnchorTargets(grid, (2,), **args)
+            assert getattr(tgt, field).tolist() == [1, arrays[field][1]]
 
     def test_integer_valued_arrays_pass(self):
         # arrays built in the package keep their integer, uint8 or float dtype
