@@ -629,8 +629,13 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
     raw_sim = raw.pop("sim", {})
     if not isinstance(raw_sim, dict):
         raise SchemaError(f"{path}: 'sim' must be a JSON object")
+    return _config_section(path, PipelineConfig, raw), raw_sim
+
+
+def _config_section(path: str, cls, data: dict):
+    """`cls.from_dict(data)`, its error prefixed with the config file's path."""
     try:
-        return PipelineConfig.from_dict(raw), raw_sim
+        return cls.from_dict(data)
     except ConfigSchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     except ValueError as exc:
@@ -702,9 +707,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg, raw_sim = _load_config(args.config)
         if "seed" in args:  # simulate and benchmark, the readers of the 'sim' section
+            args.sim = _config_section(args.config, SimConfig, raw_sim)
             if args.seed is not None:
-                raw_sim["seed"] = args.seed
-            args.sim = SimConfig.from_dict(raw_sim)
+                args.sim = dataclasses.replace(args.sim, seed=args.seed)
         command = COMMANDS[args.command]
         command.write(args.output, cfg, command.handler(args, cfg))
         return 0

@@ -1553,7 +1553,7 @@ class TestNumericFields:
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["class_label", "mask_bit"])
-    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
     def test_targets_file_anchor_integers(self, tmp_path, capsys, field, value):
         # anchor 0 is a positive; the value of the wrong JSON type goes there
         sizes = [math.ceil(8 / 2**l) for l in range(6)]
@@ -1732,7 +1732,7 @@ class TestConfigTypes:
         assert run(cmd, *argv, "--output", out) == 0  # the inputs are valid
         out.unlink()
         assert run(cmd, "--config", cfg, *argv, "--output", out) == code
-        section = "sim config" if "sim" in config else f"{cfg}: config"
+        section = f"{cfg}: sim config" if "sim" in config else f"{cfg}: config"
         err = capsys.readouterr().err
         assert err.startswith(f"error: {section} key '{key}' must be ") and err.count("\n") == 1
         assert not out.exists()
