@@ -3,8 +3,8 @@
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
 primitive here: temporal IoU (scalar and elementwise), equal-value runs
-(of one array, and above every threshold of many columns at once), and
-snippet centers. Public boundaries are expressed in seconds; snippet
+(of one array, of True in every row of a mask, and above every threshold of
+many columns at once), and snippet centers. Public boundaries are expressed in seconds; snippet
 indices appear only when converting to or from a grid. All types are
 immutable after construction and all functions are pure.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "tiou",
     "pairwise_tiou",
     "runs",
+    "true_runs",
     "threshold_runs",
     "snippet_centers",
 ]
@@ -213,6 +214,20 @@ def runs(values: np.ndarray) -> list[tuple[int, int, object]]:
     return out
 
 
+def true_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every maximal run of True in each row of a 2-D boolean array, as int64
+    arrays (row, first, last) with inclusive `first`/`last`, in row order and
+    then in order along the row."""
+    n, t = rows.shape
+    padded = np.zeros((n, t + 2), dtype=bool)
+    padded[:, 1:-1] = rows
+    # t + 1 steps per row; a run steps up at its first entry and down one
+    # past its last, so the flat step positions alternate start, end
+    steps = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    row, first = np.divmod(steps[0::2], t + 1)
+    return row, first, steps[1::2] % (t + 1) - 1
+
+
 def threshold_runs(
     columns: np.ndarray, thresholds: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,20 +236,15 @@ def threshold_runs(
     inclusive `first`/`last`. A run found at several thresholds appears
     once; the triples are sorted."""
     cols = np.asarray(columns)
-    t, width = cols.shape[0], cols.shape[0] + 1
-    above = np.zeros((cols.shape[1], len(thresholds), t + 2), dtype=np.int8)
-    above[:, :, 1:-1] = cols.T[:, None, :] >= np.asarray(thresholds)[:, None]
-    # one row of `width` steps per (column, threshold): +1 at a run's first
-    # entry, -1 one past its last. Flat indices come out run by run, so the
-    # i-th start pairs with the i-th end.
-    step = np.diff(above, axis=2).ravel()
-    starts = np.flatnonzero(step == 1)
-    column, first = starts // (len(thresholds) * width), starts % width
-    last = np.flatnonzero(step == -1) % width - 1
+    t = cols.shape[0]
+    above = cols.T[:, None, :] >= np.asarray(thresholds)[:, None]
+    row, first, last = true_runs(above.reshape(-1, t))
     # (column, first, last) in one integer that sorts like the triple; sort
     # and drop repeats (np.unique would import numpy.ma on first use)
-    key = np.sort((column * t + first) * t + last)
-    key = key[np.diff(key, prepend=-1) != 0]
+    key = np.sort((row // len(thresholds) * t + first) * t + last)
+    new = np.ones(key.shape[0], dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    key = key[new]
     return key // (t * t), key // t % t, key % t
 
 

@@ -3,17 +3,17 @@
 Average precision follows the standard protocol: predictions are matched
 greedily in score order against unmatched ground truth at a tIoU
 threshold, and the all-point interpolated area under the
-precision/recall curve is accumulated. The PR arithmetic runs on exact
-rationals so results are reproducible to the last bit regardless of
+precision/recall curve is accumulated. The PR arithmetic is exact, on
+integers, so results are reproducible to the last bit regardless of
 summation order. Each call computes the tIoU of every same-video,
-same-class (prediction, ground truth) pair once and sweeps every
-threshold over those pairs.
+same-class (prediction, ground truth) pair once and matches those pairs at
+every threshold in one pass of array rounds.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -133,9 +133,12 @@ class _PairTable:
     @classmethod
     def build(
         cls,
-        predictions: Mapping[str, Sequence[Proposal]],
+        predictions: Mapping[str, Sequence[Proposal | PseudoProposal]],
         ground_truth: GroundTruthSet,
+        score: str = "score",
     ) -> "_PairTable":
+        """The table of `predictions`, ranked by their attribute `score`
+        ("confidence" for pseudo labels)."""
         video_key = {vid: k for k, vid in enumerate(ground_truth.segments)}
         n_videos = len(video_key)
         gt_rows = [
@@ -154,7 +157,7 @@ class _PairTable:
                 p.class_id,
                 p.interval.start_s,
                 p.interval.end_s,
-                p.score,
+                getattr(p, score),
             )
             for vid, plist in predictions.items()
             for p in plist
@@ -176,13 +179,15 @@ class _PairTable:
     def ap_table(
         self, class_ids: Sequence[int], thresholds: Sequence[float]
     ) -> list[tuple[float, ...]]:
-        """AP of each class at each threshold, swept over the pairs once.
+        """AP of each class at each threshold, from one greedy matching.
 
         Per class, predictions go in (score desc, start, end) order, input
         order on ties; each claims its highest-tIoU unclaimed segment in the
         same video (earlier start on tIoU ties) when that tIoU meets the
-        threshold. The claimed sets differ per threshold, so one pass keeps
-        one per threshold.
+        threshold. So at one threshold the claims are the greedy matching of
+        the candidate pairs (tIoU > 0 and at least the threshold) in (rank,
+        tIoU desc, segment) order. Each threshold gets its own copy of every
+        prediction and segment, and one matching covers them all.
         """
         order = np.lexsort((self.pred_end, self.pred_start, -self.pred_score, self.pred_class))
         sorted_class = self.pred_class[order]
@@ -194,57 +199,76 @@ class _PairTable:
         )
         positive = self.pair_tiou > 0.0
         pp, pg, pt = self.pair_pred[positive], self.pair_gt[positive], self.pair_tiou[positive]
-        walk = np.lexsort((pg, rank[pp], self.pred_class[pp]))
-        pp, pg, pt = pp[walk], pg[walk].tolist(), pt[walk].tolist()
-        pair_rank = rank[pp].tolist()
-        pair_class = self.pred_class[pp].tolist()
-        pp = pp.tolist()
-
-        tp_ranks = {c: [[] for _ in thresholds] for c in class_ids}
-        taken = [set() for _ in thresholds]  # sorted ground-truth positions
-        i, n = 0, len(pp)
-        while i < n:
-            j = i + 1
-            while j < n and pp[j] == pp[i]:
-                j += 1
-            ranks = tp_ranks.get(pair_class[i])
-            if ranks is not None:
-                candidates = list(zip(pg[i:j], pt[i:j]))
-                for k, threshold in enumerate(thresholds):
-                    claimed = taken[k]
-                    best_g, best_t = -1, 0.0
-                    for g, t in candidates:
-                        if t > best_t and g not in claimed:
-                            best_g, best_t = g, t
-                    if best_g >= 0 and best_t >= threshold:
-                        claimed.add(best_g)
-                        ranks[k].append(pair_rank[i])
-            i = j
-        return [
-            tuple(_interpolated_ap(r, self.npos.get(c, 0)) for r in tp_ranks[c])
-            for c in class_ids
-        ]
+        walk = np.lexsort((pg, -pt, rank[pp]))
+        pp, pg, pt = pp[walk], pg[walk], pt[walk]
+        level, pair = np.nonzero(pt >= np.asarray(thresholds, dtype=np.float64)[:, None])
+        took = _greedy_matches(
+            level * order.shape[0] + pp[pair], level * self.gt_input.shape[0] + pg[pair]
+        )
+        # the true-positive ranks of each (class, threshold) cell, ascending
+        pred, level = pp[pair[took]], level[took]
+        tp_class, tp_rank = self.pred_class[pred], rank[pred]
+        ids = np.array(class_ids, dtype=np.int64)
+        sorter = np.argsort(ids)
+        row = sorter[np.searchsorted(ids, tp_class, sorter=sorter).clip(max=ids.shape[0] - 1)]
+        known = ids[row] == tp_class
+        cell = row[known] * len(thresholds) + level[known]
+        ranks = tp_rank[known][np.lexsort((tp_rank[known], cell))].tolist()
+        counts = np.bincount(cell, minlength=ids.shape[0] * len(thresholds)).tolist()
+        aps, lo = [], 0
+        for k, n in enumerate(counts):
+            aps.append(_interpolated_ap(ranks[lo : lo + n], self.npos.get(class_ids[k // len(thresholds)], 0)))
+            lo += n
+        return [tuple(aps[i : i + len(thresholds)]) for i in range(0, len(aps), len(thresholds))]
 
     def matched_counts(self, thresholds: Sequence[float]) -> list[int]:
-        """Rank-free greedy matches at each threshold, from one greedy pass.
+        """Rank-free greedy matches at each threshold, from one greedy matching.
 
         The highest-tIoU pair goes first (earlier prediction, then earlier
         segment on ties); a threshold only cuts that sequence short, so the
-        matches at a threshold are the pass's matches at or above it.
+        matches at a threshold are the matching's pairs at or above it.
         """
         keep = self.pair_tiou >= min(thresholds)
         pp, pg, pt = self.pair_pred[keep], self.gt_input[self.pair_gt[keep]], self.pair_tiou[keep]
         walk = np.lexsort((pg, pp, -pt))
-        used_p: set[int] = set()
-        used_g: set[int] = set()
-        matched: list[float] = []
-        for p, g, t in zip(pp[walk].tolist(), pg[walk].tolist(), pt[walk].tolist()):
-            if p in used_p or g in used_g:
-                continue
-            used_p.add(p)
-            used_g.add(g)
-            matched.append(t)
-        return [sum(1 for t in matched if t >= threshold) for threshold in thresholds]
+        matched = pt[walk][_greedy_matches(pp[walk], pg[walk])]
+        return [int(np.count_nonzero(matched >= threshold)) for threshold in thresholds]
+
+
+def _first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose value no earlier entry holds."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    first = np.ones(ids.shape[0], dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    mask = np.zeros(ids.shape[0], dtype=bool)
+    mask[order[first]] = True
+    return mask
+
+
+def _greedy_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The greedy matching of the edges (left[i], right[i]), nonnegative
+    integer ids, visited in index order: the mask of the edges taken, each
+    one that no earlier taken edge shares an endpoint with.
+
+    It runs in rounds over the open edges: an edge that is the first open
+    one at both of its endpoints is taken (every earlier edge there was
+    closed by an earlier take), and every edge at a taken endpoint closes.
+    A round takes the first open edge of each connected group, so there are
+    at most as many rounds as the largest group has matches, plus one.
+    """
+    taken = np.zeros(left.shape[0], dtype=bool)
+    used_left = np.zeros(int(left.max(initial=-1)) + 1, dtype=bool)
+    used_right = np.zeros(int(right.max(initial=-1)) + 1, dtype=bool)
+    edges = np.arange(left.shape[0])
+    while edges.size:
+        lo, ro = left[edges], right[edges]
+        take = _first_occurrences(lo) & _first_occurrences(ro)
+        taken[edges[take]] = True
+        used_left[lo[take]] = True
+        used_right[ro[take]] = True
+        edges = edges[~(used_left[lo] | used_right[ro])]
+    return taken
 
 
 def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
@@ -255,25 +279,28 @@ def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
 
 def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:
     """All-point interpolated AP from the ascending 1-based ranks of the true
-    positives: (1/npos) * sum_k max_{j>=k} j / rank_j, on exact rationals.
+    positives: (1/npos) * sum_k max_{j>=k} j / rank_j, exactly.
 
     Precision peaks at true-positive ranks and recall steps by 1/npos only
     there, so this is the area under the interpolated precision/recall curve.
+    The sum is kept on integers over the least common multiple of its
+    denominators, and the one int/int division rounds it correctly.
     """
     if npos == 0:
         return 0.0
-    total = Fraction(0)
+    steps = []  # (numerator, rank): `numerator / rank` is one run of equal maxima
     best_j, best_rank, run = 0, 1, 0
     for j in range(len(tp_ranks), 0, -1):
         rank = tp_ranks[j - 1]
         if j * best_rank > best_j * rank:
             if run:
-                total += Fraction(best_j * run, best_rank)
+                steps.append((best_j * run, best_rank))
             best_j, best_rank, run = j, rank, 0
         run += 1
     if run:
-        total += Fraction(best_j * run, best_rank)
-    return float(total / npos)
+        steps.append((best_j * run, best_rank))
+    denominator = math.lcm(*(rank for _, rank in steps))
+    return sum(n * (denominator // rank) for n, rank in steps) / (denominator * npos)
 
 
 def average_precision(
@@ -291,14 +318,22 @@ def map_table(
     predictions: Mapping[str, Sequence[Proposal]],
     ground_truth: GroundTruthSet,
     thresholds: Sequence[float] = DEFAULT_TIOU_THRESHOLDS,
+    *,
+    table: _PairTable | None = None,
 ) -> EvalReport:
-    """mAP across tIoU thresholds, averaged over ground-truth classes."""
+    """mAP across tIoU thresholds, averaged over ground-truth classes.
+
+    `table` is the `_PairTable` of `predictions` and `ground_truth` when the
+    caller has built it already; `pseudo_quality` shares one with its
+    set-level matching.
+    """
     if not thresholds:
         raise ValueError("at least one tIoU threshold required")
     class_ids = ground_truth.class_ids
     if not class_ids:
         raise ValueError("ground truth holds no segments")
-    table = _PairTable.build(predictions, ground_truth)
+    if table is None:
+        table = _PairTable.build(predictions, ground_truth)
     per_class = list(zip(class_ids, table.ap_table(class_ids, thresholds)))
     maps = tuple(
         sum(aps[k] for _, aps in per_class) / len(per_class)
@@ -337,14 +372,11 @@ def pseudo_quality(
     precision/recall per threshold come from rank-free greedy matching,
     with empty denominators scored 0.
     """
-    as_props = {
-        vid: [p.as_proposal() for p in plist]
-        for vid, plist in pseudos_by_video.items()
-    }
-    report = map_table(as_props, ground_truth, thresholds)
+    table = _PairTable.build(pseudos_by_video, ground_truth, score="confidence")
+    report = map_table(pseudos_by_video, ground_truth, thresholds, table=table)
     n_pseudo = sum(len(v) for v in pseudos_by_video.values())
     n_gt = sum(len(v) for v in ground_truth.segments.values())
-    matched = _PairTable.build(as_props, ground_truth).matched_counts(thresholds)
+    matched = table.matched_counts(thresholds)
     precision = tuple(m / n_pseudo if n_pseudo else 0.0 for m in matched)
     recall = tuple(m / n_gt if n_gt else 0.0 for m in matched)
     return PseudoQuality(report, precision, recall)

@@ -21,7 +21,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Interval, Proposal, PseudoProposal, TimeGrid, runs, snippet_centers, tiou
+from .core import (
+    Interval,
+    Proposal,
+    PseudoProposal,
+    TimeGrid,
+    pairwise_tiou,
+    runs,
+    snippet_centers,
+    true_runs,
+)
 
 __all__ = [
     "FusedWavelet",
@@ -42,13 +51,15 @@ GAUSS_GROUP_TIOU = 0.5
 
 @dataclass(frozen=True)
 class RickerParams:
-    """Wavelet shape for one proposal: half-duration sigma and midpoint m."""
+    """Wavelet shape: half-duration sigma and midpoint m, of one proposal
+    (floats) or of a block of proposals (arrays that broadcast together)."""
 
-    sigma: float
-    midpoint: float
+    sigma: float | np.ndarray
+    midpoint: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
+        sigma = np.asarray(self.sigma)
+        if not np.all(np.isfinite(sigma) & (sigma > 0)):
             raise ValueError("sigma must be positive")
 
     @classmethod
@@ -77,14 +88,36 @@ def ricker_value(t: float | np.ndarray, params: RickerParams) -> float | np.ndar
     """Ricker wavelet normalized so the peak area integrates like a unit pulse.
 
     Zero exactly at midpoint +- sigma (the proposal boundaries), maximal at
-    the midpoint, and negative everywhere outside the boundaries.
+    the midpoint, and negative everywhere outside the boundaries. `t` and
+    the parameters broadcast: a (P, 1) block of parameters and T times give
+    P wavelets of T samples, each value the same float as one call per
+    wavelet.
     """
     u = (np.asarray(t, dtype=np.float64) - params.midpoint) / params.sigma
-    amp = 2.0 / (math.sqrt(3.0 * params.sigma) * math.pi**0.25)
+    amp = 2.0 / (np.sqrt(3.0 * np.asarray(params.sigma)) * math.pi**0.25)
     out = amp * (1.0 - u**2) * np.exp(-0.5 * u**2)
-    if np.ndim(t) == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+# The most (proposal, snippet) cells one block of per-proposal rows may hold
+# (512 KiB of float64). `fuse_ricker` and `_fuse_hard` take the proposals
+# block by block, so their memory is O(T) however many proposals a video has.
+BLOCK_CELLS = 2**16
+
+
+def _blocks(count: int, grid: TimeGrid) -> list[slice]:
+    """Consecutive slices over `count` proposals, each at most BLOCK_CELLS
+    cells of the grid's snippets (and at least one proposal)."""
+    step = max(1, BLOCK_CELLS // grid.num_snippets)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _columns(proposals: Sequence[Proposal]) -> np.ndarray:
+    """Start, end, score and class id of every proposal: a (4, P) float64 array."""
+    rows = [(p.interval.start_s, p.interval.end_s, p.score, p.class_id) for p in proposals]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4).T
 
 
 def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
@@ -93,22 +126,29 @@ def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     Each proposal contributes score * wavelet to its own class channel,
     sampled at snippet centers. Proposals with non-positive score are
     excluded: a negative weight would flip the wavelet's suppression
-    semantics. An empty input produces the zero wavelet.
+    semantics. An empty input produces the zero wavelet. A block of
+    wavelets is one array pass, and `np.add.at` adds its rows to their
+    class channels in proposal order, so every sum is the same float as
+    adding one proposal at a time.
     """
-    values = np.zeros((grid.num_snippets, grid.class_count), dtype=np.float64)
+    start, end, score, class_id = _columns(proposals)
+    if np.any((class_id < 1) | (class_id > grid.class_count)):
+        raise ValueError("proposal class out of grid range")
+    keep = score > 0.0
+    start, end, score = start[keep], end[keep], score[keep]
+    channel = class_id[keep].astype(np.int64) - 1
+    sigma, midpoint = 0.5 * (end - start), 0.5 * (start + end)
     centers = snippet_centers(grid)
-    for p in proposals:
-        if not 1 <= p.class_id <= grid.class_count:
-            raise ValueError("proposal class out of grid range")
-        if p.score <= 0.0:
-            continue
-        wav = ricker_value(centers, RickerParams.from_interval(p.interval))
-        values[:, p.class_id - 1] += p.score * wav
-    return FusedWavelet(values, grid)
+    values = np.zeros((grid.class_count, grid.num_snippets), dtype=np.float64)
+    for block in _blocks(score.shape[0], grid):
+        params = RickerParams(sigma[block, None], midpoint[block, None])
+        np.add.at(values, channel[block], score[block, None] * ricker_value(centers, params))
+    return FusedWavelet(values.T, grid)
 
 
-def _interp_zero(t0: float, v0: float, t1: float, v1: float) -> float:
-    """Linear zero crossing between (t0, v0 <= 0) and (t1, v1 > 0) or the reverse."""
+def _interp_zero(t0, v0, t1, v1):
+    """Linear zero crossing between (t0, v0 <= 0) and (t1, v1 > 0) or the
+    reverse; elementwise on arrays."""
     return t0 + (t1 - t0) * (0.0 - v0) / (v1 - v0)
 
 
@@ -127,27 +167,30 @@ def segments_from_wavelet(
     if min_duration_s < 0:
         raise ValueError("min_duration_s must be nonnegative")
     grid = wavelet.grid
+    t = grid.num_snippets
     centers = snippet_centers(grid)
-    out: list[PseudoProposal] = []
-    for col in range(grid.class_count):
-        vals = wavelet.values[:, col]
-        for first, last, positive in runs(vals > 0.0):
-            if not positive:
-                continue
-            if first == 0:
-                start = 0.0
-            else:
-                start = _interp_zero(
-                    centers[first - 1], vals[first - 1], centers[first], vals[first]
-                )
-            if last == grid.num_snippets - 1:
-                end = grid.duration_s
-            else:
-                end = _interp_zero(centers[last], vals[last], centers[last + 1], vals[last + 1])
-            if end - start < min_duration_s or end <= start:
-                continue
-            confidence = float(vals[first : last + 1].max())
-            out.append(PseudoProposal(Interval(start, end), col + 1, confidence))
+    by_class = np.ascontiguousarray(wavelet.values.T)
+    col, first, last = true_runs(by_class > 0.0)
+    start = np.zeros(col.shape[0])
+    inside = first > 0
+    a, c = first[inside], col[inside]
+    start[inside] = _interp_zero(centers[a - 1], by_class[c, a - 1], centers[a], by_class[c, a])
+    end = np.full(col.shape[0], grid.duration_s)
+    inside = last < t - 1
+    b, c = last[inside], col[inside]
+    end[inside] = _interp_zero(centers[b], by_class[c, b], centers[b + 1], by_class[c, b + 1])
+    # the peak of each run: a max over [first, last + 1) of the flat values,
+    # which end with one spare entry so that last + 1 is always an index
+    bounds = np.stack([col * t + first, col * t + last + 1], axis=1).ravel()
+    flat = np.append(by_class.ravel(), 0.0)
+    peak = np.maximum.reduceat(flat, bounds)[::2] if bounds.size else bounds
+    keep = ~((end - start < min_duration_s) | (end <= start))
+    out = [
+        PseudoProposal(Interval(s, e), c + 1, v)
+        for s, e, c, v in zip(
+            start[keep].tolist(), end[keep].tolist(), col[keep].tolist(), peak[keep].tolist()
+        )
+    ]
     out.sort(key=lambda p: (p.class_id, p.interval.start_s, p.interval.end_s))
     return out
 
@@ -157,26 +200,19 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
 
     Every snippet belongs to the highest-scoring proposal covering its
     center (or to background); maximal runs owned by one proposal become
-    the output segments, so overlapped proposals get carved up.
+    the output segments, so overlapped proposals get carved up. Proposals
+    rank by score (descending), then duration, start, class and input
+    order; the owner of a snippet is the first covering one in that order.
     """
+    start, end, score, class_id = _columns(proposals)
+    order = np.lexsort((class_id, start, end - start, -score))
     centers = snippet_centers(grid)
     owner = np.full(grid.num_snippets, -1, dtype=np.int64)
-    best = np.full(grid.num_snippets, -np.inf)
-    order = sorted(
-        range(len(proposals)),
-        key=lambda i: (
-            -proposals[i].score,
-            proposals[i].interval.duration_s,
-            proposals[i].interval.start_s,
-            proposals[i].class_id,
-        ),
-    )
-    for i in order:
-        p = proposals[i]
-        covered = (centers >= p.interval.start_s) & (centers < p.interval.end_s)
-        take = covered & (p.score > best)
-        owner[take] = i
-        best[take] = p.score
+    for block in _blocks(order.shape[0], grid):
+        rows = order[block]
+        covered = (centers >= start[rows, None]) & (centers < end[rows, None])
+        take = (owner < 0) & covered.any(axis=0)
+        owner[take] = rows[covered.argmax(axis=0)[take]]
     dur = grid.snippet_duration_s
     return [
         replace(proposals[i], interval=Interval(first * dur, (last + 1) * dur)).as_pseudo()
@@ -191,21 +227,35 @@ def _by_score(p: Proposal) -> tuple[float, float, float]:
 
 def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
     """Group same-class proposals around the current top score and average
-    boundaries weighted by score."""
-    remaining = sorted((p for p in proposals if p.score > 0.0), key=_by_score)
+    boundaries weighted by score.
+
+    Proposals with a positive score go in (score descending, start, end,
+    input order) order. The first one not yet grouped leads a group of
+    every ungrouped proposal of its class whose tIoU with it is at least
+    GAUSS_GROUP_TIOU; sums run over the group in that order.
+    """
+    start, end, score, class_id = _columns(proposals)
+    order = np.lexsort((end, start, -score))
+    order = order[score[order] > 0.0]
+    start, end, score, class_id = start[order], end[order], score[order], class_id[order]
+    joins = (pairwise_tiou(start, end, start[:, None], end[:, None]) >= GAUSS_GROUP_TIOU) & (
+        class_id == class_id[:, None]
+    )
+    start, end, score = start.tolist(), end.tolist(), score.tolist()
+    grouped = [False] * len(score)
     out: list[PseudoProposal] = []
-    while remaining:
-        top = remaining[0]
-        in_group = [
-            p.class_id == top.class_id and tiou(p.interval, top.interval) >= GAUSS_GROUP_TIOU
-            for p in remaining
-        ]
-        group = [p for p, g in zip(remaining, in_group) if g]
-        total = sum(p.score for p in group)
-        start = sum(p.interval.start_s * p.score for p in group) / total
-        end = sum(p.interval.end_s * p.score for p in group) / total
-        out.append(PseudoProposal(Interval(start, end), top.class_id, top.score))
-        remaining = [p for p, g in zip(remaining, in_group) if not g]
+    for top, row in enumerate(joins.tolist()):
+        if grouped[top]:
+            continue
+        group = [i for i in range(top, len(score)) if row[i] and not grouped[i]]
+        for i in group:
+            grouped[i] = True
+        total = sum(score[i] for i in group)
+        mean_start = sum(start[i] * score[i] for i in group) / total
+        mean_end = sum(end[i] * score[i] for i in group) / total
+        out.append(PseudoProposal(
+            Interval(mean_start, mean_end), proposals[order[top]].class_id, score[top]
+        ))
     return out
 
 

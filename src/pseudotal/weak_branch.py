@@ -124,8 +124,7 @@ def oic_scores(
     if z.shape[0] != grid.num_snippets:
         raise ValueError("SP column length disagrees with grid")
     rows = np.ascontiguousarray(z.T)  # contiguous class columns
-    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
-    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
+    start, end, column = _columns(proposals)
     flank = inflation * (end - start)
     # the centers are sorted, so each bound's "centers >= x" mask is the
     # suffix from its left insertion point: every region is one slice
@@ -133,23 +132,29 @@ def oic_scores(
         snippet_centers(grid),
         [np.maximum(start - flank, 0.0), start, end, np.minimum(end + flank, grid.duration_s)],
     ).T.tolist()
+    add = np.add.reduce
     out = []
-    for p, (left, a, b, right) in zip(proposals, bounds):
-        col = rows[p.class_id - 1]
-        inner = col[a:b]
-        outer = np.concatenate((col[left:a], col[b:right]))
-        inner_mean = float(inner.sum()) / inner.size if inner.size else 0.0
-        outer_mean = float(outer.sum()) / outer.size if outer.size else 0.0
+    for c, (left, a, b, right) in zip((column - 1).tolist(), bounds):
+        col = rows[c]
+        # a flank that clips away adds nothing, so the other one is the outer region
+        if left == a or b == right:
+            outer = col[b:right] if left == a else col[left:a]
+        else:
+            outer = np.concatenate((col[left:a], col[b:right]))
+        inner_mean = float(add(col[a:b])) / (b - a) if b > a else 0.0
+        outer_mean = float(add(outer)) / outer.size if outer.size else 0.0
         out.append(inner_mean - outer_mean)
     return out
 
 
 def soft_nms(
     proposals: Sequence[Proposal],
+    scores: Sequence[float],
     sigma_nms: float = 0.5,
     min_score: float = 0.001,
 ) -> list[Proposal]:
-    """Classwise Gaussian soft-NMS.
+    """Classwise Gaussian soft-NMS of `proposals` scored by `scores`, one
+    per proposal in place of its own `score`.
 
     Repeatedly selects the highest-scoring remaining proposal and decays
     every other same-class score by exp(-tiou^2 / sigma_nms). Proposals
@@ -160,39 +165,51 @@ def soft_nms(
     """
     if sigma_nms <= 0:
         raise ValueError("sigma_nms must be positive")
+    if len(scores) != len(proposals):
+        raise ValueError("soft_nms needs one score per proposal")
+    start, end, column = _columns(proposals)
+    by_class: dict[int, list[int]] = {}
+    for i, class_id in enumerate(column.tolist()):
+        by_class.setdefault(class_id, []).append(i)
+    groups = [by_class[class_id] for class_id in sorted(by_class)]
+    # one (selected, other) entry per same-class pair, a group's block of
+    # n * n entries row by row: decay[at + n * k + m] is the factor on the
+    # m-th proposal of a group when its k-th is selected
+    selected = np.array([i for g in groups for i in g for _ in g], dtype=np.intp)
+    other = np.array([i for g in groups for _ in g for i in g], dtype=np.intp)
+    overlap = pairwise_tiou(start[other], end[other], start[selected], end[selected])
+    decay = np.exp(-(overlap**2) / sigma_nms).tolist()
+    starts, ends = start.tolist(), end.tolist()
     out: list[Proposal] = []
-    by_class: dict[int, list[Proposal]] = {}
-    for p in proposals:
-        by_class.setdefault(p.class_id, []).append(p)
-    for class_id in sorted(by_class):
-        group = by_class[class_id]
-        starts = np.array([p.interval.start_s for p in group])
-        ends = np.array([p.interval.end_s for p in group])
-        scores = np.array([p.score for p in group], dtype=np.float64)
-        # decay[j][i]: the factor on proposal i when proposal j is selected
-        overlap = pairwise_tiou(starts, ends, starts[:, None], ends[:, None])
-        decay = np.exp(-(overlap**2) / sigma_nms).tolist()
-        # [-score, start, end, index]: the smallest is the highest current
+    at = 0
+    for g in groups:
+        n = len(g)
+        # [-score, start, end, index, k]: the smallest is the highest current
         # score, ties broken by earliest interval, then by input order
-        alive = [
-            [neg, start, end, i]
-            for i, (neg, start, end) in enumerate(
-                zip((-scores).tolist(), starts.tolist(), ends.tolist())
-            )
-        ]
+        alive = [[-float(scores[i]), starts[i], ends[i], i, k] for k, i in enumerate(g)]
         while alive:
             best = min(alive)
             score = -best[0]
             if score < min_score:
                 break
-            out.append(Proposal(group[best[3]].interval, score, class_id))
+            p = proposals[best[3]]
+            out.append(Proposal(p.interval, score, p.class_id))
             alive.remove(best)
-            row = decay[best[3]]
+            row = at + n * best[4]
             for entry in alive:
-                entry[0] *= row[entry[3]]
+                entry[0] *= decay[row + entry[4]]
             alive = [entry for entry in alive if -entry[0] >= min_score]
+        at += n * n
     out.sort(key=lambda p: (-p.score, p.class_id, p.interval.start_s, p.interval.end_s))
     return out
+
+
+def _columns(proposals: Sequence[Proposal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end (float64) and class id (int64) of every proposal."""
+    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
+    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
+    column = np.array([p.class_id for p in proposals], dtype=np.int64)
+    return start, end, column
 
 
 def weak_proposals(
@@ -221,5 +238,4 @@ def weak_proposals(
         raise ValueError("extract_on must be 'sps' or 'attention'")
     raw = extract_proposals(source, grid, thresholds, label)
     scores = oic_scores(z, raw, grid, oic_inflation)
-    scored = [Proposal(p.interval, s, p.class_id) for p, s in zip(raw, scores)]
-    return soft_nms(scored, sigma_nms=sigma_nms, min_score=min_score)
+    return soft_nms(raw, scores, sigma_nms=sigma_nms, min_score=min_score)

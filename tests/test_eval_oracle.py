@@ -5,6 +5,8 @@ per class and threshold, scalar `tiou`, a `Fraction` at every rank, and a
 second greedy matcher per threshold and video. The package's one-pass
 sweep must give the same floats, bit for bit, on every corpus.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ import reference_eval as ref
 from pseudotal.core import Interval, PseudoProposal, pairwise_tiou, tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
+    _interpolated_ap,
     GroundTruthSet,
     average_precision,
     map_table,
@@ -197,3 +200,22 @@ def test_threshold_order_as_given():
     while not gt.class_ids:
         pseudos, gt = random_corpus(rng, integer_grid=True)
     assert_same(pseudos, gt, (0.7, 0.1, 0.5, 0.3))
+
+
+def _fraction_ap(tp_ranks: list[int], npos: int) -> Fraction:
+    """(1/npos) * sum_k max_{j>=k} j / rank_j over the true positives."""
+    total, best = Fraction(0), Fraction(0)
+    for j in range(len(tp_ranks), 0, -1):
+        best = max(best, Fraction(j, tp_ranks[j - 1]))
+        total += best
+    return total / npos
+
+
+def test_integer_ap_equals_the_fraction_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n_ranks = int(rng.integers(1, 400))
+        tp = sorted(rng.choice(np.arange(1, n_ranks + 1), int(rng.integers(0, n_ranks + 1)),
+                               replace=False).tolist())
+        npos = len(tp) + int(rng.integers(0 if tp else 1, 30))
+        assert _interpolated_ap(tp, npos) == float(_fraction_ap(tp, npos))

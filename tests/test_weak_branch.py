@@ -136,7 +136,7 @@ class TestSoftNms:
     def test_gaussian_decay_example(self):
         a = Proposal(Interval(0, 10), 0.9, 1)
         b = Proposal(Interval(0, 5), 0.8, 1)  # tiou 0.5 with a
-        out = soft_nms([a, b], sigma_nms=0.5, min_score=0.001)
+        out = soft_nms([a, b], [a.score, b.score], sigma_nms=0.5, min_score=0.001)
         assert out[0].score == pytest.approx(0.9)
         assert out[1].score == pytest.approx(0.8 * math.exp(-0.5), abs=1e-7)
         assert out[1].score == pytest.approx(0.4852245, abs=1e-6)
@@ -144,13 +144,13 @@ class TestSoftNms:
     def test_disjoint_unchanged(self):
         a = Proposal(Interval(0, 5), 0.9, 1)
         b = Proposal(Interval(10, 15), 0.8, 1)
-        out = soft_nms([a, b])
+        out = soft_nms([a, b], [a.score, b.score])
         assert sorted(p.score for p in out) == [0.8, 0.9]
 
     def test_classwise_no_cross_decay(self):
         a = Proposal(Interval(0, 10), 0.9, 1)
         b = Proposal(Interval(0, 10), 0.8, 2)
-        out = soft_nms([a, b])
+        out = soft_nms([a, b], [a.score, b.score])
         assert sorted(p.score for p in out) == [0.8, 0.9]
 
     def test_never_increases_never_mutates_geometry(self):
@@ -166,7 +166,7 @@ class TestSoftNms:
                         int(rng.integers(1, 4)),
                     )
                 )
-            out = soft_nms(props, sigma_nms=0.5, min_score=0.001)
+            out = soft_nms(props, [p.score for p in props], sigma_nms=0.5, min_score=0.001)
             originals = {
                 (p.interval.start_s, p.interval.end_s, p.class_id): p.score for p in props
             }
@@ -178,7 +178,7 @@ class TestSoftNms:
     def test_min_score_drops(self):
         a = Proposal(Interval(0, 10), 0.9, 1)
         b = Proposal(Interval(0, 10), 0.001, 1)  # decays to ~0.000135
-        out = soft_nms([a, b], sigma_nms=0.5, min_score=0.001)
+        out = soft_nms([a, b], [a.score, b.score], sigma_nms=0.5, min_score=0.001)
         assert len(out) == 1
 
 

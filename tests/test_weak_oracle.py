@@ -107,7 +107,8 @@ def test_weak_proposals_match_the_oracle(seed):
             score = _oic(column, p.interval, grid, params["oic_inflation"])
             assert score == ref.oic_score(column, p.interval, grid, params["oic_inflation"])
             scored.append(Proposal(p.interval, score, p.class_id))
-        assert soft_nms(scored, params["sigma_nms"], params["min_score"]) == ref.soft_nms(
+        scores = [p.score for p in scored]
+        assert soft_nms(raw, scores, params["sigma_nms"], params["min_score"]) == ref.soft_nms(
             scored, params["sigma_nms"], params["min_score"]
         )
 
@@ -142,7 +143,8 @@ def test_the_corpora_reach_the_edge_cases():
             keys = [(p.class_id, p.score, p.interval.start_s) for p in scored]
             if len(set(keys)) < len(keys):
                 seen.add("equal scores with equal starts")
-            out = soft_nms(scored, params["sigma_nms"], params["min_score"])
+            out = soft_nms(raw, [p.score for p in scored], params["sigma_nms"],
+                           params["min_score"])
             best = max((p.score for p in scored), default=-1.0)
             if out and len(out) < len(scored) and best >= params["min_score"]:
                 seen.add("min_score drops in the loop")
@@ -193,7 +195,8 @@ def test_soft_nms_on_unsorted_off_grid_proposals():
         rng.shuffle(props)
         sigma = float(rng.choice([0.5, 0.05, 3.0]))
         min_score = float(rng.choice([0.001, 0.3, 0.0, -1.0]))
-        assert soft_nms(props, sigma, min_score) == ref.soft_nms(props, sigma, min_score)
+        scores = [p.score for p in props]
+        assert soft_nms(props, scores, sigma, min_score) == ref.soft_nms(props, sigma, min_score)
 
 
 def test_tie_order_is_score_then_start_then_end():
@@ -201,13 +204,13 @@ def test_tie_order_is_score_then_start_then_end():
     a = Proposal(Interval(0.0, 6.0), 0.5, 1)
     b = Proposal(Interval(1.0, 3.0), 0.5, 1)
     for order in ([a, b], [b, a]):
-        out = soft_nms(order)
+        out = soft_nms(order, [p.score for p in order])
         assert out == ref.soft_nms(order)
         assert out[0] == a and out[1].score < 0.5
     # equal scores and starts: the earlier end goes first
     c = Proposal(Interval(0.0, 2.0), 0.5, 1)
     for order in ([a, c], [c, a]):
-        out = soft_nms(order)
+        out = soft_nms(order, [p.score for p in order])
         assert out == ref.soft_nms(order)
         assert out[0] == c
 
