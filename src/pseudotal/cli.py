@@ -12,6 +12,7 @@ codes: 0 success, 2 missing/malformed input, 3 domain-constraint violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -337,7 +338,7 @@ _EXTENT_SLACK = 2e-5
 def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
     """Proposal or GT rows grouped by video id, in file order. A row of a
     video in `grids` must lie within that video: start_s >= 0 and end_s <=
-    duration_s, up to the writer's rounding."""
+    duration_s, up to the writer's rounding, and class_id <= class_count."""
     def convert(vid: str, row: dict, plain: bool):
         iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
         grid = grids.get(vid) if grids else None
@@ -348,6 +349,9 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
                 f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]"
             )
         class_id = _integer(row["class_id"], "class_id")
+        if grid is not None and class_id > grid.class_count:
+            raise ValueError(f"class_id {class_id} lies outside the {grid.class_count} "
+                             f"classes of its grid")
         if with_score:
             return Proposal(iv, _number(row["score"], "score"), class_id)
         if class_id < 1:  # the rule of GroundTruthSet, which extract and losses do not build
@@ -564,9 +568,22 @@ def _cmd_eval(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     return report.to_dict(), {"eval": elapsed} if args.timings else None
 
 
+@contextlib.contextmanager
+def _sim_faults(path: str | None):
+    """A section the simulator cannot realize (actions that do not fit a
+    drawn video) is the fault of the config file that holds it."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is None:  # the defaults always fit
+            raise
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_simulate(args, cfg: PipelineConfig) -> list[dict]:
-    layout = gen_corpus(args.sim)
-    predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
+    with _sim_faults(args.config):
+        layout = gen_corpus(args.sim)
+        predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
     if args.gt:
         _write_jsonl(args.gt, cfg, [
             _segment_row(vid, iv, class_id, None)
@@ -586,7 +603,11 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> list[dict]:
 
 
 def _cmd_benchmark(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
-    result = run_benchmark(args.sim, args.strategy or list(STRATEGIES), cfg).to_dict()
+    strategies = args.strategy or list(STRATEGIES)
+    for name in strategies:
+        lookup_strategy(name)  # a bad --strategy is no fault of the config file
+    with _sim_faults(args.config):
+        result = run_benchmark(args.sim, strategies, cfg).to_dict()
     metrics = {
         "rng": RNG_NAME,
         "sim": dataclasses.asdict(args.sim),

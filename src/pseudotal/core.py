@@ -2,7 +2,8 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (scalar and elementwise), equal-value runs
+primitive here: temporal IoU (of two intervals, of float endpoints, and
+elementwise), equal-value runs
 (of one array, of True in every row of a mask, and above every threshold of
 many columns at once), and snippet centers. Public boundaries are expressed in seconds; snippet
 indices appear only when converting to or from a grid. All types are
@@ -23,6 +24,7 @@ __all__ = [
     "PseudoProposal",
     "SnippetPredictions",
     "tiou",
+    "span_tiou",
     "pairwise_tiou",
     "runs",
     "true_runs",
@@ -176,10 +178,16 @@ class SnippetPredictions:
 
 def tiou(a: Interval, b: Interval) -> float:
     """Temporal intersection over union of two intervals; 0 when disjoint."""
-    inter = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
+    return span_tiou(a.start_s, a.end_s, b.start_s, b.end_s)
+
+
+def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
+    """`tiou` of the intervals [a_start, a_end) and [b_start, b_end) given
+    by their float endpoints."""
+    inter = min(a_end, b_end) - max(a_start, b_start)
     if inter <= 0.0:
         return 0.0
-    union = a.duration_s + b.duration_s - inter
+    union = (a_end - a_start) + (b_end - b_start) - inter
     return inter / union
 
 

@@ -16,7 +16,7 @@ benchmarking against the wavelet fusion; `STRATEGIES` names all six.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,9 +26,9 @@ from .core import (
     Proposal,
     PseudoProposal,
     TimeGrid,
-    pairwise_tiou,
     runs,
     snippet_centers,
+    span_tiou,
     true_runs,
 )
 
@@ -132,7 +132,7 @@ def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     adding one proposal at a time.
     """
     start, end, score, class_id = _columns(proposals)
-    if np.any((class_id < 1) | (class_id > grid.class_count)):
+    if ((class_id < 1) | (class_id > grid.class_count)).any():
         raise ValueError("proposal class out of grid range")
     keep = score > 0.0
     start, end, score = start[keep], end[keep], score[keep]
@@ -214,11 +214,13 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
         take = (owner < 0) & covered.any(axis=0)
         owner[take] = rows[covered.argmax(axis=0)[take]]
     dur = grid.snippet_duration_s
-    return [
-        replace(proposals[i], interval=Interval(first * dur, (last + 1) * dur)).as_pseudo()
-        for first, last, i in runs(owner)
-        if i >= 0
-    ]
+    out = []
+    for first, last, i in runs(owner):
+        if i >= 0:
+            p = proposals[i]  # its pseudo label (confidence floored at 0) over the run
+            out.append(PseudoProposal(Interval(first * dur, (last + 1) * dur), p.class_id,
+                                      max(p.score, 0.0)))
+    return out
 
 
 def _by_score(p: Proposal) -> tuple[float, float, float]:
@@ -232,30 +234,29 @@ def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
     Proposals with a positive score go in (score descending, start, end,
     input order) order. The first one not yet grouped leads a group of
     every ungrouped proposal of its class whose tIoU with it is at least
-    GAUSS_GROUP_TIOU; sums run over the group in that order.
+    GAUSS_GROUP_TIOU; sums run over the group in that order. The rows are
+    plain floats: (start, end, score, class_id).
     """
-    start, end, score, class_id = _columns(proposals)
-    order = np.lexsort((end, start, -score))
-    order = order[score[order] > 0.0]
-    start, end, score, class_id = start[order], end[order], score[order], class_id[order]
-    joins = (pairwise_tiou(start, end, start[:, None], end[:, None]) >= GAUSS_GROUP_TIOU) & (
-        class_id == class_id[:, None]
+    ranked = sorted(
+        (-p.score, p.interval.start_s, p.interval.end_s, i)
+        for i, p in enumerate(proposals)
+        if p.score > 0.0
     )
-    start, end, score = start.tolist(), end.tolist(), score.tolist()
-    grouped = [False] * len(score)
+    remaining = [(start, end, -neg, proposals[i].class_id) for neg, start, end, i in ranked]
     out: list[PseudoProposal] = []
-    for top, row in enumerate(joins.tolist()):
-        if grouped[top]:
-            continue
-        group = [i for i in range(top, len(score)) if row[i] and not grouped[i]]
-        for i in group:
-            grouped[i] = True
-        total = sum(score[i] for i in group)
-        mean_start = sum(start[i] * score[i] for i in group) / total
-        mean_end = sum(end[i] * score[i] for i in group) / total
-        out.append(PseudoProposal(
-            Interval(mean_start, mean_end), proposals[order[top]].class_id, score[top]
-        ))
+    while remaining:
+        top_start, top_end, top_score, class_id = remaining[0]
+        group, rest = [], []
+        for row in remaining:
+            joins = row[3] == class_id and (
+                span_tiou(row[0], row[1], top_start, top_end) >= GAUSS_GROUP_TIOU
+            )
+            (group if joins else rest).append(row)
+        total = sum(row[2] for row in group)
+        start = sum(row[0] * row[2] for row in group) / total
+        end = sum(row[1] * row[2] for row in group) / total
+        out.append(PseudoProposal(Interval(start, end), class_id, top_score))
+        remaining = rest
     return out
 
 

@@ -50,6 +50,13 @@ NOISE_SMOOTH_SNIPPETS = 5
 FP_AMPLITUDE = (0.5, 1.0)
 PLACEMENT_TRIES = 100
 
+# The most cells num_videos * snippets_per_video[1] * (class_count + 1) a
+# corpus may have: its (T, C + 1) float64 score matrices then take at most
+# 128 MiB together. Every video is held in memory (simulate writes them all,
+# benchmark keeps them for the sweep), so a huge `sim` section is refused
+# before the first video is drawn.
+MAX_CORPUS_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -93,6 +100,20 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.score_temperature <= 0:
             raise ValueError("score_temperature must be positive")
+        self.duration_snippet_range()
+        # each action and, on average, each false positive needs a snippet;
+        # past that they are only draws and loop iterations
+        t_hi = self.snippets_per_video[1]
+        if self.actions_per_video[1] > t_hi or self.false_positive_rate > t_hi:
+            raise ValueError("actions_per_video[1] and false_positive_rate must be at most "
+                             "snippets_per_video[1]")
+        cells = self.num_videos * self.snippets_per_video[1] * (self.class_count + 1)
+        if cells > MAX_CORPUS_CELLS:
+            raise ValueError(
+                f"sim config num_videos * snippets_per_video[1] * (class_count + 1) must be "
+                f"at most {MAX_CORPUS_CELLS}, got {self.num_videos} * "
+                f"{self.snippets_per_video[1]} * ({self.class_count} + 1)"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":

@@ -17,7 +17,9 @@ refinement round (`simulate` of a less noisy SP file with the same seed,
 `extract` on it, the ricker pseudos and those proposals concatenated, then
 `fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
 without `--epoch`, `fuse --wavelet-csv` on one video, and `benchmark` run
-two ways.
+two ways; then a crowded corpus (long videos, 20 classes, ten false
+positives per video), where many proposals overlap, through
+`simulate`, `extract`, `fuse` for each strategy and `benchmark`.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -35,6 +37,13 @@ from pseudotal.fusion import STRATEGIES
 SIM = {
     "seed": 7, "num_videos": 30, "class_count": 6, "snippets_per_video": [60, 160],
     "attention_noise_std": 0.1, "boundary_jitter_frac": 0.1, "false_positive_rate": 1.0,
+}
+
+# long videos crowded with actions and false positives of 20 classes
+CROWDED = {
+    "seed": 3, "num_videos": 6, "class_count": 20, "snippets_per_video": [400, 600],
+    "actions_per_video": [4, 10], "attention_noise_std": 0.1, "boundary_jitter_frac": 0.1,
+    "false_positive_rate": 10.0,
 }
 
 # `extract` beyond the defaults: runs of the attention track, and a threshold
@@ -138,6 +147,19 @@ def run_chain(out: Path) -> list[Path]:
     _run("benchmark", "--config", bench_cfg, "--output", out / "benchmark_default.json")
     _run("benchmark", "--config", bench_cfg, "--seed", 9, "--strategy", "ricker",
          "--strategy", "hard", "--output", out / "benchmark_seed9.json")
+
+    crowded_cfg = work / "config_crowded.json"
+    crowded_cfg.write_text(json.dumps({"tau": 0.5, "sim": CROWDED}))
+    crowded = ("--config", crowded_cfg)
+    crowded_sp, crowded_gt = out / "sp_crowded.jsonl", out / "gt_crowded.jsonl"
+    crowded_props = out / "props_crowded.jsonl"
+    _run("simulate", *crowded, "--output", crowded_sp, "--gt", crowded_gt)
+    _run("extract", *crowded, "--input", crowded_sp, "--gt", crowded_gt,
+         "--output", crowded_props)
+    for name in STRATEGIES:
+        _run("fuse", *crowded, "--input", crowded_props, "--input", crowded_sp,
+             "--strategy", name, "--output", out / f"pseudo_crowded_{name}.jsonl")
+    _run("benchmark", *crowded, "--output", out / "benchmark_crowded.json")
     return sorted(p for p in out.iterdir() if p.is_file())
 
 

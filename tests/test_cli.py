@@ -1070,7 +1070,9 @@ class TestExitCodes:
         code = run("fuse", "--input", props, "--input", grid_file,
                    "--strategy", strategy, "--output", out)
         assert code == 3
-        assert capsys.readouterr().err == "error: proposal class out of grid range\n"
+        assert capsys.readouterr().err == (
+            f"error: {props}: video v: class_id 7 lies outside the 2 classes of its grid\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["attention", "class_scores"])
@@ -1117,6 +1119,28 @@ class TestExitCodes:
         out = tmp_path / "o.jsonl"
         assert run("simulate", "--config", cfg, "--output", out) == 3
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_corpus_over_the_size_cap(self, tmp_path, capsys, cmd):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"num_videos": 10**9}}))
+        out = tmp_path / "o.jsonl"
+        assert run(cmd, "--config", cfg, "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: sim config num_videos * snippets_per_video[1] * (class_count + 1) "
+            "must be at most 16777216, got 1000000000 * 128 * (5 + 1)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_actions_that_do_not_fit_name_the_config(self, tmp_path, capsys, cmd):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"num_videos": 2, "min_gap_snippets": 1000}}))
+        out = tmp_path / "o.jsonl"
+        assert run(cmd, "--config", cfg, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: cannot place ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["class_probs", "reg_left", "snippet_probs"])

@@ -3,8 +3,9 @@ field of its row (or the first entry of a list field) replaced by a value
 from a fixed pool of JSON values, and the subcommand that reads the file
 runs in-process. It exits 0, 2 or 3 and raises nothing; on a nonzero exit
 it prints one line that names the changed file and writes no `--output`.
-Grids stay small here; oversize grids are the capped child tests of
-test_cli.py."""
+The config's `"sim"` section is mutated the same way and read by
+`simulate`. Grids stay small here; oversize grids are the capped child
+tests of test_cli.py."""
 import contextlib
 import io
 import json
@@ -42,6 +43,11 @@ ROWS = {
               "reg_right": [1.0] * N, "snippet_probs": [[0.5, 0.5]] * 8},
     "config": {key: list(v) if isinstance(v, tuple) else v
                for key, v in PipelineConfig().to_dict().items()},
+    # the config file's "sim" section: a two-video corpus with every key set
+    "sim": {"seed": 0, "num_videos": 2, "class_count": 2, "snippets_per_video": [16, 24],
+            "actions_per_video": [1, 2], "duration_range_s": [2.0, 4.0],
+            "snippet_duration_s": 1.0, "min_gap_snippets": 2, "attention_noise_std": 0.1,
+            "boundary_jitter_frac": 0.1, "false_positive_rate": 1.0, "score_temperature": 0.2},
 }
 
 # the run that reads each file; {name} is that file's path
@@ -55,6 +61,7 @@ RUNS = {
                 "--gt", "{gt}"],
     "preds": ["losses", "--input", "{preds}", "--input", "{targets}", "--input", "{sp}",
               "--gt", "{gt}"],
+    "sim": ["simulate"],
 }
 # a config key is read by the subcommand that uses it (k_ratio by none)
 CONFIG_RUNS = {
@@ -67,14 +74,12 @@ CONFIG_RUNS = {
     **dict.fromkeys(["tau", "lambda_att", "gamma_focal"], RUNS["targets"]),
     "eval_tious": ["eval", "--input", "{proposals}", "--gt", "{gt}"],
 }
-# A class id beyond the grid of another file is found where the two meet,
-# in the library, whose messages name no file (ROADMAP item 6).
-CROSS_FILE = ("proposal class out of grid range", "class_id out of range for video label")
-
-
 def _run(files: dict, argv: list, directory: Path) -> tuple[int, str, Path, dict]:
-    """Write each file's row, run `argv` with the config; the exit code,
-    stderr, the --output path and the path of each file."""
+    """Write each file's row (the "sim" section into the config file), run
+    `argv` with the config; the exit code, stderr, the --output path and the
+    path of each file ("sim" names the config file)."""
+    files = dict(files)
+    files["config"] = {**files["config"], "sim": files.pop("sim")}
     paths = {}
     for name, row in files.items():
         paths[name] = directory / f"{name}.json{'' if name == 'config' else 'l'}"
@@ -84,7 +89,7 @@ def _run(files: dict, argv: list, directory: Path) -> tuple[int, str, Path, dict
     with contextlib.redirect_stderr(err):
         code = main([a.format(**paths) for a in argv] + [
             "--config", str(paths["config"]), "--output", str(out)])
-    return code, err.getvalue(), out, paths
+    return code, err.getvalue(), out, {**paths, "sim": paths["config"]}
 
 
 def _argv(kind: str, key: str) -> list:
@@ -122,7 +127,22 @@ def test_one_changed_field(mutation):
         assert code in (0, 2, 3)
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert str(paths[kind]) in err or any(m in err for m in CROSS_FILE), err
+            assert str(paths[kind]) in err, err
             assert not out.exists()
         else:
             assert err == "" and out.exists()
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("proposals", RUNS["proposals"]),  # fuse
+    ("proposals", CONFIG_RUNS["alpha"]),  # mask
+    ("proposals", RUNS["mask"]),  # targets
+    ("gt", RUNS["gt"]),  # extract
+    ("gt", RUNS["targets"]),  # losses
+])
+def test_class_beyond_the_grid_of_another_file(tmp_path, kind, argv):
+    """A class id past the grid source's (or the SP file's) class count is
+    refused where its row is read, naming its own file."""
+    code, err, out, paths = _run({**ROWS, kind: {**ROWS[kind], "class_id": 2}}, argv, tmp_path)
+    assert code == 3 and not out.exists()
+    assert err == f"error: {paths[kind]}: video v: class_id 2 lies outside the 1 classes of its grid\n"

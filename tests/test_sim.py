@@ -9,6 +9,7 @@ from pseudotal.core import Interval, TimeGrid
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
+    MAX_CORPUS_CELLS,
     RNG_NAME,
     SimConfig,
     benchmark_many,
@@ -55,13 +56,29 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(min_gap_snippets=0)
 
+    def test_corpus_size_cap(self):
+        # the ROADMAP "L" corpus and both benchmark sweeps fit
+        SimConfig(num_videos=500, snippets_per_video=(200, 400), class_count=20)
+        SimConfig(num_videos=120, snippets_per_video=(100, 130), class_count=10)
+        SimConfig(num_videos=1, snippets_per_video=(1, MAX_CORPUS_CELLS // 2), class_count=1)
+        with pytest.raises(ValueError, match=r"^sim config num_videos \* snippets_per_video"):
+            SimConfig(num_videos=1, snippets_per_video=(1, MAX_CORPUS_CELLS // 2 + 1),
+                      class_count=1)
+        with pytest.raises(ValueError, match=r"got 1000000000 \* 128 \* \(5 \+ 1\)$"):
+            SimConfig(num_videos=10**9)
+
+    def test_draws_at_most_one_per_snippet(self):
+        SimConfig(snippets_per_video=(8, 16), actions_per_video=(1, 16), false_positive_rate=16.0)
+        with pytest.raises(ValueError, match="actions_per_video"):
+            SimConfig(snippets_per_video=(8, 16), actions_per_video=(1, 17))
+        with pytest.raises(ValueError, match="false_positive_rate"):
+            SimConfig(snippets_per_video=(8, 16), false_positive_rate=16.5)
+
     def test_duration_snippet_range(self):
         cfg = SimConfig(duration_range_s=(2.0, 4.0), snippet_duration_s=1.0)
         assert cfg.duration_snippet_range() == (2, 4)
         with pytest.raises(ValueError):
-            SimConfig(
-                duration_range_s=(2.1, 2.9), snippet_duration_s=2.0
-            ).duration_snippet_range()
+            SimConfig(duration_range_s=(2.1, 2.9), snippet_duration_s=2.0)
 
 
 class TestGenCorpus:
