@@ -5,7 +5,8 @@ evaluation) works on these types and on the one implementation of each
 primitive here: temporal IoU (of two intervals, of float endpoints, and
 elementwise), equal-value runs
 (of one array, of True in every row of a mask, and above every threshold of
-many columns at once), and snippet centers. Public boundaries are expressed in seconds; snippet
+many columns at once), snippet centers, and the column arrays of a list of
+proposals. Public boundaries are expressed in seconds; snippet
 indices appear only when converting to or from a grid. All types are
 immutable after construction and all functions are pure.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "true_runs",
     "threshold_runs",
     "snippet_centers",
+    "proposal_columns",
 ]
 
 
@@ -260,3 +262,15 @@ def snippet_centers(grid: TimeGrid) -> np.ndarray:
     """Center times (seconds) of every snippet on the grid."""
     dur = grid.snippet_duration_s
     return (np.arange(grid.num_snippets, dtype=np.float64) + 0.5) * dur
+
+
+def proposal_columns(
+    proposals: Sequence[Proposal],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Start, end and score (float64) and class id (int64) of every proposal,
+    as four arrays in input order."""
+    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
+    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
+    score = np.array([p.score for p in proposals], dtype=np.float64)
+    class_id = np.array([p.class_id for p in proposals], dtype=np.int64)
+    return start, end, score, class_id

@@ -26,6 +26,7 @@ from .core import (
     Proposal,
     PseudoProposal,
     TimeGrid,
+    proposal_columns,
     runs,
     snippet_centers,
     span_tiou,
@@ -114,12 +115,6 @@ def _blocks(count: int, grid: TimeGrid) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _columns(proposals: Sequence[Proposal]) -> np.ndarray:
-    """Start, end, score and class id of every proposal: a (4, P) float64 array."""
-    rows = [(p.interval.start_s, p.interval.end_s, p.score, p.class_id) for p in proposals]
-    return np.array(rows, dtype=np.float64).reshape(-1, 4).T
-
-
 def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     """Sum confidence-weighted proposal wavelets into one (T, C) space.
 
@@ -131,12 +126,12 @@ def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     class channels in proposal order, so every sum is the same float as
     adding one proposal at a time.
     """
-    start, end, score, class_id = _columns(proposals)
+    start, end, score, class_id = proposal_columns(proposals)
     if ((class_id < 1) | (class_id > grid.class_count)).any():
         raise ValueError("proposal class out of grid range")
     keep = score > 0.0
     start, end, score = start[keep], end[keep], score[keep]
-    channel = class_id[keep].astype(np.int64) - 1
+    channel = class_id[keep] - 1
     sigma, midpoint = 0.5 * (end - start), 0.5 * (start + end)
     centers = snippet_centers(grid)
     values = np.zeros((grid.class_count, grid.num_snippets), dtype=np.float64)
@@ -204,7 +199,7 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
     rank by score (descending), then duration, start, class and input
     order; the owner of a snippet is the first covering one in that order.
     """
-    start, end, score, class_id = _columns(proposals)
+    start, end, score, class_id = proposal_columns(proposals)
     order = np.lexsort((class_id, start, end - start, -score))
     centers = snippet_centers(grid)
     owner = np.full(grid.num_snippets, -1, dtype=np.int64)

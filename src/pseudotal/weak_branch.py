@@ -19,6 +19,7 @@ from .core import (
     SnippetPredictions,
     TimeGrid,
     pairwise_tiou,
+    proposal_columns,
     snippet_centers,
     threshold_runs,
 )
@@ -124,7 +125,7 @@ def oic_scores(
     if z.shape[0] != grid.num_snippets:
         raise ValueError("SP column length disagrees with grid")
     rows = np.ascontiguousarray(z.T)  # contiguous class columns
-    start, end, column = _columns(proposals)
+    start, end, _, column = proposal_columns(proposals)
     flank = inflation * (end - start)
     # the centers are sorted, so each bound's "centers >= x" mask is the
     # suffix from its left insertion point: every region is one slice
@@ -167,7 +168,7 @@ def soft_nms(
         raise ValueError("sigma_nms must be positive")
     if len(scores) != len(proposals):
         raise ValueError("soft_nms needs one score per proposal")
-    start, end, column = _columns(proposals)
+    start, end, _, column = proposal_columns(proposals)
     by_class: dict[int, list[int]] = {}
     for i, class_id in enumerate(column.tolist()):
         by_class.setdefault(class_id, []).append(i)
@@ -202,14 +203,6 @@ def soft_nms(
         at += n * n
     out.sort(key=lambda p: (-p.score, p.class_id, p.interval.start_s, p.interval.end_s))
     return out
-
-
-def _columns(proposals: Sequence[Proposal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start and end (float64) and class id (int64) of every proposal."""
-    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
-    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
-    column = np.array([p.class_id for p in proposals], dtype=np.int64)
-    return start, end, column
 
 
 def weak_proposals(

@@ -4,6 +4,8 @@ resolves, and the package itself uses it unless an acceptance gate is its one
 caller."""
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +87,12 @@ def test_every_public_name_is_called():
     assert sorted(set(GATE_ONLY) - unreached) == []  # a reached name is no gate-only name
     acceptance = (PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     assert sorted(set(GATE_ONLY) - _loaded_names(ast.parse(acceptance))) == []
+
+
+def test_the_command_line_imports_no_rationals():
+    """AP is summed on integers, so no subcommand pays for importing
+    `fractions` (and `decimal`, which it imports)."""
+    code = "import sys, pseudotal.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout == "[]\n"
