@@ -3,11 +3,11 @@
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
 primitive here: temporal IoU (of two intervals, of float endpoints, and
-elementwise), equal-value runs
-(of one array, of True in every row of a mask, and above every threshold of
-many columns at once), snippet centers, and the column arrays of a list of
-proposals. Public boundaries are expressed in seconds; snippet
-indices appear only when converting to or from a grid. All types are
+elementwise), equal-value runs (of one array, of True in every row of a
+mask, and above every threshold of many columns at once), snippet centers,
+and the column arrays of a list of proposals. Public boundaries are
+expressed in seconds; snippet indices appear only when converting to or
+from a grid. All types are
 immutable after construction and all functions are pure.
 """
 from __future__ import annotations
@@ -131,9 +131,6 @@ class PseudoProposal:
             raise ValueError("class_id must be >= 1")
         if not (math.isfinite(self.confidence) and self.confidence >= 0.0):
             raise ValueError("confidence must be finite and >= 0")
-
-    def as_proposal(self) -> Proposal:
-        return Proposal(self.interval, self.confidence, self.class_id)
 
 
 @dataclass(frozen=True, eq=False)

@@ -207,18 +207,18 @@ class _PairTable:
         )
         # the true-positive ranks of each (class, threshold) cell, ascending
         pred, level = pp[pair[took]], level[took]
-        tp_class, tp_rank = self.pred_class[pred], rank[pred]
-        ids = np.array(class_ids, dtype=np.int64)
+        ids = np.asarray(class_ids, dtype=np.int64)
         sorter = np.argsort(ids)
-        row = sorter[np.searchsorted(ids, tp_class, sorter=sorter).clip(max=ids.shape[0] - 1)]
-        known = ids[row] == tp_class
-        cell = row[known] * len(thresholds) + level[known]
-        ranks = tp_rank[known][np.lexsort((tp_rank[known], cell))].tolist()
-        counts = np.bincount(cell, minlength=ids.shape[0] * len(thresholds)).tolist()
-        aps, lo = [], 0
-        for k, n in enumerate(counts):
-            aps.append(_interpolated_ap(ranks[lo : lo + n], self.npos.get(class_ids[k // len(thresholds)], 0)))
-            lo += n
+        at = np.searchsorted(ids, self.pred_class[pred], sorter=sorter).clip(max=ids.size - 1)
+        known = ids[sorter[at]] == self.pred_class[pred]
+        cell = sorter[at][known] * len(thresholds) + level[known]
+        tp = rank[pred][known]
+        ranks = tp[np.lexsort((tp, cell))].tolist()
+        ends = np.cumsum(np.bincount(cell, minlength=ids.size * len(thresholds))).tolist()
+        aps = [
+            _interpolated_ap(ranks[lo:hi], self.npos.get(class_ids[k // len(thresholds)], 0))
+            for k, (lo, hi) in enumerate(zip([0, *ends], ends))
+        ]
         return [tuple(aps[i : i + len(thresholds)]) for i in range(0, len(aps), len(thresholds))]
 
     def matched_counts(self, thresholds: Sequence[float]) -> list[int]:

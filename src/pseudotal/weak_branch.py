@@ -137,11 +137,7 @@ def oic_scores(
     out = []
     for c, (left, a, b, right) in zip((column - 1).tolist(), bounds):
         col = rows[c]
-        # a flank that clips away adds nothing, so the other one is the outer region
-        if left == a or b == right:
-            outer = col[b:right] if left == a else col[left:a]
-        else:
-            outer = np.concatenate((col[left:a], col[b:right]))
+        outer = np.concatenate((col[left:a], col[b:right]))
         inner_mean = float(add(col[a:b])) / (b - a) if b > a else 0.0
         outer_mean = float(add(outer)) / outer.size if outer.size else 0.0
         out.append(inner_mean - outer_mean)

@@ -177,7 +177,7 @@ def pseudo_quality(
     with empty denominators scored 0.
     """
     as_props = {
-        vid: [p.as_proposal() for p in plist]
+        vid: [Proposal(p.interval, p.confidence, p.class_id) for p in plist]
         for vid, plist in pseudos_by_video.items()
     }
     report = map_table(as_props, ground_truth, thresholds)

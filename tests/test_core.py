@@ -55,16 +55,14 @@ class TestTypes:
     def test_pseudo_proposal_confidence_nonneg(self):
         with pytest.raises(ValueError):
             PseudoProposal(Interval(0, 1), 1, -0.1)
-        p = PseudoProposal(Interval(0, 4), 2, 0.5)
-        as_prop = p.as_proposal()
-        assert as_prop.score == 0.5
-        assert as_prop.class_id == 2
+        p = PseudoProposal(Interval(0, 4), 2, 0.0)
+        assert (p.class_id, p.confidence) == (2, 0.0)
 
     def test_proposal_as_pseudo_floors_score(self):
         p = Proposal(Interval(1, 3), 0.7, 2).as_pseudo()
         assert p == PseudoProposal(Interval(1, 3), 2, 0.7)
         assert Proposal(Interval(1, 3), -0.2, 2).as_pseudo().confidence == 0.0
-        assert p.as_proposal().as_pseudo() == p
+        assert Proposal(p.interval, p.confidence, p.class_id).as_pseudo() == p
 
     def test_snippet_predictions_validation(self):
         att = np.array([0.5, 1.0])

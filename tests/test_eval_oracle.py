@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_eval as ref
-from pseudotal.core import Interval, PseudoProposal, pairwise_tiou, tiou
+from pseudotal.core import Interval, Proposal, PseudoProposal, pairwise_tiou, tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     _interpolated_ap,
@@ -35,7 +35,10 @@ def _gt(**videos):
 
 def assert_same(pseudos, gt, thresholds=THRESHOLDS):
     """map, per_class, precision and recall equal to the oracle's, as floats."""
-    preds = {vid: [p.as_proposal() for p in plist] for vid, plist in pseudos.items()}
+    preds = {
+        vid: [Proposal(p.interval, p.confidence, p.class_id) for p in plist]
+        for vid, plist in pseudos.items()
+    }
     got, want = map_table(preds, gt, thresholds), ref.map_table(preds, gt, thresholds)
     assert got.map_values == want.map_values
     assert got.per_class == want.per_class

@@ -145,4 +145,6 @@ def test_class_beyond_the_grid_of_another_file(tmp_path, kind, argv):
     refused where its row is read, naming its own file."""
     code, err, out, paths = _run({**ROWS, kind: {**ROWS[kind], "class_id": 2}}, argv, tmp_path)
     assert code == 3 and not out.exists()
-    assert err == f"error: {paths[kind]}: video v: class_id 2 lies outside the 1 classes of its grid\n"
+    assert err == (
+        f"error: {paths[kind]}: video v: class_id 2 lies outside the 1 classes of its grid\n"
+    )
