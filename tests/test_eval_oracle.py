@@ -197,6 +197,18 @@ def test_empty_prediction_sets():
     assert_same({"a": [], "b": []}, gt)
 
 
+def test_a_chain_of_taken_first_choices():
+    """Each prediction's best segment is taken by the prediction ranked just
+    above it, so the greedy matchings need one array round per link."""
+    n = 60
+    gt = _gt(v=[(j, j + 1, 1) for j in range(n)])
+    pseudos = {"v": [
+        PseudoProposal(Interval(max(j - 0.625, 0.0), max(j - 0.625, 0.0) + 1.0), 1, 1.0 - j / 128)
+        for j in range(n)
+    ]}
+    assert_same(pseudos, gt)
+
+
 def test_threshold_order_as_given():
     rng = np.random.default_rng(17)
     pseudos, gt = random_corpus(rng, integer_grid=True)
