@@ -1,7 +1,8 @@
 """Pseudo-label pipeline for weakly supervised temporal action localization.
 
 The weak branch turns snippet attention and class scores into scored
-proposals; wavelet fusion merges them into pseudo proposals; the mask
+proposals; wavelet fusion merges them into pseudo proposals (both carried
+as `Segments`, the columns of one video's scored segments); the mask
 and target modules build the supervision an anchor-based localizer
 trains on; evaluation scores everything as mAP over tIoU thresholds; and
 the simulator provides seeded synthetic corpora for end-to-end checks.
@@ -9,12 +10,12 @@ the simulator provides seeded synthetic corpora for end-to-end checks.
 from .config import TOOL_VERSION, PipelineConfig
 from .core import (
     Interval,
-    Proposal,
-    PseudoProposal,
+    Segment,
+    Segments,
     SnippetPredictions,
     TimeGrid,
     snippet_centers,
-    tiou,
+    span_tiou,
 )
 from .evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
@@ -75,12 +76,12 @@ __all__ = [
     "TOOL_VERSION",
     "PipelineConfig",
     "Interval",
-    "Proposal",
-    "PseudoProposal",
+    "Segment",
+    "Segments",
     "SnippetPredictions",
     "TimeGrid",
     "snippet_centers",
-    "tiou",
+    "span_tiou",
     "DEFAULT_TIOU_THRESHOLDS",
     "EvalReport",
     "GroundTruthSet",

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
-from .core import Interval, Proposal, SnippetPredictions, TimeGrid, runs, snippet_centers
+from .core import Interval, Segment, Segments, SnippetPredictions, TimeGrid, runs, snippet_centers
 from .evaluation import GroundTruthSet, map_table
 # generate_pseudo_labels and weak_proposals are not called here (the sim stages call
 # them); they stay imported because bench/tracing.py wraps them by attribute on this module
@@ -329,6 +330,8 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     return dict(_rows(path, ("num_snippets", "snippet_duration_s"), convert))
 
 
+_INT64_MAX = 2**63 - 1
+
 # Written times carry 6 significant digits (at most 5e-6 relative error), and
 # a video's extent is rebuilt from a written snippet duration: a segment the
 # package wrote may pass its video's end by about 1e-5 of the extent.
@@ -336,8 +339,12 @@ _EXTENT_SLACK = 2e-5
 
 
 def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
-    """Proposal or GT rows grouped by video id, in file order. A row of a
-    video in `grids` must lie within that video: start_s >= 0 and end_s <=
+    """The rows of a segment file grouped by video id, in file order: with
+    `score`, one `Segments` per video; without, ground-truth lists of
+    (Interval, class_id). Each row is checked as it is read, so the first
+    bad row decides the exit: its endpoints by the `Interval` rule, a
+    `class_id` within int64, and a score finite. A row of a video in
+    `grids` must lie within that video: start_s >= 0 and end_s <=
     duration_s, up to the writer's rounding, and class_id <= class_count."""
     def convert(vid: str, row: dict, plain: bool):
         iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
@@ -352,8 +359,15 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
         if grid is not None and class_id > grid.class_count:
             raise ValueError(f"class_id {class_id} lies outside the {grid.class_count} "
                              f"classes of its grid")
+        if class_id > _INT64_MAX:
+            raise ValueError(f"class_id {class_id} lies beyond the int64 range")
         if with_score:
-            return Proposal(iv, _number(row["score"], "score"), class_id)
+            score = _number(row["score"], "score")
+            if not math.isfinite(score):
+                raise ValueError("proposal score must be finite")
+            if class_id < 1:
+                raise ValueError("class_id must be >= 1")
+            return Segment(iv.start_s, iv.end_s, class_id, score)
         if class_id < 1:  # the rule of GroundTruthSet, which extract and losses do not build
             raise ValueError("ground-truth class ids are 1-based")
         return iv, class_id
@@ -362,6 +376,8 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     keys = ("start_s", "end_s", "class_id") + (("score",) if with_score else ())
     for vid, item in _rows(path, keys, convert, unique=False):
         out.setdefault(vid, []).append(item)
+    if with_score:
+        return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
     return out
 
 
@@ -415,13 +431,9 @@ def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
     return dict(_rows(path, ("class_probs", "reg_left", "reg_right"), convert))
 
 
-def _segment_row(vid: str, iv: Interval, class_id: int, score: float | None) -> dict:
-    row = {
-        "video_id": vid,
-        "start_s": iv.start_s,
-        "end_s": iv.end_s,
-        "class_id": int(class_id),
-    }
+def _segment_row(vid: str, start_s: float, end_s: float, class_id: int,
+                 score: float | None = None) -> dict:
+    row = {"video_id": vid, "start_s": start_s, "end_s": end_s, "class_id": class_id}
     if score is not None:
         row["score"] = score
     return row
@@ -450,8 +462,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
     proposals = proposals_by_video(grids, video_labels(gt, grids), preds, cfg)
-    return [_segment_row(vid, p.interval, p.class_id, p.score)
-            for vid, plist in proposals.items() for p in plist]
+    return [_segment_row(vid, *p) for vid, segments in proposals.items() for p in segments]
 
 
 def _cmd_fuse(args, cfg: PipelineConfig) -> list[dict]:
@@ -469,8 +480,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> list[dict]:
             fh.write("t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)) + "\n")
             for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist()):
                 fh.write(_G6(t) + "," + ",".join(map(_G6, row)) + "\n")
-    return [_segment_row(vid, p.interval, p.class_id, p.confidence)
-            for vid, plist in pseudos.items() for p in plist]
+    return [_segment_row(vid, *p) for vid, segments in pseudos.items() for p in segments]
 
 
 def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
@@ -480,7 +490,7 @@ def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
     rows = []
     for vid in sorted(pseudos):
         grid = grids[vid]
-        masks = [mask_for_proposal(p.as_pseudo(), params, grid) for p in pseudos[vid]]
+        masks = [mask_for_proposal(p, params, grid) for p in pseudos[vid]]
         bits = union_masks(masks, grid).bits
         rows.append(
             {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
@@ -496,7 +506,7 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
     for vid in sorted(pseudos):
         if vid not in masks:
             raise ValueError(f"{mask_path}: no mask bits for video {vid}")
-        tgt = build_targets([p.as_pseudo() for p in pseudos[vid]], masks[vid], pyramid)
+        tgt = build_targets(pseudos[vid], masks[vid], pyramid)
         rows.append({
             "video_id": vid,
             "num_snippets": tgt.grid.num_snippets,
@@ -586,7 +596,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> list[dict]:
         predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
     if args.gt:
         _write_jsonl(args.gt, cfg, [
-            _segment_row(vid, iv, class_id, None)
+            _segment_row(vid, iv.start_s, iv.end_s, class_id)
             for vid in layout.video_ids()
             for iv, class_id in layout.ground_truth.segments[vid]
         ])

@@ -1,37 +1,36 @@
-"""Temporal grid, intervals, proposal types, and the shared primitives.
+"""Temporal grid, intervals, scored segments, and the shared primitives.
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (of two intervals, of float endpoints, and
-elementwise), equal-value runs (of one array, of True in every row of a
-mask, and above every threshold of many columns at once), snippet centers,
-and the column arrays of a list of proposals. Public boundaries are
-expressed in seconds; snippet indices appear only when converting to or
-from a grid. All types are
+primitive here: temporal IoU (of float endpoints, and elementwise),
+equal-value runs (of one array, of True in every row of a mask, and above
+every threshold of many columns at once) and snippet centers. The scored
+segments of one video, proposals and pseudo labels alike, travel between
+the stages as one `Segments` value: four read-only columns, checked once
+in its constructor. Public boundaries are expressed in seconds; snippet
+indices appear only when converting to or from a grid. All types are
 immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "TimeGrid",
     "Interval",
-    "Proposal",
-    "PseudoProposal",
+    "Segment",
+    "Segments",
     "SnippetPredictions",
-    "tiou",
     "span_tiou",
     "pairwise_tiou",
     "runs",
     "true_runs",
     "threshold_runs",
     "snippet_centers",
-    "proposal_columns",
 ]
 
 
@@ -93,44 +92,66 @@ class Interval:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    @property
-    def midpoint_s(self) -> float:
-        return 0.5 * (self.start_s + self.end_s)
 
+class Segment(NamedTuple):
+    """One row of `Segments`, as Python scalars."""
 
-@dataclass(frozen=True)
-class Proposal:
-    """A scored class-specific temporal detection."""
-
-    interval: Interval
+    start_s: float
+    end_s: float
+    class_id: int
     score: float
-    class_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Scored class-specific temporal segments of one video, as columns.
+
+    start_s, end_s, score: float64; class_id: int64. Every column is 1-D
+    and read-only, all of one length; values are finite, start_s < end_s
+    and class_id >= 1. A proposal's score is its detection score, a pseudo
+    label's its confidence. Iterating yields the rows as `Segment`s.
+    """
+
+    start_s: np.ndarray
+    end_s: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError("proposal score must be finite")
-        if self.class_id < 1:
+        start = np.asarray(self.start_s, dtype=np.float64)
+        end = np.asarray(self.end_s, dtype=np.float64)
+        score = np.asarray(self.score, dtype=np.float64)
+        class_id = np.asarray(self.class_id)
+        if class_id.size and class_id.dtype.kind not in "iu":
+            raise ValueError("class_id must hold int64 integers")
+        class_id = class_id.astype(np.int64, copy=False)
+        columns = (start, end, class_id, score)
+        if any(c.ndim != 1 or c.shape != start.shape for c in columns):
+            raise ValueError("segment columns must be 1-D and of one length")
+        if not (np.isfinite(start).all() and np.isfinite(end).all()):
+            raise ValueError("interval endpoints must be finite")
+        if not (start < end).all():
+            raise ValueError("interval requires start_s < end_s")
+        if not np.isfinite(score).all():
+            raise ValueError("score must be finite")
+        if (class_id < 1).any():
             raise ValueError("class_id must be >= 1")
+        for name, column in zip(("start_s", "end_s", "class_id", "score"), columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
-    def as_pseudo(self) -> "PseudoProposal":
-        """The pseudo label over this interval and class; confidence is the
-        score, floored at 0."""
-        return PseudoProposal(self.interval, self.class_id, max(self.score, 0.0))
+    def __len__(self) -> int:
+        return int(self.start_s.shape[0])
 
+    def __iter__(self) -> Iterator[Segment]:
+        rows = zip(self.start_s.tolist(), self.end_s.tolist(), self.class_id.tolist(),
+                   self.score.tolist())
+        return map(Segment._make, rows)
 
-@dataclass(frozen=True)
-class PseudoProposal:
-    """A fused segment used as a training label, with a confidence weight."""
-
-    interval: Interval
-    class_id: int
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if self.class_id < 1:
-            raise ValueError("class_id must be >= 1")
-        if not (math.isfinite(self.confidence) and self.confidence >= 0.0):
-            raise ValueError("confidence must be finite and >= 0")
+    def select(self, index: np.ndarray) -> "Segments":
+        """The rows at `index`, an integer index array or a boolean mask."""
+        return Segments(self.start_s[index], self.end_s[index], self.class_id[index],
+                        self.score[index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +196,9 @@ class SnippetPredictions:
         return int(self.class_scores.shape[1]) - 1
 
 
-def tiou(a: Interval, b: Interval) -> float:
-    """Temporal intersection over union of two intervals; 0 when disjoint."""
-    return span_tiou(a.start_s, a.end_s, b.start_s, b.end_s)
-
-
 def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
-    """`tiou` of the intervals [a_start, a_end) and [b_start, b_end) given
-    by their float endpoints."""
+    """Temporal intersection over union of the intervals [a_start, a_end)
+    and [b_start, b_end) given by their float endpoints; 0 when disjoint."""
     inter = min(a_end, b_end) - max(a_start, b_start)
     if inter <= 0.0:
         return 0.0
@@ -193,10 +209,10 @@ def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> flo
 def pairwise_tiou(
     a_start: np.ndarray, a_end: np.ndarray, b_start: np.ndarray, b_end: np.ndarray
 ) -> np.ndarray:
-    """Elementwise `tiou` of intervals a and b (broadcast), as float64.
+    """Elementwise `span_tiou` of intervals a and b (broadcast), as float64.
 
-    The same IEEE operations in the same order as `tiou`, so every value is
-    bit-identical to it; integer endpoints work too.
+    The same IEEE operations in the same order as `span_tiou`, so every value
+    is bit-identical to it; integer endpoints work too.
     """
     inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
     union = (a_end - a_start) + (b_end - b_start) - inter
@@ -259,15 +275,3 @@ def snippet_centers(grid: TimeGrid) -> np.ndarray:
     """Center times (seconds) of every snippet on the grid."""
     dur = grid.snippet_duration_s
     return (np.arange(grid.num_snippets, dtype=np.float64) + 0.5) * dur
-
-
-def proposal_columns(
-    proposals: Sequence[Proposal],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Start, end and score (float64) and class id (int64) of every proposal,
-    as four arrays in input order."""
-    start = np.array([p.interval.start_s for p in proposals], dtype=np.float64)
-    end = np.array([p.interval.end_s for p in proposals], dtype=np.float64)
-    score = np.array([p.score for p in proposals], dtype=np.float64)
-    class_id = np.array([p.class_id for p in proposals], dtype=np.int64)
-    return start, end, score, class_id

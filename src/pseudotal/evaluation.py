@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TIOU_THRESHOLDS
-from .core import Interval, Proposal, PseudoProposal, pairwise_tiou
+from .core import Interval, Segments, pairwise_tiou
 
 __all__ = [
     "GroundTruthSet",
@@ -132,39 +132,44 @@ class _PairTable:
 
     @classmethod
     def build(
-        cls,
-        predictions: Mapping[str, Sequence[Proposal | PseudoProposal]],
-        ground_truth: GroundTruthSet,
-        score: str = "score",
+        cls, predictions: Mapping[str, Segments], ground_truth: GroundTruthSet
     ) -> "_PairTable":
-        """The table of `predictions`, ranked by their attribute `score`
-        ("confidence" for pseudo labels)."""
+        """The table of `predictions`, ranked by their scores."""
+        # a (video, class) pair is keyed by the video's position and the
+        # class's rank among the ground-truth classes, so no raw class id is
+        # multiplied; a prediction of a video or class without ground truth
+        # gets key -1, which no segment has
         video_key = {vid: k for k, vid in enumerate(ground_truth.segments)}
         n_videos = len(video_key)
-        gt_rows = [
-            (c * n_videos + video_key[vid], iv.start_s, iv.end_s)
-            for vid, items in ground_truth.segments.items()
-            for iv, c in items
-        ]
-        g_key, g_start, g_end = _columns(gt_rows, (np.int64, np.float64, np.float64))
+        classes = np.array(ground_truth.class_ids, dtype=np.int64)
+        g_video, g_class, g_start, g_end = _columns(
+            [
+                (video_key[vid], c, iv.start_s, iv.end_s)
+                for vid, items in ground_truth.segments.items()
+                for iv, c in items
+            ],
+            (np.int64, np.int64, np.float64, np.float64),
+        )
+        g_key = np.searchsorted(classes, g_class) * n_videos + g_video
         gt_input = np.lexsort((g_start, g_key))
         g_key, g_start, g_end = g_key[gt_input], g_start[gt_input], g_end[gt_input]
         npos = Counter(c for items in ground_truth.segments.values() for _, c in items)
 
-        rows = [
-            (
-                p.class_id * n_videos + video_key[vid] if vid in video_key else -1,
-                p.class_id,
-                p.interval.start_s,
-                p.interval.end_s,
-                getattr(p, score),
+        segments = list(predictions.values())
+        p_class, p_start, p_end, p_score = (
+            np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in segments)])
+            for name, dtype in (
+                ("class_id", np.int64), ("start_s", np.float64), ("end_s", np.float64),
+                ("score", np.float64),
             )
-            for vid, plist in predictions.items()
-            for p in plist
-        ]
-        p_key, p_class, p_start, p_end, p_score = _columns(
-            rows, (np.int64, np.int64, np.float64, np.float64, np.float64)
         )
+        p_video = np.repeat(
+            np.array([video_key.get(vid, -1) for vid in predictions], dtype=np.int64),
+            [len(s) for s in segments],
+        )
+        rank = np.searchsorted(classes, p_class)
+        known = (np.searchsorted(classes, p_class, side="right") > rank) & (p_video >= 0)
+        p_key = np.where(known, rank * n_videos + p_video, -1)
 
         lo = np.searchsorted(g_key, p_key, side="left")
         counts = np.searchsorted(g_key, p_key, side="right") - lo
@@ -304,7 +309,7 @@ def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:
 
 
 def average_precision(
-    predictions: Mapping[str, Sequence[Proposal]],
+    predictions: Mapping[str, Segments],
     ground_truth: GroundTruthSet,
     class_id: int,
     threshold: float,
@@ -315,7 +320,7 @@ def average_precision(
 
 
 def map_table(
-    predictions: Mapping[str, Sequence[Proposal]],
+    predictions: Mapping[str, Segments],
     ground_truth: GroundTruthSet,
     thresholds: Sequence[float] = DEFAULT_TIOU_THRESHOLDS,
     *,
@@ -362,7 +367,7 @@ class PseudoQuality:
 
 
 def pseudo_quality(
-    pseudos_by_video: Mapping[str, Sequence[PseudoProposal]],
+    pseudos_by_video: Mapping[str, Segments],
     ground_truth: GroundTruthSet,
     thresholds: Sequence[float] = DEFAULT_TIOU_THRESHOLDS,
 ) -> PseudoQuality:
@@ -372,7 +377,7 @@ def pseudo_quality(
     precision/recall per threshold come from rank-free greedy matching,
     with empty denominators scored 0.
     """
-    table = _PairTable.build(pseudos_by_video, ground_truth, score="confidence")
+    table = _PairTable.build(pseudos_by_video, ground_truth)
     report = map_table(pseudos_by_video, ground_truth, thresholds, table=table)
     n_pseudo = sum(len(v) for v in pseudos_by_video.values())
     n_gt = sum(len(v) for v in ground_truth.segments.values())

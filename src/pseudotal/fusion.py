@@ -15,23 +15,14 @@ benchmarking against the wavelet fusion; `STRATEGIES` names all six.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Interval,
-    Proposal,
-    PseudoProposal,
-    TimeGrid,
-    proposal_columns,
-    runs,
-    snippet_centers,
-    span_tiou,
-    true_runs,
-)
+from .core import Segments, TimeGrid, runs, snippet_centers, span_tiou, true_runs
 
 __all__ = [
     "FusedWavelet",
@@ -62,10 +53,6 @@ class RickerParams:
         sigma = np.asarray(self.sigma)
         if not np.all(np.isfinite(sigma) & (sigma > 0)):
             raise ValueError("sigma must be positive")
-
-    @classmethod
-    def from_interval(cls, interval: Interval) -> "RickerParams":
-        return cls(0.5 * interval.duration_s, interval.midpoint_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +102,7 @@ def _blocks(count: int, grid: TimeGrid) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
+def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
     """Sum confidence-weighted proposal wavelets into one (T, C) space.
 
     Each proposal contributes score * wavelet to its own class channel,
@@ -126,12 +113,11 @@ def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     class channels in proposal order, so every sum is the same float as
     adding one proposal at a time.
     """
-    start, end, score, class_id = proposal_columns(proposals)
-    if ((class_id < 1) | (class_id > grid.class_count)).any():
+    if (proposals.class_id > grid.class_count).any():
         raise ValueError("proposal class out of grid range")
-    keep = score > 0.0
-    start, end, score = start[keep], end[keep], score[keep]
-    channel = class_id[keep] - 1
+    keep = proposals.score > 0.0
+    start, end, score = proposals.start_s[keep], proposals.end_s[keep], proposals.score[keep]
+    channel = proposals.class_id[keep] - 1
     sigma, midpoint = 0.5 * (end - start), 0.5 * (start + end)
     centers = snippet_centers(grid)
     values = np.zeros((grid.class_count, grid.num_snippets), dtype=np.float64)
@@ -147,9 +133,7 @@ def _interp_zero(t0, v0, t1, v1):
     return t0 + (t1 - t0) * (0.0 - v0) / (v1 - v0)
 
 
-def segments_from_wavelet(
-    wavelet: FusedWavelet, min_duration_s: float = 0.0
-) -> list[PseudoProposal]:
+def segments_from_wavelet(wavelet: FusedWavelet, min_duration_s: float = 0.0) -> Segments:
     """Threshold the fused wavelet at zero into pseudo proposals.
 
     Per class, every maximal run of snippets with strictly positive value
@@ -157,7 +141,8 @@ def segments_from_wavelet(
     interpolating the zero crossing between the outermost positive snippet
     center and its non-positive neighbor; runs touching the video edge
     clamp to the edge. Runs whose refined duration falls below
-    `min_duration_s` are dropped. Confidence is the run's peak value.
+    `min_duration_s` are dropped. Confidence is the run's peak value. The
+    labels come sorted by (class, start, end).
     """
     if min_duration_s < 0:
         raise ValueError("min_duration_s must be nonnegative")
@@ -179,18 +164,19 @@ def segments_from_wavelet(
     bounds = np.stack([col * t + first, col * t + last + 1], axis=1).ravel()
     flat = np.append(by_class.ravel(), 0.0)
     peak = np.maximum.reduceat(flat, bounds)[::2] if bounds.size else bounds
-    keep = ~((end - start < min_duration_s) | (end <= start))
-    out = [
-        PseudoProposal(Interval(s, e), c + 1, v)
-        for s, e, c, v in zip(
-            start[keep].tolist(), end[keep].tolist(), col[keep].tolist(), peak[keep].tolist()
-        )
-    ]
-    out.sort(key=lambda p: (p.class_id, p.interval.start_s, p.interval.end_s))
-    return out
+    keep = np.flatnonzero(~((end - start < min_duration_s) | (end <= start)))
+    keep = keep[np.lexsort((end[keep], start[keep], col[keep]))]
+    return Segments(start[keep], end[keep], col[keep] + 1, peak[keep])
 
 
-def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProposal]:
+def _floored(proposals: Segments) -> Segments:
+    """The pseudo labels of `proposals`: each score, as a confidence, floored
+    at 0 (a -0.0 stays -0.0, as in Python's `max(score, 0.0)`)."""
+    score = proposals.score
+    return dataclasses.replace(proposals, score=np.where(score < 0.0, 0.0, score))
+
+
+def _fuse_hard(proposals: Segments, grid: TimeGrid) -> Segments:
     """Winner-takes-all snippet ownership followed by re-segmentation.
 
     Every snippet belongs to the highest-scoring proposal covering its
@@ -198,9 +184,10 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
     the output segments, so overlapped proposals get carved up. Proposals
     rank by score (descending), then duration, start, class and input
     order; the owner of a snippet is the first covering one in that order.
+    A segment is its owner's pseudo label over the run.
     """
-    start, end, score, class_id = proposal_columns(proposals)
-    order = np.lexsort((class_id, start, end - start, -score))
+    start, end, score = proposals.start_s, proposals.end_s, proposals.score
+    order = np.lexsort((proposals.class_id, start, end - start, -score))
     centers = snippet_centers(grid)
     owner = np.full(grid.num_snippets, -1, dtype=np.int64)
     for block in _blocks(order.shape[0], grid):
@@ -208,21 +195,14 @@ def _fuse_hard(proposals: Sequence[Proposal], grid: TimeGrid) -> list[PseudoProp
         covered = (centers >= start[rows, None]) & (centers < end[rows, None])
         take = (owner < 0) & covered.any(axis=0)
         owner[take] = rows[covered.argmax(axis=0)[take]]
+    first, last, i = (np.array(column, dtype=np.int64) for column in zip(*runs(owner)))
+    owned = i >= 0
+    first, last, i = first[owned], last[owned], i[owned]
     dur = grid.snippet_duration_s
-    out = []
-    for first, last, i in runs(owner):
-        if i >= 0:
-            p = proposals[i]  # its pseudo label (confidence floored at 0) over the run
-            out.append(PseudoProposal(Interval(first * dur, (last + 1) * dur), p.class_id,
-                                      max(p.score, 0.0)))
-    return out
+    return _floored(Segments(first * dur, (last + 1) * dur, proposals.class_id[i], score[i]))
 
 
-def _by_score(p: Proposal) -> tuple[float, float, float]:
-    return (-p.score, p.interval.start_s, p.interval.end_s)
-
-
-def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
+def _fuse_gauss(proposals: Segments) -> Segments:
     """Group same-class proposals around the current top score and average
     boundaries weighted by score.
 
@@ -232,13 +212,11 @@ def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
     GAUSS_GROUP_TIOU; sums run over the group in that order. The rows are
     plain floats: (start, end, score, class_id).
     """
-    ranked = sorted(
-        (-p.score, p.interval.start_s, p.interval.end_s, i)
-        for i, p in enumerate(proposals)
-        if p.score > 0.0
+    remaining = sorted(
+        ((start, end, score, class_id) for start, end, class_id, score in proposals if score > 0.0),
+        key=lambda row: (-row[2], row[0], row[1]),
     )
-    remaining = [(start, end, -neg, proposals[i].class_id) for neg, start, end, i in ranked]
-    out: list[PseudoProposal] = []
+    out: list[tuple[float, float, int, float]] = []
     while remaining:
         top_start, top_end, top_score, class_id = remaining[0]
         group, rest = [], []
@@ -250,25 +228,25 @@ def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
         total = sum(row[2] for row in group)
         start = sum(row[0] * row[2] for row in group) / total
         end = sum(row[1] * row[2] for row in group) / total
-        out.append(PseudoProposal(Interval(start, end), class_id, top_score))
+        out.append((start, end, class_id, top_score))
         remaining = rest
-    return out
+    return Segments(*(tuple(zip(*out)) or ((), (), (), ())))
 
 
 # name -> fuse(proposals, grid, min_duration_s); only ricker reads min_duration_s.
 # The order is `benchmark`'s default run order.
-STRATEGIES: dict[str, Callable[[Sequence[Proposal], TimeGrid, float], list[PseudoProposal]]] = {
+STRATEGIES: dict[str, Callable[[Segments, TimeGrid, float], Segments]] = {
     "ricker": lambda props, grid, min_dur: segments_from_wavelet(
         fuse_ricker(props, grid), min_dur
     ),
-    "soft": lambda props, grid, min_dur: [p.as_pseudo() for p in props],
+    "soft": lambda props, grid, min_dur: _floored(props),
     "hard": lambda props, grid, min_dur: _fuse_hard(props, grid),
-    "topk": lambda props, grid, min_dur: [
-        p.as_pseudo() for p in sorted(props, key=_by_score)[:TOP_K]
-    ],
-    "threshold": lambda props, grid, min_dur: [
-        p.as_pseudo() for p in props if p.score >= SCORE_THRESHOLD
-    ],
+    "topk": lambda props, grid, min_dur: _floored(
+        props.select(np.lexsort((props.end_s, props.start_s, -props.score))[:TOP_K])
+    ),
+    "threshold": lambda props, grid, min_dur: _floored(
+        props.select(props.score >= SCORE_THRESHOLD)
+    ),
     "gauss": lambda props, grid, min_dur: _fuse_gauss(props),
 }
 
@@ -283,16 +261,15 @@ def lookup_strategy(name: str):
 
 def generate_pseudo_labels(
     strategy: str,
-    proposals: Sequence[Proposal],
+    proposals: Segments,
     grid: TimeGrid,
     min_duration_s: float = 0.0,
-) -> list[PseudoProposal]:
+) -> Segments:
     """Fuse one video's proposals with the named strategy (see STRATEGIES).
 
     Every strategy rejects a proposal whose class lies outside the grid.
     """
     fuse = lookup_strategy(strategy)
-    for p in proposals:
-        if not 1 <= p.class_id <= grid.class_count:
-            raise ValueError("proposal class out of grid range")
+    if (proposals.class_id > grid.class_count).any():
+        raise ValueError("proposal class out of grid range")
     return fuse(proposals, grid, min_duration_s)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PseudoProposal, TimeGrid, snippet_centers
+from .core import Segment, TimeGrid, snippet_centers
 
 __all__ = ["MaskParams", "SnippetMask", "mask_for_proposal", "union_masks", "decay_schedule"]
 
@@ -55,9 +55,7 @@ class SnippetMask:
         return int((self.bits == 0).sum())
 
 
-def mask_for_proposal(
-    proposal: PseudoProposal, params: MaskParams, grid: TimeGrid
-) -> SnippetMask:
+def mask_for_proposal(proposal: Segment, params: MaskParams, grid: TimeGrid) -> SnippetMask:
     """Mark snippets inside the two boundary bands of one proposal uncertain.
 
     A snippet is uncertain when its center lies strictly inside either
@@ -65,8 +63,8 @@ def mask_for_proposal(
     alpha = beta = 0 bands mark nothing. Bands are implicitly clipped to
     the video extent because only on-grid centers are tested.
     """
-    start, end = proposal.interval.start_s, proposal.interval.end_s
-    d = proposal.interval.duration_s
+    start, end = proposal.start_s, proposal.end_s
+    d = end - start
     centers = snippet_centers(grid)
     band_start = (centers > start - params.alpha * d) & (centers < start + params.beta * d)
     band_end = (centers > end - params.beta * d) & (centers < end + params.alpha * d)

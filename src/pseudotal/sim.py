@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig, config_from_dict
-from .core import Interval, Proposal, PseudoProposal, SnippetPredictions, TimeGrid, snippet_centers
+from .core import Interval, Segments, SnippetPredictions, TimeGrid, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
 from .weak_branch import VideoLabel, weak_proposals
@@ -314,7 +314,7 @@ def proposals_by_video(
     labels: Mapping[str, VideoLabel],
     predictions: Mapping[str, SnippetPredictions],
     pipe: PipelineConfig,
-) -> dict[str, list[Proposal]]:
+) -> dict[str, Segments]:
     """Weak-branch proposals of every video of `predictions`, in sorted
     video-id order: extract, score, suppress."""
     return {
@@ -333,11 +333,11 @@ def proposals_by_video(
 
 
 def pseudo_labels_by_video(
-    proposals: Mapping[str, Sequence[Proposal]],
+    proposals: Mapping[str, Segments],
     grids: Mapping[str, TimeGrid],
     strategy: str,
     pipe: PipelineConfig,
-) -> dict[str, list[PseudoProposal]]:
+) -> dict[str, Segments]:
     """One strategy's pseudo labels of every video of `proposals`, in
     sorted video-id order."""
     return {

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import PseudoProposal, TimeGrid, pairwise_tiou
+from .core import Segment, Segments, TimeGrid, pairwise_tiou
 from .mask import SnippetMask
 from .weak_branch import VideoLabel
 
@@ -177,20 +176,18 @@ class AnchorPredictions:
             raise ValueError("reg offsets must be nonnegative")
 
 
-def assign_level(p: PseudoProposal, cfg: PyramidConfig, grid: TimeGrid) -> int:
+def assign_level(p: Segment, cfg: PyramidConfig, grid: TimeGrid) -> int:
     """Pyramid level that owns the proposal's duration in snippets: level 0
     owns [0, 4), each higher level doubles the bound, and the top level is
     open-ended."""
-    duration_snippets = p.interval.duration_s / grid.snippet_duration_s
+    duration_snippets = (p.end_s - p.start_s) / grid.snippet_duration_s
     level = 0
     while level < cfg.num_levels - 1 and duration_snippets >= 4.0 * 2**level:
         level += 1
     return level
 
 
-def build_targets(
-    pseudos: Sequence[PseudoProposal], mask: SnippetMask, cfg: PyramidConfig
-) -> AnchorTargets:
+def build_targets(pseudos: Segments, mask: SnippetMask, cfg: PyramidConfig) -> AnchorTargets:
     """Rasterize pseudo proposals into per-anchor labels on the pyramid of `mask`'s grid.
 
     An anchor is positive for the proposal assigned to its level whose
@@ -208,12 +205,12 @@ def build_targets(
     iou_weight = np.zeros(total, dtype=np.float64)
     mask_bit = np.empty(total, dtype=np.uint8)
 
-    by_level: dict[int, list[PseudoProposal]] = {}
+    by_level: dict[int, list[Segment]] = {}
     for p in pseudos:
         by_level.setdefault(assign_level(p, cfg, grid), []).append(p)
     # shortest proposal wins containment ties
     for plist in by_level.values():
-        plist.sort(key=lambda p: (p.interval.duration_s, p.interval.start_s))
+        plist.sort(key=lambda p: (p.end_s - p.start_s, p.start_s))
 
     dur = grid.snippet_duration_s
     offset = 0
@@ -221,14 +218,14 @@ def build_targets(
         times = _anchor_times(stride, size, grid)
         assigned = np.zeros(size, dtype=bool)
         for p in by_level.get(level, []):
-            inside = (times >= p.interval.start_s) & (times < p.interval.end_s)
+            inside = (times >= p.start_s) & (times < p.end_s)
             take = inside & ~assigned
             idx = np.flatnonzero(take)
             if idx.size == 0:
                 continue
             class_label[offset + idx] = p.class_id
-            reg_left[offset + idx] = (times[idx] - p.interval.start_s) / (stride * dur)
-            reg_right[offset + idx] = (p.interval.end_s - times[idx]) / (stride * dur)
+            reg_left[offset + idx] = (times[idx] - p.start_s) / (stride * dur)
+            reg_right[offset + idx] = (p.end_s - times[idx]) / (stride * dur)
             iou_weight[offset + idx] = 1.0
             assigned |= take
         snippet_idx = np.minimum((times / dur).astype(np.int64), grid.num_snippets - 1)

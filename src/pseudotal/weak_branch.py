@@ -8,18 +8,17 @@ or from the simulator in :mod:`pseudotal.sim`.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    Interval,
-    Proposal,
+    Segments,
     SnippetPredictions,
     TimeGrid,
     pairwise_tiou,
-    proposal_columns,
     snippet_centers,
     threshold_runs,
 )
@@ -78,7 +77,7 @@ def extract_proposals(
     grid: TimeGrid,
     thresholds: Sequence[float],
     video_label: VideoLabel,
-) -> list[Proposal]:
+) -> Segments:
     """Multi-threshold run extraction over the foreground SP channels.
 
     For every class present in the video label and every threshold, each
@@ -100,18 +99,16 @@ def extract_proposals(
         raise ValueError("video label class out of grid range")
     column, first, last = threshold_runs(z[:, [c - 1 for c in classes]], thresholds)
     dur = grid.snippet_duration_s
-    return [
-        Proposal(Interval(f * dur, (l + 1) * dur), 0.0, classes[c])
-        for c, f, l in zip(column.tolist(), first.tolist(), last.tolist())
-    ]
+    class_id = np.asarray(classes, dtype=np.int64)[column]
+    return Segments(first * dur, (last + 1) * dur, class_id, np.zeros(column.shape[0]))
 
 
 def oic_scores(
     sps: np.ndarray,
-    proposals: Sequence[Proposal],
+    proposals: Segments,
     grid: TimeGrid,
     inflation: float = 0.25,
-) -> list[float]:
+) -> np.ndarray:
     """Outer-inner contrast of every proposal on the SP column of its class:
     the inner mean minus the mean over the flanking regions.
 
@@ -125,7 +122,7 @@ def oic_scores(
     if z.shape[0] != grid.num_snippets:
         raise ValueError("SP column length disagrees with grid")
     rows = np.ascontiguousarray(z.T)  # contiguous class columns
-    start, end, _, column = proposal_columns(proposals)
+    start, end = proposals.start_s, proposals.end_s
     flank = inflation * (end - start)
     # the centers are sorted, so each bound's "centers >= x" mask is the
     # suffix from its left insertion point: every region is one slice
@@ -135,38 +132,34 @@ def oic_scores(
     ).T.tolist()
     add = np.add.reduce
     out = []
-    for c, (left, a, b, right) in zip((column - 1).tolist(), bounds):
+    for c, (left, a, b, right) in zip((proposals.class_id - 1).tolist(), bounds):
         col = rows[c]
         outer = np.concatenate((col[left:a], col[b:right]))
         inner_mean = float(add(col[a:b])) / (b - a) if b > a else 0.0
         outer_mean = float(add(outer)) / outer.size if outer.size else 0.0
         out.append(inner_mean - outer_mean)
-    return out
+    return np.array(out, dtype=np.float64)
 
 
 def soft_nms(
-    proposals: Sequence[Proposal],
-    scores: Sequence[float],
+    proposals: Segments,
     sigma_nms: float = 0.5,
     min_score: float = 0.001,
-) -> list[Proposal]:
-    """Classwise Gaussian soft-NMS of `proposals` scored by `scores`, one
-    per proposal in place of its own `score`.
+) -> Segments:
+    """Classwise Gaussian soft-NMS of `proposals` by their scores.
 
     Repeatedly selects the highest-scoring remaining proposal and decays
     every other same-class score by exp(-tiou^2 / sigma_nms). Proposals
     whose decayed score falls below `min_score` are dropped, as is any
     unselected remainder once the running maximum drops below it. Output
-    is sorted by final score descending; intervals and classes are never
-    modified.
+    is sorted by final score descending, then by class, start and end;
+    intervals and classes are never modified.
     """
     if sigma_nms <= 0:
         raise ValueError("sigma_nms must be positive")
-    if len(scores) != len(proposals):
-        raise ValueError("soft_nms needs one score per proposal")
-    start, end, _, column = proposal_columns(proposals)
+    start, end = proposals.start_s, proposals.end_s
     by_class: dict[int, list[int]] = {}
-    for i, class_id in enumerate(column.tolist()):
+    for i, class_id in enumerate(proposals.class_id.tolist()):
         by_class.setdefault(class_id, []).append(i)
     groups = [by_class[class_id] for class_id in sorted(by_class)]
     # one (selected, other) entry per same-class pair, a group's block of
@@ -176,29 +169,31 @@ def soft_nms(
     other = np.array([i for g in groups for _ in g for i in g], dtype=np.intp)
     overlap = pairwise_tiou(start[other], end[other], start[selected], end[selected])
     decay = np.exp(-(overlap**2) / sigma_nms).tolist()
-    starts, ends = start.tolist(), end.tolist()
-    out: list[Proposal] = []
+    starts, ends, scores = start.tolist(), end.tolist(), proposals.score.tolist()
+    kept: list[int] = []
+    kept_scores: list[float] = []
     at = 0
     for g in groups:
         n = len(g)
         # [-score, start, end, index, k]: the smallest is the highest current
         # score, ties broken by earliest interval, then by input order
-        alive = [[-float(scores[i]), starts[i], ends[i], i, k] for k, i in enumerate(g)]
+        alive = [[-scores[i], starts[i], ends[i], i, k] for k, i in enumerate(g)]
         while alive:
             best = min(alive)
             score = -best[0]
             if score < min_score:
                 break
-            p = proposals[best[3]]
-            out.append(Proposal(p.interval, score, p.class_id))
+            kept.append(best[3])
+            kept_scores.append(score)
             alive.remove(best)
             row = at + n * best[4]
             for entry in alive:
                 entry[0] *= decay[row + entry[4]]
             alive = [entry for entry in alive if -entry[0] >= min_score]
         at += n * n
-    out.sort(key=lambda p: (-p.score, p.class_id, p.interval.start_s, p.interval.end_s))
-    return out
+    kept_at = np.array(kept, dtype=np.intp)
+    out = Segments(start[kept_at], end[kept_at], proposals.class_id[kept_at], kept_scores)
+    return out.select(np.lexsort((out.end_s, out.start_s, out.class_id, -out.score)))
 
 
 def weak_proposals(
@@ -210,7 +205,7 @@ def weak_proposals(
     sigma_nms: float = 0.5,
     min_score: float = 0.001,
     extract_on: str = "sps",
-) -> list[Proposal]:
+) -> Segments:
     """Full weak-branch post-processing: extract, score, suppress.
 
     `extract_on` selects the thresholded signal: "sps" thresholds the
@@ -226,5 +221,5 @@ def weak_proposals(
     else:
         raise ValueError("extract_on must be 'sps' or 'attention'")
     raw = extract_proposals(source, grid, thresholds, label)
-    scores = oic_scores(z, raw, grid, oic_inflation)
-    return soft_nms(raw, scores, sigma_nms=sigma_nms, min_score=min_score)
+    scored = dataclasses.replace(raw, score=oic_scores(z, raw, grid, oic_inflation))
+    return soft_nms(scored, sigma_nms=sigma_nms, min_score=min_score)

@@ -1,7 +1,7 @@
 """The original evaluation code, kept as the float oracle for `pseudotal.evaluation`.
 
 It matches every class at every tIoU threshold on its own: each
-`average_precision` call rescans every prediction with scalar `tiou`,
+`average_precision` call rescans every prediction with scalar `span_tiou`,
 builds a `Fraction` at every rank, and `pseudo_quality` reruns a second
 greedy matcher per threshold and video. Tests compare the package's mAP,
 per-class AP, precision and recall against these functions for exact
@@ -12,13 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from pseudotal.core import Interval, Proposal, PseudoProposal, tiou
+from pseudotal.core import Interval, span_tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalReport,
     GroundTruthSet,
     PseudoQuality,
 )
+from segment_objects import Proposal, PseudoProposal
 
 
 def _match_flags(
@@ -47,7 +48,7 @@ def _match_flags(
         for j, g in enumerate(candidates):
             if taken[vid][j]:
                 continue
-            t = tiou(iv, g)
+            t = span_tiou(iv.start_s, iv.end_s, g.start_s, g.end_s)
             if t > best_t or (t == best_t and best_j >= 0 and g.start_s < candidates[best_j].start_s):
                 best_t = t
                 best_j = j
@@ -142,10 +143,10 @@ def _greedy_match_count(
     gts: Sequence[tuple[Interval, int]],
     threshold: float,
 ) -> int:
-    """Rank-free greedy matching: repeatedly pair the highest-tiou
+    """Rank-free greedy matching: repeatedly pair the highest-tIoU
     same-class (pseudo, gt) couple at or above the threshold."""
     pairs = [
-        (tiou(piv, giv), i, j)
+        (span_tiou(piv.start_s, piv.end_s, giv.start_s, giv.end_s), i, j)
         for i, (piv, pc) in enumerate(pseudos)
         for j, (giv, gc) in enumerate(gts)
         if pc == gc

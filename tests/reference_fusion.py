@@ -3,8 +3,8 @@
 `fuse_ricker` adds one proposal's wavelet into its class column at a time,
 `segments_from_wavelet` walks the runs of one class column at a time with
 `core.runs`, `_fuse_hard` paints the coverage mask of one proposal at a
-time in score order, and `_fuse_gauss` rebuilds a scalar `tiou` against the
-group leader for every remaining proposal. Tests compare the package's
+time in score order, and `_fuse_gauss` rebuilds a scalar `span_tiou` against
+the group leader for every remaining proposal. Tests compare the package's
 wavelets and pseudo labels against these functions for exact equality; it
 is not used by the package.
 """
@@ -15,16 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from pseudotal.core import (
-    Interval,
-    Proposal,
-    PseudoProposal,
-    TimeGrid,
-    runs,
-    snippet_centers,
-    tiou,
-)
+from pseudotal.core import Interval, TimeGrid, runs, snippet_centers, span_tiou
 from pseudotal.fusion import GAUSS_GROUP_TIOU, FusedWavelet, RickerParams, ricker_value
+from segment_objects import Proposal, PseudoProposal
 
 
 def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
@@ -37,7 +30,8 @@ def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
             raise ValueError("proposal class out of grid range")
         if p.score <= 0.0:
             continue
-        wav = ricker_value(centers, RickerParams.from_interval(p.interval))
+        iv = p.interval
+        wav = ricker_value(centers, RickerParams(0.5 * iv.duration_s, 0.5 * (iv.start_s + iv.end_s)))
         values[:, p.class_id - 1] += p.score * wav
     return FusedWavelet(values, grid)
 
@@ -120,7 +114,9 @@ def _fuse_gauss(proposals: Sequence[Proposal]) -> list[PseudoProposal]:
     while remaining:
         top = remaining[0]
         in_group = [
-            p.class_id == top.class_id and tiou(p.interval, top.interval) >= GAUSS_GROUP_TIOU
+            p.class_id == top.class_id
+            and span_tiou(p.interval.start_s, p.interval.end_s, top.interval.start_s,
+                          top.interval.end_s) >= GAUSS_GROUP_TIOU
             for p in remaining
         ]
         group = [p for p, g in zip(remaining, in_group) if g]

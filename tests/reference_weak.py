@@ -14,7 +14,6 @@ import numpy as np
 
 from pseudotal.core import (
     Interval,
-    Proposal,
     SnippetPredictions,
     TimeGrid,
     pairwise_tiou,
@@ -22,6 +21,7 @@ from pseudotal.core import (
     snippet_centers,
 )
 from pseudotal.weak_branch import VideoLabel, compute_sps
+from segment_objects import Proposal
 
 
 def extract_proposals(

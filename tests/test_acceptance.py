@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, Proposal, PseudoProposal, TimeGrid
+from pseudotal.core import Interval, Segment, Segments, TimeGrid
 from pseudotal.evaluation import GroundTruthSet, average_precision
 from pseudotal.fusion import (
     RickerParams,
@@ -37,6 +37,7 @@ from pseudotal.targets import (
     total_loss,
 )
 from pseudotal.weak_branch import VideoLabel
+from segment_objects import Proposal, segments_by_video, to_pseudos, to_segments
 
 
 @contextmanager
@@ -114,7 +115,7 @@ def test_02_fusion_oracle_equivalence():
                         int(rng.integers(1, class_count + 1)),
                     )
                 )
-            fused = fuse_ricker(proposals, grid)
+            fused = fuse_ricker(to_segments(proposals), grid)
             assert np.allclose(fused.values, _oracle_fuse(proposals, grid), atol=1e-9, rtol=0.0)
 
 
@@ -131,8 +132,8 @@ def test_03_single_proposal_round_trip():
             s = float(rng.uniform(0.0, length_s - d))
             cls = int(rng.integers(1, class_count + 1))
             score = float(rng.uniform(0.1, 3.0))
-            wavelet = fuse_ricker([Proposal(Interval(s, s + d), score, cls)], grid)
-            segments = segments_from_wavelet(wavelet)
+            wavelet = fuse_ricker(to_segments([Proposal(Interval(s, s + d), score, cls)]), grid)
+            segments = to_pseudos(segments_from_wavelet(wavelet))
             assert len(segments) == 1
             assert segments[0].class_id == cls
             assert abs(segments[0].interval.start_s - s) <= dur + 1e-9
@@ -204,21 +205,21 @@ def test_04_ap_oracle_equivalence():
                     (float(rng.uniform(0.0, 1.0)), ps, ps + float(rng.integers(1, 11)))
                 )
             threshold = float(rng.choice([0.1, 0.3, 0.5, 0.7]))
-            preds = {
+            preds = segments_by_video({
                 "v": [Proposal(Interval(s, e), sc, 1) for sc, s, e in pred_rows]
-            }
+            })
             gt = GroundTruthSet(
                 {"v": tuple((Interval(s, e), 1) for s, e in gt_rows)}
             )
             got = average_precision(preds, gt, 1, threshold)
             assert got == float(_oracle_ap(pred_rows, gt_rows, threshold))
         # ranked list: FP at score 0.9, exact TP at score 0.8, one target
-        preds = {
+        preds = segments_by_video({
             "v": [
                 Proposal(Interval(0, 10), 0.8, 1),
                 Proposal(Interval(50, 60), 0.9, 1),
             ]
-        }
+        })
         gt = GroundTruthSet({"v": ((Interval(0, 10), 1),)})
         assert average_precision(preds, gt, 1, 0.5) == 0.5
 
@@ -236,7 +237,7 @@ def test_05_mask_algebra():
             e = s + d
             grid = TimeGrid(num_snippets, 1.0, 1)
             mask = mask_for_proposal(
-                PseudoProposal(Interval(s, e), 1, 1.0), MaskParams(alpha, beta), grid
+                Segment(s, e, 1, 1.0), MaskParams(alpha, beta), grid
             )
             centers = np.arange(num_snippets) + 0.5
             uncertain = centers[mask.bits == 0]
@@ -259,7 +260,7 @@ def test_05_mask_algebra():
         at_total = decay_schedule(38, 20, 38, initial)
         assert (at_total.alpha, at_total.beta) == (0.0, 0.0)
         grid = TimeGrid(60, 1.0, 1)
-        pseudo = PseudoProposal(Interval(20, 40), 1, 1.0)
+        pseudo = Segment(20.0, 40.0, 1, 1.0)
         counts = [
             mask_for_proposal(
                 pseudo, decay_schedule(epoch, 20, 38, initial), grid
@@ -273,10 +274,7 @@ def test_05_mask_algebra():
 def test_06_loss_contracts():
     with verdict(6, "loss contracts", limit_s=5.0):
         grid = TimeGrid(32, 1.0, 2)
-        pseudos = [
-            PseudoProposal(Interval(4, 12), 1, 1.0),
-            PseudoProposal(Interval(18, 26), 2, 0.8),
-        ]
+        pseudos = Segments([4.0, 18.0], [12.0, 26.0], [1, 2], [1.0, 0.8])
         masks = [mask_for_proposal(p, MaskParams(0.1, 0.25), grid) for p in pseudos]
         tgt = build_targets(pseudos, union_masks(masks, grid), PyramidConfig())
         probs = np.zeros((tgt.num_anchors, 3))

@@ -175,6 +175,30 @@ class TestExtractFuse:
         assert abs(rows[0]["start_s"] - 53.0) <= 1.0
         assert abs(rows[0]["end_s"] - 59.0) <= 1.0
 
+    @pytest.mark.parametrize("strategy", ["soft", "hard", "topk", "threshold"])
+    def test_negative_zero_score_keeps_its_sign(self, tmp_path, strategy):
+        # pseudo labels floor a score at 0 and keep a -0.0 as -0.0, as Python's
+        # max(-0.0, 0.0) does; `threshold` drops the row (-0.0 < 0.2)
+        grid_file, props, out = (tmp_path / n for n in ("grid.jsonl", "props.jsonl", "out"))
+        write_jsonl(
+            grid_file,
+            [{"video_id": "v", "num_snippets": 16, "snippet_duration_s": 1.0, "class_count": 1}],
+        )
+        write_jsonl(props, [
+            {"video_id": "v", "start_s": 2.0, "end_s": 9.0, "score": -0.0, "class_id": 1},
+            {"video_id": "v", "start_s": 11.0, "end_s": 14.0, "score": -0.5, "class_id": 1},
+        ])
+        assert run("fuse", "--input", props, "--input", grid_file,
+                   "--strategy", strategy, "--output", out) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        if strategy == "threshold":
+            assert lines == []
+        else:
+            assert lines == [
+                '{"class_id": 1, "end_s": 9.0, "score": -0.0, "start_s": 2.0, "video_id": "v"}',
+                '{"class_id": 1, "end_s": 14.0, "score": 0.0, "start_s": 11.0, "video_id": "v"}',
+            ]
+
     def test_fuse_strategy_flag(self, tmp_path):
         grid_file = tmp_path / "grid.jsonl"
         write_jsonl(
@@ -590,6 +614,38 @@ class TestLosses:
 
 
 class TestEval:
+    @pytest.mark.parametrize("class_id", [2**63, 10**30])
+    @pytest.mark.parametrize("kind", ["gt", "predictions"])
+    def test_class_id_beyond_int64(self, tmp_path, capsys, kind, class_id):
+        row = {"video_id": "v", "start_s": 1.0, "end_s": 3.0, "class_id": 1}
+        rows = {"gt": dict(row), "predictions": dict(row, score=0.9)}
+        rows[kind]["class_id"] = class_id
+        paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
+        for name, path in paths.items():
+            write_jsonl(path, [rows[name]])
+        out = tmp_path / "eval.json"
+        assert run("eval", "--input", paths["predictions"], "--gt", paths["gt"],
+                   "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {paths[kind]}: video v: class_id {class_id} lies beyond the int64 range\n"
+        )
+        assert not out.exists()
+
+    def test_class_ids_near_the_int64_bound(self, tmp_path):
+        # a class id of 2**62 in three videos, and the largest int64: no pair
+        # key multiplies a class id by the video count
+        gt_rows = [
+            {"video_id": vid, "start_s": 1.0, "end_s": 3.0, "class_id": c}
+            for vid, c in (("a", 2**62), ("b", 2**62), ("c", 2**62), ("c", 2**63 - 1))
+        ]
+        gt, preds, out = (tmp_path / name for name in ("gt.jsonl", "preds.jsonl", "eval.json"))
+        write_jsonl(gt, gt_rows)
+        write_jsonl(preds, [dict(r, score=0.9) for r in gt_rows])
+        assert run("eval", "--input", preds, "--gt", gt, "--output", out) == 0
+        metrics = read_report(out)["metrics"]
+        assert metrics["map"] == [1.0] * 7
+        assert sorted(metrics["per_class"]) == sorted([str(2**62), str(2**63 - 1)])
+
     def test_perfect_predictions(self, sim_paths):
         _, gt_rows = read_jsonl(sim_paths["gt"])
         preds = sim_paths["dir"] / "preds.jsonl"

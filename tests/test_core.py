@@ -4,13 +4,13 @@ import pytest
 from pseudotal.core import (
     MAX_GRID_CELLS,
     Interval,
-    Proposal,
-    PseudoProposal,
+    Segment,
+    Segments,
     SnippetPredictions,
     TimeGrid,
     runs,
     snippet_centers,
-    tiou,
+    span_tiou,
 )
 
 
@@ -40,29 +40,42 @@ class TestTypes:
             Interval(5.0, 2.0)
         with pytest.raises(ValueError):
             Interval(0.0, float("inf"))
-        iv = Interval(2.0, 6.0)
-        assert iv.duration_s == 4.0
-        assert iv.midpoint_s == 4.0
+        assert Interval(2.0, 6.0).duration_s == 4.0
 
-    def test_proposal_validation(self):
-        p = Proposal(Interval(0, 1), 0.5, 1)
-        assert p.class_id == 1
-        with pytest.raises(ValueError):
-            Proposal(Interval(0, 1), 0.5, 0)
-        with pytest.raises(ValueError):
-            Proposal(Interval(0, 1), float("nan"), 1)
+    def test_segments_validation(self):
+        good = {"start_s": [0.0, 2.0], "end_s": [1.0, 5.0], "class_id": [1, 3],
+                "score": [0.5, -0.25]}
+        segs = Segments(**good)
+        assert len(segs) == 2
+        assert [c.dtype for c in (segs.start_s, segs.end_s, segs.class_id, segs.score)] == [
+            np.float64, np.float64, np.int64, np.float64]
+        assert not any(c.flags.writeable for c in (segs.start_s, segs.end_s, segs.class_id,
+                                                   segs.score))
+        assert len(Segments([], [], [], [])) == 0
+        # one case per rule, each with the message it raises
+        cases = [
+            ({"score": [0.5]}, "1-D and of one length"),
+            ({"start_s": [[0.0, 2.0]]}, "1-D and of one length"),
+            ({"start_s": [0.0, float("nan")]}, "interval endpoints must be finite"),
+            ({"end_s": [1.0, float("inf")]}, "interval endpoints must be finite"),
+            ({"end_s": [1.0, 2.0]}, "interval requires start_s < end_s"),
+            ({"score": [0.5, float("nan")]}, "score must be finite"),
+            ({"class_id": [1, 0]}, "class_id must be >= 1"),
+            ({"class_id": [1.0, 3.0]}, "class_id must hold int64 integers"),
+            ({"class_id": [1, 2**63]}, "class_id must hold int64 integers"),
+        ]
+        for change, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Segments(**{**good, **change})
 
-    def test_pseudo_proposal_confidence_nonneg(self):
-        with pytest.raises(ValueError):
-            PseudoProposal(Interval(0, 1), 1, -0.1)
-        p = PseudoProposal(Interval(0, 4), 2, 0.0)
-        assert (p.class_id, p.confidence) == (2, 0.0)
-
-    def test_proposal_as_pseudo_floors_score(self):
-        p = Proposal(Interval(1, 3), 0.7, 2).as_pseudo()
-        assert p == PseudoProposal(Interval(1, 3), 2, 0.7)
-        assert Proposal(Interval(1, 3), -0.2, 2).as_pseudo().confidence == 0.0
-        assert Proposal(p.interval, p.confidence, p.class_id).as_pseudo() == p
+    def test_segments_rows_and_selection(self):
+        segs = Segments([0.0, 2.0, 4.0], [1.0, 5.0, 6.0], [1, 3, 2], [0.5, -0.0, 0.25])
+        rows = list(segs)
+        assert rows == [(0.0, 1.0, 1, 0.5), (2.0, 5.0, 3, -0.0), (4.0, 6.0, 2, 0.25)]
+        assert all(type(r) is Segment for r in rows)
+        assert [type(v) for v in rows[1]] == [float, float, int, float]
+        assert list(segs.select(np.array([2, 0]))) == [rows[2], rows[0]]
+        assert list(segs.select(segs.score > 0.3)) == [rows[0]]
 
     def test_snippet_predictions_validation(self):
         att = np.array([0.5, 1.0])
@@ -79,27 +92,26 @@ class TestTypes:
 
 class TestTiou:
     def test_examples(self):
-        assert tiou(Interval(0, 10), Interval(5, 15)) == pytest.approx(1 / 3)
-        assert tiou(Interval(0, 10), Interval(0, 10)) == 1.0
-        assert tiou(Interval(0, 5), Interval(6, 9)) == 0.0
+        assert span_tiou(0, 10, 5, 15) == pytest.approx(1 / 3)
+        assert span_tiou(0, 10, 0, 10) == 1.0
+        assert span_tiou(0, 5, 6, 9) == 0.0
 
     def test_symmetry_property(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a0, b0 = rng.uniform(0, 50, 2)
-            a = Interval(a0, a0 + rng.uniform(0.1, 20))
-            b = Interval(b0, b0 + rng.uniform(0.1, 20))
-            assert tiou(a, b) == tiou(b, a)
-            assert 0.0 <= tiou(a, b) <= 1.0
+            a = (a0, a0 + rng.uniform(0.1, 20))
+            b = (b0, b0 + rng.uniform(0.1, 20))
+            assert span_tiou(*a, *b) == span_tiou(*b, *a)
+            assert 0.0 <= span_tiou(*a, *b) <= 1.0
 
     def test_nested_equals_length_ratio(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            a = Interval(0.0, rng.uniform(5, 30))
-            s = rng.uniform(0, a.duration_s * 0.5)
-            e = rng.uniform(s + 0.1, a.duration_s)
-            b = Interval(s, e)
-            assert tiou(a, b) == pytest.approx(b.duration_s / a.duration_s)
+            a_end = rng.uniform(5, 30)
+            s = rng.uniform(0, a_end * 0.5)
+            e = rng.uniform(s + 0.1, a_end)
+            assert span_tiou(0.0, a_end, s, e) == pytest.approx((e - s) / a_end)
 
 
 class TestSnippetMapping:

@@ -62,6 +62,27 @@ def _loaded_names(node: ast.AST) -> set[str]:
     }
 
 
+def _bound_names(node: ast.AST) -> set[str]:
+    """Every bare name that `node` binds itself: its arguments (and those of
+    the functions and lambdas it holds) and its assignment targets."""
+    return {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)} | {
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _called_names(stmt: ast.AST) -> set[str]:
+    """The names a top-level function or class reaches: `_loaded_names`, less
+    the bare names it binds itself, so a local variable that shares a
+    function's name does not reach that function."""
+    bound = _bound_names(stmt)
+    return {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(stmt)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        and not (isinstance(n, ast.Name) and n.id in bound)
+    }
+
+
 def test_every_public_name_is_called():
     """Every `__all__` name and every top-level function or class of the
     package is reached from the command line (`cli.main` and the module-level
@@ -73,7 +94,7 @@ def test_every_public_name_is_called():
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                bodies.setdefault(stmt.name, set()).update(_loaded_names(stmt))
+                bodies.setdefault(stmt.name, set()).update(_called_names(stmt))
             else:
                 reached |= _loaded_names(stmt)
     todo = list(reached)

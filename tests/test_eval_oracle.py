@@ -1,9 +1,11 @@
 """Float oracle for the evaluation sweep.
 
 `reference_eval` is the original evaluator: one `average_precision` call
-per class and threshold, scalar `tiou`, a `Fraction` at every rank, and a
-second greedy matcher per threshold and video. The package's one-pass
-sweep must give the same floats, bit for bit, on every corpus.
+per class and threshold, scalar `span_tiou`, a `Fraction` at every rank,
+and a second greedy matcher per threshold and video. The package's
+one-pass sweep must give the same floats, bit for bit, on every corpus.
+Corpora are built as `segment_objects` pseudo labels and handed to the
+package as `Segments`.
 """
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_eval as ref
-from pseudotal.core import Interval, Proposal, PseudoProposal, pairwise_tiou, tiou
+from pseudotal.core import Interval, pairwise_tiou, span_tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     _interpolated_ap,
@@ -20,6 +22,7 @@ from pseudotal.evaluation import (
     map_table,
     pseudo_quality,
 )
+from segment_objects import Proposal, PseudoProposal, segments_by_video
 
 THRESHOLDS = (*DEFAULT_TIOU_THRESHOLDS, 0.75, 1.0)
 
@@ -39,17 +42,18 @@ def assert_same(pseudos, gt, thresholds=THRESHOLDS):
         vid: [Proposal(p.interval, p.confidence, p.class_id) for p in plist]
         for vid, plist in pseudos.items()
     }
-    got, want = map_table(preds, gt, thresholds), ref.map_table(preds, gt, thresholds)
+    segs = segments_by_video(pseudos)
+    got, want = map_table(segs, gt, thresholds), ref.map_table(preds, gt, thresholds)
     assert got.map_values == want.map_values
     assert got.per_class == want.per_class
-    q, q_ref = pseudo_quality(pseudos, gt, thresholds), ref.pseudo_quality(pseudos, gt, thresholds)
+    q, q_ref = pseudo_quality(segs, gt, thresholds), ref.pseudo_quality(pseudos, gt, thresholds)
     assert q.report.map_values == q_ref.report.map_values
     assert q.report.per_class == q_ref.report.per_class
     assert q.precision == q_ref.precision
     assert q.recall == q_ref.recall
     for cid in {*gt.class_ids, *(p.class_id for v in pseudos.values() for p in v)}:
         for t in thresholds[::3]:
-            assert average_precision(preds, gt, cid, t) == ref.average_precision(
+            assert average_precision(segs, gt, cid, t) == ref.average_precision(
                 preds, gt, cid, t
             )
 
@@ -101,7 +105,7 @@ def test_pairwise_tiou_bit_identical_to_core():
     b_end = b_start + rng.uniform(0.01, 20, n)
     got = pairwise_tiou(a_start, a_end, b_start, b_end).tolist()
     want = [
-        tiou(Interval(*a), Interval(*b))
+        span_tiou(*a, *b)
         for a, b in zip(zip(a_start.tolist(), a_end.tolist()), zip(b_start.tolist(), b_end.tolist()))
     ]
     assert sum(t > 0.0 for t in want) > n // 10
@@ -114,7 +118,7 @@ def test_pairwise_tiou_bit_identical_to_core():
     got = pairwise_tiou(a_start, a_end, b_start, b_end)
     assert got.dtype == np.float64
     want = [
-        tiou(Interval(*a), Interval(*b))
+        span_tiou(*a, *b)
         for a, b in zip(zip(a_start.tolist(), a_end.tolist()), zip(b_start.tolist(), b_end.tolist()))
     ]
     assert sum(t > 0.0 for t in want) > n // 10
@@ -156,7 +160,7 @@ def test_tiou_exactly_on_threshold():
         "c": [PseudoProposal(Interval(0, 7), 1, 0.7)],
     }
     assert_same(pseudos, gt, (0.3, 0.5, 0.7))
-    q = pseudo_quality(pseudos, gt, (0.3, 0.5, 0.7))
+    q = pseudo_quality(segments_by_video(pseudos), gt, (0.3, 0.5, 0.7))
     assert q.recall == (1.0, 2 / 3, 1 / 3)
 
 
@@ -189,6 +193,21 @@ def test_class_with_ground_truth_but_no_predictions():
     pseudos = {"a": [PseudoProposal(Interval(0, 10), 1, 0.9)]}
     assert_same(pseudos, gt)
     assert map_table({}, gt).per_class[1] == (2, tuple(0.0 for _ in DEFAULT_TIOU_THRESHOLDS))
+
+
+def test_class_ids_near_the_int64_bound():
+    # pairs are keyed by a class's rank among the ground-truth classes, so no
+    # class id is multiplied by the video count
+    big = 2**62
+    gt = _gt(a=[(0, 10, big)], b=[(0, 10, big + 1)], c=[(5, 9, big), (0, 4, 1)])
+    pseudos = {
+        "a": [PseudoProposal(Interval(0, 10), big, 0.9)],
+        "b": [PseudoProposal(Interval(1, 10), big + 1, 0.8),
+              PseudoProposal(Interval(0, 10), 2**63 - 1, 0.7)],
+        "c": [PseudoProposal(Interval(5, 9), big, 0.6), PseudoProposal(Interval(0, 4), 1, 0.5)],
+    }
+    assert_same(pseudos, gt)
+    assert map_table(segments_by_video(pseudos), gt).average_map == 1.0
 
 
 def test_empty_prediction_sets():

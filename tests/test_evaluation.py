@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, Proposal, PseudoProposal
+from pseudotal.core import Interval
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalReport,
@@ -12,6 +12,7 @@ from pseudotal.evaluation import (
     map_table,
     pseudo_quality,
 )
+from segment_objects import segments
 
 
 def _gt(**videos):
@@ -36,48 +37,48 @@ class TestGroundTruthSet:
 class TestAveragePrecision:
     def test_exact_match_is_one(self):
         gt = _gt(a=[(2, 8, 1)])
-        preds = {"a": [Proposal(Interval(2, 8), 0.9, 1)]}
+        preds = {"a": segments((2, 8, 1, 0.9))}
         for t in DEFAULT_TIOU_THRESHOLDS:
             assert average_precision(preds, gt, 1, t) == 1.0
 
     def test_below_threshold_is_zero(self):
         gt = _gt(a=[(0, 3, 1)])
-        preds = {"a": [Proposal(Interval(0, 9), 0.9, 1)]}  # tiou = 1/3
+        preds = {"a": segments((0, 9, 1, 0.9))}  # tiou = 1/3
         assert average_precision(preds, gt, 1, 0.5) == 0.0
         assert average_precision(preds, gt, 1, 0.3) == 1.0
 
     def test_false_positive_outranks_true_positive(self):
         gt = _gt(a=[(0, 10, 1)])
         preds = {
-            "a": [
-                Proposal(Interval(0, 10), 0.8, 1),
-                Proposal(Interval(50, 60), 0.9, 1),
-            ]
+            "a": segments(
+                (0, 10, 1, 0.8),
+                (50, 60, 1, 0.9),
+            )
         }
         assert average_precision(preds, gt, 1, 0.5) == 0.5
 
     def test_no_ground_truth_is_zero(self):
         gt = _gt(a=[(0, 10, 2)])
-        preds = {"a": [Proposal(Interval(0, 10), 0.9, 1)]}
+        preds = {"a": segments((0, 10, 1, 0.9))}
         assert average_precision(preds, gt, 1, 0.5) == 0.0
 
     def test_each_gt_matched_once(self):
         gt = _gt(a=[(0, 10, 1)])
         preds = {
-            "a": [
-                Proposal(Interval(0, 10), 0.9, 1),
-                Proposal(Interval(0, 10), 0.8, 1),  # duplicate becomes FP
-            ]
+            "a": segments(
+                (0, 10, 1, 0.9),
+                (0, 10, 1, 0.8),  # duplicate becomes FP
+            )
         }
         assert average_precision(preds, gt, 1, 0.5) == 1.0
         # the duplicate caps precision at recall 1 but AP keeps the early TP
         gt2 = _gt(a=[(0, 10, 1), (20, 30, 1)])
         preds2 = {
-            "a": [
-                Proposal(Interval(0, 10), 0.9, 1),
-                Proposal(Interval(0, 10), 0.8, 1),
-                Proposal(Interval(20, 30), 0.7, 1),
-            ]
+            "a": segments(
+                (0, 10, 1, 0.9),
+                (0, 10, 1, 0.8),
+                (20, 30, 1, 0.7),
+            )
         }
         assert average_precision(preds2, gt2, 1, 0.5) == pytest.approx(
             0.5 * 1.0 + 0.5 * (2 / 3)
@@ -85,7 +86,7 @@ class TestAveragePrecision:
 
     def test_matching_prefers_higher_tiou(self):
         gt = _gt(a=[(0, 10, 1), (8, 18, 1)])
-        preds = {"a": [Proposal(Interval(7, 17), 0.9, 1)]}
+        preds = {"a": segments((7, 17, 1, 0.9))}
         # the prediction overlaps both; it must claim [8,18] (higher tiou),
         # leaving [0,10] unmatched
         assert average_precision(preds, gt, 1, 0.5) == 0.5
@@ -97,21 +98,16 @@ class TestAveragePrecision:
                 a=[(float(s), float(s) + 5.0, 1) for s in rng.uniform(0, 80, 3) * 1.0]
             )
             preds = {
-                "a": [
-                    Proposal(
-                        Interval(float(s), float(s) + float(rng.uniform(2, 8))),
-                        float(rng.uniform(0.05, 1)),
-                        1,
-                    )
+                "a": segments(*(
+                    (float(s), float(s) + float(rng.uniform(2, 8)), 1, float(rng.uniform(0.05, 1)))
                     for s in rng.uniform(0, 80, 6)
-                ]
+                ))
             }
             base = average_precision(preds, gt, 1, 0.4)
             rescaled = {
-                "a": [
-                    Proposal(p.interval, math.exp(3 * p.score), p.class_id)
-                    for p in preds["a"]
-                ]
+                "a": segments(*(
+                    (p.start_s, p.end_s, p.class_id, math.exp(3 * p.score)) for p in preds["a"]
+                ))
             }
             assert average_precision(rescaled, gt, 1, 0.4) == base
 
@@ -120,14 +116,10 @@ class TestAveragePrecision:
         for _ in range(20):
             gt = _gt(a=[(float(s), float(s) + 6.0, 1) for s in rng.uniform(0, 60, 3)])
             preds = {
-                "a": [
-                    Proposal(
-                        Interval(float(s), float(s) + float(rng.uniform(3, 9))),
-                        float(rng.uniform(0.05, 1)),
-                        1,
-                    )
+                "a": segments(*(
+                    (float(s), float(s) + float(rng.uniform(3, 9)), 1, float(rng.uniform(0.05, 1)))
                     for s in rng.uniform(0, 60, 8)
-                ]
+                ))
             }
             aps = [average_precision(preds, gt, 1, t) for t in DEFAULT_TIOU_THRESHOLDS]
             for earlier, later in zip(aps, aps[1:]):
@@ -138,8 +130,8 @@ class TestMapTable:
     def test_perfect_predictions(self):
         gt = _gt(a=[(0, 5, 1), (10, 15, 2)], b=[(3, 9, 1)])
         preds = {
-            "a": [Proposal(Interval(0, 5), 0.9, 1), Proposal(Interval(10, 15), 0.8, 2)],
-            "b": [Proposal(Interval(3, 9), 0.7, 1)],
+            "a": segments((0, 5, 1, 0.9), (10, 15, 2, 0.8)),
+            "b": segments((3, 9, 1, 0.7)),
         }
         report = map_table(preds, gt)
         assert all(v == 1.0 for v in report.map_values)
@@ -152,17 +144,17 @@ class TestMapTable:
 
     def test_mean_over_present_classes(self):
         gt = _gt(a=[(0, 10, 1), (20, 30, 2)])
-        preds = {"a": [Proposal(Interval(0, 10), 0.9, 1)]}  # class 2 missed
+        preds = {"a": segments((0, 10, 1, 0.9))}  # class 2 missed
         report = map_table(preds, gt)
         assert all(v == 0.5 for v in report.map_values)
 
     def test_absent_classes_excluded_from_mean(self):
         gt = _gt(a=[(0, 10, 1)])
         preds = {
-            "a": [
-                Proposal(Interval(0, 10), 0.9, 1),
-                Proposal(Interval(20, 30), 0.9, 7),  # class with no GT anywhere
-            ]
+            "a": segments(
+                (0, 10, 1, 0.9),
+                (20, 30, 7, 0.9),  # class with no GT anywhere
+            )
         }
         report = map_table(preds, gt)
         assert report.map_values == tuple(1.0 for _ in DEFAULT_TIOU_THRESHOLDS)
@@ -171,9 +163,9 @@ class TestMapTable:
     def test_range_averages_are_exact_means(self):
         gt = _gt(a=[(0, 10, 1)])
         preds = {
-            "a": [
-                Proposal(Interval(0, 8), 0.9, 1),  # tiou 0.8: TP up to 0.7... 0.8
-            ]
+            "a": segments(
+                (0, 8, 1, 0.9),  # tiou 0.8: TP up to 0.7... 0.8
+            )
         }
         report = map_table(preds, gt)
         vals = report.map_values
@@ -194,7 +186,7 @@ class TestMapTable:
 
     def test_map_at_and_text(self):
         gt = _gt(a=[(0, 5, 1)])
-        preds = {"a": [Proposal(Interval(0, 5), 0.9, 1)]}
+        preds = {"a": segments((0, 5, 1, 0.9))}
         report = map_table(preds, gt)
         assert report.map_at(0.5) == 1.0
         with pytest.raises(KeyError):
@@ -205,16 +197,11 @@ class TestMapTable:
         gt = _gt(
             a=[(float(s), float(s) + 5.0, int(c)) for s, c in zip(rng.uniform(0, 50, 4), rng.integers(1, 4, 4))]
         )
-        preds = {
-            "a": [
-                Proposal(
-                    Interval(float(s), float(s) + float(rng.uniform(2, 9))),
-                    float(rng.uniform(0, 1)),
-                    int(rng.integers(1, 4)),
-                )
-                for s in rng.uniform(0, 50, 10)
-            ]
-        }
+        rows = []
+        for s in rng.uniform(0, 50, 10):
+            end, score = float(s) + float(rng.uniform(2, 9)), float(rng.uniform(0, 1))
+            rows.append((float(s), end, int(rng.integers(1, 4)), score))
+        preds = {"a": segments(*rows)}
         report = map_table(preds, gt)
         for _, aps in report.per_class:
             assert all(0.0 <= v <= 1.0 for v in aps)
@@ -225,10 +212,10 @@ class TestPseudoQuality:
     def test_exact_pseudos_perfect(self):
         gt = _gt(a=[(0, 10, 1), (20, 30, 2)])
         pseudos = {
-            "a": [
-                PseudoProposal(Interval(0, 10), 1, 0.9),
-                PseudoProposal(Interval(20, 30), 2, 0.8),
-            ]
+            "a": segments(
+                (0, 10, 1, 0.9),
+                (20, 30, 2, 0.8),
+            )
         }
         q = pseudo_quality(pseudos, gt)
         assert all(p == 1.0 for p in q.precision)
@@ -243,21 +230,21 @@ class TestPseudoQuality:
 
     def test_half_recall(self):
         gt = _gt(a=[(0, 10, 1), (20, 30, 1)])
-        pseudos = {"a": [PseudoProposal(Interval(0, 10), 1, 0.9)]}
+        pseudos = {"a": segments((0, 10, 1, 0.9))}
         q = pseudo_quality(pseudos, gt, thresholds=(0.5,))
         assert q.recall == (0.5,)
         assert q.precision == (1.0,)
 
     def test_class_mismatch_never_matches(self):
         gt = _gt(a=[(0, 10, 1)])
-        pseudos = {"a": [PseudoProposal(Interval(0, 10), 2, 0.9)]}
+        pseudos = {"a": segments((0, 10, 2, 0.9))}
         q = pseudo_quality(pseudos, gt, thresholds=(0.5,))
         assert q.recall == (0.0,)
         assert q.precision == (0.0,)
 
     def test_to_dict_carries_both_views(self):
         gt = _gt(a=[(0, 10, 1)])
-        pseudos = {"a": [PseudoProposal(Interval(0, 10), 1, 0.9)]}
+        pseudos = {"a": segments((0, 10, 1, 0.9))}
         d = pseudo_quality(pseudos, gt).to_dict()
         assert "precision" in d and "recall" in d and "map" in d
 

@@ -2,24 +2,30 @@
 
 `reference_fusion` is the original per-proposal code: one wavelet added to
 its class column at a time, one `core.runs` walk per class column, one
-coverage mask painted at a time for `hard`, and a scalar `tiou` against
-every remaining proposal for `gauss`. The package's block passes must give
-the same wavelet bytes (signed zeros included) and the same pseudo labels,
-field for field (dataclass `==`, no tolerance), on every corpus.
+coverage mask painted at a time for `hard`, and a scalar `span_tiou`
+against every remaining proposal for `gauss`; `soft`, `topk` and
+`threshold` are the one-line selections of `Proposal.as_pseudo`. The
+package's block passes must give the same wavelet bytes (signed zeros
+included) and the same pseudo labels, field for field (dataclass `==` of
+the `segment_objects` conversions, no tolerance), on every corpus.
 """
 import numpy as np
 import pytest
 
 import reference_fusion as ref
 from pseudotal import fusion
-from pseudotal.core import Interval, Proposal, TimeGrid, snippet_centers
+from pseudotal.core import Interval, TimeGrid, snippet_centers
 from pseudotal.fusion import (
+    SCORE_THRESHOLD,
+    STRATEGIES,
+    TOP_K,
     FusedWavelet,
     RickerParams,
     fuse_ricker,
     ricker_value,
     segments_from_wavelet,
 )
+from segment_objects import Proposal, to_pseudos, to_segments
 
 SEEDS = range(200)
 SCORE_LEVELS = (-0.5, 0.0, 0.25, 0.5, 1.0)
@@ -61,12 +67,21 @@ def random_proposals(rng, grid: TimeGrid, n: int) -> list[Proposal]:
 
 
 def assert_fusion_matches(props: list[Proposal], grid: TimeGrid) -> None:
-    got, want = fuse_ricker(props, grid), ref.fuse_ricker(props, grid)
+    segs = to_segments(props)
+    got, want = fuse_ricker(segs, grid), ref.fuse_ricker(props, grid)
     assert got.values.tobytes() == want.values.tobytes()
     for min_dur in (0.0, 2.0 * grid.snippet_duration_s):
-        assert segments_from_wavelet(got, min_dur) == ref.segments_from_wavelet(want, min_dur)
-    assert fusion._fuse_hard(props, grid) == ref._fuse_hard(props, grid)
-    assert fusion._fuse_gauss(props) == ref._fuse_gauss(props)
+        assert to_pseudos(segments_from_wavelet(got, min_dur)) == ref.segments_from_wavelet(
+            want, min_dur)
+    assert to_pseudos(fusion._fuse_hard(segs, grid)) == ref._fuse_hard(props, grid)
+    assert to_pseudos(fusion._fuse_gauss(segs)) == ref._fuse_gauss(props)
+    selections = {
+        "soft": props,
+        "topk": sorted(props, key=ref._by_score)[:TOP_K],
+        "threshold": [p for p in props if p.score >= SCORE_THRESHOLD],
+    }
+    for name, chosen in selections.items():
+        assert to_pseudos(STRATEGIES[name](segs, grid, 0.0)) == [p.as_pseudo() for p in chosen]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -117,7 +132,7 @@ def test_segments_of_any_wavelet_match_the_oracle(seed):
     for _ in range(5):
         wavelet = random_wavelet(rng)
         for min_dur in (0.0, float(rng.uniform(0.0, 4.0))):
-            got = segments_from_wavelet(wavelet, min_dur)
+            got = to_pseudos(segments_from_wavelet(wavelet, min_dur))
             assert got == ref.segments_from_wavelet(wavelet, min_dur)
 
 
@@ -139,7 +154,9 @@ def test_the_corpora_reach_the_edge_cases():
                 seen.add("negative score")
             centers = snippet_centers(grid)
             for p in props:
-                wav = ricker_value(centers, RickerParams.from_interval(p.interval))
+                iv = p.interval
+                params = RickerParams(0.5 * iv.duration_s, 0.5 * (iv.start_s + iv.end_s))
+                wav = ricker_value(centers, params)
                 if p.score > 0 and np.any(np.signbit(wav) & (wav == 0.0)):
                     seen.add("wavelet underflows to -0.0")
             values = ref.fuse_ricker(props, grid).values

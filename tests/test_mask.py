@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, PseudoProposal, TimeGrid
+from pseudotal.core import Segment, TimeGrid
 from pseudotal.mask import (
     MaskParams,
     SnippetMask,
@@ -47,27 +47,27 @@ class TestSnippetMask:
 class TestMaskForProposal:
     def test_boundary_bands(self):
         grid = TimeGrid(30, 1.0, 1)
-        p = PseudoProposal(Interval(10, 20), 1, 1.0)
+        p = Segment(10, 20, 1, 1.0)
         m = mask_for_proposal(p, MaskParams(0.1, 0.0), grid)
         # d = 10: bands are (9, 10) and (20, 21), catching centers 9.5 and 20.5
         assert _uncertain_indices(m) == [9, 20]
 
     def test_degenerate_params_all_certain(self):
         grid = TimeGrid(30, 1.0, 1)
-        p = PseudoProposal(Interval(10, 20), 1, 1.0)
+        p = Segment(10, 20, 1, 1.0)
         m = mask_for_proposal(p, MaskParams(0.0, 0.0), grid)
         assert m.uncertain_count() == 0
 
     def test_band_clipped_at_video_start(self):
         grid = TimeGrid(12, 1.0, 1)
-        p = PseudoProposal(Interval(0, 10), 1, 1.0)
+        p = Segment(0, 10, 1, 1.0)
         m = mask_for_proposal(p, MaskParams(0.5, 0.0), grid)
         # start band (-5, 0) falls off the grid; end band (10, 15) clips to 10, 11
         assert _uncertain_indices(m) == [10, 11]
 
     def test_beta_shrinks_interior(self):
         grid = TimeGrid(30, 1.0, 1)
-        p = PseudoProposal(Interval(10, 20), 1, 1.0)
+        p = Segment(10, 20, 1, 1.0)
         m = mask_for_proposal(p, MaskParams(0.0, 0.2), grid)
         # bands (10, 12) and (18, 20)
         assert _uncertain_indices(m) == [10, 11, 18, 19]
@@ -80,7 +80,7 @@ class TestMaskForProposal:
             s = float(rng.uniform(d, 200 - 2 * d))  # keep bands off the edges
             alpha = float(rng.uniform(0, 0.4))
             beta = float(rng.uniform(0, 0.4))
-            p = PseudoProposal(Interval(s, s + d), 1, 1.0)
+            p = Segment(s, s + d, 1, 1.0)
             m = mask_for_proposal(p, MaskParams(alpha, beta), grid)
             centers = (np.arange(200) + 0.5) * 1.0
             inside = (centers > s) & (centers < s + d)
@@ -164,7 +164,7 @@ class TestDecaySchedule:
 
     def test_uncertain_set_shrinks_monotonically(self):
         grid = TimeGrid(60, 1.0, 1)
-        p = PseudoProposal(Interval(20, 40), 1, 1.0)
+        p = Segment(20, 40, 1, 1.0)
         initial = MaskParams(0.3, 0.2)
         previous = None
         for epoch in range(20, 39):

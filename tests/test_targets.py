@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, PseudoProposal, TimeGrid, tiou
+from pseudotal.core import Segment, TimeGrid, span_tiou
 from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
 from pseudotal.targets import (
     AnchorPredictions,
@@ -20,18 +20,19 @@ from pseudotal.targets import (
     total_loss,
 )
 from pseudotal.weak_branch import VideoLabel
+from segment_objects import segments
 
 TWO_LEVELS = PyramidConfig(num_levels=2)  # level 0 owns [0, 4) snippets, level 1 the rest
 
 
 def _pseudo(start, end, class_id=1, confidence=1.0):
-    return PseudoProposal(Interval(start, end), class_id, confidence)
+    return Segment(float(start), float(end), class_id, confidence)
 
 
 def _union_targets(pseudos, params, cfg, grid):
-    """Targets of `pseudos` on the union of their masks under `params`."""
+    """Targets of the `pseudos` rows on the union of their masks under `params`."""
     mask = union_masks([mask_for_proposal(p, params, grid) for p in pseudos], grid)
-    return build_targets(pseudos, mask, cfg)
+    return build_targets(segments(*pseudos), mask, cfg)
 
 
 def _perfect_predictions(tgt, class_count):
@@ -340,7 +341,7 @@ class TestRegLoss:
         assert reg_loss(pred, tgt) == pytest.approx(0.5)
         decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[3]
         target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[3]
-        assert tiou(Interval(*decoded), Interval(*target)) == pytest.approx(0.5)
+        assert span_tiou(*decoded, *target) == pytest.approx(0.5)
 
     def test_masked_out_positives_ignored(self):
         grid = TimeGrid(16, 1.0, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, Proposal, SnippetPredictions, TimeGrid
+from pseudotal.core import Interval, SnippetPredictions, TimeGrid
 from pseudotal.weak_branch import (
     VideoLabel,
     compute_sps,
@@ -12,6 +12,7 @@ from pseudotal.weak_branch import (
     soft_nms,
     weak_proposals,
 )
+from segment_objects import segments
 
 
 class TestVideoLabel:
@@ -53,22 +54,20 @@ class TestExtractProposals:
     def test_single_run(self):
         z = _sps_matrix([0, 0.9, 0.9, 0, 0])
         grid = TimeGrid(5, 1.0, 1)
-        props = extract_proposals(z, grid, [0.5], self.label)
-        assert len(props) == 1
-        assert (props[0].interval.start_s, props[0].interval.end_s) == (1.0, 3.0)
-        assert props[0].class_id == 1
+        (p,) = extract_proposals(z, grid, [0.5], self.label)
+        assert (p.start_s, p.end_s, p.class_id) == (1.0, 3.0, 1)
 
     def test_two_thresholds_nested_runs(self):
         z = _sps_matrix([0.3, 0.9, 0.9, 0.3, 0])
         grid = TimeGrid(5, 1.0, 1)
         props = extract_proposals(z, grid, [0.2, 0.5], self.label)
-        spans = sorted((p.interval.start_s, p.interval.end_s) for p in props)
+        spans = sorted((p.start_s, p.end_s) for p in props)
         assert spans == [(0.0, 4.0), (1.0, 3.0)]
 
     def test_all_below_thresholds(self):
         z = _sps_matrix([0.05, 0.05, 0.05])
         grid = TimeGrid(3, 1.0, 1)
-        assert extract_proposals(z, grid, [0.2, 0.5], self.label) == []
+        assert len(extract_proposals(z, grid, [0.2, 0.5], self.label)) == 0
 
     def test_deduplication_across_thresholds(self):
         z = _sps_matrix([0, 0.9, 0.9, 0])
@@ -93,15 +92,16 @@ class TestExtractProposals:
             thresholds = sorted(rng.uniform(0.05, 0.95, 3))
             props = extract_proposals(z, grid, thresholds, self.label)
             for p in props:
-                first = round(p.interval.start_s / grid.snippet_duration_s)
-                last = round(p.interval.end_s / grid.snippet_duration_s) - 1
+                first = round(p.start_s / grid.snippet_duration_s)
+                last = round(p.end_s / grid.snippet_duration_s) - 1
                 # every proposal is a run at (at least) the lowest threshold
                 assert col[first : last + 1].min() >= thresholds[0]
 
 
 def _oic(column, iv, grid, inflation):
     """The contrast score of one class-1 proposal `iv` on the SP column `column`."""
-    return oic_scores(np.asarray(column)[:, None], [Proposal(iv, 0.0, 1)], grid, inflation)[0]
+    proposal = segments((iv.start_s, iv.end_s, 1, 0.0))
+    return oic_scores(np.asarray(column)[:, None], proposal, grid, inflation)[0]
 
 
 class TestOicScore:
@@ -134,23 +134,23 @@ class TestOicScore:
 
 class TestSoftNms:
     def test_gaussian_decay_example(self):
-        a = Proposal(Interval(0, 10), 0.9, 1)
-        b = Proposal(Interval(0, 5), 0.8, 1)  # tiou 0.5 with a
-        out = soft_nms([a, b], [a.score, b.score], sigma_nms=0.5, min_score=0.001)
-        assert out[0].score == pytest.approx(0.9)
-        assert out[1].score == pytest.approx(0.8 * math.exp(-0.5), abs=1e-7)
-        assert out[1].score == pytest.approx(0.4852245, abs=1e-6)
+        a = (0, 10, 1, 0.9)
+        b = (0, 5, 1, 0.8)  # tiou 0.5 with a
+        first, second = soft_nms(segments(a, b), sigma_nms=0.5, min_score=0.001)
+        assert first.score == pytest.approx(0.9)
+        assert second.score == pytest.approx(0.8 * math.exp(-0.5), abs=1e-7)
+        assert second.score == pytest.approx(0.4852245, abs=1e-6)
 
     def test_disjoint_unchanged(self):
-        a = Proposal(Interval(0, 5), 0.9, 1)
-        b = Proposal(Interval(10, 15), 0.8, 1)
-        out = soft_nms([a, b], [a.score, b.score])
+        a = (0, 5, 1, 0.9)
+        b = (10, 15, 1, 0.8)
+        out = soft_nms(segments(a, b))
         assert sorted(p.score for p in out) == [0.8, 0.9]
 
     def test_classwise_no_cross_decay(self):
-        a = Proposal(Interval(0, 10), 0.9, 1)
-        b = Proposal(Interval(0, 10), 0.8, 2)
-        out = soft_nms([a, b], [a.score, b.score])
+        a = (0, 10, 1, 0.9)
+        b = (0, 10, 2, 0.8)
+        out = soft_nms(segments(a, b))
         assert sorted(p.score for p in out) == [0.8, 0.9]
 
     def test_never_increases_never_mutates_geometry(self):
@@ -159,26 +159,19 @@ class TestSoftNms:
             props = []
             for _ in range(int(rng.integers(1, 12))):
                 s = rng.uniform(0, 20)
-                props.append(
-                    Proposal(
-                        Interval(s, s + rng.uniform(0.5, 8)),
-                        float(rng.uniform(0.01, 1)),
-                        int(rng.integers(1, 4)),
-                    )
-                )
-            out = soft_nms(props, [p.score for p in props], sigma_nms=0.5, min_score=0.001)
-            originals = {
-                (p.interval.start_s, p.interval.end_s, p.class_id): p.score for p in props
-            }
+                e, score = s + rng.uniform(0.5, 8), float(rng.uniform(0.01, 1))
+                props.append((s, e, int(rng.integers(1, 4)), score))
+            out = soft_nms(segments(*props), sigma_nms=0.5, min_score=0.001)
+            originals = {(s, e, c): score for s, e, c, score in props}
             for q in out:
-                key = (q.interval.start_s, q.interval.end_s, q.class_id)
+                key = (q.start_s, q.end_s, q.class_id)
                 assert key in originals
                 assert q.score <= originals[key] + 1e-12
 
     def test_min_score_drops(self):
-        a = Proposal(Interval(0, 10), 0.9, 1)
-        b = Proposal(Interval(0, 10), 0.001, 1)  # decays to ~0.000135
-        out = soft_nms([a, b], [a.score, b.score], sigma_nms=0.5, min_score=0.001)
+        a = (0, 10, 1, 0.9)
+        b = (0, 10, 1, 0.001)  # decays to ~0.000135
+        out = soft_nms(segments(a, b), sigma_nms=0.5, min_score=0.001)
         assert len(out) == 1
 
 
@@ -189,10 +182,9 @@ class TestWeakProposals:
         preds = SnippetPredictions(np.ones(6), rows)
         grid = TimeGrid(6, 1.0, 1)
         label = VideoLabel(np.array([1]))
-        props = weak_proposals(preds, grid, label, [0.5], oic_inflation=0.25)
-        assert len(props) == 1
+        (p,) = weak_proposals(preds, grid, label, [0.5], oic_inflation=0.25)
         # inner mean 0.9, single outer snippet each side at 0.05
-        assert props[0].score == pytest.approx(0.9 - 0.05)
+        assert p.score == pytest.approx(0.9 - 0.05)
 
     def test_extract_on_attention_flag(self):
         att = np.array([0.0, 1.0, 1.0, 0.0])
@@ -202,7 +194,7 @@ class TestWeakProposals:
         label = VideoLabel(np.array([1]))
         on_sps = weak_proposals(preds, grid, label, [0.5], extract_on="sps")
         on_att = weak_proposals(preds, grid, label, [0.5], extract_on="attention")
-        assert on_sps == []  # SP peak is 0.05, below every threshold
+        assert len(on_sps) == 0  # SP peak is 0.05, below every threshold
         assert len(on_att) == 1
         with pytest.raises(ValueError):
             weak_proposals(preds, grid, label, [0.5], extract_on="nope")

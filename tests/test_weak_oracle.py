@@ -5,13 +5,14 @@ labelled class and threshold, four boolean masks over every snippet per
 `oic_score`, and a soft-NMS that picks each survivor with a lambda key over
 numpy scalars. The package's all-threshold runs, sliced OIC means and
 decay-matrix soft-NMS must give the same proposals, scores and order, bit
-for bit (dataclass `==`, no tolerance), on every corpus.
+for bit (dataclass `==` of the `segment_objects` conversions, no
+tolerance), on every corpus.
 """
 import numpy as np
 import pytest
 
 import reference_weak as ref
-from pseudotal.core import Interval, Proposal, SnippetPredictions, TimeGrid, threshold_runs
+from pseudotal.core import Interval, SnippetPredictions, TimeGrid, threshold_runs
 from pseudotal.weak_branch import (
     VideoLabel,
     compute_sps,
@@ -20,6 +21,7 @@ from pseudotal.weak_branch import (
     soft_nms,
     weak_proposals,
 )
+from segment_objects import Proposal, segments, to_proposals, to_segments
 
 DEFAULT_THRESHOLDS = tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
 SEEDS = range(320)
@@ -27,7 +29,8 @@ SEEDS = range(320)
 
 def _oic(column, iv, grid, inflation):
     """The package's contrast score of one class-1 proposal `iv` on `column`."""
-    return oic_scores(column[:, None], [Proposal(iv, 0.0, 1)], grid, inflation)[0]
+    return oic_scores(column[:, None], segments((iv.start_s, iv.end_s, 1, 0.0)), grid,
+                      inflation)[0]
 
 
 def _values(rng, shape, quantized: bool) -> np.ndarray:
@@ -97,9 +100,9 @@ def test_weak_proposals_match_the_oracle(seed):
             want = ref.weak_proposals(
                 preds, grid, label, thresholds, extract_on=extract_on, **params
             )
-            assert got == want
+            assert to_proposals(got) == want
         z = compute_sps(preds.attention, preds.class_scores)
-        raw = extract_proposals(z, grid, thresholds, label)
+        raw = to_proposals(extract_proposals(z, grid, thresholds, label))
         assert raw == ref.extract_proposals(z, grid, thresholds, label)
         scored = []
         for p in raw:
@@ -107,10 +110,8 @@ def test_weak_proposals_match_the_oracle(seed):
             score = _oic(column, p.interval, grid, params["oic_inflation"])
             assert score == ref.oic_score(column, p.interval, grid, params["oic_inflation"])
             scored.append(Proposal(p.interval, score, p.class_id))
-        scores = [p.score for p in scored]
-        assert soft_nms(raw, scores, params["sigma_nms"], params["min_score"]) == ref.soft_nms(
-            scored, params["sigma_nms"], params["min_score"]
-        )
+        got = soft_nms(to_segments(scored), params["sigma_nms"], params["min_score"])
+        assert to_proposals(got) == ref.soft_nms(scored, params["sigma_nms"], params["min_score"])
 
 
 def test_the_corpora_reach_the_edge_cases():
@@ -122,7 +123,7 @@ def test_the_corpora_reach_the_edge_cases():
             preds, grid, label, thresholds = random_video(rng)
             params = _params(rng)
             z = compute_sps(preds.attention, preds.class_scores)
-            raw = extract_proposals(z, grid, thresholds, label)
+            raw = to_proposals(extract_proposals(z, grid, thresholds, label))
             if grid.num_snippets <= 2:
                 seen.add(f"T={grid.num_snippets}")
             spans = {(round(p.interval.start_s / grid.snippet_duration_s),
@@ -143,8 +144,7 @@ def test_the_corpora_reach_the_edge_cases():
             keys = [(p.class_id, p.score, p.interval.start_s) for p in scored]
             if len(set(keys)) < len(keys):
                 seen.add("equal scores with equal starts")
-            out = soft_nms(raw, [p.score for p in scored], params["sigma_nms"],
-                           params["min_score"])
+            out = soft_nms(to_segments(scored), params["sigma_nms"], params["min_score"])
             best = max((p.score for p in scored), default=-1.0)
             if out and len(out) < len(scored) and best >= params["min_score"]:
                 seen.add("min_score drops in the loop")
@@ -195,8 +195,8 @@ def test_soft_nms_on_unsorted_off_grid_proposals():
         rng.shuffle(props)
         sigma = float(rng.choice([0.5, 0.05, 3.0]))
         min_score = float(rng.choice([0.001, 0.3, 0.0, -1.0]))
-        scores = [p.score for p in props]
-        assert soft_nms(props, scores, sigma, min_score) == ref.soft_nms(props, sigma, min_score)
+        got = soft_nms(to_segments(props), sigma, min_score)
+        assert to_proposals(got) == ref.soft_nms(props, sigma, min_score)
 
 
 def test_tie_order_is_score_then_start_then_end():
@@ -204,13 +204,13 @@ def test_tie_order_is_score_then_start_then_end():
     a = Proposal(Interval(0.0, 6.0), 0.5, 1)
     b = Proposal(Interval(1.0, 3.0), 0.5, 1)
     for order in ([a, b], [b, a]):
-        out = soft_nms(order, [p.score for p in order])
+        out = to_proposals(soft_nms(to_segments(order)))
         assert out == ref.soft_nms(order)
         assert out[0] == a and out[1].score < 0.5
     # equal scores and starts: the earlier end goes first
     c = Proposal(Interval(0.0, 2.0), 0.5, 1)
     for order in ([a, c], [c, a]):
-        out = soft_nms(order, [p.score for p in order])
+        out = to_proposals(soft_nms(to_segments(order)))
         assert out == ref.soft_nms(order)
         assert out[0] == c
 

@@ -13,7 +13,7 @@ import pytest
 
 import reference_writer as ref
 from pseudotal import cli
-from pseudotal.core import Interval, Proposal, TimeGrid
+from pseudotal.core import Segments, TimeGrid
 from pseudotal.fusion import fuse_ricker
 
 SPECIAL = [
@@ -275,8 +275,7 @@ def test_wavelet_csv_cells_match_reference_formatting(tmp_path):
     ]) == 0
     grid = TimeGrid(30, 0.7, 2)
     wavelet = fuse_ricker(
-        [Proposal(Interval(r["start_s"], r["end_s"]), r["score"], r["class_id"]) for r in props],
-        grid,
+        Segments(*([r[k] for r in props] for k in ("start_s", "end_s", "class_id", "score"))), grid
     )
     centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
     expected = [
