@@ -4,7 +4,8 @@ Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
 primitive here: temporal IoU (of float endpoints, and elementwise),
 equal-value runs (of one array, of True in every row of a mask, and above
-every threshold of many columns at once) and snippet centers. The scored
+every threshold of many columns at once), snippet centers, and the cover
+rule: which segment, first in some order, holds each time. The scored
 segments of one video, proposals and pseudo labels alike, travel between
 the stages as one `Segments` value: four read-only columns, checked once
 in its constructor. Public boundaries are expressed in seconds; snippet
@@ -31,6 +32,7 @@ __all__ = [
     "true_runs",
     "threshold_runs",
     "snippet_centers",
+    "first_cover",
 ]
 
 
@@ -275,3 +277,22 @@ def snippet_centers(grid: TimeGrid) -> np.ndarray:
     """Center times (seconds) of every snippet on the grid."""
     dur = grid.snippet_duration_s
     return (np.arange(grid.num_snippets, dtype=np.float64) + 0.5) * dur
+
+
+def first_cover(
+    times: np.ndarray, start: np.ndarray, end: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """For each of the ascending `times`, the index of the first segment in
+    `order` whose [start, end) holds it, or -1 where none does (int64).
+
+    A segment holds one contiguous range of ascending times, which
+    `np.searchsorted` finds exactly; the ranges are painted in reverse
+    `order`, so the first segment ends on top. A segment with start >= end
+    holds no time.
+    """
+    owner = np.full(np.shape(times), -1, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
+    lo, hi = np.searchsorted(times, [start[order], end[order]]).tolist()
+    for k, a, b in zip(order.tolist()[::-1], lo[::-1], hi[::-1]):
+        owner[a:b] = k
+    return owner

@@ -37,20 +37,22 @@ RANGE_AVERAGES = ((0.1, 0.5), (0.3, 0.7), (0.1, 0.7))
 
 @dataclass(frozen=True)
 class GroundTruthSet:
-    """Ground-truth segments per video: video_id -> list of (interval, class)."""
+    """Ground-truth segments per video: video_id -> list of (interval, class);
+    a class is a Python or numpy integer (not a bool) in [1, 2**63 - 1]."""
 
     segments: Mapping[str, tuple[tuple[Interval, int], ...]]
 
     def __post_init__(self) -> None:
         frozen = {}
         for vid, items in self.segments.items():
-            rows = tuple((iv, int(c)) for iv, c in items)
+            rows = tuple(items)
             for iv, c in rows:
-                if c < 1:
-                    raise ValueError("ground-truth class ids are 1-based")
+                whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                if not (whole and 1 <= int(c) <= 2**63 - 1):
+                    raise ValueError(f"ground-truth class_id {c} is not an int64 integer >= 1")
                 if not isinstance(iv, Interval):
                     raise TypeError("ground-truth segments must be Intervals")
-            frozen[str(vid)] = rows
+            frozen[str(vid)] = tuple((iv, int(c)) for iv, c in rows)
         object.__setattr__(self, "segments", frozen)
 
     @property

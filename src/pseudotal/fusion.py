@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Segments, TimeGrid, runs, snippet_centers, span_tiou, true_runs
+from .core import Segments, TimeGrid, first_cover, runs, snippet_centers, span_tiou, true_runs
 
 __all__ = [
     "FusedWavelet",
@@ -89,9 +89,9 @@ def ricker_value(t: float | np.ndarray, params: RickerParams) -> float | np.ndar
     return out
 
 
-# The most (proposal, snippet) cells one block of per-proposal rows may hold
-# (512 KiB of float64). `fuse_ricker` and `_fuse_hard` take the proposals
-# block by block, so their memory is O(T) however many proposals a video has.
+# The most (proposal, snippet) cells one block of wavelet rows may hold
+# (512 KiB of float64). `fuse_ricker` takes the proposals block by block, so
+# its memory is O(T) however many proposals a video has.
 BLOCK_CELLS = 2**16
 
 
@@ -188,13 +188,7 @@ def _fuse_hard(proposals: Segments, grid: TimeGrid) -> Segments:
     """
     start, end, score = proposals.start_s, proposals.end_s, proposals.score
     order = np.lexsort((proposals.class_id, start, end - start, -score))
-    centers = snippet_centers(grid)
-    owner = np.full(grid.num_snippets, -1, dtype=np.int64)
-    for block in _blocks(order.shape[0], grid):
-        rows = order[block]
-        covered = (centers >= start[rows, None]) & (centers < end[rows, None])
-        take = (owner < 0) & covered.any(axis=0)
-        owner[take] = rows[covered.argmax(axis=0)[take]]
+    owner = first_cover(snippet_centers(grid), start, end, order)
     first, last, i = (np.array(column, dtype=np.int64) for column in zip(*runs(owner)))
     owned = i >= 0
     first, last, i = first[owned], last[owned], i[owned]

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig, config_from_dict
-from .core import Interval, Segments, SnippetPredictions, TimeGrid, snippet_centers
+from .core import Interval, Segments, SnippetPredictions, TimeGrid, first_cover, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
 from .weak_branch import VideoLabel, weak_proposals
@@ -249,14 +249,14 @@ def _corrupt_video(
     centers = snippet_centers(grid)
 
     # jitter boundaries in proportion to duration, then clamp to the video
-    jittered: list[tuple[float, float, int]] = []
+    jittered: list[tuple[float, float, int, float]] = []
     for iv, class_id in segments:
         d = iv.duration_s
         s = iv.start_s + rng.normal(0.0, cfg.boundary_jitter_frac * d)
         e = iv.end_s + rng.normal(0.0, cfg.boundary_jitter_frac * d)
         s = min(max(s, 0.0), grid.duration_s)
         e = min(max(e, 0.0), grid.duration_s)
-        jittered.append((s, e, class_id))
+        jittered.append((s, e, class_id, 1.0))
 
     n_fp = int(rng.poisson(cfg.false_positive_rate))
     d_lo, d_hi = cfg.duration_snippet_range()
@@ -268,19 +268,15 @@ def _corrupt_video(
         amp = float(rng.uniform(*FP_AMPLITUDE))
         false_segments.append((start * dur, (start + d) * dur, class_id, amp))
 
-    att = np.zeros(t)
-    snippet_class = np.zeros(t, dtype=np.int64)
-    # false positives first so genuine actions win overlaps
-    for s, e, class_id, amp in false_segments:
-        inside = (centers >= s) & (centers < e)
-        att[inside] = amp
-        snippet_class[inside] = class_id
-    for s, e, class_id in jittered:
-        inside = (centers >= s) & (centers < e)
-        att[inside] = 1.0
-        snippet_class[inside] = class_id
+    # rows (start, end, class_id, amplitude); a snippet takes the last row
+    # that holds its center, and false positives come first, so genuine
+    # actions win overlaps. The last row holds no time: it is the background
+    # that an owner of -1 (no row) selects.
+    rows = np.array([*false_segments, *jittered, (0.0, 0.0, 0, 0.0)])
+    owner = first_cover(centers, rows[:, 0], rows[:, 1], np.arange(rows.shape[0])[::-1])
+    snippet_class = rows[owner, 2].astype(np.int64)
 
-    att = np.clip(att + _smooth_noise(rng, t, cfg.attention_noise_std), 0.0, 1.0)
+    att = np.clip(rows[owner, 3] + _smooth_noise(rng, t, cfg.attention_noise_std), 0.0, 1.0)
 
     fg = _softened_rows(snippet_class, cfg.class_count, cfg.score_temperature)
     bg = 1.0 - fg.max(axis=1, keepdims=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Segment, Segments, TimeGrid, pairwise_tiou
+from .core import Segments, TimeGrid, first_cover, pairwise_tiou
 from .mask import SnippetMask
 from .weak_branch import VideoLabel
 
@@ -37,16 +37,15 @@ PROB_EPS = 1e-12
 ANCHOR_FIELDS = ("class_label", "reg_left", "reg_right", "iou_weight", "mask_bit")
 
 
-def _levels(grid: TimeGrid, num_levels: int) -> list[tuple[int, int]]:
-    """Stride (snippets) and anchor count of each pyramid level: level l has a
-    stride of 2**l and ceil(num_snippets / 2**l) anchors."""
-    strides = [2**level for level in range(num_levels)]
-    return [(stride, math.ceil(grid.num_snippets / stride)) for stride in strides]
-
-
-def _anchor_times(stride: int, size: int, grid: TimeGrid) -> np.ndarray:
-    """Center times in seconds of the `size` anchors of one level."""
-    return (np.arange(size, dtype=np.float64) + 0.5) * stride * grid.snippet_duration_s
+def _anchor_layout(grid: TimeGrid, sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Level, center time (seconds) and stride (seconds) of every anchor of
+    levels of `sizes` anchors, in level order: level l has a stride of 2**l
+    snippets, and its anchor i is centered at (i + 0.5) strides."""
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.concatenate([np.arange(size, dtype=np.float64) for size in sizes])
+    stride = 2**level
+    dur = grid.snippet_duration_s
+    return level, (index + 0.5) * stride * dur, stride * dur
 
 
 # Level l has a stride of 2**l snippets. From level 23 up one anchor covers
@@ -57,8 +56,8 @@ MAX_LEVELS = 32
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    """Multi-scale anchor layout of `num_levels` levels (see `_levels`); each
-    level owns a band of proposal durations (see `assign_level`)."""
+    """Multi-scale anchor layout of `num_levels` levels (see `level_sizes`);
+    each level owns a band of proposal durations (see `assign_level`)."""
 
     num_levels: int = 6
 
@@ -67,7 +66,8 @@ class PyramidConfig:
             raise ValueError(f"num_levels must lie in [1, {MAX_LEVELS}]")
 
     def level_sizes(self, grid: TimeGrid) -> tuple[int, ...]:
-        return tuple(size for _, size in _levels(grid, self.num_levels))
+        """ceil(num_snippets / 2**l) anchors at each level l."""
+        return tuple(math.ceil(grid.num_snippets / 2**level) for level in range(self.num_levels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +138,7 @@ class AnchorTargets:
 
     def decode_intervals(self, reg_left: np.ndarray, reg_right: np.ndarray) -> np.ndarray:
         """Decode per-anchor (start, end) seconds from stride-unit offsets."""
-        levels = _levels(self.grid, len(self.level_sizes))
-        dur = self.grid.snippet_duration_s
-        times = np.concatenate([_anchor_times(stride, size, self.grid) for stride, size in levels])
-        scale = np.concatenate([np.full(size, stride * dur) for stride, size in levels])
+        _, times, scale = _anchor_layout(self.grid, self.level_sizes)
         return np.stack([times - reg_left * scale, times + reg_right * scale], axis=1)
 
 
@@ -176,62 +173,44 @@ class AnchorPredictions:
             raise ValueError("reg offsets must be nonnegative")
 
 
-def assign_level(p: Segment, cfg: PyramidConfig, grid: TimeGrid) -> int:
-    """Pyramid level that owns the proposal's duration in snippets: level 0
-    owns [0, 4), each higher level doubles the bound, and the top level is
-    open-ended."""
-    duration_snippets = (p.end_s - p.start_s) / grid.snippet_duration_s
-    level = 0
-    while level < cfg.num_levels - 1 and duration_snippets >= 4.0 * 2**level:
-        level += 1
-    return level
+def assign_level(segments: Segments, cfg: PyramidConfig, grid: TimeGrid) -> np.ndarray:
+    """Pyramid level (int64) that owns each segment's duration in snippets:
+    level 0 owns [0, 4), each higher level doubles the bound, and the top
+    level is open-ended."""
+    bounds = 4.0 * 2.0 ** np.arange(cfg.num_levels - 1)
+    durations = (segments.end_s - segments.start_s) / grid.snippet_duration_s
+    return np.searchsorted(bounds, durations, side="right")
 
 
 def build_targets(pseudos: Segments, mask: SnippetMask, cfg: PyramidConfig) -> AnchorTargets:
     """Rasterize pseudo proposals into per-anchor labels on the pyramid of `mask`'s grid.
 
-    An anchor is positive for the proposal assigned to its level whose
-    interval contains the anchor time; when several contain it the
-    shortest wins. Regression targets are boundary distances in stride
-    units. Mask bits come from `mask` (the union uncertainty mask), resampled
-    by taking the bit of the snippet under each anchor.
+    An anchor is positive for the first pseudo label assigned to its level
+    whose [start_s, end_s) holds the anchor time, in the order shortest,
+    then the earlier start, then input order. Regression targets are
+    boundary distances in stride units, and iou_weight is 1 on positives.
+    Mask bits come from `mask` (the union uncertainty mask), resampled by
+    taking the bit of the snippet under each anchor.
     """
-    grid = mask.grid
-    sizes = cfg.level_sizes(grid)
-    total = sum(sizes)
-    class_label = np.zeros(total, dtype=np.int64)
-    reg_left = np.zeros(total, dtype=np.float64)
-    reg_right = np.zeros(total, dtype=np.float64)
-    iou_weight = np.zeros(total, dtype=np.float64)
-    mask_bit = np.empty(total, dtype=np.uint8)
-
-    by_level: dict[int, list[Segment]] = {}
-    for p in pseudos:
-        by_level.setdefault(assign_level(p, cfg, grid), []).append(p)
-    # shortest proposal wins containment ties
-    for plist in by_level.values():
-        plist.sort(key=lambda p: (p.end_s - p.start_s, p.start_s))
-
+    grid, sizes = mask.grid, cfg.level_sizes(mask.grid)
+    level, times, stride_s = _anchor_layout(grid, sizes)
+    start, end = pseudos.start_s, pseudos.end_s
+    order = np.lexsort((start, end - start))
+    label_level = assign_level(pseudos, cfg, grid)[order]
+    owner = np.concatenate([
+        first_cover(times[level == k], start, end, order[label_level == k])
+        for k in range(cfg.num_levels)
+    ])
+    pos = np.flatnonzero(owner >= 0)
+    i = owner[pos]
+    class_label = np.zeros(times.shape[0], dtype=np.int64)
+    class_label[pos] = pseudos.class_id[i]
+    reg_left, reg_right = np.zeros(times.shape[0]), np.zeros(times.shape[0])
+    reg_left[pos] = (times[pos] - start[i]) / stride_s[pos]
+    reg_right[pos] = (end[i] - times[pos]) / stride_s[pos]
+    iou_weight = (owner >= 0).astype(np.float64)
     dur = grid.snippet_duration_s
-    offset = 0
-    for level, (stride, size) in enumerate(_levels(grid, cfg.num_levels)):
-        times = _anchor_times(stride, size, grid)
-        assigned = np.zeros(size, dtype=bool)
-        for p in by_level.get(level, []):
-            inside = (times >= p.start_s) & (times < p.end_s)
-            take = inside & ~assigned
-            idx = np.flatnonzero(take)
-            if idx.size == 0:
-                continue
-            class_label[offset + idx] = p.class_id
-            reg_left[offset + idx] = (times[idx] - p.start_s) / (stride * dur)
-            reg_right[offset + idx] = (p.end_s - times[idx]) / (stride * dur)
-            iou_weight[offset + idx] = 1.0
-            assigned |= take
-        snippet_idx = np.minimum((times / dur).astype(np.int64), grid.num_snippets - 1)
-        mask_bit[offset : offset + size] = mask.bits[snippet_idx]
-        offset += size
-
+    mask_bit = mask.bits[np.minimum((times / dur).astype(np.int64), grid.num_snippets - 1)]
     return AnchorTargets(grid, sizes, class_label, reg_left, reg_right, iou_weight, mask_bit)
 
 

@@ -19,7 +19,9 @@ refinement round (`simulate` of a less noisy SP file with the same seed,
 without `--epoch`, `fuse --wavelet-csv` on one video, and `benchmark` run
 two ways; then a crowded corpus (long videos, 20 classes, ten false
 positives per video), where many proposals overlap, through
-`simulate`, `extract`, `fuse` for each strategy and `benchmark`.
+`simulate`, `extract`, `fuse` for each strategy, `mask --epoch` and
+`targets` on the `soft` (overlapping) and `hard` pseudo labels, and
+`benchmark`.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -159,6 +161,12 @@ def run_chain(out: Path) -> list[Path]:
     for name in STRATEGIES:
         _run("fuse", *crowded, "--input", crowded_props, "--input", crowded_sp,
              "--strategy", name, "--output", out / f"pseudo_crowded_{name}.jsonl")
+    for name in ("soft", "hard"):
+        pseudo, mask = out / f"pseudo_crowded_{name}.jsonl", out / f"mask_crowded_{name}.jsonl"
+        _run("mask", *crowded, "--input", pseudo, "--input", crowded_sp, "--epoch", 25,
+             "--output", mask)
+        _run("targets", *crowded, "--input", pseudo, "--input", crowded_sp, "--input", mask,
+             "--output", out / f"targets_crowded_{name}.jsonl")
     _run("benchmark", *crowded, "--output", out / "benchmark_crowded.json")
     return sorted(p for p in out.iterdir() if p.is_file())
 

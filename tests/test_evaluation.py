@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ class TestGroundTruthSet:
     def test_rejects_bad_classes(self):
         with pytest.raises(ValueError):
             _gt(a=[(0, 5, 0)])
+
+    @pytest.mark.parametrize("class_id", [1.7, True, np.float64(2.0), 10**30, 2**63,
+                                          np.uint64(2**63)],
+                             ids=["float", "bool", "numpy float", "10**30", "2**63",
+                                  "numpy 2**63"])
+    def test_class_ids_are_int64_integers(self, class_id):
+        """A class is never truncated, and none past int64 reaches map_table."""
+        message = f"ground-truth class_id {class_id} is not an int64 integer >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _gt(a=[(0, 5, class_id)])
+
+    def test_the_largest_int64_class(self):
+        gt = _gt(a=[(0, 5, 2**63 - 1)], b=[(0, 5, np.int64(3))])
+        assert gt.class_ids == [3, 2**63 - 1]
+        assert all(type(c) is int for items in gt.segments.values() for _, c in items)
+        preds = {"a": segments((0, 5, 2**63 - 1, 0.9)), "b": segments((0, 5, 3, 0.8))}
+        report = map_table(preds, gt)
+        assert report.average_map == 1.0
+        assert [c for c, _ in report.per_class] == [3, 2**63 - 1]
 
 
 class TestAveragePrecision:

@@ -5,8 +5,9 @@ its class column at a time, one `core.runs` walk per class column, one
 coverage mask painted at a time for `hard`, and a scalar `span_tiou`
 against every remaining proposal for `gauss`; `soft`, `topk` and
 `threshold` are the one-line selections of `Proposal.as_pseudo`. The
-package's block passes must give the same wavelet bytes (signed zeros
-included) and the same pseudo labels, field for field (dataclass `==` of
+package's array passes (ricker's wavelets in blocks of at most
+`fusion.BLOCK_CELLS` cells, hard's snippet owners from `core.first_cover`)
+must give the same wavelet bytes (signed zeros included) and the same pseudo labels, field for field (dataclass `==` of
 the `segment_objects` conversions, no tolerance), on every corpus.
 """
 import numpy as np
@@ -97,7 +98,8 @@ def test_strategies_match_the_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_blocks_smaller_than_the_proposal_count(monkeypatch, seed):
-    """A cell budget of a few rows splits every video into many blocks."""
+    """A cell budget of a few rows splits every video's ricker wavelets into
+    many blocks (BLOCK_CELLS splits nothing else)."""
     rng = np.random.default_rng(1000 + seed)
     grid = random_grid(rng)
     monkeypatch.setattr(fusion, "BLOCK_CELLS", grid.num_snippets * int(rng.integers(1, 4)))
@@ -105,6 +107,7 @@ def test_blocks_smaller_than_the_proposal_count(monkeypatch, seed):
 
 
 def test_a_video_beyond_the_cell_budget():
+    """More ricker wavelet cells than one block holds."""
     rng = np.random.default_rng(7)
     grid = TimeGrid(700, 1.0, 3)
     props = random_proposals(rng, grid, 120)
@@ -174,7 +177,7 @@ def test_the_corpora_reach_the_edge_cases():
 
 def test_any_small_video_matches_the_oracle():
     """Hypothesis draws videos of a few snippets, proposals on snippet edges
-    with scores from SCORE_LEVELS, and cell budgets down to one cell."""
+    with scores from SCORE_LEVELS, and ricker cell budgets down to one cell."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 

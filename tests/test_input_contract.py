@@ -4,7 +4,8 @@ from a fixed pool of JSON values, and the subcommand that reads the file
 runs in-process. It exits 0, 2 or 3 and raises nothing; on a nonzero exit
 it prints one line that names the changed file and writes no `--output`.
 The config's `"sim"` section is mutated the same way and read by
-`simulate`. Grids stay small here; oversize grids are the capped child
+`simulate`. A changed predictions (segment) or ground-truth file also runs
+through `eval`. Grids stay small here; oversize grids are the capped child
 tests of test_cli.py."""
 import contextlib
 import io
@@ -63,6 +64,9 @@ RUNS = {
               "--gt", "{gt}"],
     "sim": ["simulate"],
 }
+EVAL = ["eval", "--input", "{proposals}", "--gt", "{gt}"]
+# the other runs that read a file: eval reads predictions and ground truth
+ALSO_RUNS = {"proposals": [EVAL], "gt": [EVAL]}
 # a config key is read by the subcommand that uses it (k_ratio by none)
 CONFIG_RUNS = {
     **dict.fromkeys(["k_ratio", "thresholds", "oic_inflation", "sigma_nms", "min_score",
@@ -72,7 +76,7 @@ CONFIG_RUNS = {
                     ["mask", "--input", "{proposals}", "--input", "{grid}"]),
     "num_levels": RUNS["mask"],
     **dict.fromkeys(["tau", "lambda_att", "gamma_focal"], RUNS["targets"]),
-    "eval_tious": ["eval", "--input", "{proposals}", "--gt", "{gt}"],
+    "eval_tious": EVAL,
 }
 def _run(files: dict, argv: list, directory: Path) -> tuple[int, str, Path, dict]:
     """Write each file's row (the "sim" section into the config file), run
@@ -92,17 +96,19 @@ def _run(files: dict, argv: list, directory: Path) -> tuple[int, str, Path, dict
     return code, err.getvalue(), out, {**paths, "sim": paths["config"]}
 
 
-def _argv(kind: str, key: str) -> list:
-    return CONFIG_RUNS[key] if kind == "config" else RUNS[kind]
+def _argvs(kind: str, key: str) -> list[list]:
+    """Every run that reads the file `kind` (its config key `key`)."""
+    return [CONFIG_RUNS[key]] if kind == "config" else [RUNS[kind], *ALSO_RUNS.get(kind, [])]
 
 
 @pytest.mark.parametrize("kind", sorted(ROWS))
 def test_valid_files_run(tmp_path, kind):
     keys = sorted(CONFIG_RUNS) if kind == "config" else [None]
     for key in keys:
-        code, err, out, _ = _run(ROWS, _argv(kind, key), tmp_path)
-        assert (code, err) == (0, "") and out.exists()
-        out.unlink()
+        for argv in _argvs(kind, key):
+            code, err, out, _ = _run(ROWS, argv, tmp_path)
+            assert (code, err) == (0, "") and out.exists()
+            out.unlink()
 
 
 @st.composite
@@ -122,15 +128,16 @@ def mutations(draw):
 @given(mutations())
 def test_one_changed_field(mutation):
     kind, key, row = mutation
-    with tempfile.TemporaryDirectory() as directory:
-        code, err, out, paths = _run({**ROWS, kind: row}, _argv(kind, key), Path(directory))
-        assert code in (0, 2, 3)
-        if code:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert str(paths[kind]) in err, err
-            assert not out.exists()
-        else:
-            assert err == "" and out.exists()
+    for argv in _argvs(kind, key):
+        with tempfile.TemporaryDirectory() as directory:
+            code, err, out, paths = _run({**ROWS, kind: row}, argv, Path(directory))
+            assert code in (0, 2, 3), argv
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert str(paths[kind]) in err, err
+                assert not out.exists()
+            else:
+                assert err == "" and out.exists()
 
 
 @pytest.mark.parametrize("kind, argv", [

@@ -5,7 +5,7 @@ import pytest
 
 from pseudotal import sim
 from pseudotal.config import PipelineConfig, ConfigSchemaError
-from pseudotal.core import Interval, TimeGrid
+from pseudotal.core import Interval, TimeGrid, snippet_centers
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -192,6 +192,26 @@ class TestCorruptPredictions:
             att = preds[vid].attention
             assert np.all(att[inside] == 1.0)
             assert np.all(att[~inside] == 0.0)
+
+    def test_actions_win_over_false_positives(self):
+        """Without jitter and noise, every snippet of an action carries
+        attention 1 and the action's class, however many false positives of
+        other classes and amplitudes overlap it."""
+        cfg = SimConfig(seed=6, num_videos=5, false_positive_rate=10.0)
+        layout = gen_corpus(cfg)
+        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        false_positive_snippets = 0
+        for vid in layout.video_ids():
+            centers = snippet_centers(layout.grids[vid])
+            att, scores = preds[vid].attention, preds[vid].class_scores
+            inside = np.zeros(centers.shape[0], dtype=bool)
+            for iv, class_id in layout.ground_truth.segments[vid]:
+                action = (centers >= iv.start_s) & (centers < iv.end_s)
+                assert np.all(att[action] == 1.0)
+                assert np.all(scores[action, :-1].argmax(axis=1) == class_id - 1)
+                inside |= action
+            false_positive_snippets += int((att[~inside] > 0.0).sum())
+        assert false_positive_snippets > 0
 
     def test_noiseless_pipeline_recovers_ground_truth(self):
         cfg = SimConfig(seed=11, num_videos=6)

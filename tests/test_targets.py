@@ -29,6 +29,12 @@ def _pseudo(start, end, class_id=1, confidence=1.0):
     return Segment(float(start), float(end), class_id, confidence)
 
 
+def _levels_of(durations, cfg, grid):
+    """`assign_level` of segments [0, d) for each duration d, as a list."""
+    rows = ((0.0, float(d), 1, 1.0) for d in durations)
+    return assign_level(segments(*rows), cfg, grid).tolist()
+
+
 def _union_targets(pseudos, params, cfg, grid):
     """Targets of the `pseudos` rows on the union of their masks under `params`."""
     mask = union_masks([mask_for_proposal(p, params, grid) for p in pseudos], grid)
@@ -50,11 +56,10 @@ class TestPyramidConfig:
         cfg, grid = PyramidConfig(), TimeGrid(2048, 1.0, 1)
         assert cfg.num_levels == 6
         durations = (0.5, 3.999, 4, 7.999, 8, 15.999, 16, 31.999, 32, 63.999, 64, 2000)
-        levels = [assign_level(_pseudo(0, d), cfg, grid) for d in durations]
-        assert levels == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert _levels_of(durations, cfg, grid) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
         for num_levels in (1, 2, 3):  # the top level is open-ended at any depth
             cfg = PyramidConfig(num_levels=num_levels)
-            assert assign_level(_pseudo(0, 2000), cfg, grid) == num_levels - 1
+            assert _levels_of([2000], cfg, grid) == [num_levels - 1]
 
     def test_strides_double(self):
         # one stride unit each side decodes to a width of 2 * 2**l snippets
@@ -91,17 +96,20 @@ class TestAssignLevel:
         self.grid = TimeGrid(2048, 1.0, 1)
 
     def test_duration_lookup(self):
-        assert assign_level(_pseudo(0, 10), self.cfg, self.grid) == 2
-        assert assign_level(_pseudo(0, 3), self.cfg, self.grid) == 0
-        assert assign_level(_pseudo(0, 1000), self.cfg, self.grid) == 5
+        assert _levels_of([10, 3, 1000], self.cfg, self.grid) == [2, 0, 5]
 
     def test_half_open_boundaries(self):
-        assert assign_level(_pseudo(0, 4), self.cfg, self.grid) == 1
-        assert assign_level(_pseudo(0, 8), self.cfg, self.grid) == 2
+        assert _levels_of([4, 8], self.cfg, self.grid) == [1, 2]
 
     def test_duration_measured_in_snippets(self):
         grid = TimeGrid(100, 0.5, 1)  # 5 s = 10 snippets
-        assert assign_level(_pseudo(0, 5), self.cfg, grid) == 2
+        assert _levels_of([5], self.cfg, grid) == [2]
+
+    def test_one_int64_level_per_segment(self):
+        rows = segments((7.0, 9.0, 1, 1.0), (0.0, 64.0, 2, 0.5))
+        levels = assign_level(rows, self.cfg, self.grid)
+        assert levels.dtype == np.int64 and levels.tolist() == [0, 5]
+        assert assign_level(segments(), self.cfg, self.grid).shape == (0,)
 
 
 class TestBuildTargets:
