@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
-from .core import Interval, Segment, Segments, SnippetPredictions, TimeGrid, runs, snippet_centers
+from .core import (MAX_CLASS_ID, Interval, Segment, Segments, SnippetPredictions, TimeGrid, runs,
+                   snippet_centers)
 from .evaluation import GroundTruthSet, map_table
 # generate_pseudo_labels and weak_proposals are not called here (the sim stages call
 # them); they stay imported because bench/tracing.py wraps them by attribute on this module
@@ -161,6 +162,9 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object")
             if "_header" in row:
+                if len(row) > 1:
+                    raise SchemaError(f"{path}:{lineno}: a _header row holds no other key, got "
+                                      f"{sorted(row)}")
                 continue
             try:
                 _require(row, ("video_id", *keys))
@@ -330,8 +334,6 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     return dict(_rows(path, ("num_snippets", "snippet_duration_s"), convert))
 
 
-_INT64_MAX = 2**63 - 1
-
 # Written times carry 6 significant digits (at most 5e-6 relative error), and
 # a video's extent is rebuilt from a written snippet duration: a segment the
 # package wrote may pass its video's end by about 1e-5 of the extent.
@@ -339,13 +341,12 @@ _EXTENT_SLACK = 2e-5
 
 
 def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
-    """The rows of a segment file grouped by video id, in file order: with
-    `score`, one `Segments` per video; without, ground-truth lists of
-    (Interval, class_id). Each row is checked as it is read, so the first
-    bad row decides the exit: its endpoints by the `Interval` rule, a
-    `class_id` within int64, and a score finite. A row of a video in
-    `grids` must lie within that video: start_s >= 0 and end_s <=
-    duration_s, up to the writer's rounding, and class_id <= class_count."""
+    """A segment file's rows by video id, in file order: with `score`, one
+    `Segments` per video; without, the `GroundTruthSet`. Each row is checked
+    as it is read, so the first bad row decides the exit: its endpoints by
+    the `Interval` rule, its `class_id` by the class-id rule, a score finite,
+    and a row of a video in `grids` within that video: start_s >= 0, end_s <=
+    duration_s up to the writer's rounding, and class_id <= class_count."""
     def convert(vid: str, row: dict, plain: bool):
         iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
         grid = grids.get(vid) if grids else None
@@ -355,21 +356,18 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
             raise ValueError(
                 f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]"
             )
+        # core.class_ids's rule and messages, per row (numpy per row costs ~50x)
         class_id = _integer(row["class_id"], "class_id")
+        if not 1 <= class_id <= MAX_CLASS_ID:
+            raise ValueError(f"class_id {class_id} is not an int64 integer >= 1")
         if grid is not None and class_id > grid.class_count:
             raise ValueError(f"class_id {class_id} lies outside the {grid.class_count} "
                              f"classes of its grid")
-        if class_id > _INT64_MAX:
-            raise ValueError(f"class_id {class_id} lies beyond the int64 range")
         if with_score:
             score = _number(row["score"], "score")
             if not math.isfinite(score):
                 raise ValueError("proposal score must be finite")
-            if class_id < 1:
-                raise ValueError("class_id must be >= 1")
             return Segment(iv.start_s, iv.end_s, class_id, score)
-        if class_id < 1:  # the rule of GroundTruthSet, which extract and losses do not build
-            raise ValueError("ground-truth class ids are 1-based")
         return iv, class_id
 
     out: dict[str, list] = {}
@@ -378,7 +376,7 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
         out.setdefault(vid, []).append(item)
     if with_score:
         return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
-    return out
+    return GroundTruthSet(out)
 
 
 def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, SnippetMask]:
@@ -458,10 +456,10 @@ def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
     sp_path = _inputs(args, 1, 1, "an SP file")[0]
     grids, preds = _parse_sp_file(sp_path)
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
-    missing = sorted(set(grids) - set(gt))
+    missing = sorted(set(grids) - set(gt.segments))
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
-    proposals = proposals_by_video(grids, video_labels(gt, grids), preds, cfg)
+    proposals = proposals_by_video(grids, video_labels(gt.segments, grids), preds, cfg)
     return [_segment_row(vid, *p) for vid, segments in proposals.items() for p in segments]
 
 
@@ -527,12 +525,14 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     missing = sorted(set(preds) ^ set(targets))
     if missing:
         raise ValueError(f"{paths[0]}: videos differ from those of {paths[1]}: {missing}")
+    if not preds:
+        raise ValueError(f"{paths[0]}: anchor predictions hold no videos")
     sps: dict[str, SnippetPredictions] = {}
     labels = {}
     if len(paths) > 2:
         grids, sps = _parse_sp_file(paths[2])
         gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
-        labels = video_labels(gt, grids)
+        labels = video_labels(gt.segments, grids)
 
     t0 = time.perf_counter()
     per_video = {}
@@ -570,8 +570,7 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
 
 def _cmd_eval(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
     preds = _parse_segments(_inputs(args, 1, 1, "a predictions file")[0], with_score=True)
-    gt_rows = _parse_segments(_need(args.gt, "--gt"), with_score=False)
-    gt = GroundTruthSet({vid: tuple(items) for vid, items in gt_rows.items()})
+    gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .mask import MaskParams
 from .targets import PyramidConfig
 
 __all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION"]
@@ -33,8 +34,8 @@ _JSON_TYPES = {
 
 def config_from_dict(cls, data: dict, what: str = "config"):
     """`cls(**data)` for a config dataclass, strictly: an unknown key or a
-    value of the wrong JSON type raises `ConfigSchemaError`, a non-finite
-    number `ValueError`. Values pass unconverted, but for the tuple fields'
+    value of the wrong JSON type raises `ConfigSchemaError`; the constructor
+    checks the values. Values pass unconverted, but for the tuple fields'
     lists, so a valid config keeps its `config_hash`."""
     fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
@@ -48,9 +49,17 @@ def config_from_dict(cls, data: dict, what: str = "config"):
         if (many and not isinstance(value, list)) or any(type(v) not in types for v in entries):
             need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
             raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {value!r}")
-        if not all(math.isfinite(v) for v in entries if type(v) is float):
-            raise ValueError(f"{what} key {key!r} must be finite, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
+def check_finite(config, what: str) -> None:
+    """Refuse a NaN or infinite float (or float entry of a tuple) in any field
+    of a config dataclass, naming the key; the first check of each config."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+            raise ValueError(f"{what} key {field.name!r} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ class PipelineConfig:
     eval_tious: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
 
     def __post_init__(self) -> None:
+        check_finite(self, "config")
         if self.k_ratio < 1:
             raise ValueError("k_ratio must be >= 1")
         ths = tuple(float(t) for t in self.thresholds)
@@ -90,8 +100,7 @@ class PipelineConfig:
             raise ValueError("extract_on must be 'sps' or 'attention'")
         if self.min_duration_snippets < 0:
             raise ValueError("min_duration_snippets must be nonnegative")
-        if self.alpha < 0 or self.beta < 0 or self.beta >= 0.5:
-            raise ValueError("mask ratios need alpha >= 0 and 0 <= beta < 0.5")
+        MaskParams(self.alpha, self.beta)  # the mask checks its band ratios
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         if self.lambda_att < 0:

@@ -5,12 +5,12 @@ evaluation) works on these types and on the one implementation of each
 primitive here: temporal IoU (of float endpoints, and elementwise),
 equal-value runs (of one array, of True in every row of a mask, and above
 every threshold of many columns at once), snippet centers, and the cover
-rule: which segment, first in some order, holds each time. The scored
-segments of one video, proposals and pseudo labels alike, travel between
-the stages as one `Segments` value: four read-only columns, checked once
-in its constructor. Public boundaries are expressed in seconds; snippet
-indices appear only when converting to or from a grid. All types are
-immutable after construction and all functions are pure.
+rule: which segment, first in some order, holds each time, and the class-id
+rule. The scored segments of one video, proposals and pseudo labels alike,
+travel between the stages as one `Segments` value: four read-only columns,
+checked once in its constructor. Public boundaries are expressed in
+seconds; snippet indices appear only when converting to or from a grid. All
+types are immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ __all__ = [
     "threshold_runs",
     "snippet_centers",
     "first_cover",
+    "class_ids",
 ]
 
 
@@ -42,6 +43,8 @@ __all__ = [
 # 272 MiB on the default 17-threshold ladder. A slim grid row can name any
 # size, so a huge one is refused here, before any subcommand allocates for it.
 MAX_GRID_CELLS = 2**24
+
+MAX_CLASS_ID = 2**63 - 1  # class ids are int64
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,8 @@ class Segments:
 
     start_s, end_s, score: float64; class_id: int64. Every column is 1-D
     and read-only, all of one length; values are finite, start_s < end_s
-    and class_id >= 1. A proposal's score is its detection score, a pseudo
-    label's its confidence. Iterating yields the rows as `Segment`s.
+    and class_id are `class_ids`. A proposal's score is its detection score,
+    a pseudo label's its confidence. Iterating yields the rows as `Segment`s.
     """
 
     start_s: np.ndarray
@@ -123,11 +126,7 @@ class Segments:
         start = np.asarray(self.start_s, dtype=np.float64)
         end = np.asarray(self.end_s, dtype=np.float64)
         score = np.asarray(self.score, dtype=np.float64)
-        class_id = np.asarray(self.class_id)
-        if class_id.size and class_id.dtype.kind not in "iu":
-            raise ValueError("class_id must hold int64 integers")
-        class_id = class_id.astype(np.int64, copy=False)
-        columns = (start, end, class_id, score)
+        columns = (start, end, class_ids(self.class_id), score)
         if any(c.ndim != 1 or c.shape != start.shape for c in columns):
             raise ValueError("segment columns must be 1-D and of one length")
         if not (np.isfinite(start).all() and np.isfinite(end).all()):
@@ -136,8 +135,6 @@ class Segments:
             raise ValueError("interval requires start_s < end_s")
         if not np.isfinite(score).all():
             raise ValueError("score must be finite")
-        if (class_id < 1).any():
-            raise ValueError("class_id must be >= 1")
         for name, column in zip(("start_s", "end_s", "class_id", "score"), columns):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -296,3 +293,24 @@ def first_cover(
     for k, a, b in zip(order.tolist()[::-1], lo[::-1], hi[::-1]):
         owner[a:b] = k
     return owner
+
+
+def class_ids(values, class_count: int | None = None) -> np.ndarray:
+    """`values` (an array or a list) as an int64 array of class ids: integers,
+    no bool, in [1, MAX_CLASS_ID] and at most `class_count` if given, else
+    ValueError names the first other value. One reduction on an int64 array
+    when no class count is given; a list is read in Python."""
+    ids = np.asarray(values)
+    top = MAX_CLASS_ID if class_count is None else class_count
+    if isinstance(values, np.ndarray) and ids.dtype.kind in "iu":
+        if not ids.size or ids.min() >= 1 and (
+                ids.dtype == np.int64 and class_count is None or int(ids.max()) <= top):
+            return ids.astype(np.int64, copy=False)
+    items = list(values) if isinstance(values, (list, tuple)) else ids.ravel().tolist()
+    for c in items:
+        whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+        if not (whole and 1 <= int(c) <= MAX_CLASS_ID):
+            raise ValueError(f"class_id {c} is not an int64 integer >= 1")
+        if int(c) > top:
+            raise ValueError(f"class_id {c} lies outside the {class_count} classes of its grid")
+    return np.array(items, dtype=np.int64).reshape(ids.shape)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TIOU_THRESHOLDS
-from .core import Interval, Segments, pairwise_tiou
+from .core import Interval, Segments, class_ids, pairwise_tiou
 
 __all__ = [
     "GroundTruthSet",
@@ -38,27 +38,22 @@ RANGE_AVERAGES = ((0.1, 0.5), (0.3, 0.7), (0.1, 0.7))
 @dataclass(frozen=True)
 class GroundTruthSet:
     """Ground-truth segments per video: video_id -> list of (interval, class);
-    a class is a Python or numpy integer (not a bool) in [1, 2**63 - 1]."""
+    the classes of each video are class ids (`class_ids`), kept as ints."""
 
     segments: Mapping[str, tuple[tuple[Interval, int], ...]]
 
     def __post_init__(self) -> None:
-        frozen = {}
-        for vid, items in self.segments.items():
-            rows = tuple(items)
-            for iv, c in rows:
-                whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                if not (whole and 1 <= int(c) <= 2**63 - 1):
-                    raise ValueError(f"ground-truth class_id {c} is not an int64 integer >= 1")
-                if not isinstance(iv, Interval):
-                    raise TypeError("ground-truth segments must be Intervals")
-            frozen[str(vid)] = tuple((iv, int(c)) for iv, c in rows)
-        object.__setattr__(self, "segments", frozen)
+        rows = {str(vid): tuple(items) for vid, items in self.segments.items()}
+        if not all(isinstance(iv, Interval) for items in rows.values() for iv, _ in items):
+            raise TypeError("ground-truth segments must be Intervals")
+        object.__setattr__(self, "segments", {
+            vid: tuple(zip([iv for iv, _ in items], class_ids([c for _, c in items]).tolist()))
+            for vid, items in rows.items()
+        })
 
     @property
     def class_ids(self) -> list[int]:
-        ids = {c for items in self.segments.values() for _, c in items}
-        return sorted(ids)
+        return sorted({c for items in self.segments.values() for _, c in items})
 
 
 @dataclass(frozen=True)

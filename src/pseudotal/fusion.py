@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Segments, TimeGrid, first_cover, runs, snippet_centers, span_tiou, true_runs
+from .core import (Segments, TimeGrid, class_ids, first_cover, runs, snippet_centers, span_tiou,
+                   true_runs)
 
 __all__ = [
     "FusedWavelet",
@@ -113,8 +114,7 @@ def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
     class channels in proposal order, so every sum is the same float as
     adding one proposal at a time.
     """
-    if (proposals.class_id > grid.class_count).any():
-        raise ValueError("proposal class out of grid range")
+    class_ids(proposals.class_id, grid.class_count)
     keep = proposals.score > 0.0
     start, end, score = proposals.start_s[keep], proposals.end_s[keep], proposals.score[keep]
     channel = proposals.class_id[keep] - 1
@@ -259,11 +259,8 @@ def generate_pseudo_labels(
     grid: TimeGrid,
     min_duration_s: float = 0.0,
 ) -> Segments:
-    """Fuse one video's proposals with the named strategy (see STRATEGIES).
-
-    Every strategy rejects a proposal whose class lies outside the grid.
-    """
+    """Fuse one video's proposals with the named strategy (see STRATEGIES);
+    every strategy refuses a proposal whose class lies outside the grid."""
     fuse = lookup_strategy(strategy)
-    if (proposals.class_id > grid.class_count).any():
-        raise ValueError("proposal class out of grid range")
+    class_ids(proposals.class_id, grid.class_count)
     return fuse(proposals, grid, min_duration_s)

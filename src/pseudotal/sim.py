@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig, config_from_dict
+from .config import PipelineConfig, check_finite, config_from_dict
 from .core import Interval, Segments, SnippetPredictions, TimeGrid, first_cover, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
@@ -76,6 +76,7 @@ class SimConfig:
     score_temperature: float = 0.2
 
     def __post_init__(self) -> None:
+        check_finite(self, "sim config")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.num_videos < 1 or self.class_count < 1:
@@ -95,9 +96,8 @@ class SimConfig:
         if self.min_gap_snippets < 1:
             raise ValueError("min_gap_snippets must be >= 1")
         for name in ("attention_noise_std", "boundary_jitter_frac", "false_positive_rate"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.score_temperature <= 0:
             raise ValueError("score_temperature must be positive")
         self.duration_snippet_range()

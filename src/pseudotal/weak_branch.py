@@ -18,6 +18,7 @@ from .core import (
     Segments,
     SnippetPredictions,
     TimeGrid,
+    class_ids,
     pairwise_tiou,
     snippet_centers,
     threshold_runs,
@@ -51,10 +52,7 @@ class VideoLabel:
     @classmethod
     def from_classes(cls, classes: Sequence[int], class_count: int) -> "VideoLabel":
         vec = np.zeros(class_count, dtype=np.int64)
-        for c in classes:
-            if not 1 <= c <= class_count:
-                raise ValueError("class_id out of range for video label")
-            vec[c - 1] = 1
+        vec[class_ids(classes, class_count) - 1] = 1
         return cls(vec)
 
     @property
@@ -94,13 +92,10 @@ def extract_proposals(
     z = np.asarray(sps, dtype=np.float64)
     if z.shape[0] != grid.num_snippets or z.shape[1] != grid.class_count + 1:
         raise ValueError("SP matrix shape disagrees with grid")
-    classes = video_label.classes
-    if classes[-1] > grid.class_count:
-        raise ValueError("video label class out of grid range")
-    column, first, last = threshold_runs(z[:, [c - 1 for c in classes]], thresholds)
+    classes = class_ids(video_label.classes, grid.class_count)
+    column, first, last = threshold_runs(z[:, classes - 1], thresholds)
     dur = grid.snippet_duration_s
-    class_id = np.asarray(classes, dtype=np.int64)[column]
-    return Segments(first * dur, (last + 1) * dur, class_id, np.zeros(column.shape[0]))
+    return Segments(first * dur, (last + 1) * dur, classes[column], np.zeros(column.shape[0]))
 
 
 def oic_scores(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig
 from pseudotal.core import MAX_GRID_CELLS
 from pseudotal.fusion import STRATEGIES
+from pseudotal.sim import SimConfig
 from pseudotal.targets import ANCHOR_FIELDS
 
 
@@ -627,7 +629,7 @@ class TestEval:
         assert run("eval", "--input", paths["predictions"], "--gt", paths["gt"],
                    "--output", out) == 3
         assert capsys.readouterr().err == (
-            f"error: {paths[kind]}: video v: class_id {class_id} lies beyond the int64 range\n"
+            f"error: {paths[kind]}: video v: class_id {class_id} is not an int64 integer >= 1\n"
         )
         assert not out.exists()
 
@@ -1817,6 +1819,33 @@ class TestConfigTypes:
         assert err.startswith(f"error: {section} key '{key}' must be ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("cls, what, key, value", [
+        (PipelineConfig, "config", "sigma_nms", math.nan),
+        (PipelineConfig, "config", "min_score", math.nan),
+        (PipelineConfig, "config", "alpha", math.nan),
+        (PipelineConfig, "config", "beta", math.nan),
+        (PipelineConfig, "config", "lambda_att", math.nan),
+        (PipelineConfig, "config", "gamma_focal", math.inf),
+        (PipelineConfig, "config", "thresholds", (0.5, math.nan)),
+        (SimConfig, "sim config", "score_temperature", math.nan),
+        (SimConfig, "sim config", "snippet_duration_s", math.inf),
+        (SimConfig, "sim config", "duration_range_s", (2.0, math.nan)),
+    ])
+    def test_the_constructors_refuse_non_finite_numbers(self, cls, what, key, value):
+        # the rule of a JSON config holds for a config built in Python too: a
+        # NaN sigma_nms or min_score would run a whole benchmark on wrong numbers
+        with pytest.raises(ValueError, match=f"^{what} key '{key}' must be finite, got "):
+            cls(**{key: value})
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (-0.1, 0.0, "alpha must be nonnegative"),
+        (0.1, -0.1, "beta must be nonnegative"),
+        (0.1, 0.5, "beta must be < 0.5 or the bands swallow the proposal"),
+    ])
+    def test_the_mask_checks_its_band_ratios(self, alpha, beta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(alpha=alpha, beta=beta)
+
     def test_values_are_not_converted(self):
         # values pass unconverted: alpha 0 stays the int 0, whose hash differs
         # from that of alpha 0.0, so each config keeps the hash of its own values
@@ -1847,3 +1876,79 @@ class TestVideoIds:
         assert run("fuse", "--input", props, "--input", grid_file, "--output", out) == 2
         assert capsys.readouterr().err == f"error: {props}: video_id must be a string, got 5\n"
         assert not out.exists()
+
+
+class TestClassIdRule:
+    """The reader holds every proposal, pseudo-label and ground-truth row to
+    the class-id rule of `core.class_ids`, with its two messages, as the row
+    is read: with a grid (the grid source of `fuse`, the SP file of
+    `extract --gt`) and without one (`eval`)."""
+
+    CASES = {
+        0: "class_id 0 is not an int64 integer >= 1",
+        -3: "class_id -3 is not an int64 integer >= 1",
+        2**63: f"class_id {2**63} is not an int64 integer >= 1",
+        2: "class_id 2 lies outside the 1 classes of its grid",
+    }
+
+    @pytest.mark.parametrize("class_id", sorted(CASES))
+    @pytest.mark.parametrize("kind, cmd", [
+        ("props", "fuse"), ("gt", "extract"), ("props", "eval"), ("gt", "eval")])
+    def test_one_rule_one_pair_of_messages(self, tmp_path, capsys, kind, cmd, class_id):
+        gt_row = {k: v for k, v in SEGMENT_ROW.items() if k != "score"}
+        rows = {"sp": SP_ROW, "gt": gt_row, "props": SEGMENT_ROW}
+        rows[kind] = {**rows[kind], "class_id": class_id}
+        paths = {name: tmp_path / f"{name}.jsonl" for name in rows}
+        for name, path in paths.items():
+            write_jsonl(path, [rows[name]])
+        argv = {
+            "fuse": ["--input", paths["props"], "--input", paths["sp"]],
+            "extract": ["--input", paths["sp"], "--gt", paths["gt"]],
+            "eval": ["--input", paths["props"], "--gt", paths["gt"]],
+        }[cmd]
+        out = tmp_path / "out"
+        if class_id == 2 and cmd == "eval":  # no grid: class 2 is a class like any other
+            assert run(cmd, *argv, "--output", out) == 0
+            return
+        assert run(cmd, *argv, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[kind]}: video v: {self.CASES[class_id]}\n"
+        assert not out.exists()
+
+
+class TestHeaderRows:
+    """A row that holds `_header` holds nothing else; the header rows of
+    concatenated files are skipped (TestRefinementRound)."""
+
+    HEADER = {"config_hash": "0", "tool_version": TOOL_VERSION}
+
+    def test_a_data_row_with_a_header_key(self, tmp_path, capsys):
+        sp, gt, out = tmp_path / "sp.jsonl", tmp_path / "gt.jsonl", tmp_path / "out"
+        gt_row = {k: v for k, v in SEGMENT_ROW.items() if k != "score"}
+        write_jsonl(gt, [gt_row])
+        # skipping this row would drop video w from extract's output
+        write_jsonl(sp, [SP_ROW, {**SP_ROW, "video_id": "w", "_header": self.HEADER}])
+        assert run("extract", "--input", sp, "--gt", gt, "--output", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {sp}:2: a _header row holds no other key, got "
+            "['_header', 'attention', 'class_scores', 'num_snippets', 'snippet_duration_s', "
+            "'video_id']\n")
+        assert not out.exists()
+
+    def test_a_ground_truth_row_with_a_header_key(self, tmp_path, capsys):
+        # skipping this row would score eval against one segment fewer
+        gt, props, out = tmp_path / "gt.jsonl", tmp_path / "props.jsonl", tmp_path / "out"
+        gt_row = {k: v for k, v in SEGMENT_ROW.items() if k != "score"}
+        write_jsonl(gt, [{"_header": self.HEADER}, gt_row, {**gt_row, "_header": None}])
+        write_jsonl(props, [SEGMENT_ROW])
+        assert run("eval", "--input", props, "--gt", gt, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {gt}:3: a _header row holds no other key, got ['_header', ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_header_rows_alone_are_skipped(self, tmp_path):
+        grid, props, out = tmp_path / "grid.jsonl", tmp_path / "props.jsonl", tmp_path / "out"
+        write_jsonl(grid, [{"_header": self.HEADER}, GRID_ROW])
+        write_jsonl(props, [{"_header": self.HEADER}, SEGMENT_ROW, {"_header": None}, SEGMENT_ROW])
+        assert run("fuse", "--input", props, "--input", grid, "--output", out) == 0
+        assert len(read_jsonl(out)[1]) == 1

@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from pseudotal.core import (
+    MAX_CLASS_ID,
     MAX_GRID_CELLS,
     Interval,
     Segment,
     Segments,
     SnippetPredictions,
     TimeGrid,
+    class_ids,
     runs,
     snippet_centers,
     span_tiou,
@@ -60,13 +64,22 @@ class TestTypes:
             ({"end_s": [1.0, float("inf")]}, "interval endpoints must be finite"),
             ({"end_s": [1.0, 2.0]}, "interval requires start_s < end_s"),
             ({"score": [0.5, float("nan")]}, "score must be finite"),
-            ({"class_id": [1, 0]}, "class_id must be >= 1"),
-            ({"class_id": [1.0, 3.0]}, "class_id must hold int64 integers"),
-            ({"class_id": [1, 2**63]}, "class_id must hold int64 integers"),
+            ({"class_id": [1, 0]}, "class_id 0 is not an int64 integer >= 1"),
+            ({"class_id": [1.0, 3.0]}, r"class_id 1\.0 is not an int64 integer >= 1"),
+            ({"class_id": [1, 2**63]}, f"class_id {2**63} is not an int64 integer >= 1"),
         ]
         for change, message in cases:
             with pytest.raises(ValueError, match=message):
                 Segments(**{**good, **change})
+
+    @pytest.mark.parametrize("class_id, bad", [
+        (np.array([1, 2**63], dtype=np.uint64), 2**63),  # must not wrap to a negative id
+        ([1, True], True),  # True is no class 1
+        (np.array([True, False]), True),
+    ], ids=["uint64 2**63", "bool among ints", "bool array"])
+    def test_segments_class_ids(self, class_id, bad):
+        with pytest.raises(ValueError, match=f"^class_id {bad} is not an int64 integer >= 1$"):
+            Segments([0.0, 2.0], [1.0, 3.0], class_id, [0.5, 0.5])
 
     def test_segments_rows_and_selection(self):
         segs = Segments([0.0, 2.0, 4.0], [1.0, 5.0, 6.0], [1, 3, 2], [0.5, -0.0, 0.25])
@@ -152,3 +165,78 @@ class TestRuns:
         assert out == [(0, 1, True), (2, 2, False)]
         assert all(type(v) is bool for _, _, v in out)
         assert all(type(v) is int for _, _, v in runs(np.array([3, 3, -1], dtype=np.int64)))
+
+
+def _int64_fault(value) -> str:
+    return f"^{re.escape(f'class_id {value} is not an int64 integer >= 1')}$"
+
+
+class TestClassIds:
+    """`class_ids`, the one class-id rule: int64 integers >= 1, no bool, at
+    most a grid's class count."""
+
+    @pytest.mark.parametrize("values, bad", [
+        ([1, 1.7], 1.7),
+        ([2.0], 2.0),
+        (np.array([3.0, 1.0]), 3.0),
+        ([np.float64(2.0)], 2.0),
+        (["1"], "1"),
+        ([None], None),
+        ([True], True),
+        ([1, True], True),
+        ([2, np.True_], True),
+        (np.array([True]), True),
+        ([0], 0),
+        (np.array([3, -1]), -1),
+        (np.array([4, 0], dtype=np.int32), 0),
+        ([2**63], 2**63),
+        ([1, 10**30], 10**30),
+        (np.array([2**63], dtype=np.uint64), 2**63),
+        ([np.uint64(2**64 - 1)], 2**64 - 1),
+    ], ids=["float", "integral float", "float array", "numpy float", "string", "null",
+            "bool", "bool among ints", "numpy bool among ints", "bool array", "zero",
+            "negative", "int32 zero", "2**63", "10**30", "uint64 2**63", "numpy 2**64 - 1"])
+    def test_refusals(self, values, bad):
+        with pytest.raises(ValueError, match=_int64_fault(bad)):
+            class_ids(values)
+        with pytest.raises(ValueError, match=_int64_fault(bad)):
+            class_ids(values, 5)  # the int64 rule comes before the grid's
+
+    @pytest.mark.parametrize("values", [[], (), np.array([]), np.zeros(0, dtype=np.int64)])
+    def test_empty(self, values):
+        for count in (None, 3):
+            ids = class_ids(values, count)
+            assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_the_largest_class_id(self):
+        assert MAX_CLASS_ID == 2**63 - 1
+        for values in ([MAX_CLASS_ID], np.array([MAX_CLASS_ID], dtype=np.uint64),
+                       [np.uint64(MAX_CLASS_ID)], np.array([MAX_CLASS_ID])):
+            ids = class_ids(values)
+            assert ids.dtype == np.int64 and ids.tolist() == [MAX_CLASS_ID]
+
+    def test_exactly_the_class_count(self):
+        for values in ([5], [1, 5, 3], np.array([5, 1]), np.array([5], dtype=np.uint8)):
+            assert class_ids(values, 5).tolist() == list(values)
+
+    @pytest.mark.parametrize("values, bad", [
+        ([6], 6), ([1, 5, 6, 0], 6), (np.array([2, 7]), 7), ([2**63 - 1], 2**63 - 1),
+        (np.array([9], dtype=np.uint64), 9),
+    ])
+    def test_beyond_the_class_count(self, values, bad):
+        message = f"^class_id {bad} lies outside the 5 classes of its grid$"
+        with pytest.raises(ValueError, match=message):
+            class_ids(values, 5)
+
+    def test_the_first_bad_value_is_named(self):
+        with pytest.raises(ValueError, match=_int64_fault(0)):
+            class_ids([1, 0, 9], 5)
+        with pytest.raises(ValueError, match="^class_id 9 lies outside"):
+            class_ids(np.array([1, 9, 0]), 5)
+
+    def test_integer_values(self):
+        for values in ([3, 1], (3, 1), np.array([3, 1], dtype=np.int16), [np.int64(3), 1]):
+            ids = class_ids(values)
+            assert ids.dtype == np.int64 and ids.tolist() == [3, 1]
+        column = np.array([2, 1])
+        assert class_ids(column) is column  # an int64 array is not copied

@@ -40,7 +40,7 @@ class TestGroundTruthSet:
                                   "numpy 2**63"])
     def test_class_ids_are_int64_integers(self, class_id):
         """A class is never truncated, and none past int64 reaches map_table."""
-        message = f"ground-truth class_id {class_id} is not an int64 integer >= 1"
+        message = f"class_id {class_id} is not an int64 integer >= 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _gt(a=[(0, 5, class_id)])
 

@@ -88,6 +88,19 @@ class TestFuseRicker:
         with pytest.raises(ValueError):
             fuse_ricker(segments((1, 4, 2, 0.5)), grid)
 
+    def test_the_class_beyond_the_grid_is_named(self):
+        props = segments((1, 4, 1, 0.5), (1, 4, 3, 0.5), (1, 4, 4, 0.5))
+        message = "^class_id 3 lies outside the 2 classes of its grid$"
+        with pytest.raises(ValueError, match=message):
+            fuse_ricker(props, TimeGrid(6, 1.0, 2))
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_every_strategy_refuses_a_class_beyond_the_grid(self, strategy):
+        props = segments((1, 4, 1, 0.5), (1, 4, 3, 0.5))
+        message = "^class_id 3 lies outside the 2 classes of its grid$"
+        with pytest.raises(ValueError, match=message):
+            generate_pseudo_labels(strategy, props, TimeGrid(6, 1.0, 2))
+
     def test_additive_in_proposal_sets(self):
         rng = np.random.default_rng(23)
         for _ in range(25):

@@ -132,7 +132,8 @@ class TestGenCorpus:
         assert {vid: label.onehot.tolist() for vid, label in labels.items()} == {
             "a": [1], "b": [1, 0, 1]
         }
-        with pytest.raises(ValueError, match="class_id out of range"):
+        message = "^class_id 2 lies outside the 1 classes of its grid$"
+        with pytest.raises(ValueError, match=message):
             video_labels({"a": [(iv, 2)]}, grids)
 
     def test_infeasible_packing_names_video(self):

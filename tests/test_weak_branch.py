@@ -23,7 +23,15 @@ class TestVideoLabel:
 
     @pytest.mark.parametrize("classes", [[0], [2, 6]])
     def test_from_classes_out_of_range(self, classes):
-        with pytest.raises(ValueError, match="class_id out of range"):
+        message = {0: "class_id 0 is not an int64 integer >= 1",
+                   6: "class_id 6 lies outside the 5 classes of its grid"}[classes[-1]]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VideoLabel.from_classes(classes, 5)
+
+    @pytest.mark.parametrize("classes, bad", [([True], True), ([2, True], True), ([1.0], 1.0)])
+    def test_from_classes_refuses_what_is_no_class_id(self, classes, bad):
+        # True is no class 1, and 1.0 is no index
+        with pytest.raises(ValueError, match=f"^class_id {bad} is not an int64 integer >= 1$"):
             VideoLabel.from_classes(classes, 5)
 
 
@@ -50,6 +58,12 @@ def _sps_matrix(col):
 class TestExtractProposals:
     def setup_method(self):
         self.label = VideoLabel(np.array([1]))
+
+    def test_label_class_beyond_the_grid(self):
+        z = np.tile([0.9, 0.1, 0.0], (5, 1))
+        message = "^class_id 3 lies outside the 2 classes of its grid$"
+        with pytest.raises(ValueError, match=message):
+            extract_proposals(z, TimeGrid(5, 1.0, 2), [0.5], VideoLabel(np.array([0, 1, 1])))
 
     def test_single_run(self):
         z = _sps_matrix([0, 0.9, 0.9, 0, 0])
