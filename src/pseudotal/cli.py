@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
-from .core import (MAX_CLASS_ID, Interval, Segment, Segments, SnippetPredictions, TimeGrid, runs,
-                   snippet_centers)
+from .core import (Interval, Segment, Segments, SnippetPredictions, TimeGrid, check_class_id,
+                   runs, snippet_centers)
 from .evaluation import GroundTruthSet, map_table
 # generate_pseudo_labels and weak_proposals are not called here (the sim stages call
 # them); they stay imported because bench/tracing.py wraps them by attribute on this module
@@ -342,11 +342,11 @@ _EXTENT_SLACK = 2e-5
 
 def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
     """A segment file's rows by video id, in file order: with `score`, one
-    `Segments` per video; without, the `GroundTruthSet`. Each row is checked
-    as it is read, so the first bad row decides the exit: its endpoints by
-    the `Interval` rule, its `class_id` by the class-id rule, a score finite,
-    and a row of a video in `grids` within that video: start_s >= 0, end_s <=
-    duration_s up to the writer's rounding, and class_id <= class_count."""
+    `Segments` per video; without, the `GroundTruthSet`. Rows are checked as
+    read, so the first bad row decides the exit; within a row, in order: the
+    endpoints by `Interval` and, for a video in `grids`, within [0, duration_s]
+    up to the writer's rounding; `class_id` by `check_class_id` with the grid's
+    class count; a finite score."""
     def convert(vid: str, row: dict, plain: bool):
         iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
         grid = grids.get(vid) if grids else None
@@ -356,13 +356,8 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
             raise ValueError(
                 f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]"
             )
-        # core.class_ids's rule and messages, per row (numpy per row costs ~50x)
-        class_id = _integer(row["class_id"], "class_id")
-        if not 1 <= class_id <= MAX_CLASS_ID:
-            raise ValueError(f"class_id {class_id} is not an int64 integer >= 1")
-        if grid is not None and class_id > grid.class_count:
-            raise ValueError(f"class_id {class_id} lies outside the {grid.class_count} "
-                             f"classes of its grid")
+        class_id = check_class_id(_integer(row["class_id"], "class_id"),
+                                  grid.class_count if grid is not None else None)
         if with_score:
             score = _number(row["score"], "score")
             if not math.isfinite(score):

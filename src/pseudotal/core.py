@@ -33,6 +33,7 @@ __all__ = [
     "threshold_runs",
     "snippet_centers",
     "first_cover",
+    "check_class_id",
     "class_ids",
 ]
 
@@ -295,22 +296,26 @@ def first_cover(
     return owner
 
 
+def check_class_id(c, class_count: int | None = None) -> int:
+    """One value by the class-id rule: `c` as an int if an integer, no bool, in
+    [1, MAX_CLASS_ID] and at most `class_count` if given, else ValueError."""
+    whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+    if not (whole and 1 <= int(c) <= MAX_CLASS_ID):
+        raise ValueError(f"class_id {c} is not an int64 integer >= 1")
+    if class_count is not None and int(c) > class_count:
+        raise ValueError(f"class_id {c} lies outside the {class_count} classes of its grid")
+    return int(c)
+
+
 def class_ids(values, class_count: int | None = None) -> np.ndarray:
-    """`values` (an array or a list) as an int64 array of class ids: integers,
-    no bool, in [1, MAX_CLASS_ID] and at most `class_count` if given, else
-    ValueError names the first other value. One reduction on an int64 array
-    when no class count is given; a list is read in Python."""
+    """`values` (array or list) as int64 ids by `check_class_id`, naming the
+    first bad value; one reduction on an int64 array when no class count is given."""
     ids = np.asarray(values)
-    top = MAX_CLASS_ID if class_count is None else class_count
     if isinstance(values, np.ndarray) and ids.dtype.kind in "iu":
+        top = MAX_CLASS_ID if class_count is None else class_count
         if not ids.size or ids.min() >= 1 and (
                 ids.dtype == np.int64 and class_count is None or int(ids.max()) <= top):
             return ids.astype(np.int64, copy=False)
     items = list(values) if isinstance(values, (list, tuple)) else ids.ravel().tolist()
-    for c in items:
-        whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-        if not (whole and 1 <= int(c) <= MAX_CLASS_ID):
-            raise ValueError(f"class_id {c} is not an int64 integer >= 1")
-        if int(c) > top:
-            raise ValueError(f"class_id {c} lies outside the {class_count} classes of its grid")
-    return np.array(items, dtype=np.int64).reshape(ids.shape)
+    return np.array([check_class_id(c, class_count) for c in items],
+                    dtype=np.int64).reshape(ids.shape)

@@ -1880,8 +1880,8 @@ class TestVideoIds:
 
 class TestClassIdRule:
     """The reader holds every proposal, pseudo-label and ground-truth row to
-    the class-id rule of `core.class_ids`, with its two messages, as the row
-    is read: with a grid (the grid source of `fuse`, the SP file of
+    the class-id rule of `core.check_class_id`, with its two messages, as the
+    row is read: with a grid (the grid source of `fuse`, the SP file of
     `extract --gt`) and without one (`eval`)."""
 
     CASES = {
@@ -1914,6 +1914,16 @@ class TestClassIdRule:
         err = capsys.readouterr().err
         assert err == f"error: {paths[kind]}: video v: {self.CASES[class_id]}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("score", ["x", None, math.inf])
+    def test_the_class_id_is_checked_before_the_score(self, tmp_path, capsys, score):
+        # a row's fields are checked in the order start_s, end_s, class_id, score
+        props, gt, out = tmp_path / "props.jsonl", tmp_path / "gt.jsonl", tmp_path / "out"
+        write_jsonl(props, [{**SEGMENT_ROW, "class_id": 0, "score": score}])
+        write_jsonl(gt, [{k: v for k, v in SEGMENT_ROW.items() if k != "score"}])
+        assert run("eval", "--input", props, "--gt", gt, "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {props}: video v: class_id 0 is not an int64 integer >= 1\n")
 
 
 class TestHeaderRows:
@@ -1952,3 +1962,42 @@ class TestHeaderRows:
         write_jsonl(props, [{"_header": self.HEADER}, SEGMENT_ROW, {"_header": None}, SEGMENT_ROW])
         assert run("fuse", "--input", props, "--input", grid, "--output", out) == 0
         assert len(read_jsonl(out)[1]) == 1
+
+
+# every subcommand that reads files, each of its inputs one file (the --gt
+# file last); the outcome of a run on inputs that hold no video
+NO_VIDEO_RUNS = {
+    "extract": (["--input", "--gt"], (0, "")),
+    "fuse": (["--input", "--input"], (0, "")),
+    "mask": (["--input", "--input"], (0, "")),
+    "targets": (["--input", "--input", "--input"], (0, "")),
+    "losses": (["--input", "--input"], (3, "{0}: anchor predictions hold no videos")),
+    "losses with the SP file": (["--input", "--input", "--input", "--gt"],
+                                (3, "{0}: anchor predictions hold no videos")),
+    "eval": (["--input", "--gt"], (3, "ground truth holds no segments")),
+}
+HEADER_ROW = {"_header": {"config_hash": "0", "tool_version": TOOL_VERSION}}
+
+
+@pytest.mark.parametrize("content", ["", json.dumps(HEADER_ROW) + "\n"], ids=["empty", "header"])
+@pytest.mark.parametrize("name", sorted(NO_VIDEO_RUNS))
+def test_inputs_with_no_video(tmp_path, capsys, name, content):
+    """A file-to-file subcommand on inputs with no video writes a header-only
+    file; `losses` and `eval`, which average over videos or segments, exit 3
+    naming what is empty, in one line, and write nothing."""
+    flags, (want_code, want_err) = NO_VIDEO_RUNS[name]
+    paths = [tmp_path / f"input{i}.jsonl" for i in range(len(flags))]
+    argv = [name.split()[0]]
+    for flag, path in zip(flags, paths):
+        path.write_text(content, encoding="utf-8")
+        argv += [flag, path]
+    out = tmp_path / "out"
+    code = run(*argv, "--output", out)
+    err = capsys.readouterr().err
+    if want_code == 0:
+        assert (code, err) == (0, "")
+        header = {"config_hash": PipelineConfig().config_hash(), "tool_version": TOOL_VERSION}
+        assert out.read_text(encoding="utf-8") == json.dumps({"_header": header}) + "\n"
+    else:
+        assert (code, err) == (want_code, f"error: {want_err.format(*paths)}\n")
+        assert not out.exists()

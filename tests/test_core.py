@@ -10,6 +10,7 @@ from pseudotal.core import (
     Segment,
     Segments,
     SnippetPredictions,
+    check_class_id,
     TimeGrid,
     class_ids,
     runs,
@@ -173,7 +174,8 @@ def _int64_fault(value) -> str:
 
 class TestClassIds:
     """`class_ids`, the one class-id rule: int64 integers >= 1, no bool, at
-    most a grid's class count."""
+    most a grid's class count; `check_class_id` is the same rule on one
+    value."""
 
     @pytest.mark.parametrize("values, bad", [
         ([1, 1.7], 1.7),
@@ -201,6 +203,8 @@ class TestClassIds:
             class_ids(values)
         with pytest.raises(ValueError, match=_int64_fault(bad)):
             class_ids(values, 5)  # the int64 rule comes before the grid's
+        with pytest.raises(ValueError, match=_int64_fault(bad)):
+            check_class_id(bad, 5)
 
     @pytest.mark.parametrize("values", [[], (), np.array([]), np.zeros(0, dtype=np.int64)])
     def test_empty(self, values):
@@ -218,6 +222,9 @@ class TestClassIds:
     def test_exactly_the_class_count(self):
         for values in ([5], [1, 5, 3], np.array([5, 1]), np.array([5], dtype=np.uint8)):
             assert class_ids(values, 5).tolist() == list(values)
+        for value in (5, np.int64(5), np.uint8(5)):
+            assert type(check_class_id(value, 5)) is int and check_class_id(value, 5) == 5
+        assert check_class_id(np.uint64(MAX_CLASS_ID)) == MAX_CLASS_ID
 
     @pytest.mark.parametrize("values, bad", [
         ([6], 6), ([1, 5, 6, 0], 6), (np.array([2, 7]), 7), ([2**63 - 1], 2**63 - 1),
@@ -227,6 +234,8 @@ class TestClassIds:
         message = f"^class_id {bad} lies outside the 5 classes of its grid$"
         with pytest.raises(ValueError, match=message):
             class_ids(values, 5)
+        with pytest.raises(ValueError, match=message):
+            check_class_id(bad, 5)
 
     def test_the_first_bad_value_is_named(self):
         with pytest.raises(ValueError, match=_int64_fault(0)):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from pseudotal.cli import main
-from pseudotal.config import TOOL_VERSION, PipelineConfig
+from pseudotal.config import PipelineConfig
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -155,43 +155,3 @@ def test_class_beyond_the_grid_of_another_file(tmp_path, kind, argv):
     assert err == (
         f"error: {paths[kind]}: video v: class_id 2 lies outside the 1 classes of its grid\n"
     )
-
-
-# every subcommand that reads files, each of its inputs one file (the --gt
-# file last); the outcome of a run on inputs that hold no video
-NO_VIDEO_RUNS = {
-    "extract": (["--input", "--gt"], (0, "")),
-    "fuse": (["--input", "--input"], (0, "")),
-    "mask": (["--input", "--input"], (0, "")),
-    "targets": (["--input", "--input", "--input"], (0, "")),
-    "losses": (["--input", "--input"], (3, "{0}: anchor predictions hold no videos")),
-    "losses with the SP file": (["--input", "--input", "--input", "--gt"],
-                                (3, "{0}: anchor predictions hold no videos")),
-    "eval": (["--input", "--gt"], (3, "ground truth holds no segments")),
-}
-HEADER_ROW = {"_header": {"config_hash": "0", "tool_version": TOOL_VERSION}}
-
-
-@pytest.mark.parametrize("content", ["", json.dumps(HEADER_ROW) + "\n"], ids=["empty", "header"])
-@pytest.mark.parametrize("name", sorted(NO_VIDEO_RUNS))
-def test_inputs_with_no_video(tmp_path, name, content):
-    """A file-to-file subcommand on inputs with no video writes a header-only
-    file; `losses` and `eval`, which average over videos or segments, exit 3
-    naming what is empty, in one line, and write nothing."""
-    flags, (want_code, want_err) = NO_VIDEO_RUNS[name]
-    paths = [tmp_path / f"input{i}.jsonl" for i in range(len(flags))]
-    argv = [name.split()[0]]
-    for flag, path in zip(flags, paths):
-        path.write_text(content, encoding="utf-8")
-        argv += [flag, str(path)]
-    out = tmp_path / "out"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(argv + ["--output", str(out)])
-    if want_code == 0:
-        assert (code, err.getvalue()) == (0, "")
-        header = {"config_hash": PipelineConfig().config_hash(), "tool_version": TOOL_VERSION}
-        assert out.read_text(encoding="utf-8") == json.dumps({"_header": header}) + "\n"
-    else:
-        assert (code, err.getvalue()) == (want_code, f"error: {want_err.format(*paths)}\n")
-        assert not out.exists()
