@@ -7,119 +7,38 @@ and target modules build the supervision an anchor-based localizer
 trains on; evaluation scores everything as mAP over tIoU thresholds; and
 the simulator provides seeded synthetic corpora for end-to-end checks.
 """
-from .config import TOOL_VERSION, PipelineConfig
-from .core import (
-    Interval,
-    Segment,
-    Segments,
-    SnippetPredictions,
-    TimeGrid,
-    snippet_centers,
-    span_tiou,
-)
-from .evaluation import (
-    DEFAULT_TIOU_THRESHOLDS,
-    EvalReport,
-    GroundTruthSet,
-    PseudoQuality,
-    average_precision,
-    map_table,
-    pseudo_quality,
-)
-from .fusion import (
-    FusedWavelet,
-    RickerParams,
-    fuse_ricker,
-    generate_pseudo_labels,
-    ricker_value,
-    segments_from_wavelet,
-)
-from .mask import (
-    MaskParams,
-    SnippetMask,
-    decay_schedule,
-    mask_for_proposal,
-    union_masks,
-)
-from .sim import (
-    BenchmarkResult,
-    CorpusLayout,
-    SimConfig,
-    benchmark_many,
-    corrupt_predictions,
-    gen_corpus,
-    run_benchmark,
-)
-from .targets import (
-    AnchorPredictions,
-    AnchorTargets,
-    PyramidConfig,
-    assign_level,
-    att_loss,
-    build_targets,
-    cls_loss,
-    focal_loss,
-    reg_loss,
-    total_loss,
-)
-from .weak_branch import (
-    VideoLabel,
-    compute_sps,
-    extract_proposals,
-    soft_nms,
-    weak_proposals,
-)
+import importlib
+
+from .config import TOOL_VERSION
+
+# each exported name, by the module that defines it; a name loads its module
+# on first access (PEP 562), so a process loads only the modules it uses
+_EXPORTS = {
+    "config": ("TOOL_VERSION", "PipelineConfig", "MaskParams", "PyramidConfig"),
+    "core": ("Interval", "Segment", "Segments", "SnippetPredictions", "TimeGrid",
+             "snippet_centers", "span_tiou"),
+    "evaluation": ("DEFAULT_TIOU_THRESHOLDS", "EvalReport", "GroundTruthSet", "PseudoQuality",
+                   "average_precision", "map_table", "pseudo_quality"),
+    "fusion": ("FusedWavelet", "RickerParams", "fuse_ricker", "generate_pseudo_labels",
+               "ricker_value", "segments_from_wavelet"),
+    "mask": ("SnippetMask", "decay_schedule", "mask_for_proposal", "union_masks"),
+    "sim": ("BenchmarkResult", "CorpusLayout", "SimConfig", "benchmark_many",
+            "corrupt_predictions", "gen_corpus", "run_benchmark"),
+    "targets": ("AnchorPredictions", "AnchorTargets", "assign_level", "att_loss",
+                "build_targets", "cls_loss", "focal_loss", "reg_loss", "total_loss"),
+    "weak_branch": ("VideoLabel", "compute_sps", "extract_proposals", "soft_nms",
+                    "weak_proposals"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = TOOL_VERSION
 
-__all__ = [
-    "TOOL_VERSION",
-    "PipelineConfig",
-    "Interval",
-    "Segment",
-    "Segments",
-    "SnippetPredictions",
-    "TimeGrid",
-    "snippet_centers",
-    "span_tiou",
-    "DEFAULT_TIOU_THRESHOLDS",
-    "EvalReport",
-    "GroundTruthSet",
-    "PseudoQuality",
-    "average_precision",
-    "map_table",
-    "pseudo_quality",
-    "FusedWavelet",
-    "RickerParams",
-    "fuse_ricker",
-    "generate_pseudo_labels",
-    "ricker_value",
-    "segments_from_wavelet",
-    "MaskParams",
-    "SnippetMask",
-    "decay_schedule",
-    "mask_for_proposal",
-    "union_masks",
-    "BenchmarkResult",
-    "CorpusLayout",
-    "SimConfig",
-    "benchmark_many",
-    "corrupt_predictions",
-    "gen_corpus",
-    "run_benchmark",
-    "AnchorPredictions",
-    "AnchorTargets",
-    "PyramidConfig",
-    "assign_level",
-    "att_loss",
-    "build_targets",
-    "cls_loss",
-    "focal_loss",
-    "reg_loss",
-    "total_loss",
-    "VideoLabel",
-    "compute_sps",
-    "extract_proposals",
-    "soft_nms",
-    "weak_proposals",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

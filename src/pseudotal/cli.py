@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import json
 import math
 import sys
@@ -23,30 +24,45 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
+from .config import TOOL_VERSION, ConfigSchemaError, MaskParams, PipelineConfig, PyramidConfig
 from .core import (Interval, Segment, Segments, SnippetPredictions, TimeGrid, check_class_id,
                    runs, snippet_centers)
-from .evaluation import GroundTruthSet, map_table
-# generate_pseudo_labels and weak_proposals are not called here (the sim stages call
-# them); they stay imported because bench/tracing.py wraps them by attribute on this module
-from .fusion import STRATEGIES, fuse_ricker, generate_pseudo_labels, lookup_strategy
-from .mask import MaskParams, SnippetMask, decay_schedule, mask_for_proposal, union_masks
-from .sim import RNG_NAME, SimConfig, corrupt_predictions, gen_corpus, run_benchmark
-from .sim import proposals_by_video, pseudo_labels_by_video, video_labels
-from .targets import (
-    ANCHOR_FIELDS,
-    AnchorPredictions,
-    AnchorTargets,
-    PyramidConfig,
-    att_loss,
-    build_targets,
-    cls_loss,
-    reg_loss,
-    total_loss,
-)
-from .weak_branch import compute_sps, weak_proposals
 
 __all__ = ["main"]
+
+# The names this module takes from the package's other modules, by module.
+# `main` binds those of a subcommand's modules (`_Command.modules`) before it
+# reads any input, so a subcommand compiles only the modules it runs, while
+# its memory is small; a parser binds its own too, for callers besides `main`.
+# Handlers call the names through this module's globals: bench/tracing.py
+# looks them up by attribute (`__getattr__`) and replaces them with wrappers,
+# which `_bind` keeps. Only the tracer reads `generate_pseudo_labels` and
+# `weak_proposals` here.
+_LIBRARY = {
+    "evaluation": ("GroundTruthSet", "map_table"),
+    "fusion": ("STRATEGIES", "fuse_ricker", "generate_pseudo_labels", "lookup_strategy"),
+    "mask": ("SnippetMask", "decay_schedule", "mask_for_proposal", "union_masks"),
+    "sim": ("RNG_NAME", "SimConfig", "corrupt_predictions", "gen_corpus", "proposals_by_video",
+            "pseudo_labels_by_video", "run_benchmark"),
+    "targets": ("ANCHOR_FIELDS", "AnchorPredictions", "AnchorTargets", "att_loss",
+                "build_targets", "cls_loss", "reg_loss", "total_loss"),
+    "weak_branch": ("compute_sps", "video_labels", "weak_proposals"),
+}
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SchemaError(Exception):
@@ -371,12 +387,15 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
         out.setdefault(vid, []).append(item)
     if with_score:
         return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
+    _bind("evaluation")
     return GroundTruthSet(out)
 
 
 def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, SnippetMask]:
     """The masks of the videos in `grids`; a row's run lengths must add up to
     its video's num_snippets before they are expanded."""
+    _bind("mask")
+
     def convert(vid: str, row: dict, plain: bool) -> SnippetMask | None:
         if not isinstance(row["bits"], list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]
@@ -397,6 +416,8 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
 
 
 def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
+    _bind("targets")
+
     def convert(vid: str, row: dict, plain: bool) -> AnchorTargets:
         sizes = _json_list(row["level_sizes"], "level_sizes")
         grid = _grid(row, row["class_count"])
@@ -410,6 +431,8 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
 
 
 def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
+    _bind("targets")
+
     def convert(vid: str, row: dict, plain: bool) -> AnchorPredictions:
         probs = _float_array(row["class_probs"], "class_probs", plain, rows=True)
         snippet_probs = row.get("snippet_probs")
@@ -672,6 +695,7 @@ class _Command(NamedTuple):
     write: Callable[[str, PipelineConfig, object], None]  # writes it to --output
     help: str
     flags: dict  # flag -> add_argument keywords, besides --config and --output
+    modules: tuple[str, ...]  # the `_LIBRARY` modules that the handler calls
 
 
 _INPUT = {"action": "append", "help": "input file; repeat for several (roles: FORMATS.md)"}
@@ -680,35 +704,38 @@ _EPOCH = {"type": int, "default": 0, "help": "training epoch for mask-band sched
 _SEED = {"type": int, "help": "override the sim seed"}
 _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte reproducibility)"}
 
-# The one list of subcommands, their writers and the flags each one reads.
+# The one list of subcommands, their writers, the flags each one reads and the
+# modules it runs.
 COMMANDS = {
     "extract": _Command(_cmd_extract, _write_jsonl,
                         "SP file -> scored proposals (needs --gt for video labels)",
-                        {"--input": _INPUT, "--gt": _GT}),
+                        {"--input": _INPUT, "--gt": _GT}, ("evaluation", "sim", "weak_branch")),
     "fuse": _Command(_cmd_fuse, _write_jsonl, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
-        "--strategy": {"default": "ricker", "help": f"one of {', '.join(STRATEGIES)}"},
+        "--strategy": {"default": "ricker", "help": "fusion strategy (default: ricker)"},
         "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
-    }),
+    }, ("fusion", "sim")),
     "mask": _Command(_cmd_mask, _write_jsonl, "pseudos + grid source -> uncertainty mask file",
-                     {"--input": _INPUT, "--epoch": _EPOCH}),
+                     {"--input": _INPUT, "--epoch": _EPOCH}, ("mask",)),
     "targets": _Command(_cmd_targets, _write_jsonl,
                         "pseudos + grid source + mask file -> anchor target file",
-                        {"--input": _INPUT}),
+                        {"--input": _INPUT}, ("mask", "targets")),
     "losses": _Command(_cmd_losses, _write_report,
                        "anchor predictions + targets [+ SP file] -> loss report",
-                       {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
+                       {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS},
+                       ("evaluation", "targets", "weak_branch")),
     "eval": _Command(_cmd_eval, _write_report, "predictions (needs --gt) -> mAP report",
-                     {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}),
+                     {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}, ("evaluation",)),
     "simulate": _Command(_cmd_simulate, _write_jsonl,
                          "config -> synthetic SP corpus (and GT via --gt)",
-                         {"--gt": {"help": "also write the ground truth here"}, "--seed": _SEED}),
+                         {"--gt": {"help": "also write the ground truth here"}, "--seed": _SEED},
+                         ("sim",)),
     "benchmark": _Command(_cmd_benchmark, _write_report,
                           "config -> per-strategy pseudo-label quality report", {
         "--strategy": {"action": "append", "help": "fusion strategy; repeatable (default: all)"},
         "--seed": _SEED,
         "--timings": _TIMINGS,
-    }),
+    }, ("fusion", "sim")),
 }
 
 
@@ -729,13 +756,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    _bind(*command.modules)
     try:
         cfg, raw_sim = _load_config(args.config)
         if "seed" in args:  # simulate and benchmark, the readers of the 'sim' section
             args.sim = _config_section(args.config, SimConfig, raw_sim)
             if args.seed is not None:
                 args.sim = dataclasses.replace(args.sim, seed=args.seed)
-        command = COMMANDS[args.command]
         command.write(args.output, cfg, command.handler(args, cfg))
         return 0
     except (SchemaError, ConfigSchemaError) as exc:

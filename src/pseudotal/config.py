@@ -1,5 +1,6 @@
 """Pipeline configuration: one frozen bundle of every knob, with strict
-dict round-tripping and a content hash for report headers."""
+dict round-tripping and a content hash for report headers, and the two value
+types whose range rules it applies (mask band ratios, anchor pyramid)."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,10 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .mask import MaskParams
-from .targets import PyramidConfig
-
-__all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION"]
+__all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -26,40 +24,83 @@ class ConfigSchemaError(ValueError):
 
 # The JSON values a field of each type takes: an int field a JSON integer (a
 # bool is none), a float field any JSON number, a str field a string; a tuple
-# field takes a JSON list of its entry type.
+# field takes a JSON list (from Python, also a tuple) of its entry type.
 _JSON_TYPES = {
     "int": ((int,), "integer"), "float": ((int, float), "number"), "str": ((str,), "string"),
 }
 
 
 def config_from_dict(cls, data: dict, what: str = "config"):
-    """`cls(**data)` for a config dataclass, strictly: an unknown key or a
-    value of the wrong JSON type raises `ConfigSchemaError`; the constructor
-    checks the values. Values pass unconverted, but for the tuple fields'
-    lists, so a valid config keeps its `config_hash`."""
-    fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    """`cls(**data)` for a config dataclass, strictly: an unknown key raises
+    `ConfigSchemaError`; the constructor checks the values. Values pass
+    unconverted, but for the tuple fields' lists, so a valid config keeps
+    its `config_hash`."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigSchemaError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in data.items():
-        entry = fields[key].removeprefix("tuple[").split(",")[0]  # "tuple[int, int]": "int"
-        types, noun = _JSON_TYPES[entry]
-        many = entry != fields[key]
-        entries = value if many else [value]
-        if (many and not isinstance(value, list)) or any(type(v) not in types for v in entries):
-            need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
-            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
-def check_finite(config, what: str) -> None:
-    """Refuse a NaN or infinite float (or float entry of a tuple) in any field
-    of a config dataclass, naming the key; the first check of each config."""
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
+def check_fields(config, what: str) -> None:
+    """The first check of each config dataclass, naming the key: every field
+    holds its JSON type (`ConfigSchemaError`), then no float is NaN or
+    infinite (`ValueError`). A tuple value is shown as the JSON list it came
+    from."""
+    fields = [(f.name, getattr(config, f.name), str(f.type)) for f in dataclasses.fields(config)]
+    shown = {key: list(value) if isinstance(value, tuple) else value for key, value, _ in fields}
+    for key, value, kind in fields:
+        entry = kind.removeprefix("tuple[").split(",")[0]  # "tuple[int, int]": "int"
+        types, noun = _JSON_TYPES[entry]
+        many = entry != kind
+        entries = value if many else [value]
+        if (many and not isinstance(value, (list, tuple))) or any(
+            isinstance(v, bool) or not isinstance(v, types) for v in entries
+        ):
+            need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
+            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {shown[key]!r}")
+    for key, value, _ in fields:
         entries = value if isinstance(value, (tuple, list)) else (value,)
         if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
-            raise ValueError(f"{what} key {field.name!r} must be finite, got {value!r}")
+            raise ValueError(f"{what} key {key!r} must be finite, got {shown[key]!r}")
+
+
+@dataclass(frozen=True)
+class MaskParams:
+    """Uncertainty-mask boundary-band ratios: alpha expands outward, beta
+    shrinks inward."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be nonnegative")
+        if self.beta >= 0.5:
+            raise ValueError("beta must be < 0.5 or the bands swallow the proposal")
+
+
+# Level l has a stride of 2**l snippets. From level 23 up one anchor covers
+# the longest grid (MAX_GRID_CELLS / 2 snippets), so a level past this bound
+# only adds another one-anchor level; a huge count would never finish.
+MAX_LEVELS = 32
+
+
+@dataclass(frozen=True)
+class PyramidConfig:
+    """Multi-scale anchor layout of `num_levels` levels (see `level_sizes`);
+    each level owns a band of proposal durations (see `targets.assign_level`)."""
+
+    num_levels: int = 6
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.num_levels <= MAX_LEVELS:
+            raise ValueError(f"num_levels must lie in [1, {MAX_LEVELS}]")
+
+    def level_sizes(self, grid) -> tuple[int, ...]:
+        """ceil(num_snippets / 2**l) anchors at each level l of a `TimeGrid`."""
+        return tuple(math.ceil(grid.num_snippets / 2**level) for level in range(self.num_levels))
 
 
 @dataclass(frozen=True)
@@ -85,7 +126,7 @@ class PipelineConfig:
     eval_tious: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
 
     def __post_init__(self) -> None:
-        check_finite(self, "config")
+        check_fields(self, "config")
         if self.k_ratio < 1:
             raise ValueError("k_ratio must be >= 1")
         ths = tuple(float(t) for t in self.thresholds)

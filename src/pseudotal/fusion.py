@@ -246,11 +246,14 @@ STRATEGIES: dict[str, Callable[[Segments, TimeGrid, float], Segments]] = {
 
 
 def lookup_strategy(name: str):
-    """The fuse function of a strategy name; the one unknown-name error."""
+    """The fuse function of a strategy name; the one unknown-name error,
+    which lists the valid names."""
     try:
         return STRATEGIES[name]
     except KeyError:
-        raise ValueError(f"unknown fusion strategy: {name!r}") from None
+        raise ValueError(
+            f"unknown fusion strategy: {name!r} (one of {', '.join(STRATEGIES)})"
+        ) from None
 
 
 def generate_pseudo_labels(

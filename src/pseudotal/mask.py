@@ -8,31 +8,15 @@ epoch and the end of training.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import MaskParams
 from .core import Segment, TimeGrid, snippet_centers
 
-__all__ = ["MaskParams", "SnippetMask", "mask_for_proposal", "union_masks", "decay_schedule"]
-
-
-@dataclass(frozen=True)
-class MaskParams:
-    """Boundary-band ratios: alpha expands outward, beta shrinks inward."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be nonnegative")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be nonnegative")
-        if self.beta >= 0.5:
-            raise ValueError("beta must be < 0.5 or the bands swallow the proposal")
+__all__ = ["SnippetMask", "mask_for_proposal", "union_masks", "decay_schedule"]
 
 
 @dataclass(frozen=True, eq=False)

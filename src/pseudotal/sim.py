@@ -10,8 +10,8 @@ corruption, so no video's draws depend on another video.
 
 The weak-branch corpus stages `proposals_by_video` and
 `pseudo_labels_by_video` are shared by `run_benchmark` and the CLI's
-`extract` and `fuse`, and `video_labels` is the one rule that turns ground
-truth into video-level labels.
+`extract` and `fuse`; `weak_branch.video_labels` turns ground truth into
+video-level labels for both.
 """
 from __future__ import annotations
 
@@ -19,15 +19,15 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig, check_finite, config_from_dict
+from .config import PipelineConfig, check_fields, config_from_dict
 from .core import Interval, Segments, SnippetPredictions, TimeGrid, first_cover, snippet_centers
 from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
-from .weak_branch import VideoLabel, weak_proposals
+from .weak_branch import VideoLabel, video_labels, weak_proposals
 
 __all__ = [
     "SimConfig",
@@ -35,7 +35,6 @@ __all__ = [
     "BenchmarkResult",
     "gen_corpus",
     "corrupt_predictions",
-    "video_labels",
     "proposals_by_video",
     "pseudo_labels_by_video",
     "run_benchmark",
@@ -76,7 +75,7 @@ class SimConfig:
     score_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        check_finite(self, "sim config")
+        check_fields(self, "sim config")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.num_videos < 1 or self.class_count < 1:
@@ -198,20 +197,6 @@ def gen_corpus(cfg: SimConfig) -> CorpusLayout:
         grids[vid], segments = _layout_video(cfg, v)
         gt[vid] = tuple(segments)
     return CorpusLayout(GroundTruthSet(gt), grids, video_labels(gt, grids))
-
-
-def video_labels(
-    ground_truth: Mapping[str, Iterable[tuple[Interval, int]]],
-    grids: Mapping[str, TimeGrid],
-) -> dict[str, VideoLabel]:
-    """Each video's label: the classes of its ground-truth segments, on its
-    own grid. Videos of `grids` without ground truth get no label; a class
-    outside a video's grid raises."""
-    return {
-        vid: VideoLabel.from_classes([c for _, c in ground_truth[vid]], grids[vid].class_count)
-        for vid in sorted(grids)
-        if vid in ground_truth
-    }
 
 
 def _softened_rows(class_ids: np.ndarray, class_count: int, temperature: float) -> np.ndarray:

@@ -8,17 +8,19 @@ gradients or parameter updates live here.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import PyramidConfig
 from .core import Segments, TimeGrid, first_cover, pairwise_tiou
 from .mask import SnippetMask
-from .weak_branch import VideoLabel
+
+if TYPE_CHECKING:  # an annotation only: the `targets` step loads no weak branch
+    from .weak_branch import VideoLabel
 
 __all__ = [
-    "PyramidConfig",
     "AnchorTargets",
     "ANCHOR_FIELDS",
     "AnchorPredictions",
@@ -46,28 +48,6 @@ def _anchor_layout(grid: TimeGrid, sizes: tuple[int, ...]) -> tuple[np.ndarray, 
     stride = 2**level
     dur = grid.snippet_duration_s
     return level, (index + 0.5) * stride * dur, stride * dur
-
-
-# Level l has a stride of 2**l snippets. From level 23 up one anchor covers
-# the longest grid (MAX_GRID_CELLS / 2 snippets), so a level past this bound
-# only adds another one-anchor level; a huge count would never finish.
-MAX_LEVELS = 32
-
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Multi-scale anchor layout of `num_levels` levels (see `level_sizes`);
-    each level owns a band of proposal durations (see `assign_level`)."""
-
-    num_levels: int = 6
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_levels <= MAX_LEVELS:
-            raise ValueError(f"num_levels must lie in [1, {MAX_LEVELS}]")
-
-    def level_sizes(self, grid: TimeGrid) -> tuple[int, ...]:
-        """ceil(num_snippets / 2**l) anchors at each level l."""
-        return tuple(math.ceil(grid.num_snippets / 2**level) for level in range(self.num_levels))
 
 
 @dataclass(frozen=True, eq=False)

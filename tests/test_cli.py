@@ -11,7 +11,7 @@ import pytest
 
 from pseudotal import cli
 from pseudotal.cli import COMMANDS, main
-from pseudotal.config import TOOL_VERSION, PipelineConfig
+from pseudotal.config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
 from pseudotal.core import MAX_GRID_CELLS
 from pseudotal.fusion import STRATEGIES
 from pseudotal.sim import SimConfig
@@ -234,10 +234,15 @@ class TestExtractFuse:
         write_jsonl(props, [])  # no video to fuse: the name is still checked
         out = tmp_path / "out.jsonl"
         for name in ("median", "RICKER"):
+            # the message lists the valid names, which `--strategy`'s help leaves out
+            error = f"error: unknown fusion strategy: {name!r} (one of {', '.join(STRATEGIES)})\n"
             code = run("fuse", "--input", props, "--input", grid_file,
                        "--strategy", name, "--output", out)
             assert code == 3
-            assert capsys.readouterr().err == f"error: unknown fusion strategy: {name!r}\n"
+            assert capsys.readouterr().err == error
+            assert not out.exists()
+            assert run("benchmark", "--strategy", "soft", "--strategy", name, "--output", out) == 3
+            assert capsys.readouterr().err == error
             assert not out.exists()
 
     def test_wavelet_csv(self, tmp_path):
@@ -1836,6 +1841,34 @@ class TestConfigTypes:
         # NaN sigma_nms or min_score would run a whole benchmark on wrong numbers
         with pytest.raises(ValueError, match=f"^{what} key '{key}' must be finite, got "):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("cls, what, key, value, need", [
+        (SimConfig, "sim config", "num_videos", 2.5, "a JSON integer"),
+        (SimConfig, "sim config", "seed", 1.5, "a JSON integer"),
+        (SimConfig, "sim config", "seed", True, "a JSON integer"),
+        (SimConfig, "sim config", "snippets_per_video", (8, 16.0), "a JSON list of integers"),
+        (PipelineConfig, "config", "num_levels", True, "a JSON integer"),
+        (PipelineConfig, "config", "min_duration_snippets", 2.5, "a JSON integer"),
+        (PipelineConfig, "config", "warmup_epochs", 0.5, "a JSON integer"),
+        (PipelineConfig, "config", "thresholds", 0.5, "a JSON list of numbers"),
+        (PipelineConfig, "config", "tau", None, "a JSON number"),
+        (PipelineConfig, "config", "extract_on", b"sps", "a JSON string"),
+    ])
+    def test_the_constructors_refuse_values_of_the_wrong_type(self, cls, what, key, value, need):
+        # the JSON type rule holds for a config built in Python too, and is
+        # checked before the finite rule; a tuple is shown as the JSON list a
+        # config file holds
+        shown = re.escape(repr(list(value) if isinstance(value, tuple) else value))
+        message = f"^{what} key '{key}' must be {need}, got {shown}$"
+        with pytest.raises(ConfigSchemaError, match=message):
+            cls(**{key: value, "score_temperature" if cls is SimConfig else "sigma_nms": math.nan})
+
+    def test_a_list_of_a_config_file_is_shown_as_a_list(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"eval_tious": [0.5, -math.inf]}))
+        assert run("simulate", "--config", cfg, "--output", tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key 'eval_tious' must be finite, got [0.5, -inf]\n")
 
     @pytest.mark.parametrize("alpha, beta, message", [
         (-0.1, 0.0, "alpha must be nonnegative"),

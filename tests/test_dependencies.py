@@ -4,7 +4,9 @@ resolves, and the package itself uses it unless an acceptance gate is its one
 caller."""
 import ast
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,7 +90,9 @@ def test_every_public_name_is_called():
     package is reached from the command line (`cli.main` and the module-level
     tables), through the bodies of what it reaches; only GATE_ONLY is not."""
     bodies: dict[str, set[str]] = {}
-    reached = {"main"}  # the console script's entry point
+    # the console script's entry point, and the attribute hook that Python
+    # itself calls (PEP 562)
+    reached = {"main", "__getattr__"}
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -110,10 +114,130 @@ def test_every_public_name_is_called():
     assert sorted(set(GATE_ONLY) - _loaded_names(ast.parse(acceptance))) == []
 
 
-def test_the_command_line_imports_no_rationals():
-    """AP is summed on integers, so no subcommand pays for importing
-    `fractions` (and `decimal`, which it imports)."""
-    code = "import sys, pseudotal.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert out.stdout == "[]\n"
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """Valid inputs of every subcommand, from a small seeded corpus."""
+    from pseudotal.cli import main
+
+    d = tmp_path_factory.mktemp("chain")
+    f = {name: str(d / f"{name}.jsonl") for name in ("sp", "gt", "props", "pseudos", "mask",
+                                                      "targets", "preds")}
+    f["config"] = str(d / "config.json")
+    Path(f["config"]).write_text(json.dumps({"sim": {"seed": 1, "num_videos": 3,
+                                                     "class_count": 2}}))
+    for argv in (["simulate", "--config", f["config"], "--gt", f["gt"], "--output", f["sp"]],
+                 ["extract", "--input", f["sp"], "--gt", f["gt"], "--output", f["props"]],
+                 ["fuse", "--input", f["props"], "--input", f["sp"], "--output", f["pseudos"]],
+                 ["mask", "--input", f["pseudos"], "--input", f["sp"], "--output", f["mask"]],
+                 ["targets", "--input", f["pseudos"], "--input", f["sp"], "--input", f["mask"],
+                  "--output", f["targets"]]):
+        assert main(argv) == 0
+    with open(f["preds"], "w", encoding="utf-8") as fh:
+        for line in Path(f["targets"]).read_text(encoding="utf-8").splitlines()[1:]:
+            row = json.loads(line)
+            n = len(row["class_label"])
+            fh.write(json.dumps({"video_id": row["video_id"], "class_probs": [[0.5] * 3] * n,
+                                 "reg_left": [1.0] * n, "reg_right": [1.0] * n}) + "\n")
+    f["out"] = str(d / "out")
+    return f
+
+
+# each step's arguments (names of `chain` files) and the package modules it
+# loads besides cli, config and core
+STEPS = {
+    "--help": ([], set()),
+    "eval": (["--input", "props", "--gt", "gt"], {"evaluation"}),
+    "mask": (["--input", "pseudos", "--input", "sp"], {"mask"}),
+    "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"], {"mask", "targets"}),
+    "losses": (["--input", "preds", "--input", "targets", "--input", "sp", "--gt", "gt"],
+               {"evaluation", "mask", "targets", "weak_branch"}),
+    **{cmd: (argv, {"evaluation", "fusion", "sim", "weak_branch"}) for cmd, argv in [
+        ("simulate", ["--config", "config"]),
+        ("extract", ["--input", "sp", "--gt", "gt"]),
+        ("fuse", ["--input", "props", "--input", "sp"]),
+        ("benchmark", ["--config", "config", "--strategy", "soft"]),
+    ]},
+}
+
+# runs `cli.main` on argv in a fresh interpreter; prints the exit code, whether
+# `import numpy` alone loads numpy.random (numpy < 2 does), the modules loaded
+# when the first input file is opened (or null) and at the end
+PROBE = """
+import json, sys
+import numpy
+eager = "numpy.random" in sys.modules
+from pseudotal import cli
+first_read, rows = [], cli._rows
+def first_rows(*args, **kwargs):
+    first_read.append(sorted(sys.modules))
+    return rows(*args, **kwargs)
+cli._rows = first_rows
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, eager, (first_read or [None])[0], sorted(sys.modules)]))
+"""
+
+
+def _fresh(code: str, *argv: str):
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_each_subcommand_loads_only_its_modules(chain, step):
+    """A subcommand compiles and runs only the package modules it calls, in
+    a fresh interpreter: `eval` no simulator, fusion, weak branch, mask or
+    targets; only `simulate` and `benchmark` draw random numbers. Each has
+    loaded them all before it reads its first input, while its memory is
+    small. AP is summed on integers, so none imports `fractions` (or
+    `decimal`)."""
+    argv, extra = STEPS[step]
+    argv = [step] if step == "--help" else [step, *(chain.get(a, a) for a in argv),
+                                            "--output", chain["out"]]
+    code, eager, first_read, modules = _fresh(PROBE, *argv)
+    assert code == 0
+    for names in (first_read, modules):
+        if names is not None:
+            loaded = {m.split(".", 1)[1] for m in names if m.startswith("pseudotal.")}
+            assert loaded == {"cli", "config", "core"} | extra
+    assert ("numpy.random" in modules) == (eager or step in ("simulate", "benchmark"))
+    assert {"fractions", "decimal"} & set(modules) == set()
+
+
+def test_the_tracer_finds_and_wraps_its_cli_names(chain):
+    """bench/tracing.py looks up the names it wraps on `cli` by attribute and
+    replaces them there; a handler calls the replacement. In a fresh
+    interpreter every such name resolves, and in another a counting wrapper
+    of each of four is called by its subcommand."""
+    tracer = (PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
+    names = re.findall(r'wrap\(cli, "(\w+)"', tracer)
+    assert len(names) == 12
+    resolve = f"from pseudotal import cli; print(sum(callable(getattr(cli, n)) for n in {names}))"
+    assert _fresh(resolve) == len(names)
+    runs = {
+        "map_table": ["eval", "--input", chain["props"], "--gt", chain["gt"]],
+        "mask_for_proposal": ["mask", "--input", chain["pseudos"], "--input", chain["sp"]],
+        "build_targets": ["targets", "--input", chain["pseudos"], "--input", chain["sp"],
+                          "--input", chain["mask"]],
+        "gen_corpus": ["simulate", "--config", chain["config"]],
+    }
+    code = f"""
+import json
+from collections import Counter
+from pseudotal import cli
+calls = Counter()
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+for name, argv in {runs!r}.items():
+    setattr(cli, name, counting(name, getattr(cli, name)))
+    assert cli.main([*argv, "--output", {chain["out"]!r}]) == 0, argv
+print(json.dumps(calls))
+"""
+    calls = _fresh(code)
+    assert sorted(name for name in runs if calls.get(name, 0) > 0) == sorted(runs)

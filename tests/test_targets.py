@@ -4,13 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from pseudotal.config import MAX_LEVELS, MaskParams, PyramidConfig
 from pseudotal.core import Segment, TimeGrid, span_tiou
-from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
+from pseudotal.mask import mask_for_proposal, union_masks
 from pseudotal.targets import (
     AnchorPredictions,
     AnchorTargets,
-    MAX_LEVELS,
-    PyramidConfig,
     assign_level,
     att_loss,
     build_targets,

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import reference_targets as ref
+from pseudotal.config import MAX_LEVELS
 from pseudotal.core import Segments, TimeGrid, first_cover
 from pseudotal.mask import SnippetMask
-from pseudotal.targets import ANCHOR_FIELDS, MAX_LEVELS, PyramidConfig, assign_level, build_targets
+from pseudotal.targets import ANCHOR_FIELDS, PyramidConfig, assign_level, build_targets
 
 SEEDS = range(300)
 
