@@ -1,13 +1,14 @@
 """Command-line pipeline over JSON-lines files.
 
 Subcommands: extract, fuse, mask, targets, losses, eval, simulate,
-benchmark; `COMMANDS` lists the flags each one reads and the writer of its
-`--output`. A handler parses its inputs, computes, and returns what goes to
-`--output` (rows, or `(metrics, timings)` for a report); `main` writes it.
-`extract` and `fuse` run the corpus stages of `sim` that `benchmark` runs.
-Every output file is a pure function of its inputs and the config: floats
-are written at 6 significant digits and rows are ordered by video_id. Exit
-codes: 0 success, 2 missing/malformed input, 3 domain-constraint violation.
+benchmark; `COMMANDS` lists the flags each one reads. A handler parses its
+inputs, computes, and returns every file it produces as `(path, lines)`:
+`--output`, and `simulate --gt` or `fuse --wavelet-csv`; `main` checks
+every output path, then writes them. `extract` and `fuse` run the corpus
+stages of `sim` that `benchmark` runs. Every output file is a pure function
+of its inputs and the config: floats are written at 6 significant digits
+and rows are ordered by video_id. Exit codes: 0 success, 2 missing or
+malformed input or a bad output path, 3 domain-constraint violation.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import sys
 import time
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ def __getattr__(name: str):
 
 
 class SchemaError(Exception):
-    """Input file missing, unparsable, or shaped wrong."""
+    """An input file unparsable or shaped wrong, or a bad output path."""
 
 
 # The one float formatter of every output: 6 significant digits. A JSON value
@@ -160,21 +161,19 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
     Each line is decoded, checked (a string `video_id`, `keys`, and where
     `unique` no repeated id) and converted before the next is read, so the
     first bad row decides the exit; `plain`: the line holds no `true`/`false`.
-    An error names the file: a `SchemaError` as `<path>: <message>`, a value
-    fault of the types as `<path>: video <id>: <message>`."""
-    p = Path(path)
-    if not p.is_file():
-        raise SchemaError(f"missing file: {path}")
+    An error names the file: a `SchemaError` as `<path>: <message>` (a line
+    that is no UTF-8 JSON object as `<path>:<line>: <message>`), a value fault
+    of the types as `<path>: video <id>: <message>`."""
     seen: set[str] = set()
-    with p.open("r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SchemaError(f"{path}:{lineno}: {_undecodable(exc)}") from None
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object")
             if "_header" in row:
@@ -197,6 +196,12 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
             except (ValueError, TypeError, OverflowError) as exc:  # a huge JSON integer overflows
                 raise ValueError(f"{path}: video {vid}: {exc}") from None
             yield vid, value
+
+
+def _undecodable(exc: UnicodeDecodeError | json.JSONDecodeError) -> str:
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text ({exc.reason})"
+    return f"invalid JSON ({exc.msg})"
 
 
 def _require(row: dict, keys: Sequence[str]) -> None:
@@ -225,27 +230,38 @@ def _grid(row: dict, class_count) -> TimeGrid:
     )
 
 
-def _header(cfg: PipelineConfig) -> dict:
-    return {"_header": {"config_hash": cfg.config_hash(), "tool_version": TOOL_VERSION}}
+def _jsonl(cfg: PipelineConfig, rows: Iterable[dict]) -> Iterator[str]:
+    """The lines of a JSON-lines output: its `_header` row, then `rows`."""
+    yield _dump({"_header": {"config_hash": cfg.config_hash(), "tool_version": TOOL_VERSION}})
+    for row in rows:
+        yield _dump(row)
 
 
-def _write_jsonl(path: str, cfg: PipelineConfig, rows: Iterable[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(_dump(_header(cfg)) + "\n")
-        for row in rows:
-            fh.write(_dump(row) + "\n")
+def _report(cfg: PipelineConfig, metrics: dict, timings: dict | None) -> list[str]:
+    return [_dump({"config_hash": cfg.config_hash(), "tool_version": TOOL_VERSION,
+                   "metrics": metrics, "timings_ms": timings})]
 
 
-def _write_report(path: str, cfg: PipelineConfig, output: tuple[dict, dict | None]) -> None:
-    metrics, timings = output
-    report = {
-        "config_hash": cfg.config_hash(),
-        "tool_version": TOOL_VERSION,
-        "metrics": metrics,
-        "timings_ms": timings,
-    }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(_dump(report) + "\n")
+_Outputs = list[tuple[str, Iterable[str]]]  # a handler's (path, lines) per file it produces
+
+
+def _write(outputs: _Outputs) -> None:
+    """Write every output once every path has passed: none is a directory, each
+    one's directory exists, and no two name one file; a bad path writes no file."""
+    seen = set()
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise SchemaError(f"{path}: is a directory")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise SchemaError(f"{path}: no directory {folder!r}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise SchemaError(f"{path}: two outputs of the run name this file")
+        seen.add(real)
+    for path, lines in outputs:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------- input parsing
@@ -470,7 +486,7 @@ def _segments_on_grids(args, what: str, count: int = 2):
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
+def _cmd_extract(args, cfg: PipelineConfig) -> _Outputs:
     sp_path = _inputs(args, 1, 1, "an SP file")[0]
     grids, preds = _parse_sp_file(sp_path)
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
@@ -478,28 +494,32 @@ def _cmd_extract(args, cfg: PipelineConfig) -> list[dict]:
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
     proposals = proposals_by_video(grids, video_labels(gt.segments, grids), preds, cfg)
-    return [_segment_row(vid, *p) for vid, segments in proposals.items() for p in segments]
+    rows = [_segment_row(vid, *p) for vid, segments in proposals.items() for p in segments]
+    return [(args.output, _jsonl(cfg, rows))]
 
 
-def _cmd_fuse(args, cfg: PipelineConfig) -> list[dict]:
+def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
     lookup_strategy(args.strategy)  # an unknown name fails even with no video to fuse
     proposals, grids, _ = _segments_on_grids(args, "proposals file and grid source")
     if args.wavelet_csv and len(proposals) != 1:
         raise ValueError("wavelet CSV requires exactly one video in the input")
     pseudos = pseudo_labels_by_video(proposals, grids, args.strategy, cfg)
+    rows = [_segment_row(vid, *p) for vid, segments in pseudos.items() for p in segments]
+    outputs = [(args.output, _jsonl(cfg, rows))]
     if args.wavelet_csv:
         vid = next(iter(proposals))
         grid = grids[vid]
         wavelet = fuse_ricker(proposals[vid], grid)
-        with Path(args.wavelet_csv).open("w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}\n")
-            fh.write("t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)) + "\n")
-            for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist()):
-                fh.write(_G6(t) + "," + ",".join(map(_G6, row)) + "\n")
-    return [_segment_row(vid, *p) for vid, segments in pseudos.items() for p in segments]
+        outputs.append((args.wavelet_csv, [
+            f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}",
+            "t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)),
+            *(_G6(t) + "," + ",".join(map(_G6, row))
+              for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist())),
+        ]))
+    return outputs
 
 
-def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
+def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
     pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
     initial = MaskParams(cfg.alpha, cfg.beta)
     params = decay_schedule(args.epoch, cfg.warmup_epochs, cfg.total_epochs, initial)
@@ -511,10 +531,10 @@ def _cmd_mask(args, cfg: PipelineConfig) -> list[dict]:
         rows.append(
             {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
         )
-    return rows
+    return [(args.output, _jsonl(cfg, rows))]
 
 
-def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
+def _cmd_targets(args, cfg: PipelineConfig) -> _Outputs:
     pseudos, grids, (mask_path,) = _segments_on_grids(args, "pseudos, grid source, mask file", 3)
     masks = _parse_mask_file(mask_path, grids)
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
@@ -531,10 +551,10 @@ def _cmd_targets(args, cfg: PipelineConfig) -> list[dict]:
             "level_sizes": list(tgt.level_sizes),
             **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
         })
-    return rows
+    return [(args.output, _jsonl(cfg, rows))]
 
 
-def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
+def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
     paths = _inputs(args, 2, 3, "anchor predictions, targets, optional SP file")
     if args.gt and len(paths) < 3:
         raise SchemaError("--gt is read only with an SP file as the third --input")
@@ -563,84 +583,56 @@ def _cmd_losses(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
             if vid not in labels:
                 raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
             z = compute_sps(sps[vid].attention, sps[vid].class_scores)
-            l_att = att_loss(
-                pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal
-            )
+            l_att = att_loss(pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal)
         has_pos = bool(((tgt.mask_bit == 1) & (tgt.class_label > 0)).any())
-        per_video[vid] = {
-            "cls": l_cls,
-            "reg": l_reg,
-            "att": l_att,
-            "total": total_loss(l_reg, l_cls, l_att, cfg.lambda_att),
-            "empty_positives": not has_pos,
-        }
+        per_video[vid] = {"cls": l_cls, "reg": l_reg, "att": l_att,
+                          "total": total_loss(l_reg, l_cls, l_att, cfg.lambda_att),
+                          "empty_positives": not has_pos}
     elapsed = (time.perf_counter() - t0) * 1000.0
-    n = len(per_video)
-    mean = {
-        key: sum(entry[key] for entry in per_video.values()) / n
-        for key in ("cls", "reg", "att", "total")
-    }
-    mean["empty_positives"] = sum(
-        1 for entry in per_video.values() if entry["empty_positives"]
-    )
-    return {"per_video": per_video, "mean": mean}, {"losses": elapsed} if args.timings else None
+    mean = {key: sum(entry[key] for entry in per_video.values()) / len(per_video)
+            for key in ("cls", "reg", "att", "total")}
+    mean["empty_positives"] = sum(entry["empty_positives"] for entry in per_video.values())
+    timings = {"losses": elapsed} if args.timings else None
+    return [(args.output, _report(cfg, {"per_video": per_video, "mean": mean}, timings))]
 
 
-def _cmd_eval(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
+def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
     preds = _parse_segments(_inputs(args, 1, 1, "a predictions file")[0], with_score=True)
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return report.to_dict(), {"eval": elapsed} if args.timings else None
+    timings = {"eval": elapsed} if args.timings else None
+    return [(args.output, _report(cfg, report.to_dict(), timings))]
 
 
-@contextlib.contextmanager
-def _sim_faults(path: str | None):
-    """A section the simulator cannot realize (actions that do not fit a
-    drawn video) is the fault of the config file that holds it."""
-    try:
-        yield
-    except ValueError as exc:
-        if path is None:  # the defaults always fit
-            raise
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _cmd_simulate(args, cfg: PipelineConfig) -> list[dict]:
-    with _sim_faults(args.config):
+def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
+    with _config_faults(args.config):  # a section the simulator cannot realize
         layout = gen_corpus(args.sim)
         predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
+    rows = [{"video_id": vid, "num_snippets": layout.grids[vid].num_snippets,
+             "snippet_duration_s": layout.grids[vid].snippet_duration_s,
+             "attention": predictions[vid].attention,
+             "class_scores": predictions[vid].class_scores} for vid in layout.video_ids()]
+    outputs = [(args.output, _jsonl(cfg, rows))]
     if args.gt:
-        _write_jsonl(args.gt, cfg, [
+        outputs.append((args.gt, _jsonl(cfg, [
             _segment_row(vid, iv.start_s, iv.end_s, class_id)
             for vid in layout.video_ids()
             for iv, class_id in layout.ground_truth.segments[vid]
-        ])
-    return [
-        {
-            "video_id": vid,
-            "num_snippets": layout.grids[vid].num_snippets,
-            "snippet_duration_s": layout.grids[vid].snippet_duration_s,
-            "attention": predictions[vid].attention,
-            "class_scores": predictions[vid].class_scores,
-        }
-        for vid in layout.video_ids()
-    ]
+        ])))
+    return outputs
 
 
-def _cmd_benchmark(args, cfg: PipelineConfig) -> tuple[dict, dict | None]:
+def _cmd_benchmark(args, cfg: PipelineConfig) -> _Outputs:
     strategies = args.strategy or list(STRATEGIES)
     for name in strategies:
         lookup_strategy(name)  # a bad --strategy is no fault of the config file
-    with _sim_faults(args.config):
+    with _config_faults(args.config):
         result = run_benchmark(args.sim, strategies, cfg).to_dict()
-    metrics = {
-        "rng": RNG_NAME,
-        "sim": dataclasses.asdict(args.sim),
-        "strategies": result["strategies"],
-    }
-    return metrics, result["timings_ms"] if args.timings else None
+    metrics = {"rng": RNG_NAME, "sim": dataclasses.asdict(args.sim),
+               "strategies": result["strategies"]}
+    return [(args.output, _report(cfg, metrics, result["timings_ms"] if args.timings else None))]
 
 
 # ---------------------------------------------------------------- plumbing
@@ -662,37 +654,47 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
     return paths
 
 
+@contextlib.contextmanager
+def _config_faults(path: str | None):
+    """Blame the config file at `path`, if any, for a fault of the block: prefix
+    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`."""
+    try:
+        yield
+    except (SchemaError, ValueError) as exc:
+        if path is None:
+            raise
+        schema = isinstance(exc, (SchemaError, ConfigSchemaError))
+        raise (SchemaError if schema else ValueError)(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config file, which names each key once."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise SchemaError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
     if path is None:
         return PipelineConfig(), {}
-    p = Path(path)
-    if not p.is_file():
-        raise SchemaError(f"missing file: {path}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    raw_sim = raw.pop("sim", {})
-    if not isinstance(raw_sim, dict):
-        raise SchemaError(f"{path}: 'sim' must be a JSON object")
-    return _config_section(path, PipelineConfig, raw), raw_sim
-
-
-def _config_section(path: str, cls, data: dict):
-    """`cls.from_dict(data)`, its error prefixed with the config file's path."""
-    try:
-        return cls.from_dict(data)
-    except ConfigSchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _config_faults(path):
+        try:
+            raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaError(_undecodable(exc)) from None
+        if not isinstance(raw, dict):
+            raise SchemaError("config must be a JSON object")
+        raw_sim = raw.pop("sim", {})
+        if not isinstance(raw_sim, dict):
+            raise SchemaError("'sim' must be a JSON object")
+        return PipelineConfig.from_dict(raw), raw_sim
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace, PipelineConfig], object]  # returns the output
-    write: Callable[[str, PipelineConfig, object], None]  # writes it to --output
+    handler: Callable[[argparse.Namespace, PipelineConfig], _Outputs]
     help: str
     flags: dict  # flag -> add_argument keywords, besides --config and --output
     modules: tuple[str, ...]  # the `_LIBRARY` modules that the handler calls
@@ -704,34 +706,28 @@ _EPOCH = {"type": int, "default": 0, "help": "training epoch for mask-band sched
 _SEED = {"type": int, "help": "override the sim seed"}
 _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte reproducibility)"}
 
-# The one list of subcommands, their writers, the flags each one reads and the
-# modules it runs.
+# The one list of subcommands, the flags each one reads and the modules it runs.
 COMMANDS = {
-    "extract": _Command(_cmd_extract, _write_jsonl,
-                        "SP file -> scored proposals (needs --gt for video labels)",
+    "extract": _Command(_cmd_extract, "SP file -> scored proposals (needs --gt for video labels)",
                         {"--input": _INPUT, "--gt": _GT}, ("evaluation", "sim", "weak_branch")),
-    "fuse": _Command(_cmd_fuse, _write_jsonl, "proposals + grid source -> pseudo proposals", {
+    "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
         "--strategy": {"default": "ricker", "help": "fusion strategy (default: ricker)"},
         "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
     }, ("fusion", "sim")),
-    "mask": _Command(_cmd_mask, _write_jsonl, "pseudos + grid source -> uncertainty mask file",
+    "mask": _Command(_cmd_mask, "pseudos + grid source -> uncertainty mask file",
                      {"--input": _INPUT, "--epoch": _EPOCH}, ("mask",)),
-    "targets": _Command(_cmd_targets, _write_jsonl,
-                        "pseudos + grid source + mask file -> anchor target file",
+    "targets": _Command(_cmd_targets, "pseudos + grid source + mask file -> anchor target file",
                         {"--input": _INPUT}, ("mask", "targets")),
-    "losses": _Command(_cmd_losses, _write_report,
-                       "anchor predictions + targets [+ SP file] -> loss report",
+    "losses": _Command(_cmd_losses, "anchor predictions + targets [+ SP file] -> loss report",
                        {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS},
                        ("evaluation", "targets", "weak_branch")),
-    "eval": _Command(_cmd_eval, _write_report, "predictions (needs --gt) -> mAP report",
+    "eval": _Command(_cmd_eval, "predictions (needs --gt) -> mAP report",
                      {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}, ("evaluation",)),
-    "simulate": _Command(_cmd_simulate, _write_jsonl,
-                         "config -> synthetic SP corpus (and GT via --gt)",
+    "simulate": _Command(_cmd_simulate, "config -> synthetic SP corpus (and GT via --gt)",
                          {"--gt": {"help": "also write the ground truth here"}, "--seed": _SEED},
                          ("sim",)),
-    "benchmark": _Command(_cmd_benchmark, _write_report,
-                          "config -> per-strategy pseudo-label quality report", {
+    "benchmark": _Command(_cmd_benchmark, "config -> per-strategy pseudo-label quality report", {
         "--strategy": {"action": "append", "help": "fusion strategy; repeatable (default: all)"},
         "--seed": _SEED,
         "--timings": _TIMINGS,
@@ -761,16 +757,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg, raw_sim = _load_config(args.config)
         if "seed" in args:  # simulate and benchmark, the readers of the 'sim' section
-            args.sim = _config_section(args.config, SimConfig, raw_sim)
+            with _config_faults(args.config):
+                args.sim = SimConfig.from_dict(raw_sim)
             if args.seed is not None:
                 args.sim = dataclasses.replace(args.sim, seed=args.seed)
-        command.write(args.output, cfg, command.handler(args, cfg))
+        _write(command.handler(args, cfg))
         return 0
     except (SchemaError, ConfigSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a file the OS refuses: a missing input, an unwritable output
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a huge JSON integer
         print(f"error: {exc}", file=sys.stderr)

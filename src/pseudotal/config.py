@@ -32,19 +32,18 @@ _JSON_TYPES = {
 
 def config_from_dict(cls, data: dict, what: str = "config"):
     """`cls(**data)` for a config dataclass, strictly: an unknown key raises
-    `ConfigSchemaError`; the constructor checks the values. Values pass
-    unconverted, but for the tuple fields' lists, so a valid config keeps
-    its `config_hash`."""
+    `ConfigSchemaError`; the constructor checks the values."""
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigSchemaError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    return cls(**data)
 
 
 def check_fields(config, what: str) -> None:
     """The first check of each config dataclass, naming the key: every field
     holds its JSON type (`ConfigSchemaError`), then no float is NaN or
-    infinite (`ValueError`). A tuple value is shown as the JSON list it came
+    infinite (`ValueError`). A tuple field given a list stores it as a tuple,
+    so the config stays hashable; a tuple is shown as the JSON list it came
     from."""
     fields = [(f.name, getattr(config, f.name), str(f.type)) for f in dataclasses.fields(config)]
     shown = {key: list(value) if isinstance(value, tuple) else value for key, value, _ in fields}
@@ -58,6 +57,8 @@ def check_fields(config, what: str) -> None:
         ):
             need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
             raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {shown[key]!r}")
+        if many:
+            object.__setattr__(config, key, tuple(value))
     for key, value, _ in fields:
         entries = value if isinstance(value, (tuple, list)) else (value,)
         if not all(math.isfinite(v) for v in entries if isinstance(v, float)):

@@ -2034,3 +2034,140 @@ def test_inputs_with_no_video(tmp_path, capsys, name, content):
     else:
         assert (code, err) == (want_code, f"error: {want_err.format(*paths)}\n")
         assert not out.exists()
+
+
+# every subcommand on the `chain_files` corpus: its arguments, with the names
+# of `chain_files` entries (and "config", the corpus config) for paths
+FILE_EDGE_ARGV = {
+    **TestConfigTypes.ARGV,
+    "simulate": ["--config", "config"],
+    "benchmark": ["--config", "config", "--strategy", "ricker"],
+}
+
+
+class TestFileEdge:
+    """`main` checks every output path of a run before it writes any file: a
+    directory, a path under a missing directory and two outputs that name one
+    file each exit 2. A file the OS refuses and a file that is not UTF-8 exit
+    2 too. Each case prints one line naming the path and writes no file."""
+
+    @staticmethod
+    def _argv(chain_files, cmd):
+        files = {**chain_files, "config": chain_files["sp"].parent / "config.json"}
+        return [cmd, *(files.get(a, a) for a in FILE_EDGE_ARGV[cmd])]
+
+    @staticmethod
+    def _refused(capsys, code, message, *outputs):
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not any(Path(p).is_file() for p in outputs)
+
+    @pytest.mark.parametrize("cmd", sorted(FILE_EDGE_ARGV))
+    def test_output_is_a_directory(self, tmp_path, capsys, chain_files, cmd):
+        code = run(*self._argv(chain_files, cmd), "--output", tmp_path)
+        self._refused(capsys, code, f"{tmp_path}: is a directory")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", sorted(FILE_EDGE_ARGV))
+    def test_output_under_a_missing_directory(self, tmp_path, capsys, chain_files, cmd):
+        out = tmp_path / "missing" / "out"
+        code = run(*self._argv(chain_files, cmd), "--output", out)
+        self._refused(capsys, code, f"{out}: no directory '{out.parent}'", out)
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _one_video_fuse(tmp_path, chain_files):
+        """`fuse` argv on the proposals of one video, which `--wavelet-csv` needs."""
+        _, rows = read_jsonl(chain_files["props"])
+        props = tmp_path / "one.jsonl"
+        write_jsonl(props, [r for r in rows if r["video_id"] == rows[0]["video_id"]])
+        return ["fuse", "--input", props, "--input", chain_files["sp"]]
+
+    @pytest.mark.parametrize("bad", ["side", "output"])
+    @pytest.mark.parametrize("cmd, flag", [("simulate", "--gt"), ("fuse", "--wavelet-csv")])
+    def test_bad_path_beside_a_good_one(self, tmp_path, capsys, chain_files, cmd, flag, bad):
+        argv = (self._argv(chain_files, cmd) if cmd == "simulate"
+                else self._one_video_fuse(tmp_path, chain_files))
+        good, side = tmp_path / "out", tmp_path / "side"
+        assert run(*argv, flag, side, "--output", good) == 0  # the run itself is valid
+        good.unlink()
+        side.unlink()
+        for path in (tmp_path / "missing" / "file", tmp_path):
+            outputs = {"output": good, "side": side, bad: path}
+            code = run(*argv, flag, outputs["side"], "--output", outputs["output"])
+            reason = "is a directory" if path == tmp_path else "no directory '{}'".format(
+                path.parent)
+            self._refused(capsys, code, f"{path}: {reason}", good, side)
+
+    @pytest.mark.parametrize("cmd, flag", [("simulate", "--gt"), ("fuse", "--wavelet-csv")])
+    def test_two_outputs_name_one_file(self, tmp_path, capsys, chain_files, cmd, flag):
+        argv = (self._argv(chain_files, cmd) if cmd == "simulate"
+                else self._one_video_fuse(tmp_path, chain_files))
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "out"
+        for side in (out, tmp_path / "sub" / ".." / "out"):
+            code = run(*argv, flag, side, "--output", out)
+            self._refused(capsys, code, f"{side}: two outputs of the run name this file", out)
+
+    def test_output_may_be_an_input(self, tmp_path, chain_files):
+        # a refinement round rewrites a file in place
+        pseudos = tmp_path / "pseudos.jsonl"
+        pseudos.write_bytes(chain_files["pseudos"].read_bytes())
+        assert run("fuse", "--input", pseudos, "--input", chain_files["sp"],
+                   "--output", pseudos) == 0
+        assert read_jsonl(pseudos)[1]
+
+    @pytest.mark.parametrize("role", ["sp", "gt", "props", "mask", "config"])
+    def test_a_byte_that_is_not_utf8(self, tmp_path, capsys, chain_files, role):
+        cmd = {"sp": "extract", "gt": "extract", "props": "fuse", "mask": "targets",
+               "config": "mask"}[role]
+        argv = self._argv(chain_files, cmd)
+        spoiled = tmp_path / f"{role}.bad"
+        if role == "config":
+            spoiled.write_bytes(b'{"tau": 0.5,\n "alpha": \xff0.1}\n')
+            argv += ["--config", spoiled]
+            message = f"{spoiled}: not UTF-8 text (invalid start byte)"
+        else:
+            first = chain_files[role].read_bytes().splitlines(keepends=True)[1]
+            spoiled.write_bytes(first + first[:-3] + b"\xff" + first[-3:])
+            argv = [spoiled if a == chain_files[role] else a for a in argv]
+            message = f"{spoiled}:2: not UTF-8 text (invalid start byte)"
+        out = tmp_path / "out"
+        self._refused(capsys, run(*argv, "--output", out), message, out)
+
+    @pytest.mark.parametrize("config, key", [
+        ('{"tau": 1.5, "tau": 0.5}', "tau"),
+        ('{"tau": 0.5, "tau": 1.5}', "tau"),
+        ('{"sim": {"seed": 1, "num_videos": 3, "seed": 2}}', "seed"),
+        ('{"sim": {"seed": 1}, "alpha": 0.1, "sim": {"seed": 2}}', "sim"),
+    ])
+    def test_a_repeated_config_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        code = run("simulate", "--config", cfg, "--output", out)
+        self._refused(capsys, code, f"{cfg}: repeated key '{key}'", out)
+
+    @pytest.mark.parametrize("role", ["input", "config"])
+    def test_a_missing_file(self, tmp_path, capsys, chain_files, role):
+        missing = tmp_path / "nope.jsonl"
+        argv = (["mask", "--config", missing, "--input", chain_files["pseudos"]] if role == "config"
+                else ["mask", "--input", missing])
+        out = tmp_path / "out"
+        code = run(*argv, "--input", chain_files["sp"], "--output", out)
+        self._refused(capsys, code, f"{missing}: No such file or directory", out)
+
+    def test_an_input_that_is_a_directory(self, tmp_path, capsys, chain_files):
+        out = tmp_path / "out"
+        code = run("mask", "--input", tmp_path, "--input", chain_files["sp"], "--output", out)
+        self._refused(capsys, code, f"{tmp_path}: Is a directory", out)
+
+
+def test_tuple_fields_given_lists_are_tuples():
+    as_lists = SimConfig(snippets_per_video=[8, 16], duration_range_s=[2.0, 4.0])
+    as_tuples = SimConfig(snippets_per_video=(8, 16), duration_range_s=(2.0, 4.0))
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    assert as_lists.snippets_per_video == (8, 16)
+    config = PipelineConfig(thresholds=[0.5], eval_tious=[1])
+    assert config == PipelineConfig(thresholds=(0.5,), eval_tious=(1.0,))
+    assert config.config_hash() == PipelineConfig.from_dict(
+        {"thresholds": [0.5], "eval_tious": [1]}).config_hash()
