@@ -73,7 +73,8 @@ class SchemaError(Exception):
 # The one float formatter of every output: 6 significant digits. A JSON value
 # is the float its text parses to, written as Python's shortest repr (123456.0,
 # 1234570.0, 1e-05, NaN): `_round6` goes through json, `_array_text` writes the
-# same text from `%.6g` itself. The wavelet CSV keeps the raw text.
+# same text from `%.6g` itself, formatting each distinct row of a 2-D array
+# once. The wavelet CSV keeps the raw text.
 _G6 = "{:.6g}".format
 
 
@@ -111,9 +112,30 @@ _FLOAT_CELLS = ("%.6g", "%.6g.0")
 def _array_text(a: np.ndarray) -> str | None:
     """The JSON of a numeric array from one %-format call over its values;
     None for an array the general path writes: 0-d, empty, bool, object,
-    or float with a value non-finite, subnormal or of |x| >= _TEXT_BOUND."""
+    or float with a value non-finite, subnormal or of |x| >= _TEXT_BOUND.
+    A 2-D array with repeated rows (an SP file's class scores: one row per
+    snippet class) formats each distinct row, by its bytes, once."""
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "iuf":
         return None
+    if a.ndim == 2:
+        data, width = a.tobytes(), a.shape[1] * a.itemsize
+        distinct: dict[bytes, int] = {}
+        order = [distinct.setdefault(data[i : i + width], len(distinct))
+                 for i in range(0, len(data), width)]
+        if len(distinct) < len(order):
+            rows = np.frombuffer(b"".join(distinct), dtype=a.dtype).reshape(len(distinct), -1)
+            text = _cells_text(rows, "\n")
+            if text is None:
+                return None
+            texts = text.split("\n")
+            return "[" + ", ".join([texts[i] for i in order]) + "]"
+    text = _cells_text(a, ", ")
+    return None if text is None else "[" + text + "]"
+
+
+def _cells_text(a: np.ndarray, sep: str) -> str | None:
+    """The JSON texts of `a`'s top-level entries, joined by `sep`, from one
+    %-format call; None as `_array_text` says."""
     values = a.ravel().tolist()
     if a.dtype.kind == "f":
         x = a.astype(np.float64, copy=False).ravel()
@@ -132,7 +154,7 @@ def _array_text(a: np.ndarray) -> str | None:
         cells = ["%d"] * a.size
     for n in reversed(a.shape[1:]):
         cells = ["[" + ", ".join(cells[i : i + n]) + "]" for i in range(0, len(cells), n)]
-    return ("[" + ", ".join(cells) + "]") % tuple(values)
+    return sep.join(cells) % tuple(values)
 
 
 def _value_text(value) -> str:
@@ -172,7 +194,7 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
                 if not line:
                     continue
                 row = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {_undecodable(exc)}") from None
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected a JSON object")
@@ -198,10 +220,17 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
             yield vid, value
 
 
-def _undecodable(exc: UnicodeDecodeError | json.JSONDecodeError) -> str:
+def _undecodable(exc: ValueError | RecursionError) -> str:
+    """The message of a text that `json.loads` refuses: not UTF-8, not JSON,
+    nested deeper than the interpreter recurses, or holding an integer longer
+    than `sys.get_int_max_str_digits()` (the ValueError left)."""
     if isinstance(exc, UnicodeDecodeError):
         return f"not UTF-8 text ({exc.reason})"
-    return f"invalid JSON ({exc.msg})"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON ({exc.msg})"
+    if isinstance(exc, RecursionError):
+        return "invalid JSON (nested too deep)"
+    return f"invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
 
 
 def _require(row: dict, keys: Sequence[str]) -> None:
@@ -657,7 +686,8 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
 @contextlib.contextmanager
 def _config_faults(path: str | None):
     """Blame the config file at `path`, if any, for a fault of the block: prefix
-    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`."""
+    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`, and so does a
+    `RecursionError`, as the decoder's own depth fault."""
     try:
         yield
     except (SchemaError, ValueError) as exc:
@@ -665,6 +695,10 @@ def _config_faults(path: str | None):
             raise
         schema = isinstance(exc, (SchemaError, ConfigSchemaError))
         raise (SchemaError if schema else ValueError)(f"{path}: {exc}") from None
+    except RecursionError as exc:  # a config value decoded, yet too deep for a message's repr
+        if path is None:
+            raise
+        raise SchemaError(f"{path}: {_undecodable(exc)}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -683,7 +717,7 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
     with _config_faults(path):
         try:
             raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(_undecodable(exc)) from None
         if not isinstance(raw, dict):
             raise SchemaError("config must be a JSON object")

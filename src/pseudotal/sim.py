@@ -199,17 +199,6 @@ def gen_corpus(cfg: SimConfig) -> CorpusLayout:
     return CorpusLayout(GroundTruthSet(gt), grids, video_labels(gt, grids))
 
 
-def _softened_rows(class_ids: np.ndarray, class_count: int, temperature: float) -> np.ndarray:
-    """Foreground score rows: temperature-softened one-hot per snippet;
-    class id 0 means no action and yields a uniform row."""
-    t = class_ids.shape[0]
-    logits = np.zeros((t, class_count))
-    has_action = class_ids > 0
-    logits[has_action, class_ids[has_action] - 1] = 1.0 / temperature
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
     """Low-frequency Gaussian noise: white draws box-filtered over
     NOISE_SMOOTH_SNIPPETS and rescaled back to the requested std. The
@@ -222,12 +211,28 @@ def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
     return white * std
 
 
+def _class_score_table(cfg: SimConfig) -> np.ndarray:
+    """Row c holds the class scores of a snippet of class c, for c in 0..C: a
+    temperature-softened one-hot over the foreground classes (class 0, no
+    action, gives a uniform row), then a background channel of 1 minus its
+    peak, renormalized."""
+    c = cfg.class_count
+    logits = np.zeros((c + 1, c))
+    logits[np.arange(1, c + 1), np.arange(c)] = 1.0 / cfg.score_temperature
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    fg = exp / exp.sum(axis=1, keepdims=True)
+    rows = np.concatenate([fg, 1.0 - fg.max(axis=1, keepdims=True)], axis=1)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def _corrupt_video(
     cfg: SimConfig,
     video_index: int,
     grid: TimeGrid,
     segments: Sequence[tuple[Interval, int]],
+    class_scores: np.ndarray,
 ) -> SnippetPredictions:
+    """`class_scores`: `_class_score_table(cfg)`, indexed by snippet class."""
     rng = _video_rng(cfg.seed, 1, video_index)
     t = grid.num_snippets
     dur = grid.snippet_duration_s
@@ -263,11 +268,7 @@ def _corrupt_video(
 
     att = np.clip(rows[owner, 3] + _smooth_noise(rng, t, cfg.attention_noise_std), 0.0, 1.0)
 
-    fg = _softened_rows(snippet_class, cfg.class_count, cfg.score_temperature)
-    bg = 1.0 - fg.max(axis=1, keepdims=True)
-    rows = np.concatenate([fg, bg], axis=1)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return SnippetPredictions(att, rows)
+    return SnippetPredictions(att, class_scores[snippet_class])
 
 
 def corrupt_predictions(
@@ -284,9 +285,10 @@ def corrupt_predictions(
     adds smoothed Gaussian attention noise, and injects Poisson-count
     false-positive segments of random class.
     """
+    table = _class_score_table(cfg)
     out: dict[str, SnippetPredictions] = {}
     for v, vid in enumerate(sorted(grids)):
-        out[vid] = _corrupt_video(cfg, v, grids[vid], ground_truth.segments.get(vid, ()))
+        out[vid] = _corrupt_video(cfg, v, grids[vid], ground_truth.segments.get(vid, ()), table)
     return out
 
 

@@ -21,7 +21,8 @@ two ways; then a crowded corpus (long videos, 20 classes, ten false
 positives per video), where many proposals overlap, through
 `simulate`, `extract`, `fuse` for each strategy, `mask --epoch` and
 `targets` on the `soft` (overlapping) and `hard` pseudo labels, and
-`benchmark`.
+`benchmark`; last, `simulate` of a one-class corpus at a low score
+temperature, whose SP rows repeat one row.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -47,6 +48,9 @@ CROWDED = {
     "actions_per_video": [4, 10], "attention_noise_std": 0.1, "boundary_jitter_frac": 0.1,
     "false_positive_rate": 10.0,
 }
+
+# one class at a low temperature: every snippet's class-score row is one row
+ONE_CLASS = {**SIM, "num_videos": 8, "class_count": 1, "score_temperature": 0.05}
 
 # `extract` beyond the defaults: runs of the attention track, and a threshold
 # ladder, inflation and min_score under which soft-NMS drops proposals
@@ -168,6 +172,10 @@ def run_chain(out: Path) -> list[Path]:
         _run("targets", *crowded, "--input", pseudo, "--input", crowded_sp, "--input", mask,
              "--output", out / f"targets_crowded_{name}.jsonl")
     _run("benchmark", *crowded, "--output", out / "benchmark_crowded.json")
+
+    one_class_cfg = work / "config_one_class.json"
+    one_class_cfg.write_text(json.dumps({"sim": ONE_CLASS}))
+    _run("simulate", "--config", one_class_cfg, "--output", out / "sp_one_class.jsonl")
     return sorted(p for p in out.iterdir() if p.is_file())
 
 

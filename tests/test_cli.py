@@ -2134,6 +2134,54 @@ class TestFileEdge:
         out = tmp_path / "out"
         self._refused(capsys, run(*argv, "--output", out), message, out)
 
+    @pytest.mark.parametrize("fault, reason", [
+        ("[" * 100_000 + "]" * 100_000, "nested too deep"),
+        ("1" + "0" * 5000, f"an integer of more than {sys.get_int_max_str_digits()} digits"),
+    ], ids=["deep", "digits"])
+    @pytest.mark.parametrize("role", ["props", "sp", "config"])
+    def test_a_value_past_the_decoder_limits(self, tmp_path, capsys, chain_files, role, fault,
+                                             reason):
+        """RFC 8259 §9 lets a parser limit nesting depth and number range: a
+        segment row (`eval`), an SP row (`extract`) or a config past either
+        limit exits 2 as text that is not JSON."""
+        cmd = {"props": "eval", "sp": "extract", "config": "mask"}[role]
+        argv = self._argv(chain_files, cmd)
+        spoiled = tmp_path / f"{role}.bad"
+        if role == "config":
+            spoiled.write_text('{"tau": 0.5,\n "alpha": %s}\n' % fault)
+            argv += ["--config", spoiled]
+            message = f"{spoiled}: invalid JSON ({reason})"
+        else:
+            header, first = chain_files[role].read_text().splitlines()[:2]
+            key = "start_s" if role == "props" else "num_snippets"
+            last = json.dumps({**json.loads(first), key: "@"}).replace('"@"', fault)
+            spoiled.write_text(f"{header}\n{first}\n{last}\n")
+            argv = [spoiled if a == chain_files[role] else a for a in argv]
+            message = f"{spoiled}:3: invalid JSON ({reason})"
+        out = tmp_path / "out"
+        self._refused(capsys, run(*argv, "--output", out), message, out)
+
+    @pytest.mark.parametrize("role", ["props", "config"])
+    def test_every_depth_near_the_recursion_limit(self, tmp_path, capsys, role):
+        """A value that decodes just below the recursion limit may still be too
+        deep to show in a message; it exits 2 naming the file all the same."""
+        gt = tmp_path / "gt.jsonl"
+        write_jsonl(gt, [{"video_id": "v", "start_s": 0.0, "end_s": 2.0, "class_id": 1}])
+        spoiled, out = tmp_path / f"{role}.bad", tmp_path / "out"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 150, limit + 10):
+            value = "[" * depth + "1" + "]" * depth
+            if role == "config":
+                spoiled.write_text('{"tau": %s}' % value)
+                code = run("eval", "--config", spoiled, "--input", gt, "--gt", gt, "--output", out)
+            else:
+                spoiled.write_text('{"video_id": "v", "start_s": %s, "end_s": 2.0, '
+                                   '"class_id": 1, "score": 0.5}\n' % value)
+                code = run("eval", "--input", spoiled, "--gt", gt, "--output", out)
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith(f"error: {spoiled}:") and err.count("\n") == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize("config, key", [
         ('{"tau": 1.5, "tau": 0.5}', "tau"),
         ('{"tau": 0.5, "tau": 1.5}', "tau"),

@@ -149,6 +149,47 @@ def test_negative_zero_in_2d(dtype):
     same_bytes(a)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rows_that_differ_only_by_the_sign_of_zero(dtype):
+    # distinct rows are told apart by their bytes, so -0.0 and 0.0 stay apart
+    a = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [-0.0, 0.5]], dtype=dtype)
+    assert cli._dump(a) == "[[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5], [-0.0, 0.5]]"
+    same_bytes(a)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_repeated_row_that_holds_nan(dtype):
+    # the block of distinct rows is refused, so the whole array takes the general path
+    a = np.array([[0.25, np.nan], [0.5, 0.5], [0.25, np.nan]], dtype=dtype)
+    assert cli._array_text(a) is None
+    assert cli._dump(a) == "[[0.25, NaN], [0.5, 0.5], [0.25, NaN]]"
+    same_bytes(a)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+def test_one_row_and_one_column(shape):
+    a = (np.arange(5, dtype=np.float64) % 2 / 3.0).reshape(shape)
+    assert cli._array_text(a) is not None
+    same_bytes(a)
+    same_bytes(a.astype(np.float32))
+
+
+def test_two_dimensional_int64_with_repeated_rows():
+    a = np.array([[3, -1, 0], [7, 2**62, -(2**63)], [3, -1, 0], [3, -1, 0]], dtype=np.int64)
+    assert cli._dump(a) == (
+        f"[[3, -1, 0], [7, {2**62}, {-(2**63)}], [3, -1, 0], [3, -1, 0]]"
+    )
+    same_bytes(a)
+
+
+def test_repeated_rows_of_a_simulated_sp_file():
+    rng = np.random.default_rng(5)
+    table = rng.dirichlet(np.ones(21), size=8)
+    a = table[rng.integers(0, 8, size=130)]
+    same_bytes(a)
+    same_bytes(a[::-1].T)  # non-contiguous, and its rows no longer repeat
+
+
 def test_three_dimensional_array():
     rng = np.random.default_rng(4)
     # integers and fractions of 1-5 decimals, all below the bound

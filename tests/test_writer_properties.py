@@ -1,6 +1,7 @@
 """Property test of the CLI's JSON writer against the element-by-element
 oracle: any float64 or float32 array of 1-3 dimensions, with values from
-1e-8 to 2e6, near-integers and non-finite cells, writes the same bytes."""
+1e-8 to 2e6, near-integers and non-finite cells, writes the same bytes, and
+so does a 2-D array of rows drawn from a few, which repeat."""
 import numpy as np
 import pytest
 
@@ -47,5 +48,33 @@ def arrays(draw):
 @settings(max_examples=300, deadline=None)
 @given(arrays())
 def test_arrays_match_reference_writer(a):
+    assert cli._dump(a) == ref._dump(a)
+    assert cli._dump({"a": a, "b": 0.5}) == ref._dump({"a": a, "b": 0.5})
+
+
+
+@st.composite
+def repeated_rows(draw):
+    """A 2-D array whose rows are drawn, by a drawn index, from 1-4 drawn
+    rows, so that rows repeat and the writer formats only the distinct ones;
+    one drawn row may hold a NaN or infinite cell."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(
+        hnp.arrays(dtype=draw(st.sampled_from([np.float64, np.float32])), shape=width,
+                   elements=finite),
+        min_size=1, max_size=4,
+    ))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(pool))
+        row[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    index = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                          min_size=1, max_size=12))
+    return np.stack([pool[i] for i in index])
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_rows())
+def test_repeated_rows_match_reference_writer(a):
     assert cli._dump(a) == ref._dump(a)
     assert cli._dump({"a": a, "b": 0.5}) == ref._dump({"a": a, "b": 0.5})
