@@ -19,6 +19,7 @@ import importlib
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -113,24 +114,23 @@ def _array_text(a: np.ndarray) -> str | None:
     """The JSON of a numeric array from one %-format call over its values;
     None for an array the general path writes: 0-d, empty, bool, object,
     or float with a value non-finite, subnormal or of |x| >= _TEXT_BOUND.
-    A 2-D array with repeated rows (an SP file's class scores: one row per
-    snippet class) formats each distinct row, by its bytes, once."""
+    A 2-D array (an SP file's class scores: one row per snippet class)
+    formats each distinct row, by its bytes, once."""
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "iuf":
         return None
-    if a.ndim == 2:
-        data, width = a.tobytes(), a.shape[1] * a.itemsize
-        distinct: dict[bytes, int] = {}
-        order = [distinct.setdefault(data[i : i + width], len(distinct))
-                 for i in range(0, len(data), width)]
-        if len(distinct) < len(order):
-            rows = np.frombuffer(b"".join(distinct), dtype=a.dtype).reshape(len(distinct), -1)
-            text = _cells_text(rows, "\n")
-            if text is None:
-                return None
-            texts = text.split("\n")
-            return "[" + ", ".join([texts[i] for i in order]) + "]"
-    text = _cells_text(a, ", ")
-    return None if text is None else "[" + text + "]"
+    if a.ndim != 2:
+        text = _cells_text(a, ", ")
+        return None if text is None else "[" + text + "]"
+    data, width = a.tobytes(), a.shape[1] * a.itemsize
+    distinct: dict[bytes, int] = {}
+    order = [distinct.setdefault(data[i : i + width], len(distinct))
+             for i in range(0, len(data), width)]
+    rows = np.frombuffer(b"".join(distinct), dtype=a.dtype).reshape(len(distinct), -1)
+    text = _cells_text(rows, "\n")
+    if text is None:
+        return None
+    texts = text.split("\n")
+    return "[" + ", ".join([texts[i] for i in order]) + "]"
 
 
 def _cells_text(a: np.ndarray, sep: str) -> str | None:
@@ -207,7 +207,7 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
                 _require(row, ("video_id", *keys))
                 vid = row["video_id"]
                 if type(vid) is not str:
-                    raise SchemaError(f"video_id must be a string, got {vid!r}")
+                    raise SchemaError(f"video_id must be a string, got {reprlib.repr(vid)}")
                 if vid in seen:
                     raise SchemaError(f"duplicate video_id {vid!r}")
                 if unique:
@@ -241,13 +241,13 @@ def _require(row: dict, keys: Sequence[str]) -> None:
 
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{name} must be a number, got {value!r}")
+        raise SchemaError(f"{name} must be a number, got {reprlib.repr(value)}")
     return float(value)
 
 
 def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer, got {value!r}")
+        raise SchemaError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -307,7 +307,7 @@ def _row_width(rows, name: str) -> int:
 
 def _json_list(value, name: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{name} must be a list, got {value!r}")
+        raise SchemaError(f"{name} must be a list, got {reprlib.repr(value)}")
     return value
 
 
@@ -686,8 +686,7 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
 @contextlib.contextmanager
 def _config_faults(path: str | None):
     """Blame the config file at `path`, if any, for a fault of the block: prefix
-    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`, and so does a
-    `RecursionError`, as the decoder's own depth fault."""
+    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`."""
     try:
         yield
     except (SchemaError, ValueError) as exc:
@@ -695,10 +694,6 @@ def _config_faults(path: str | None):
             raise
         schema = isinstance(exc, (SchemaError, ConfigSchemaError))
         raise (SchemaError if schema else ValueError)(f"{path}: {exc}") from None
-    except RecursionError as exc:  # a config value decoded, yet too deep for a message's repr
-        if path is None:
-            raise
-        raise SchemaError(f"{path}: {_undecodable(exc)}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 __all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
@@ -44,7 +45,8 @@ def check_fields(config, what: str) -> None:
     holds its JSON type (`ConfigSchemaError`), then no float is NaN or
     infinite (`ValueError`). A tuple field given a list stores it as a tuple,
     so the config stays hashable; a tuple is shown as the JSON list it came
-    from."""
+    from, and a value by a bounded repr, so one nested near the decoder's depth
+    limit prints a few levels and cannot overflow the stack."""
     fields = [(f.name, getattr(config, f.name), str(f.type)) for f in dataclasses.fields(config)]
     shown = {key: list(value) if isinstance(value, tuple) else value for key, value, _ in fields}
     for key, value, kind in fields:
@@ -56,13 +58,14 @@ def check_fields(config, what: str) -> None:
             isinstance(v, bool) or not isinstance(v, types) for v in entries
         ):
             need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
-            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {shown[key]!r}")
+            got = reprlib.repr(shown[key])
+            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {got}")
         if many:
             object.__setattr__(config, key, tuple(value))
     for key, value, _ in fields:
         entries = value if isinstance(value, (tuple, list)) else (value,)
         if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
-            raise ValueError(f"{what} key {key!r} must be finite, got {shown[key]!r}")
+            raise ValueError(f"{what} key {key!r} must be finite, got {reprlib.repr(shown[key])}")
 
 
 @dataclass(frozen=True)
