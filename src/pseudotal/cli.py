@@ -7,8 +7,11 @@ inputs, computes, and returns every file it produces as `(path, lines)`:
 every output path, then writes them. `extract` and `fuse` run the corpus
 stages of `sim` that `benchmark` runs. Every output file is a pure function
 of its inputs and the config: floats are written at 6 significant digits
-and rows are ordered by video_id. Exit codes: 0 success, 2 missing or
-malformed input or a bad output path, 3 domain-constraint violation.
+and rows are ordered by video_id. A one-row-per-video input lists its rows
+in that order too, so `losses` merge-joins its inputs and `extract` runs
+the weak branch row by row, each holding one video at a time. Exit codes:
+0 success, 2 missing or malformed input or a bad output path, 3
+domain-constraint violation.
 """
 from __future__ import annotations
 
@@ -85,6 +88,11 @@ def _round6(x: float) -> float:
 
 def _jsonable(value):
     """Recursively convert to JSON-ready types with 6-significant-digit floats."""
+    kind = type(value)  # the plain scalars of a row first, by exact type
+    if kind is float:
+        return _round6(value)
+    if kind is str or kind is int:
+        return value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -181,19 +189,24 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
           unique: bool = True) -> Iterator[tuple[str, object]]:
     """(video_id, `convert(video_id, row, plain)`) per row of a JSON-lines file.
     Each line is decoded, checked (a string `video_id`, `keys`, and where
-    `unique` no repeated id) and converted before the next is read, so the
-    first bad row decides the exit; `plain`: the line holds no `true`/`false`.
-    An error names the file: a `SchemaError` as `<path>: <message>` (a line
-    that is no UTF-8 JSON object as `<path>:<line>: <message>`), a value fault
-    of the types as `<path>: video <id>: <message>`."""
-    seen: set[str] = set()
+    `unique` an id above the row before's) and converted before the next is
+    read, so the first bad row decides the exit; `plain`: the line holds no
+    `true`/`false`. An error names the file: a `SchemaError` as `<path>:
+    <message>` (a line that is no UTF-8 JSON object, or a row out of
+    `video_id` order, as `<path>:<line>: <message>`), a value fault of the
+    types as `<path>: video <id>: <message>`."""
+    last = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                row = json.loads(line)
+                line = line.decode("utf-8")
+                try:  # JSON takes its own whitespace; no copy of the line is stripped
+                    row = json.loads(line)
+                except ValueError:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    row = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {_undecodable(exc)}") from None
             if not isinstance(row, dict):
@@ -203,20 +216,23 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
                     raise SchemaError(f"{path}:{lineno}: a _header row holds no other key, got "
                                       f"{sorted(row)}")
                 continue
+            vid = row.get("video_id")
+            if unique and type(vid) is str and last is not None and vid < last:
+                raise SchemaError(f"{path}:{lineno}: video_id {vid!r} follows {last!r}; rows "
+                                  "must be in ascending video_id order")
             try:
                 _require(row, ("video_id", *keys))
-                vid = row["video_id"]
                 if type(vid) is not str:
                     raise SchemaError(f"video_id must be a string, got {reprlib.repr(vid)}")
-                if vid in seen:
+                if unique and vid == last:
                     raise SchemaError(f"duplicate video_id {vid!r}")
-                if unique:
-                    seen.add(vid)
                 value = convert(vid, row, "true" not in line and "false" not in line)
             except SchemaError as exc:
                 raise SchemaError(f"{path}: {exc}") from None
             except (ValueError, TypeError, OverflowError) as exc:  # a huge JSON integer overflows
                 raise ValueError(f"{path}: video {vid}: {exc}") from None
+            last = vid
+            del line, row  # the decoded row is freed before the caller reads on
             yield vid, value
 
 
@@ -297,12 +313,16 @@ def _write(outputs: _Outputs) -> None:
 
 
 def _row_width(rows, name: str) -> int:
-    """Width of `rows`, a nonempty list of rows of equal width (values not read)."""
+    """Width of `rows`, a nonempty list of rows of equal width whose first
+    entries are no lists (the other values are not read)."""
     if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
         raise SchemaError(f"{name} must be a nonempty list of rows")
-    if any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows):
+    width = len(rows[0])
+    if any(not isinstance(r, list) or len(r) != width for r in rows):
         raise SchemaError(f"{name} must be rows of equal width")
-    return len(rows[0])
+    if width and any(isinstance(r[0], list) for r in rows):
+        raise SchemaError(f"{name} must be rows of numbers, not of lists")
+    return width
 
 
 def _json_list(value, name: str) -> list:
@@ -339,7 +359,7 @@ def _float_array(value, name: str, plain: bool, rows: bool = False,
             arr = np.asarray(value)  # ragged rows raise here (numpy >= 1.24)
         except ValueError:
             arr = None
-        if plain and arr is not None and arr.dtype.kind in kinds and (arr.ndim > 1 or not rows):
+        if plain and arr is not None and arr.dtype.kind in kinds and (arr.ndim == 2 or not rows):
             return arr.astype(np.float64, copy=False)
     if rows:
         _row_width(value, name)
@@ -365,12 +385,11 @@ def _sp_grid(row: dict, width: int) -> TimeGrid:
     return grid
 
 
-def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPredictions]]:
+def _parse_sp_file(path: str) -> Iterator[tuple[str, tuple[TimeGrid, SnippetPredictions]]]:
+    """(video_id, (grid, predictions)) per SP row, each row read when asked for."""
     def convert(vid: str, row: dict, plain: bool) -> tuple[TimeGrid, SnippetPredictions]:
         cls = _float_array(row["class_scores"], "class_scores", plain, rows=True)
         grid = _sp_grid(row, cls.shape[1])
-        if cls.ndim != 2:
-            raise SchemaError("class_scores shape disagrees with num_snippets")
         # guard against the 6-digit file rounding drifting row sums
         sums = cls.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
@@ -378,9 +397,7 @@ def _parse_sp_file(path: str) -> tuple[dict[str, TimeGrid], dict[str, SnippetPre
         attention = _float_array(row["attention"], "attention", plain)
         return grid, SnippetPredictions(attention, cls / sums)
 
-    keys = ("num_snippets", "snippet_duration_s", "attention", "class_scores")
-    rows = dict(_rows(path, keys, convert))
-    return {vid: g for vid, (g, _) in rows.items()}, {vid: p for vid, (_, p) in rows.items()}
+    return _rows(path, ("num_snippets", "snippet_duration_s", "attention", "class_scores"), convert)
 
 
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
@@ -401,6 +418,11 @@ def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
 _EXTENT_SLACK = 2e-5
 
 
+def _check_extent(iv: Interval, grid: TimeGrid) -> None:
+    if not (iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)):
+        raise ValueError(f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]")
+
+
 def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
     """A segment file's rows by video id, in file order: with `score`, one
     `Segments` per video; without, the `GroundTruthSet`. Rows are checked as
@@ -411,12 +433,8 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     def convert(vid: str, row: dict, plain: bool):
         iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
         grid = grids.get(vid) if grids else None
-        if grid is not None and not (
-            iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)
-        ):
-            raise ValueError(
-                f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]"
-            )
+        if grid is not None:
+            _check_extent(iv, grid)
         class_id = check_class_id(_integer(row["class_id"], "class_id"),
                                   grid.class_count if grid is not None else None)
         if with_score:
@@ -434,6 +452,37 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
         return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
     _bind("evaluation")
     return GroundTruthSet(out)
+
+
+def _video_label(gt_path: str, gt: GroundTruthSet, vid: str, grid: TimeGrid):
+    """The `VideoLabel` of `vid` from its `--gt` rows, or None if it has none.
+    Each row is first held to `grid`, the video's SP row, by the extent and
+    class rule `_parse_segments` applies with grids, with the same message."""
+    items = gt.segments.get(vid)
+    if items is None:
+        return None
+    try:
+        for iv, class_id in items:
+            _check_extent(iv, grid)
+            check_class_id(class_id, grid.class_count)
+    except ValueError as exc:
+        raise ValueError(f"{gt_path}: video {vid}: {exc}") from None
+    return video_labels({vid: items}, {vid: grid})[vid]
+
+
+def _by_video(*readers: Iterator[tuple[str, object]]) -> Iterator[tuple[str, list]]:
+    """Merge-join one-row-per-video readers, each in ascending video_id order:
+    per video id, ascending, the list of each reader's value or None. A
+    reader's next row is read only once the caller has taken the current
+    video, so a join holds one video of each file at a time."""
+    heads = [next(reader, None) for reader in readers]
+    while any(heads):
+        vid = min(head[0] for head in heads if head)
+        here = [head is not None and head[0] == vid for head in heads]
+        yield vid, [head[1] if at else None for head, at in zip(heads, here)]
+        for i, at in enumerate(here):
+            if at:
+                heads[i] = next(readers[i], None)
 
 
 def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, SnippetMask]:
@@ -460,7 +509,8 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
     return {vid: mask for vid, mask in _rows(path, ("bits",), convert) if mask is not None}
 
 
-def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
+def _parse_targets_file(path: str) -> Iterator[tuple[str, AnchorTargets]]:
+    """(video_id, targets) per row, each row read when asked for."""
     _bind("targets")
 
     def convert(vid: str, row: dict, plain: bool) -> AnchorTargets:
@@ -472,10 +522,11 @@ def _parse_targets_file(path: str) -> dict[str, AnchorTargets]:
         return AnchorTargets(grid, level_sizes, **fields)
 
     keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
-    return dict(_rows(path, keys, convert))
+    return _rows(path, keys, convert)
 
 
-def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
+def _parse_anchor_predictions(path: str) -> Iterator[tuple[str, AnchorPredictions]]:
+    """(video_id, predictions) per row, each row read when asked for."""
     _bind("targets")
 
     def convert(vid: str, row: dict, plain: bool) -> AnchorPredictions:
@@ -489,7 +540,7 @@ def _parse_anchor_predictions(path: str) -> dict[str, AnchorPredictions]:
         reg = [_float_array(row[name], name, plain) for name in ("reg_left", "reg_right")]
         return AnchorPredictions(probs / sums, *reg, snippet_probs)
 
-    return dict(_rows(path, ("class_probs", "reg_left", "reg_right"), convert))
+    return _rows(path, ("class_probs", "reg_left", "reg_right"), convert)
 
 
 def _segment_row(vid: str, start_s: float, end_s: float, class_id: int,
@@ -517,13 +568,18 @@ def _segments_on_grids(args, what: str, count: int = 2):
 
 def _cmd_extract(args, cfg: PipelineConfig) -> _Outputs:
     sp_path = _inputs(args, 1, 1, "an SP file")[0]
-    grids, preds = _parse_sp_file(sp_path)
-    gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
-    missing = sorted(set(grids) - set(gt.segments))
+    gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
+    proposals, missing = [], []
+    for vid, (grid, preds) in _parse_sp_file(sp_path):  # the weak branch runs row by row
+        label = _video_label(args.gt, gt, vid, grid)
+        if label is None:
+            missing.append(vid)
+        elif not missing:
+            proposals.append((vid, proposals_by_video({vid: grid}, {vid: label},
+                                                      {vid: preds}, cfg)[vid]))
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
-    proposals = proposals_by_video(grids, video_labels(gt.segments, grids), preds, cfg)
-    rows = [_segment_row(vid, *p) for vid, segments in proposals.items() for p in segments]
+    rows = (_segment_row(vid, *p) for vid, segments in proposals for p in segments)
     return [(args.output, _jsonl(cfg, rows))]
 
 
@@ -587,37 +643,37 @@ def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
     paths = _inputs(args, 2, 3, "anchor predictions, targets, optional SP file")
     if args.gt and len(paths) < 3:
         raise SchemaError("--gt is read only with an SP file as the third --input")
-    preds = _parse_anchor_predictions(paths[0])
-    targets = _parse_targets_file(paths[1])
-    missing = sorted(set(preds) ^ set(targets))
-    if missing:
-        raise ValueError(f"{paths[0]}: videos differ from those of {paths[1]}: {missing}")
-    if not preds:
-        raise ValueError(f"{paths[0]}: anchor predictions hold no videos")
-    sps: dict[str, SnippetPredictions] = {}
-    labels = {}
+    gt, sps = None, iter(())
     if len(paths) > 2:
-        grids, sps = _parse_sp_file(paths[2])
-        gt = _parse_segments(_need(args.gt, "--gt"), with_score=False, grids=grids)
-        labels = video_labels(gt.segments, grids)
-
-    t0 = time.perf_counter()
-    per_video = {}
-    for vid in sorted(preds):
-        pred, tgt = preds[vid], targets[vid]
+        gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
+        sps = _parse_sp_file(paths[2])
+    per_video, differ, elapsed = {}, [], 0.0
+    # one video of each file at a time; each SP row checks that video's --gt rows
+    rows = _by_video(_parse_anchor_predictions(paths[0]), _parse_targets_file(paths[1]), sps)
+    for vid, (pred, tgt, sp) in rows:
+        label = _video_label(args.gt, gt, vid, sp[0]) if sp else None
+        if pred is None or tgt is None:  # an SP row alone, or a video of one of the two
+            if (pred is None) != (tgt is None):
+                differ.append(vid)
+            continue
+        t0 = time.perf_counter()
         l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
         l_reg = reg_loss(pred, tgt)
         l_att = 0.0
-        if vid in sps and pred.snippet_probs is not None:
-            if vid not in labels:
+        if sp and pred.snippet_probs is not None:
+            if label is None:
                 raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
-            z = compute_sps(sps[vid].attention, sps[vid].class_scores)
-            l_att = att_loss(pred.snippet_probs, z, cfg.tau, labels[vid], gamma=cfg.gamma_focal)
+            z = compute_sps(sp[1].attention, sp[1].class_scores)
+            l_att = att_loss(pred.snippet_probs, z, cfg.tau, label, gamma=cfg.gamma_focal)
+        l_total = total_loss(l_reg, l_cls, l_att, cfg.lambda_att)
+        elapsed += (time.perf_counter() - t0) * 1000.0
         has_pos = bool(((tgt.mask_bit == 1) & (tgt.class_label > 0)).any())
-        per_video[vid] = {"cls": l_cls, "reg": l_reg, "att": l_att,
-                          "total": total_loss(l_reg, l_cls, l_att, cfg.lambda_att),
+        per_video[vid] = {"cls": l_cls, "reg": l_reg, "att": l_att, "total": l_total,
                           "empty_positives": not has_pos}
-    elapsed = (time.perf_counter() - t0) * 1000.0
+    if differ:
+        raise ValueError(f"{paths[0]}: videos differ from those of {paths[1]}: {differ}")
+    if not per_video:
+        raise ValueError(f"{paths[0]}: anchor predictions hold no videos")
     mean = {key: sum(entry[key] for entry in per_video.values()) / len(per_video)
             for key in ("cls", "reg", "att", "total")}
     mean["empty_positives"] = sum(entry["empty_positives"] for entry in per_video.values())

@@ -12,7 +12,9 @@ subcommand: `simulate`, then `extract` (with the default weak-branch
 settings, with `extract_on` "attention", and with settings under which
 soft-NMS drops proposals); for each fusion strategy `fuse`,
 `mask --epoch`, `targets` on that mask file, `losses` with the SP file and
-`--gt` and without both (no attention term), and `eval`; then one
+`--gt` and without both (no attention term), and `eval`; then `losses` on
+the ricker targets of every other video of the SP file, so the SP rows it
+skips lie at the start, between its videos and at the end; then one
 refinement round (`simulate` of a less noisy SP file with the same seed,
 `extract` on it, the ricker pseudos and those proposals concatenated, then
 `fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
@@ -123,6 +125,18 @@ def run_chain(out: Path) -> list[Path]:
         _run("losses", *conf, "--input", preds, "--input", targets,
              "--output", out / f"losses_no_sp_{name}.json")
         _run("eval", *conf, "--input", pseudo, "--gt", gt, "--output", out / f"eval_{name}.json")
+
+    # every other SP video, neither the first nor the last: `losses` passes
+    # over SP rows before, between and after the videos it scores
+    keep = {row["video_id"] for row in _rows(sp)[1:-1:2]}
+    sparse_targets, sparse_preds = work / "targets_sparse.jsonl", work / "preds_sparse.jsonl"
+    sparse_targets.write_text("".join(
+        json.dumps(row) + "\n" for row in _rows(out / "targets_ricker.jsonl")
+        if row["video_id"] in keep
+    ))
+    _write_predictions(sparse_targets, sp, sparse_preds)
+    _run("losses", *conf, "--input", sparse_preds, "--input", sparse_targets, "--input", sp,
+         "--gt", gt, "--output", out / "losses_sparse.json")
 
     # one refinement round: the ricker pseudos and the proposals of a less
     # noisy SP file of the same seed (the model's stand-in), fused together

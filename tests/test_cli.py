@@ -137,13 +137,14 @@ class TestExtractFuse:
         )
 
     def test_rows_ordered_by_video_id(self, tmp_path):
-        # input rows in reverse id order; the corpus stages sort by video id
+        # segment rows in reverse id order (an SP file lists its videos in
+        # ascending order); the outputs follow the video ids
         inside = [0.0] * 2 + [1.0] * 4 + [0.0] * 10
         sp = tmp_path / "sp.jsonl"
         write_jsonl(sp, [
             {"video_id": vid, "num_snippets": 16, "snippet_duration_s": 1.0, "attention": inside,
              "class_scores": [[0.9, 0.1] if a else [0.1, 0.9] for a in inside]}
-            for vid in ("b", "a")
+            for vid in ("a", "b")
         ])
         gt = tmp_path / "gt.jsonl"
         write_jsonl(gt, [{"video_id": vid, "start_s": 2.0, "end_s": 6.0, "class_id": 1}
@@ -578,6 +579,28 @@ class TestLosses:
         # uniform snippet probabilities: focal(1/2) on a, focal(1/3) on b
         assert per_video["a"]["att"] == pytest.approx(0.25 * math.log(2), abs=1e-5)
         assert per_video["b"]["att"] == pytest.approx(4 / 9 * math.log(3), abs=1e-5)
+
+    def test_sp_rows_of_other_videos_are_passed_over(self, tmp_path):
+        # the SP file holds videos before, between and after the scored ones
+        sp, gt, targets, preds = self._prepare(tmp_path, [[0.5, 0.5]] * 16)
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets, "--input", sp,
+                   "--gt", gt, "--output", out) == 0
+        sp_row, gt_row = read_jsonl(sp)[1][0], read_jsonl(gt)[1][0]
+        rows = {name: [{**row, "video_id": vid} for row in read_jsonl(path)[1]
+                       for vid in ("v", "x")]
+                for name, path in (("preds", preds), ("targets", targets))}
+        wide = {name: tmp_path / f"wide_{name}.jsonl" for name in ("sp", "gt", *rows)}
+        write_jsonl(wide["sp"], [{**sp_row, "video_id": vid} for vid in "avwxz"])
+        write_jsonl(wide["gt"], [{**gt_row, "video_id": vid} for vid in "zxwva"])
+        for name, file_rows in rows.items():
+            write_jsonl(wide[name], file_rows)
+        wide_out = tmp_path / "wide_losses.json"
+        assert run("losses", "--input", wide["preds"], "--input", wide["targets"],
+                   "--input", wide["sp"], "--gt", wide["gt"], "--output", wide_out) == 0
+        per_video = read_report(wide_out)["metrics"]["per_video"]
+        assert list(per_video) == ["v", "x"]
+        assert per_video["v"] == per_video["x"] == read_report(out)["metrics"]["per_video"]["v"]
 
     def test_empty_positives_flagged(self, tmp_path):
         sp = tmp_path / "sp.jsonl"
@@ -1250,28 +1273,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["sp", "grid", "mask", "targets", "anchor_predictions"])
     def test_duplicate_video_rows(self, tmp_path, capsys, kind):
-        sizes = [math.ceil(8 / 2**l) for l in range(6)]
-        n = sum(sizes)
-        rows = {
-            "sp": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
-                   "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8},
-            "grid": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
-                     "class_count": 1},
-            "mask": {"video_id": "v", "bits": [[1, 8]]},
-            "targets": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
-                        "class_count": 1, "level_sizes": sizes, "class_label": [0] * n,
-                        "reg_left": [0.0] * n, "reg_right": [0.0] * n,
-                        "iou_weight": [0.0] * n, "mask_bit": [1] * n},
-            "anchor_predictions": {"video_id": "v", "class_probs": [[0.5, 0.5]] * n,
-                                   "reg_left": [1.0] * n, "reg_right": [1.0] * n},
-        }
+        """A one-row-per-video file lists its videos in ascending video_id
+        order: a repeated id, or an id below the row before's, exits 2 and
+        writes nothing; a segment file may list its videos in any order."""
         files = {}
-        for name, row in rows.items():
+        for name, row in VIDEO_ROWS.items():
             files[name] = tmp_path / f"{name}.jsonl"
-            write_jsonl(files[name], [row, row] if name == kind else [row])
+            write_jsonl(files[name], [row])
         segments = tmp_path / "segments.jsonl"
-        write_jsonl(segments, [{"video_id": "v", "start_s": 2.0, "end_s": 5.0,
-                                "score": 1.0, "class_id": 1}])
+        write_jsonl(segments, [SEGMENT_ROW])
         out = tmp_path / "out"
         argv = {
             "sp": ("extract", "--input", files["sp"], "--gt", segments),
@@ -1283,9 +1293,21 @@ class TestExitCodes:
             "anchor_predictions": ("losses", "--input", files["anchor_predictions"],
                                    "--input", files["targets"]),
         }[kind]
-        assert run(*argv, "--output", out) == 2
-        assert capsys.readouterr().err == f"error: {files[kind]}: duplicate video_id 'v'\n"
-        assert not out.exists()
+        row, path = VIDEO_ROWS[kind], files[kind]
+        for rows, message in [
+            ([row, row], f"{path}: duplicate video_id 'v'"),
+            ([{**row, "video_id": "w"}, row],
+             f"{path}:2: video_id 'v' follows 'w'; rows must be in ascending video_id order"),
+        ]:
+            write_jsonl(path, rows)
+            assert run(*argv, "--output", out) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+        if kind == "grid":
+            write_jsonl(files["grid"], [VIDEO_ROWS["grid"], {**VIDEO_ROWS["grid"], "video_id": "w"}])
+            write_jsonl(segments, [{**SEGMENT_ROW, "video_id": "w"}, SEGMENT_ROW])
+            assert run(*argv, "--output", out) == 0
+            assert [r["video_id"] for r in read_jsonl(out)[1]] == ["v", "w"]
 
 
     @pytest.mark.parametrize("bits", [None, 5, "", {}], ids=["null", "number", "string", "object"])
@@ -1520,6 +1542,21 @@ class TestSubcommandTable:
 
 GRID_ROW = {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0, "class_count": 1}
 SEGMENT_ROW = {"video_id": "v", "start_s": 2.0, "end_s": 5.0, "score": 1.0, "class_id": 1}
+_ANCHORS = sum(math.ceil(8 / 2**l) for l in range(6))
+# one valid row of video "v" (8 snippets, 1 class) per one-row-per-video file
+VIDEO_ROWS = {
+    "sp": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+           "attention": [0.5] * 8, "class_scores": [[0.5, 0.5]] * 8},
+    "grid": GRID_ROW,
+    "mask": {"video_id": "v", "bits": [[1, 8]]},
+    "targets": {"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                "class_count": 1, "level_sizes": [math.ceil(8 / 2**l) for l in range(6)],
+                "class_label": [0] * _ANCHORS, "reg_left": [0.0] * _ANCHORS,
+                "reg_right": [0.0] * _ANCHORS, "iou_weight": [0.0] * _ANCHORS,
+                "mask_bit": [1] * _ANCHORS},
+    "anchor_predictions": {"video_id": "v", "class_probs": [[0.5, 0.5]] * _ANCHORS,
+                           "reg_left": [1.0] * _ANCHORS, "reg_right": [1.0] * _ANCHORS},
+}
 
 
 def _grid_run(tmp_path, grid_row, cmd, out):
@@ -1579,6 +1616,32 @@ class TestNumericFields:
             assert code == 2
             assert capsys.readouterr().err == f"error: {grid_file}: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("width", [2, 1])
+    @pytest.mark.parametrize("cmd", ["extract", "fuse", "mask", "targets", "losses"])
+    def test_class_scores_rows_of_lists(self, tmp_path, capsys, cmd, width):
+        # a 3-D class_scores is a schema fault wherever an SP-shaped row is read
+        row = {**VIDEO_ROWS["sp"], "class_scores": [[[0.5, 0.5]] * width] * 8}
+        out = tmp_path / "out.jsonl"
+        if cmd in ("extract", "losses"):
+            grid_file = tmp_path / "sp.jsonl"
+            write_jsonl(grid_file, [row])
+            gt = tmp_path / "gt.jsonl"
+            write_jsonl(gt, [SEGMENT_ROW])
+            argv = ["--input", grid_file, "--gt", gt]
+            if cmd == "losses":
+                for name in ("anchor_predictions", "targets"):
+                    write_jsonl(tmp_path / f"{name}.jsonl", [VIDEO_ROWS[name]])
+                argv = ["--input", tmp_path / "anchor_predictions.jsonl",
+                        "--input", tmp_path / "targets.jsonl", *argv]
+            code = run(cmd, *argv, "--output", out)
+        else:
+            code, grid_file = _grid_run(tmp_path, row, cmd, out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_file}: class_scores must be rows of numbers, not of lists\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -2119,13 +2182,36 @@ class TestFileEdge:
             code = run(*argv, flag, side, "--output", out)
             self._refused(capsys, code, f"{side}: two outputs of the run name this file", out)
 
-    def test_output_may_be_an_input(self, tmp_path, chain_files):
-        # a refinement round rewrites a file in place
-        pseudos = tmp_path / "pseudos.jsonl"
-        pseudos.write_bytes(chain_files["pseudos"].read_bytes())
-        assert run("fuse", "--input", pseudos, "--input", chain_files["sp"],
-                   "--output", pseudos) == 0
-        assert read_jsonl(pseudos)[1]
+    @pytest.mark.parametrize("cmd, role", [("fuse", "pseudos"), ("extract", "sp"),
+                                           ("losses", "preds")], ids=["fuse", "extract", "losses"])
+    def test_output_may_be_an_input(self, tmp_path, chain_files, cmd, role):
+        # a refinement round rewrites a file in place: every input is read
+        # before the output is opened, so the bytes are those of a fresh path
+        argv = {"fuse": ["--input", "pseudos", "--input", "sp"],
+                "extract": FILE_EDGE_ARGV["extract"],
+                "losses": FILE_EDGE_ARGV["losses"]}[cmd]
+        inplace, fresh = tmp_path / f"{role}.jsonl", tmp_path / "fresh"
+        inplace.write_bytes(chain_files[role].read_bytes())
+        files = {**chain_files, role: inplace}
+        argv = [cmd, *(files.get(a, a) for a in argv)]
+        assert run(*argv, "--output", fresh) == 0
+        assert run(*argv, "--output", inplace) == 0
+        assert inplace.read_bytes() == fresh.read_bytes()
+
+    def test_whitespace_around_rows(self, tmp_path, chain_files):
+        # a \r\n ending, blank lines and Unicode spaces around a row are no fault
+        padded = {}
+        for role in ("sp", "gt"):
+            lines = chain_files[role].read_text(encoding="utf-8").splitlines()
+            padded[role] = tmp_path / f"{role}.jsonl"
+            padded[role].write_text("".join(f"\u2003{line}\u00a0\r\n\n \t\n" for line in lines),
+                                    encoding="utf-8")
+        plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+        assert run("extract", "--input", chain_files["sp"], "--gt", chain_files["gt"],
+                   "--output", plain) == 0
+        assert run("extract", "--input", padded["sp"], "--gt", padded["gt"],
+                   "--output", spaced) == 0
+        assert spaced.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("role", ["sp", "gt", "props", "mask", "config"])
     def test_a_byte_that_is_not_utf8(self, tmp_path, capsys, chain_files, role):
