@@ -9,15 +9,19 @@ stages of `sim` that `benchmark` runs. Every output file is a pure function
 of its inputs and the config: floats are written at 6 significant digits
 and rows are ordered by video_id. A one-row-per-video input lists its rows
 in that order too, so `losses` merge-joins its inputs and `extract` runs
-the weak branch row by row, each holding one video at a time. Exit codes:
-0 success, 2 missing or malformed input or a bad output path, 3
-domain-constraint violation.
+the weak branch row by row, each holding one video at a time. Every input
+row is read through `_SCHEMAS`, one table of each file kind's keys and their
+JSON kinds: `_rows` checks a key, present and of its kind (`_KINDS`), as the
+row's converter reads it, and the converter builds the package types, which
+check the values. Exit codes: 0 success, 2 missing or malformed input or a
+bad output path, 3 domain-constraint violation.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -185,16 +189,19 @@ def _dump(obj) -> str:
     return _value_text(obj)
 
 
-def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], object],
+def _rows(path: str, kind: str, convert: Callable[[str, Callable[[str], object]], object],
           unique: bool = True) -> Iterator[tuple[str, object]]:
-    """(video_id, `convert(video_id, row, plain)`) per row of a JSON-lines file.
-    Each line is decoded, checked (a string `video_id`, `keys`, and where
-    `unique` an id above the row before's) and converted before the next is
-    read, so the first bad row decides the exit; `plain`: the line holds no
-    `true`/`false`. An error names the file: a `SchemaError` as `<path>:
-    <message>` (a line that is no UTF-8 JSON object, or a row out of
-    `video_id` order, as `<path>:<line>: <message>`), a value fault of the
-    types as `<path>: video <id>: <message>`."""
+    """(video_id, `convert(video_id, get)`) per row of a JSON-lines file of
+    `kind`: a key of `_SCHEMAS`, or "grid source" ("sp grid" for a row that
+    holds class_scores, else "grid"). `get(key)` is the row's value as
+    `_field` checks it when the converter reads it, so the converter's order
+    of reads is the order of the checks. Each line is decoded, checked (a
+    string `video_id`, and where `unique` an id above the row before's) and
+    converted before the next is read, so the first bad row decides the
+    exit. An error names the file: a `SchemaError` as `<path>: <message>`
+    (`<path>:<line>: <message>` for a line that is no UTF-8 JSON object or a
+    row out of `video_id` order), a value fault of the types as `<path>:
+    video <id>: <message>`."""
     last = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -221,12 +228,16 @@ def _rows(path: str, keys: Sequence[str], convert: Callable[[str, dict, bool], o
                 raise SchemaError(f"{path}:{lineno}: video_id {vid!r} follows {last!r}; rows "
                                   "must be in ascending video_id order")
             try:
-                _require(row, ("video_id", *keys))
+                schema = _SCHEMAS[("sp grid" if "class_scores" in row else "grid")
+                                  if kind == "grid source" else kind]
+                if "video_id" not in row:
+                    raise _missing(row, schema)
                 if type(vid) is not str:
                     raise SchemaError(f"video_id must be a string, got {reprlib.repr(vid)}")
                 if unique and vid == last:
                     raise SchemaError(f"duplicate video_id {vid!r}")
-                value = convert(vid, row, "true" not in line and "false" not in line)
+                plain = "true" not in line and "false" not in line  # no boolean in the text
+                value = convert(vid, functools.partial(_field, row, schema, plain))
             except SchemaError as exc:
                 raise SchemaError(f"{path}: {exc}") from None
             except (ValueError, TypeError, OverflowError) as exc:  # a huge JSON integer overflows
@@ -247,32 +258,6 @@ def _undecodable(exc: ValueError | RecursionError) -> str:
     if isinstance(exc, RecursionError):
         return "invalid JSON (nested too deep)"
     return f"invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
-
-
-def _require(row: dict, keys: Sequence[str]) -> None:
-    missing = [k for k in keys if k not in row]
-    if missing:
-        raise SchemaError(f"row missing keys {missing}")
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{name} must be a number, got {reprlib.repr(value)}")
-    return float(value)
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer, got {reprlib.repr(value)}")
-    return value
-
-
-def _grid(row: dict, class_count) -> TimeGrid:
-    return TimeGrid(
-        _integer(row["num_snippets"], "num_snippets"),
-        _number(row["snippet_duration_s"], "snippet_duration_s"),
-        _integer(class_count, "class_count"),
-    )
 
 
 def _jsonl(cfg: PipelineConfig, rows: Iterable[dict]) -> Iterator[str]:
@@ -311,6 +296,85 @@ def _write(outputs: _Outputs) -> None:
 
 # ---------------------------------------------------------------- input parsing
 
+# The keys of each input file kind's rows, besides `video_id` (a JSON string in
+# every row), with the JSON kind of each value; `_KINDS` checks a kind.
+# FORMATS.md gives one table per file kind, and tests/test_formats.py holds
+# those tables to this one.
+_GRID = {"num_snippets": "integer", "snippet_duration_s": "number"}
+_SCHEMAS = {
+    "sp": {**_GRID, "attention": "numbers", "class_scores": "rows"},
+    # an SP-shaped row read as a grid source: only lengths are read
+    "sp grid": {**_GRID, "attention": "list", "class_scores": "width"},
+    "grid": {**_GRID, "class_count": "integer"},
+    "proposal": {"start_s": "number", "end_s": "number", "class_id": "integer", "score": "number"},
+    "ground truth": {"start_s": "number", "end_s": "number", "class_id": "integer"},
+    "mask": {"bits": "runs"},
+    "targets": {**_GRID, "class_count": "integer", "level_sizes": "sizes",
+                "class_label": "integers", "reg_left": "numbers", "reg_right": "numbers",
+                "iou_weight": "numbers", "mask_bit": "integers"},
+    "anchor predictions": {"class_probs": "rows", "reg_left": "numbers", "reg_right": "numbers",
+                           "snippet_probs": "rows"},
+}
+# Rules beyond a value's kind, in every file kind that has the key: the list
+# under a `_PER_SNIPPET` key holds num_snippets entries (a fault names its
+# length or shape), and an `_OPTIONAL` key may be absent or null.
+_PER_SNIPPET = {"attention": "length", "class_scores": "shape"}
+_OPTIONAL = ("snippet_probs",)
+
+
+def _field(row: dict, schema: dict, plain: bool, key: str):
+    """`row[key]`, present and of its JSON kind in `schema` and, for a
+    `_PER_SNIPPET` key, of its length; None for a key that `schema` lacks and
+    for an `_OPTIONAL` key absent or null. `plain`: the row's text holds no
+    `true`/`false`."""
+    if key not in schema or key in _OPTIONAL and row.get(key) is None:
+        return None
+    if key not in row:
+        raise _missing(row, schema)
+    value = _KINDS[schema[key]](row[key], key, plain)
+    if key in _PER_SNIPPET and len(row[key]) != _field(row, schema, plain, "num_snippets"):
+        raise SchemaError(f"{key} {_PER_SNIPPET[key]} disagrees with num_snippets")
+    return value
+
+
+def _missing(row: dict, schema: dict) -> SchemaError:
+    keys = [k for k in ("video_id", *schema) if k not in row and k not in _OPTIONAL]
+    return SchemaError(f"row missing keys {keys}")
+
+
+def _integer(value, key: str, plain: bool = True) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"{key} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(value, key: str, plain: bool = True) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise SchemaError(f"{key} must be a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _list(value, key: str, plain: bool = True) -> list:
+    if type(value) is not list:
+        raise SchemaError(f"{key} must be a list, got {reprlib.repr(value)}")
+    return value
+
+
+def _sizes(value, key: str, plain: bool = True) -> tuple[int, ...]:
+    return tuple(_integer(n, key) for n in _list(value, key))
+
+
+def _runs(value, key: str, plain: bool = True) -> tuple[list[int], list[int]]:
+    """[value, count] pairs, each value 0 or 1 and each count >= 1, as
+    (values, counts)."""
+    if type(value) is not list or any(type(p) is not list or len(p) != 2 for p in value):
+        raise SchemaError(f"{key} must be [value, count] pairs")
+    values = [_integer(v, f"{key} value") for v, _ in value]
+    counts = [_integer(c, f"{key} count") for _, c in value]
+    if not set(values) <= {0, 1} or min(counts, default=1) < 1:
+        raise SchemaError(f"{key} pairs need value in 0/1 and count >= 1")
+    return values, counts
+
 
 def _row_width(rows, name: str) -> int:
     """Width of `rows`, a nonempty list of rows of equal width whose first
@@ -323,12 +387,6 @@ def _row_width(rows, name: str) -> int:
     if width and any(isinstance(r[0], list) for r in rows):
         raise SchemaError(f"{name} must be rows of numbers, not of lists")
     return width
-
-
-def _json_list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{name} must be a list, got {reprlib.repr(value)}")
-    return value
 
 
 def _entries_of(value: list, types: tuple) -> bool:
@@ -363,7 +421,7 @@ def _float_array(value, name: str, plain: bool, rows: bool = False,
             return arr.astype(np.float64, copy=False)
     if rows:
         _row_width(value, name)
-    if _entries_of(_json_list(value, name), types):
+    if _entries_of(_list(value, name), types):
         try:  # integers beyond int64 infer as object; uneven nesting still raises
             return np.asarray(value, dtype=np.float64)
         except ValueError:
@@ -372,44 +430,48 @@ def _float_array(value, name: str, plain: bool, rows: bool = False,
                       else f"{name} must hold only numbers")
 
 
-def _sp_grid(row: dict, width: int) -> TimeGrid:
-    """The grid of an SP-shaped row whose `class_scores` rows are `width`
-    (C+1) wide: `class_scores` and `attention` hold `num_snippets` entries
-    (lengths only)."""
-    grid = _grid(row, width - 1)
-    if len(row["class_scores"]) != grid.num_snippets:
-        raise SchemaError("class_scores shape disagrees with num_snippets")
-    _require(row, ("attention",))
-    if not isinstance(row["attention"], list) or len(row["attention"]) != grid.num_snippets:
-        raise SchemaError("attention length disagrees with num_snippets")
-    return grid
+# One checker per JSON kind: (value, key, plain) -> the value a converter
+# takes; a value of another kind is a SchemaError naming the key.
+_KINDS = {
+    "integer": _integer, "number": _number, "list": _list, "sizes": _sizes, "runs": _runs,
+    "numbers": _float_array,
+    "integers": lambda value, key, plain: _float_array(value, key, plain, integers=True),
+    "rows": lambda value, key, plain: _float_array(value, key, plain, rows=True),
+    "width": lambda value, key, plain: _row_width(value, key),
+}
+
+
+def _normalized(rows: np.ndarray, key: str) -> np.ndarray:
+    """Probability rows divided by their sums, which the 6-digit rounding of a
+    written file drifts from 1. A sum that overflows, or an infinite entry,
+    leaves a row the type refuses (exit 3), and numpy prints no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = rows.sum(axis=1, keepdims=True)
+        if np.any(sums <= 0):
+            raise SchemaError(f"{key} rows must have positive sums")
+        return rows / sums
 
 
 def _parse_sp_file(path: str) -> Iterator[tuple[str, tuple[TimeGrid, SnippetPredictions]]]:
     """(video_id, (grid, predictions)) per SP row, each row read when asked for."""
-    def convert(vid: str, row: dict, plain: bool) -> tuple[TimeGrid, SnippetPredictions]:
-        cls = _float_array(row["class_scores"], "class_scores", plain, rows=True)
-        grid = _sp_grid(row, cls.shape[1])
-        # guard against the 6-digit file rounding drifting row sums
-        sums = cls.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            raise SchemaError("class_scores rows must have positive sums")
-        attention = _float_array(row["attention"], "attention", plain)
-        return grid, SnippetPredictions(attention, cls / sums)
+    def convert(vid: str, get) -> tuple[TimeGrid, SnippetPredictions]:
+        cls = get("class_scores")
+        grid = TimeGrid(get("num_snippets"), get("snippet_duration_s"), cls.shape[1] - 1)
+        return grid, SnippetPredictions(get("attention"), _normalized(cls, "class_scores"))
 
-    return _rows(path, ("num_snippets", "snippet_duration_s", "attention", "class_scores"), convert)
+    return _rows(path, "sp", convert)
 
 
 def _parse_grid_file(path: str) -> dict[str, TimeGrid]:
     """Grid metadata from an SP-shaped file or a slim grid file."""
-    def convert(vid: str, row: dict, plain: bool) -> TimeGrid:
-        if "class_scores" in row:
-            return _sp_grid(row, _row_width(row["class_scores"], "class_scores"))
-        if "class_count" in row:
-            return _grid(row, row["class_count"])
-        raise SchemaError("grid rows need class_scores or class_count")
+    def convert(vid: str, get) -> TimeGrid:
+        width = get("class_scores")  # None in a slim grid row
+        grid = TimeGrid(get("num_snippets"), get("snippet_duration_s"),
+                        get("class_count") if width is None else width - 1)
+        get("attention")  # an SP-shaped row's attention, by its length
+        return grid
 
-    return dict(_rows(path, ("num_snippets", "snippet_duration_s"), convert))
+    return dict(_rows(path, "grid source", convert))
 
 
 # Written times carry 6 significant digits (at most 5e-6 relative error), and
@@ -430,23 +492,22 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
     endpoints by `Interval` and, for a video in `grids`, within [0, duration_s]
     up to the writer's rounding; `class_id` by `check_class_id` with the grid's
     class count; a finite score."""
-    def convert(vid: str, row: dict, plain: bool):
-        iv = Interval(_number(row["start_s"], "start_s"), _number(row["end_s"], "end_s"))
+    def convert(vid: str, get):
+        iv = Interval(get("start_s"), get("end_s"))
         grid = grids.get(vid) if grids else None
         if grid is not None:
             _check_extent(iv, grid)
-        class_id = check_class_id(_integer(row["class_id"], "class_id"),
-                                  grid.class_count if grid is not None else None)
-        if with_score:
-            score = _number(row["score"], "score")
-            if not math.isfinite(score):
-                raise ValueError("proposal score must be finite")
-            return Segment(iv.start_s, iv.end_s, class_id, score)
-        return iv, class_id
+        class_id = check_class_id(get("class_id"), grid.class_count if grid is not None else None)
+        if not with_score:
+            return iv, class_id
+        score = get("score")
+        if not math.isfinite(score):
+            raise ValueError("proposal score must be finite")
+        return Segment(iv.start_s, iv.end_s, class_id, score)
 
     out: dict[str, list] = {}
-    keys = ("start_s", "end_s", "class_id") + (("score",) if with_score else ())
-    for vid, item in _rows(path, keys, convert, unique=False):
+    kind = "proposal" if with_score else "ground truth"
+    for vid, item in _rows(path, kind, convert, unique=False):
         out.setdefault(vid, []).append(item)
     if with_score:
         return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
@@ -490,15 +551,8 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
     its video's num_snippets before they are expanded."""
     _bind("mask")
 
-    def convert(vid: str, row: dict, plain: bool) -> SnippetMask | None:
-        if not isinstance(row["bits"], list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in row["bits"]
-        ):
-            raise SchemaError("bits must be [value, count] pairs")
-        values = [_integer(value, "bits value") for value, _ in row["bits"]]
-        counts = [_integer(count, "bits count") for _, count in row["bits"]]
-        if not set(values) <= {0, 1} or min(counts, default=1) < 1:
-            raise SchemaError("bits pairs need value in 0/1 and count >= 1")
+    def convert(vid: str, get) -> SnippetMask | None:
+        values, counts = get("bits")
         grid = grids.get(vid)
         if grid is None:  # every pseudo video has a grid, so no target needs this row
             return None
@@ -506,41 +560,27 @@ def _parse_mask_file(path: str, grids: dict[str, TimeGrid]) -> dict[str, Snippet
             raise ValueError(f"bits cover {sum(counts)} snippets, its grid has {grid.num_snippets}")
         return SnippetMask(np.repeat(np.array(values, dtype=np.uint8), counts), grid)
 
-    return {vid: mask for vid, mask in _rows(path, ("bits",), convert) if mask is not None}
+    return {vid: mask for vid, mask in _rows(path, "mask", convert) if mask is not None}
 
 
 def _parse_targets_file(path: str) -> Iterator[tuple[str, AnchorTargets]]:
     """(video_id, targets) per row, each row read when asked for."""
     _bind("targets")
-
-    def convert(vid: str, row: dict, plain: bool) -> AnchorTargets:
-        sizes = _json_list(row["level_sizes"], "level_sizes")
-        grid = _grid(row, row["class_count"])
-        level_sizes = tuple(_integer(n, "level_sizes") for n in sizes)
-        ints = ("class_label", "mask_bit")
-        fields = {n: _float_array(row[n], n, plain, integers=n in ints) for n in ANCHOR_FIELDS}
-        return AnchorTargets(grid, level_sizes, **fields)
-
-    keys = ("num_snippets", "snippet_duration_s", "class_count", "level_sizes", *ANCHOR_FIELDS)
-    return _rows(path, keys, convert)
+    return _rows(path, "targets", lambda vid, get: AnchorTargets(
+        TimeGrid(get("num_snippets"), get("snippet_duration_s"), get("class_count")),
+        get("level_sizes"), **{name: get(name) for name in ANCHOR_FIELDS}))
 
 
 def _parse_anchor_predictions(path: str) -> Iterator[tuple[str, AnchorPredictions]]:
     """(video_id, predictions) per row, each row read when asked for."""
     _bind("targets")
 
-    def convert(vid: str, row: dict, plain: bool) -> AnchorPredictions:
-        probs = _float_array(row["class_probs"], "class_probs", plain, rows=True)
-        snippet_probs = row.get("snippet_probs")
-        if snippet_probs is not None:
-            snippet_probs = _float_array(snippet_probs, "snippet_probs", plain, rows=True)
-        sums = probs.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            raise SchemaError("class_probs rows must have positive sums")
-        reg = [_float_array(row[name], name, plain) for name in ("reg_left", "reg_right")]
-        return AnchorPredictions(probs / sums, *reg, snippet_probs)
+    def convert(vid: str, get) -> AnchorPredictions:
+        probs, snippet_probs = get("class_probs"), get("snippet_probs")
+        return AnchorPredictions(_normalized(probs, "class_probs"), get("reg_left"),
+                                 get("reg_right"), snippet_probs)
 
-    return _rows(path, ("class_probs", "reg_left", "reg_right"), convert)
+    return _rows(path, "anchor predictions", convert)
 
 
 def _segment_row(vid: str, start_s: float, end_s: float, class_id: int,

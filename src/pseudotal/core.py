@@ -47,6 +47,13 @@ MAX_GRID_CELLS = 2**24
 
 MAX_CLASS_ID = 2**63 - 1  # class ids are int64
 
+# The largest time, in seconds (about 32 million years), that a grid's extent
+# or a segment's endpoint may reach in magnitude. Every stage then computes
+# with times, their sums and their differences far below the float range:
+# no extent, tIoU or anchor layout overflows.
+MAX_TIME_S = 1e15
+_TIME_BOUND = f"interval endpoints must lie in [-{MAX_TIME_S:g}, {MAX_TIME_S:g}] s"
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -55,7 +62,8 @@ class TimeGrid:
     num_snippets: number of temporal snippets (T).
     snippet_duration_s: seconds covered by one snippet.
     class_count: number of foreground action classes (C).
-    num_snippets * (class_count + 1) is at most MAX_GRID_CELLS.
+    num_snippets * (class_count + 1) is at most MAX_GRID_CELLS, and the
+    extent num_snippets * snippet_duration_s at most MAX_TIME_S.
     """
 
     num_snippets: int
@@ -74,6 +82,9 @@ class TimeGrid:
                 f"num_snippets * (class_count + 1) must be at most {MAX_GRID_CELLS}, got "
                 f"{self.num_snippets} * ({self.class_count} + 1)"
             )
+        if not self.duration_s <= MAX_TIME_S:
+            raise ValueError("num_snippets * snippet_duration_s must be at most "
+                             f"{MAX_TIME_S:g} s, got {self.duration_s:g}")
 
     @property
     def duration_s(self) -> float:
@@ -83,7 +94,8 @@ class TimeGrid:
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """Half-open-by-convention temporal interval [start_s, end_s), start < end."""
+    """Half-open-by-convention temporal interval [start_s, end_s), start < end,
+    with endpoints at most MAX_TIME_S in magnitude."""
 
     start_s: float
     end_s: float
@@ -91,6 +103,9 @@ class Interval:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
             raise ValueError("interval endpoints must be finite")
+        # with start_s < end_s, checked next, both endpoints then lie in the bound
+        if not (-MAX_TIME_S <= self.start_s and self.end_s <= MAX_TIME_S):
+            raise ValueError(_TIME_BOUND)
         if not self.start_s < self.end_s:
             raise ValueError("interval requires start_s < end_s")
 
@@ -113,9 +128,10 @@ class Segments:
     """Scored class-specific temporal segments of one video, as columns.
 
     start_s, end_s, score: float64; class_id: int64. Every column is 1-D
-    and read-only, all of one length; values are finite, start_s < end_s
-    and class_id are `class_ids`. A proposal's score is its detection score,
-    a pseudo label's its confidence. Iterating yields the rows as `Segment`s.
+    and read-only, all of one length; values are finite, endpoints at most
+    MAX_TIME_S in magnitude, start_s < end_s and class_id are `class_ids`.
+    A proposal's score is its detection score, a pseudo label's its
+    confidence. Iterating yields the rows as `Segment`s.
     """
 
     start_s: np.ndarray
@@ -130,8 +146,9 @@ class Segments:
         columns = (start, end, class_ids(self.class_id), score)
         if any(c.ndim != 1 or c.shape != start.shape for c in columns):
             raise ValueError("segment columns must be 1-D and of one length")
-        if not (np.isfinite(start).all() and np.isfinite(end).all()):
-            raise ValueError("interval endpoints must be finite")
+        if not ((np.abs(start) <= MAX_TIME_S).all() and (np.abs(end) <= MAX_TIME_S).all()):
+            finite = np.isfinite(start).all() and np.isfinite(end).all()
+            raise ValueError(_TIME_BOUND if finite else "interval endpoints must be finite")
         if not (start < end).all():
             raise ValueError("interval requires start_s < end_s")
         if not np.isfinite(score).all():

@@ -80,9 +80,13 @@ def ricker_value(t: float | np.ndarray, params: RickerParams) -> float | np.ndar
     the midpoint, and negative everywhere outside the boundaries. `t` and
     the parameters broadcast: a (P, 1) block of parameters and T times give
     P wavelets of T samples, each value the same float as one call per
-    wavelet.
+    wavelet. `u` is clipped to +-40: from |u| of about 38.6 on the Gaussian
+    factor is already 0.0, so the value is -0.0 either way, and a proposal
+    far shorter than the grid's spacing gives no inf * 0.
     """
-    u = (np.asarray(t, dtype=np.float64) - params.midpoint) / params.sigma
+    with np.errstate(over="ignore"):
+        u = (np.asarray(t, dtype=np.float64) - params.midpoint) / params.sigma
+    u = u.clip(-40.0, 40.0)
     amp = 2.0 / (np.sqrt(3.0 * np.asarray(params.sigma)) * math.pi**0.25)
     out = amp * (1.0 - u**2) * np.exp(-0.5 * u**2)
     if np.ndim(out) == 0:

@@ -203,12 +203,14 @@ def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
     """Low-frequency Gaussian noise: white draws box-filtered over
     NOISE_SMOOTH_SNIPPETS and rescaled back to the requested std. The
     draw happens even at std 0 so corpora differing only in noise level
-    share all other randomness."""
+    share all other randomness. A std near the float range overflows to
+    +-inf, which the caller's clip to [0, 1] saturates."""
     white = rng.normal(0.0, 1.0, t)
     if t >= NOISE_SMOOTH_SNIPPETS > 1:
         kernel = np.full(NOISE_SMOOTH_SNIPPETS, 1.0 / NOISE_SMOOTH_SNIPPETS)
         white = np.convolve(white, kernel, mode="same") * math.sqrt(NOISE_SMOOTH_SNIPPETS)
-    return white * std
+    with np.errstate(over="ignore"):
+        return white * std
 
 
 def _class_score_table(cfg: SimConfig) -> np.ndarray:

@@ -18,8 +18,10 @@ skips lie at the start, between its videos and at the end; then one
 refinement round (`simulate` of a less noisy SP file with the same seed,
 `extract` on it, the ricker pseudos and those proposals concatenated, then
 `fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
-without `--epoch`, `fuse --wavelet-csv` on one video, and `benchmark` run
-two ways; then a crowded corpus (long videos, 20 classes, ten false
+without `--epoch` and `targets`, each run again with a slim grid file made
+from the SP file as its grid source (the script exits nonzero unless each
+writes the bytes it writes with the SP file); then `fuse --wavelet-csv` on
+one video, and `benchmark` run two ways; then a crowded corpus (long videos, 20 classes, ten false
 positives per video), where many proposals overlap, through
 `simulate`, `extract`, `fuse` for each strategy, `mask --epoch` and
 `targets` on the `soft` (overlapping) and `hard` pseudo labels, and
@@ -90,6 +92,27 @@ def _write_predictions(targets: Path, sp: Path, out: Path) -> None:
             }) + "\n")
 
 
+def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Path) -> None:
+    """`fuse`, `mask` and `targets` with a slim grid file made from `sp` as
+    the grid source write the bytes they write with `sp` itself."""
+    grid = work / "grid.jsonl"
+    grid.write_text("".join(json.dumps({
+        "video_id": row["video_id"], "num_snippets": row["num_snippets"],
+        "snippet_duration_s": row["snippet_duration_s"],
+        "class_count": len(row["class_scores"][0]) - 1,
+    }) + "\n" for row in _rows(sp)))
+    pseudo, mask, targets = (work / f"{name}_slim_grid.jsonl" for name in ("pseudo", "mask",
+                                                                          "targets"))
+    _run("fuse", *conf, "--input", props, "--input", grid, "--output", pseudo)
+    _run("mask", *conf, "--input", pseudo, "--input", grid, "--output", mask)
+    _run("targets", *conf, "--input", pseudo, "--input", grid, "--input", mask,
+         "--output", targets)
+    for path in (pseudo, mask, targets):
+        sp_sourced = out / path.name.replace("_slim_grid", "_default")
+        if path.read_bytes() != sp_sourced.read_bytes():
+            raise SystemExit(f"{path.name} differs from {sp_sourced.name}, its SP-sourced twin")
+
+
 def run_chain(out: Path) -> list[Path]:
     """Write every output of the chain into `out`; return their paths."""
     work = out / "inputs"
@@ -157,6 +180,9 @@ def run_chain(out: Path) -> list[Path]:
     _run("fuse", *conf, "--input", props, "--input", sp, "--output", out / "pseudo_default.jsonl")
     _run("mask", *conf, "--input", out / "pseudo_default.jsonl", "--input", sp,
          "--output", out / "mask_default.jsonl")
+    _run("targets", *conf, "--input", out / "pseudo_default.jsonl", "--input", sp,
+         "--input", out / "mask_default.jsonl", "--output", out / "targets_default.jsonl")
+    _same_from_slim_grid(work, out, conf, props, sp)
     one = work / "props_one_video.jsonl"
     rows = _rows(props)
     one.write_text("".join(

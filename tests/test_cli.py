@@ -1809,6 +1809,91 @@ class TestSegmentExtent:
         assert self._run(tmp_path, cmd, start, end)[0] == 0
 
 
+class TestValuesNearTheFloatRange:
+    """Times are bounded by core.MAX_TIME_S (a grid's extent, a segment's
+    endpoints), so no stage overflows; a value near the float range elsewhere
+    exits as any bad value does, or runs, and numpy prints no warning (the
+    test settings turn one into an error)."""
+
+    HUGE_GRID = {"video_id": "v", "num_snippets": 2, "snippet_duration_s": 8e307,
+                 "class_count": 1}
+    HUGE_SEGMENT = {"video_id": "v", "start_s": 0.0, "end_s": 1.6e308, "class_id": 1}
+    EXTENT = "num_snippets * snippet_duration_s must be at most 1e+15 s, got "
+
+    @staticmethod
+    def _refused(capsys, code, message, out):
+        assert (code, capsys.readouterr().err) == (3, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["targets"], ["fuse", "--strategy", "gauss"]])
+    def test_a_grid_past_the_time_bound(self, tmp_path, capsys, argv):
+        grid, pseudos, mask, out = (tmp_path / n for n in ("grid", "pseudos", "mask", "out"))
+        write_jsonl(grid, [self.HUGE_GRID])
+        write_jsonl(pseudos, [{**self.HUGE_SEGMENT, "score": 1.0}])
+        write_jsonl(mask, [{"video_id": "v", "bits": [[1, 2]]}])
+        inputs = [pseudos, grid, mask][: 3 if argv[0] == "targets" else 2]
+        code = run(*argv, *(a for path in inputs for a in ("--input", path)), "--output", out)
+        self._refused(capsys, code, f"{grid}: video v: {self.EXTENT}1.6e+308", out)
+
+    def test_eval_of_a_segment_past_the_time_bound(self, tmp_path, capsys):
+        preds, gt, out = tmp_path / "preds.jsonl", tmp_path / "gt.jsonl", tmp_path / "out"
+        write_jsonl(preds, [{**self.HUGE_SEGMENT, "score": 1.0}])
+        write_jsonl(gt, [self.HUGE_SEGMENT])
+        code = run("eval", "--input", preds, "--gt", gt, "--output", out)
+        self._refused(capsys, code,
+                      f"{preds}: video v: interval endpoints must lie in [-1e+15, 1e+15] s", out)
+
+    def test_targets_of_a_huge_snippet_duration(self, tmp_path, capsys):
+        targets, preds, out = tmp_path / "targets.jsonl", tmp_path / "preds.jsonl", tmp_path / "o"
+        write_jsonl(targets, [{**VIDEO_ROWS["targets"], "snippet_duration_s": 1e308}])
+        write_jsonl(preds, [VIDEO_ROWS["anchor_predictions"]])
+        code = run("losses", "--input", preds, "--input", targets, "--output", out)
+        self._refused(capsys, code, f"{targets}: video v: {self.EXTENT}inf", out)
+
+    def test_sp_file_of_a_huge_snippet_duration(self, tmp_path, capsys):
+        sp, gt, out = tmp_path / "sp.jsonl", tmp_path / "gt.jsonl", tmp_path / "out"
+        write_jsonl(sp, [{**VIDEO_ROWS["sp"], "snippet_duration_s": 1e308}])
+        write_jsonl(gt, [SEGMENT_ROW])
+        code = run("extract", "--input", sp, "--gt", gt, "--output", out)
+        self._refused(capsys, code, f"{sp}: video v: {self.EXTENT}inf", out)
+
+    def test_a_proposal_far_shorter_than_a_snippet(self, tmp_path, capsys):
+        # its wavelet is -0.0 at every snippet center: no pseudo label
+        grid, props, out = tmp_path / "grid.jsonl", tmp_path / "props.jsonl", tmp_path / "out"
+        write_jsonl(grid, [GRID_ROW])
+        write_jsonl(props, [{**SEGMENT_ROW, "start_s": 1e-300, "end_s": 2e-300}])
+        assert run("fuse", "--input", props, "--input", grid, "--output", out) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+
+    @pytest.mark.parametrize("entry", [1e308, math.inf])
+    @pytest.mark.parametrize("kind", ["sp", "anchor_predictions"])
+    def test_probability_rows_whose_sum_overflows(self, tmp_path, capsys, kind, entry):
+        # the row's sum is inf, so the renormalized row fails the type's check
+        field = {"sp": "class_scores", "anchor_predictions": "class_probs"}[kind]
+        row, path, out = VIDEO_ROWS[kind], tmp_path / f"{kind}.jsonl", tmp_path / "out"
+        write_jsonl(path, [{**row, field: [[entry, entry], *row[field][1:]]}])
+        other = tmp_path / "other.jsonl"
+        if kind == "sp":
+            write_jsonl(other, [SEGMENT_ROW])
+            code = run("extract", "--input", path, "--gt", other, "--output", out)
+            infinite = "attention and class_scores must be finite"
+        else:
+            write_jsonl(other, [VIDEO_ROWS["targets"]])
+            code = run("losses", "--input", path, "--input", other, "--output", out)
+            infinite = "class_probs must be finite"
+        fault = f"{field} rows must sum to 1 within 1e-6" if entry == 1e308 else infinite
+        self._refused(capsys, code, f"{path}: video v: {fault}", out)
+
+    def test_simulate_with_a_huge_attention_noise(self, tmp_path, capsys):
+        # the noise saturates the attention at 0 or 1
+        cfg, out = tmp_path / "config.json", tmp_path / "sp.jsonl"
+        cfg.write_text(json.dumps({"sim": {"num_videos": 2, "attention_noise_std": 1e308}}))
+        assert run("simulate", "--config", cfg, "--output", out) == 0
+        assert capsys.readouterr().err == ""
+        assert {a for row in read_jsonl(out)[1] for a in row["attention"]} <= {0.0, 1.0}
+
+
 @pytest.fixture(scope="module")
 def chain_files(tmp_path_factory):
     """Valid inputs of every subcommand: a 6-video, 3-class noisy corpus with

@@ -6,6 +6,7 @@ import pytest
 from pseudotal.core import (
     MAX_CLASS_ID,
     MAX_GRID_CELLS,
+    MAX_TIME_S,
     Interval,
     Segment,
     Segments,
@@ -37,6 +38,20 @@ class TestTypes:
         for t, c in [(MAX_GRID_CELLS // 4 + 1, 3), (1, MAX_GRID_CELLS), (10**9, 1)]:
             with pytest.raises(ValueError, match="num_snippets \\* \\(class_count \\+ 1\\)"):
                 TimeGrid(t, 1.0, c)
+
+    def test_time_bound(self):
+        # a grid's extent and a segment's endpoints lie within MAX_TIME_S
+        TimeGrid(4, MAX_TIME_S / 4, 1)
+        Interval(-MAX_TIME_S, MAX_TIME_S)
+        Segments([-MAX_TIME_S], [MAX_TIME_S], [1], [0.5])
+        with pytest.raises(ValueError, match="must be at most 1e\\+15 s, got 1.6e\\+308"):
+            TimeGrid(2, 8e307, 1)
+        bound = re.escape("interval endpoints must lie in [-1e+15, 1e+15] s")
+        for start, end in [(0.0, 2 * MAX_TIME_S), (-2 * MAX_TIME_S, 0.0), (2e15, 3e15)]:
+            with pytest.raises(ValueError, match=bound):
+                Interval(start, end)
+            with pytest.raises(ValueError, match=bound):
+                Segments([0.0, start], [1.0, end], [1, 1], [0.5, 0.5])
 
     def test_interval_rejects_degenerate(self):
         with pytest.raises(ValueError):
