@@ -15,9 +15,9 @@ from .config import TOOL_VERSION
 # on first access (PEP 562), so a process loads only the modules it uses
 _EXPORTS = {
     "config": ("TOOL_VERSION", "PipelineConfig", "MaskParams", "PyramidConfig"),
-    "core": ("Interval", "Segment", "Segments", "SnippetPredictions", "TimeGrid",
-             "snippet_centers", "span_tiou"),
-    "evaluation": ("DEFAULT_TIOU_THRESHOLDS", "EvalReport", "GroundTruthSet", "PseudoQuality",
+    "core": ("GroundTruthSet", "Interval", "Segment", "Segments", "SnippetPredictions",
+             "TimeGrid", "snippet_centers", "span_tiou"),
+    "evaluation": ("DEFAULT_TIOU_THRESHOLDS", "EvalReport", "PseudoQuality",
                    "average_precision", "map_table", "pseudo_quality"),
     "fusion": ("FusedWavelet", "RickerParams", "fuse_ricker", "generate_pseudo_labels",
                "ricker_value", "segments_from_wavelet"),

@@ -34,43 +34,30 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import TOOL_VERSION, ConfigSchemaError, MaskParams, PipelineConfig, PyramidConfig
-from .core import (Interval, Segment, Segments, SnippetPredictions, TimeGrid, check_class_id,
-                   runs, snippet_centers)
+from .core import (GroundTruthSet, Interval, Segment, Segments, SnippetPredictions, TimeGrid,
+                   check_class_id, runs, snippet_centers)
 
 __all__ = ["main"]
 
-# The names this module takes from the package's other modules, by module.
-# `main` binds those of a subcommand's modules (`_Command.modules`) before it
-# reads any input, so a subcommand compiles only the modules it runs, while
-# its memory is small; a parser binds its own too, for callers besides `main`.
-# Handlers call the names through this module's globals: bench/tracing.py
-# looks them up by attribute (`__getattr__`) and replaces them with wrappers,
-# which `_bind` keeps. Only the tracer reads `generate_pseudo_labels` and
-# `weak_proposals` here.
-_LIBRARY = {
-    "evaluation": ("GroundTruthSet", "map_table"),
-    "fusion": ("STRATEGIES", "fuse_ricker", "generate_pseudo_labels", "lookup_strategy"),
-    "mask": ("SnippetMask", "decay_schedule", "mask_for_proposal", "union_masks"),
-    "sim": ("RNG_NAME", "SimConfig", "corrupt_predictions", "gen_corpus", "proposals_by_video",
-            "pseudo_labels_by_video", "run_benchmark"),
-    "targets": ("ANCHOR_FIELDS", "AnchorPredictions", "AnchorTargets", "att_loss",
-                "build_targets", "cls_loss", "reg_loss", "total_loss"),
-    "weak_branch": ("compute_sps", "video_labels", "weak_proposals"),
-}
-
-
+# Handlers call the library through this module's globals. `main` binds the
+# `__all__` of a subcommand's modules (`_Command.modules`) before it reads any
+# input, so a subcommand compiles only the modules it runs, while its memory is
+# small; a parser binds its own too, for callers besides `main`. bench/tracing.py
+# looks names up on this module (`__getattr__` searches the modules of
+# `COMMANDS`) and replaces them with wrappers, which `_bind` keeps.
 def _bind(*modules: str) -> None:
     for module in modules:
         library = importlib.import_module(f".{module}", __package__)
-        for name in _LIBRARY[module]:
+        for name in library.__all__:
             globals().setdefault(name, getattr(library, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LIBRARY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
+    if not name.startswith("_"):  # a probe such as `__path__` (`from cli import`) loads nothing
+        for command in COMMANDS.values():
+            _bind(*command.modules)
+            if name in globals():
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -511,7 +498,6 @@ def _parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | No
         out.setdefault(vid, []).append(item)
     if with_score:
         return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
-    _bind("evaluation")
     return GroundTruthSet(out)
 
 
@@ -696,15 +682,18 @@ def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
             if (pred is None) != (tgt is None):
                 differ.append(vid)
             continue
+        if sp and pred.snippet_probs is not None and label is None:
+            raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
         t0 = time.perf_counter()
-        l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
-        l_reg = reg_loss(pred, tgt)
-        l_att = 0.0
-        if sp and pred.snippet_probs is not None:
-            if label is None:
-                raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
-            z = compute_sps(sp[1].attention, sp[1].class_scores)
-            l_att = att_loss(pred.snippet_probs, z, cfg.tau, label, gamma=cfg.gamma_focal)
+        try:  # the predictions disagree with the targets or the SP row
+            l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
+            l_reg = reg_loss(pred, tgt)
+            l_att = 0.0
+            if sp and pred.snippet_probs is not None:
+                z = compute_sps(sp[1].attention, sp[1].class_scores)
+                l_att = att_loss(pred.snippet_probs, z, cfg.tau, label, gamma=cfg.gamma_focal)
+        except ValueError as exc:
+            raise ValueError(f"{paths[0]}: video {vid}: {exc}") from None
         l_total = total_loss(l_reg, l_cls, l_att, cfg.lambda_att)
         elapsed += (time.perf_counter() - t0) * 1000.0
         has_pos = bool(((tgt.mask_bit == 1) & (tgt.class_label > 0)).any())
@@ -724,6 +713,8 @@ def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
 def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
     preds = _parse_segments(_inputs(args, 1, 1, "a predictions file")[0], with_score=True)
     gt = _parse_segments(_need(args.gt, "--gt"), with_score=False)
+    if not gt.segments:
+        raise ValueError(f"{args.gt}: ground truth holds no segments")
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -822,7 +813,7 @@ class _Command(NamedTuple):
     handler: Callable[[argparse.Namespace, PipelineConfig], _Outputs]
     help: str
     flags: dict  # flag -> add_argument keywords, besides --config and --output
-    modules: tuple[str, ...]  # the `_LIBRARY` modules that the handler calls
+    modules: tuple[str, ...]  # the library modules the handler calls: `main` binds their `__all__`
 
 
 _INPUT = {"action": "append", "help": "input file; repeat for several (roles: FORMATS.md)"}
@@ -834,7 +825,7 @@ _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte
 # The one list of subcommands, the flags each one reads and the modules it runs.
 COMMANDS = {
     "extract": _Command(_cmd_extract, "SP file -> scored proposals (needs --gt for video labels)",
-                        {"--input": _INPUT, "--gt": _GT}, ("evaluation", "sim", "weak_branch")),
+                        {"--input": _INPUT, "--gt": _GT}, ("sim", "weak_branch")),
     "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
         "--strategy": {"default": "ricker", "help": "fusion strategy (default: ricker)"},
@@ -846,7 +837,7 @@ COMMANDS = {
                         {"--input": _INPUT}, ("mask", "targets")),
     "losses": _Command(_cmd_losses, "anchor predictions + targets [+ SP file] -> loss report",
                        {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS},
-                       ("evaluation", "targets", "weak_branch")),
+                       ("targets", "weak_branch")),
     "eval": _Command(_cmd_eval, "predictions (needs --gt) -> mAP report",
                      {"--input": _INPUT, "--gt": _GT, "--timings": _TIMINGS}, ("evaluation",)),
     "simulate": _Command(_cmd_simulate, "config -> synthetic SP corpus (and GT via --gt)",

@@ -8,7 +8,9 @@ every threshold of many columns at once), snippet centers, and the cover
 rule: which segment, first in some order, holds each time, and the class-id
 rule. The scored segments of one video, proposals and pseudo labels alike,
 travel between the stages as one `Segments` value: four read-only columns,
-checked once in its constructor. Public boundaries are expressed in
+checked once in its constructor; a corpus's ground truth, which gives the
+weak branch its video labels, the simulator its layouts and evaluation its
+targets, as one `GroundTruthSet`. Public boundaries are expressed in
 seconds; snippet indices appear only when converting to or from a grid. All
 types are immutable after construction and all functions are pure.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "Interval",
     "Segment",
     "Segments",
+    "GroundTruthSet",
     "SnippetPredictions",
     "span_tiou",
     "pairwise_tiou",
@@ -171,13 +174,35 @@ class Segments:
                         self.score[index])
 
 
+@dataclass(frozen=True)
+class GroundTruthSet:
+    """Ground-truth segments per video: video_id -> list of (interval, class);
+    the classes of each video are class ids (`class_ids`), kept as ints."""
+
+    segments: Mapping[str, tuple[tuple[Interval, int], ...]]
+
+    def __post_init__(self) -> None:
+        rows = {str(vid): tuple(items) for vid, items in self.segments.items()}
+        if not all(isinstance(iv, Interval) for items in rows.values() for iv, _ in items):
+            raise TypeError("ground-truth segments must be Intervals")
+        object.__setattr__(self, "segments", {
+            vid: tuple(zip([iv for iv, _ in items], class_ids([c for _, c in items]).tolist()))
+            for vid, items in rows.items()
+        })
+
+    @property
+    def class_ids(self) -> list[int]:
+        return sorted({c for items in self.segments.values() for _, c in items})
+
+
 @dataclass(frozen=True, eq=False)
 class SnippetPredictions:
     """Per-video snippet outputs of an attention + classification branch.
 
     attention: (T,) class-agnostic foreground attention in [0, 1].
     class_scores: (T, C+1) per-snippet class distribution; the last
-        column is the background class and each row sums to one.
+        column is the background class, entries are nonnegative and each
+        row sums to one.
     """
 
     attention: np.ndarray
@@ -196,6 +221,8 @@ class SnippetPredictions:
             raise ValueError("attention and class_scores must be finite")
         if att.size and (att.min() < -1e-9 or att.max() > 1 + 1e-9):
             raise ValueError("attention values must lie in [0, 1]")
+        if np.any(cls < 0):
+            raise ValueError("class_scores entries must be nonnegative")
         row_sums = cls.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-6):
             raise ValueError("class_scores rows must sum to 1 within 1e-6")

@@ -19,10 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TIOU_THRESHOLDS
-from .core import Interval, Segments, class_ids, pairwise_tiou
+from .core import GroundTruthSet, Segments, pairwise_tiou
 
 __all__ = [
-    "GroundTruthSet",
     "EvalReport",
     "PseudoQuality",
     "average_precision",
@@ -33,27 +32,6 @@ __all__ = [
 
 # headline ranges reported alongside the full table
 RANGE_AVERAGES = ((0.1, 0.5), (0.3, 0.7), (0.1, 0.7))
-
-
-@dataclass(frozen=True)
-class GroundTruthSet:
-    """Ground-truth segments per video: video_id -> list of (interval, class);
-    the classes of each video are class ids (`class_ids`), kept as ints."""
-
-    segments: Mapping[str, tuple[tuple[Interval, int], ...]]
-
-    def __post_init__(self) -> None:
-        rows = {str(vid): tuple(items) for vid, items in self.segments.items()}
-        if not all(isinstance(iv, Interval) for items in rows.values() for iv, _ in items):
-            raise TypeError("ground-truth segments must be Intervals")
-        object.__setattr__(self, "segments", {
-            vid: tuple(zip([iv for iv, _ in items], class_ids([c for _, c in items]).tolist()))
-            for vid, items in rows.items()
-        })
-
-    @property
-    def class_ids(self) -> list[int]:
-        return sorted({c for items in self.segments.values() for _, c in items})
 
 
 @dataclass(frozen=True)

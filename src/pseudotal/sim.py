@@ -24,8 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig, check_fields, config_from_dict
-from .core import Interval, Segments, SnippetPredictions, TimeGrid, first_cover, snippet_centers
-from .evaluation import GroundTruthSet, PseudoQuality, pseudo_quality
+from .core import (GroundTruthSet, Interval, Segments, SnippetPredictions, TimeGrid, first_cover,
+                   snippet_centers)
+from .evaluation import PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
 from .weak_branch import VideoLabel, video_labels, weak_proposals
 

@@ -124,9 +124,9 @@ class AnchorTargets:
 
 @dataclass(frozen=True, eq=False)
 class AnchorPredictions:
-    """Stand-in for the network heads: per-anchor class distribution and
-    boundary offsets, plus optional per-snippet class rows for the
-    attention loss."""
+    """Stand-in for the network heads: per-anchor class distribution
+    (nonnegative rows that sum to 1) and boundary offsets, plus optional
+    per-snippet class probabilities in [0, 1] for the attention loss."""
 
     class_probs: np.ndarray
     reg_left: np.ndarray
@@ -147,8 +147,13 @@ class AnchorPredictions:
             raise ValueError("class_probs must be (num_anchors, C+1)")
         if left.shape != (probs.shape[0],) or right.shape != (probs.shape[0],):
             raise ValueError("reg offsets must match the anchor count")
+        if np.any(probs < 0):
+            raise ValueError("class_probs entries must be nonnegative")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError("class_probs rows must sum to 1 within 1e-6")
+        snippet = self.snippet_probs
+        if snippet is not None and np.any((snippet < 0) | (snippet > 1)):
+            raise ValueError("snippet_probs entries must lie in [0, 1]")
         if np.any(left < 0) or np.any(right < 0):
             raise ValueError("reg offsets must be nonnegative")
 

@@ -643,6 +643,76 @@ class TestLosses:
         assert report["metrics"]["mean"]["empty_positives"] == 1
 
 
+class TestProbabilityEntries:
+    """A probability entry of an input is a probability: a negative SP
+    `class_scores` or anchor `class_probs` entry, or a `snippet_probs` entry
+    outside [0, 1], exits 3 naming the file and the video, even where its row
+    sums to 1. A row of other positive sum is divided by its sum."""
+
+    def _losses(self, tmp_path, *, class_probs=None, snippet_probs=None, class_scores=None):
+        snippet_probs = snippet_probs or [[0.5, 0.5]] * 16
+        sp, gt, targets, preds = TestLosses()._prepare(tmp_path, snippet_probs)
+        if class_probs is not None:
+            _, rows = read_jsonl(preds)
+            n = len(rows[0]["reg_left"])
+            write_jsonl(preds, [{**rows[0], "class_probs": [class_probs] * n}])
+        if class_scores is not None:
+            _, rows = read_jsonl(sp)
+            write_jsonl(sp, [{**rows[0], "class_scores": [class_scores] * 16}])
+        out = tmp_path / "losses.json"
+        code = run("losses", "--input", preds, "--input", targets, "--input", sp, "--gt", gt,
+                   "--output", out)
+        return code, out, {"preds": preds, "sp": sp}
+
+    @pytest.mark.parametrize("case, field, message", [
+        ({"class_probs": [1.5, -0.5]}, "preds", "class_probs entries must be nonnegative"),
+        ({"snippet_probs": [[7.0, 0.0]] * 16}, "preds",
+         "snippet_probs entries must lie in [0, 1]"),
+        ({"snippet_probs": [[-0.5, 1.5]] * 16}, "preds",
+         "snippet_probs entries must lie in [0, 1]"),
+        ({"class_scores": [1.5, -0.5]}, "sp", "class_scores entries must be nonnegative"),
+    ], ids=["class_probs", "snippet_probs above 1", "snippet_probs below 0", "class_scores"])
+    def test_losses_refuses(self, tmp_path, capsys, case, field, message):
+        code, out, files = self._losses(tmp_path, **case)
+        err = capsys.readouterr().err
+        assert (code, err) == (3, f"error: {files[field]}: video v: {message}\n")
+        assert not out.exists()
+
+    def test_extract_refuses_a_negative_class_score(self, tmp_path, capsys):
+        sp, gt, out = tmp_path / "sp.jsonl", tmp_path / "gt.jsonl", tmp_path / "props.jsonl"
+        write_jsonl(sp, [{"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+                          "attention": [1.0] * 4, "class_scores": [[1.5, -0.5]] * 4}])
+        write_jsonl(gt, [{"video_id": "v", "start_s": 0.0, "end_s": 2.0, "class_id": 1}])
+        assert run("extract", "--input", sp, "--gt", gt, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {sp}: video v: class_scores entries must be nonnegative\n"
+        assert not out.exists()
+
+    def test_rows_are_divided_by_their_sums(self, tmp_path):
+        # [2.7, 0.3] reads as [0.9, 0.1]: the same proposals, the same losses
+        outputs = []
+        for scale in (1, 3):
+            d = tmp_path / str(scale)
+            d.mkdir()
+            sp, gt, props = d / "extract_sp.jsonl", d / "extract_gt.jsonl", d / "props.jsonl"
+            write_jsonl(sp, [{"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                              "attention": [0.1, 0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1],
+                              "class_scores": [[0.9 * scale, 0.1 * scale]] * 8}])
+            write_jsonl(gt, [{"video_id": "v", "start_s": 1.0, "end_s": 4.0, "class_id": 1}])
+            assert run("extract", "--input", sp, "--gt", gt, "--output", props) == 0
+            code, out, _ = self._losses(d, class_probs=[0.5 * scale, 0.5 * scale])
+            assert code == 0
+            outputs.append((props.read_bytes(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_snippet_probs_of_another_shape_name_the_predictions(self, tmp_path, capsys):
+        code, out, files = self._losses(tmp_path, snippet_probs=[[0.5, 0.5]] * 8)
+        err = capsys.readouterr().err
+        assert (code, err) == (3, f"error: {files['preds']}: video v: snippet_probs and SP matrix "
+                                  "shapes disagree\n")
+        assert not out.exists()
+
+
 class TestEval:
     @pytest.mark.parametrize("class_id", [2**63, 10**30])
     @pytest.mark.parametrize("kind", ["gt", "predictions"])
@@ -1001,7 +1071,8 @@ class TestExitCodes:
             return
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: class_probs shape [{n}, {width}] disagrees with the targets' [{n}, 4]\n"
+            f"error: {preds}: video v: class_probs shape [{n}, {width}] disagrees with the "
+            f"targets' [{n}, 4]\n"
         )
         assert not out.exists()
 
@@ -2166,7 +2237,7 @@ NO_VIDEO_RUNS = {
     "losses": (["--input", "--input"], (3, "{0}: anchor predictions hold no videos")),
     "losses with the SP file": (["--input", "--input", "--input", "--gt"],
                                 (3, "{0}: anchor predictions hold no videos")),
-    "eval": (["--input", "--gt"], (3, "ground truth holds no segments")),
+    "eval": (["--input", "--gt"], (3, "{1}: ground truth holds no segments")),
 }
 HEADER_ROW = {"_header": {"config_hash": "0", "tool_version": TOOL_VERSION}}
 

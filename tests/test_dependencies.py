@@ -132,29 +132,37 @@ def chain(tmp_path_factory):
                  ["targets", "--input", f["pseudos"], "--input", f["sp"], "--input", f["mask"],
                   "--output", f["targets"]]):
         assert main(argv) == 0
+    f["props1"] = str(d / "props1.jsonl")  # the proposals of one video, for --wavelet-csv
+    rows = [json.loads(line) for line in Path(f["props"]).read_text().splitlines()[1:]]
+    Path(f["props1"]).write_text("".join(json.dumps(row) + "\n" for row in rows
+                                         if row["video_id"] == rows[0]["video_id"]))
     with open(f["preds"], "w", encoding="utf-8") as fh:
         for line in Path(f["targets"]).read_text(encoding="utf-8").splitlines()[1:]:
             row = json.loads(line)
             n = len(row["class_label"])
             fh.write(json.dumps({"video_id": row["video_id"], "class_probs": [[0.5] * 3] * n,
                                  "reg_left": [1.0] * n, "reg_right": [1.0] * n}) + "\n")
-    f["out"] = str(d / "out")
+    f["out"], f["csv"] = str(d / "out"), str(d / "wavelet.csv")
     return f
 
 
-# each step's arguments (names of `chain` files) and the package modules it
-# loads besides cli, config and core
+# each step (a subcommand, then what sets the run apart) with its arguments
+# (names of `chain` files) and the package modules it loads besides cli,
+# config and core; every branch of a handler that calls the library is a step
 STEPS = {
     "--help": ([], set()),
     "eval": (["--input", "props", "--gt", "gt"], {"evaluation"}),
     "mask": (["--input", "pseudos", "--input", "sp"], {"mask"}),
     "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"], {"mask", "targets"}),
     "losses": (["--input", "preds", "--input", "targets", "--input", "sp", "--gt", "gt"],
-               {"evaluation", "mask", "targets", "weak_branch"}),
+               {"mask", "targets", "weak_branch"}),
+    "losses without an SP file": (["--input", "preds", "--input", "targets"],
+                                  {"mask", "targets", "weak_branch"}),
     **{cmd: (argv, {"evaluation", "fusion", "sim", "weak_branch"}) for cmd, argv in [
         ("simulate", ["--config", "config"]),
         ("extract", ["--input", "sp", "--gt", "gt"]),
         ("fuse", ["--input", "props", "--input", "sp"]),
+        ("fuse --wavelet-csv", ["--input", "props1", "--input", "sp", "--wavelet-csv", "csv"]),
         ("benchmark", ["--config", "config", "--strategy", "soft"]),
     ]},
 }
@@ -195,7 +203,7 @@ def test_each_subcommand_loads_only_its_modules(chain, step):
     small. AP is summed on integers, so none imports `fractions` (or
     `decimal`)."""
     argv, extra = STEPS[step]
-    argv = [step] if step == "--help" else [step, *(chain.get(a, a) for a in argv),
+    argv = [step] if step == "--help" else [step.split()[0], *(chain.get(a, a) for a in argv),
                                             "--output", chain["out"]]
     code, eager, first_read, modules = _fresh(PROBE, *argv)
     assert code == 0
@@ -241,3 +249,12 @@ print(json.dumps(calls))
 """
     calls = _fresh(code)
     assert sorted(name for name in runs if calls.get(name, 0) > 0) == sorted(runs)
+
+
+def test_ground_truth_is_one_type():
+    """`GroundTruthSet` is defined in `core`; the package and `evaluation`
+    hand out that one class."""
+    import pseudotal
+    from pseudotal import core, evaluation
+
+    assert pseudotal.GroundTruthSet is core.GroundTruthSet is evaluation.GroundTruthSet
