@@ -4,9 +4,10 @@ Subcommands: extract, fuse, mask, targets, losses, eval, simulate,
 benchmark; `COMMANDS` lists the flags each one reads. A handler parses its
 inputs, computes, and returns every file it produces as `(path, lines)`:
 `--output`, and `simulate --gt` or `fuse --wavelet-csv`; `main` checks
-every output path, then writes them. `extract` and `fuse` run the corpus
-stages of `sim` that `benchmark` runs. Every output file is a pure function
-of its inputs and the config: floats are written at 6 significant digits
+every output path, then writes them. `extract` and `fuse` call the weak
+branch and a fusion strategy on each video with the config fields that
+`benchmark` passes them. Every output file is a pure function of its inputs
+and the config: floats are written at 6 significant digits
 and rows are ordered by video_id. A one-row-per-video input lists its rows
 in that order too, so `losses` merge-joins its inputs and `extract` runs
 the weak branch row by row, each holding one video at a time. Every input
@@ -428,15 +429,16 @@ _KINDS = {
 }
 
 
-def _normalized(rows: np.ndarray, key: str) -> np.ndarray:
-    """Probability rows divided by their sums, which the 6-digit rounding of a
-    written file drifts from 1. A sum that overflows, or an infinite entry,
-    leaves a row the type refuses (exit 3), and numpy prints no warning."""
+def _normalized(rows: np.ndarray, key: str, divide: bool = True) -> np.ndarray:
+    """Probability rows, each of positive sum, divided by their sums (where
+    `divide`), which the 6-digit rounding of a written file drifts from 1. A
+    sum that overflows, or an infinite entry, leaves a row the type refuses
+    (exit 3), and numpy prints no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = rows.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{key} rows must have positive sums")
-        return rows / sums
+        return rows / sums if divide else rows
 
 
 def _parse_sp_file(path: str) -> Iterator[tuple[str, tuple[TimeGrid, SnippetPredictions]]]:
@@ -563,8 +565,10 @@ def _parse_anchor_predictions(path: str) -> Iterator[tuple[str, AnchorPrediction
 
     def convert(vid: str, get) -> AnchorPredictions:
         probs, snippet_probs = get("class_probs"), get("snippet_probs")
-        return AnchorPredictions(_normalized(probs, "class_probs"), get("reg_left"),
-                                 get("reg_right"), snippet_probs)
+        probs = _normalized(probs, "class_probs")
+        if snippet_probs is not None:  # checked, not divided: `att` reads the written digits
+            _normalized(snippet_probs, "snippet_probs", divide=False)
+        return AnchorPredictions(probs, get("reg_left"), get("reg_right"), snippet_probs)
 
     return _rows(path, "anchor predictions", convert)
 
@@ -601,8 +605,9 @@ def _cmd_extract(args, cfg: PipelineConfig) -> _Outputs:
         if label is None:
             missing.append(vid)
         elif not missing:
-            proposals.append((vid, proposals_by_video({vid: grid}, {vid: label},
-                                                      {vid: preds}, cfg)[vid]))
+            proposals.append((vid, weak_proposals(
+                preds, grid, label, cfg.thresholds, oic_inflation=cfg.oic_inflation,
+                sigma_nms=cfg.sigma_nms, min_score=cfg.min_score, extract_on=cfg.extract_on)))
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
     rows = (_segment_row(vid, *p) for vid, segments in proposals for p in segments)
@@ -614,8 +619,9 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
     proposals, grids, _ = _segments_on_grids(args, "proposals file and grid source")
     if args.wavelet_csv and len(proposals) != 1:
         raise ValueError("wavelet CSV requires exactly one video in the input")
-    pseudos = pseudo_labels_by_video(proposals, grids, args.strategy, cfg)
-    rows = [_segment_row(vid, *p) for vid, segments in pseudos.items() for p in segments]
+    rows = [_segment_row(vid, *p) for vid in sorted(proposals) for p in generate_pseudo_labels(
+        args.strategy, proposals[vid], grids[vid],
+        min_duration_s=cfg.min_duration_snippets * grids[vid].snippet_duration_s)]
     outputs = [(args.output, _jsonl(cfg, rows))]
     if args.wavelet_csv:
         vid = next(iter(proposals))
@@ -825,12 +831,12 @@ _TIMINGS = {"action": "store_true", "help": "add wall-clock timings (breaks byte
 # The one list of subcommands, the flags each one reads and the modules it runs.
 COMMANDS = {
     "extract": _Command(_cmd_extract, "SP file -> scored proposals (needs --gt for video labels)",
-                        {"--input": _INPUT, "--gt": _GT}, ("sim", "weak_branch")),
+                        {"--input": _INPUT, "--gt": _GT}, ("weak_branch",)),
     "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
         "--strategy": {"default": "ricker", "help": "fusion strategy (default: ricker)"},
         "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
-    }, ("fusion", "sim")),
+    }, ("fusion",)),
     "mask": _Command(_cmd_mask, "pseudos + grid source -> uncertainty mask file",
                      {"--input": _INPUT, "--epoch": _EPOCH}, ("mask",)),
     "targets": _Command(_cmd_targets, "pseudos + grid source + mask file -> anchor target file",

@@ -8,10 +8,8 @@ pure function of the config: video v draws from the PCG64 substream
 seeded with SeedSequence((seed, stage, v)), stage 0 for layout and 1 for
 corruption, so no video's draws depend on another video.
 
-The weak-branch corpus stages `proposals_by_video` and
-`pseudo_labels_by_video` are shared by `run_benchmark` and the CLI's
-`extract` and `fuse`; `weak_branch.video_labels` turns ground truth into
-video-level labels for both.
+`run_benchmark` runs the weak branch and each fusion strategy on every
+video with the config fields that the CLI's `extract` and `fuse` pass them.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig, check_fields, config_from_dict
-from .core import (GroundTruthSet, Interval, Segments, SnippetPredictions, TimeGrid, first_cover,
+from .core import (GroundTruthSet, Interval, SnippetPredictions, TimeGrid, first_cover,
                    snippet_centers)
 from .evaluation import PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
@@ -36,8 +34,6 @@ __all__ = [
     "BenchmarkResult",
     "gen_corpus",
     "corrupt_predictions",
-    "proposals_by_video",
-    "pseudo_labels_by_video",
     "run_benchmark",
     "benchmark_many",
     "RNG_NAME",
@@ -295,48 +291,6 @@ def corrupt_predictions(
     return out
 
 
-def proposals_by_video(
-    grids: Mapping[str, TimeGrid],
-    labels: Mapping[str, VideoLabel],
-    predictions: Mapping[str, SnippetPredictions],
-    pipe: PipelineConfig,
-) -> dict[str, Segments]:
-    """Weak-branch proposals of every video of `predictions`, in sorted
-    video-id order: extract, score, suppress."""
-    return {
-        vid: weak_proposals(
-            predictions[vid],
-            grids[vid],
-            labels[vid],
-            pipe.thresholds,
-            oic_inflation=pipe.oic_inflation,
-            sigma_nms=pipe.sigma_nms,
-            min_score=pipe.min_score,
-            extract_on=pipe.extract_on,
-        )
-        for vid in sorted(predictions)
-    }
-
-
-def pseudo_labels_by_video(
-    proposals: Mapping[str, Segments],
-    grids: Mapping[str, TimeGrid],
-    strategy: str,
-    pipe: PipelineConfig,
-) -> dict[str, Segments]:
-    """One strategy's pseudo labels of every video of `proposals`, in
-    sorted video-id order."""
-    return {
-        vid: generate_pseudo_labels(
-            strategy,
-            proposals[vid],
-            grids[vid],
-            min_duration_s=pipe.min_duration_snippets * grids[vid].snippet_duration_s,
-        )
-        for vid in sorted(proposals)
-    }
-
-
 @dataclass(frozen=True)
 class BenchmarkResult:
     """Per-strategy pseudo-label quality on one simulated corpus."""
@@ -378,12 +332,23 @@ def run_benchmark(
     predictions = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
     timings = {"simulate": (time.perf_counter() - t0) * 1000.0}
     t0 = time.perf_counter()
-    proposals = proposals_by_video(layout.grids, layout.labels, predictions, pipe)
+    proposals = {
+        vid: weak_proposals(
+            predictions[vid], layout.grids[vid], layout.labels[vid], pipe.thresholds,
+            oic_inflation=pipe.oic_inflation, sigma_nms=pipe.sigma_nms,
+            min_score=pipe.min_score, extract_on=pipe.extract_on)
+        for vid in layout.video_ids()
+    }
     timings["weak_branch"] = (time.perf_counter() - t0) * 1000.0
     reports: dict[str, PseudoQuality] = {}
     for name in strategies:
         t1 = time.perf_counter()
-        pseudos = pseudo_labels_by_video(proposals, layout.grids, name, pipe)
+        pseudos = {
+            vid: generate_pseudo_labels(
+                name, segments, layout.grids[vid],
+                min_duration_s=pipe.min_duration_snippets * layout.grids[vid].snippet_duration_s)
+            for vid, segments in proposals.items()
+        }
         reports[name] = pseudo_quality(pseudos, layout.ground_truth, pipe.eval_tious)
         timings[name] = (time.perf_counter() - t1) * 1000.0
     return BenchmarkResult(reports, timings)

@@ -21,7 +21,11 @@ refinement round (`simulate` of a less noisy SP file with the same seed,
 without `--epoch` and `targets`, each run again with a slim grid file made
 from the SP file as its grid source (the script exits nonzero unless each
 writes the bytes it writes with the SP file); then `fuse --wavelet-csv` on
-one video, and `benchmark` run two ways; then a crowded corpus (long videos, 20 classes, ten false
+one video, and `benchmark` run two ways; then `extract`, `fuse`, `eval`
+and `benchmark` under a config that sets the soft-NMS sigma, the fused
+minimum duration and the `nms_drops` weak-branch fields off their
+defaults, so the CLI handlers and `benchmark` each call the weak branch and
+the fusion with them; then a crowded corpus (long videos, 20 classes, ten false
 positives per video), where many proposals overlap, through
 `simulate`, `extract`, `fuse` for each strategy, `mask --epoch` and
 `targets` on the `soft` (overlapping) and `hard` pseudo labels, and
@@ -62,6 +66,10 @@ WEAK_VARIANTS = {
     "attention": {"extract_on": "attention"},
     "nms_drops": {"thresholds": [0.15, 0.3, 0.45, 0.6], "oic_inflation": 1.0, "min_score": 0.2},
 }
+
+# the fields the weak branch and the fusion read off their defaults
+# (`extract_on` has its own variant above)
+OFF_DEFAULTS = {**WEAK_VARIANTS["nms_drops"], "sigma_nms": 0.3, "min_duration_snippets": 4}
 
 
 def _run(*argv) -> None:
@@ -193,6 +201,16 @@ def run_chain(out: Path) -> list[Path]:
     _run("benchmark", "--config", bench_cfg, "--output", out / "benchmark_default.json")
     _run("benchmark", "--config", bench_cfg, "--seed", 9, "--strategy", "ricker",
          "--strategy", "hard", "--output", out / "benchmark_seed9.json")
+
+    off_cfg = work / "config_off_defaults.json"
+    off_cfg.write_text(json.dumps({**OFF_DEFAULTS, "sim": {**SIM, "num_videos": 25}}))
+    off = ("--config", off_cfg)
+    off_props, off_pseudo = out / "props_off_defaults.jsonl", out / "pseudo_off_defaults.jsonl"
+    _run("extract", *off, "--input", sp, "--gt", gt, "--output", off_props)
+    _run("fuse", *off, "--input", off_props, "--input", sp, "--output", off_pseudo)
+    _run("eval", *off, "--input", off_pseudo, "--gt", gt,
+         "--output", out / "eval_off_defaults.json")
+    _run("benchmark", *off, "--output", out / "benchmark_off_defaults.json")
 
     crowded_cfg = work / "config_crowded.json"
     crowded_cfg.write_text(json.dumps({"tau": 0.5, "sim": CROWDED}))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -647,7 +649,8 @@ class TestProbabilityEntries:
     """A probability entry of an input is a probability: a negative SP
     `class_scores` or anchor `class_probs` entry, or a `snippet_probs` entry
     outside [0, 1], exits 3 naming the file and the video, even where its row
-    sums to 1. A row of other positive sum is divided by its sum."""
+    sums to 1. A row of other positive sum is divided by its sum, but for a
+    `snippet_probs` row; a row of zero sum exits 2."""
 
     def _losses(self, tmp_path, *, class_probs=None, snippet_probs=None, class_scores=None):
         snippet_probs = snippet_probs or [[0.5, 0.5]] * 16
@@ -688,6 +691,21 @@ class TestProbabilityEntries:
         assert err == f"error: {sp}: video v: class_scores entries must be nonnegative\n"
         assert not out.exists()
 
+    def test_a_grid_source_is_read_for_its_grid_only(self, tmp_path):
+        # the SP row `extract` refuses gives `fuse` and `mask` its grid; its
+        # values are not read
+        sp, gt = tmp_path / "sp.jsonl", tmp_path / "gt.jsonl"
+        props, pseudos = tmp_path / "props.jsonl", tmp_path / "pseudos.jsonl"
+        write_jsonl(sp, [{"video_id": "v", "num_snippets": 4, "snippet_duration_s": 1.0,
+                          "attention": [1.0] * 4, "class_scores": [[1.5, -0.5]] * 4}])
+        write_jsonl(gt, [{"video_id": "v", "start_s": 0.0, "end_s": 2.0, "class_id": 1}])
+        write_jsonl(props, [{"video_id": "v", "start_s": 0.0, "end_s": 2.0, "class_id": 1,
+                             "score": 0.9}])
+        assert run("extract", "--input", sp, "--gt", gt, "--output", tmp_path / "out.jsonl") == 3
+        assert run("fuse", "--input", props, "--input", sp, "--output", pseudos) == 0
+        assert run("mask", "--input", pseudos, "--input", sp,
+                   "--output", tmp_path / "mask.jsonl") == 0
+
     def test_rows_are_divided_by_their_sums(self, tmp_path):
         # [2.7, 0.3] reads as [0.9, 0.1]: the same proposals, the same losses
         outputs = []
@@ -704,6 +722,20 @@ class TestProbabilityEntries:
             assert code == 0
             outputs.append((props.read_bytes(), out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_snippet_probs_rows_need_positive_sums(self, tmp_path, capsys):
+        # the rule of class_probs, but a snippet_probs row is not divided by its sum
+        code, out, files = self._losses(tmp_path, snippet_probs=[[0.0, 0.0]] * 16)
+        err = capsys.readouterr().err
+        assert (code, err) == (2, f"error: {files['preds']}: snippet_probs rows must have "
+                                  "positive sums\n")
+        assert not out.exists()
+        att = []
+        for row in ([0.5, 0.5], [0.25, 0.25]):
+            code, out, _ = self._losses(tmp_path, snippet_probs=[row] * 16)
+            assert code == 0
+            att.append(read_report(out)["metrics"]["per_video"]["v"]["att"])
+        assert att[0] != att[1]
 
     def test_snippet_probs_of_another_shape_name_the_predictions(self, tmp_path, capsys):
         code, out, files = self._losses(tmp_path, snippet_probs=[[0.5, 0.5]] * 8)
@@ -828,6 +860,58 @@ class TestBenchmark:
         report = read_report(out)
         assert list(report["metrics"]["strategies"]) == sorted(STRATEGIES)
         assert set(STRATEGIES) == {"ricker", "soft", "hard", "topk", "threshold", "gauss"}
+
+    def test_extract_and_fuse_pass_the_config_as_benchmark_does(self, tmp_path, monkeypatch):
+        """Under a config that sets every field the weak branch or the fusion
+        takes off its default, `extract` then `fuse` call them with the
+        arguments `benchmark` passes, video by video, on one seeded corpus."""
+        from pseudotal import sim
+
+        stages = {"weak_proposals": cli.weak_proposals,
+                  "generate_pseudo_labels": cli.generate_pseudo_labels}
+        params = {name: inspect.signature(fn).parameters for name, fn in stages.items()}
+        fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+        off = {"thresholds": [0.2, 0.4, 0.6], "oic_inflation": 0.5, "sigma_nms": 0.3,
+               "min_score": 0.01, "extract_on": "attention", "min_duration_snippets": 3}
+        assert set(off) == (set().union(*params.values()) & fields) | {"min_duration_snippets"}
+        defaults = PipelineConfig().to_dict()
+        assert all(PipelineConfig(**{k: v}).to_dict()[k] != defaults[k] for k, v in off.items())
+        # the arguments besides the video's data (and the grid, which ties a call to its video)
+        read = {"weak_proposals": ["grid", *sorted(set(params["weak_proposals"]) & fields)],
+                "generate_pseudo_labels": ["strategy", "grid", "min_duration_s"]}
+
+        calls = {}
+
+        def recording(module, name):
+            fn, signature = getattr(module, name), inspect.signature(stages[name])
+
+            def wrapper(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.setdefault((module.__name__, name), []).append(
+                    [bound.arguments[key] for key in read[name]])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, sim):
+            for name in stages:
+                recording(module, name)
+        cfg, sp, gt = tmp_path / "config.json", tmp_path / "sp.jsonl", tmp_path / "gt.jsonl"
+        props, pseudos = tmp_path / "props.jsonl", tmp_path / "pseudos.jsonl"
+        cfg.write_text(json.dumps({**off, "sim": {"seed": 4, "num_videos": 5,
+                                                  "attention_noise_std": 0.1}}))
+        assert run("simulate", "--config", cfg, "--output", sp, "--gt", gt) == 0
+        assert run("extract", "--config", cfg, "--input", sp, "--gt", gt, "--output", props) == 0
+        assert run("fuse", "--config", cfg, "--input", props, "--input", sp,
+                   "--strategy", "gauss", "--output", pseudos) == 0
+        assert run("benchmark", "--config", cfg, "--strategy", "gauss",
+                   "--output", tmp_path / "bench.json") == 0
+        assert sorted(calls) == sorted((m, name) for m in ("pseudotal.cli", "pseudotal.sim")
+                                       for name in stages)
+        for name in stages:
+            assert len(calls["pseudotal.cli", name]) == 5
+            assert calls["pseudotal.cli", name] == calls["pseudotal.sim", name]
 
 
 class TestFullChain:

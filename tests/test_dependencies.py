@@ -158,11 +158,12 @@ STEPS = {
                {"mask", "targets", "weak_branch"}),
     "losses without an SP file": (["--input", "preds", "--input", "targets"],
                                   {"mask", "targets", "weak_branch"}),
+    "extract": (["--input", "sp", "--gt", "gt"], {"weak_branch"}),
+    "fuse": (["--input", "props", "--input", "sp"], {"fusion"}),
+    "fuse --wavelet-csv": (["--input", "props1", "--input", "sp", "--wavelet-csv", "csv"],
+                           {"fusion"}),
     **{cmd: (argv, {"evaluation", "fusion", "sim", "weak_branch"}) for cmd, argv in [
         ("simulate", ["--config", "config"]),
-        ("extract", ["--input", "sp", "--gt", "gt"]),
-        ("fuse", ["--input", "props", "--input", "sp"]),
-        ("fuse --wavelet-csv", ["--input", "props1", "--input", "sp", "--wavelet-csv", "csv"]),
         ("benchmark", ["--config", "config", "--strategy", "soft"]),
     ]},
 }
@@ -219,13 +220,15 @@ def test_the_tracer_finds_and_wraps_its_cli_names(chain):
     """bench/tracing.py looks up the names it wraps on `cli` by attribute and
     replaces them there; a handler calls the replacement. In a fresh
     interpreter every such name resolves, and in another a counting wrapper
-    of each of four is called by its subcommand."""
+    of each of six is called by its subcommand."""
     tracer = (PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
     names = re.findall(r'wrap\(cli, "(\w+)"', tracer)
     assert len(names) == 12
     resolve = f"from pseudotal import cli; print(sum(callable(getattr(cli, n)) for n in {names}))"
     assert _fresh(resolve) == len(names)
     runs = {
+        "weak_proposals": ["extract", "--input", chain["sp"], "--gt", chain["gt"]],
+        "generate_pseudo_labels": ["fuse", "--input", chain["props"], "--input", chain["sp"]],
         "map_table": ["eval", "--input", chain["props"], "--gt", chain["gt"]],
         "mask_for_proposal": ["mask", "--input", chain["pseudos"], "--input", chain["sp"]],
         "build_targets": ["targets", "--input", chain["pseudos"], "--input", chain["sp"],

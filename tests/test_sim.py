@@ -15,14 +15,24 @@ from pseudotal.sim import (
     benchmark_many,
     corrupt_predictions,
     gen_corpus,
-    proposals_by_video,
-    pseudo_labels_by_video,
     run_benchmark,
     video_labels,
 )
 from pseudotal.weak_branch import weak_proposals
 
 PIPE = PipelineConfig()
+
+
+def _pseudo_labels(layout, preds, strategy):
+    """`strategy`'s pseudo labels of every video of `layout`: the weak branch
+    and the fusion called per video with PIPE's fields."""
+    out = {}
+    for vid in layout.video_ids():
+        grid = layout.grids[vid]
+        props = weak_proposals(preds[vid], grid, layout.labels[vid], PIPE.thresholds)
+        min_duration_s = PIPE.min_duration_snippets * grid.snippet_duration_s
+        out[vid] = generate_pseudo_labels(strategy, props, grid, min_duration_s=min_duration_s)
+    return out
 
 
 class TestSimConfig:
@@ -218,8 +228,7 @@ class TestCorruptPredictions:
         cfg = SimConfig(seed=11, num_videos=6)
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
-        pseudos = pseudo_labels_by_video(proposals, layout.grids, "ricker", PIPE)
+        pseudos = _pseudo_labels(layout, preds, "ricker")
         q = pseudo_quality(pseudos, layout.ground_truth, PIPE.eval_tious)
         assert q.report.map_at(0.5) == 1.0
         assert q.average_map >= 0.95
@@ -228,8 +237,7 @@ class TestCorruptPredictions:
         cfg = SimConfig(seed=3, num_videos=10, boundary_jitter_frac=0.1)
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
-        pseudos = pseudo_labels_by_video(proposals, layout.grids, "ricker", PIPE)
+        pseudos = _pseudo_labels(layout, preds, "ricker")
         q = pseudo_quality(pseudos, layout.ground_truth, (0.5, 0.9))
         assert q.recall[1] < q.recall[0]
 
@@ -287,12 +295,9 @@ class TestBenchmark:
         monkeypatch.undo()
         layout = gen_corpus(cfg)
         preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        proposals = proposals_by_video(layout.grids, layout.labels, preds, PIPE)
         for name in ("ricker", "soft", "gauss"):
             alone = pseudo_quality(
-                pseudo_labels_by_video(proposals, layout.grids, name, PIPE),
-                layout.ground_truth,
-                PIPE.eval_tious,
+                _pseudo_labels(layout, preds, name), layout.ground_truth, PIPE.eval_tious
             )
             assert result.reports[name] == alone
 
