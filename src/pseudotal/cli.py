@@ -429,16 +429,15 @@ _KINDS = {
 }
 
 
-def _normalized(rows: np.ndarray, key: str, divide: bool = True) -> np.ndarray:
-    """Probability rows, each of positive sum, divided by their sums (where
-    `divide`), which the 6-digit rounding of a written file drifts from 1. A
-    sum that overflows, or an infinite entry, leaves a row the type refuses
-    (exit 3), and numpy prints no warning."""
+def _normalized(rows: np.ndarray, key: str) -> np.ndarray:
+    """Probability rows divided by their sums, which the 6-digit rounding of a
+    written file drifts from 1. A sum that overflows, or an infinite entry,
+    leaves a row the type refuses (exit 3), and numpy prints no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = rows.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise SchemaError(f"{key} rows must have positive sums")
-        return rows / sums if divide else rows
+        return rows / sums
 
 
 def _parse_sp_file(path: str) -> Iterator[tuple[str, tuple[TimeGrid, SnippetPredictions]]]:
@@ -565,10 +564,13 @@ def _parse_anchor_predictions(path: str) -> Iterator[tuple[str, AnchorPrediction
 
     def convert(vid: str, get) -> AnchorPredictions:
         probs, snippet_probs = get("class_probs"), get("snippet_probs")
-        probs = _normalized(probs, "class_probs")
-        if snippet_probs is not None:  # checked, not divided: `att` reads the written digits
-            _normalized(snippet_probs, "snippet_probs", divide=False)
-        return AnchorPredictions(probs, get("reg_left"), get("reg_right"), snippet_probs)
+        preds = AnchorPredictions(_normalized(probs, "class_probs"), get("reg_left"),
+                                  get("reg_right"), snippet_probs)
+        if snippet_probs is not None:
+            # past the type's [0, 1] check only a zero sum is left to refuse;
+            # checked, not divided: `att` reads the written digits
+            _normalized(snippet_probs, "snippet_probs")
+        return preds
 
     return _rows(path, "anchor predictions", convert)
 

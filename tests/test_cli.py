@@ -650,7 +650,7 @@ class TestProbabilityEntries:
     `class_scores` or anchor `class_probs` entry, or a `snippet_probs` entry
     outside [0, 1], exits 3 naming the file and the video, even where its row
     sums to 1. A row of other positive sum is divided by its sum, but for a
-    `snippet_probs` row; a row of zero sum exits 2."""
+    `snippet_probs` row; a row of zero sum exits 2, once its entries pass."""
 
     def _losses(self, tmp_path, *, class_probs=None, snippet_probs=None, class_scores=None):
         snippet_probs = snippet_probs or [[0.5, 0.5]] * 16
@@ -673,8 +673,13 @@ class TestProbabilityEntries:
          "snippet_probs entries must lie in [0, 1]"),
         ({"snippet_probs": [[-0.5, 1.5]] * 16}, "preds",
          "snippet_probs entries must lie in [0, 1]"),
+        # the entries are checked before the sum: these rows sum below 0
+        ({"snippet_probs": [[-0.5, 0.2]] * 16}, "preds",
+         "snippet_probs entries must lie in [0, 1]"),
+        ({"snippet_probs": [[float("-inf"), 0.5]] * 16}, "preds", "snippet_probs must be finite"),
         ({"class_scores": [1.5, -0.5]}, "sp", "class_scores entries must be nonnegative"),
-    ], ids=["class_probs", "snippet_probs above 1", "snippet_probs below 0", "class_scores"])
+    ], ids=["class_probs", "snippet_probs above 1", "snippet_probs below 0",
+            "snippet_probs below 0 of negative sum", "snippet_probs of -Infinity", "class_scores"])
     def test_losses_refuses(self, tmp_path, capsys, case, field, message):
         code, out, files = self._losses(tmp_path, **case)
         err = capsys.readouterr().err

@@ -29,7 +29,10 @@ def _pseudo_labels(layout, preds, strategy):
     out = {}
     for vid in layout.video_ids():
         grid = layout.grids[vid]
-        props = weak_proposals(preds[vid], grid, layout.labels[vid], PIPE.thresholds)
+        props = weak_proposals(
+            preds[vid], grid, layout.labels[vid], PIPE.thresholds,
+            oic_inflation=PIPE.oic_inflation, sigma_nms=PIPE.sigma_nms,
+            min_score=PIPE.min_score, extract_on=PIPE.extract_on)
         min_duration_s = PIPE.min_duration_snippets * grid.snippet_duration_s
         out[vid] = generate_pseudo_labels(strategy, props, grid, min_duration_s=min_duration_s)
     return out
