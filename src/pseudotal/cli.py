@@ -7,12 +7,14 @@ inputs, computes, and returns every file it produces as `(path, lines)`:
 every output path, then writes them. `extract` and `fuse` call the weak
 branch and a fusion strategy on each video with the config fields that
 `benchmark` passes them. Every output file is a pure function of its inputs
-and the config: floats are written at 6 significant digits
-and rows are ordered by video_id. A one-row-per-video input lists its rows
-in that order too, so `losses` merge-joins its inputs and `extract` runs
-the weak branch row by row, each holding one video at a time. Every input
-row is read through `_SCHEMAS`, one table of each file kind's keys and their
-JSON kinds: `_rows` checks a key, present and of its kind (`_KINDS`), as the
+and the config: floats are written at 6 significant digits and rows are
+ordered by video_id. A one-row-per-video input lists its rows in that order
+too, so `losses` merge-joins its inputs and `extract` runs the weak branch
+row by row, each holding one video at a time; `simulate` and `targets` build
+each output row as it is written, and `benchmark` corrupts one video at a
+time, so none of them holds every video's arrays either. Every input row is
+read through `_SCHEMAS`, one table of each file kind's keys and their JSON
+kinds: `_rows` checks a key, present and of its kind (`_KINDS`), as the
 row's converter reads it, and the converter builds the package types, which
 check the values. Exit codes: 0 success, 2 missing or malformed input or a
 bad output path, 3 domain-constraint violation.
@@ -265,7 +267,9 @@ _Outputs = list[tuple[str, Iterable[str]]]  # a handler's (path, lines) per file
 
 def _write(outputs: _Outputs) -> None:
     """Write every output once every path has passed: none is a directory, each
-    one's directory exists, and no two name one file; a bad path writes no file."""
+    one's directory exists, and no two name one file; a bad path writes no file.
+    Lines may be made as they are written (`simulate` and `targets` build each
+    row then), so a fault while a file is written removes that file."""
     seen = set()
     for path, _ in outputs:
         if os.path.isdir(path):
@@ -279,7 +283,11 @@ def _write(outputs: _Outputs) -> None:
         seen.add(real)
     for path, lines in outputs:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+            try:
+                fh.writelines(line + "\n" for line in lines)
+            except BaseException:
+                os.remove(path)
+                raise
 
 
 # ---------------------------------------------------------------- input parsing
@@ -645,7 +653,7 @@ def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
     rows = []
     for vid in sorted(pseudos):
         grid = grids[vid]
-        masks = [mask_for_proposal(p, params, grid) for p in pseudos[vid]]
+        masks = (mask_for_proposal(p, params, grid) for p in pseudos[vid])  # one held at a time
         bits = union_masks(masks, grid).bits
         rows.append(
             {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
@@ -656,21 +664,24 @@ def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
 def _cmd_targets(args, cfg: PipelineConfig) -> _Outputs:
     pseudos, grids, (mask_path,) = _segments_on_grids(args, "pseudos, grid source, mask file", 3)
     masks = _parse_mask_file(mask_path, grids)
+    missing = sorted(set(pseudos) - set(masks))
+    if missing:  # checked before the first row is built: rows are built as they are written
+        raise ValueError(f"{mask_path}: no mask bits for video {missing[0]}")
     pyramid = PyramidConfig(num_levels=cfg.num_levels)
-    rows = []
-    for vid in sorted(pseudos):
-        if vid not in masks:
-            raise ValueError(f"{mask_path}: no mask bits for video {vid}")
-        tgt = build_targets(pseudos[vid], masks[vid], pyramid)
-        rows.append({
-            "video_id": vid,
-            "num_snippets": tgt.grid.num_snippets,
-            "snippet_duration_s": tgt.grid.snippet_duration_s,
-            "class_count": tgt.grid.class_count,
-            "level_sizes": list(tgt.level_sizes),
-            **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
-        })
-    return [(args.output, _jsonl(cfg, rows))]
+
+    def rows() -> Iterator[dict]:
+        for vid in sorted(pseudos):
+            tgt = build_targets(pseudos[vid], masks[vid], pyramid)
+            yield {
+                "video_id": vid,
+                "num_snippets": tgt.grid.num_snippets,
+                "snippet_duration_s": tgt.grid.snippet_duration_s,
+                "class_count": tgt.grid.class_count,
+                "level_sizes": list(tgt.level_sizes),
+                **{name: getattr(tgt, name) for name in ANCHOR_FIELDS},
+            }
+
+    return [(args.output, _jsonl(cfg, rows()))]
 
 
 def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
@@ -733,18 +744,21 @@ def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
 def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
     with _config_faults(args.config):  # a section the simulator cannot realize
         layout = gen_corpus(args.sim)
-        predictions = corrupt_predictions(layout.ground_truth, layout.grids, args.sim)
-    rows = [{"video_id": vid, "num_snippets": layout.grids[vid].num_snippets,
-             "snippet_duration_s": layout.grids[vid].snippet_duration_s,
-             "attention": predictions[vid].attention,
-             "class_scores": predictions[vid].class_scores} for vid in layout.video_ids()]
-    outputs = [(args.output, _jsonl(cfg, rows))]
+    gt = layout.ground_truth.segments
+
+    def rows() -> Iterator[dict]:  # each video is corrupted as its row is written
+        for v, vid in enumerate(layout.video_ids()):
+            grid = layout.grids[vid]
+            preds = corrupt_predictions(args.sim, v, grid, gt[vid])
+            yield {"video_id": vid, "num_snippets": grid.num_snippets,
+                   "snippet_duration_s": grid.snippet_duration_s,
+                   "attention": preds.attention, "class_scores": preds.class_scores}
+
+    outputs = [(args.output, _jsonl(cfg, rows()))]
     if args.gt:
-        outputs.append((args.gt, _jsonl(cfg, [
+        outputs.append((args.gt, _jsonl(cfg, (
             _segment_row(vid, iv.start_s, iv.end_s, class_id)
-            for vid in layout.video_ids()
-            for iv, class_id in layout.ground_truth.segments[vid]
-        ])))
+            for vid in layout.video_ids() for iv, class_id in gt[vid]))))
     return outputs
 
 

@@ -9,7 +9,7 @@ epoch and the end of training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -56,9 +56,10 @@ def mask_for_proposal(proposal: Segment, params: MaskParams, grid: TimeGrid) -> 
     return SnippetMask(bits, grid)
 
 
-def union_masks(masks: Sequence[SnippetMask], grid: TimeGrid) -> SnippetMask:
+def union_masks(masks: Iterable[SnippetMask], grid: TimeGrid) -> SnippetMask:
     """Combine masks on `grid` so a snippet uncertain anywhere stays
-    uncertain; an empty list yields the all-certain mask."""
+    uncertain; no mask yields the all-certain mask. `masks` is read once, in
+    order, so a generator holds one mask at a time."""
     bits = np.ones(grid.num_snippets, dtype=np.uint8)
     for m in masks:
         if m.grid != grid:

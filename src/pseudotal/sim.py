@@ -8,12 +8,16 @@ pure function of the config: video v draws from the PCG64 substream
 seeded with SeedSequence((seed, stage, v)), stage 0 for layout and 1 for
 corruption, so no video's draws depend on another video.
 
-`run_benchmark` runs the weak branch and each fusion strategy on every
-video with the config fields that the CLI's `extract` and `fuse` pass them.
+`gen_corpus` lays out the whole corpus; `corrupt_predictions` renders one
+video's predictions from its layout, so a caller holds one video's
+predictions at a time. `run_benchmark` runs the weak branch and each fusion
+strategy on every video with the config fields that the CLI's `extract` and
+`fuse` pass them.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -47,10 +51,10 @@ FP_AMPLITUDE = (0.5, 1.0)
 PLACEMENT_TRIES = 100
 
 # The most cells num_videos * snippets_per_video[1] * (class_count + 1) a
-# corpus may have: its (T, C + 1) float64 score matrices then take at most
-# 128 MiB together. Every video is held in memory (simulate writes them all,
-# benchmark keeps them for the sweep), so a huge `sim` section is refused
-# before the first video is drawn.
+# corpus may have. Videos are corrupted one at a time, so this bounds no
+# memory: it bounds the work and the SP file that one `sim` section can ask
+# for (its (T, C + 1) score matrices hold at most 2**24 floats together), and
+# a huge section is refused before the first video is drawn.
 MAX_CORPUS_CELLS = 2**24
 
 
@@ -210,28 +214,42 @@ def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
         return white * std
 
 
+@functools.lru_cache(maxsize=1)  # one corpus's videos share it
 def _class_score_table(cfg: SimConfig) -> np.ndarray:
     """Row c holds the class scores of a snippet of class c, for c in 0..C: a
     temperature-softened one-hot over the foreground classes (class 0, no
     action, gives a uniform row), then a background channel of 1 minus its
-    peak, renormalized."""
+    peak, renormalized; read-only. The logits are built already shifted by
+    their row maximum (0 on the class column, -1/T elsewhere), so a
+    temperature whose 1/T overflows gives one-hot rows."""
     c = cfg.class_count
-    logits = np.zeros((c + 1, c))
-    logits[np.arange(1, c + 1), np.arange(c)] = 1.0 / cfg.score_temperature
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    logits = np.full((c + 1, c), -1.0 / cfg.score_temperature)
+    logits[0] = 0.0
+    logits[np.arange(1, c + 1), np.arange(c)] = 0.0
+    exp = np.exp(logits)
     fg = exp / exp.sum(axis=1, keepdims=True)
     rows = np.concatenate([fg, 1.0 - fg.max(axis=1, keepdims=True)], axis=1)
-    return rows / rows.sum(axis=1, keepdims=True)
+    table = rows / rows.sum(axis=1, keepdims=True)
+    table.setflags(write=False)
+    return table
 
 
-def _corrupt_video(
+def corrupt_predictions(
     cfg: SimConfig,
     video_index: int,
     grid: TimeGrid,
     segments: Sequence[tuple[Interval, int]],
-    class_scores: np.ndarray,
 ) -> SnippetPredictions:
-    """`class_scores`: `_class_score_table(cfg)`, indexed by snippet class."""
+    """Render the noisy snippet predictions of video `video_index`, whose
+    layout is `grid` and its ground-truth `segments`.
+
+    Ideal predictions put attention 1 inside actions and 0 outside, with
+    class rows softened one-hots over the foreground classes and a
+    background channel of 1 minus the foreground peak before row
+    renormalization. Corruption jitters boundaries before rasterization,
+    adds smoothed Gaussian attention noise, and injects Poisson-count
+    false-positive segments of random class.
+    """
     rng = _video_rng(cfg.seed, 1, video_index)
     t = grid.num_snippets
     dur = grid.snippet_duration_s
@@ -267,28 +285,7 @@ def _corrupt_video(
 
     att = np.clip(rows[owner, 3] + _smooth_noise(rng, t, cfg.attention_noise_std), 0.0, 1.0)
 
-    return SnippetPredictions(att, class_scores[snippet_class])
-
-
-def corrupt_predictions(
-    ground_truth: GroundTruthSet,
-    grids: Mapping[str, TimeGrid],
-    cfg: SimConfig,
-) -> dict[str, SnippetPredictions]:
-    """Render noisy snippet predictions for every video.
-
-    Ideal predictions put attention 1 inside actions and 0 outside, with
-    class rows softened one-hots over the foreground classes and a
-    background channel of 1 minus the foreground peak before row
-    renormalization. Corruption jitters boundaries before rasterization,
-    adds smoothed Gaussian attention noise, and injects Poisson-count
-    false-positive segments of random class.
-    """
-    table = _class_score_table(cfg)
-    out: dict[str, SnippetPredictions] = {}
-    for v, vid in enumerate(sorted(grids)):
-        out[vid] = _corrupt_video(cfg, v, grids[vid], ground_truth.segments.get(vid, ()), table)
-    return out
+    return SnippetPredictions(att, _class_score_table(cfg)[snippet_class])
 
 
 @dataclass(frozen=True)
@@ -314,12 +311,15 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Generate one corpus and score every strategy's pseudo labels on it.
 
-    The corpus and the weak-branch proposals are computed once and shared
-    across strategies, so the comparison isolates the fusion step,
-    mirroring a side-by-side strategy table. Timings: `simulate` (corpus),
-    `weak_branch` (proposals) and one entry per strategy (fusion plus
-    scoring). A repeated strategy name is fused and scored once; an unknown
-    one raises before the corpus is built.
+    The weak-branch proposals are computed once and shared across
+    strategies, so the comparison isolates the fusion step, mirroring a
+    side-by-side strategy table. Each video's predictions are corrupted,
+    run through the weak branch and dropped before the next video's, so
+    only the layout and the proposals are held for the sweep. Timings:
+    `simulate` (the layout plus the sum of the per-video corruptions),
+    `weak_branch` (the sum of the per-video proposal runs) and one entry per
+    strategy (fusion plus scoring). A repeated strategy name is fused and
+    scored once; an unknown one raises before the corpus is built.
     """
     if not strategies:
         raise ValueError("at least one strategy required")
@@ -329,17 +329,20 @@ def run_benchmark(
     pipe = pipe or PipelineConfig()
     t0 = time.perf_counter()
     layout = gen_corpus(cfg)
-    predictions = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-    timings = {"simulate": (time.perf_counter() - t0) * 1000.0}
-    t0 = time.perf_counter()
-    proposals = {
-        vid: weak_proposals(
-            predictions[vid], layout.grids[vid], layout.labels[vid], pipe.thresholds,
+    simulate_s, weak_s = time.perf_counter() - t0, 0.0
+    proposals = {}
+    for v, vid in enumerate(layout.video_ids()):
+        grid = layout.grids[vid]
+        t0 = time.perf_counter()
+        preds = corrupt_predictions(cfg, v, grid, layout.ground_truth.segments[vid])
+        t1 = time.perf_counter()
+        proposals[vid] = weak_proposals(
+            preds, grid, layout.labels[vid], pipe.thresholds,
             oic_inflation=pipe.oic_inflation, sigma_nms=pipe.sigma_nms,
             min_score=pipe.min_score, extract_on=pipe.extract_on)
-        for vid in layout.video_ids()
-    }
-    timings["weak_branch"] = (time.perf_counter() - t0) * 1000.0
+        simulate_s += t1 - t0
+        weak_s += time.perf_counter() - t1
+    timings = {"simulate": simulate_s * 1000.0, "weak_branch": weak_s * 1000.0}
     reports: dict[str, PseudoQuality] = {}
     for name in strategies:
         t1 = time.perf_counter()

@@ -352,15 +352,47 @@ class TestMaskTargets:
             flat.extend([value] * count)
         assert row["mask_bit"][:32] == flat
 
-    def test_targets_missing_mask_video(self, tmp_path):
-        grid_file, pseudos = self._grid_and_pseudos(tmp_path)
-        mask_file = tmp_path / "mask.jsonl"
-        write_jsonl(mask_file, [{"video_id": "other", "bits": [[1, 30]]}])
-        code = run(
-            "targets", "--input", pseudos, "--input", grid_file,
-            "--input", mask_file, "--output", tmp_path / "t.jsonl",
-        )
-        assert code == 3
+    def test_targets_missing_mask_video(self, tmp_path, capsys):
+        # every pseudo video's mask is looked up before the first row is
+        # built, and the first missing id in sorted order is named
+        ids = ["d", "b", "c", "a"]
+        grid_file, pseudos = tmp_path / "grid.jsonl", tmp_path / "pseudos.jsonl"
+        mask_file, out = tmp_path / "mask.jsonl", tmp_path / "t.jsonl"
+        write_jsonl(grid_file, [{"video_id": vid, "num_snippets": 30, "snippet_duration_s": 1.0,
+                                 "class_count": 1} for vid in sorted(ids)])
+        write_jsonl(pseudos, [{"video_id": vid, "start_s": 10.0, "end_s": 20.0, "score": 1.0,
+                               "class_id": 1} for vid in ids])
+        write_jsonl(mask_file, [{"video_id": vid, "bits": [[1, 30]]} for vid in ("a", "c")])
+        code = run("targets", "--input", pseudos, "--input", grid_file,
+                   "--input", mask_file, "--output", out)
+        assert (code, capsys.readouterr().err) == (
+            3, f"error: {mask_file}: no mask bits for video b\n")
+        assert not out.exists()
+
+    def test_a_fault_while_rows_are_written_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # targets builds each row as it is written: a fault in a later video
+        # removes the file the earlier rows went to
+        grid_file, pseudos = tmp_path / "grid.jsonl", tmp_path / "pseudos.jsonl"
+        mask_file, out = tmp_path / "mask.jsonl", tmp_path / "t.jsonl"
+        write_jsonl(grid_file, [{"video_id": vid, "num_snippets": 30, "snippet_duration_s": 1.0,
+                                 "class_count": 1} for vid in ("a", "b")])
+        write_jsonl(pseudos, [{"video_id": vid, "start_s": 10.0, "end_s": 20.0, "score": 1.0,
+                               "class_id": 1} for vid in ("a", "b")])
+        write_jsonl(mask_file, [{"video_id": vid, "bits": [[1, 30]]} for vid in ("a", "b")])
+        build, built = cli.build_targets, []
+
+        def failing_second(pseudos, mask, pyramid):
+            built.append(out.exists())
+            if len(built) == 2:
+                raise ValueError("second video")
+            return build(pseudos, mask, pyramid)
+
+        monkeypatch.setattr(cli, "build_targets", failing_second)
+        code = run("targets", "--input", pseudos, "--input", grid_file,
+                   "--input", mask_file, "--output", out)
+        assert (code, capsys.readouterr().err) == (3, "error: second video\n")
+        assert built == [True, True]  # the rows were built while the file was written
+        assert not out.exists()
 
     def test_bad_rle_schema(self, tmp_path):
         grid_file, pseudos = self._grid_and_pseudos(tmp_path)
@@ -2044,6 +2076,18 @@ class TestValuesNearTheFloatRange:
             infinite = "class_probs must be finite"
         fault = f"{field} rows must sum to 1 within 1e-6" if entry == 1e308 else infinite
         self._refused(capsys, code, f"{path}: video v: {fault}", out)
+
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_a_tiny_score_temperature(self, tmp_path, capsys, cmd):
+        # 1/T overflows: the class rows are one-hot, not inf - inf
+        cfg, out = tmp_path / "config.json", tmp_path / "out.jsonl"
+        cfg.write_text(json.dumps({"sim": {"num_videos": 3, "class_count": 2,
+                                           "score_temperature": 5e-324}}))
+        assert run(cmd, "--config", cfg, "--output", out) == 0
+        assert capsys.readouterr().err == ""
+        if cmd == "simulate":
+            rows = {tuple(r) for row in read_jsonl(out)[1] for r in row["class_scores"]}
+            assert rows <= {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.333333, 0.333333, 0.333333)}
 
     def test_simulate_with_a_huge_attention_noise(self, tmp_path, capsys):
         # the noise saturates the attention at 0 or 1

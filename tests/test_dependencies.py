@@ -220,7 +220,10 @@ def test_the_tracer_finds_and_wraps_its_cli_names(chain):
     """bench/tracing.py looks up the names it wraps on `cli` by attribute and
     replaces them there; a handler calls the replacement. In a fresh
     interpreter every such name resolves, and in another a counting wrapper
-    of each of six is called by its subcommand."""
+    of each of seven is called by its subcommand. The tracer charges
+    corruption to `sim.corrupt_predictions` spans, so `simulate` calls
+    `cli.corrupt_predictions`, and `benchmark` `sim.corrupt_predictions`,
+    once per video."""
     tracer = (PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
     names = re.findall(r'wrap\(cli, "(\w+)"', tracer)
     assert len(names) == 12
@@ -234,6 +237,7 @@ def test_the_tracer_finds_and_wraps_its_cli_names(chain):
         "build_targets": ["targets", "--input", chain["pseudos"], "--input", chain["sp"],
                           "--input", chain["mask"]],
         "gen_corpus": ["simulate", "--config", chain["config"]],
+        "corrupt_predictions": ["simulate", "--config", chain["config"]],
     }
     code = f"""
 import json
@@ -248,10 +252,16 @@ def counting(name, fn):
 for name, argv in {runs!r}.items():
     setattr(cli, name, counting(name, getattr(cli, name)))
     assert cli.main([*argv, "--output", {chain["out"]!r}]) == 0, argv
+from pseudotal import sim
+sim.corrupt_predictions = counting("sim.corrupt_predictions", sim.corrupt_predictions)
+assert cli.main(["benchmark", "--config", {chain["config"]!r}, "--strategy", "soft",
+                 "--output", {chain["out"]!r}]) == 0
 print(json.dumps(calls))
 """
     calls = _fresh(code)
     assert sorted(name for name in runs if calls.get(name, 0) > 0) == sorted(runs)
+    videos = json.loads(Path(chain["config"]).read_text())["sim"]["num_videos"]
+    assert calls["corrupt_predictions"] == calls["sim.corrupt_predictions"] == videos
 
 
 def test_ground_truth_is_one_type():

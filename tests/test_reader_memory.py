@@ -2,7 +2,10 @@
 converted to arrays as they are read, so the traced peak of a parse stays
 below the arrays it keeps plus a few rows' decoded lists, however many rows
 the file has. `losses` and `extract` go further and keep no converted row
-either: they compute each video as its rows are read."""
+either: they compute each video as its rows are read. `targets` and
+`simulate` build each output row as it is written, and `benchmark` corrupts
+one video at a time, so none of them holds every video's arrays; `mask`
+holds one pseudo label's mask at a time."""
 import json
 import math
 import tracemalloc
@@ -108,15 +111,17 @@ VIDEOS, SNIPPETS, CLASSES = 3, 400, 5
 
 
 def _corpus(tmp_path, count):
-    """SP, ground-truth, targets and anchor-prediction files of `count`
-    videos, each with one action of class 1 (one weak-branch proposal)."""
+    """SP, ground-truth, pseudo-label, mask, targets and anchor-prediction
+    files of `count` videos, each with one action of class 1 (one
+    weak-branch proposal, and the one pseudo label)."""
     rng = np.random.default_rng(5)
     sizes = [math.ceil(SNIPPETS / 2**l) for l in range(6)]
     n = sum(sizes)
     inside = np.zeros(SNIPPETS, dtype=bool)
     inside[100:160] = True
     action, background = [0.9] + [0.02] * CLASSES, [0.02] * CLASSES + [0.9]
-    files = {name: tmp_path / f"{name}_{count}.jsonl" for name in ("sp", "gt", "targets", "preds")}
+    files = {name: tmp_path / f"{name}_{count}.jsonl"
+             for name in ("sp", "gt", "pseudos", "mask", "targets", "preds")}
     ids = [f"v{i:03d}" for i in range(count)]
     _write_rows(files["sp"], [
         {"video_id": vid, "num_snippets": SNIPPETS, "snippet_duration_s": 1.0,
@@ -125,6 +130,10 @@ def _corpus(tmp_path, count):
         for vid in ids])
     _write_rows(files["gt"], [{"video_id": vid, "start_s": 100.0, "end_s": 160.0, "class_id": 1}
                               for vid in ids])
+    _write_rows(files["pseudos"], [{"video_id": vid, "start_s": 100.0, "end_s": 160.0,
+                                    "class_id": 1, "score": 1.0} for vid in ids])
+    _write_rows(files["mask"], [{"video_id": vid, "bits": [[1, 95], [0, 10], [1, SNIPPETS - 105]]}
+                                for vid in ids])
     rows = []
     for vid in ids:
         label = rng.integers(0, CLASSES + 1, n)
@@ -155,17 +164,67 @@ def _traced_peak(argv):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("cmd", ["losses", "extract"])
+INPUTS = {"losses": ["preds", "targets", "sp"], "extract": ["sp"],
+          "targets": ["pseudos", "sp", "mask"]}
+
+
+@pytest.mark.parametrize("cmd", ["losses", "extract", "targets"])
 def test_peak_does_not_grow_with_the_corpus(tmp_path, cmd):
     """The traced peak of a run on four times the videos is less than one
     decoded SP row above the peak on the smaller corpus."""
     def argv(files):
-        inputs = [files["preds"], files["targets"]] if cmd == "losses" else []
-        return [cmd, *(a for path in (*inputs, files["sp"]) for a in ("--input", path)),
-                "--gt", files["gt"], "--output", tmp_path / "out"]
+        gt = ["--gt", files["gt"]] if cmd != "targets" else []
+        return [cmd, *(a for name in INPUTS[cmd] for a in ("--input", files[name])), *gt,
+                "--output", tmp_path / "out"]
 
     small, large = _corpus(tmp_path, VIDEOS), _corpus(tmp_path, 4 * VIDEOS)
     assert cli.main([str(a) for a in argv(small)]) == 0  # binds the modules untraced
     growth = _traced_peak(argv(large)) - _traced_peak(argv(small))
     row_bytes = _decoded_row_bytes(small["sp"])
     assert growth < row_bytes, (growth, row_bytes)
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+def test_simulated_corpus_is_held_one_video_at_a_time(tmp_path, cmd):
+    """`simulate` and `benchmark` on four times the videos peak less than one
+    decoded SP row of the corpus above their peak on the smaller one."""
+    def config(count):
+        path = tmp_path / f"config_{count}.json"
+        path.write_text(json.dumps({"sim": {
+            "seed": 4, "num_videos": count, "class_count": CLASSES,
+            "snippets_per_video": [SNIPPETS, SNIPPETS], "attention_noise_std": 0.1,
+            "boundary_jitter_frac": 0.05, "false_positive_rate": 1.0}}))
+        return path
+
+    def argv(count):
+        strategy = ["--strategy", "soft"] if cmd == "benchmark" else []
+        return [cmd, "--config", config(count), *strategy, "--output", tmp_path / "out"]
+
+    sp = tmp_path / "sp.jsonl"
+    assert cli.main(["simulate", "--config", str(config(VIDEOS)), "--output", str(sp)]) == 0
+    assert cli.main([str(a) for a in argv(VIDEOS)]) == 0  # binds the modules untraced
+    growth = _traced_peak(argv(4 * VIDEOS)) - _traced_peak(argv(VIDEOS))
+    row_bytes = _decoded_row_bytes(sp)
+    assert growth < row_bytes, (growth, row_bytes)
+
+
+def test_mask_holds_one_pseudo_label_mask_at_a_time(tmp_path):
+    """On one long video, `mask` over four times the pseudo labels peaks
+    under twice its peak over the fewer: the labels' masks are united one at
+    a time, not all held first."""
+    snippets, count = 40000, 50
+    grid = tmp_path / "grid.jsonl"
+    _write_rows(grid, [{"video_id": "v", "num_snippets": snippets, "snippet_duration_s": 1.0,
+                        "class_count": 1}])
+
+    def argv(n):
+        pseudos = tmp_path / f"pseudos_{n}.jsonl"
+        step = snippets // n  # labels of 4 snippets, evenly spaced
+        _write_rows(pseudos, [{"video_id": "v", "start_s": float(i * step),
+                               "end_s": float(i * step + 4), "class_id": 1, "score": 1.0}
+                              for i in range(n)])
+        return ["mask", "--input", pseudos, "--input", grid, "--output", tmp_path / "out"]
+
+    assert cli.main([str(a) for a in argv(count)]) == 0  # binds the modules untraced
+    few, many = _traced_peak(argv(count)), _traced_peak(argv(4 * count))
+    assert many < 2 * few, (few, many)

@@ -23,6 +23,12 @@ from pseudotal.weak_branch import weak_proposals
 PIPE = PipelineConfig()
 
 
+def _corrupt_all(layout, cfg):
+    """The corrupted predictions of every video of `layout`, by video id."""
+    return {vid: corrupt_predictions(cfg, v, layout.grids[vid], layout.ground_truth.segments[vid])
+            for v, vid in enumerate(layout.video_ids())}
+
+
 def _pseudo_labels(layout, preds, strategy):
     """`strategy`'s pseudo labels of every video of `layout`: the weak branch
     and the fusion called per video with PIPE's fields."""
@@ -174,16 +180,55 @@ class TestCorruptPredictions:
             false_positive_rate=1.0,
         )
         layout = gen_corpus(cfg)
-        a = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
-        b = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        a = _corrupt_all(layout, cfg)
+        b = _corrupt_all(layout, cfg)
         for vid in layout.video_ids():
             np.testing.assert_array_equal(a[vid].attention, b[vid].attention)
             np.testing.assert_array_equal(a[vid].class_scores, b[vid].class_scores)
 
+    def test_a_video_draws_from_its_own_stream(self):
+        """A video's predictions depend on its index and layout only, not on
+        the corpus around it."""
+        cfg = SimConfig(seed=13, num_videos=4, attention_noise_std=0.1,
+                        boundary_jitter_frac=0.05, false_positive_rate=1.0)
+        layout = gen_corpus(cfg)
+        preds = _corrupt_all(layout, cfg)
+        vid = layout.video_ids()[2]
+        alone = corrupt_predictions(dataclasses.replace(cfg, num_videos=3), 2, layout.grids[vid],
+                                    layout.ground_truth.segments[vid])
+        np.testing.assert_array_equal(alone.attention, preds[vid].attention)
+        np.testing.assert_array_equal(alone.class_scores, preds[vid].class_scores)
+
+    @pytest.mark.parametrize("class_count", [1, 5, 20])
+    @pytest.mark.parametrize("temperature", [1e-308, 1e-300, 1e-3, 0.2, 1.0, 1e6])
+    def test_class_rows_are_the_shifted_softmax(self, class_count, temperature):
+        """Where 1/T is finite, the class-score table is the softmax of the
+        one-hot logits 1/T shifted by their row maximum, float for float."""
+        c = class_count
+        logits = np.zeros((c + 1, c))
+        logits[np.arange(1, c + 1), np.arange(c)] = 1.0 / temperature
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        fg = exp / exp.sum(axis=1, keepdims=True)
+        rows = np.concatenate([fg, 1.0 - fg.max(axis=1, keepdims=True)], axis=1)
+        table = sim._class_score_table(SimConfig(class_count=c, score_temperature=temperature))
+        assert table.tobytes() == (rows / rows.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_a_tiny_temperature_gives_one_hot_rows(self):
+        # 1/T overflows to inf: each action class's row is its one-hot
+        cfg = SimConfig(seed=2, num_videos=3, class_count=4, score_temperature=5e-324)
+        table = sim._class_score_table(cfg)
+        assert table[1:].tolist() == np.eye(4, 5).tolist()
+        # no action: uniform foreground whatever the temperature
+        assert table[0].tolist() == sim._class_score_table(SimConfig(class_count=4))[0].tolist()
+        rows = {tuple(row) for row in table.tolist()}
+        layout = gen_corpus(cfg)
+        for p in _corrupt_all(layout, cfg).values():
+            assert {tuple(row) for row in p.class_scores.tolist()} <= rows
+
     def test_rows_are_valid_distributions(self):
         cfg = SimConfig(seed=13, num_videos=4, attention_noise_std=0.3)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         for vid in layout.video_ids():
             p = preds[vid]
             assert np.all(p.attention >= 0.0) and np.all(p.attention <= 1.0)
@@ -196,7 +241,7 @@ class TestCorruptPredictions:
     def test_noiseless_attention_is_indicator(self):
         cfg = SimConfig(seed=6, num_videos=5)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         for vid in layout.video_ids():
             grid = layout.grids[vid]
             centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
@@ -213,7 +258,7 @@ class TestCorruptPredictions:
         other classes and amplitudes overlap it."""
         cfg = SimConfig(seed=6, num_videos=5, false_positive_rate=10.0)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         false_positive_snippets = 0
         for vid in layout.video_ids():
             centers = snippet_centers(layout.grids[vid])
@@ -230,7 +275,7 @@ class TestCorruptPredictions:
     def test_noiseless_pipeline_recovers_ground_truth(self):
         cfg = SimConfig(seed=11, num_videos=6)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         pseudos = _pseudo_labels(layout, preds, "ricker")
         q = pseudo_quality(pseudos, layout.ground_truth, PIPE.eval_tious)
         assert q.report.map_at(0.5) == 1.0
@@ -239,7 +284,7 @@ class TestCorruptPredictions:
     def test_jitter_hurts_tight_thresholds_most(self):
         cfg = SimConfig(seed=3, num_videos=10, boundary_jitter_frac=0.1)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         pseudos = _pseudo_labels(layout, preds, "ricker")
         q = pseudo_quality(pseudos, layout.ground_truth, (0.5, 0.9))
         assert q.recall[1] < q.recall[0]
@@ -247,7 +292,7 @@ class TestCorruptPredictions:
     def test_false_positives_lower_prefusion_precision(self):
         cfg = SimConfig(seed=5, num_videos=10, false_positive_rate=2.0)
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         kept_all = {}
         for vid in layout.video_ids():
             props = weak_proposals(
@@ -262,8 +307,8 @@ class TestCorruptPredictions:
         base = SimConfig(seed=8, num_videos=3, boundary_jitter_frac=0.1)
         noisy = dataclasses.replace(base, attention_noise_std=0.2)
         layout = gen_corpus(base)
-        a = corrupt_predictions(layout.ground_truth, layout.grids, base)
-        b = corrupt_predictions(layout.ground_truth, layout.grids, noisy)
+        a = _corrupt_all(layout, base)
+        b = _corrupt_all(layout, noisy)
         for vid in layout.video_ids():
             np.testing.assert_array_equal(a[vid].class_scores, b[vid].class_scores)
 
@@ -297,7 +342,7 @@ class TestBenchmark:
         # each strategy scores the same shared proposals a separate pipeline would make
         monkeypatch.undo()
         layout = gen_corpus(cfg)
-        preds = corrupt_predictions(layout.ground_truth, layout.grids, cfg)
+        preds = _corrupt_all(layout, cfg)
         for name in ("ricker", "soft", "gauss"):
             alone = pseudo_quality(
                 _pseudo_labels(layout, preds, name), layout.ground_truth, PIPE.eval_tious
