@@ -5,8 +5,8 @@ benchmark; `COMMANDS` lists the flags each one reads. A handler parses its
 inputs, computes, and returns every file it produces as `(path, lines)`:
 `--output`, and `simulate --gt` or `fuse --wavelet-csv`; `main` checks
 every output path, then writes them. `extract` and `fuse` call the weak
-branch and a fusion strategy on each video with the config fields that
-`benchmark` passes them. Every output file is a pure function of its inputs
+branch and a fusion strategy on each video with the arguments that
+`PipelineConfig` gives them. Every output file is a pure function of its inputs
 and the config: floats are written at 6 significant digits and rows are
 ordered by video_id. A one-row-per-video input lists its rows in that order
 too, so `losses` merge-joins its inputs and `extract` runs the weak branch
@@ -523,7 +523,7 @@ def _video_label(gt_path: str, gt: GroundTruthSet, vid: str, grid: TimeGrid):
             check_class_id(class_id, grid.class_count)
     except ValueError as exc:
         raise ValueError(f"{gt_path}: video {vid}: {exc}") from None
-    return video_labels({vid: items}, {vid: grid})[vid]
+    return VideoLabel.from_classes([class_id for _, class_id in items], grid.class_count)
 
 
 def _by_video(*readers: Iterator[tuple[str, object]]) -> Iterator[tuple[str, list]]:
@@ -615,9 +615,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> _Outputs:
         if label is None:
             missing.append(vid)
         elif not missing:
-            proposals.append((vid, weak_proposals(
-                preds, grid, label, cfg.thresholds, oic_inflation=cfg.oic_inflation,
-                sigma_nms=cfg.sigma_nms, min_score=cfg.min_score, extract_on=cfg.extract_on)))
+            proposals.append((vid, weak_proposals(preds, grid, label, **cfg.weak_branch())))
     if missing:
         raise ValueError(f"{args.gt}: no ground-truth labels for videos of {sp_path}: {missing}")
     rows = (_segment_row(vid, *p) for vid, segments in proposals for p in segments)
@@ -630,8 +628,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
     if args.wavelet_csv and len(proposals) != 1:
         raise ValueError("wavelet CSV requires exactly one video in the input")
     rows = [_segment_row(vid, *p) for vid in sorted(proposals) for p in generate_pseudo_labels(
-        args.strategy, proposals[vid], grids[vid],
-        min_duration_s=cfg.min_duration_snippets * grids[vid].snippet_duration_s)]
+        args.strategy, proposals[vid], grids[vid], min_duration_s=cfg.min_duration_s(grids[vid]))]
     outputs = [(args.output, _jsonl(cfg, rows))]
     if args.wavelet_csv:
         vid = next(iter(proposals))
@@ -647,9 +644,11 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
 
 
 def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
+    if not 0 <= args.epoch <= cfg.total_epochs:  # checked before any input is read
+        raise ValueError(f"--epoch {reprlib.repr(args.epoch)} lies outside [0, {cfg.total_epochs}]")
+    params = decay_schedule(args.epoch, cfg.warmup_epochs, cfg.total_epochs,
+                            MaskParams(cfg.alpha, cfg.beta))
     pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
-    initial = MaskParams(cfg.alpha, cfg.beta)
-    params = decay_schedule(args.epoch, cfg.warmup_epochs, cfg.total_epochs, initial)
     rows = []
     for vid in sorted(pseudos):
         grid = grids[vid]
@@ -747,7 +746,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
     gt = layout.ground_truth.segments
 
     def rows() -> Iterator[dict]:  # each video is corrupted as its row is written
-        for v, vid in enumerate(layout.video_ids()):
+        for v, vid in layout.indexed_ids():
             grid = layout.grids[vid]
             preds = corrupt_predictions(args.sim, v, grid, gt[vid])
             yield {"video_id": vid, "num_snippets": grid.num_snippets,

@@ -160,6 +160,16 @@ class PipelineConfig:
             raise ValueError("eval_tious must be a nonempty subset of (0, 1]")
         object.__setattr__(self, "eval_tious", evs)
 
+    def weak_branch(self) -> dict:
+        """The keyword arguments of `weak_branch.weak_proposals` from the config."""
+        return {"thresholds": self.thresholds, "oic_inflation": self.oic_inflation,
+                "sigma_nms": self.sigma_nms, "min_score": self.min_score,
+                "extract_on": self.extract_on}
+
+    def min_duration_s(self, grid) -> float:
+        """`fusion.generate_pseudo_labels`' `min_duration_s` on a video of `grid`."""
+        return self.min_duration_snippets * grid.snippet_duration_s
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

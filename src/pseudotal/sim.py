@@ -11,8 +11,8 @@ corruption, so no video's draws depend on another video.
 `gen_corpus` lays out the whole corpus; `corrupt_predictions` renders one
 video's predictions from its layout, so a caller holds one video's
 predictions at a time. `run_benchmark` runs the weak branch and each fusion
-strategy on every video with the config fields that the CLI's `extract` and
-`fuse` pass them.
+strategy on every video with the arguments that `PipelineConfig` gives them,
+as the CLI's `extract` and `fuse` do.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .core import (GroundTruthSet, Interval, SnippetPredictions, TimeGrid, first
                    snippet_centers)
 from .evaluation import PseudoQuality, pseudo_quality
 from .fusion import generate_pseudo_labels, lookup_strategy
-from .weak_branch import VideoLabel, video_labels, weak_proposals
+from .weak_branch import VideoLabel, weak_proposals
 
 __all__ = [
     "SimConfig",
@@ -129,7 +129,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CorpusLayout:
-    """Ground truth plus per-video grids and weak labels, keyed by video id."""
+    """Ground truth plus per-video grids and weak labels, keyed by video id;
+    `grids` lists the videos in the order of their index."""
 
     ground_truth: GroundTruthSet
     grids: Mapping[str, TimeGrid]
@@ -137,6 +138,11 @@ class CorpusLayout:
 
     def video_ids(self) -> list[str]:
         return sorted(self.grids)
+
+    def indexed_ids(self) -> list[tuple[int, str]]:
+        """(index, id) of every video in ascending id order: the index seeds
+        the video's streams, and `video_10000` sorts before `video_1001`."""
+        return sorted(enumerate(self.grids), key=lambda pair: pair[1])
 
 
 def _video_rng(seed: int, stage: int, video_index: int) -> np.random.Generator:
@@ -193,11 +199,13 @@ def gen_corpus(cfg: SimConfig) -> CorpusLayout:
     """
     gt: dict[str, tuple[tuple[Interval, int], ...]] = {}
     grids: dict[str, TimeGrid] = {}
+    labels: dict[str, VideoLabel] = {}
     for v in range(cfg.num_videos):
         vid = f"video_{v:04d}"
         grids[vid], segments = _layout_video(cfg, v)
         gt[vid] = tuple(segments)
-    return CorpusLayout(GroundTruthSet(gt), grids, video_labels(gt, grids))
+        labels[vid] = VideoLabel.from_classes([c for _, c in segments], cfg.class_count)
+    return CorpusLayout(GroundTruthSet(gt), grids, labels)
 
 
 def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
@@ -331,15 +339,12 @@ def run_benchmark(
     layout = gen_corpus(cfg)
     simulate_s, weak_s = time.perf_counter() - t0, 0.0
     proposals = {}
-    for v, vid in enumerate(layout.video_ids()):
+    for v, vid in layout.indexed_ids():
         grid = layout.grids[vid]
         t0 = time.perf_counter()
         preds = corrupt_predictions(cfg, v, grid, layout.ground_truth.segments[vid])
         t1 = time.perf_counter()
-        proposals[vid] = weak_proposals(
-            preds, grid, layout.labels[vid], pipe.thresholds,
-            oic_inflation=pipe.oic_inflation, sigma_nms=pipe.sigma_nms,
-            min_score=pipe.min_score, extract_on=pipe.extract_on)
+        proposals[vid] = weak_proposals(preds, grid, layout.labels[vid], **pipe.weak_branch())
         simulate_s += t1 - t0
         weak_s += time.perf_counter() - t1
     timings = {"simulate": simulate_s * 1000.0, "weak_branch": weak_s * 1000.0}
@@ -347,9 +352,8 @@ def run_benchmark(
     for name in strategies:
         t1 = time.perf_counter()
         pseudos = {
-            vid: generate_pseudo_labels(
-                name, segments, layout.grids[vid],
-                min_duration_s=pipe.min_duration_snippets * layout.grids[vid].snippet_duration_s)
+            vid: generate_pseudo_labels(name, segments, layout.grids[vid],
+                                        min_duration_s=pipe.min_duration_s(layout.grids[vid]))
             for vid, segments in proposals.items()
         }
         reports[name] = pseudo_quality(pseudos, layout.ground_truth, pipe.eval_tious)

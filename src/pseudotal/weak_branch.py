@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    Interval,
     Segments,
     SnippetPredictions,
     TimeGrid,
@@ -31,7 +30,6 @@ __all__ = [
     "extract_proposals",
     "oic_scores",
     "soft_nms",
-    "video_labels",
     "weak_proposals",
 ]
 
@@ -61,21 +59,6 @@ class VideoLabel:
     def classes(self) -> list[int]:
         """Present foreground classes as 1-based ids."""
         return [int(i) + 1 for i in np.flatnonzero(self.onehot)]
-
-
-def video_labels(
-    ground_truth: Mapping[str, Iterable[tuple[Interval, int]]],
-    grids: Mapping[str, TimeGrid],
-) -> dict[str, VideoLabel]:
-    """Each video's label: the classes of its ground-truth segments, on its
-    own grid; the one rule that turns ground truth into video labels. Videos
-    of `grids` without ground truth get no label; a class outside a video's
-    grid raises."""
-    return {
-        vid: VideoLabel.from_classes([c for _, c in ground_truth[vid]], grids[vid].class_count)
-        for vid in sorted(grids)
-        if vid in ground_truth
-    }
 
 
 def compute_sps(attention: np.ndarray, class_scores: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -118,6 +119,24 @@ class TestSimulate:
         assert same.read_bytes() == sim_paths["sp"].read_bytes()
         assert run("simulate", "--config", sim_paths["config"], "--seed", 12, "--output", other) == 0
         assert other.read_bytes() != sim_paths["sp"].read_bytes()
+
+
+    def test_a_video_keeps_its_row_in_a_larger_corpus(self, tmp_path):
+        """Past 10000 videos, `video_10000` sorts between `video_1000` and
+        `video_1001`; every video still draws from the streams of its own
+        number, so each video of a 10000-video corpus has the same row in a
+        10001-video one."""
+        sim = {"seed": 2, "class_count": 1, "snippets_per_video": [1, 1],
+               "actions_per_video": [1, 1], "duration_range_s": [1.0, 1.0],
+               "attention_noise_std": 0.5}
+        rows = {}
+        for n in (10000, 10001):
+            cfg, out = tmp_path / f"config{n}.json", tmp_path / f"sp{n}.jsonl"
+            cfg.write_text(json.dumps({"sim": {**sim, "num_videos": n}}))
+            assert run("simulate", "--config", cfg, "--output", out) == 0
+            rows[n] = {row["video_id"]: row for row in read_jsonl(out)[1]}
+        assert sorted(rows[10001]) == sorted([*rows[10000], "video_10000"])
+        assert [vid for vid in rows[10000] if rows[10000][vid] != rows[10001][vid]] == []
 
 
 class TestExtractFuse:
@@ -319,6 +338,22 @@ class TestMaskTargets:
         _, rows = read_jsonl(out)
         # default alpha=0.1, beta=0 on [10,20]: uncertain snippets 9 and 20
         assert rows[0]["bits"] == [[1, 9], [0, 1], [1, 10], [0, 1], [1, 9]]
+
+    @pytest.mark.parametrize("epoch, config", [
+        (-1, {}), (39, {}), (11, {"warmup_epochs": 5, "total_epochs": 10})])
+    def test_mask_epoch_outside_the_schedule(self, tmp_path, capsys, epoch, config):
+        """An `--epoch` outside [0, total_epochs] exits 3 naming the flag, the
+        value and the bounds, before any input is read: the inputs here do
+        not exist."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        total = PipelineConfig(**config).total_epochs
+        out = tmp_path / "mask.jsonl"
+        missing = tmp_path / "missing.jsonl"
+        assert run("mask", "--config", cfg, "--input", missing, "--input", missing,
+                   "--epoch", epoch, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: --epoch {epoch} lies outside [0, {total}]\n"
+        assert not out.exists()
 
     def test_mask_epoch_schedule(self, tmp_path):
         grid_file, pseudos = self._grid_and_pseudos(tmp_path)
@@ -898,57 +933,23 @@ class TestBenchmark:
         assert list(report["metrics"]["strategies"]) == sorted(STRATEGIES)
         assert set(STRATEGIES) == {"ricker", "soft", "hard", "topk", "threshold", "gauss"}
 
-    def test_extract_and_fuse_pass_the_config_as_benchmark_does(self, tmp_path, monkeypatch):
-        """Under a config that sets every field the weak branch or the fusion
-        takes off its default, `extract` then `fuse` call them with the
-        arguments `benchmark` passes, video by video, on one seeded corpus."""
+    def test_the_weak_branch_and_fusion_take_their_arguments_from_the_config(self):
+        """`extract`, `fuse` and `benchmark` name no field of the weak branch or
+        the fusion: `PipelineConfig.weak_branch` gives every argument of
+        `weak_proposals` that is a config field, and `min_duration_s` the
+        fusion's one."""
         from pseudotal import sim
+        from pseudotal.core import TimeGrid
+        from pseudotal.weak_branch import weak_proposals
 
-        stages = {"weak_proposals": cli.weak_proposals,
-                  "generate_pseudo_labels": cli.generate_pseudo_labels}
-        params = {name: inspect.signature(fn).parameters for name, fn in stages.items()}
         fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-        off = {"thresholds": [0.2, 0.4, 0.6], "oic_inflation": 0.5, "sigma_nms": 0.3,
-               "min_score": 0.01, "extract_on": "attention", "min_duration_snippets": 3}
-        assert set(off) == (set().union(*params.values()) & fields) | {"min_duration_snippets"}
-        defaults = PipelineConfig().to_dict()
-        assert all(PipelineConfig(**{k: v}).to_dict()[k] != defaults[k] for k, v in off.items())
-        # the arguments besides the video's data (and the grid, which ties a call to its video)
-        read = {"weak_proposals": ["grid", *sorted(set(params["weak_proposals"]) & fields)],
-                "generate_pseudo_labels": ["strategy", "grid", "min_duration_s"]}
-
-        calls = {}
-
-        def recording(module, name):
-            fn, signature = getattr(module, name), inspect.signature(stages[name])
-
-            def wrapper(*args, **kwargs):
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                calls.setdefault((module.__name__, name), []).append(
-                    [bound.arguments[key] for key in read[name]])
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
+        weak = set(inspect.signature(weak_proposals).parameters) & fields
+        assert set(PipelineConfig().weak_branch()) == weak
+        assert PipelineConfig(min_duration_snippets=3).min_duration_s(TimeGrid(8, 0.5, 1)) == 1.5
         for module in (cli, sim):
-            for name in stages:
-                recording(module, name)
-        cfg, sp, gt = tmp_path / "config.json", tmp_path / "sp.jsonl", tmp_path / "gt.jsonl"
-        props, pseudos = tmp_path / "props.jsonl", tmp_path / "pseudos.jsonl"
-        cfg.write_text(json.dumps({**off, "sim": {"seed": 4, "num_videos": 5,
-                                                  "attention_noise_std": 0.1}}))
-        assert run("simulate", "--config", cfg, "--output", sp, "--gt", gt) == 0
-        assert run("extract", "--config", cfg, "--input", sp, "--gt", gt, "--output", props) == 0
-        assert run("fuse", "--config", cfg, "--input", props, "--input", sp,
-                   "--strategy", "gauss", "--output", pseudos) == 0
-        assert run("benchmark", "--config", cfg, "--strategy", "gauss",
-                   "--output", tmp_path / "bench.json") == 0
-        assert sorted(calls) == sorted((m, name) for m in ("pseudotal.cli", "pseudotal.sim")
-                                       for name in stages)
-        for name in stages:
-            assert len(calls["pseudotal.cli", name]) == 5
-            assert calls["pseudotal.cli", name] == calls["pseudotal.sim", name]
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert read & (weak | {"min_duration_snippets"}) == set(), module.__name__
 
 
 class TestFullChain:
@@ -2397,6 +2398,38 @@ def test_inputs_with_no_video(tmp_path, capsys, name, content):
     else:
         assert (code, err) == (want_code, f"error: {want_err.format(*paths)}\n")
         assert not out.exists()
+
+
+# refusals of the config file and the flags: (config file text, argv with the
+# names of the test's files, exit code, stderr message)
+REFUSALS = {
+    "config not an object": ("[1]", ["eval", "--input", "props", "--gt", "props"], 2,
+                             "{config}: config must be a JSON object"),
+    **{f"'sim' not an object under {cmd}": (
+        '{"sim": 1}', [cmd, *argv], 2, "{config}: 'sim' must be a JSON object")
+       for cmd, argv in [("simulate", []), ("eval", ["--input", "props", "--gt", "props"])]},
+    **{f"{cmd} without --gt": ("{}", [cmd, "--input", path], 2, "this subcommand requires --gt")
+       for cmd, path in [("extract", "sp"), ("eval", "props")]},
+    "fuse --wavelet-csv on two videos": (
+        "{}", ["fuse", "--input", "props", "--input", "grid", "--wavelet-csv", "csv"], 3,
+        "wavelet CSV requires exactly one video in the input"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_of_the_config_and_flags(tmp_path, capsys, case):
+    """Each refusal exits with its code and one stderr line, and writes no
+    file."""
+    text, argv, want_code, message = REFUSALS[case]
+    f = {name: tmp_path / f"{name}.jsonl" for name in ("props", "grid", "sp")}
+    write_jsonl(f["props"], [{**SEGMENT_ROW, "video_id": vid} for vid in ("a", "b")])
+    write_jsonl(f["grid"], [{**GRID_ROW, "video_id": vid} for vid in ("a", "b")])
+    write_jsonl(f["sp"], [VIDEO_ROWS["sp"]])
+    f["config"], f["csv"], out = tmp_path / "config.json", tmp_path / "w.csv", tmp_path / "out"
+    f["config"].write_text(text)
+    code = run(*(f.get(a, a) for a in argv), "--config", f["config"], "--output", out)
+    assert (code, capsys.readouterr().err) == (want_code, f"error: {message.format(**f)}\n")
+    assert not out.exists() and not f["csv"].exists()
 
 
 # every subcommand on the `chain_files` corpus: its arguments, with the names

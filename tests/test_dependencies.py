@@ -264,6 +264,52 @@ print(json.dumps(calls))
     assert calls["corrupt_predictions"] == calls["sim.corrupt_predictions"] == videos
 
 
+def test_the_tracer_binds_parameter_names_that_exist():
+    """bench/tracing.py binds the arguments of three library functions by
+    parameter name (`_binder`), so renaming one of those parameters breaks
+    every traced run. Each name the tracer reads off a bound call, taken from
+    its source, is a parameter of the function it binds."""
+    import inspect
+
+    tree = ast.parse((PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    # `weak_args = _binder(weak_branch.weak_proposals)`: binder -> (module, function)
+    binders = {
+        node.targets[0].id: (node.value.args[0].value.id, node.value.args[0].attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "_binder"
+    }
+    read: dict[tuple[str, str], set[str]] = {}
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        own, todo = [], list(fn.body)  # the nodes of `fn`, not of the functions it defines
+        while todo:
+            own.append(todo.pop())
+            if not isinstance(own[-1], ast.FunctionDef):
+                todo.extend(ast.iter_child_nodes(own[-1]))
+        # `a = weak_args(args, kwargs)`, then `a["preds"]`; or `fuse_args(...)["strategy"]`
+        local = {
+            node.targets[0].id: node.value.func.id
+            for node in own
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) in binders
+        }
+        for node in own:
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                value = node.value
+                binder = (local.get(value.id) if isinstance(value, ast.Name)
+                          else getattr(getattr(value, "func", None), "id", None))
+                if binder in binders:
+                    read.setdefault(binders[binder], set()).add(node.slice.value)
+    assert read == {
+        ("weak_branch", "weak_proposals"): {"preds", "grid", "label", "thresholds"},
+        ("fusion", "generate_pseudo_labels"): {"strategy"},
+        ("evaluation", "map_table"): {"predictions", "ground_truth"},
+    }
+    for (module, name), keys in read.items():
+        fn = getattr(importlib.import_module(f"pseudotal.{module}"), name)
+        assert keys - set(inspect.signature(fn).parameters) == set(), name
+
+
 def test_ground_truth_is_one_type():
     """`GroundTruthSet` is defined in `core`; the package and `evaluation`
     hand out that one class."""

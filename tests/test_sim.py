@@ -5,7 +5,7 @@ import pytest
 
 from pseudotal import sim
 from pseudotal.config import PipelineConfig, ConfigSchemaError
-from pseudotal.core import Interval, TimeGrid, snippet_centers
+from pseudotal.core import GroundTruthSet, TimeGrid, snippet_centers
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -16,7 +16,6 @@ from pseudotal.sim import (
     corrupt_predictions,
     gen_corpus,
     run_benchmark,
-    video_labels,
 )
 from pseudotal.weak_branch import weak_proposals
 
@@ -26,21 +25,18 @@ PIPE = PipelineConfig()
 def _corrupt_all(layout, cfg):
     """The corrupted predictions of every video of `layout`, by video id."""
     return {vid: corrupt_predictions(cfg, v, layout.grids[vid], layout.ground_truth.segments[vid])
-            for v, vid in enumerate(layout.video_ids())}
+            for v, vid in layout.indexed_ids()}
 
 
 def _pseudo_labels(layout, preds, strategy):
     """`strategy`'s pseudo labels of every video of `layout`: the weak branch
-    and the fusion called per video with PIPE's fields."""
+    and the fusion called per video with the arguments PIPE gives them."""
     out = {}
     for vid in layout.video_ids():
         grid = layout.grids[vid]
-        props = weak_proposals(
-            preds[vid], grid, layout.labels[vid], PIPE.thresholds,
-            oic_inflation=PIPE.oic_inflation, sigma_nms=PIPE.sigma_nms,
-            min_score=PIPE.min_score, extract_on=PIPE.extract_on)
-        min_duration_s = PIPE.min_duration_snippets * grid.snippet_duration_s
-        out[vid] = generate_pseudo_labels(strategy, props, grid, min_duration_s=min_duration_s)
+        props = weak_proposals(preds[vid], grid, layout.labels[vid], **PIPE.weak_branch())
+        out[vid] = generate_pseudo_labels(strategy, props, grid,
+                                          min_duration_s=PIPE.min_duration_s(grid))
     return out
 
 
@@ -142,18 +138,14 @@ class TestGenCorpus:
             present = sorted({c for _, c in items})
             assert layout.labels[vid].classes == present
 
-    def test_video_labels_on_each_grid(self):
-        # each video's own class count; ground truth without a grid is ignored
-        grids = {"a": TimeGrid(8, 1.0, 1), "b": TimeGrid(8, 1.0, 3), "c": TimeGrid(8, 1.0, 2)}
-        iv = Interval(1.0, 3.0)
-        gt = {"a": [(iv, 1)], "b": [(iv, 3), (iv, 1), (iv, 3)], "x": [(iv, 9)]}
-        labels = video_labels(gt, grids)
-        assert {vid: label.onehot.tolist() for vid, label in labels.items()} == {
-            "a": [1], "b": [1, 0, 1]
-        }
-        message = "^class_id 2 lies outside the 1 classes of its grid$"
-        with pytest.raises(ValueError, match=message):
-            video_labels({"a": [(iv, 2)]}, grids)
+    def test_each_video_keeps_its_index_in_id_order(self):
+        # the index seeds a video's streams; `video_10000` sorts before `video_1001`
+        grid = TimeGrid(1, 1.0, 1)
+        ids = ["video_0999", "video_1000", "video_1001", "video_10000"]
+        layout = sim.CorpusLayout(GroundTruthSet({}), dict.fromkeys(ids, grid), {})
+        assert layout.indexed_ids() == [(0, "video_0999"), (1, "video_1000"),
+                                        (3, "video_10000"), (2, "video_1001")]
+        assert [vid for _, vid in layout.indexed_ids()] == layout.video_ids()
 
     def test_infeasible_packing_names_video(self):
         cfg = SimConfig(
@@ -296,7 +288,7 @@ class TestCorruptPredictions:
         kept_all = {}
         for vid in layout.video_ids():
             props = weak_proposals(
-                preds[vid], layout.grids[vid], layout.labels[vid], PIPE.thresholds
+                preds[vid], layout.grids[vid], layout.labels[vid], **PIPE.weak_branch()
             )
             kept_all[vid] = generate_pseudo_labels("soft", props, layout.grids[vid])
         q = pseudo_quality(kept_all, layout.ground_truth, (0.5,))
