@@ -21,7 +21,7 @@ _EXPORTS = {
                    "average_precision", "map_table", "pseudo_quality"),
     "fusion": ("FusedWavelet", "RickerParams", "fuse_ricker", "generate_pseudo_labels",
                "ricker_value", "segments_from_wavelet"),
-    "mask": ("SnippetMask", "decay_schedule", "mask_for_proposal", "union_masks"),
+    "mask": ("SnippetMask", "mask_for_proposal", "union_masks"),
     "sim": ("BenchmarkResult", "CorpusLayout", "SimConfig", "benchmark_many",
             "corrupt_predictions", "gen_corpus", "run_benchmark"),
     "targets": ("AnchorPredictions", "AnchorTargets", "assign_level", "att_loss",

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import TOOL_VERSION, ConfigSchemaError, MaskParams, PipelineConfig, PyramidConfig
+from .config import TOOL_VERSION, ConfigSchemaError, PipelineConfig, PyramidConfig
 from .core import (GroundTruthSet, Interval, Segment, Segments, SnippetPredictions, TimeGrid,
                    check_class_id, runs, snippet_centers)
 
@@ -624,6 +624,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> _Outputs:
 
 def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
     lookup_strategy(args.strategy)  # an unknown name fails even with no video to fuse
+    if args.wavelet_csv and args.strategy != "ricker":
+        raise SchemaError("--wavelet-csv writes the ricker wavelet; it needs --strategy ricker")
     proposals, grids, _ = _segments_on_grids(args, "proposals file and grid source")
     if args.wavelet_csv and len(proposals) != 1:
         raise ValueError("wavelet CSV requires exactly one video in the input")
@@ -646,8 +648,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
 def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
     if not 0 <= args.epoch <= cfg.total_epochs:  # checked before any input is read
         raise ValueError(f"--epoch {reprlib.repr(args.epoch)} lies outside [0, {cfg.total_epochs}]")
-    params = decay_schedule(args.epoch, cfg.warmup_epochs, cfg.total_epochs,
-                            MaskParams(cfg.alpha, cfg.beta))
+    params = cfg.mask_params(args.epoch)
     pseudos, grids, _ = _segments_on_grids(args, "pseudo file and grid source")
     rows = []
     for vid in sorted(pseudos):
@@ -850,7 +851,7 @@ COMMANDS = {
     "fuse": _Command(_cmd_fuse, "proposals + grid source -> pseudo proposals", {
         "--input": _INPUT,
         "--strategy": {"default": "ricker", "help": "fusion strategy (default: ricker)"},
-        "--wavelet-csv": {"help": "also write the fused wavelet as CSV (single video)"},
+        "--wavelet-csv": {"help": "also write the ricker wavelet as CSV (one video, ricker only)"},
     }, ("fusion",)),
     "mask": _Command(_cmd_mask, "pseudos + grid source -> uncertainty mask file",
                      {"--input": _INPUT, "--epoch": _EPOCH}, ("mask",)),

@@ -1,6 +1,8 @@
 """Pipeline configuration: one frozen bundle of every knob, with strict
-dict round-tripping and a content hash for report headers, and the two value
-types whose range rules it applies (mask band ratios, anchor pyramid)."""
+dict round-tripping and a content hash for report headers, the two value
+types whose range rules it applies (mask band ratios, anchor pyramid), and
+what a stage reads of it, checked once: the weak branch's arguments, the
+fusion's minimum duration and each epoch's mask band ratios."""
 from __future__ import annotations
 
 import dataclasses
@@ -169,6 +171,17 @@ class PipelineConfig:
     def min_duration_s(self, grid) -> float:
         """`fusion.generate_pseudo_labels`' `min_duration_s` on a video of `grid`."""
         return self.min_duration_snippets * grid.snippet_duration_s
+
+    def mask_params(self, epoch: int) -> MaskParams:
+        """The mask band ratios at `epoch` in [0, `total_epochs`]: `alpha` and
+        `beta` through `warmup_epochs`, then shrunk linearly to zero at
+        `total_epochs`."""
+        if not 0 <= epoch <= self.total_epochs:
+            raise ValueError(f"epoch {epoch} lies outside [0, {self.total_epochs}]")
+        if epoch <= self.warmup_epochs:
+            return MaskParams(self.alpha, self.beta)
+        factor = (self.total_epochs - epoch) / (self.total_epochs - self.warmup_epochs)
+        return MaskParams(self.alpha * factor, self.beta * factor)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -92,9 +92,11 @@ class _PairTable:
     then list order). Ground-truth segments are sorted by (class, video,
     start), input order on ties, so the segments of one video and class are
     contiguous and in the order the matcher breaks tIoU ties by. `gt_input`
-    maps that sorted position back to the input position.
+    maps that sorted position back to the input position. `class_ids` are
+    the ground truth's classes, ascending.
     """
 
+    class_ids: list[int]
     pred_class: np.ndarray
     pred_start: np.ndarray
     pred_end: np.ndarray
@@ -152,14 +154,13 @@ class _PairTable:
         first = np.cumsum(counts) - counts
         pair_gt = np.arange(pair_pred.shape[0]) + np.repeat(lo - first, counts)
         return cls(
-            p_class, p_start, p_end, p_score, gt_input, npos, pair_pred, pair_gt,
+            ground_truth.class_ids, p_class, p_start, p_end, p_score, gt_input, npos,
+            pair_pred, pair_gt,
             pairwise_tiou(p_start[pair_pred], p_end[pair_pred], g_start[pair_gt], g_end[pair_gt]),
         )
 
-    def ap_table(
-        self, class_ids: Sequence[int], thresholds: Sequence[float]
-    ) -> list[tuple[float, ...]]:
-        """AP of each class at each threshold, from one greedy matching.
+    def ap_table(self, thresholds: Sequence[float]) -> list[tuple[float, ...]]:
+        """AP of each ground-truth class at each threshold, from one greedy matching.
 
         Per class, predictions go in (score desc, start, end) order, input
         order on ties; each claims its highest-tIoU unclaimed segment in the
@@ -185,21 +186,18 @@ class _PairTable:
         took = _greedy_matches(
             level * order.shape[0] + pp[pair], level * self.gt_input.shape[0] + pg[pair]
         )
-        # the true-positive ranks of each (class, threshold) cell, ascending
-        pred, level = pp[pair[took]], level[took]
-        ids = np.asarray(class_ids, dtype=np.int64)
-        sorter = np.argsort(ids)
-        at = np.searchsorted(ids, self.pred_class[pred], sorter=sorter).clip(max=ids.size - 1)
-        known = ids[sorter[at]] == self.pred_class[pred]
-        cell = sorter[at][known] * len(thresholds) + level[known]
-        tp = rank[pred][known]
+        # the true-positive ranks of each (class, threshold) cell, ascending;
+        # a matched prediction has a ground-truth class
+        pred, level, width = pp[pair[took]], level[took], len(thresholds)
+        cell = np.searchsorted(self.class_ids, self.pred_class[pred]) * width + level
+        tp = rank[pred]
         ranks = tp[np.lexsort((tp, cell))].tolist()
-        ends = np.cumsum(np.bincount(cell, minlength=ids.size * len(thresholds))).tolist()
+        ends = np.cumsum(np.bincount(cell, minlength=len(self.class_ids) * width)).tolist()
         aps = [
-            _interpolated_ap(ranks[lo:hi], self.npos.get(class_ids[k // len(thresholds)], 0))
+            _interpolated_ap(ranks[lo:hi], self.npos[self.class_ids[k // width]])
             for k, (lo, hi) in enumerate(zip([0, *ends], ends))
         ]
-        return [tuple(aps[i : i + len(thresholds)]) for i in range(0, len(aps), len(thresholds))]
+        return [tuple(aps[i : i + width]) for i in range(0, len(aps), width)]
 
     def matched_counts(self, thresholds: Sequence[float]) -> list[int]:
         """Rank-free greedy matches at each threshold, from one greedy matching.
@@ -266,8 +264,6 @@ def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:
     The sum is kept on integers over the least common multiple of its
     denominators, and the one int/int division rounds it correctly.
     """
-    if npos == 0:
-        return 0.0
     steps = []  # (numerator, rank): `numerator / rank` is one run of equal maxima
     best_j, best_rank, run = 0, 1, 0
     for j in range(len(tp_ranks), 0, -1):
@@ -289,9 +285,13 @@ def average_precision(
     class_id: int,
     threshold: float,
 ) -> float:
-    """AP of one class at one tIoU threshold over the whole corpus."""
+    """AP of one class at one tIoU threshold over the whole corpus: 0.0 for a
+    class without ground truth."""
+    classes = ground_truth.class_ids
+    if class_id not in classes:
+        return 0.0
     table = _PairTable.build(predictions, ground_truth)
-    return table.ap_table([class_id], [threshold])[0][0]
+    return table.ap_table([threshold])[classes.index(class_id)][0]
 
 
 def map_table(
@@ -314,7 +314,7 @@ def map_table(
         raise ValueError("ground truth holds no segments")
     if table is None:
         table = _PairTable.build(predictions, ground_truth)
-    per_class = list(zip(class_ids, table.ap_table(class_ids, thresholds)))
+    per_class = list(zip(class_ids, table.ap_table(thresholds)))
     maps = tuple(
         sum(aps[k] for _, aps in per_class) / len(per_class)
         for k in range(len(thresholds))

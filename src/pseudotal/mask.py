@@ -3,8 +3,8 @@
 Pseudo-label boundaries are the least trustworthy part of a fused segment,
 so a band around each boundary (expanding `alpha * duration` outward and
 `beta * duration` inward) is marked uncertain and excluded from loss
-computation. The bands shrink linearly to nothing between the warm-up
-epoch and the end of training.
+computation. The band ratios of each training epoch come from
+`PipelineConfig.mask_params`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from .config import MaskParams
 from .core import Segment, TimeGrid, snippet_centers
 
-__all__ = ["SnippetMask", "mask_for_proposal", "union_masks", "decay_schedule"]
+__all__ = ["SnippetMask", "mask_for_proposal", "union_masks"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +67,3 @@ def union_masks(masks: Iterable[SnippetMask], grid: TimeGrid) -> SnippetMask:
         bits &= m.bits
     return SnippetMask(bits, grid)
 
-
-def decay_schedule(
-    epoch: int, warmup: int, total: int, initial: MaskParams
-) -> MaskParams:
-    """Linear post-warm-up decay of the mask ratios.
-
-    Full ratios through the warm-up boundary, zero at the final epoch,
-    linear in between.
-    """
-    if warmup >= total:
-        raise ValueError("warmup must be smaller than total epochs")
-    if not 0 <= epoch <= total:
-        raise ValueError("epoch out of schedule bounds")
-    if epoch <= warmup:
-        return initial
-    if epoch >= total:
-        return MaskParams(0.0, 0.0)
-    factor = (total - epoch) / (total - warmup)
-    return MaskParams(initial.alpha * factor, initial.beta * factor)

@@ -20,7 +20,10 @@ refinement round (`simulate` of a less noisy SP file with the same seed,
 `fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
 without `--epoch` and `targets`, each run again with a slim grid file made
 from the SP file as its grid source (the script exits nonzero unless each
-writes the bytes it writes with the SP file); then `fuse --wavelet-csv` on
+writes the bytes it writes with the SP file); then `mask` of the ricker
+pseudos at the warm-up's last epoch and at the last epoch of the default
+schedule, and at a mid-window epoch of a schedule whose band ratios and
+epochs are off their defaults; then `fuse --wavelet-csv` on
 one video, and `benchmark` run two ways; then `extract`, `fuse`, `eval`
 and `benchmark` under a config that sets the soft-NMS sigma, the fused
 minimum duration and the `nms_drops` weak-branch fields off their
@@ -66,6 +69,9 @@ WEAK_VARIANTS = {
     "attention": {"extract_on": "attention"},
     "nms_drops": {"thresholds": [0.15, 0.3, 0.45, 0.6], "oic_inflation": 1.0, "min_score": 0.2},
 }
+
+# the mask-band ratios and the schedule's epochs off their defaults
+SCHEDULE = {"alpha": 0.25, "beta": 0.2, "warmup_epochs": 5, "total_epochs": 17}
 
 # the fields the weak branch and the fusion read off their defaults
 # (`extract_on` has its own variant above)
@@ -191,6 +197,16 @@ def run_chain(out: Path) -> list[Path]:
     _run("targets", *conf, "--input", out / "pseudo_default.jsonl", "--input", sp,
          "--input", out / "mask_default.jsonl", "--output", out / "targets_default.jsonl")
     _same_from_slim_grid(work, out, conf, props, sp)
+    # the rest of the schedule: the warm-up's last epoch and the last epoch
+    # (no bands) of the default one, and a mid-window epoch of `SCHEDULE`
+    ricker = out / "pseudo_ricker.jsonl"
+    for epoch in (20, 38):
+        _run("mask", *conf, "--input", ricker, "--input", sp, "--epoch", epoch,
+             "--output", out / f"mask_epoch_{epoch}.jsonl")
+    schedule_cfg = work / "config_schedule.json"
+    schedule_cfg.write_text(json.dumps(SCHEDULE))
+    _run("mask", "--config", schedule_cfg, "--input", ricker, "--input", sp, "--epoch", 13,
+         "--output", out / "mask_schedule.jsonl")
     one = work / "props_one_video.jsonl"
     rows = _rows(props)
     one.write_text("".join(

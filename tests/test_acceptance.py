@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pseudotal.config import PipelineConfig
 from pseudotal.core import Interval, Segment, Segments, TimeGrid
 from pseudotal.evaluation import GroundTruthSet, average_precision
 from pseudotal.fusion import (
@@ -24,7 +25,7 @@ from pseudotal.fusion import (
     ricker_value,
     segments_from_wavelet,
 )
-from pseudotal.mask import MaskParams, decay_schedule, mask_for_proposal, union_masks
+from pseudotal.mask import MaskParams, mask_for_proposal, union_masks
 from pseudotal.sim import SimConfig, benchmark_many, run_benchmark
 from pseudotal.targets import (
     AnchorPredictions,
@@ -254,16 +255,16 @@ def test_05_mask_algebra():
             assert abs(interior - 2.0 * beta * d) <= 2.0
             assert abs(np.count_nonzero(uncertain < s) - alpha * d) <= 1.0
             assert abs(np.count_nonzero(uncertain > e) - alpha * d) <= 1.0
-        initial = MaskParams(0.3, 0.2)
-        at_warmup = decay_schedule(20, 20, 38, initial)
+        schedule = PipelineConfig(alpha=0.3, beta=0.2, warmup_epochs=20, total_epochs=38)
+        at_warmup = schedule.mask_params(20)
         assert (at_warmup.alpha, at_warmup.beta) == (0.3, 0.2)
-        at_total = decay_schedule(38, 20, 38, initial)
+        at_total = schedule.mask_params(38)
         assert (at_total.alpha, at_total.beta) == (0.0, 0.0)
         grid = TimeGrid(60, 1.0, 1)
         pseudo = Segment(20.0, 40.0, 1, 1.0)
         counts = [
             mask_for_proposal(
-                pseudo, decay_schedule(epoch, 20, 38, initial), grid
+                pseudo, schedule.mask_params(epoch), grid
             ).uncertain_count()
             for epoch in range(20, 39)
         ]

@@ -519,6 +519,13 @@ class TestMaskTargets:
         assert outputs[None] == outputs[0] == outputs[warmup]
         assert outputs[total] != outputs[None]  # the flag is read: bands are gone at the end
 
+    def test_mask_takes_the_band_schedule_from_the_config(self):
+        """`mask` names no band ratio or warm-up field:
+        `PipelineConfig.mask_params` gives each epoch's ratios."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert read & {"alpha", "beta", "warmup_epochs"} == set()
+
 
 class TestLosses:
     def _prepare(self, tmp_path, snippet_probs):
@@ -603,6 +610,16 @@ class TestLosses:
         expected_att = 0.25 * math.log(2)
         assert entry["att"] == pytest.approx(expected_att, abs=1e-5)
         assert entry["total"] == pytest.approx(0.2 * expected_att, abs=1e-5)
+
+    def test_snippet_probs_of_a_video_the_gt_lacks(self, tmp_path, capsys):
+        # the attention term needs the video's label, which --gt gives
+        sp, gt, targets, preds = self._prepare(tmp_path, [[0.5, 0.5]] * 16)
+        write_jsonl(gt, [{"video_id": "w", "start_s": 2.0, "end_s": 6.0, "class_id": 1}])
+        out = tmp_path / "losses.json"
+        assert run("losses", "--input", preds, "--input", targets,
+                   "--input", sp, "--gt", gt, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: {gt}: no ground-truth labels for video v\n"
+        assert not out.exists()
 
     def test_empty_sp_file(self, tmp_path):
         # no SP row, no attention term: att is 0, as for a video the SP file lacks
@@ -2243,6 +2260,20 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig(alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("thresholds", (), "thresholds must be a nonempty subset of (0, 1)"),
+        ("thresholds", (0.5, 1.0), "thresholds must be a nonempty subset of (0, 1)"),
+        ("extract_on", "both", "extract_on must be 'sps' or 'attention'"),
+        ("min_duration_snippets", -1, "min_duration_snippets must be nonnegative"),
+        ("lambda_att", -0.1, "lambda_att must be nonnegative"),
+        ("gamma_focal", -1.0, "gamma_focal must be nonnegative"),
+        ("eval_tious", (), "eval_tious must be a nonempty subset of (0, 1]"),
+        ("eval_tious", (0.0, 0.5), "eval_tious must be a nonempty subset of (0, 1]"),
+    ])
+    def test_the_constructor_refuses_values_out_of_range(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**{key: value})
+
     def test_values_are_not_converted(self):
         # values pass unconverted: alpha 0 stays the int 0, whose hash differs
         # from that of alpha 0.0, so each config keeps the hash of its own values
@@ -2413,6 +2444,11 @@ REFUSALS = {
     "fuse --wavelet-csv on two videos": (
         "{}", ["fuse", "--input", "props", "--input", "grid", "--wavelet-csv", "csv"], 3,
         "wavelet CSV requires exactly one video in the input"),
+    # refused before the two videos are read: no wavelet made soft pseudo labels
+    "fuse --wavelet-csv with another strategy": (
+        "{}", ["fuse", "--input", "props", "--input", "grid", "--strategy", "soft",
+               "--wavelet-csv", "csv"], 2,
+        "--wavelet-csv writes the ricker wavelet; it needs --strategy ricker"),
 }
 
 
@@ -2430,6 +2466,18 @@ def test_refusals_of_the_config_and_flags(tmp_path, capsys, case):
     code = run(*(f.get(a, a) for a in argv), "--config", f["config"], "--output", out)
     assert (code, capsys.readouterr().err) == (want_code, f"error: {message.format(**f)}\n")
     assert not out.exists() and not f["csv"].exists()
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "1", '"v"', "null"])
+def test_a_line_that_is_no_json_object(tmp_path, capsys, line):
+    """Every line of a JSON-lines file holds a JSON object: another JSON value
+    exits 2 naming the file and the line, and writes no file."""
+    props = tmp_path / "props.jsonl"
+    props.write_text(json.dumps(SEGMENT_ROW) + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("eval", "--input", props, "--gt", props, "--output", out) == 2
+    assert capsys.readouterr().err == f"error: {props}:2: expected a JSON object\n"
+    assert not out.exists()
 
 
 # every subcommand on the `chain_files` corpus: its arguments, with the names

@@ -7,6 +7,7 @@ from pseudotal.core import (
     MAX_CLASS_ID,
     MAX_GRID_CELLS,
     MAX_TIME_S,
+    GroundTruthSet,
     Interval,
     Segment,
     Segments,
@@ -117,6 +118,21 @@ class TestTypes:
             SnippetPredictions(np.array([1.5, 0.0]), cls)
         with pytest.raises(ValueError):
             SnippetPredictions(att, np.array([[0.4, 0.5], [0.2, 0.8]]))
+
+    @pytest.mark.parametrize("attention, class_scores, message", [
+        ([[0.5, 1.0]], [[0.4, 0.6]], "attention must be one-dimensional"),
+        ([0.5, 1.0], [[0.4, 0.6]], "class_scores must be (T, C+1) with T matching attention"),
+        ([0.5], [0.4, 0.6], "class_scores must be (T, C+1) with T matching attention"),
+        ([0.5, 1.0], [[1.0], [1.0]],
+         "class_scores needs at least one foreground column plus background"),
+    ])
+    def test_snippet_predictions_shapes(self, attention, class_scores, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SnippetPredictions(np.array(attention), np.array(class_scores))
+
+    def test_ground_truth_holds_intervals(self):
+        with pytest.raises(TypeError, match="^ground-truth segments must be Intervals$"):
+            GroundTruthSet({"v": (((0.0, 1.0), 1),)})
 
 
 class TestTiou:

@@ -127,6 +127,12 @@ class TestFuseRicker:
 
 
 class TestSegmentsFromWavelet:
+    @pytest.mark.parametrize("min_duration_s", [-1.0, -1e-9])
+    def test_negative_min_duration(self, min_duration_s):
+        w = fuse_ricker(segments((2, 6, 1, 1.0)), TimeGrid(10, 1.0, 1))
+        with pytest.raises(ValueError, match="^min_duration_s must be nonnegative$"):
+            segments_from_wavelet(w, min_duration_s=min_duration_s)
+
     def test_single_proposal_round_trip(self):
         grid = TimeGrid(10, 1.0, 1)
         w = fuse_ricker(segments((2, 6, 1, 1.0)), grid)

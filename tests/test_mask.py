@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from pseudotal.config import PipelineConfig
 from pseudotal.core import Segment, TimeGrid
 from pseudotal.mask import (
     MaskParams,
     SnippetMask,
-    decay_schedule,
     mask_for_proposal,
     union_masks,
 )
@@ -135,40 +135,40 @@ class TestUnionMasks:
 
 class TestDecaySchedule:
     def setup_method(self):
-        self.initial = MaskParams(0.1, 0.0)
+        self.config = PipelineConfig(alpha=0.1, beta=0.0, warmup_epochs=20, total_epochs=38)
 
     def test_full_value_at_warmup_boundary(self):
-        out = decay_schedule(20, 20, 38, self.initial)
+        out = self.config.mask_params(20)
         assert out.alpha == pytest.approx(0.1)
         assert out.beta == 0.0
 
     def test_zero_at_final_epoch(self):
-        out = decay_schedule(38, 20, 38, self.initial)
+        out = self.config.mask_params(38)
         assert (out.alpha, out.beta) == (0.0, 0.0)
 
     def test_linear_midpoint(self):
-        out = decay_schedule(29, 20, 38, self.initial)
+        out = self.config.mask_params(29)
         assert out.alpha == pytest.approx(0.1 * 9 / 18)
 
     def test_before_warmup_holds_initial(self):
-        out = decay_schedule(3, 20, 38, self.initial)
+        out = self.config.mask_params(3)
         assert out.alpha == pytest.approx(0.1)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
-            decay_schedule(-1, 20, 38, self.initial)
+            self.config.mask_params(-1)
         with pytest.raises(ValueError):
-            decay_schedule(39, 20, 38, self.initial)
+            self.config.mask_params(39)
         with pytest.raises(ValueError):
-            decay_schedule(5, 38, 38, self.initial)
+            PipelineConfig(warmup_epochs=38, total_epochs=38)
 
     def test_uncertain_set_shrinks_monotonically(self):
         grid = TimeGrid(60, 1.0, 1)
         p = Segment(20, 40, 1, 1.0)
-        initial = MaskParams(0.3, 0.2)
+        config = PipelineConfig(alpha=0.3, beta=0.2, warmup_epochs=20, total_epochs=38)
         previous = None
         for epoch in range(20, 39):
-            params = decay_schedule(epoch, 20, 38, initial)
+            params = config.mask_params(epoch)
             uncertain = set(_uncertain_indices(mask_for_proposal(p, params, grid)))
             if previous is not None:
                 assert uncertain <= previous

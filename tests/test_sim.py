@@ -71,6 +71,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(min_gap_snippets=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("snippets_per_video", (0, 8), "videos need at least one snippet"),
+        ("snippet_duration_s", 0.0, "snippet_duration_s must be positive"),
+        ("snippet_duration_s", -0.5, "snippet_duration_s must be positive"),
+    ])
+    def test_snippets_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(**{field: value})
+
     def test_corpus_size_cap(self):
         # the ROADMAP "L" corpus and both benchmark sweeps fit
         SimConfig(num_videos=500, snippets_per_video=(200, 400), class_count=20)

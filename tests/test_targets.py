@@ -253,6 +253,11 @@ class TestAnchorPredictions:
         with pytest.raises(ValueError, match="anchor count"):
             AnchorPredictions(np.array([[0.5, 0.5]]), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("class_probs", [[0.5, 0.5], [[[0.5, 0.5]]]])
+    def test_class_probs_are_a_matrix(self, class_probs):
+        with pytest.raises(ValueError, match=re.escape("class_probs must be (num_anchors, C+1)")):
+            AnchorPredictions(np.array(class_probs), np.zeros(1), np.zeros(1))
+
 
 class TestFocalLoss:
     def test_perfect_confidence(self):
@@ -410,6 +415,13 @@ class TestAttLoss:
         z = np.zeros((2, 2))
         with pytest.raises(ValueError):
             att_loss(np.full((2, 2), 0.5), z, 0.0, VideoLabel(np.array([1])))
+
+    @pytest.mark.parametrize("onehot", [[1], [1, 0, 0]])
+    def test_label_length_of_other_classes(self, onehot):
+        # the SP matrix has two foreground classes
+        z = np.full((4, 3), 0.1)
+        with pytest.raises(ValueError, match="^video label length disagrees with SP classes$"):
+            att_loss(np.full((4, 3), 1 / 3), z, 0.8, VideoLabel(np.array(onehot)))
 
 
 class TestTotalLoss:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ class TestVideoLabel:
                    6: "class_id 6 lies outside the 5 classes of its grid"}[classes[-1]]
         with pytest.raises(ValueError, match=f"^{message}$"):
             VideoLabel.from_classes(classes, 5)
+
+    @pytest.mark.parametrize("onehot, message", [
+        ([1, 2], "onehot must be a binary vector"),
+        ([[1, 0]], "onehot must be a binary vector"),
+        ([0, 0], "video label requires at least one positive class"),
+        ([], "video label requires at least one positive class"),
+    ])
+    def test_onehot_rules(self, onehot, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VideoLabel(np.array(onehot, dtype=np.int64))
 
     @pytest.mark.parametrize("classes, bad", [([True], True), ([2, True], True), ([1.0], 1.0)])
     def test_from_classes_refuses_what_is_no_class_id(self, classes, bad):
@@ -58,6 +69,22 @@ def _sps_matrix(col):
 class TestExtractProposals:
     def setup_method(self):
         self.label = VideoLabel(np.array([1]))
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ([], "thresholds must be nonempty"),
+        ([0.5, 1.0], re.escape("thresholds must lie in (0, 1)")),
+        ([0.0], re.escape("thresholds must lie in (0, 1)")),
+    ])
+    def test_threshold_rules(self, thresholds, message):
+        z = _sps_matrix([0, 0.9, 0.9, 0, 0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extract_proposals(z, TimeGrid(5, 1.0, 1), thresholds, self.label)
+
+    @pytest.mark.parametrize("grid", [TimeGrid(6, 1.0, 1), TimeGrid(5, 1.0, 2)])
+    def test_sp_matrix_of_another_grid(self, grid):
+        z = _sps_matrix([0, 0.9, 0.9, 0, 0])  # 5 snippets, 1 class
+        with pytest.raises(ValueError, match="^SP matrix shape disagrees with grid$"):
+            extract_proposals(z, grid, [0.5], self.label)
 
     def test_label_class_beyond_the_grid(self):
         z = np.tile([0.9, 0.1, 0.0], (5, 1))
@@ -146,7 +173,22 @@ class TestOicScore:
         assert _oic(z2, p, grid, 0.25) == base
 
 
+    @pytest.mark.parametrize("inflation", [0.0, -0.25, 1.5])
+    def test_inflation_range(self, inflation):
+        with pytest.raises(ValueError, match=re.escape("inflation must lie in (0, 1]")):
+            _oic(np.full(4, 0.5), Interval(1, 3), TimeGrid(4, 1.0, 1), inflation)
+
+    def test_sp_column_of_another_grid(self):
+        with pytest.raises(ValueError, match="^SP column length disagrees with grid$"):
+            _oic(np.full(5, 0.5), Interval(1, 3), TimeGrid(4, 1.0, 1), 0.25)
+
+
 class TestSoftNms:
+    @pytest.mark.parametrize("sigma_nms", [0.0, -0.5])
+    def test_sigma_nms_must_be_positive(self, sigma_nms):
+        with pytest.raises(ValueError, match="^sigma_nms must be positive$"):
+            soft_nms(segments((0, 10, 1, 0.9)), sigma_nms=sigma_nms)
+
     def test_gaussian_decay_example(self):
         a = (0, 10, 1, 0.9)
         b = (0, 5, 1, 0.8)  # tiou 0.5 with a
