@@ -36,6 +36,29 @@ __version__ = TOOL_VERSION
 __all__ = list(_MODULE_OF)
 
 
+def lazy_globals(namespace: dict, modules: tuple[str, ...]):
+    """`(bind, __getattr__)` of a module that calls other modules' `__all__`
+    through its globals, `namespace`: `bind(*names)` binds those of the named
+    modules, keeping a name bound before (a wrapper of bench/tracing.py), and
+    `__getattr__` binds `modules` in turn until one defines the name."""
+
+    def bind(*names: str) -> None:
+        for module in names:
+            library = importlib.import_module(f"{__name__}.{module}")
+            for name in library.__all__:
+                namespace.setdefault(name, getattr(library, name))
+
+    def module_getattr(name: str):
+        if not name.startswith("_"):  # a probe such as `__path__` (`from cli import`) loads nothing
+            for module in modules:
+                bind(module)
+                if name in namespace:
+                    return namespace[name]
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    return bind, module_getattr
+
+
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,8 @@
 dict round-tripping and a content hash for report headers, the two value
 types whose range rules it applies (mask band ratios, anchor pyramid), and
 what a stage reads of it, checked once: the weak branch's arguments, the
-fusion's minimum duration and each epoch's mask band ratios."""
+fusion's minimum duration and each epoch's mask band ratios. Also the
+input-file fault `SchemaError` and the message of undecodable JSON."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,6 +11,7 @@ import hashlib
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 
 __all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
@@ -23,6 +25,23 @@ DEFAULT_TIOU_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 8))
 class ConfigSchemaError(ValueError):
     """A config mapping names keys that are not fields of the config, or gives
     a field a value of the wrong JSON type."""
+
+
+class SchemaError(Exception):
+    """An input file unparsable or shaped wrong, or a bad output path."""
+
+
+def undecodable(exc: ValueError | RecursionError) -> str:
+    """The message of a text that `json.loads` refuses: not UTF-8, not JSON,
+    nested deeper than the interpreter recurses, or holding an integer longer
+    than `sys.get_int_max_str_digits()` (the ValueError left)."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text ({exc.reason})"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON ({exc.msg})"
+    if isinstance(exc, RecursionError):
+        return "invalid JSON (nested too deep)"
+    return f"invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
 
 
 # The JSON values a field of each type takes: an int field a JSON integer (a

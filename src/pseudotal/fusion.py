@@ -15,7 +15,6 @@ benchmarking against the wavelet fusion; `STRATEGIES` names all six.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -173,11 +172,15 @@ def segments_from_wavelet(wavelet: FusedWavelet, min_duration_s: float = 0.0) ->
     return Segments(start[keep], end[keep], col[keep] + 1, peak[keep])
 
 
-def _floored(proposals: Segments) -> Segments:
-    """The pseudo labels of `proposals`: each score, as a confidence, floored
-    at 0 (a -0.0 stays -0.0, as in Python's `max(score, 0.0)`)."""
-    score = proposals.score
-    return dataclasses.replace(proposals, score=np.where(score < 0.0, 0.0, score))
+def _floored(score: np.ndarray) -> np.ndarray:
+    """Scores as confidences: floored at 0 (-0.0 stays, as in `max(score, 0.0)`)."""
+    return np.where(score < 0.0, 0.0, score)
+
+
+def _kept(proposals: Segments, index) -> Segments:
+    """The pseudo labels of the proposals at `index`, scores `_floored`."""
+    return Segments(proposals.start_s[index], proposals.end_s[index], proposals.class_id[index],
+                    _floored(proposals.score[index]))
 
 
 def _fuse_hard(proposals: Segments, grid: TimeGrid) -> Segments:
@@ -197,7 +200,7 @@ def _fuse_hard(proposals: Segments, grid: TimeGrid) -> Segments:
     owned = i >= 0
     first, last, i = first[owned], last[owned], i[owned]
     dur = grid.snippet_duration_s
-    return _floored(Segments(first * dur, (last + 1) * dur, proposals.class_id[i], score[i]))
+    return Segments(first * dur, (last + 1) * dur, proposals.class_id[i], _floored(score[i]))
 
 
 def _fuse_gauss(proposals: Segments) -> Segments:
@@ -228,7 +231,9 @@ def _fuse_gauss(proposals: Segments) -> Segments:
         end = sum(row[1] * row[2] for row in group) / total
         out.append((start, end, class_id, top_score))
         remaining = rest
-    return Segments(*(tuple(zip(*out)) or ((), (), (), ())))
+    start, end, class_id, score = zip(*out) if out else ((), (), (), ())
+    return Segments(np.array(start, dtype=np.float64), np.array(end, dtype=np.float64),
+                    np.array(class_id, dtype=np.int64), np.array(score, dtype=np.float64))
 
 
 # name -> fuse(proposals, grid, min_duration_s); only ricker reads min_duration_s.
@@ -237,14 +242,12 @@ STRATEGIES: dict[str, Callable[[Segments, TimeGrid, float], Segments]] = {
     "ricker": lambda props, grid, min_dur: segments_from_wavelet(
         fuse_ricker(props, grid), min_dur
     ),
-    "soft": lambda props, grid, min_dur: _floored(props),
+    "soft": lambda props, grid, min_dur: _kept(props, slice(None)),
     "hard": lambda props, grid, min_dur: _fuse_hard(props, grid),
-    "topk": lambda props, grid, min_dur: _floored(
-        props.select(np.lexsort((props.end_s, props.start_s, -props.score))[:TOP_K])
+    "topk": lambda props, grid, min_dur: _kept(
+        props, np.lexsort((props.end_s, props.start_s, -props.score))[:TOP_K]
     ),
-    "threshold": lambda props, grid, min_dur: _floored(
-        props.select(props.score >= SCORE_THRESHOLD)
-    ),
+    "threshold": lambda props, grid, min_dur: _kept(props, props.score >= SCORE_THRESHOLD),
     "gauss": lambda props, grid, min_dur: _fuse_gauss(props),
 }
 

@@ -10,9 +10,10 @@ corruption, so no video's draws depend on another video.
 
 `gen_corpus` lays out the whole corpus; `corrupt_predictions` renders one
 video's predictions from its layout, so a caller holds one video's
-predictions at a time. `run_benchmark` runs the weak branch and each fusion
-strategy on every video with the arguments that `PipelineConfig` gives them,
-as the CLI's `extract` and `fuse` do.
+predictions at a time; `simulate` loads only them. `run_benchmark` runs the
+weak branch and each fusion strategy on every video with the arguments that
+`PipelineConfig` gives them, as `extract` and `fuse` do, binding `_SWEEP`
+into this module's globals (where bench/tracing.py wraps them) as it runs.
 """
 from __future__ import annotations
 
@@ -25,12 +26,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import lazy_globals
 from .config import PipelineConfig, check_fields, config_from_dict
 from .core import (GroundTruthSet, Interval, SnippetPredictions, TimeGrid, first_cover,
                    snippet_centers)
-from .evaluation import PseudoQuality, pseudo_quality
-from .fusion import generate_pseudo_labels, lookup_strategy
-from .weak_branch import VideoLabel, weak_proposals
 
 __all__ = [
     "SimConfig",
@@ -42,6 +41,9 @@ __all__ = [
     "benchmark_many",
     "RNG_NAME",
 ]
+
+_SWEEP = ("weak_branch", "fusion", "evaluation")  # the modules `run_benchmark` binds
+_bind, __getattr__ = lazy_globals(globals(), _SWEEP)
 
 # documented in report headers so corpora are reproducible elsewhere
 RNG_NAME = "numpy PCG64, SeedSequence((seed, stage, video_index)), stage 0=layout 1=corruption"
@@ -129,12 +131,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CorpusLayout:
-    """Ground truth plus per-video grids and weak labels, keyed by video id;
-    `grids` lists the videos in the order of their index."""
+    """Ground truth plus per-video grids, keyed by video id; `grids` lists
+    the videos in the order of their index."""
 
     ground_truth: GroundTruthSet
     grids: Mapping[str, TimeGrid]
-    labels: Mapping[str, VideoLabel]
 
     def video_ids(self) -> list[str]:
         return sorted(self.grids)
@@ -191,7 +192,7 @@ def _layout_video(cfg: SimConfig, video_index: int) -> tuple[TimeGrid, list[tupl
 
 
 def gen_corpus(cfg: SimConfig) -> CorpusLayout:
-    """Sample ground-truth layouts: grids, action segments, video labels.
+    """Sample ground-truth layouts: grids and action segments.
 
     Actions never overlap and keep at least `min_gap_snippets` between
     them; boundaries lie on snippet edges. Raises when a video cannot fit
@@ -199,13 +200,11 @@ def gen_corpus(cfg: SimConfig) -> CorpusLayout:
     """
     gt: dict[str, tuple[tuple[Interval, int], ...]] = {}
     grids: dict[str, TimeGrid] = {}
-    labels: dict[str, VideoLabel] = {}
     for v in range(cfg.num_videos):
         vid = f"video_{v:04d}"
         grids[vid], segments = _layout_video(cfg, v)
         gt[vid] = tuple(segments)
-        labels[vid] = VideoLabel.from_classes([c for _, c in segments], cfg.class_count)
-    return CorpusLayout(GroundTruthSet(gt), grids, labels)
+    return CorpusLayout(GroundTruthSet(gt), grids)
 
 
 def _smooth_noise(rng: np.random.Generator, t: int, std: float) -> np.ndarray:
@@ -329,6 +328,7 @@ def run_benchmark(
     strategy (fusion plus scoring). A repeated strategy name is fused and
     scored once; an unknown one raises before the corpus is built.
     """
+    _bind(*_SWEEP)
     if not strategies:
         raise ValueError("at least one strategy required")
     strategies = list(dict.fromkeys(strategies))
@@ -340,11 +340,12 @@ def run_benchmark(
     simulate_s, weak_s = time.perf_counter() - t0, 0.0
     proposals = {}
     for v, vid in layout.indexed_ids():
-        grid = layout.grids[vid]
+        grid, gt = layout.grids[vid], layout.ground_truth.segments[vid]
         t0 = time.perf_counter()
-        preds = corrupt_predictions(cfg, v, grid, layout.ground_truth.segments[vid])
+        preds = corrupt_predictions(cfg, v, grid, gt)
         t1 = time.perf_counter()
-        proposals[vid] = weak_proposals(preds, grid, layout.labels[vid], **pipe.weak_branch())
+        label = VideoLabel.from_classes([class_id for _, class_id in gt], grid.class_count)
+        proposals[vid] = weak_proposals(preds, grid, label, **pipe.weak_branch())
         simulate_s += t1 - t0
         weak_s += time.perf_counter() - t1
     timings = {"simulate": simulate_s * 1000.0, "weak_branch": weak_s * 1000.0}

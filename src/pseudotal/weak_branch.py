@@ -186,9 +186,10 @@ def soft_nms(
                 entry[0] *= decay[row + entry[4]]
             alive = [entry for entry in alive if -entry[0] >= min_score]
         at += n * n
-    kept_at = np.array(kept, dtype=np.intp)
-    out = Segments(start[kept_at], end[kept_at], proposals.class_id[kept_at], kept_scores)
-    return out.select(np.lexsort((out.end_s, out.start_s, out.class_id, -out.score)))
+    kept_at, final = np.array(kept, dtype=np.intp), np.array(kept_scores, dtype=np.float64)
+    order = np.lexsort((end[kept_at], start[kept_at], proposals.class_id[kept_at], -final))
+    kept_at = kept_at[order]
+    return Segments(start[kept_at], end[kept_at], proposals.class_id[kept_at], final[order])
 
 
 def weak_proposals(

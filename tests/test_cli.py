@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudotal import cli
+from pseudotal import cli, readers
 from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
 from pseudotal.core import MAX_GRID_CELLS
@@ -1599,7 +1599,7 @@ class TestExitCodes:
     def test_integers_beyond_int64_convert(self, plain):
         # numpy infers no number dtype for them; the entry check hands them to the float cast
         values = [1, 2**64, 0.5, -(2**70)]
-        assert cli._float_array(values, "x", plain).tolist() == [
+        assert readers._float_array(values, "x", plain).tolist() == [
             1.0, 2.0**64, 0.5, -(2.0**70)]
 
     def test_boolean_text_elsewhere_keeps_numbers(self, tmp_path, sim_paths):
@@ -2439,8 +2439,11 @@ REFUSALS = {
     **{f"'sim' not an object under {cmd}": (
         '{"sim": 1}', [cmd, *argv], 2, "{config}: 'sim' must be a JSON object")
        for cmd, argv in [("simulate", []), ("eval", ["--input", "props", "--gt", "props"])]},
-    **{f"{cmd} without --gt": ("{}", [cmd, "--input", path], 2, "this subcommand requires --gt")
-       for cmd, path in [("extract", "sp"), ("eval", "props")]},
+    # --gt is checked before any input is read, so a missing input is not blamed
+    **{f"{cmd} without --gt{on}": ("{}", [cmd, "--input", path], 2,
+                                   "this subcommand requires --gt")
+       for cmd, own in [("extract", "sp"), ("eval", "props")]
+       for path, on in [(own, ""), ("absent", " on a missing --input")]},
     "fuse --wavelet-csv on two videos": (
         "{}", ["fuse", "--input", "props", "--input", "grid", "--wavelet-csv", "csv"], 3,
         "wavelet CSV requires exactly one video in the input"),
@@ -2457,7 +2460,7 @@ def test_refusals_of_the_config_and_flags(tmp_path, capsys, case):
     """Each refusal exits with its code and one stderr line, and writes no
     file."""
     text, argv, want_code, message = REFUSALS[case]
-    f = {name: tmp_path / f"{name}.jsonl" for name in ("props", "grid", "sp")}
+    f = {name: tmp_path / f"{name}.jsonl" for name in ("props", "grid", "sp", "absent")}
     write_jsonl(f["props"], [{**SEGMENT_ROW, "video_id": vid} for vid in ("a", "b")])
     write_jsonl(f["grid"], [{**GRID_ROW, "video_id": vid} for vid in ("a", "b")])
     write_jsonl(f["sp"], [VIDEO_ROWS["sp"]])

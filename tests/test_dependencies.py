@@ -148,39 +148,45 @@ def chain(tmp_path_factory):
 
 # each step (a subcommand, then what sets the run apart) with its arguments
 # (names of `chain` files) and the package modules it loads besides cli,
-# config and core; every branch of a handler that calls the library is a step
+# config and core; every branch of a handler that calls the library is a step.
+# Each step that reads input files (`--input`) loads the readers; `--help`,
+# `simulate` and `benchmark` never do, and `simulate` loads no strategy sweep.
 STEPS = {
     "--help": ([], set()),
-    "eval": (["--input", "props", "--gt", "gt"], {"evaluation"}),
-    "mask": (["--input", "pseudos", "--input", "sp"], {"mask"}),
-    "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"], {"mask", "targets"}),
+    "eval": (["--input", "props", "--gt", "gt"], {"readers", "evaluation"}),
+    "mask": (["--input", "pseudos", "--input", "sp"], {"readers", "mask"}),
+    "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"],
+                {"readers", "mask", "targets"}),
     "losses": (["--input", "preds", "--input", "targets", "--input", "sp", "--gt", "gt"],
-               {"mask", "targets", "weak_branch"}),
+               {"readers", "mask", "targets", "weak_branch"}),
     "losses without an SP file": (["--input", "preds", "--input", "targets"],
-                                  {"mask", "targets", "weak_branch"}),
-    "extract": (["--input", "sp", "--gt", "gt"], {"weak_branch"}),
-    "fuse": (["--input", "props", "--input", "sp"], {"fusion"}),
+                                  {"readers", "mask", "targets", "weak_branch"}),
+    "extract": (["--input", "sp", "--gt", "gt"], {"readers", "weak_branch"}),
+    "fuse": (["--input", "props", "--input", "sp"], {"readers", "fusion"}),
     "fuse --wavelet-csv": (["--input", "props1", "--input", "sp", "--wavelet-csv", "csv"],
-                           {"fusion"}),
-    **{cmd: (argv, {"evaluation", "fusion", "sim", "weak_branch"}) for cmd, argv in [
-        ("simulate", ["--config", "config"]),
-        ("benchmark", ["--config", "config", "--strategy", "soft"]),
-    ]},
+                           {"readers", "fusion"}),
+    "simulate": (["--config", "config"], {"sim"}),
+    "benchmark": (["--config", "config", "--strategy", "soft"],
+                  {"evaluation", "fusion", "sim", "weak_branch"}),
 }
 
 # runs `cli.main` on argv in a fresh interpreter; prints the exit code, whether
 # `import numpy` alone loads numpy.random (numpy < 2 does), the modules loaded
-# when the first input file is opened (or null) and at the end
+# when the first input file is opened (or null) and at the end. Only a step
+# that reads input files has the readers patched, so no other loads them here.
 PROBE = """
 import json, sys
 import numpy
 eager = "numpy.random" in sys.modules
 from pseudotal import cli
-first_read, rows = [], cli._rows
-def first_rows(*args, **kwargs):
-    first_read.append(sorted(sys.modules))
-    return rows(*args, **kwargs)
-cli._rows = first_rows
+first_read = []
+if "--input" in sys.argv:
+    from pseudotal import readers
+    rows = readers._rows
+    def first_rows(*args, **kwargs):
+        first_read.append(sorted(sys.modules))
+        return rows(*args, **kwargs)
+    readers._rows = first_rows
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
@@ -212,6 +218,7 @@ def test_each_subcommand_loads_only_its_modules(chain, step):
         if names is not None:
             loaded = {m.split(".", 1)[1] for m in names if m.startswith("pseudotal.")}
             assert loaded == {"cli", "config", "core"} | extra
+    assert (first_read is None) == ("readers" not in extra)
     assert ("numpy.random" in modules) == (eager or step in ("simulate", "benchmark"))
     assert {"fractions", "decimal"} & set(modules) == set()
 
@@ -262,6 +269,36 @@ print(json.dumps(calls))
     assert sorted(name for name in runs if calls.get(name, 0) > 0) == sorted(runs)
     videos = json.loads(Path(chain["config"]).read_text())["sim"]["num_videos"]
     assert calls["corrupt_predictions"] == calls["sim.corrupt_predictions"] == videos
+
+
+def test_the_tracer_wraps_the_sweep_on_sim(chain):
+    """bench/tracing.py wraps three names of the strategy sweep on `sim`,
+    which binds them into its globals only when `run_benchmark` runs, and
+    calls them there. In a fresh interpreter, counting wrappers set on `sim`
+    before a one-strategy `benchmark` are the functions it calls: the weak
+    branch and the fusion once per video, the scoring once."""
+    tracer = (PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
+    names = ["weak_proposals", "generate_pseudo_labels", "pseudo_quality"]
+    assert set(names) <= set(re.findall(r'wrap\(sim, "(\w+)"', tracer))
+    code = f"""
+import json
+from collections import Counter
+from pseudotal import cli, sim
+calls = Counter()
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+for name in {names!r}:
+    setattr(sim, name, counting(name, getattr(sim, name)))
+assert cli.main(["benchmark", "--config", {chain["config"]!r}, "--strategy", "soft",
+                 "--output", {chain["out"]!r}]) == 0
+print(json.dumps(calls))
+"""
+    videos = json.loads(Path(chain["config"]).read_text())["sim"]["num_videos"]
+    assert _fresh(code) == {"weak_proposals": videos, "generate_pseudo_labels": videos,
+                            "pseudo_quality": 1}
 
 
 def test_the_tracer_binds_parameter_names_that_exist():

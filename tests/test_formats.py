@@ -1,5 +1,5 @@
 """FORMATS.md against the code. Each file section's key tables are the
-schema table of `cli` (`_SCHEMAS`, with the shape rules `_PER_SNIPPET` and
+schema table of `readers` (`_SCHEMAS`, with the shape rules `_PER_SNIPPET` and
 `_OPTIONAL`), each JSON example of a row reads through its section's reader
 once its "..." entries are dropped, every exit-2 message that a JSON-kind
 checker (`_KINDS`) or a shape rule can raise is named in FORMATS.md, and
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pseudotal import cli
+from pseudotal import cli, readers
+from pseudotal.config import SchemaError
 from pseudotal.core import TimeGrid
 
 FORMATS = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
@@ -38,28 +39,28 @@ def _mask_reader(path):
     """The mask reader, with a grid of as many snippets as the runs cover."""
     row = json.loads(Path(path).read_text(encoding="utf-8"))
     grid = TimeGrid(sum(count for _, count in row["bits"]), 1.0, 1)
-    return cli._parse_mask_file(path, {row["video_id"]: grid})
+    return readers.parse_mask_file(path, {row["video_id"]: grid})
 
 
 # the file sections of FORMATS.md: the schemas each one tabulates, and the
 # reader of its JSON examples
 SECTIONS = {
-    "SP file (snippet predictions)": (["sp"], lambda path: dict(cli._parse_sp_file(path))),
-    "Grid source": (["grid", "sp grid"], cli._parse_grid_file),
+    "SP file (snippet predictions)": (["sp"], lambda path: dict(readers.parse_sp_file(path))),
+    "Grid source": (["grid", "sp grid"], readers.parse_grid_file),
     "Proposal / pseudo-proposal file": (["proposal"],
-                                        lambda path: cli._parse_segments(path, True)),
+                                        lambda path: readers.parse_segments(path, True)),
     "Ground-truth file": (["ground truth"],
-                          lambda path: cli._parse_segments(path, False).segments),
+                          lambda path: readers.parse_segments(path, False).segments),
     "Mask file": (["mask"], _mask_reader),
-    "Targets file": (["targets"], lambda path: dict(cli._parse_targets_file(path))),
+    "Targets file": (["targets"], lambda path: dict(readers.parse_targets_file(path))),
     "Anchor-predictions file": (["anchor predictions"],
-                                lambda path: dict(cli._parse_anchor_predictions(path))),
+                                lambda path: dict(readers.parse_anchor_predictions(path))),
 }
 
 
 def test_every_schema_has_one_section():
     assert sorted(name for names, _ in SECTIONS.values() for name in names) == sorted(
-        cli._SCHEMAS)
+        readers._SCHEMAS)
     sections = _sections()
     for heading in SECTIONS:
         assert heading in sections, heading
@@ -71,13 +72,13 @@ def test_key_tables_are_the_schemas(heading):
     tables = _key_tables(_sections()[heading])
     assert sorted(tables) == sorted(names)
     for name in names:
-        table, schema = tables[name], cli._SCHEMAS[name]
+        table, schema = tables[name], readers._SCHEMAS[name]
         assert list(table) == list(schema), name
         assert {key: kind for key, (kind, _) in table.items()} == schema, name
         for key, (_, shape) in table.items():
-            if key in cli._PER_SNIPPET:
+            if key in readers._PER_SNIPPET:
                 assert "`num_snippets`" in shape, (name, key)
-            elif key in cli._OPTIONAL:
+            elif key in readers._OPTIONAL:
                 assert shape == "optional", (name, key)
             else:
                 assert "num_snippets" not in shape and "optional" not in shape, (name, key)
@@ -127,7 +128,7 @@ def _messages(check) -> set[str]:
         for plain in (True, False):
             try:
                 check(value, "<key>", plain)
-            except cli.SchemaError as exc:
+            except SchemaError as exc:
                 message = str(exc)
                 for shown in {reprlib.repr(value), *map(reprlib.repr, _entries(value))}:
                     if message.endswith(f", got {shown}"):
@@ -139,18 +140,18 @@ def _messages(check) -> set[str]:
 
 def test_every_kind_is_described():
     kinds = re.findall(r"^  \| (\w+) \| .* \| `<key> ", FORMATS, flags=re.M)
-    assert sorted(kinds) == sorted(cli._KINDS)
+    assert sorted(kinds) == sorted(readers._KINDS)
 
 
-@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+@pytest.mark.parametrize("kind", sorted(readers._KINDS))
 def test_every_kind_message_is_named(kind):
-    messages = _messages(cli._KINDS[kind])
+    messages = _messages(readers._KINDS[kind])
     assert messages
     assert sorted(m for m in messages if f"`{m}`" not in FORMATS) == []
 
 
 def test_every_shape_message_is_named():
-    messages = {f"{key} {noun} disagrees with num_snippets" for key, noun in cli._PER_SNIPPET.items()}
+    messages = {f"{key} {noun} disagrees with num_snippets" for key, noun in readers._PER_SNIPPET.items()}
     messages |= {"row missing keys [...]", "video_id must be a string, got <value>"}
     assert sorted(m for m in messages if f"`{m}`" not in FORMATS) == []
 
@@ -173,5 +174,5 @@ def test_outputs_hold_the_schema_keys(tmp_path):
         assert cli.main([cmd, *args, "--output", str(files[name])]) == 0
     for name, path in files.items():
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-        schema = cli._SCHEMAS["proposal" if name == "pseudo" else name]
+        schema = readers._SCHEMAS["proposal" if name == "pseudo" else name]
         assert rows and all(sorted(row) == sorted(["video_id", *schema]) for row in rows), name

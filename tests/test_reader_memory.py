@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pseudotal import cli
+from pseudotal import cli, readers
 
 ROWS = 24  # the peak of a reader that holds every decoded row grows with this
 # decoded rows a reader may hold at its peak: while a line decodes, the loops
@@ -87,9 +87,9 @@ def _kept_bytes(parsed):
 
 @pytest.mark.parametrize(
     "rows, parse",
-    [(_anchor_prediction_rows, lambda path: dict(cli._parse_anchor_predictions(path))),
-     (_sp_rows, lambda path: {vid: preds for vid, (_, preds) in cli._parse_sp_file(path)}),
-     (_targets_rows, lambda path: dict(cli._parse_targets_file(path)))],
+    [(_anchor_prediction_rows, lambda path: dict(readers.parse_anchor_predictions(path))),
+     (_sp_rows, lambda path: {vid: preds for vid, (_, preds) in readers.parse_sp_file(path)}),
+     (_targets_rows, lambda path: dict(readers.parse_targets_file(path)))],
     ids=["anchor_predictions", "sp", "targets"],
 )
 def test_reader_peak_is_one_row_deep(tmp_path, rows, parse):

@@ -17,7 +17,7 @@ from pseudotal.sim import (
     gen_corpus,
     run_benchmark,
 )
-from pseudotal.weak_branch import weak_proposals
+from pseudotal.weak_branch import VideoLabel, weak_proposals
 
 PIPE = PipelineConfig()
 
@@ -28,13 +28,20 @@ def _corrupt_all(layout, cfg):
             for v, vid in layout.indexed_ids()}
 
 
+def _label(layout, vid):
+    """The video label of `vid`: the classes of its ground truth, the rule
+    of `run_benchmark` and `extract`."""
+    return VideoLabel.from_classes([c for _, c in layout.ground_truth.segments[vid]],
+                                   layout.grids[vid].class_count)
+
+
 def _pseudo_labels(layout, preds, strategy):
     """`strategy`'s pseudo labels of every video of `layout`: the weak branch
     and the fusion called per video with the arguments PIPE gives them."""
     out = {}
     for vid in layout.video_ids():
         grid = layout.grids[vid]
-        props = weak_proposals(preds[vid], grid, layout.labels[vid], **PIPE.weak_branch())
+        props = weak_proposals(preds[vid], grid, _label(layout, vid), **PIPE.weak_branch())
         out[vid] = generate_pseudo_labels(strategy, props, grid,
                                           min_duration_s=PIPE.min_duration_s(grid))
     return out
@@ -114,7 +121,7 @@ class TestGenCorpus:
         for vid in a.video_ids():
             assert a.grids[vid] == b.grids[vid]
             assert a.ground_truth.segments[vid] == b.ground_truth.segments[vid]
-            assert a.labels[vid].onehot.tolist() == b.labels[vid].onehot.tolist()
+            assert _label(a, vid).onehot.tolist() == _label(b, vid).onehot.tolist()
 
     def test_single_action_counting(self):
         cfg = SimConfig(seed=1, num_videos=5, actions_per_video=(1, 1))
@@ -145,13 +152,13 @@ class TestGenCorpus:
         layout = gen_corpus(cfg)
         for vid, items in layout.ground_truth.segments.items():
             present = sorted({c for _, c in items})
-            assert layout.labels[vid].classes == present
+            assert _label(layout, vid).classes == present
 
     def test_each_video_keeps_its_index_in_id_order(self):
         # the index seeds a video's streams; `video_10000` sorts before `video_1001`
         grid = TimeGrid(1, 1.0, 1)
         ids = ["video_0999", "video_1000", "video_1001", "video_10000"]
-        layout = sim.CorpusLayout(GroundTruthSet({}), dict.fromkeys(ids, grid), {})
+        layout = sim.CorpusLayout(GroundTruthSet({}), dict.fromkeys(ids, grid))
         assert layout.indexed_ids() == [(0, "video_0999"), (1, "video_1000"),
                                         (3, "video_10000"), (2, "video_1001")]
         assert [vid for _, vid in layout.indexed_ids()] == layout.video_ids()
@@ -297,7 +304,7 @@ class TestCorruptPredictions:
         kept_all = {}
         for vid in layout.video_ids():
             props = weak_proposals(
-                preds[vid], layout.grids[vid], layout.labels[vid], **PIPE.weak_branch()
+                preds[vid], layout.grids[vid], _label(layout, vid), **PIPE.weak_branch()
             )
             kept_all[vid] = generate_pseudo_labels("soft", props, layout.grids[vid])
         q = pseudo_quality(kept_all, layout.ground_truth, (0.5,))
