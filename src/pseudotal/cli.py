@@ -34,8 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import lazy_globals
-from .config import (TOOL_VERSION, ConfigSchemaError, PipelineConfig, PyramidConfig, SchemaError,
-                     undecodable)
+from .config import TOOL_VERSION, PipelineConfig, PyramidConfig, SchemaError, undecodable
 from .core import runs, snippet_centers
 
 __all__ = ["main"]
@@ -393,14 +392,14 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
 
 @contextlib.contextmanager
 def _config_faults(path: str | None):
-    """Blame the config file at `path`, if any, for a fault of the block: prefix
-    `<path>: `; a `ConfigSchemaError` becomes a `SchemaError`."""
+    """Blame the config file at `path`, if any, for a fault that `main` reports:
+    prefix `<path>: `; a `SchemaError` stays one, any other becomes a ValueError."""
     try:
         yield
-    except (SchemaError, ValueError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if path is None:
             raise
-        schema = isinstance(exc, (SchemaError, ConfigSchemaError))
+        schema = isinstance(exc, SchemaError)
         raise (SchemaError if schema else ValueError)(f"{path}: {exc}") from None
 
 
@@ -420,6 +419,8 @@ def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
     with _config_faults(path):
         try:
             raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except SchemaError:  # a repeated key, which `_unique_keys` names
+            raise
         except (ValueError, RecursionError) as exc:
             raise SchemaError(undecodable(exc)) from None
         if not isinstance(raw, dict):
@@ -509,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.sim = dataclasses.replace(args.sim, seed=args.seed)
         _write(command.handler(args, cfg))
         return 0
-    except (SchemaError, ConfigSchemaError) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a file the OS refuses: a missing input, an unwritable output

@@ -2,8 +2,8 @@
 dict round-tripping and a content hash for report headers, the two value
 types whose range rules it applies (mask band ratios, anchor pyramid), and
 what a stage reads of it, checked once: the weak branch's arguments, the
-fusion's minimum duration and each epoch's mask band ratios. Also the
-input-file fault `SchemaError` and the message of undecodable JSON."""
+fusion's minimum duration and each epoch's mask band ratios. Also the one
+schema fault `SchemaError` (exit 2) and the message of undecodable JSON."""
 from __future__ import annotations
 
 import dataclasses
@@ -14,7 +14,9 @@ import reprlib
 import sys
 from dataclasses import dataclass
 
-__all__ = ["PipelineConfig", "ConfigSchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
+from .core import MAX_GRID_CELLS
+
+__all__ = ["PipelineConfig", "SchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -22,13 +24,9 @@ TOOL_VERSION = "0.1.0"
 DEFAULT_TIOU_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 8))
 
 
-class ConfigSchemaError(ValueError):
-    """A config mapping names keys that are not fields of the config, or gives
-    a field a value of the wrong JSON type."""
-
-
-class SchemaError(Exception):
-    """An input file unparsable or shaped wrong, or a bad output path."""
+class SchemaError(ValueError):
+    """The one schema fault (exit 2): an input file unparsable or shaped wrong,
+    a bad output path, or a config key unknown or of the wrong JSON type."""
 
 
 def undecodable(exc: ValueError | RecursionError) -> str:
@@ -54,20 +52,20 @@ _JSON_TYPES = {
 
 def config_from_dict(cls, data: dict, what: str = "config"):
     """`cls(**data)` for a config dataclass, strictly: an unknown key raises
-    `ConfigSchemaError`; the constructor checks the values."""
+    `SchemaError`; the constructor checks the values."""
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigSchemaError(f"unknown {what} keys: {sorted(unknown)}")
+        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
     return cls(**data)
 
 
 def check_fields(config, what: str) -> None:
     """The first check of each config dataclass, naming the key: every field
-    holds its JSON type (`ConfigSchemaError`), then no float is NaN or
-    infinite (`ValueError`). A tuple field given a list stores it as a tuple,
-    so the config stays hashable; a tuple is shown as the JSON list it came
-    from, and a value by a bounded repr, so one nested near the decoder's depth
-    limit prints a few levels and cannot overflow the stack."""
+    holds its JSON type (`SchemaError`), then each number of a float field is
+    finite: no NaN, infinity or integer past the float range (`ValueError`).
+    A tuple field given a list stores it as a tuple, so the config stays
+    hashable; a tuple is shown as the JSON list, a value by a bounded repr, so
+    one nested near the decoder's depth limit cannot overflow the stack."""
     fields = [(f.name, getattr(config, f.name), str(f.type)) for f in dataclasses.fields(config)]
     shown = {key: list(value) if isinstance(value, tuple) else value for key, value, _ in fields}
     for key, value, kind in fields:
@@ -80,12 +78,12 @@ def check_fields(config, what: str) -> None:
         ):
             need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
             got = reprlib.repr(shown[key])
-            raise ConfigSchemaError(f"{what} key {key!r} must be {need}, got {got}")
+            raise SchemaError(f"{what} key {key!r} must be {need}, got {got}")
         if many:
             object.__setattr__(config, key, tuple(value))
-    for key, value, _ in fields:
+    for key, value, kind in fields:
         entries = value if isinstance(value, (tuple, list)) else (value,)
-        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+        if "float" in kind and not all(abs(v) <= sys.float_info.max for v in entries):
             raise ValueError(f"{what} key {key!r} must be finite, got {reprlib.repr(shown[key])}")
 
 
@@ -166,6 +164,8 @@ class PipelineConfig:
             raise ValueError("extract_on must be 'sps' or 'attention'")
         if self.min_duration_snippets < 0:
             raise ValueError("min_duration_snippets must be nonnegative")
+        if self.min_duration_snippets > MAX_GRID_CELLS:  # no grid holds a longer run
+            raise ValueError(f"min_duration_snippets must be at most {MAX_GRID_CELLS}")
         MaskParams(self.alpha, self.beta)  # the mask checks its band ratios
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")

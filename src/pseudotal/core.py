@@ -95,7 +95,7 @@ class TimeGrid:
         return self.num_snippets * self.snippet_duration_s
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
     """Half-open-by-convention temporal interval [start_s, end_s), start < end,
     with endpoints at most MAX_TIME_S in magnitude."""
@@ -168,11 +168,6 @@ class Segments:
                    self.score.tolist())
         return map(Segment._make, rows)
 
-    def select(self, index: np.ndarray) -> "Segments":
-        """The rows at `index`, an integer index array or a boolean mask."""
-        return Segments(self.start_s[index], self.end_s[index], self.class_id[index],
-                        self.score[index])
-
 
 @dataclass(frozen=True)
 class GroundTruthSet:
@@ -230,14 +225,6 @@ class SnippetPredictions:
         cls.setflags(write=False)
         object.__setattr__(self, "attention", att)
         object.__setattr__(self, "class_scores", cls)
-
-    @property
-    def num_snippets(self) -> int:
-        return int(self.attention.shape[0])
-
-    @property
-    def class_count(self) -> int:
-        return int(self.class_scores.shape[1]) - 1
 
 
 def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:

@@ -51,12 +51,6 @@ class EvalReport:
         cells = zip(self.thresholds, self.map_values)
         return [v for t, v in cells if lo - 1e-9 <= t <= hi + 1e-9]
 
-    def map_at(self, threshold: float) -> float:
-        cells = self._cells(threshold, threshold)
-        if not cells:
-            raise KeyError(f"no mAP entry at tIoU {threshold}")
-        return cells[0]
-
     def average_between(self, lo: float, hi: float) -> float:
         """Arithmetic mean of the mAP cells with lo <= tIoU <= hi."""
         cells = self._cells(lo, hi)

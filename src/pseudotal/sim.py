@@ -102,10 +102,13 @@ class SimConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.score_temperature <= 0:
             raise ValueError("score_temperature must be positive")
+        t_hi = self.snippets_per_video[1]
+        if self.duration_range_s[0] / self.snippet_duration_s > t_hi:  # ceil(x) > n iff x > n
+            raise ValueError("duration_range_s[0] / snippet_duration_s must be at most "
+                             "snippets_per_video[1]")
         self.duration_snippet_range()
         # each action and, on average, each false positive needs a snippet;
         # past that they are only draws and loop iterations
-        t_hi = self.snippets_per_video[1]
         if self.actions_per_video[1] > t_hi or self.false_positive_rate > t_hi:
             raise ValueError("actions_per_video[1] and false_positive_rate must be at most "
                              "snippets_per_video[1]")

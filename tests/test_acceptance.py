@@ -320,7 +320,7 @@ def test_07_noiseless_end_to_end_identity():
         cfg = SimConfig(seed=11, num_videos=20, class_count=5)
         result = run_benchmark(cfg, ["ricker"])
         report = result.reports["ricker"].report
-        assert report.map_at(0.5) == 1.0
+        assert report.average_between(0.5, 0.5) == 1.0
         assert report.average_map >= 0.95
 
 

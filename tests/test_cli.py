@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from pseudotal import cli, readers
 from pseudotal.cli import COMMANDS, main
-from pseudotal.config import TOOL_VERSION, ConfigSchemaError, PipelineConfig
+from pseudotal.config import TOOL_VERSION, PipelineConfig, SchemaError
 from pseudotal.core import MAX_GRID_CELLS
 from pseudotal.fusion import STRATEGIES
 from pseudotal.sim import SimConfig
@@ -23,6 +24,10 @@ from pseudotal.targets import ANCHOR_FIELDS
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+HUGE = int("9" * 400)  # a JSON integer past the float range
+HUGE_SHOWN = reprlib.repr(HUGE)
 
 
 def read_jsonl(path):
@@ -2230,7 +2235,7 @@ class TestConfigTypes:
         # config file holds
         shown = re.escape(repr(list(value) if isinstance(value, tuple) else value))
         message = f"^{what} key '{key}' must be {need}, got {shown}$"
-        with pytest.raises(ConfigSchemaError, match=message):
+        with pytest.raises(SchemaError, match=message):
             cls(**{key: value, "score_temperature" if cls is SimConfig else "sigma_nms": math.nan})
 
     @pytest.mark.parametrize("value, shown", [
@@ -2240,7 +2245,7 @@ class TestConfigTypes:
     def test_a_wrong_value_is_shown_short(self, value, shown):
         # a bounded repr: a value nested near the decoder's depth limit cannot
         # overflow the stack in the message
-        with pytest.raises(ConfigSchemaError) as info:
+        with pytest.raises(SchemaError) as info:
             PipelineConfig(tau=value)
         assert str(info.value) == f"config key 'tau' must be a JSON number, got {shown}"
 
@@ -2250,6 +2255,48 @@ class TestConfigTypes:
         assert run("simulate", "--config", cfg, "--output", tmp_path / "out") == 3
         assert capsys.readouterr().err == (
             f"error: {cfg}: config key 'eval_tious' must be finite, got [0.5, -inf]\n")
+
+    @pytest.mark.parametrize("config, cmd, message", [
+        ({"alpha": HUGE}, "mask", f"config key 'alpha' must be finite, got {HUGE_SHOWN}"),
+        ({"sigma_nms": HUGE}, "extract", f"config key 'sigma_nms' must be finite, got {HUGE_SHOWN}"),
+        ({"lambda_att": HUGE}, "losses",
+         f"config key 'lambda_att' must be finite, got {HUGE_SHOWN}"),
+        ({"gamma_focal": HUGE}, "losses",
+         f"config key 'gamma_focal' must be finite, got {HUGE_SHOWN}"),
+        ({"sim": {"score_temperature": HUGE}}, "simulate",
+         f"sim config key 'score_temperature' must be finite, got {HUGE_SHOWN}"),
+        ({"sim": {"duration_range_s": [1, HUGE]}}, "simulate",
+         f"sim config key 'duration_range_s' must be finite, got [1, {HUGE_SHOWN}]"),
+        ({"min_duration_snippets": HUGE}, "fuse",
+         f"min_duration_snippets must be at most {MAX_GRID_CELLS}"),
+    ], ids=["alpha", "sigma_nms", "lambda_att", "gamma_focal", "score_temperature",
+            "duration_range_s", "min_duration_snippets"])
+    def test_an_integer_past_the_float_range(self, tmp_path, capsys, chain_files, config, cmd,
+                                             message):
+        # refused when the config loads, naming the file and the key, and
+        # shown by a bounded repr; no value is converted to a float
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = [chain_files.get(a, a) for a in self.ARGV[cmd]]
+        out = tmp_path / "out"
+        assert run(cmd, "--config", cfg, *argv, "--output", out) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sim", [{"snippet_duration_s": 1e-300},
+                                     {"duration_range_s": [200, 300]}],
+                             ids=["tiny snippets", "long actions"])
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_the_shortest_action_fits_in_the_longest_video(self, tmp_path, capsys, sim, cmd):
+        # refused before the first draw, naming the keys
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": sim}))
+        out = tmp_path / "out"
+        assert run(cmd, "--config", cfg, "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: duration_range_s[0] / snippet_duration_s must be at most "
+            "snippets_per_video[1]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha, beta, message", [
         (-0.1, 0.0, "alpha must be nonnegative"),

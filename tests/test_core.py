@@ -104,15 +104,16 @@ class TestTypes:
         assert rows == [(0.0, 1.0, 1, 0.5), (2.0, 5.0, 3, -0.0), (4.0, 6.0, 2, 0.25)]
         assert all(type(r) is Segment for r in rows)
         assert [type(v) for v in rows[1]] == [float, float, int, float]
-        assert list(segs.select(np.array([2, 0]))) == [rows[2], rows[0]]
-        assert list(segs.select(segs.score > 0.3)) == [rows[0]]
+        columns = (segs.start_s, segs.end_s, segs.class_id, segs.score)
+        # read-only columns, indexed, build the rows they select
+        assert list(Segments(*(c[np.array([2, 0])] for c in columns))) == [rows[2], rows[0]]
+        assert list(Segments(*(c[segs.score > 0.3] for c in columns))) == [rows[0]]
 
     def test_snippet_predictions_validation(self):
         att = np.array([0.5, 1.0])
         cls = np.array([[0.4, 0.6], [0.2, 0.8]])
         preds = SnippetPredictions(att, cls)
-        assert preds.num_snippets == 2
-        assert preds.class_count == 1
+        assert preds.class_scores.shape == (2, 2)
         assert not preds.attention.flags.writeable
         with pytest.raises(ValueError):
             SnippetPredictions(np.array([1.5, 0.0]), cls)

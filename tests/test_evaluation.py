@@ -204,13 +204,14 @@ class TestMapTable:
         with pytest.raises(ValueError):
             map_table({}, GroundTruthSet({}))
 
-    def test_map_at_and_text(self):
+    def test_one_cell_of_the_table(self):
+        # a range of one threshold averages that threshold's cell alone
         gt = _gt(a=[(0, 5, 1)])
         preds = {"a": segments((0, 5, 1, 0.9))}
         report = map_table(preds, gt)
-        assert report.map_at(0.5) == 1.0
+        assert report.average_between(0.5, 0.5) == report.map_values[4] == 1.0
         with pytest.raises(KeyError):
-            report.map_at(0.85)
+            report.average_between(0.85, 0.85)
 
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(59)

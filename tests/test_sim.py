@@ -1,11 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from pseudotal import sim
-from pseudotal.config import PipelineConfig, ConfigSchemaError
-from pseudotal.core import GroundTruthSet, TimeGrid, snippet_centers
+from pseudotal.config import PipelineConfig, SchemaError
+from pseudotal.core import GroundTruthSet, Interval, TimeGrid, snippet_centers
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -55,7 +56,9 @@ class TestSimConfig:
     def test_from_dict(self):
         cfg = SimConfig.from_dict({"seed": 4, "snippets_per_video": [10, 20]})
         assert cfg == SimConfig(seed=4, snippets_per_video=(10, 20))
-        with pytest.raises(ConfigSchemaError, match="unknown sim config keys: \\['bogus'\\]"):
+        with pytest.raises(SchemaError, match="unknown sim config keys: \\['bogus'\\]"):
+            SimConfig.from_dict({"bogus": 1})
+        with pytest.raises(ValueError, match="unknown sim config keys"):  # one class, a ValueError
             SimConfig.from_dict({"bogus": 1})
         with pytest.raises(ValueError):
             SimConfig.from_dict({"num_videos": 0})
@@ -162,6 +165,22 @@ class TestGenCorpus:
         assert layout.indexed_ids() == [(0, "video_0999"), (1, "video_1000"),
                                         (3, "video_10000"), (2, "video_1001")]
         assert [vid for _, vid in layout.indexed_ids()] == layout.video_ids()
+
+    @pytest.mark.parametrize("fields", [
+        {"snippet_duration_s": 1e-300},
+        {"duration_range_s": (200.0, 300.0)},
+        {"snippets_per_video": (8, 8), "duration_range_s": (8.5, 9.0)},
+    ])
+    def test_the_shortest_action_fits_in_the_longest_video(self, fields):
+        # refused before any draw, not by numpy or after 100 placement tries
+        with pytest.raises(ValueError, match=re.escape(
+                "duration_range_s[0] / snippet_duration_s must be at most snippets_per_video[1]")):
+            SimConfig(**fields)
+
+    def test_an_action_as_long_as_the_longest_video(self):
+        cfg = SimConfig(num_videos=1, snippets_per_video=(8, 8), actions_per_video=(1, 1),
+                        duration_range_s=(8.0, 8.0))
+        assert gen_corpus(cfg).ground_truth.segments["video_0000"][0][0] == Interval(0.0, 8.0)
 
     def test_infeasible_packing_names_video(self):
         cfg = SimConfig(
@@ -286,7 +305,7 @@ class TestCorruptPredictions:
         preds = _corrupt_all(layout, cfg)
         pseudos = _pseudo_labels(layout, preds, "ricker")
         q = pseudo_quality(pseudos, layout.ground_truth, PIPE.eval_tious)
-        assert q.report.map_at(0.5) == 1.0
+        assert q.report.average_between(0.5, 0.5) == 1.0
         assert q.average_map >= 0.95
 
     def test_jitter_hurts_tight_thresholds_most(self):

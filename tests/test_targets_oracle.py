@@ -159,7 +159,9 @@ def test_the_targets_cases_reach_the_edge_cases():
             if (np.abs(snippets[:, None] - bounds) <= 2e-6).any():
                 seen.add("near a level bound")
             forward = build_targets(pseudos, mask, cfg)
-            backward = build_targets(pseudos.select(np.arange(len(pseudos))[::-1]), mask, cfg)
+            backward = build_targets(Segments(pseudos.start_s[::-1], pseudos.end_s[::-1],
+                                              pseudos.class_id[::-1], pseudos.score[::-1]),
+                                     mask, cfg)
             if not np.array_equal(forward.class_label, backward.class_label):
                 seen.add("order decides a tie")
     assert seen >= {
