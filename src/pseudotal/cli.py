@@ -248,9 +248,7 @@ def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
     pseudos, grids = segments_on_grids(_inputs(args, 2, 2, "pseudo file and grid source"))
     rows = []
     for vid in sorted(pseudos):
-        grid = grids[vid]
-        masks = (mask_for_proposal(p, params, grid) for p in pseudos[vid])  # one held at a time
-        bits = union_masks(masks, grid).bits
+        bits = union_masks(pseudos[vid], params, grids[vid]).bits
         rows.append(
             {"video_id": vid, "bits": [[v, last - first + 1] for first, last, v in runs(bits)]}
         )

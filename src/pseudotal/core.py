@@ -29,6 +29,7 @@ __all__ = [
     "Segments",
     "GroundTruthSet",
     "SnippetPredictions",
+    "check_distribution_rows",
     "span_tiou",
     "pairwise_tiou",
     "runs",
@@ -216,15 +217,19 @@ class SnippetPredictions:
             raise ValueError("attention and class_scores must be finite")
         if att.size and (att.min() < -1e-9 or att.max() > 1 + 1e-9):
             raise ValueError("attention values must lie in [0, 1]")
-        if np.any(cls < 0):
-            raise ValueError("class_scores entries must be nonnegative")
-        row_sums = cls.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-6):
-            raise ValueError("class_scores rows must sum to 1 within 1e-6")
+        check_distribution_rows(cls, "class_scores")
         att.setflags(write=False)
         cls.setflags(write=False)
         object.__setattr__(self, "attention", att)
         object.__setattr__(self, "class_scores", cls)
+
+
+def check_distribution_rows(rows: np.ndarray, name: str) -> None:
+    """Class-distribution rows: entries nonnegative, then rows sum to 1 within 1e-6."""
+    if np.any(rows < 0):
+        raise ValueError(f"{name} entries must be nonnegative")
+    if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
+        raise ValueError(f"{name} rows must sum to 1 within 1e-6")
 
 
 def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:

@@ -106,6 +106,8 @@ class SimConfig:
         if self.duration_range_s[0] / self.snippet_duration_s > t_hi:  # ceil(x) > n iff x > n
             raise ValueError("duration_range_s[0] / snippet_duration_s must be at most "
                              "snippets_per_video[1]")
+        if self.duration_range_s[1] / self.snippet_duration_s >= 2**63:  # the int64 draw's bound
+            raise ValueError("duration_range_s[1] / snippet_duration_s must be below 2**63")
         self.duration_snippet_range()
         # each action and, on average, each false positive needs a snippet;
         # past that they are only draws and loop iterations
@@ -166,7 +168,8 @@ def _layout_video(cfg: SimConfig, video_index: int) -> tuple[TimeGrid, list[tupl
     durations = None
     for _ in range(PLACEMENT_TRIES):
         cand = rng.integers(d_lo, d_hi + 1, size=n_actions)
-        if int(cand.sum()) + gap * (n_actions - 1) <= t:
+        # each draw fits first: a sum of int64 draws near 2**63 wraps
+        if cand.max() <= t and int(cand.sum()) + gap * (n_actions - 1) <= t:
             durations = cand
             break
     if durations is None:

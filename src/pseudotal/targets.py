@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import PyramidConfig
-from .core import Segments, TimeGrid, first_cover, pairwise_tiou
+from .core import Segments, TimeGrid, check_distribution_rows, first_cover, pairwise_tiou
 from .mask import SnippetMask
 
 if TYPE_CHECKING:  # an annotation only: the `targets` step loads no weak branch
@@ -147,10 +147,7 @@ class AnchorPredictions:
             raise ValueError("class_probs must be (num_anchors, C+1)")
         if left.shape != (probs.shape[0],) or right.shape != (probs.shape[0],):
             raise ValueError("reg offsets must match the anchor count")
-        if np.any(probs < 0):
-            raise ValueError("class_probs entries must be nonnegative")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("class_probs rows must sum to 1 within 1e-6")
+        check_distribution_rows(probs, "class_probs")
         snippet = self.snippet_probs
         if snippet is not None and np.any((snippet < 0) | (snippet > 1)):
             raise ValueError("snippet_probs entries must lie in [0, 1]")

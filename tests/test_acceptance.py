@@ -276,8 +276,8 @@ def test_06_loss_contracts():
     with verdict(6, "loss contracts", limit_s=5.0):
         grid = TimeGrid(32, 1.0, 2)
         pseudos = Segments([4.0, 18.0], [12.0, 26.0], [1, 2], [1.0, 0.8])
-        masks = [mask_for_proposal(p, MaskParams(0.1, 0.25), grid) for p in pseudos]
-        tgt = build_targets(pseudos, union_masks(masks, grid), PyramidConfig())
+        tgt = build_targets(pseudos, union_masks(pseudos, MaskParams(0.1, 0.25), grid),
+                            PyramidConfig())
         probs = np.zeros((tgt.num_anchors, 3))
         probs[tgt.class_label == 0, -1] = 1.0
         pos = np.flatnonzero(tgt.class_label > 0)

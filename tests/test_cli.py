@@ -2298,6 +2298,31 @@ class TestConfigTypes:
             "snippets_per_video[1]\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sim", [{"duration_range_s": [4, 1e300]},
+                                     {"duration_range_s": [4, 1e308], "snippet_duration_s": 0.5}],
+                             ids=["past int64", "infinite ratio"])
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_the_longest_action_fits_in_an_int64_draw(self, tmp_path, capsys, sim, cmd):
+        # refused before math.floor and before the first draw, naming the key
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": sim}))
+        out = tmp_path / "out"
+        assert run(cmd, "--config", cfg, "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: duration_range_s[1] / snippet_duration_s must be below 2**63\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+    def test_an_action_longer_than_every_video_is_still_drawn(self, tmp_path, cmd):
+        # durations of up to 16 snippets in videos of 10 to 12: the draw is
+        # not bounded by snippets_per_video[1], so this config still runs
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": {"snippets_per_video": [10, 12],
+                                           "actions_per_video": [1, 1]}}))
+        out = tmp_path / "out"
+        assert run(cmd, "--config", cfg, "--output", out) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("alpha, beta, message", [
         (-0.1, 0.0, "alpha must be nonnegative"),
         (0.1, -0.1, "beta must be nonnegative"),

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from pseudotal import cli
 from pseudotal.config import PipelineConfig
 from pseudotal.core import Segment, TimeGrid
 from pseudotal.mask import (
@@ -9,6 +12,7 @@ from pseudotal.mask import (
     mask_for_proposal,
     union_masks,
 )
+from segment_objects import segments
 
 
 def _uncertain_indices(mask):
@@ -39,7 +43,7 @@ class TestSnippetMask:
 
     def test_all_certain_and_count(self):
         grid = TimeGrid(4, 1.0, 1)
-        m = union_masks([], grid)
+        m = union_masks(segments(), MaskParams(0.1, 0.0), grid)
         assert m.bits.tolist() == [1, 1, 1, 1]
         assert m.uncertain_count() == 0
 
@@ -90,47 +94,98 @@ class TestMaskForProposal:
             assert abs(n_outside - 2 * alpha * d) <= 2.0
 
 
+def _per_label_bits(pseudos, params, grid):
+    """The band rule written out label by label: a snippet is uncertain when
+    its center lies strictly inside either band of any pseudo label."""
+    centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
+    uncertain = np.zeros(grid.num_snippets, dtype=bool)
+    for start, end, _, _ in pseudos:
+        d = end - start
+        uncertain |= (centers > start - params.alpha * d) & (centers < start + params.beta * d)
+        uncertain |= (centers > end - params.beta * d) & (centers < end + params.alpha * d)
+    return np.where(uncertain, 0, 1).tolist()
+
+
+def _random_video(rng):
+    """A grid and 0-11 labels; endpoints often fall on snippet edges or
+    centers, and bands may reach past both ends of the video. Dyadic snippet
+    durations and band ratios put band edges exactly on centers, where only
+    the open edges keep a snippet certain."""
+    duration = rng.choice([float(rng.uniform(0.001, 3.0)), 0.25, 0.5, 1.0, 2.0])
+    grid = TimeGrid(int(rng.integers(1, 120)), float(duration), 3)
+    extent = grid.duration_s
+    rows = []
+    for _ in range(int(rng.integers(0, 12))):
+        if rng.random() < 0.5:  # on the half-snippet lattice
+            a, b = sorted(rng.choice(2 * grid.num_snippets + 5, 2, replace=False) - 2)
+            start, end = a * grid.snippet_duration_s / 2, b * grid.snippet_duration_s / 2
+        else:
+            start, end = sorted(rng.uniform(-0.2 * extent, 1.2 * extent, 2).tolist())
+        rows.append((float(start), float(end), int(rng.integers(1, 4)), float(rng.random())))
+    alpha = rng.choice([float(rng.uniform(0.0, 2.0)), 0.0, 0.25, 0.5, 1.0])
+    beta = rng.choice([float(rng.uniform(0.0, 0.499)), 0.0, 0.25])
+    return grid, rows, MaskParams(float(alpha), float(beta))
+
+
 class TestUnionMasks:
-    def setup_method(self):
-        self.grid = TimeGrid(10, 1.0, 1)
+    def test_no_label_leaves_every_snippet_certain(self):
+        grid = TimeGrid(10, 1.0, 1)
+        m = union_masks(segments(), MaskParams(0.3, 0.2), grid)
+        assert m.bits.tolist() == [1] * 10
+        assert m.grid == grid
 
-    def _mask_with_uncertain(self, indices):
-        bits = np.ones(10, dtype=np.uint8)
-        bits[list(indices)] = 0
-        return SnippetMask(bits, self.grid)
+    def test_two_labels_mark_both_sets_of_bands(self):
+        grid = TimeGrid(30, 1.0, 1)
+        pseudos = segments((10.0, 20.0, 1, 1.0), (22.0, 28.0, 1, 0.5))
+        # d = 10: bands (9, 10) and (20, 21); d = 6: (21.4, 22) and (28, 28.6)
+        assert _uncertain_indices(union_masks(pseudos, MaskParams(0.1, 0.0), grid)) == [
+            9, 20, 21, 28]
 
-    def test_single_mask_identity(self):
-        m = self._mask_with_uncertain([3])
-        assert union_masks([m], self.grid).bits.tolist() == m.bits.tolist()
+    def test_the_per_label_band_rule_on_random_videos(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            grid, rows, params = _random_video(rng)
+            expected = _per_label_bits(rows, params, grid)
+            assert union_masks(segments(*rows), params, grid).bits.tolist() == expected
+            assert union_masks(segments(*rows[::-1]), params, grid).bits.tolist() == expected
 
-    def test_union_of_uncertain_regions(self):
-        a = self._mask_with_uncertain([3])
-        b = self._mask_with_uncertain([7])
-        assert _uncertain_indices(union_masks([a, b], self.grid)) == [3, 7]
+    def test_one_label_is_mask_for_proposal(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            grid, rows, params = _random_video(rng)
+            for row in rows:
+                one = mask_for_proposal(Segment(*row), params, grid)
+                assert one.bits.tolist() == _per_label_bits([row], params, grid)
 
-    def test_empty_list_all_certain(self):
-        m = union_masks([], self.grid)
-        assert m.uncertain_count() == 0
 
-    def test_grid_mismatch_errors(self):
-        other = union_masks([], TimeGrid(8, 1.0, 1))
-        with pytest.raises(ValueError, match="grid mismatch"):
-            union_masks([self._mask_with_uncertain([1]), other], self.grid)
+class TestMaskCommand:
+    def test_one_mask_per_video(self, tmp_path, monkeypatch):
+        """`mask` builds each video's mask once from all its pseudo labels,
+        not one mask per label."""
+        grid_rows = [{"video_id": vid, "num_snippets": 400, "snippet_duration_s": 0.5,
+                      "class_count": 2} for vid in ("a", "b")]
+        pseudo_rows = [{"video_id": vid, "start_s": float(k * 4), "end_s": float(k * 4 + 2),
+                        "score": 1.0, "class_id": 1 + k % 2}
+                       for vid, count in (("a", 40), ("b", 25)) for k in range(count)]
+        for name, rows in (("grid", grid_rows), ("pseudos", pseudo_rows)):
+            (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        built, calls = [], []
+        post_init, union = SnippetMask.__post_init__, cli.union_masks
 
-    def test_idempotent_commutative_associative(self):
-        rng = np.random.default_rng(41)
-        masks = [
-            SnippetMask(rng.integers(0, 2, 10).astype(np.uint8), self.grid)
-            for _ in range(3)
-        ]
-        a, b, c = masks
-        assert union_masks([a, a], self.grid).bits.tolist() == a.bits.tolist()
-        ab = union_masks([a, b], self.grid).bits.tolist()
-        ba = union_masks([b, a], self.grid).bits.tolist()
-        assert ab == ba
-        left = union_masks([union_masks([a, b], self.grid), c], self.grid).bits.tolist()
-        right = union_masks([a, union_masks([b, c], self.grid)], self.grid).bits.tolist()
-        assert left == right
+        def counted_post_init(mask):
+            built.append(mask.grid)
+            post_init(mask)
+
+        def counted_union(*args):
+            calls.append(args)
+            return union(*args)
+
+        monkeypatch.setattr(SnippetMask, "__post_init__", counted_post_init)
+        monkeypatch.setattr(cli, "union_masks", counted_union)
+        assert cli.main(["mask", "--input", str(tmp_path / "pseudos.jsonl"),
+                         "--input", str(tmp_path / "grid.jsonl"),
+                         "--output", str(tmp_path / "mask.jsonl")]) == 0
+        assert len(calls) == len(built) == 2  # the parent built 40 + 25 + 2
 
 
 class TestDecaySchedule:

@@ -1,0 +1,113 @@
+"""Metamorphic relations over the command-line chain: how the outputs must
+move when the input corpus is transformed in a known way, with no oracle.
+
+- Video locality: dropping one video from the SP and ground-truth files
+  leaves every other video's rows of `extract`, `fuse`, `mask --epoch` and
+  `targets` byte-identical.
+- Renaming: renaming the videos in an order-preserving way changes only the
+  ids in those files, and the `eval` report not at all.
+
+Each relation runs the chain from `extract` on with `ricker` and one
+baseline fusion strategy, on a small seeded corpus with jitter, false
+positives and attention noise.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from pseudotal.cli import main
+
+STRATEGIES = ("ricker", "hard")
+SIM = {"seed": 3, "num_videos": 6, "class_count": 4, "boundary_jitter_frac": 0.1,
+       "false_positive_rate": 1.0, "attention_noise_std": 0.1}
+
+
+def _lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def _write_lines(path, lines):
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _video_id(line):
+    return json.loads(line).get("video_id")
+
+
+def _chain(d: Path) -> dict[str, list[str]]:
+    """The lines of each file the chain writes from `d`'s sp.jsonl and
+    gt.jsonl, by output name."""
+
+    def run(*argv):
+        assert main([*map(str, argv)]) == 0, argv
+
+    run("extract", "--input", d / "sp.jsonl", "--gt", d / "gt.jsonl", "--output", d / "props")
+    for s in STRATEGIES:
+        run("fuse", "--input", d / "props", "--input", d / "sp.jsonl", "--strategy", s,
+            "--output", d / f"pseudos_{s}")
+        run("mask", "--input", d / f"pseudos_{s}", "--input", d / "sp.jsonl", "--epoch", 25,
+            "--output", d / f"mask_{s}")
+        run("targets", "--input", d / f"pseudos_{s}", "--input", d / "sp.jsonl",
+            "--input", d / f"mask_{s}", "--output", d / f"targets_{s}")
+        run("eval", "--input", d / f"pseudos_{s}", "--gt", d / "gt.jsonl",
+            "--output", d / f"eval_{s}")
+    return {p.name: _lines(p) for p in d.iterdir() if p.suffix != ".jsonl"}
+
+
+def _corpus(d: Path, base: dict, rows_of) -> dict[str, list[str]]:
+    """The chain's outputs on `base`'s SP and ground-truth lines, each passed
+    through `rows_of` (which returns the lines that replace it)."""
+    d.mkdir()
+    for name in ("sp.jsonl", "gt.jsonl"):
+        _write_lines(d / name, [out for line in base[name] for out in rows_of(line)])
+    return _chain(d)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """The simulated corpus's lines, its video ids and the chain's outputs."""
+    d = tmp_path_factory.mktemp("base")
+    config = d / "config.json"
+    config.write_text(json.dumps({"sim": SIM}))
+    assert main(["simulate", "--config", str(config), "--gt", str(d / "gt.jsonl"),
+                 "--output", str(d / "sp.jsonl")]) == 0
+    config.unlink()
+    lines = {name: _lines(d / name) for name in ("sp.jsonl", "gt.jsonl")}
+    outputs = _chain(d)
+    videos = sorted(filter(None, map(_video_id, lines["sp.jsonl"])))
+    assert len(videos) == SIM["num_videos"]
+    # every row file holds every video, so each relation bites in each file
+    for name, rows in outputs.items():
+        if not name.startswith("eval"):
+            assert sorted(set(filter(None, map(_video_id, rows)))) == videos, name
+    return {**lines, "videos": videos, "outputs": outputs}
+
+
+@pytest.mark.parametrize("drop", [0, 3, 5])
+def test_dropping_a_video_leaves_the_other_rows(base, tmp_path, drop):
+    gone = base["videos"][drop]
+    dropped = _corpus(tmp_path / "dropped", base,
+                      lambda line: [] if _video_id(line) == gone else [line])
+    assert sorted(dropped) == sorted(base["outputs"])
+    for name, lines in base["outputs"].items():
+        if not name.startswith("eval"):  # mAP is over the corpus
+            assert dropped[name] == [line for line in lines if _video_id(line) != gone], name
+
+
+def test_renaming_videos_changes_only_their_ids(base, tmp_path):
+    # order-preserving, and of another length than the simulator's ids
+    new_id = {vid: f"clip-{k}" for k, vid in enumerate(base["videos"])}
+    assert sorted(new_id.values()) == list(new_id.values())
+
+    def renamed(line):
+        vid = _video_id(line)
+        return [line if vid is None else line.replace(json.dumps(vid), json.dumps(new_id[vid]))]
+
+    result = _corpus(tmp_path / "renamed", base, renamed)
+    assert sorted(result) == sorted(base["outputs"])
+    for name, lines in base["outputs"].items():
+        if name.startswith("eval"):
+            assert result[name] == lines, name
+        else:
+            assert result[name] == [out for line in lines for out in renamed(line)], name

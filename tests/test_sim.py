@@ -177,6 +177,22 @@ class TestGenCorpus:
                 "duration_range_s[0] / snippet_duration_s must be at most snippets_per_video[1]")):
             SimConfig(**fields)
 
+    def test_the_longest_action_fits_in_an_int64_draw(self):
+        # actions are drawn with rng.integers(lo, hi + 1), which takes hi + 1 <= 2**63
+        with pytest.raises(ValueError, match=re.escape(
+                "duration_range_s[1] / snippet_duration_s must be below 2**63")):
+            SimConfig(duration_range_s=(4.0, 2.0**63))
+        below = 2.0**63 - 1024  # the float just below 2**63
+        assert SimConfig(duration_range_s=(4.0, below)).duration_snippet_range() == (4, int(below))
+        np.random.default_rng(0).integers(4, int(below) + 1)
+
+    def test_draws_whose_int64_sum_wraps_are_not_placed(self):
+        # two draws near 2**63 sum past it and wrap below the video's length
+        cfg = SimConfig(num_videos=1, actions_per_video=(2, 2), duration_range_s=(4.0, 9.2e18))
+        with pytest.raises(ValueError, match="cannot place 2 actions of 4..9200000000000000000 "
+                                             "snippets in video 0"):
+            gen_corpus(cfg)
+
     def test_an_action_as_long_as_the_longest_video(self):
         cfg = SimConfig(num_videos=1, snippets_per_video=(8, 8), actions_per_video=(1, 1),
                         duration_range_s=(8.0, 8.0))

@@ -6,7 +6,7 @@ import pytest
 
 from pseudotal.config import MAX_LEVELS, MaskParams, PyramidConfig
 from pseudotal.core import Segment, TimeGrid, span_tiou
-from pseudotal.mask import mask_for_proposal, union_masks
+from pseudotal.mask import union_masks
 from pseudotal.targets import (
     AnchorPredictions,
     AnchorTargets,
@@ -35,9 +35,9 @@ def _levels_of(durations, cfg, grid):
 
 
 def _union_targets(pseudos, params, cfg, grid):
-    """Targets of the `pseudos` rows on the union of their masks under `params`."""
-    mask = union_masks([mask_for_proposal(p, params, grid) for p in pseudos], grid)
-    return build_targets(segments(*pseudos), mask, cfg)
+    """Targets of the `pseudos` rows on their mask under `params`."""
+    pseudos = segments(*pseudos)
+    return build_targets(pseudos, union_masks(pseudos, params, grid), cfg)
 
 
 def _perfect_predictions(tgt, class_count):
