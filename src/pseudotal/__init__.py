@@ -16,7 +16,7 @@ from .config import TOOL_VERSION
 _EXPORTS = {
     "config": ("TOOL_VERSION", "PipelineConfig", "MaskParams", "PyramidConfig"),
     "core": ("GroundTruthSet", "Interval", "Segment", "Segments", "SnippetPredictions",
-             "TimeGrid", "snippet_centers", "span_tiou"),
+             "TimeGrid", "snippet_centers"),
     "evaluation": ("DEFAULT_TIOU_THRESHOLDS", "EvalReport", "PseudoQuality",
                    "average_precision", "map_table", "pseudo_quality"),
     "fusion": ("FusedWavelet", "RickerParams", "fuse_ricker", "generate_pseudo_labels",

@@ -2,8 +2,8 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (of float endpoints, and elementwise),
-equal-value runs (of one array, of True in every row of a mask, and above
+primitive here: temporal IoU (`pairwise_tiou`, elementwise over arrays of
+float endpoints), the intersecting same-key pairs of intervals, equal-value runs (of one array, of True in every row of a mask, and above
 every threshold of many columns at once), snippet centers, and the cover
 rule: which segment, first in some order, holds each time, and the class-id
 rule. The scored segments of one video, proposals and pseudo labels alike,
@@ -30,8 +30,8 @@ __all__ = [
     "GroundTruthSet",
     "SnippetPredictions",
     "check_distribution_rows",
-    "span_tiou",
     "pairwise_tiou",
+    "overlap_pairs",
     "runs",
     "true_runs",
     "threshold_runs",
@@ -232,29 +232,41 @@ def check_distribution_rows(rows: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must sum to 1 within 1e-6")
 
 
-def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
-    """Temporal intersection over union of the intervals [a_start, a_end)
-    and [b_start, b_end) given by their float endpoints; 0 when disjoint."""
-    inter = min(a_end, b_end) - max(a_start, b_start)
-    if inter <= 0.0:
-        return 0.0
-    union = (a_end - a_start) + (b_end - b_start) - inter
-    return inter / union
-
-
 def pairwise_tiou(
     a_start: np.ndarray, a_end: np.ndarray, b_start: np.ndarray, b_end: np.ndarray
 ) -> np.ndarray:
-    """Elementwise `span_tiou` of intervals a and b (broadcast), as float64.
-
-    The same IEEE operations in the same order as `span_tiou`, so every value
-    is bit-identical to it; integer endpoints work too.
-    """
+    """Elementwise temporal intersection over union of the intervals [a_start,
+    a_end) and [b_start, b_end) (broadcast), as float64; 0 where they do not
+    intersect. Symmetric bit for bit; integer endpoints work too."""
     inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
     union = (a_end - a_start) + (b_end - b_start) - inter
     out = np.zeros(np.shape(inter), dtype=np.float64)
     np.divide(inter, union, out=out, where=inter > 0)
     return out
+
+
+def overlap_pairs(
+    key: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The intersecting same-key partners of each of n intervals [start, end),
+    start < end, as int64 offsets `at` (n + 1), `partner` and float64 `tiou`:
+    interval i's partners, ascending, are `partner[at[i]:at[i + 1]]`, and
+    `tiou` their `pairwise_tiou` with it. In (key, start) order an interval's
+    later partners are the intervals of its key that start before it ends:
+    one sort and one sweep, O(n log n + pairs) time, O(n + pairs) memory."""
+    n = len(start)
+    order = np.lexsort((start, key))
+    # (first position of the key, start) as one complex number, which numpy
+    # orders lexicographically: p's later partners are p + 1, ..., hi[p] - 1
+    block = np.searchsorted(key[order], key[order])
+    hi = np.searchsorted(block + 1j * start[order], block + 1j * end[order])
+    later = hi - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), later)
+    second = np.arange(first.size) - np.repeat(np.cumsum(later) - hi, later)
+    src, dst = order[np.concatenate((first, second))], order[np.concatenate((second, first))]
+    by = np.lexsort((dst, src))
+    at = np.searchsorted(src[by], np.arange(n + 1))
+    return at, dst[by], pairwise_tiou(start[src], end[src], start[dst], end[dst])[by]
 
 
 def runs(values: np.ndarray) -> list[tuple[int, int, object]]:

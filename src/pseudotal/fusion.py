@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (Segments, TimeGrid, class_ids, first_cover, runs, snippet_centers, span_tiou,
-                   true_runs)
+from .core import (Segments, TimeGrid, class_ids, first_cover, overlap_pairs, runs,
+                   snippet_centers, true_runs)
 
 __all__ = [
     "FusedWavelet",
@@ -209,31 +209,26 @@ def _fuse_gauss(proposals: Segments) -> Segments:
 
     Proposals with a positive score go in (score descending, start, end,
     input order) order. The first one not yet grouped leads a group of
-    every ungrouped proposal of its class whose tIoU with it is at least
-    GAUSS_GROUP_TIOU; sums run over the group in that order. The rows are
-    plain floats: (start, end, score, class_id).
+    itself and each ungrouped `overlap_pairs` partner whose tIoU with it is
+    at least GAUSS_GROUP_TIOU; sums run over the group in that order.
     """
-    remaining = sorted(
-        ((start, end, score, class_id) for start, end, class_id, score in proposals if score > 0.0),
-        key=lambda row: (-row[2], row[0], row[1]),
-    )
-    out: list[tuple[float, float, int, float]] = []
-    while remaining:
-        top_start, top_end, top_score, class_id = remaining[0]
-        group, rest = [], []
-        for row in remaining:
-            joins = row[3] == class_id and (
-                span_tiou(row[0], row[1], top_start, top_end) >= GAUSS_GROUP_TIOU
-            )
-            (group if joins else rest).append(row)
-        total = sum(row[2] for row in group)
-        start = sum(row[0] * row[2] for row in group) / total
-        end = sum(row[1] * row[2] for row in group) / total
-        out.append((start, end, class_id, top_score))
-        remaining = rest
-    start, end, class_id, score = zip(*out) if out else ((), (), (), ())
-    return Segments(np.array(start, dtype=np.float64), np.array(end, dtype=np.float64),
-                    np.array(class_id, dtype=np.int64), np.array(score, dtype=np.float64))
+    rank = np.lexsort((proposals.end_s, proposals.start_s, -proposals.score))
+    ranked = _kept(proposals, rank[proposals.score[rank] > 0.0])
+    at, partner, overlap = overlap_pairs(ranked.class_id, ranked.start_s, ranked.end_s)
+    joins = overlap >= GAUSS_GROUP_TIOU
+    at = np.concatenate(([0], np.cumsum(joins)))[at].tolist()
+    partner = partner[joins].tolist()
+    starts, ends, scores = ranked.start_s.tolist(), ranked.end_s.tolist(), ranked.score.tolist()
+    free, leaders, bounds = set(range(len(scores))), [], []
+    for p in range(len(scores)):
+        if p in free:  # every proposal ranked above p is grouped: p leads a group
+            group = [p, *(q for q in partner[at[p]:at[p + 1]] if q in free)]
+            free.difference_update(group)
+            total = sum(scores[q] for q in group)
+            leaders.append(p)
+            bounds.append([sum(x[q] * scores[q] for q in group) / total for x in (starts, ends)])
+    start, end = np.reshape(bounds, (-1, 2)).T
+    return Segments(start, end, ranked.class_id[leaders], ranked.score[leaders])
 
 
 # name -> fuse(proposals, grid, min_duration_s); only ricker reads min_duration_s.

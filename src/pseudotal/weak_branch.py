@@ -9,6 +9,7 @@ or from the simulator in :mod:`pseudotal.sim`.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from .core import (
     SnippetPredictions,
     TimeGrid,
     class_ids,
-    pairwise_tiou,
+    overlap_pairs,
     snippet_centers,
     threshold_runs,
 )
@@ -136,60 +137,52 @@ def oic_scores(
     return np.array(out, dtype=np.float64)
 
 
-def soft_nms(
-    proposals: Segments,
-    sigma_nms: float = 0.5,
-    min_score: float = 0.001,
-) -> Segments:
+def soft_nms(proposals: Segments, sigma_nms: float = 0.5, min_score: float = 0.001) -> Segments:
     """Classwise Gaussian soft-NMS of `proposals` by their scores.
 
     Repeatedly selects the highest-scoring remaining proposal and decays
-    every other same-class score by exp(-tiou^2 / sigma_nms). Proposals
-    whose decayed score falls below `min_score` are dropped, as is any
-    unselected remainder once the running maximum drops below it. Output
-    is sorted by final score descending, then by class, start and end;
-    intervals and classes are never modified.
+    every other same-class score by exp(-tiou^2 / sigma_nms), a factor of
+    1.0 but for its `overlap_pairs` partners. Proposals whose decayed score
+    falls below `min_score` are dropped, as is any unselected remainder
+    once the running maximum drops below it. Output is sorted by final
+    score descending, then by class, start and end; intervals and classes
+    are never modified.
     """
     if sigma_nms <= 0:
         raise ValueError("sigma_nms must be positive")
-    start, end = proposals.start_s, proposals.end_s
-    by_class: dict[int, list[int]] = {}
-    for i, class_id in enumerate(proposals.class_id.tolist()):
-        by_class.setdefault(class_id, []).append(i)
-    groups = [by_class[class_id] for class_id in sorted(by_class)]
-    # one (selected, other) entry per same-class pair, a group's block of
-    # n * n entries row by row: decay[at + n * k + m] is the factor on the
-    # m-th proposal of a group when its k-th is selected
-    selected = np.array([i for g in groups for i in g for _ in g], dtype=np.intp)
-    other = np.array([i for g in groups for _ in g for i in g], dtype=np.intp)
-    overlap = pairwise_tiou(start[other], end[other], start[selected], end[selected])
+    start, end, class_id = proposals.start_s, proposals.end_s, proposals.class_id
+    at, partner, overlap = overlap_pairs(class_id, start, end)
     decay = np.exp(-(overlap**2) / sigma_nms).tolist()
-    starts, ends, scores = start.tolist(), end.tolist(), proposals.score.tolist()
-    kept: list[int] = []
-    kept_scores: list[float] = []
-    at = 0
-    for g in groups:
-        n = len(g)
-        # [-score, start, end, index, k]: the smallest is the highest current
-        # score, ties broken by earliest interval, then by input order
-        alive = [[-scores[i], starts[i], ends[i], i, k] for k, i in enumerate(g)]
-        while alive:
-            best = min(alive)
-            score = -best[0]
-            if score < min_score:
-                break
-            kept.append(best[3])
-            kept_scores.append(score)
-            alive.remove(best)
-            row = at + n * best[4]
-            for entry in alive:
-                entry[0] *= decay[row + entry[4]]
-            alive = [entry for entry in alive if -entry[0] >= min_score]
-        at += n * n
+    at, partner, classes = at.tolist(), partner.tolist(), class_id.tolist()
+    starts, ends, live = start.tolist(), end.tolist(), (-proposals.score).tolist()
+    # the least (-score, start, end, index) is the highest score, ties broken by earliest
+    # interval, then input order; an entry whose -score is not live (None once out) is stale
+    heap = list(zip(live, starts, ends, range(len(live))))
+    heapq.heapify(heap)
+    low: dict[int, list[int]] = {}  # under min_score: dropped by the class's first selection
+    for i in np.flatnonzero(proposals.score < min_score).tolist():  # unless its decay lifts them
+        low.setdefault(classes[i], []).append(i)
+    kept, kept_scores = [], []
+    while heap:
+        neg, _, _, i = heapq.heappop(heap)
+        if neg != live[i]:
+            continue
+        if -neg < min_score:
+            break
+        kept.append(i)
+        kept_scores.append(-neg)
+        live[i] = None
+        for j, factor in zip(partner[at[i]:at[i + 1]], decay[at[i]:at[i + 1]]):
+            if live[j] is not None:
+                live[j] *= factor
+                heapq.heappush(heap, (live[j], starts[j], ends[j], j))
+        for j in (*partner[at[i]:at[i + 1]], *low.pop(classes[i], ())):
+            if live[j] is not None and -live[j] < min_score:
+                live[j] = None
     kept_at, final = np.array(kept, dtype=np.intp), np.array(kept_scores, dtype=np.float64)
-    order = np.lexsort((end[kept_at], start[kept_at], proposals.class_id[kept_at], -final))
+    order = np.lexsort((end[kept_at], start[kept_at], class_id[kept_at], -final))
     kept_at = kept_at[order]
-    return Segments(start[kept_at], end[kept_at], proposals.class_id[kept_at], final[order])
+    return Segments(start[kept_at], end[kept_at], class_id[kept_at], final[order])
 
 
 def weak_proposals(

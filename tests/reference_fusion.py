@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from pseudotal.core import Interval, TimeGrid, runs, snippet_centers, span_tiou
+from pseudotal.core import Interval, TimeGrid, runs, snippet_centers
 from pseudotal.fusion import GAUSS_GROUP_TIOU, FusedWavelet, RickerParams, ricker_value
-from segment_objects import Proposal, PseudoProposal
+from segment_objects import Proposal, PseudoProposal, span_tiou
 
 
 def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:

@@ -7,7 +7,8 @@ in `reference_*.py` take and return, one frozen object per segment. The
 package carries the same segments as the columns of one `Segments` per
 video; a pseudo label's confidence is its score column. Tests convert with
 `to_segments` on the way in and `to_proposals`/`to_pseudos` on the way out,
-and compare the objects for equality.
+and compare the objects for equality. `span_tiou` is the oracles' scalar
+tIoU of two intervals' float endpoints.
 """
 from __future__ import annotations
 
@@ -16,6 +17,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from pseudotal.core import Interval, Segments
+
+
+def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
+    """Temporal intersection over union of the intervals [a_start, a_end)
+    and [b_start, b_end); 0 when disjoint. The IEEE operations of
+    `pseudotal.core.pairwise_tiou` in its order, one pair at a time."""
+    inter = min(a_end, b_end) - max(a_start, b_start)
+    if inter <= 0.0:
+        return 0.0
+    union = (a_end - a_start) + (b_end - b_start) - inter
+    return inter / union
 
 
 @dataclass(frozen=True)

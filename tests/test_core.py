@@ -15,9 +15,10 @@ from pseudotal.core import (
     check_class_id,
     TimeGrid,
     class_ids,
+    overlap_pairs,
+    pairwise_tiou,
     runs,
     snippet_centers,
-    span_tiou,
 )
 
 
@@ -138,9 +139,10 @@ class TestTypes:
 
 class TestTiou:
     def test_examples(self):
-        assert span_tiou(0, 10, 5, 15) == pytest.approx(1 / 3)
-        assert span_tiou(0, 10, 0, 10) == 1.0
-        assert span_tiou(0, 5, 6, 9) == 0.0
+        assert pairwise_tiou(0, 10, 5, 15) == pytest.approx(1 / 3)
+        assert pairwise_tiou(0, 10, 0, 10) == 1.0
+        assert pairwise_tiou(0, 5, 6, 9) == 0.0
+        assert pairwise_tiou(0, 5, 5, 9) == 0.0  # touching ends do not intersect
 
     def test_symmetry_property(self):
         rng = np.random.default_rng(7)
@@ -148,8 +150,8 @@ class TestTiou:
             a0, b0 = rng.uniform(0, 50, 2)
             a = (a0, a0 + rng.uniform(0.1, 20))
             b = (b0, b0 + rng.uniform(0.1, 20))
-            assert span_tiou(*a, *b) == span_tiou(*b, *a)
-            assert 0.0 <= span_tiou(*a, *b) <= 1.0
+            assert pairwise_tiou(*a, *b) == pairwise_tiou(*b, *a)
+            assert 0.0 <= pairwise_tiou(*a, *b) <= 1.0
 
     def test_nested_equals_length_ratio(self):
         rng = np.random.default_rng(8)
@@ -157,7 +159,73 @@ class TestTiou:
             a_end = rng.uniform(5, 30)
             s = rng.uniform(0, a_end * 0.5)
             e = rng.uniform(s + 0.1, a_end)
-            assert span_tiou(0.0, a_end, s, e) == pytest.approx((e - s) / a_end)
+            assert pairwise_tiou(0.0, a_end, s, e) == pytest.approx((e - s) / a_end)
+
+
+def _brute_force_partners(key, start, end):
+    """Every interval's intersecting same-key partners, ascending, with their
+    tIoU, by testing all n * n pairs."""
+    n = len(start)
+    return [[(j, float(pairwise_tiou(start[i], end[i], start[j], end[j])))
+             for j in range(n)
+             if j != i and key[j] == key[i] and min(end[i], end[j]) > max(start[i], start[j])]
+            for i in range(n)]
+
+
+def _random_intervals(rng):
+    """Keys and intervals with nesting, touching ends, equal starts and
+    duplicates: integer endpoints on a small range, or floats."""
+    n = int(rng.choice([0, 1, 2, int(rng.integers(3, 40))]))
+    key = rng.integers(1, int(rng.integers(1, 5)) + 1, n)
+    if rng.integers(0, 2):
+        start = rng.integers(0, 12, n).astype(np.float64)
+        end = start + rng.integers(1, 8, n)
+    else:
+        start = rng.uniform(-5.0, 20.0, n)
+        end = start + rng.uniform(1e-3, 10.0, n)
+    if n and rng.integers(0, 3) == 0:  # exact duplicates
+        twin = rng.integers(0, n, int(rng.integers(1, n + 1)))
+        key, start, end = (np.concatenate((a, a[twin])) for a in (key, start, end))
+    return key, start, end
+
+
+class TestOverlapPairs:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(1500):
+            key, start, end = _random_intervals(rng)
+            at, partner, tiou = overlap_pairs(key, start, end)
+            assert at.dtype == partner.dtype == np.int64 and tiou.dtype == np.float64
+            assert at.shape == (len(start) + 1,) and at[0] == 0 and at[-1] == partner.size
+            got = [list(zip(partner[a:b].tolist(), tiou[a:b].tolist()))
+                   for a, b in zip(at[:-1].tolist(), at[1:].tolist())]
+            assert got == _brute_force_partners(key, start, end)
+            seen.add("empty" if not len(start) else "nonempty")
+            if len(set(key.tolist())) > 1:
+                seen.add("several keys")
+            for i in range(len(start)):
+                same = (key == key[i]) & (np.arange(len(start)) != i)
+                if (same & (start <= start[i]) & (end >= end[i])).any():
+                    seen.add("nested or duplicate")
+                if (same & (start == end[i])).any():
+                    seen.add("touching ends")
+                if (same & (start == start[i])).any():
+                    seen.add("equal starts")
+                if (same & (start == start[i]) & (end == end[i])).any():
+                    seen.add("duplicate")
+        assert seen == {"empty", "nonempty", "several keys", "nested or duplicate",
+                        "touching ends", "equal starts", "duplicate"}
+
+    def test_disjoint_intervals_have_no_partners(self):
+        start = np.arange(1000) * 1.5
+        at, partner, tiou = overlap_pairs(np.ones(1000, dtype=np.int64), start, start + 1.0)
+        assert at.tolist() == [0] * 1001 and partner.size == tiou.size == 0
+
+    def test_keys_separate_equal_intervals(self):
+        at, partner, tiou = overlap_pairs(np.array([2, 1, 2]), np.zeros(3), np.ones(3))
+        assert at.tolist() == [0, 1, 1, 2]
+        assert partner.tolist() == [2, 0] and tiou.tolist() == [1.0, 1.0]
 
 
 class TestSnippetMapping:

@@ -1,0 +1,85 @@
+"""Soft-NMS and the `gauss` strategy cost memory in proportion to the
+proposals and their intersecting same-class pairs, not to every same-class
+pair: doubling non-overlapping proposals about doubles their traced peak,
+and `extract` on a long video of many short runs stays inside a 1 GiB
+address space."""
+import json
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pseudotal.core import Segments, TimeGrid
+from pseudotal.fusion import generate_pseudo_labels
+from pseudotal.weak_branch import soft_nms
+
+SIZES = (1000, 2000, 4000)
+# the most a traced peak may grow per doubling of the proposals: about 2 for
+# linear memory, 4 for an n * n table
+GROWTH = 2.5
+
+
+def _disjoint(n):
+    """n one-class proposals of 1 s, 1.5 s apart, so that none intersect."""
+    start = np.arange(n) * 1.5
+    return Segments(start, start + 1.0, np.ones(n, dtype=np.int64),
+                    np.linspace(0.9, 0.1, n))
+
+
+def _traced_peak(run, proposals):
+    tracemalloc.start()
+    try:
+        out = run(proposals)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+RUNS = {
+    "soft_nms": soft_nms,
+    "gauss": lambda props: generate_pseudo_labels("gauss", props, TimeGrid(10**4, 1.0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_peak_doubles_with_disjoint_proposals(name):
+    run = RUNS[name]
+    run(_disjoint(10))  # binds the modules untraced
+    peaks = []
+    for n in SIZES:
+        peak, out = _traced_peak(run, _disjoint(n))
+        assert len(out) == n  # nothing overlaps, so every proposal stays
+        peaks.append(peak)
+    for small, large in zip(peaks, peaks[1:]):
+        assert large < GROWTH * small, peaks
+
+
+def test_extract_on_many_short_runs_fits_in_one_gib(tmp_path):
+    """One valid 132 KB SP row: 8000 snippets, one class, attention 0.95 and
+    0 in turn. `extract` cuts 4000 one-snippet runs; an n * n soft-NMS table
+    of them (16 M pairs) does not fit in a 1 GiB address space."""
+    snippets = 8000
+    sp, gt, out = tmp_path / "sp.jsonl", tmp_path / "gt.jsonl", tmp_path / "props.jsonl"
+    sp.write_text(json.dumps({
+        "video_id": "v", "num_snippets": snippets, "snippet_duration_s": 1.0,
+        "attention": [0.95, 0.0] * (snippets // 2), "class_scores": [[1.0, 0.0]] * snippets,
+    }) + "\n", encoding="utf-8")
+    gt.write_text(json.dumps({"video_id": "v", "start_s": 0.0, "end_s": 1.0, "class_id": 1})
+                  + "\n", encoding="utf-8")
+
+    def cap_address_space():  # on the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudotal.cli", "extract", "--input", str(sp), "--gt", str(gt),
+         "--output", str(out)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len([row for row in rows if "_header" not in row]) == snippets // 2

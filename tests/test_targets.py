@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseudotal.config import MAX_LEVELS, MaskParams, PyramidConfig
-from pseudotal.core import Segment, TimeGrid, span_tiou
+from pseudotal.core import Segment, TimeGrid, pairwise_tiou
 from pseudotal.mask import union_masks
 from pseudotal.targets import (
     AnchorPredictions,
@@ -353,7 +353,7 @@ class TestRegLoss:
         assert reg_loss(pred, tgt) == pytest.approx(0.5)
         decoded = tgt.decode_intervals(pred.reg_left, pred.reg_right)[3]
         target = tgt.decode_intervals(tgt.reg_left, tgt.reg_right)[3]
-        assert span_tiou(*decoded, *target) == pytest.approx(0.5)
+        assert pairwise_tiou(*decoded, *target) == pytest.approx(0.5)
 
     def test_masked_out_positives_ignored(self):
         grid = TimeGrid(16, 1.0, 1)
