@@ -222,11 +222,18 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
     lookup_strategy(args.strategy)  # an unknown name fails even with no video to fuse
     if args.wavelet_csv and args.strategy != "ricker":
         raise SchemaError("--wavelet-csv writes the ricker wavelet; it needs --strategy ricker")
-    proposals, grids = segments_on_grids(_inputs(args, 2, 2, "proposals file and grid source"))
+    paths = _inputs(args, 2, 2, "proposals file and grid source")
+    proposals, grids = segments_on_grids(paths)
     if args.wavelet_csv and len(proposals) != 1:
         raise ValueError("wavelet CSV requires exactly one video in the input")
-    rows = [_segment_row(vid, *p) for vid in sorted(proposals) for p in generate_pseudo_labels(
-        args.strategy, proposals[vid], grids[vid], min_duration_s=cfg.min_duration_s(grids[vid]))]
+    rows = []
+    for vid in sorted(proposals):
+        try:  # a strategy's fault, such as a fused sum past the float range
+            pseudos = generate_pseudo_labels(args.strategy, proposals[vid], grids[vid],
+                                             min_duration_s=cfg.min_duration_s(grids[vid]))
+        except ValueError as exc:
+            raise ValueError(f"{paths[0]}: video {vid}: {exc}") from None
+        rows += [_segment_row(vid, *p) for p in pseudos]
     outputs = [(args.output, _jsonl(cfg, rows))]
     if args.wavelet_csv:
         vid = next(iter(proposals))

@@ -2,17 +2,18 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (`pairwise_tiou`, elementwise over arrays of
-float endpoints), the intersecting same-key pairs of intervals, equal-value runs (of one array, of True in every row of a mask, and above
-every threshold of many columns at once), snippet centers, and the cover
-rule: which segment, first in some order, holds each time, and the class-id
-rule. The scored segments of one video, proposals and pseudo labels alike,
-travel between the stages as one `Segments` value: four read-only columns,
-checked once in its constructor; a corpus's ground truth, which gives the
-weak branch its video labels, the simulator its layouts and evaluation its
-targets, as one `GroundTruthSet`. Public boundaries are expressed in
-seconds; snippet indices appear only when converting to or from a grid. All
-types are immutable after construction and all functions are pure.
+primitive here: temporal IoU (in one form, `pairwise_tiou`), the
+intersecting same-key pairs of intervals, equal-value runs (of one array, of
+True in every row of a mask, and above every threshold of many columns at
+once), snippet centers, and the cover rule: which segment, first in some
+order, holds each time, and the class-id rule. The scored segments of one
+video, proposals and pseudo labels alike, travel between the stages as one
+`Segments` value: four read-only columns, checked once in its constructor; a
+corpus's ground truth, which gives the weak branch its video labels, the
+simulator its layouts and evaluation its targets, as one `GroundTruthSet`.
+Public boundaries are expressed in seconds; snippet indices appear only when
+converting to or from a grid. All types are immutable after construction and
+all functions are pure.
 """
 from __future__ import annotations
 

@@ -115,7 +115,8 @@ def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
     semantics. An empty input produces the zero wavelet. A block of
     wavelets is one array pass, and `np.add.at` adds its rows to their
     class channels in proposal order, so every sum is the same float as
-    adding one proposal at a time.
+    adding one proposal at a time. A sum past the float range raises the
+    constructor's ValueError, with no numpy warning.
     """
     class_ids(proposals.class_id, grid.class_count)
     keep = proposals.score > 0.0
@@ -126,7 +127,8 @@ def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
     values = np.zeros((grid.class_count, grid.num_snippets), dtype=np.float64)
     for block in _blocks(score.shape[0], grid):
         params = RickerParams(sigma[block, None], midpoint[block, None])
-        np.add.at(values, channel[block], score[block, None] * ricker_value(centers, params))
+        with np.errstate(over="ignore"):
+            np.add.at(values, channel[block], score[block, None] * ricker_value(centers, params))
     return FusedWavelet(values.T, grid)
 
 
@@ -210,23 +212,26 @@ def _fuse_gauss(proposals: Segments) -> Segments:
     Proposals with a positive score go in (score descending, start, end,
     input order) order. The first one not yet grouped leads a group of
     itself and each ungrouped `overlap_pairs` partner whose tIoU with it is
-    at least GAUSS_GROUP_TIOU; sums run over the group in that order.
+    at least GAUSS_GROUP_TIOU; sums run over the group in that order. A
+    group's weights are its scores times the power of two that takes its
+    top score into [1, 2): exact, and no product or sum under- or overflows.
     """
     rank = np.lexsort((proposals.end_s, proposals.start_s, -proposals.score))
     ranked = _kept(proposals, rank[proposals.score[rank] > 0.0])
-    at, partner, overlap = overlap_pairs(ranked.class_id, ranked.start_s, ranked.end_s)
-    joins = overlap >= GAUSS_GROUP_TIOU
-    at = np.concatenate(([0], np.cumsum(joins)))[at].tolist()
-    partner = partner[joins].tolist()
+    pairs = overlap_pairs(ranked.class_id, ranked.start_s, ranked.end_s)
+    at, partner, overlap = (column.tolist() for column in pairs)
     starts, ends, scores = ranked.start_s.tolist(), ranked.end_s.tolist(), ranked.score.tolist()
     free, leaders, bounds = set(range(len(scores))), [], []
-    for p in range(len(scores)):
+    for p, top in enumerate(scores):
         if p in free:  # every proposal ranked above p is grouped: p leads a group
-            group = [p, *(q for q in partner[at[p]:at[p + 1]] if q in free)]
+            joins = zip(partner[at[p]:at[p + 1]], overlap[at[p]:at[p + 1]])
+            group = [p, *(q for q, tiou in joins if tiou >= GAUSS_GROUP_TIOU and q in free)]
             free.difference_update(group)
-            total = sum(scores[q] for q in group)
+            weight = [math.ldexp(scores[q], 1 - math.frexp(top)[1]) for q in group]
+            total = sum(weight)
             leaders.append(p)
-            bounds.append([sum(x[q] * scores[q] for q in group) / total for x in (starts, ends)])
+            bounds.append([sum(x[q] * w for q, w in zip(group, weight)) / total
+                           for x in (starts, ends)])
     start, end = np.reshape(bounds, (-1, 2)).T
     return Segments(start, end, ranked.class_id[leaders], ranked.score[leaders])
 

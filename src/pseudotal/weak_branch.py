@@ -137,7 +137,11 @@ def oic_scores(
     return np.array(out, dtype=np.float64)
 
 
-def soft_nms(proposals: Segments, sigma_nms: float = 0.5, min_score: float = 0.001) -> Segments:
+def soft_nms(
+    proposals: Segments,
+    sigma_nms: float = 0.5,
+    min_score: float = 0.001,
+) -> Segments:
     """Classwise Gaussian soft-NMS of `proposals` by their scores.
 
     Repeatedly selects the highest-scoring remaining proposal and decays
@@ -162,7 +166,8 @@ def soft_nms(proposals: Segments, sigma_nms: float = 0.5, min_score: float = 0.0
     low: dict[int, list[int]] = {}  # under min_score: dropped by the class's first selection
     for i in np.flatnonzero(proposals.score < min_score).tolist():  # unless its decay lifts them
         low.setdefault(classes[i], []).append(i)
-    kept, kept_scores = [], []
+    kept: list[int] = []
+    kept_scores: list[float] = []
     while heap:
         neg, _, _, i = heapq.heappop(heap)
         if neg != live[i]:

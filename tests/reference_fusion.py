@@ -3,8 +3,9 @@
 `fuse_ricker` adds one proposal's wavelet into its class column at a time,
 `segments_from_wavelet` walks the runs of one class column at a time with
 `core.runs`, `_fuse_hard` paints the coverage mask of one proposal at a
-time in score order, and `_fuse_gauss` rebuilds a scalar `span_tiou` against
-the group leader for every remaining proposal. Tests compare the package's
+time in score order, and `_fuse_gauss` computes the scalar tIoU of
+`segment_objects.span_tiou` against the group leader for every remaining
+proposal and weights by the plain scores. Tests compare the package's
 wavelets and pseudo labels against these functions for exact equality; it
 is not used by the package.
 """

@@ -32,7 +32,11 @@ the fusion with them; then a crowded corpus (long videos, 20 classes, ten false
 positives per video), where many proposals overlap, through
 `simulate`, `extract`, `fuse` for each strategy, `mask --epoch` and
 `targets` on the `soft` (overlapping) and `hard` pseudo labels, and
-`benchmark`; last, `simulate` of a one-class corpus at a low score
+`benchmark`; then a long-video corpus (two videos of thousands of snippets,
+two classes, fifty false positives per video), about 500 proposals per
+video and class, many of them nested, through `simulate`, `extract` (whose
+soft-NMS decays the intersecting pairs) and `fuse --strategy gauss` (which
+groups them); last, `simulate` of a one-class corpus at a low score
 temperature, whose SP rows repeat one row.
 This is a script, not a collected test.
 """
@@ -58,6 +62,14 @@ CROWDED = {
     "seed": 3, "num_videos": 6, "class_count": 20, "snippets_per_video": [400, 600],
     "actions_per_video": [4, 10], "attention_noise_std": 0.1, "boundary_jitter_frac": 0.1,
     "false_positive_rate": 10.0,
+}
+
+# two long videos of two classes, crowded with false positives: hundreds of
+# proposals per video and class for soft-NMS and `gauss`
+LONG = {
+    "seed": 5, "num_videos": 2, "class_count": 2, "snippets_per_video": [3000, 4000],
+    "actions_per_video": [20, 40], "attention_noise_std": 0.3, "boundary_jitter_frac": 0.2,
+    "false_positive_rate": 50.0,
 }
 
 # one class at a low temperature: every snippet's class-score row is one row
@@ -246,6 +258,15 @@ def run_chain(out: Path) -> list[Path]:
         _run("targets", *crowded, "--input", pseudo, "--input", crowded_sp, "--input", mask,
              "--output", out / f"targets_crowded_{name}.jsonl")
     _run("benchmark", *crowded, "--output", out / "benchmark_crowded.json")
+
+    long_cfg = work / "config_long.json"
+    long_cfg.write_text(json.dumps({"tau": 0.5, "sim": LONG}))
+    long_sp, long_gt, long_props = (out / f"{name}_long.jsonl" for name in ("sp", "gt", "props"))
+    _run("simulate", "--config", long_cfg, "--output", long_sp, "--gt", long_gt)
+    _run("extract", "--config", long_cfg, "--input", long_sp, "--gt", long_gt,
+         "--output", long_props)
+    _run("fuse", "--config", long_cfg, "--input", long_props, "--input", long_sp,
+         "--strategy", "gauss", "--output", out / "pseudo_long_gauss.jsonl")
 
     one_class_cfg = work / "config_one_class.json"
     one_class_cfg.write_text(json.dumps({"sim": ONE_CLASS}))

@@ -2081,6 +2081,39 @@ class TestValuesNearTheFloatRange:
         assert capsys.readouterr().err == ""
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
+    @pytest.mark.parametrize("rows, want", [
+        ([(2.7, 4.9, 5e-324)], None),
+        ([(2.7, 2.9, 5e-324)], None),
+        ([(2.7, 4.9, 1e308)], None),
+        ([(2.7, 4.9, 1e308), (2.8, 4.9, 1e308)], (2.75, 4.9)),  # one group, equal weights
+        ([(2.7, 4.9, 5e-324), (2.8, 4.9, 5e-324)], (2.75, 4.9)),
+    ])
+    def test_gauss_weights_of_extreme_scores(self, tmp_path, capsys, rows, want):
+        # a group's weights are scaled by a power of two: a lone proposal keeps
+        # the interval that soft keeps, and no product under- or overflows
+        grid, props = tmp_path / "grid.jsonl", tmp_path / "props.jsonl"
+        write_jsonl(grid, [{**GRID_ROW, "num_snippets": 10}])
+        write_jsonl(props, [{**SEGMENT_ROW, "start_s": start, "end_s": end, "score": score}
+                            for start, end, score in rows])
+        for strategy in ("gauss", "soft"):
+            assert run("fuse", "--strategy", strategy, "--input", props, "--input", grid,
+                       "--output", tmp_path / strategy) == 0
+        assert capsys.readouterr().err == ""
+        gauss = [(r["start_s"], r["end_s"], r["score"]) for r in read_jsonl(tmp_path / "gauss")[1]]
+        if want is None:
+            assert (tmp_path / "gauss").read_bytes() == (tmp_path / "soft").read_bytes()
+        else:
+            assert gauss == [(*want, rows[0][2])]
+
+    def test_a_ricker_sum_past_the_float_range(self, tmp_path, capsys):
+        # three equal proposals of score 1e308: their fused peak is past the
+        # float range, which the error names with its file and video
+        grid, props, out = tmp_path / "grid.jsonl", tmp_path / "props.jsonl", tmp_path / "out"
+        write_jsonl(grid, [{**GRID_ROW, "num_snippets": 10}])
+        write_jsonl(props, [{**SEGMENT_ROW, "score": 1e308}] * 3)
+        code = run("fuse", "--input", props, "--input", grid, "--output", out)
+        self._refused(capsys, code, f"{props}: video v: wavelet values must be finite", out)
+
     @pytest.mark.parametrize("entry", [1e308, math.inf])
     @pytest.mark.parametrize("kind", ["sp", "anchor_predictions"])
     def test_probability_rows_whose_sum_overflows(self, tmp_path, capsys, kind, entry):

@@ -2,12 +2,13 @@
 
 `reference_fusion` is the original per-proposal code: one wavelet added to
 its class column at a time, one `core.runs` walk per class column, one
-coverage mask painted at a time for `hard`, and a scalar `span_tiou`
-against every remaining proposal for `gauss`; `soft`, `topk` and
-`threshold` are the one-line selections of `Proposal.as_pseudo`. The
-package's array passes (ricker's wavelets in blocks of at most
-`fusion.BLOCK_CELLS` cells, hard's snippet owners from `core.first_cover`)
-must give the same wavelet bytes (signed zeros included) and the same pseudo labels, field for field (dataclass `==` of
+coverage mask painted at a time for `hard`, and a scalar tIoU against
+every remaining proposal for `gauss`; `soft`, `topk` and `threshold` are
+the one-line selections of `Proposal.as_pseudo`. The package's array
+passes (ricker's wavelets in blocks of at most `fusion.BLOCK_CELLS` cells,
+hard's snippet owners from `core.first_cover`, gauss's groups from
+`core.overlap_pairs` with each group's weights scaled by a power of two,
+exact on these scores) must give the same wavelet bytes (signed zeros included) and the same pseudo labels, field for field (dataclass `==` of
 the `segment_objects` conversions, no tolerance), on every corpus.
 """
 import numpy as np

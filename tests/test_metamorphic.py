@@ -6,19 +6,26 @@ move when the input corpus is transformed in a known way, with no oracle.
   `targets` byte-identical.
 - Renaming: renaming the videos in an order-preserving way changes only the
   ids in those files, and the `eval` report not at all.
+- Class relabeling: permuting the SP class columns and the ground-truth class
+  ids permutes the class ids of the `extract`, `fuse` and `targets` rows (each
+  video's rows are the same multiset once ids are mapped; ricker's rows,
+  sorted by class, change order), leaves the `mask` files byte-identical, and
+  permutes each `eval` report's `per_class`, with `map` and `average_map`
+  unchanged.
 
-Each relation runs the chain from `extract` on with `ricker` and one
-baseline fusion strategy, on a small seeded corpus with jitter, false
+Each relation runs the chain from `extract` on with `ricker` and two
+baseline fusion strategies, on a small seeded corpus with jitter, false
 positives and attention noise.
 """
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from pseudotal.cli import main
 
-STRATEGIES = ("ricker", "hard")
+STRATEGIES = ("ricker", "hard", "gauss")
 SIM = {"seed": 3, "num_videos": 6, "class_count": 4, "boundary_jitter_frac": 0.1,
        "false_positive_rate": 1.0, "attention_noise_std": 0.1}
 
@@ -111,3 +118,53 @@ def test_renaming_videos_changes_only_their_ids(base, tmp_path):
             assert result[name] == lines, name
         else:
             assert result[name] == [out for line in lines for out in renamed(line)], name
+
+
+# old class id -> new class id, of the corpus's four classes
+RELABEL = {1: 3, 2: 1, 3: 4, 4: 2}
+
+
+def _relabeled(row: dict) -> dict:
+    """`row` with its class ids mapped by RELABEL: an SP row's foreground
+    class columns move, the background column stays last."""
+    row = dict(row)
+    if "class_scores" in row:
+        moved = []
+        for scores in row["class_scores"]:
+            new = list(scores)
+            for old, cid in RELABEL.items():
+                new[cid - 1] = scores[old - 1]
+            moved.append(new)
+        row["class_scores"] = moved
+    if "class_id" in row:
+        row["class_id"] = RELABEL[row["class_id"]]
+    if "class_label" in row:
+        row["class_label"] = [RELABEL.get(c, c) for c in row["class_label"]]
+    return row
+
+
+def _row_multiset(lines, relabel=False):
+    rows = map(json.loads, lines)
+    return Counter(json.dumps(_relabeled(r) if relabel else r, sort_keys=True) for r in rows)
+
+
+def test_relabeling_classes_permutes_their_ids(base, tmp_path):
+    assert sorted(RELABEL) == sorted(RELABEL.values()) == list(range(1, SIM["class_count"] + 1))
+    result = _corpus(tmp_path / "relabeled", base,
+                     lambda line: [json.dumps(_relabeled(json.loads(line)))])
+    assert sorted(result) == sorted(base["outputs"])
+    moved = set()
+    for name, lines in base["outputs"].items():
+        if name.startswith("eval"):
+            want, got = (json.loads("".join(r))["metrics"] for r in (lines, result[name]))
+            assert got["per_class"] == {str(RELABEL[int(c)]): aps
+                                        for c, aps in want["per_class"].items()}, name
+            assert {**got, "per_class": None} == {**want, "per_class": None}, name
+        elif name.startswith("mask"):
+            assert result[name] == lines, name
+        else:
+            assert _row_multiset(result[name]) == _row_multiset(lines, relabel=True), name
+            if result[name] != [json.dumps(_relabeled(json.loads(line)), sort_keys=True)
+                                for line in lines]:
+                moved.add(name)
+    assert "pseudos_ricker" in moved  # its rows are sorted by class
