@@ -163,8 +163,10 @@ def soft_nms(
     # interval, then input order; an entry whose -score is not live (None once out) is stale
     heap = list(zip(live, starts, ends, range(len(live))))
     heapq.heapify(heap)
-    low: dict[int, list[int]] = {}  # under min_score: dropped by the class's first selection
-    for i in np.flatnonzero(proposals.score < min_score).tolist():  # unless its decay lifts them
+    # by class, the proposals under min_score: the class's first selection drops
+    # those its decay leaves there; after it, only a decay can drop a proposal
+    low: dict[int, list[int]] = {}
+    for i in np.flatnonzero(proposals.score < min_score).tolist():
         low.setdefault(classes[i], []).append(i)
     kept: list[int] = []
     kept_scores: list[float] = []
