@@ -227,7 +227,8 @@ def _fuse_gauss(proposals: Segments) -> Segments:
             joins = zip(partner[at[p]:at[p + 1]], overlap[at[p]:at[p + 1]])
             group = [p, *(q for q, tiou in joins if tiou >= GAUSS_GROUP_TIOU and q in free)]
             free.difference_update(group)
-            weight = [math.ldexp(scores[q], 1 - math.frexp(top)[1]) for q in group]
+            scale = 1 - math.frexp(top)[1]  # the exponent that takes top into [1, 2)
+            weight = [math.ldexp(scores[q], scale) for q in group]
             total = sum(weight)
             leaders.append(p)
             bounds.append([sum(x[q] * w for q, w in zip(group, weight)) / total
