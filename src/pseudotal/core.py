@@ -2,18 +2,19 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (in one form, `pairwise_tiou`), the
-intersecting same-key pairs of intervals, equal-value runs (of one array, of
-True in every row of a mask, and above every threshold of many columns at
-once), snippet centers, and the cover rule: which segment, first in some
-order, holds each time, and the class-id rule. The scored segments of one
-video, proposals and pseudo labels alike, travel between the stages as one
-`Segments` value: four read-only columns, checked once in its constructor; a
-corpus's ground truth, which gives the weak branch its video labels, the
-simulator its layouts and evaluation its targets, as one `GroundTruthSet`.
-Public boundaries are expressed in seconds; snippet indices appear only when
-converting to or from a grid. All types are immutable after construction and
-all functions are pure.
+primitive here: temporal IoU (in one form, `pairwise_tiou`), the intersecting
+same-key pairs of intervals (one join, `overlap_pairs`, within one set or
+across two), equal-value runs (of one array, of True in every row of a mask,
+and above every threshold of many columns at once), snippet centers, and the
+cover rule: which segment, first in some order, holds each time, and the
+class-id rule. The scored segments of one video, proposals and pseudo labels
+alike, travel between the stages as one `Segments` value: four read-only
+columns, checked once in its constructor; a corpus's ground truth, which
+gives the weak branch its video labels, the simulator its layouts and
+evaluation its targets, as one `GroundTruthSet`. Public boundaries are
+expressed in seconds; snippet indices appear only when converting to or from
+a grid. All types are immutable after construction and all functions are
+pure.
 """
 from __future__ import annotations
 
@@ -247,27 +248,40 @@ def pairwise_tiou(
 
 
 def overlap_pairs(
-    key: np.ndarray, start: np.ndarray, end: np.ndarray
+    key: np.ndarray, start: np.ndarray, end: np.ndarray,
+    other: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The intersecting same-key partners of each of n intervals [start, end),
-    start < end, as int64 offsets `at` (n + 1), `partner` and float64 `tiou`:
-    interval i's partners, ascending, are `partner[at[i]:at[i + 1]]`, and
-    `tiou` their `pairwise_tiou` with it. In (key, start) order an interval's
-    later partners are the intervals of its key that start before it ends:
-    one sort and one sweep, O(n log n + pairs) time, O(n + pairs) memory."""
-    n = len(start)
-    order = np.lexsort((start, key))
-    # (first position of the key, start) as one complex number, which numpy
-    # orders lexicographically: p's later partners are p + 1, ..., hi[p] - 1
-    block = np.searchsorted(key[order], key[order])
-    hi = np.searchsorted(block + 1j * start[order], block + 1j * end[order])
-    later = hi - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), later)
-    second = np.arange(first.size) - np.repeat(np.cumsum(later) - hi, later)
-    src, dst = order[np.concatenate((first, second))], order[np.concatenate((second, first))]
-    by = np.lexsort((dst, src))
-    at = np.searchsorted(src[by], np.arange(n + 1))
-    return at, dst[by], pairwise_tiou(start[src], end[src], start[dst], end[dst])[by]
+    start < end, among the (key, start, end) intervals of `other`, or among
+    each other (none its own partner) if `other` is None: int64 offsets `at`
+    (n + 1), `partner` and float64 `tiou`. Interval i's partners, ascending,
+    are `partner[at[i]:at[i + 1]]`, and `tiou` their `pairwise_tiou` with it.
+    Two same-key intervals intersect when the second starts in [start, end)
+    of the first, or else the first in (start, end) of the second: two sorted
+    sweeps, O(n log n + pairs) time and O(n + pairs) memory."""
+    key2, start2, end2 = (key, start, end) if other is None else other
+    keys = np.concatenate((key, key2))
+    rank = np.sort(keys).searchsorted(keys)  # exact for any int64 key
+    lo, hi = start * 1j + rank[:len(key)], end * 1j + rank[:len(key)]
+    lo2, hi2 = (lo, hi) if other is None else (t * 1j + rank[len(key):] for t in (start2, end2))
+    first, second = (np.concatenate(ends) for ends in zip(
+        _starts_within(lo2, lo, hi, "left"), _starts_within(lo, lo2, hi2, "right")[::-1]))
+    if other is None:
+        first, second = first[first != second], second[first != second]
+    by = np.lexsort((second, first))
+    first, second = first[by], second[by]
+    at = first.searchsorted(np.arange(len(start) + 1))
+    return at, second, pairwise_tiou(start[first], end[first], start2[second], end2[second])
+
+
+def _starts_within(starts, lo, hi, side):
+    """Every (i, j) with starts[j] in [lo[i], hi[i]) (side "left") or (lo[i],
+    hi[i]) ("right"): (rank, time) complex numbers, ordered lexicographically."""
+    order = starts.argsort()
+    first, last = starts[order].searchsorted(lo, side), starts[order].searchsorted(hi)
+    count = last - first
+    owner = np.arange(len(lo)).repeat(count)
+    return owner, order[np.arange(owner.size) - (count.cumsum() - last).repeat(count)]
 
 
 def runs(values: np.ndarray) -> list[tuple[int, int, object]]:

@@ -5,9 +5,10 @@ greedily in score order against unmatched ground truth at a tIoU
 threshold, and the all-point interpolated area under the
 precision/recall curve is accumulated. The PR arithmetic is exact, on
 integers, so results are reproducible to the last bit regardless of
-summation order. Each call computes the tIoU of every same-video,
-same-class (prediction, ground truth) pair once and matches those pairs at
-every threshold in one pass of array rounds.
+summation order. Each call takes every intersecting same-video, same-class
+(prediction, ground truth) pair and its tIoU from the one overlap join,
+`core.overlap_pairs`, once, and matches those pairs at every threshold in
+one pass of array rounds: no other pair can match at a positive threshold.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TIOU_THRESHOLDS
-from .core import GroundTruthSet, Segments, pairwise_tiou
+from .core import GroundTruthSet, Segments, overlap_pairs
 
 __all__ = [
     "EvalReport",
@@ -82,12 +83,10 @@ class _PairTable:
     """Every same-video, same-class (prediction, ground truth) pair of a corpus
     with its tIoU.
 
-    Predictions are flattened in input order (video order of the mapping,
-    then list order). Ground-truth segments are sorted by (class, video,
-    start), input order on ties, so the segments of one video and class are
-    contiguous and in the order the matcher breaks tIoU ties by. `gt_input`
-    maps that sorted position back to the input position. `class_ids` are
-    the ground truth's classes, ascending.
+    Predictions and ground-truth segments are flattened in input order
+    (video order of the mapping, then list order); `overlap_pairs` gives the
+    pairs that intersect, as no other pair can match. `class_ids` are the
+    ground truth's classes, ascending.
     """
 
     class_ids: list[int]
@@ -95,7 +94,7 @@ class _PairTable:
     pred_start: np.ndarray
     pred_end: np.ndarray
     pred_score: np.ndarray
-    gt_input: np.ndarray
+    gt_start: np.ndarray
     npos: Counter
     pair_pred: np.ndarray
     pair_gt: np.ndarray
@@ -122,8 +121,6 @@ class _PairTable:
             (np.int64, np.int64, np.float64, np.float64),
         )
         g_key = np.searchsorted(classes, g_class) * n_videos + g_video
-        gt_input = np.lexsort((g_start, g_key))
-        g_key, g_start, g_end = g_key[gt_input], g_start[gt_input], g_end[gt_input]
         npos = Counter(c for items in ground_truth.segments.values() for _, c in items)
 
         segments = list(predictions.values())
@@ -142,16 +139,10 @@ class _PairTable:
         known = (np.searchsorted(classes, p_class, side="right") > rank) & (p_video >= 0)
         p_key = np.where(known, rank * n_videos + p_video, -1)
 
-        lo = np.searchsorted(g_key, p_key, side="left")
-        counts = np.searchsorted(g_key, p_key, side="right") - lo
-        pair_pred = np.repeat(np.arange(p_key.shape[0]), counts)
-        first = np.cumsum(counts) - counts
-        pair_gt = np.arange(pair_pred.shape[0]) + np.repeat(lo - first, counts)
-        return cls(
-            ground_truth.class_ids, p_class, p_start, p_end, p_score, gt_input, npos,
-            pair_pred, pair_gt,
-            pairwise_tiou(p_start[pair_pred], p_end[pair_pred], g_start[pair_gt], g_end[pair_gt]),
-        )
+        at, pair_gt, pair_tiou = overlap_pairs(p_key, p_start, p_end, (g_key, g_start, g_end))
+        pair_pred = np.repeat(np.arange(p_key.shape[0]), np.diff(at))
+        return cls(ground_truth.class_ids, p_class, p_start, p_end, p_score, g_start, npos,
+                   pair_pred, pair_gt, pair_tiou)
 
     def ap_table(self, thresholds: Sequence[float]) -> list[tuple[float, ...]]:
         """AP of each ground-truth class at each threshold, from one greedy matching.
@@ -160,25 +151,20 @@ class _PairTable:
         order on ties; each claims its highest-tIoU unclaimed segment in the
         same video (earlier start on tIoU ties) when that tIoU meets the
         threshold. So at one threshold the claims are the greedy matching of
-        the candidate pairs (tIoU > 0 and at least the threshold) in (rank,
-        tIoU desc, segment) order. Each threshold gets its own copy of every
+        the pairs of tIoU at least the threshold in (rank, tIoU desc, segment
+        start, segment) order. Each threshold gets its own copy of every
         prediction and segment, and one matching covers them all.
         """
         order = np.lexsort((self.pred_end, self.pred_start, -self.pred_score, self.pred_class))
         sorted_class = self.pred_class[order]
         rank = np.empty_like(order)
-        rank[order] = (
-            np.arange(order.shape[0])
-            - np.searchsorted(sorted_class, sorted_class, side="left")
-            + 1
-        )
-        positive = self.pair_tiou > 0.0
-        pp, pg, pt = self.pair_pred[positive], self.pair_gt[positive], self.pair_tiou[positive]
-        walk = np.lexsort((pg, -pt, rank[pp]))
-        pp, pg, pt = pp[walk], pg[walk], pt[walk]
+        rank[order] = np.arange(order.shape[0]) - np.searchsorted(sorted_class, sorted_class) + 1
+        walk = np.lexsort((self.pair_gt, self.gt_start[self.pair_gt], -self.pair_tiou,
+                           rank[self.pair_pred]))
+        pp, pg, pt = self.pair_pred[walk], self.pair_gt[walk], self.pair_tiou[walk]
         level, pair = np.nonzero(pt >= np.asarray(thresholds, dtype=np.float64)[:, None])
         took = _greedy_matches(
-            level * order.shape[0] + pp[pair], level * self.gt_input.shape[0] + pg[pair]
+            level * order.shape[0] + pp[pair], level * self.gt_start.shape[0] + pg[pair]
         )
         # the true-positive ranks of each (class, threshold) cell, ascending;
         # a matched prediction has a ground-truth class
@@ -201,7 +187,7 @@ class _PairTable:
         matches at a threshold are the matching's pairs at or above it.
         """
         keep = self.pair_tiou >= min(thresholds)
-        pp, pg, pt = self.pair_pred[keep], self.gt_input[self.pair_gt[keep]], self.pair_tiou[keep]
+        pp, pg, pt = self.pair_pred[keep], self.pair_gt[keep], self.pair_tiou[keep]
         walk = np.lexsort((pg, pp, -pt))
         matched = pt[walk][_greedy_matches(pp[walk], pg[walk])]
         return [int(np.count_nonzero(matched >= threshold)) for threshold in thresholds]
