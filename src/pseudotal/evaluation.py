@@ -80,8 +80,8 @@ class EvalReport:
 
 @dataclass(frozen=True, eq=False)
 class _PairTable:
-    """Every same-video, same-class (prediction, ground truth) pair of a corpus
-    with its tIoU.
+    """Every intersecting same-video, same-class (prediction, ground truth)
+    pair of a corpus with its tIoU.
 
     Predictions and ground-truth segments are flattened in input order
     (video order of the mapping, then list order); `overlap_pairs` gives the

@@ -134,7 +134,16 @@ def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
 
 def _interp_zero(t0, v0, t1, v1):
     """Linear zero crossing between (t0, v0 <= 0) and (t1, v1 > 0) or the
-    reverse; elementwise on arrays."""
+    reverse; elementwise on arrays. Where v1 - v0 or (t1 - t0) * v0
+    overflows, both values are first scaled by the power of two that takes
+    the larger into [0.5, 1): exact but for a value some 2**1022 times
+    smaller, whose rounding the crossing cannot show. So the crossing is the
+    one of any scaled copy of the scores; every other one is computed as is."""
+    with np.errstate(over="ignore"):
+        big = np.isinf(v1 - v0) | np.isinf((t1 - t0) * v0)
+    if big.any():
+        exponent = np.where(big, np.frexp(np.maximum(np.abs(v0), np.abs(v1)))[1], 0)
+        v0, v1 = np.ldexp(v0, -exponent), np.ldexp(v1, -exponent)
     return t0 + (t1 - t0) * (0.0 - v0) / (v1 - v0)
 
 

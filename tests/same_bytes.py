@@ -36,8 +36,10 @@ positives per video), where many proposals overlap, through
 two classes, fifty false positives per video), about 500 proposals per
 video and class, many of them nested, through `simulate`, `extract` (whose
 soft-NMS decays the intersecting pairs) and `fuse --strategy gauss` (which
-groups them); last, `simulate` of a one-class corpus at a low score
-temperature, whose SP rows repeat one row.
+groups them); then `eval` of back-to-back ground-truth segments against
+predictions shifted off them, where each prediction intersects few of the
+many segments of its video and class; last, `simulate` of a one-class
+corpus at a low score temperature, whose SP rows repeat one row.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -116,6 +118,33 @@ def _write_predictions(targets: Path, sp: Path, out: Path) -> None:
                     np.ones(width), size=snippets[row["video_id"]]
                 ).tolist(),
             }) + "\n")
+
+
+def _write_back_to_back(gt: Path, preds: Path) -> None:
+    """Two videos of two classes, each class a run of 400 back-to-back
+    one-second ground-truth segments (class 2's a quarter second later), and
+    one prediction per segment shifted by a seeded 0, 0.1, 0.25, 0.5 or 1 s,
+    some two seconds long, with tied scores; then predictions of a video and
+    of a class without ground truth. The ground-truth rows come in a seeded
+    order, so the matcher's tie order (segment start) is not the file's."""
+    rng = np.random.default_rng(11)
+    gt_rows, pred_rows = [], []
+    for vid in ("a", "b"):
+        for class_id, offset in ((1, 0.0), (2, 0.25)):
+            start = np.arange(400) + offset
+            gt_rows += [{"video_id": vid, "start_s": s, "end_s": s + 1.0, "class_id": class_id}
+                        for s in start.tolist()]
+            shifted = start + rng.choice([0.0, 0.1, 0.25, 0.5, 1.0], start.size)
+            length = rng.choice([1.0, 2.0], start.size, p=[0.8, 0.2])
+            score = np.round(rng.uniform(0.0, 1.0, start.size), 2)
+            pred_rows += [{"video_id": vid, "start_s": s, "end_s": s + d, "class_id": class_id,
+                           "score": p} for s, d, p in zip(shifted.tolist(), length.tolist(),
+                                                          score.tolist())]
+    pred_rows += [{**row, "video_id": "c"} for row in pred_rows[:50]]
+    pred_rows += [{**row, "class_id": 3} for row in pred_rows[:50]]
+    gt_rows = [gt_rows[i] for i in rng.permutation(len(gt_rows)).tolist()]
+    for path, rows in ((gt, gt_rows), (preds, pred_rows)):
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
 def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Path) -> None:
@@ -267,6 +296,11 @@ def run_chain(out: Path) -> list[Path]:
          "--output", long_props)
     _run("fuse", "--config", long_cfg, "--input", long_props, "--input", long_sp,
          "--strategy", "gauss", "--output", out / "pseudo_long_gauss.jsonl")
+
+    back_gt, back_preds = work / "gt_back_to_back.jsonl", work / "preds_back_to_back.jsonl"
+    _write_back_to_back(back_gt, back_preds)
+    _run("eval", "--input", back_preds, "--gt", back_gt,
+         "--output", out / "eval_back_to_back.json")
 
     one_class_cfg = work / "config_one_class.json"
     one_class_cfg.write_text(json.dumps({"sim": ONE_CLASS}))

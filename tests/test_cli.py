@@ -2114,6 +2114,30 @@ class TestValuesNearTheFloatRange:
         code = run("fuse", "--input", props, "--input", grid, "--output", out)
         self._refused(capsys, code, f"{props}: video v: wavelet values must be finite", out)
 
+    @pytest.mark.parametrize("duration, want", [
+        (1.0, {1.0: (3.89997, 5.49991, 1.49334e+308), 0.5: (3.89997, 5.49991, 7.46668e+307)}),
+        (2.0, {1.0: (7.79994, 10.9998, 1.05595e+308), 0.5: (7.79994, 10.9998, 5.27974e+307)}),
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_a_ricker_zero_crossing_between_huge_values(self, tmp_path, capsys, duration, want,
+                                                        scale):
+        # the wavelet values on both sides of the start crossing lie so far
+        # apart that their difference overflows (with 2 s snippets, also their
+        # product with the snippet duration); the crossing does not depend on
+        # the scale of the scores
+        grid, props, out = tmp_path / "grid.jsonl", tmp_path / "props.jsonl", tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_duration_snippets": 0}), encoding="utf-8")
+        write_jsonl(grid, [{**GRID_ROW, "num_snippets": 10, "snippet_duration_s": duration}])
+        rows = ((2.954, 3.354, 1.15e308), (4.3, 4.7, 7.7e307))
+        write_jsonl(props, [{**SEGMENT_ROW, "start_s": start * duration, "end_s": end * duration,
+                             "score": score * scale} for start, end, score in rows])
+        assert run("fuse", "--config", config, "--input", props, "--input", grid,
+                   "--output", out) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_jsonl(out)[1]
+        assert (row["start_s"], row["end_s"], row["score"]) == want[scale]
+
     @pytest.mark.parametrize("entry", [1e308, math.inf])
     @pytest.mark.parametrize("kind", ["sp", "anchor_predictions"])
     def test_probability_rows_whose_sum_overflows(self, tmp_path, capsys, kind, entry):

@@ -172,6 +172,28 @@ def _brute_force_partners(key, start, end):
             for i in range(n)]
 
 
+def _brute_force_join(key, start, end, key2, start2, end2):
+    """Every interval's intersecting same-key partners in the second set,
+    ascending, with their tIoU, by testing all n * m pairs."""
+    return [[(j, float(pairwise_tiou(start[i], end[i], start2[j], end2[j])))
+             for j in range(len(start2))
+             if key2[j] == key[i] and min(end[i], end2[j]) > max(start[i], start2[j])]
+            for i in range(len(start))]
+
+
+def _listed(at, partner, tiou):
+    """The offsets form of `overlap_pairs` as one (partner, tiou) list per interval."""
+    assert at.dtype == partner.dtype == np.int64 and tiou.dtype == np.float64
+    assert at[0] == 0 and at[-1] == partner.size == tiou.size and (np.diff(at) >= 0).all()
+    return [list(zip(partner[a:b].tolist(), tiou[a:b].tolist()))
+            for a, b in zip(at[:-1].tolist(), at[1:].tolist())]
+
+
+# int64 keys that a float would merge (2**62 and 2**62 + 1 are one float) or
+# that do not fit one (2**63 - 1), for the keys 1 to 4 of `_random_intervals`
+BIG_KEYS = np.array([0, 2**62, 2**62 + 1, 2**63 - 1, 2**62 + 2], dtype=np.int64)
+
+
 def _random_intervals(rng):
     """Keys and intervals with nesting, touching ends, equal starts and
     duplicates: integer endpoints on a small range, or floats."""
@@ -195,11 +217,7 @@ class TestOverlapPairs:
         seen = set()
         for _ in range(1500):
             key, start, end = _random_intervals(rng)
-            at, partner, tiou = overlap_pairs(key, start, end)
-            assert at.dtype == partner.dtype == np.int64 and tiou.dtype == np.float64
-            assert at.shape == (len(start) + 1,) and at[0] == 0 and at[-1] == partner.size
-            got = [list(zip(partner[a:b].tolist(), tiou[a:b].tolist()))
-                   for a, b in zip(at[:-1].tolist(), at[1:].tolist())]
+            got = _listed(*overlap_pairs(key, start, end))
             assert got == _brute_force_partners(key, start, end)
             seen.add("empty" if not len(start) else "nonempty")
             if len(set(key.tolist())) > 1:
@@ -216,6 +234,50 @@ class TestOverlapPairs:
                     seen.add("duplicate")
         assert seen == {"empty", "nonempty", "several keys", "nested or duplicate",
                         "touching ends", "equal starts", "duplicate"}
+
+    def test_two_sets_match_brute_force(self):
+        rng = np.random.default_rng(43)
+        seen = set()
+        for _ in range(1500):
+            ours, theirs = _random_intervals(rng), _random_intervals(rng)
+            if rng.integers(0, 3) == 0:
+                ours, theirs = ((BIG_KEYS[key], start, end) for key, start, end in (ours, theirs))
+                seen.add("int64 keys")
+            got = _listed(*overlap_pairs(*ours, theirs))
+            assert len(got) == len(ours[1])
+            assert got == _brute_force_join(*ours, *theirs)
+            # the one-set form is the join of a set with itself, less each
+            # interval paired with itself
+            assert _listed(*overlap_pairs(*ours)) == [
+                [(j, t) for j, t in pairs if j != i]
+                for i, pairs in enumerate(_listed(*overlap_pairs(*ours, ours)))]
+            (key, start, end), (key2, start2, end2) = ours, theirs
+            seen.add("first empty" if not len(start) else "first nonempty")
+            seen.add("second empty" if not len(start2) else "second nonempty")
+            if set(key.tolist()) ^ set(key2.tolist()):
+                seen.add("a key on one side only")
+            s, e, s2, e2 = start[:, None], end[:, None], start2[None, :], end2[None, :]
+            for name, relation in (
+                ("touching", (s2 == e) | (e2 == s)),
+                ("nested", (s <= s2) & (e2 <= e)),
+                ("equal starts", s == s2),
+                ("duplicates", (s == s2) & (e == e2)),
+            ):
+                if ((key[:, None] == key2[None, :]) & relation).any():
+                    seen.add(name)
+        assert seen == {"int64 keys", "first empty", "first nonempty", "second empty",
+                        "second nonempty", "a key on one side only", "touching", "nested",
+                        "equal starts", "duplicates"}
+
+    def test_int64_keys_that_one_float_holds_stay_apart(self):
+        key = np.array([2**62, 2**62 + 1, 2**63 - 1], dtype=np.int64)
+        assert float(key[0]) == float(key[1])
+        start = np.zeros(3)
+        at, partner, tiou = overlap_pairs(key, start, start + 1.0, (key[::-1], start, start + 2.0))
+        assert at.tolist() == [0, 1, 2, 3] and partner.tolist() == [2, 1, 0]
+        assert tiou.tolist() == [0.5, 0.5, 0.5]
+        at, partner, tiou = overlap_pairs(key, start, start + 1.0)
+        assert at.tolist() == [0, 0, 0, 0] and partner.size == tiou.size == 0
 
     def test_disjoint_intervals_have_no_partners(self):
         start = np.arange(1000) * 1.5

@@ -12,20 +12,29 @@ move when the input corpus is transformed in a known way, with no oracle.
   sorted by class, change order), leaves the `mask` files byte-identical, and
   permutes each `eval` report's `per_class`, with `map` and `average_map`
   unchanged.
+- Unit scale: doubling `snippet_duration_s` and every time (a unit of time
+  half as long) doubles every time in the `extract`, `fuse` and `targets`
+  rows and changes nothing else in them; the `mask` files and the `eval`
+  reports stay byte-identical. Times are written with six significant digits, so
+  they compare within that rounding, and the targets' regression offsets,
+  differences of such times, within 1e-3 stride units. `ricker` is the one
+  exception: its confidences fall by 1/sqrt(2), because the Ricker wavelet's
+  sigma, half the proposal's duration, is in seconds, and its amplitude
+  goes as 1/sqrt(sigma). Its times double as the others' do, and as every
+  confidence scales alike, its `eval` report is unchanged.
 
-Each relation runs the chain from `extract` on with `ricker` and two
-baseline fusion strategies, on a small seeded corpus with jitter, false
-positives and attention noise.
+Each relation runs the chain from `extract` on with every fusion strategy,
+on a small seeded corpus with jitter, false positives and attention noise.
 """
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from pseudotal.cli import main
-
-STRATEGIES = ("ricker", "hard", "gauss")
+from pseudotal.fusion import STRATEGIES
 SIM = {"seed": 3, "num_videos": 6, "class_count": 4, "boundary_jitter_frac": 0.1,
        "false_positive_rate": 1.0, "attention_noise_std": 0.1}
 
@@ -167,3 +176,33 @@ def test_relabeling_classes_permutes_their_ids(base, tmp_path):
     ricker = base["outputs"]["pseudos_ricker"]
     assert ([json.loads(line) for line in result["pseudos_ricker"]]
             != [_relabeled(json.loads(line)) for line in ricker])
+
+
+TIMES = ("start_s", "end_s", "snippet_duration_s")
+
+
+def _unit_scaled(line):
+    """`line` in a unit of time half as long: its snippet duration and times doubled."""
+    return [json.dumps({key: value * 2 if key in TIMES else value
+                        for key, value in json.loads(line).items()})]
+
+
+def test_doubling_the_unit_of_time_doubles_only_the_times(base, tmp_path):
+    result = _corpus(tmp_path / "scaled", base, _unit_scaled)
+    assert sorted(result) == sorted(base["outputs"])
+    for name, lines in base["outputs"].items():
+        if name.startswith(("eval", "mask")):
+            assert result[name] == lines, name
+            continue
+        assert len(result[name]) == len(lines), name
+        for old, new in zip(map(json.loads, lines), map(json.loads, result[name])):
+            assert new.keys() == old.keys(), name
+            for key, value in old.items():
+                if key in TIMES:
+                    assert new[key] == pytest.approx(2 * value, rel=1e-5), (name, key)
+                elif key == "score" and name == "pseudos_ricker":  # sigma is in seconds
+                    assert new[key] == pytest.approx(value / math.sqrt(2), rel=1e-5), name
+                elif key in ("reg_left", "reg_right"):
+                    assert new[key] == pytest.approx(value, abs=1e-3), (name, key)
+                else:
+                    assert new[key] == value, (name, key)

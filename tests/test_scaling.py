@@ -1,8 +1,9 @@
-"""Soft-NMS and the `gauss` strategy cost memory in proportion to the
-proposals and their intersecting same-class pairs, not to every same-class
-pair: doubling non-overlapping proposals about doubles their traced peak,
-and `extract` on a long video of many short runs stays inside a 1 GiB
-address space."""
+"""Soft-NMS, the `gauss` strategy and evaluation cost memory in proportion
+to their segments and the intersecting same-class pairs, not to every
+same-class pair: doubling non-overlapping proposals, or back-to-back ground
+truth and predictions, about doubles their traced peak, and `extract` on a
+long video of many short runs and `eval` on 5000 back-to-back segments stay
+inside a 1 GiB address space."""
 import json
 import os
 import resource
@@ -13,12 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pseudotal.core import Segments, TimeGrid
+from pseudotal.core import GroundTruthSet, Interval, Segments, TimeGrid
+from pseudotal.evaluation import map_table
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.weak_branch import soft_nms
 
 SIZES = (1000, 2000, 4000)
-# the most a traced peak may grow per doubling of the proposals: about 2 for
+EVAL_SIZES = (500, 1000, 2000)  # of ground-truth segments and of predictions
+# the most a traced peak may grow per doubling of the input: about 2 for
 # linear memory, 4 for an n * n table
 GROWTH = 2.5
 
@@ -58,6 +61,41 @@ def test_peak_doubles_with_disjoint_proposals(name):
         assert large < GROWTH * small, peaks
 
 
+def _back_to_back(n):
+    """n back-to-back one-second ground-truth segments of one video and class,
+    and n one-second predictions shifted by half a second: each prediction
+    intersects at most two segments, and every other pair is disjoint."""
+    start = np.arange(n) + 0.5
+    predictions = {"v": Segments(start, start + 1.0, np.ones(n, dtype=np.int64),
+                                 np.linspace(0.9, 0.1, n))}
+    segments = tuple((Interval(float(i), i + 1.0), 1) for i in range(n))
+    return predictions, GroundTruthSet({"v": segments})
+
+
+def test_eval_peak_doubles_with_back_to_back_segments():
+    map_table(*_back_to_back(10))  # binds the modules untraced
+    peaks = []
+    for n in EVAL_SIZES:
+        peak, report = _traced_peak(lambda inputs: map_table(*inputs), _back_to_back(n))
+        assert report.map_values[0] > 0.0  # tIoU 1/3 matches at 0.1
+        peaks.append(peak)
+    for small, large in zip(peaks, peaks[1:]):
+        assert large < GROWTH * small, peaks
+
+
+def _cap_address_space():  # on the child only
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_capped(*argv):
+    """`pseudotal argv` in a child process under a 1 GiB address space."""
+    return subprocess.run(
+        [sys.executable, "-m", "pseudotal.cli", *map(str, argv)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_extract_on_many_short_runs_fits_in_one_gib(tmp_path):
     """One valid 132 KB SP row: 8000 snippets, one class, attention 0.95 and
     0 in turn. `extract` cuts 4000 one-snippet runs; an n * n soft-NMS table
@@ -70,16 +108,26 @@ def test_extract_on_many_short_runs_fits_in_one_gib(tmp_path):
     }) + "\n", encoding="utf-8")
     gt.write_text(json.dumps({"video_id": "v", "start_s": 0.0, "end_s": 1.0, "class_id": 1})
                   + "\n", encoding="utf-8")
-
-    def cap_address_space():  # on the child only
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudotal.cli", "extract", "--input", str(sp), "--gt", str(gt),
-         "--output", str(out)],
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_capped("extract", "--input", sp, "--gt", gt, "--output", out)
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert len([row for row in rows if "_header" not in row]) == snippets // 2
+
+
+def test_eval_of_5000_back_to_back_segments_fits_in_one_gib(tmp_path):
+    """One video of 5000 back-to-back one-second ground-truth segments and
+    5000 predictions shifted by half a second: 9999 intersecting pairs,
+    where a table of every same-class pair (25 M) does not fit in a
+    1 GiB address space."""
+    n = 5000
+    gt, preds, out = tmp_path / "gt.jsonl", tmp_path / "preds.jsonl", tmp_path / "eval.json"
+    gt.write_text("".join(
+        json.dumps({"video_id": "v", "start_s": float(i), "end_s": i + 1.0, "class_id": 1}) + "\n"
+        for i in range(n)), encoding="utf-8")
+    preds.write_text("".join(
+        json.dumps({"video_id": "v", "start_s": i + 0.5, "end_s": i + 1.5, "class_id": 1,
+                    "score": 1.0 - i / n}) + "\n"
+        for i in range(n)), encoding="utf-8")
+    proc = _run_capped("eval", "--input", preds, "--gt", gt, "--output", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text(encoding="utf-8"))["metrics"]["map"][0] > 0.0
