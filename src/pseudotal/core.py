@@ -2,7 +2,8 @@
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
-primitive here: temporal IoU (in one form, `pairwise_tiou`), the intersecting
+primitive here: temporal IoU (`pairwise_tiou`; `gauss` repeats its IEEE
+operations one pair at a time, measured faster there), the intersecting
 same-key pairs of intervals (one join, `overlap_pairs`, within one set or
 across two), equal-value runs (of one array, of True in every row of a mask,
 and above every threshold of many columns at once), snippet centers, and the

@@ -8,7 +8,7 @@ integers, so results are reproducible to the last bit regardless of
 summation order. Each call takes every intersecting same-video, same-class
 (prediction, ground truth) pair and its tIoU from the one overlap join,
 `core.overlap_pairs`, once, and matches those pairs at every threshold in
-one pass of array rounds: no other pair can match at a positive threshold.
+one sequential greedy walk: no other pair can match at a positive threshold.
 """
 from __future__ import annotations
 
@@ -193,40 +193,18 @@ class _PairTable:
         return [int(np.count_nonzero(matched >= threshold)) for threshold in thresholds]
 
 
-def _first_occurrences(ids: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose value no earlier entry holds."""
-    order = np.argsort(ids, kind="stable")
-    ordered = ids[order]
-    first = np.ones(ids.shape[0], dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    mask = np.zeros(ids.shape[0], dtype=bool)
-    mask[order[first]] = True
-    return mask
-
-
 def _greedy_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The greedy matching of the edges (left[i], right[i]), nonnegative
     integer ids, visited in index order: the mask of the edges taken, each
-    one that no earlier taken edge shares an endpoint with.
-
-    It runs in rounds over the open edges: an edge that is the first open
-    one at both of its endpoints is taken (every earlier edge there was
-    closed by an earlier take), and every edge at a taken endpoint closes.
-    A round takes the first open edge of each connected group, so there are
-    at most as many rounds as the largest group has matches, plus one.
-    """
-    taken = np.zeros(left.shape[0], dtype=bool)
-    used_left = np.zeros(int(left.max(initial=-1)) + 1, dtype=bool)
-    used_right = np.zeros(int(right.max(initial=-1)) + 1, dtype=bool)
-    edges = np.arange(left.shape[0])
-    while edges.size:
-        lo, ro = left[edges], right[edges]
-        take = _first_occurrences(lo) & _first_occurrences(ro)
-        taken[edges[take]] = True
-        used_left[lo[take]] = True
-        used_right[ro[take]] = True
-        edges = edges[~(used_left[lo] | used_right[ro])]
-    return taken
+    one that no earlier taken edge shares an endpoint with. One pass, with
+    the used endpoints flagged by id."""
+    taken = bytearray(left.shape[0])
+    used_left = bytearray(int(left.max(initial=-1)) + 1)
+    used_right = bytearray(int(right.max(initial=-1)) + 1)
+    for i, a, b in zip(range(left.shape[0]), left.tolist(), right.tolist()):
+        if not (used_left[a] or used_right[b]):
+            taken[i] = used_left[a] = used_right[b] = 1
+    return np.frombuffer(taken, dtype=bool)
 
 
 def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:

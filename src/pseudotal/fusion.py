@@ -16,13 +16,13 @@ benchmarking against the wavelet fusion; `STRATEGIES` names all six.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import (Segments, TimeGrid, class_ids, first_cover, overlap_pairs, runs,
-                   snippet_centers, true_runs)
+from .core import Segments, TimeGrid, class_ids, first_cover, runs, snippet_centers, true_runs
 
 __all__ = [
     "FusedWavelet",
@@ -220,22 +220,36 @@ def _fuse_gauss(proposals: Segments) -> Segments:
 
     Proposals with a positive score go in (score descending, start, end,
     input order) order. The first one not yet grouped leads a group of
-    itself and each ungrouped `overlap_pairs` partner whose tIoU with it is
-    at least GAUSS_GROUP_TIOU; sums run over the group in that order. A
-    group's weights are its scores times the power of two that takes its
-    top score into [1, 2): exact, and no product or sum under- or overflows.
+    itself and each ungrouped same-class proposal whose tIoU with it is at
+    least GAUSS_GROUP_TIOU; sums run over the group in that order. Such a
+    partner starts before the leader ends and at most one leader length
+    before it starts, so only the proposals that start in [start - 2 *
+    length, end) are tested (the slack takes up rounding), each by the IEEE
+    operations of `pairwise_tiou` on Python floats: memory stays linear
+    however many proposals overlap. A group's weights are its scores times
+    the power of two that takes its top score into [1, 2): exact, and no
+    product or sum under- or overflows.
     """
     rank = np.lexsort((proposals.end_s, proposals.start_s, -proposals.score))
     ranked = _kept(proposals, rank[proposals.score[rank] > 0.0])
-    pairs = overlap_pairs(ranked.class_id, ranked.start_s, ranked.end_s)
-    at, partner, overlap = (column.tolist() for column in pairs)
+    # the proposals by (class, start): each class's starts are one sorted block
+    by_start = np.lexsort((ranked.start_s, ranked.class_id))
+    block, ids = ranked.class_id[by_start], by_start.tolist()
+    begins = ranked.start_s[by_start].tolist()
+    lows, highs = (block.searchsorted(ranked.class_id, side).tolist() for side in ("left", "right"))
     starts, ends, scores = ranked.start_s.tolist(), ranked.end_s.tolist(), ranked.score.tolist()
-    free, leaders, bounds = set(range(len(scores))), [], []
+    free, leaders, bounds = bytearray([1]) * len(scores), [], []
     for p, top in enumerate(scores):
-        if p in free:  # every proposal ranked above p is grouped: p leads a group
-            joins = zip(partner[at[p]:at[p + 1]], overlap[at[p]:at[p + 1]])
-            group = [p, *(q for q, tiou in joins if tiou >= GAUSS_GROUP_TIOU and q in free)]
-            free.difference_update(group)
+        if free[p]:  # every proposal ranked above p is grouped: p leads a group
+            free[p], group = 0, [p]
+            s, e, lo, hi = starts[p], ends[p], lows[p], highs[p]
+            lo = bisect_left(begins, s - 2 * (e - s), lo, hi)
+            for q in sorted(ids[lo:bisect_left(begins, e, lo, hi)]):
+                inter = min(e, ends[q]) - max(s, starts[q])  # disjoint: at most 0
+                tiou = inter / ((e - s) + (ends[q] - starts[q]) - inter)
+                if free[q] and tiou >= GAUSS_GROUP_TIOU:
+                    free[q] = 0
+                    group.append(q)
             scale = 1 - math.frexp(top)[1]  # the exponent that takes top into [1, 2)
             weight = [math.ldexp(scores[q], scale) for q in group]
             total = sum(weight)

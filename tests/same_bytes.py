@@ -36,7 +36,10 @@ positives per video), where many proposals overlap, through
 two classes, fifty false positives per video), about 500 proposals per
 video and class, many of them nested, through `simulate`, `extract` (whose
 soft-NMS decays the intersecting pairs) and `fuse --strategy gauss` (which
-groups them); then `eval` of back-to-back ground-truth segments against
+groups them); then `fuse --strategy gauss` of a video whose proposals of
+each class all overlap, with tied scores, equal starts and partners of the
+top proposal at exactly tIoU 0.5, one a whole leader length before it;
+then `eval` of back-to-back ground-truth segments against
 predictions shifted off them, where each prediction intersects few of the
 many segments of its video and class; last, `simulate` of a one-class
 corpus at a low score temperature, whose SP rows repeat one row.
@@ -145,6 +148,25 @@ def _write_back_to_back(gt: Path, preds: Path) -> None:
     gt_rows = [gt_rows[i] for i in rng.permutation(len(gt_rows)).tolist()]
     for path, rows in ((gt, gt_rows), (preds, pred_rows)):
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def _write_dense(props: Path, grid: Path) -> None:
+    """One 20 s video of two classes, 300 proposals each, that all hold [4.5,
+    5): starts and ends on a 0.25 s grid, seeded scores rounded to 0.01 (ties).
+    Class 1's top proposal, [3, 5] at score 1, has partners at exactly tIoU
+    0.5: [1, 5], a whole leader length before it, [3, 7] and [4, 5]."""
+    rng = np.random.default_rng(13)
+    rows = [(3.0, 5.0, 1, 1.0), (1.0, 5.0, 1, 0.5), (3.0, 7.0, 1, 0.5), (4.0, 5.0, 1, 0.5)]
+    for class_id in (1, 2):
+        starts = rng.choice(np.arange(1.0, 4.75, 0.25), 300).tolist()
+        ends = rng.choice(np.arange(5.0, 9.25, 0.25), 300).tolist()
+        scores = np.round(rng.uniform(0.1, 0.99, 300), 2).tolist()
+        rows += [(s, e, class_id, p) for s, e, p in zip(starts, ends, scores)]
+    props.write_text("".join(
+        json.dumps({"video_id": "v", "start_s": s, "end_s": e, "class_id": c, "score": p}) + "\n"
+        for s, e, c, p in rows))
+    grid.write_text(json.dumps({"video_id": "v", "num_snippets": 40, "snippet_duration_s": 0.5,
+                                "class_count": 2}) + "\n")
 
 
 def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Path) -> None:
@@ -296,6 +318,11 @@ def run_chain(out: Path) -> list[Path]:
          "--output", long_props)
     _run("fuse", "--config", long_cfg, "--input", long_props, "--input", long_sp,
          "--strategy", "gauss", "--output", out / "pseudo_long_gauss.jsonl")
+
+    dense_props, dense_grid = work / "props_dense.jsonl", work / "grid_dense.jsonl"
+    _write_dense(dense_props, dense_grid)
+    _run("fuse", "--input", dense_props, "--input", dense_grid, "--strategy", "gauss",
+         "--output", out / "pseudo_dense_gauss.jsonl")
 
     back_gt, back_preds = work / "gt_back_to_back.jsonl", work / "preds_back_to_back.jsonl"
     _write_back_to_back(back_gt, back_preds)

@@ -218,7 +218,8 @@ def test_empty_prediction_sets():
 
 def test_a_chain_of_taken_first_choices():
     """Each prediction's best segment is taken by the prediction ranked just
-    above it, so the greedy matchings need one array round per link."""
+    above it, so every take of the greedy walk decides the next one, down a
+    chain of 60 links."""
     n = 60
     gt = _gt(v=[(j, j + 1, 1) for j in range(n)])
     pseudos = {"v": [

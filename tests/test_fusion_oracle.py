@@ -6,9 +6,9 @@ coverage mask painted at a time for `hard`, and a scalar tIoU against
 every remaining proposal for `gauss`; `soft`, `topk` and `threshold` are
 the one-line selections of `Proposal.as_pseudo`. The package's array
 passes (ricker's wavelets in blocks of at most `fusion.BLOCK_CELLS` cells,
-hard's snippet owners from `core.first_cover`, gauss's groups from
-`core.overlap_pairs` with each group's weights scaled by a power of two,
-exact on these scores) must give the same wavelet bytes (signed zeros included) and the same pseudo labels, field for field (dataclass `==` of
+hard's snippet owners from `core.first_cover`, gauss's groups from each
+leader's window of start-sorted proposals with each group's weights scaled
+by a power of two, exact on these scores) must give the same wavelet bytes (signed zeros included) and the same pseudo labels, field for field (dataclass `==` of
 the `segment_objects` conversions, no tolerance), on every corpus.
 """
 import numpy as np
@@ -113,6 +113,28 @@ def test_a_video_beyond_the_cell_budget():
     grid = TimeGrid(700, 1.0, 3)
     props = random_proposals(rng, grid, 120)
     assert grid.num_snippets * len(props) > fusion.BLOCK_CELLS
+    assert_fusion_matches(props, grid)
+
+
+def test_dense_overlapping_proposals():
+    """Hundreds of one-class proposals that overlap, with tied scores and
+    equal starts, and the leader [1, 3] with partners at exactly tIoU 0.5:
+    [-1, 3] starts a whole leader length before it, the farthest a partner
+    can. [-1 - 2**-40, 3] falls just short of 0.5, and [-3, 3] starts at
+    the far edge of the window `gauss` searches."""
+    rng = np.random.default_rng(41)
+    grid = TimeGrid(12, 0.5, 1)
+    leader = [Proposal(Interval(1.0, 3.0), 1.0, 1)]
+    edge = [Proposal(Interval(s, e), 0.5, 1)
+            for s, e in ((-1.0, 3.0), (1.0, 5.0), (2.0, 3.0), (-3.0, 3.0), (-1.0 - 2**-40, 3.0))]
+    starts = rng.choice(np.arange(-2.0, 4.0, 0.25), 300)
+    rest = [Proposal(Interval(s, s + d), score, 1) for s, d, score in zip(
+        starts.tolist(), rng.choice([0.5, 1.0, 2.0, 4.0], 300).tolist(),
+        rng.choice([0.25, 0.5, 0.75], 300).tolist())]
+    props = leader + edge + rest
+    # the leader's group: itself, [-1, 3], [1, 5] and [2, 3]
+    first = to_pseudos(fusion._fuse_gauss(to_segments(leader + edge)))[0]
+    assert first.interval == Interval(2.0 / 2.5, 8.5 / 2.5)
     assert_fusion_matches(props, grid)
 
 

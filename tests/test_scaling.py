@@ -3,24 +3,32 @@ to their segments and the intersecting same-class pairs, not to every
 same-class pair: doubling non-overlapping proposals, or back-to-back ground
 truth and predictions, about doubles their traced peak, and `extract` on a
 long video of many short runs and `eval` on 5000 back-to-back segments stay
-inside a 1 GiB address space."""
+inside a 1 GiB address space. `gauss` holds no pair list at all: doubling
+proposals that all overlap about doubles its peak too. Evaluation's greedy
+matching walks its pairs once, so a chain of 20 000 back-to-back segments
+takes well under five seconds.
+"""
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pseudotal.core import GroundTruthSet, Interval, Segments, TimeGrid
-from pseudotal.evaluation import map_table
+from pseudotal.evaluation import map_table, pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.weak_branch import soft_nms
 
 SIZES = (1000, 2000, 4000)
+DENSE_SIZES = (500, 1000, 2000)  # of proposals that all overlap
 EVAL_SIZES = (500, 1000, 2000)  # of ground-truth segments and of predictions
+CHAIN = 20000  # back-to-back segments, and predictions, matched in CHAIN_SECONDS
+CHAIN_SECONDS = 5.0
 # the most a traced peak may grow per doubling of the input: about 2 for
 # linear memory, 4 for an n * n table
 GROWTH = 2.5
@@ -61,6 +69,27 @@ def test_peak_doubles_with_disjoint_proposals(name):
         assert large < GROWTH * small, peaks
 
 
+def _all_overlapping(n):
+    """n one-class proposals from a start in 10.00-10.06 s to 20 s, scores
+    rounded to 0.01: every pair intersects with tIoU above 0.99."""
+    rng = np.random.default_rng(0)
+    start = np.round(rng.uniform(10.0, 10.06, n), 2)
+    return Segments(start, np.full(n, 20.0), np.ones(n, dtype=np.int64),
+                    np.round(rng.uniform(0.1, 1.0, n), 2))
+
+
+def test_gauss_peak_doubles_with_proposals_that_all_overlap():
+    run = RUNS["gauss"]
+    run(_all_overlapping(10))  # binds the modules untraced
+    peaks = []
+    for n in DENSE_SIZES:
+        peak, out = _traced_peak(run, _all_overlapping(n))
+        assert len(out) == 1  # the top proposal groups every other one
+        peaks.append(peak)
+    for small, large in zip(peaks, peaks[1:]):
+        assert large < GROWTH * small, peaks
+
+
 def _back_to_back(n):
     """n back-to-back one-second ground-truth segments of one video and class,
     and n one-second predictions shifted by half a second: each prediction
@@ -81,6 +110,17 @@ def test_eval_peak_doubles_with_back_to_back_segments():
         peaks.append(peak)
     for small, large in zip(peaks, peaks[1:]):
         assert large < GROWTH * small, peaks
+
+
+def test_a_chain_of_back_to_back_pairs_matches_in_seconds():
+    """Each of the 2 * CHAIN - 1 intersecting pairs shares a prediction or a
+    segment with the next, one chain: a matcher that passes over the open
+    pairs once per match takes tens of seconds at this size."""
+    inputs = _back_to_back(CHAIN)
+    began = time.perf_counter()
+    quality = pseudo_quality(*inputs)
+    assert time.perf_counter() - began < CHAIN_SECONDS
+    assert quality.precision[0] == quality.recall[0] == 1.0  # tIoU 1/3 matches at 0.1
 
 
 def _cap_address_space():  # on the child only
