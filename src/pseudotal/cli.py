@@ -335,7 +335,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
     preds_path, gt_path = _inputs(args, 1, 1, "a predictions file")[0], _need(args.gt, "--gt")
     preds = parse_segments(preds_path, with_score=True)
     gt = parse_segments(gt_path, with_score=False)
-    if not gt.segments:
+    if not gt.videos:
         raise ValueError(f"{args.gt}: ground truth holds no segments")
     t0 = time.perf_counter()
     report = map_table(preds, gt, cfg.eval_tious)
@@ -347,7 +347,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
 def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
     with _config_faults(args.config):  # a section the simulator cannot realize
         layout = gen_corpus(args.sim)
-    gt = layout.ground_truth.segments
+    gt = layout.ground_truth.videos
 
     def rows() -> Iterator[dict]:  # each video is corrupted as its row is written
         for v, vid in layout.indexed_ids():
@@ -360,8 +360,8 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
     outputs = [(args.output, _jsonl(cfg, rows()))]
     if args.gt:
         outputs.append((args.gt, _jsonl(cfg, (
-            _segment_row(vid, iv.start_s, iv.end_s, class_id)
-            for vid in layout.video_ids() for iv, class_id in gt[vid]))))
+            _segment_row(vid, start, end, class_id)
+            for vid in layout.video_ids() for start, end, class_id, _ in gt[vid]))))
     return outputs
 
 

@@ -10,12 +10,12 @@ and above every threshold of many columns at once), snippet centers, and the
 cover rule: which segment, first in some order, holds each time, and the
 class-id rule. The scored segments of one video, proposals and pseudo labels
 alike, travel between the stages as one `Segments` value: four read-only
-columns, checked once in its constructor; a corpus's ground truth, which
+columns, checked once in its constructor. A corpus's ground truth, which
 gives the weak branch its video labels, the simulator its layouts and
-evaluation its targets, as one `GroundTruthSet`. Public boundaries are
-expressed in seconds; snippet indices appear only when converting to or from
-a grid. All types are immutable after construction and all functions are
-pure.
+evaluation its targets, is one `GroundTruthSet`: one `Segments` per video,
+scores 1.0 and unread. Public boundaries are expressed in seconds; snippet
+indices appear only when converting to or from a grid. All types are
+immutable after construction and all functions are pure.
 """
 from __future__ import annotations
 
@@ -173,25 +173,28 @@ class Segments:
         return map(Segment._make, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthSet:
-    """Ground-truth segments per video: video_id -> list of (interval, class);
-    the classes of each video are class ids (`class_ids`), kept as ints."""
+    """Ground truth of a corpus: video_id -> one `Segments` of the video's
+    segments, checked by its constructor. The scores are 1.0 and no stage
+    reads them. `segments` rebuilds the rows as (Interval, class_id) pairs
+    for bench/tracing.py alone."""
 
-    segments: Mapping[str, tuple[tuple[Interval, int], ...]]
+    videos: Mapping[str, Segments]
 
     def __post_init__(self) -> None:
-        rows = {str(vid): tuple(items) for vid, items in self.segments.items()}
-        if not all(isinstance(iv, Interval) for items in rows.values() for iv, _ in items):
-            raise TypeError("ground-truth segments must be Intervals")
-        object.__setattr__(self, "segments", {
-            vid: tuple(zip([iv for iv, _ in items], class_ids([c for _, c in items]).tolist()))
-            for vid, items in rows.items()
-        })
+        if not all(isinstance(segs, Segments) for segs in self.videos.values()):
+            raise TypeError("ground-truth videos must be Segments")
+        object.__setattr__(self, "videos", {str(vid): segs for vid, segs in self.videos.items()})
 
     @property
     def class_ids(self) -> list[int]:
-        return sorted({c for items in self.segments.values() for _, c in items})
+        return sorted({c for segs in self.videos.values() for c in segs.class_id.tolist()})
+
+    @property
+    def segments(self) -> dict[str, tuple[tuple[Interval, int], ...]]:
+        return {vid: tuple((Interval(s, e), c) for s, e, c, _ in segs)
+                for vid, segs in self.videos.items()}
 
 
 @dataclass(frozen=True, eq=False)

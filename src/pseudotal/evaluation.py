@@ -84,7 +84,7 @@ class _PairTable:
     pair of a corpus with its tIoU.
 
     Predictions and ground-truth segments are flattened in input order
-    (video order of the mapping, then list order); `overlap_pairs` gives the
+    (video order of the mapping, then row order); `overlap_pairs` gives the
     pairs that intersect, as no other pair can match. `class_ids` are the
     ground truth's classes, ascending.
     """
@@ -109,39 +109,21 @@ class _PairTable:
         # class's rank among the ground-truth classes, so no raw class id is
         # multiplied; a prediction of a video or class without ground truth
         # gets key -1, which no segment has
-        video_key = {vid: k for k, vid in enumerate(ground_truth.segments)}
+        video_key = {vid: k for k, vid in enumerate(ground_truth.videos)}
         n_videos = len(video_key)
-        classes = np.array(ground_truth.class_ids, dtype=np.int64)
-        g_video, g_class, g_start, g_end = _columns(
-            [
-                (video_key[vid], c, iv.start_s, iv.end_s)
-                for vid, items in ground_truth.segments.items()
-                for iv, c in items
-            ],
-            (np.int64, np.int64, np.float64, np.float64),
-        )
+        class_ids = ground_truth.class_ids
+        classes = np.array(class_ids, dtype=np.int64)
+        g_video, g_class, g_start, g_end, _ = _flatten(ground_truth.videos, video_key)
         g_key = np.searchsorted(classes, g_class) * n_videos + g_video
-        npos = Counter(c for items in ground_truth.segments.values() for _, c in items)
-
-        segments = list(predictions.values())
-        p_class, p_start, p_end, p_score = (
-            np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in segments)])
-            for name, dtype in (
-                ("class_id", np.int64), ("start_s", np.float64), ("end_s", np.float64),
-                ("score", np.float64),
-            )
-        )
-        p_video = np.repeat(
-            np.array([video_key.get(vid, -1) for vid in predictions], dtype=np.int64),
-            [len(s) for s in segments],
-        )
+        npos = Counter(g_class.tolist())
+        p_video, p_class, p_start, p_end, p_score = _flatten(predictions, video_key)
         rank = np.searchsorted(classes, p_class)
         known = (np.searchsorted(classes, p_class, side="right") > rank) & (p_video >= 0)
         p_key = np.where(known, rank * n_videos + p_video, -1)
 
         at, pair_gt, pair_tiou = overlap_pairs(p_key, p_start, p_end, (g_key, g_start, g_end))
         pair_pred = np.repeat(np.arange(p_key.shape[0]), np.diff(at))
-        return cls(ground_truth.class_ids, p_class, p_start, p_end, p_score, g_start, npos,
+        return cls(class_ids, p_class, p_start, p_end, p_score, g_start, npos,
                    pair_pred, pair_gt, pair_tiou)
 
     def ap_table(self, thresholds: Sequence[float]) -> list[tuple[float, ...]]:
@@ -207,10 +189,15 @@ def _greedy_matches(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.frombuffer(taken, dtype=bool)
 
 
-def _columns(rows: list[tuple], dtypes: tuple) -> list[np.ndarray]:
-    """Rows of equal-length tuples as one 1-D array per column."""
-    cols = list(zip(*rows)) if rows else [()] * len(dtypes)
-    return [np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)]
+def _flatten(videos: Mapping[str, Segments], video_key: Mapping[str, int]) -> list[np.ndarray]:
+    """The columns video (its `video_key`, -1 if none), class_id, start_s,
+    end_s and score of every video's segments, in mapping order."""
+    segments = list(videos.values())
+    keys = np.array([video_key.get(vid, -1) for vid in videos], dtype=np.int64)
+    return [keys.repeat([len(s) for s in segments])] + [
+        np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in segments)])
+        for name, dtype in (("class_id", np.int64), ("start_s", np.float64),
+                            ("end_s", np.float64), ("score", np.float64))]
 
 
 def _interpolated_ap(tp_ranks: Sequence[int], npos: int) -> float:
@@ -313,7 +300,7 @@ def pseudo_quality(
     table = _PairTable.build(pseudos_by_video, ground_truth)
     report = map_table(pseudos_by_video, ground_truth, thresholds, table=table)
     n_pseudo = sum(len(v) for v in pseudos_by_video.values())
-    n_gt = sum(len(v) for v in ground_truth.segments.values())
+    n_gt = sum(len(v) for v in ground_truth.videos.values())
     matched = table.matched_counts(thresholds)
     precision = tuple(m / n_pseudo if n_pseudo else 0.0 for m in matched)
     recall = tuple(m / n_gt if n_gt else 0.0 for m in matched)

@@ -266,27 +266,25 @@ def parse_grid_file(path: str) -> dict[str, TimeGrid]:
 _EXTENT_SLACK = 2e-5
 
 
-def _check_extent(iv: Interval, grid: TimeGrid) -> None:
+def _check_extent(iv: Interval | Segment, grid: TimeGrid) -> None:
     if not (iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)):
         raise ValueError(f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]")
 
 
 def parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
-    """A segment file's rows by video id, in file order: with `score`, one
-    `Segments` per video; without, the `GroundTruthSet`. Rows are checked as
-    read, so the first bad row decides the exit; within a row, in order: the
-    endpoints by `Interval` and, for a video in `grids`, within [0, duration_s]
-    up to the writer's rounding; `class_id` by `check_class_id` with the grid's
-    class count; a finite score."""
+    """A segment file's rows by video id, in file order, as one `Segments` per
+    video: with `score`, that mapping; without, the `GroundTruthSet` of it,
+    scores 1.0. Rows are checked as read, so the first bad row decides the
+    exit; within a row, in order: the endpoints by `Interval` and, for a video
+    in `grids`, within [0, duration_s] up to the writer's rounding; `class_id`
+    by `check_class_id` with the grid's class count; a finite score."""
     def convert(vid: str, get):
         iv = Interval(get("start_s"), get("end_s"))
         grid = grids.get(vid) if grids else None
         if grid is not None:
             _check_extent(iv, grid)
         class_id = check_class_id(get("class_id"), grid.class_count if grid is not None else None)
-        if not with_score:
-            return iv, class_id
-        score = get("score")
+        score = get("score") if with_score else 1.0
         if not math.isfinite(score):
             raise ValueError("proposal score must be finite")
         return Segment(iv.start_s, iv.end_s, class_id, score)
@@ -295,9 +293,8 @@ def parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | Non
     kind = "proposal" if with_score else "ground truth"
     for vid, item in _rows(path, kind, convert, unique=False):
         out.setdefault(vid, []).append(item)
-    if with_score:
-        return {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
-    return GroundTruthSet(out)
+    videos = {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
+    return videos if with_score else GroundTruthSet(videos)
 
 
 def video_label(gt_path: str, gt: GroundTruthSet, vid: str, grid: TimeGrid):
@@ -306,16 +303,16 @@ def video_label(gt_path: str, gt: GroundTruthSet, vid: str, grid: TimeGrid):
     class rule `parse_segments` applies with grids, with the same message."""
     from .weak_branch import VideoLabel
 
-    items = gt.segments.get(vid)
-    if items is None:
+    segs = gt.videos.get(vid)
+    if segs is None:
         return None
     try:
-        for iv, class_id in items:
-            _check_extent(iv, grid)
-            check_class_id(class_id, grid.class_count)
+        for row in segs:
+            _check_extent(row, grid)
+            check_class_id(row.class_id, grid.class_count)
     except ValueError as exc:
         raise ValueError(f"{gt_path}: video {vid}: {exc}") from None
-    return VideoLabel.from_classes([class_id for _, class_id in items], grid.class_count)
+    return VideoLabel.from_classes(segs.class_id, grid.class_count)
 
 
 def by_video(*readers: Iterator[tuple[str, object]]) -> Iterator[tuple[str, list]]:

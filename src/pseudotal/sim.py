@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lazy_globals
 from .config import PipelineConfig, check_fields, config_from_dict
-from .core import (GroundTruthSet, Interval, SnippetPredictions, TimeGrid, first_cover,
+from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, first_cover,
                    snippet_centers)
 
 __all__ = [
@@ -155,7 +155,7 @@ def _video_rng(seed: int, stage: int, video_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stage, video_index)))
 
 
-def _layout_video(cfg: SimConfig, video_index: int) -> tuple[TimeGrid, list[tuple[Interval, int]]]:
+def _layout_video(cfg: SimConfig, video_index: int) -> tuple[TimeGrid, Segments]:
     rng = _video_rng(cfg.seed, 0, video_index)
     t_lo, t_hi = cfg.snippets_per_video
     t = int(rng.integers(t_lo, t_hi + 1))
@@ -181,35 +181,29 @@ def _layout_video(cfg: SimConfig, video_index: int) -> tuple[TimeGrid, list[tupl
     # distribute the leftover snippets into n+1 slack gaps (edges included)
     free = t - int(durations.sum()) - gap * (n_actions - 1)
     slack = rng.multinomial(free, np.full(n_actions + 1, 1.0 / (n_actions + 1)))
-    segments: list[tuple[Interval, int]] = []
+    rows = []
     cursor = int(slack[0])
     for i, d in enumerate(durations):
-        start = cursor
-        end = start + int(d)
+        end = cursor + int(d)
         class_id = int(rng.integers(1, cfg.class_count + 1))
-        segments.append(
-            (
-                Interval(start * cfg.snippet_duration_s, end * cfg.snippet_duration_s),
-                class_id,
-            )
-        )
+        rows.append((cursor * cfg.snippet_duration_s, end * cfg.snippet_duration_s, class_id, 1.0))
         cursor = end + gap + int(slack[i + 1])
-    return grid, segments
+    return grid, Segments(*zip(*rows))
 
 
 def gen_corpus(cfg: SimConfig) -> CorpusLayout:
-    """Sample ground-truth layouts: grids and action segments.
+    """Sample ground-truth layouts: grids and action segments, each video's
+    segments one `Segments` (scores 1.0) of the `GroundTruthSet`.
 
     Actions never overlap and keep at least `min_gap_snippets` between
     them; boundaries lie on snippet edges. Raises when a video cannot fit
     its sampled actions, naming the video index.
     """
-    gt: dict[str, tuple[tuple[Interval, int], ...]] = {}
+    gt: dict[str, Segments] = {}
     grids: dict[str, TimeGrid] = {}
     for v in range(cfg.num_videos):
         vid = f"video_{v:04d}"
-        grids[vid], segments = _layout_video(cfg, v)
-        gt[vid] = tuple(segments)
+        grids[vid], gt[vid] = _layout_video(cfg, v)
     return CorpusLayout(GroundTruthSet(gt), grids)
 
 
@@ -251,10 +245,11 @@ def corrupt_predictions(
     cfg: SimConfig,
     video_index: int,
     grid: TimeGrid,
-    segments: Sequence[tuple[Interval, int]],
+    segments: Segments,
 ) -> SnippetPredictions:
     """Render the noisy snippet predictions of video `video_index`, whose
-    layout is `grid` and its ground-truth `segments`.
+    layout is `grid` and its ground-truth `segments` (one `Segments`, as
+    `gen_corpus` lays it out; the scores are not read).
 
     Ideal predictions put attention 1 inside actions and 0 outside, with
     class rows softened one-hots over the foreground classes and a
@@ -270,10 +265,10 @@ def corrupt_predictions(
 
     # jitter boundaries in proportion to duration, then clamp to the video
     jittered: list[tuple[float, float, int, float]] = []
-    for iv, class_id in segments:
-        d = iv.duration_s
-        s = iv.start_s + rng.normal(0.0, cfg.boundary_jitter_frac * d)
-        e = iv.end_s + rng.normal(0.0, cfg.boundary_jitter_frac * d)
+    for start, end, class_id, _ in segments:
+        d = end - start
+        s = start + rng.normal(0.0, cfg.boundary_jitter_frac * d)
+        e = end + rng.normal(0.0, cfg.boundary_jitter_frac * d)
         s = min(max(s, 0.0), grid.duration_s)
         e = min(max(e, 0.0), grid.duration_s)
         jittered.append((s, e, class_id, 1.0))
@@ -346,11 +341,11 @@ def run_benchmark(
     simulate_s, weak_s = time.perf_counter() - t0, 0.0
     proposals = {}
     for v, vid in layout.indexed_ids():
-        grid, gt = layout.grids[vid], layout.ground_truth.segments[vid]
+        grid, gt = layout.grids[vid], layout.ground_truth.videos[vid]
         t0 = time.perf_counter()
         preds = corrupt_predictions(cfg, v, grid, gt)
         t1 = time.perf_counter()
-        label = VideoLabel.from_classes([class_id for _, class_id in gt], grid.class_count)
+        label = VideoLabel.from_classes(gt.class_id, grid.class_count)
         proposals[vid] = weak_proposals(preds, grid, label, **pipe.weak_branch())
         simulate_s += t1 - t0
         weak_s += time.perf_counter() - t1

@@ -100,8 +100,8 @@ def average_precision(
         if p.class_id == class_id
     ]
     gts = {
-        vid: [iv for iv, c in items if c == class_id]
-        for vid, items in ground_truth.segments.items()
+        vid: [Interval(s, e) for s, e, c, _ in segs if c == class_id]
+        for vid, segs in ground_truth.videos.items()
     }
     gts = {vid: items for vid, items in gts.items() if items}
     flags, npos = _match_flags(preds, gts, threshold)
@@ -183,16 +183,17 @@ def pseudo_quality(
     }
     report = map_table(as_props, ground_truth, thresholds)
     n_pseudo = sum(len(v) for v in pseudos_by_video.values())
-    n_gt = sum(len(v) for v in ground_truth.segments.values())
+    n_gt = sum(len(v) for v in ground_truth.videos.values())
     precision = []
     recall = []
     for t in thresholds:
         matched = 0
-        for vid, items in ground_truth.segments.items():
+        for vid, segs in ground_truth.videos.items():
             plist = [
                 (p.interval, p.class_id) for p in pseudos_by_video.get(vid, ())
             ]
-            matched += _greedy_match_count(plist, list(items), t)
+            gts = [(Interval(s, e), c) for s, e, c, _ in segs]
+            matched += _greedy_match_count(plist, gts, t)
         precision.append(matched / n_pseudo if n_pseudo else 0.0)
         recall.append(matched / n_gt if n_gt else 0.0)
     return PseudoQuality(report, tuple(precision), tuple(recall))

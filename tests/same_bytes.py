@@ -20,7 +20,11 @@ refinement round (`simulate` of a less noisy SP file with the same seed,
 `fuse`, `mask --epoch` and `targets`); then a default `fuse`, `mask`
 without `--epoch` and `targets`, each run again with a slim grid file made
 from the SP file as its grid source (the script exits nonzero unless each
-writes the bytes it writes with the SP file); then `mask` of the ricker
+writes the bytes it writes with the SP file); then `extract`, and the ricker
+`losses` with the SP file and `--gt`, each run again on the ground-truth
+file with its rows in a seeded order, the rows of its videos interleaved
+(again the script exits nonzero unless each writes the bytes it writes with
+the file as `simulate` wrote it); then `mask` of the ricker
 pseudos at the warm-up's last epoch and at the last epoch of the default
 schedule, and at a mid-window epoch of a schedule whose band ratios and
 epochs are off their defaults; then `fuse --wavelet-csv` on
@@ -190,6 +194,23 @@ def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Pa
             raise SystemExit(f"{path.name} differs from {sp_sourced.name}, its SP-sourced twin")
 
 
+def _same_from_permuted_gt(work: Path, out: Path, conf: tuple, sp: Path, gt: Path) -> None:
+    """`extract`, and the ricker `losses` with `sp` and `--gt`, on `gt` with
+    its rows in a seeded order write the bytes they write with `gt` itself."""
+    rows = _rows(gt)
+    permuted = work / "gt_permuted.jsonl"
+    permuted.write_text("".join(json.dumps(rows[i]) + "\n"
+                                for i in np.random.default_rng(17).permutation(len(rows)).tolist()))
+    props, losses = out / "props_permuted_gt.jsonl", out / "losses_ricker_permuted_gt.json"
+    _run("extract", *conf, "--input", sp, "--gt", permuted, "--output", props)
+    _run("losses", *conf, "--input", work / "preds_ricker.jsonl", "--input",
+         out / "targets_ricker.jsonl", "--input", sp, "--gt", permuted, "--output", losses)
+    for path, sorted_twin in ((props, out / "props.jsonl"), (losses, out / "losses_ricker.json")):
+        if path.read_bytes() != sorted_twin.read_bytes():
+            raise SystemExit(f"{path.name} differs from {sorted_twin.name}, its twin of the "
+                             "ground truth as written")
+
+
 def run_chain(out: Path) -> list[Path]:
     """Write every output of the chain into `out`; return their paths."""
     work = out / "inputs"
@@ -260,6 +281,7 @@ def run_chain(out: Path) -> list[Path]:
     _run("targets", *conf, "--input", out / "pseudo_default.jsonl", "--input", sp,
          "--input", out / "mask_default.jsonl", "--output", out / "targets_default.jsonl")
     _same_from_slim_grid(work, out, conf, props, sp)
+    _same_from_permuted_gt(work, out, conf, sp, gt)
     # the rest of the schedule: the warm-up's last epoch and the last epoch
     # (no bands) of the default one, and a mid-window epoch of `SCHEDULE`
     ricker = out / "pseudo_ricker.jsonl"

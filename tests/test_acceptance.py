@@ -38,7 +38,7 @@ from pseudotal.targets import (
     total_loss,
 )
 from pseudotal.weak_branch import VideoLabel
-from segment_objects import Proposal, segments_by_video, to_pseudos, to_segments
+from segment_objects import Proposal, segments, segments_by_video, to_pseudos, to_segments
 
 
 @contextmanager
@@ -210,7 +210,7 @@ def test_04_ap_oracle_equivalence():
                 "v": [Proposal(Interval(s, e), sc, 1) for sc, s, e in pred_rows]
             })
             gt = GroundTruthSet(
-                {"v": tuple((Interval(s, e), 1) for s, e in gt_rows)}
+                {"v": segments(*((s, e, 1, 1.0) for s, e in gt_rows))}
             )
             got = average_precision(preds, gt, 1, threshold)
             assert got == float(_oracle_ap(pred_rows, gt_rows, threshold))
@@ -221,7 +221,7 @@ def test_04_ap_oracle_equivalence():
                 Proposal(Interval(50, 60), 0.9, 1),
             ]
         })
-        gt = GroundTruthSet({"v": ((Interval(0, 10), 1),)})
+        gt = GroundTruthSet({"v": segments((0, 10, 1, 1.0))})
         assert average_precision(preds, gt, 1, 0.5) == 0.5
 
 

@@ -132,9 +132,9 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SnippetPredictions(np.array(attention), np.array(class_scores))
 
-    def test_ground_truth_holds_intervals(self):
-        with pytest.raises(TypeError, match="^ground-truth segments must be Intervals$"):
-            GroundTruthSet({"v": (((0.0, 1.0), 1),)})
+    def test_ground_truth_holds_segments(self):
+        with pytest.raises(TypeError, match="^ground-truth videos must be Segments$"):
+            GroundTruthSet({"v": ((0.0, 1.0, 1, 1.0),)})
 
 
 class TestTiou:

@@ -22,7 +22,7 @@ from pseudotal.evaluation import (
     map_table,
     pseudo_quality,
 )
-from segment_objects import Proposal, PseudoProposal, segments_by_video, span_tiou
+from segment_objects import Proposal, PseudoProposal, segments, segments_by_video, span_tiou
 
 THRESHOLDS = (*DEFAULT_TIOU_THRESHOLDS, 0.75, 1.0)
 
@@ -30,7 +30,7 @@ THRESHOLDS = (*DEFAULT_TIOU_THRESHOLDS, 0.75, 1.0)
 def _gt(**videos):
     return GroundTruthSet(
         {
-            vid: tuple((Interval(s, e), c) for s, e, c in items)
+            vid: segments(*((s, e, c, 1.0) for s, e, c in items))
             for vid, items in videos.items()
         }
     )
@@ -74,15 +74,15 @@ def random_corpus(rng, integer_grid: bool):
         segs = []
         for _ in range(int(rng.integers(0, 5))):
             s = draw(0, 40)
-            segs.append((Interval(s, s + draw(1, 11)), int(rng.integers(1, n_classes + 1))))
+            segs.append((s, s + draw(1, 11), int(rng.integers(1, n_classes + 1)), 1.0))
         if segs or rng.random() < 0.5:
-            gt[vid] = tuple(segs)
+            gt[vid] = segments(*segs)
         plist = []
         for _ in range(int(rng.integers(0, 12))):
             if segs and rng.random() < 0.6:
-                iv, c = segs[int(rng.integers(len(segs)))]
-                s = max(0.0, iv.start_s + draw(-3, 4))
-                e = max(s + 1.0, iv.end_s + draw(-3, 4))
+                start, end, c, _ = segs[int(rng.integers(len(segs)))]
+                s = max(0.0, start + draw(-3, 4))
+                e = max(s + 1.0, end + draw(-3, 4))
             else:
                 s = draw(0, 40)
                 e = s + draw(1, 11)

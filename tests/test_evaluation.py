@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -13,13 +14,14 @@ from pseudotal.evaluation import (
     map_table,
     pseudo_quality,
 )
+from pseudotal.readers import parse_segments
 from segment_objects import segments
 
 
 def _gt(**videos):
     return GroundTruthSet(
         {
-            vid: tuple((Interval(s, e), c) for s, e, c in items)
+            vid: segments(*((s, e, c, 1.0) for s, e, c in items))
             for vid, items in videos.items()
         }
     )
@@ -47,11 +49,31 @@ class TestGroundTruthSet:
     def test_the_largest_int64_class(self):
         gt = _gt(a=[(0, 5, 2**63 - 1)], b=[(0, 5, np.int64(3))])
         assert gt.class_ids == [3, 2**63 - 1]
-        assert all(type(c) is int for items in gt.segments.values() for _, c in items)
+        assert all(segs.class_id.dtype == np.int64 for segs in gt.videos.values())
+        assert all(type(c) is int for c in gt.class_ids)
         preds = {"a": segments((0, 5, 2**63 - 1, 0.9)), "b": segments((0, 5, 3, 0.8))}
         report = map_table(preds, gt)
         assert report.average_map == 1.0
         assert [c for c, _ in report.per_class] == [3, 2**63 - 1]
+
+    def test_the_bench_view_gives_each_videos_rows_in_order(self, tmp_path):
+        """`segments`, the view bench/tracing.py reads, gives each video's
+        (Interval, class_id) pairs in file row order, the rows of its `videos`
+        columns, when the rows of two videos interleave."""
+        rows = [("b", 4.0, 6.0, 2), ("a", 0.0, 1.5, 1), ("b", 1.0, 2.0, 1), ("a", 3.0, 3.5, 3),
+                ("b", 0.5, 9.0, 2)]
+        path = tmp_path / "gt.jsonl"
+        path.write_text("".join(json.dumps({"video_id": v, "start_s": s, "end_s": e,
+                                            "class_id": c}) + "\n" for v, s, e, c in rows))
+        gt = parse_segments(str(path), with_score=False)
+        want = {vid: tuple((Interval(s, e), c) for v, s, e, c in rows if v == vid)
+                for vid in ("b", "a")}
+        assert list(gt.segments.items()) == list(want.items())
+        for vid, pairs in gt.segments.items():
+            segs = gt.videos[vid]
+            assert [(iv.start_s, iv.end_s, c) for iv, c in pairs] == list(
+                zip(segs.start_s.tolist(), segs.end_s.tolist(), segs.class_id.tolist()))
+            assert all(type(c) is int for _, c in pairs)
 
 
 class TestAveragePrecision:

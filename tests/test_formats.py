@@ -50,7 +50,7 @@ SECTIONS = {
     "Proposal / pseudo-proposal file": (["proposal"],
                                         lambda path: readers.parse_segments(path, True)),
     "Ground-truth file": (["ground truth"],
-                          lambda path: readers.parse_segments(path, False).segments),
+                          lambda path: readers.parse_segments(path, False).videos),
     "Mask file": (["mask"], _mask_reader),
     "Targets file": (["targets"], lambda path: dict(readers.parse_targets_file(path))),
     "Anchor-predictions file": (["anchor predictions"],

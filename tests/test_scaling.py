@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pseudotal.core import GroundTruthSet, Interval, Segments, TimeGrid
+from pseudotal.core import GroundTruthSet, Segments, TimeGrid
 from pseudotal.evaluation import map_table, pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.weak_branch import soft_nms
@@ -97,7 +97,8 @@ def _back_to_back(n):
     start = np.arange(n) + 0.5
     predictions = {"v": Segments(start, start + 1.0, np.ones(n, dtype=np.int64),
                                  np.linspace(0.9, 0.1, n))}
-    segments = tuple((Interval(float(i), i + 1.0), 1) for i in range(n))
+    edges = np.arange(n + 1, dtype=np.float64)
+    segments = Segments(edges[:-1], edges[1:], np.ones(n, dtype=np.int64), np.ones(n))
     return predictions, GroundTruthSet({"v": segments})
 
 

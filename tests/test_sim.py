@@ -6,7 +6,7 @@ import pytest
 
 from pseudotal import sim
 from pseudotal.config import PipelineConfig, SchemaError
-from pseudotal.core import GroundTruthSet, Interval, TimeGrid, snippet_centers
+from pseudotal.core import GroundTruthSet, TimeGrid, snippet_centers
 from pseudotal.evaluation import pseudo_quality
 from pseudotal.fusion import generate_pseudo_labels
 from pseudotal.sim import (
@@ -25,14 +25,14 @@ PIPE = PipelineConfig()
 
 def _corrupt_all(layout, cfg):
     """The corrupted predictions of every video of `layout`, by video id."""
-    return {vid: corrupt_predictions(cfg, v, layout.grids[vid], layout.ground_truth.segments[vid])
+    return {vid: corrupt_predictions(cfg, v, layout.grids[vid], layout.ground_truth.videos[vid])
             for v, vid in layout.indexed_ids()}
 
 
 def _label(layout, vid):
     """The video label of `vid`: the classes of its ground truth, the rule
     of `run_benchmark` and `extract`."""
-    return VideoLabel.from_classes([c for _, c in layout.ground_truth.segments[vid]],
+    return VideoLabel.from_classes(layout.ground_truth.videos[vid].class_id,
                                    layout.grids[vid].class_count)
 
 
@@ -123,28 +123,30 @@ class TestGenCorpus:
         assert a.video_ids() == b.video_ids()
         for vid in a.video_ids():
             assert a.grids[vid] == b.grids[vid]
-            assert a.ground_truth.segments[vid] == b.ground_truth.segments[vid]
+            for name in ("start_s", "end_s", "class_id", "score"):
+                column_a = getattr(a.ground_truth.videos[vid], name)
+                assert column_a.tobytes() == getattr(b.ground_truth.videos[vid], name).tobytes()
             assert _label(a, vid).onehot.tolist() == _label(b, vid).onehot.tolist()
 
     def test_single_action_counting(self):
         cfg = SimConfig(seed=1, num_videos=5, actions_per_video=(1, 1))
         layout = gen_corpus(cfg)
-        total = sum(len(v) for v in layout.ground_truth.segments.values())
+        total = sum(len(v) for v in layout.ground_truth.videos.values())
         assert total == 5
 
     def test_durations_within_range(self):
         cfg = SimConfig(seed=2, num_videos=10, duration_range_s=(2.0, 4.0))
         layout = gen_corpus(cfg)
-        for items in layout.ground_truth.segments.values():
-            for iv, _ in items:
-                assert 2.0 <= iv.duration_s <= 4.0
+        for segs in layout.ground_truth.videos.values():
+            for start, end, _, _ in segs:
+                assert 2.0 <= end - start <= 4.0
 
     def test_actions_disjoint_with_gap(self):
         cfg = SimConfig(seed=9, num_videos=15, actions_per_video=(2, 4))
         layout = gen_corpus(cfg)
         gap = cfg.min_gap_snippets * cfg.snippet_duration_s
-        for vid, items in layout.ground_truth.segments.items():
-            spans = sorted((iv.start_s, iv.end_s) for iv, _ in items)
+        for vid, segs in layout.ground_truth.videos.items():
+            spans = sorted(zip(segs.start_s.tolist(), segs.end_s.tolist()))
             for (_, e0), (s1, _) in zip(spans, spans[1:]):
                 assert s1 - e0 >= gap - 1e-9
             for s, e in spans:
@@ -153,8 +155,8 @@ class TestGenCorpus:
     def test_labels_match_present_classes(self):
         cfg = SimConfig(seed=4, num_videos=10)
         layout = gen_corpus(cfg)
-        for vid, items in layout.ground_truth.segments.items():
-            present = sorted({c for _, c in items})
+        for vid, segs in layout.ground_truth.videos.items():
+            present = sorted(set(segs.class_id.tolist()))
             assert _label(layout, vid).classes == present
 
     def test_each_video_keeps_its_index_in_id_order(self):
@@ -196,7 +198,8 @@ class TestGenCorpus:
     def test_an_action_as_long_as_the_longest_video(self):
         cfg = SimConfig(num_videos=1, snippets_per_video=(8, 8), actions_per_video=(1, 1),
                         duration_range_s=(8.0, 8.0))
-        assert gen_corpus(cfg).ground_truth.segments["video_0000"][0][0] == Interval(0.0, 8.0)
+        segs = gen_corpus(cfg).ground_truth.videos["video_0000"]
+        assert (segs.start_s.tolist(), segs.end_s.tolist()) == ([0.0], [8.0])
 
     def test_infeasible_packing_names_video(self):
         cfg = SimConfig(
@@ -238,7 +241,7 @@ class TestCorruptPredictions:
         preds = _corrupt_all(layout, cfg)
         vid = layout.video_ids()[2]
         alone = corrupt_predictions(dataclasses.replace(cfg, num_videos=3), 2, layout.grids[vid],
-                                    layout.ground_truth.segments[vid])
+                                    layout.ground_truth.videos[vid])
         np.testing.assert_array_equal(alone.attention, preds[vid].attention)
         np.testing.assert_array_equal(alone.class_scores, preds[vid].class_scores)
 
@@ -289,8 +292,8 @@ class TestCorruptPredictions:
             grid = layout.grids[vid]
             centers = (np.arange(grid.num_snippets) + 0.5) * grid.snippet_duration_s
             inside = np.zeros(grid.num_snippets, dtype=bool)
-            for iv, _ in layout.ground_truth.segments[vid]:
-                inside |= (centers >= iv.start_s) & (centers < iv.end_s)
+            for start, end, _, _ in layout.ground_truth.videos[vid]:
+                inside |= (centers >= start) & (centers < end)
             att = preds[vid].attention
             assert np.all(att[inside] == 1.0)
             assert np.all(att[~inside] == 0.0)
@@ -307,8 +310,8 @@ class TestCorruptPredictions:
             centers = snippet_centers(layout.grids[vid])
             att, scores = preds[vid].attention, preds[vid].class_scores
             inside = np.zeros(centers.shape[0], dtype=bool)
-            for iv, class_id in layout.ground_truth.segments[vid]:
-                action = (centers >= iv.start_s) & (centers < iv.end_s)
+            for start, end, class_id, _ in layout.ground_truth.videos[vid]:
+                action = (centers >= start) & (centers < end)
                 assert np.all(att[action] == 1.0)
                 assert np.all(scores[action, :-1].argmax(axis=1) == class_id - 1)
                 inside |= action
