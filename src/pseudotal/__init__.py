@@ -15,7 +15,7 @@ from .config import TOOL_VERSION
 # on first access (PEP 562), so a process loads only the modules it uses
 _EXPORTS = {
     "config": ("TOOL_VERSION", "PipelineConfig", "MaskParams", "PyramidConfig"),
-    "core": ("GroundTruthSet", "Interval", "Segment", "Segments", "SnippetPredictions",
+    "core": ("GroundTruthSet", "Segment", "Segments", "SnippetPredictions",
              "TimeGrid", "snippet_centers"),
     "evaluation": ("DEFAULT_TIOU_THRESHOLDS", "EvalReport", "PseudoQuality",
                    "average_precision", "map_table", "pseudo_quality"),

@@ -152,10 +152,8 @@ class PipelineConfig:
         check_fields(self, "config")
         if self.k_ratio < 1:
             raise ValueError("k_ratio must be >= 1")
-        ths = tuple(float(t) for t in self.thresholds)
-        if not ths or any(not 0.0 < t < 1.0 for t in ths):
+        if not self.thresholds or any(not 0.0 < t < 1.0 for t in self.thresholds):
             raise ValueError("thresholds must be a nonempty subset of (0, 1)")
-        object.__setattr__(self, "thresholds", ths)
         if not 0.0 < self.oic_inflation <= 1.0:
             raise ValueError("oic_inflation must lie in (0, 1]")
         if self.sigma_nms <= 0:

@@ -1,4 +1,4 @@
-"""Temporal grid, intervals, scored segments, and the shared primitives.
+"""Temporal grid, scored segments, and the shared primitives.
 
 Everything downstream (extraction, fusion, masking, target building,
 evaluation) works on these types and on the one implementation of each
@@ -8,14 +8,15 @@ same-key pairs of intervals (one join, `overlap_pairs`, within one set or
 across two), equal-value runs (of one array, of True in every row of a mask,
 and above every threshold of many columns at once), snippet centers, and the
 cover rule: which segment, first in some order, holds each time, and the
-class-id rule. The scored segments of one video, proposals and pseudo labels
-alike, travel between the stages as one `Segments` value: four read-only
-columns, checked once in its constructor. A corpus's ground truth, which
-gives the weak branch its video labels, the simulator its layouts and
-evaluation its targets, is one `GroundTruthSet`: one `Segments` per video,
-scores 1.0 and unread. Public boundaries are expressed in seconds; snippet
-indices appear only when converting to or from a grid. All types are
-immutable after construction and all functions are pure.
+rules of one segment row (its span's and its class id's). The scored
+segments of one video, proposals and pseudo labels alike, travel between
+the stages as one `Segments` value: four read-only columns, checked once in
+its constructor. A corpus's ground truth, which gives the weak branch its
+video labels, the simulator its layouts and evaluation its targets, is one
+`GroundTruthSet`: one `Segments` per video, scores 1.0 and unread. Public
+boundaries are expressed in seconds; snippet indices appear only when
+converting to or from a grid. All types are immutable after construction
+and all functions are pure.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "Interval",
     "Segment",
     "Segments",
     "GroundTruthSet",
@@ -40,6 +40,7 @@ __all__ = [
     "threshold_runs",
     "snippet_centers",
     "first_cover",
+    "check_span",
     "check_class_id",
     "class_ids",
 ]
@@ -60,6 +61,8 @@ MAX_CLASS_ID = 2**63 - 1  # class ids are int64
 # no extent, tIoU or anchor layout overflows.
 MAX_TIME_S = 1e15
 _TIME_BOUND = f"interval endpoints must lie in [-{MAX_TIME_S:g}, {MAX_TIME_S:g}] s"
+_NOT_FINITE = "interval endpoints must be finite"
+_NOT_ORDERED = "interval requires start_s < end_s"
 
 
 @dataclass(frozen=True)
@@ -99,28 +102,6 @@ class TimeGrid:
         return self.num_snippets * self.snippet_duration_s
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Half-open-by-convention temporal interval [start_s, end_s), start < end,
-    with endpoints at most MAX_TIME_S in magnitude."""
-
-    start_s: float
-    end_s: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ValueError("interval endpoints must be finite")
-        # with start_s < end_s, checked next, both endpoints then lie in the bound
-        if not (-MAX_TIME_S <= self.start_s and self.end_s <= MAX_TIME_S):
-            raise ValueError(_TIME_BOUND)
-        if not self.start_s < self.end_s:
-            raise ValueError("interval requires start_s < end_s")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-
 class Segment(NamedTuple):
     """One row of `Segments`, as Python scalars."""
 
@@ -155,9 +136,9 @@ class Segments:
             raise ValueError("segment columns must be 1-D and of one length")
         if not ((np.abs(start) <= MAX_TIME_S).all() and (np.abs(end) <= MAX_TIME_S).all()):
             finite = np.isfinite(start).all() and np.isfinite(end).all()
-            raise ValueError(_TIME_BOUND if finite else "interval endpoints must be finite")
+            raise ValueError(_TIME_BOUND if finite else _NOT_FINITE)
         if not (start < end).all():
-            raise ValueError("interval requires start_s < end_s")
+            raise ValueError(_NOT_ORDERED)
         if not np.isfinite(score).all():
             raise ValueError("score must be finite")
         for name, column in zip(("start_s", "end_s", "class_id", "score"), columns):
@@ -177,8 +158,8 @@ class Segments:
 class GroundTruthSet:
     """Ground truth of a corpus: video_id -> one `Segments` of the video's
     segments, checked by its constructor. The scores are 1.0 and no stage
-    reads them. `segments` rebuilds the rows as (Interval, class_id) pairs
-    for bench/tracing.py alone."""
+    reads them. `segments` gives the rows as (Segment, class_id) pairs for
+    bench/tracing.py alone."""
 
     videos: Mapping[str, Segments]
 
@@ -192,8 +173,8 @@ class GroundTruthSet:
         return sorted({c for segs in self.videos.values() for c in segs.class_id.tolist()})
 
     @property
-    def segments(self) -> dict[str, tuple[tuple[Interval, int], ...]]:
-        return {vid: tuple((Interval(s, e), c) for s, e, c, _ in segs)
+    def segments(self) -> dict[str, tuple[tuple[Segment, int], ...]]:
+        return {vid: tuple((row, row.class_id) for row in segs)
                 for vid, segs in self.videos.items()}
 
 
@@ -361,6 +342,17 @@ def first_cover(
     for k, a, b in zip(order.tolist()[::-1], lo[::-1], hi[::-1]):
         owner[a:b] = k
     return owner
+
+
+def check_span(start: float, end: float) -> None:
+    """One interval [start, end) by the endpoint rule of `Segments`, with its
+    messages: endpoints finite and at most MAX_TIME_S in magnitude, then
+    start < end. Plain Python, for a file's rows one at a time."""
+    if not (abs(start) <= MAX_TIME_S and abs(end) <= MAX_TIME_S):
+        finite = math.isfinite(start) and math.isfinite(end)
+        raise ValueError(_TIME_BOUND if finite else _NOT_FINITE)
+    if not start < end:
+        raise ValueError(_NOT_ORDERED)
 
 
 def check_class_id(c, class_count: int | None = None) -> int:

@@ -112,17 +112,20 @@ def fuse_ricker(proposals: Segments, grid: TimeGrid) -> FusedWavelet:
     Each proposal contributes score * wavelet to its own class channel,
     sampled at snippet centers. Proposals with non-positive score are
     excluded: a negative weight would flip the wavelet's suppression
-    semantics. An empty input produces the zero wavelet. A block of
-    wavelets is one array pass, and `np.add.at` adds its rows to their
-    class channels in proposal order, so every sum is the same float as
-    adding one proposal at a time. A sum past the float range raises the
-    constructor's ValueError, with no numpy warning.
+    semantics. So is a proposal of the least duration, 5e-324 s, whose
+    half-duration sigma rounds to 0.0: no wavelet has that width. An empty
+    input produces the zero wavelet. A block of wavelets is one array pass,
+    and `np.add.at` adds its rows to their class channels in proposal order,
+    so every sum is the same float as adding one proposal at a time. A sum
+    past the float range raises the constructor's ValueError, with no numpy
+    warning.
     """
     class_ids(proposals.class_id, grid.class_count)
-    keep = proposals.score > 0.0
-    start, end, score = proposals.start_s[keep], proposals.end_s[keep], proposals.score[keep]
-    channel = proposals.class_id[keep] - 1
-    sigma, midpoint = 0.5 * (end - start), 0.5 * (start + end)
+    start, end = proposals.start_s, proposals.end_s
+    half = 0.5 * (end - start)
+    keep = (proposals.score > 0.0) & (half > 0.0)
+    sigma, midpoint = half[keep], 0.5 * (start + end)[keep]
+    score, channel = proposals.score[keep], proposals.class_id[keep] - 1
     centers = snippet_centers(grid)
     values = np.zeros((grid.class_count, grid.num_snippets), dtype=np.float64)
     for block in _blocks(score.shape[0], grid):

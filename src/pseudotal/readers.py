@@ -1,10 +1,11 @@
 """The CLI's readers of JSON-lines input files. Every input row is read
 through `_SCHEMAS`, one table of each file kind's keys and their JSON kinds:
 `_rows` checks a key, present and of its kind (`_KINDS`), as the row's
-converter reads it, and the converter builds the package types, which check
-the values. A reader imports the module of the types it builds as it runs,
-and none imports `cli` (`__main__` under `python -m`, whose `main` catches
-the `config.SchemaError` these raise, not a second copy's)."""
+converter reads it, and the converter checks the values: by the package
+types it builds, or for a segment row by the row rules of `core`. A reader
+imports the module of the types it builds as it runs, and none imports
+`cli` (`__main__` under `python -m`, whose `main` catches the
+`config.SchemaError` these raise, not a second copy's)."""
 from __future__ import annotations
 
 import functools
@@ -16,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .config import SchemaError, undecodable
-from .core import (GroundTruthSet, Interval, Segment, Segments, SnippetPredictions, TimeGrid,
-                   check_class_id)
+from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, check_class_id,
+                   check_span)
 
 __all__ = ["parse_sp_file", "parse_grid_file", "parse_segments", "video_label", "by_video",
            "parse_mask_file", "parse_targets_file", "parse_anchor_predictions",
@@ -266,34 +267,38 @@ def parse_grid_file(path: str) -> dict[str, TimeGrid]:
 _EXTENT_SLACK = 2e-5
 
 
-def _check_extent(iv: Interval | Segment, grid: TimeGrid) -> None:
-    if not (iv.start_s >= 0 and iv.end_s <= grid.duration_s * (1 + _EXTENT_SLACK)):
-        raise ValueError(f"segment [{iv.start_s}, {iv.end_s}] lies outside [0, {grid.duration_s}]")
+def _check_extent(start: float, end: float, grid: TimeGrid) -> None:
+    if not (start >= 0 and end <= grid.duration_s * (1 + _EXTENT_SLACK)):
+        raise ValueError(f"segment [{start}, {end}] lies outside [0, {grid.duration_s}]")
 
 
 def parse_segments(path: str, with_score: bool, grids: dict[str, TimeGrid] | None = None):
     """A segment file's rows by video id, in file order, as one `Segments` per
     video: with `score`, that mapping; without, the `GroundTruthSet` of it,
     scores 1.0. Rows are checked as read, so the first bad row decides the
-    exit; within a row, in order: the endpoints by `Interval` and, for a video
-    in `grids`, within [0, duration_s] up to the writer's rounding; `class_id`
-    by `check_class_id` with the grid's class count; a finite score."""
+    exit; within a row, in order: the endpoints by `check_span` and, for a
+    video in `grids`, within [0, duration_s] up to the writer's rounding;
+    `class_id` by `check_class_id` with the grid's class count; a finite
+    score. Each row is one plain tuple, and each video's `Segments` is built
+    from int64 and float64 columns, so its own checks are array reductions."""
     def convert(vid: str, get):
-        iv = Interval(get("start_s"), get("end_s"))
+        start, end = get("start_s"), get("end_s")
+        check_span(start, end)
         grid = grids.get(vid) if grids else None
         if grid is not None:
-            _check_extent(iv, grid)
+            _check_extent(start, end, grid)
         class_id = check_class_id(get("class_id"), grid.class_count if grid is not None else None)
         score = get("score") if with_score else 1.0
         if not math.isfinite(score):
-            raise ValueError("proposal score must be finite")
-        return Segment(iv.start_s, iv.end_s, class_id, score)
+            raise ValueError("score must be finite")
+        return start, end, class_id, score
 
     out: dict[str, list] = {}
     kind = "proposal" if with_score else "ground truth"
     for vid, item in _rows(path, kind, convert, unique=False):
         out.setdefault(vid, []).append(item)
-    videos = {vid: Segments(*zip(*rows)) for vid, rows in out.items()}
+    videos = {vid: Segments(*map(np.array, zip(*rows), (float, float, np.int64, float)))
+              for vid, rows in out.items()}
     return videos if with_score else GroundTruthSet(videos)
 
 
@@ -307,9 +312,9 @@ def video_label(gt_path: str, gt: GroundTruthSet, vid: str, grid: TimeGrid):
     if segs is None:
         return None
     try:
-        for row in segs:
-            _check_extent(row, grid)
-            check_class_id(row.class_id, grid.class_count)
+        for start, end, class_id, _ in segs:
+            _check_extent(start, end, grid)
+            check_class_id(class_id, grid.class_count)
     except ValueError as exc:
         raise ValueError(f"{gt_path}: video {vid}: {exc}") from None
     return VideoLabel.from_classes(segs.class_id, grid.class_count)

@@ -12,14 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from pseudotal.core import Interval
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalReport,
     GroundTruthSet,
     PseudoQuality,
 )
-from segment_objects import Proposal, PseudoProposal, span_tiou
+from segment_objects import Interval, Proposal, PseudoProposal, span_tiou
 
 
 def _match_flags(

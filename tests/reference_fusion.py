@@ -16,22 +16,23 @@ from typing import Sequence
 
 import numpy as np
 
-from pseudotal.core import Interval, TimeGrid, runs, snippet_centers
+from pseudotal.core import TimeGrid, runs, snippet_centers
 from pseudotal.fusion import GAUSS_GROUP_TIOU, FusedWavelet, RickerParams, ricker_value
-from segment_objects import Proposal, PseudoProposal, span_tiou
+from segment_objects import Interval, Proposal, PseudoProposal, span_tiou
 
 
 def fuse_ricker(proposals: Sequence[Proposal], grid: TimeGrid) -> FusedWavelet:
     """Sum confidence-weighted proposal wavelets into one (T, C) space,
-    one proposal at a time; non-positive scores are skipped."""
+    one proposal at a time; non-positive scores, and a half-duration that
+    rounds to 0.0, are skipped."""
     values = np.zeros((grid.num_snippets, grid.class_count), dtype=np.float64)
     centers = snippet_centers(grid)
     for p in proposals:
         if not 1 <= p.class_id <= grid.class_count:
             raise ValueError("proposal class out of grid range")
-        if p.score <= 0.0:
-            continue
         iv = p.interval
+        if p.score <= 0.0 or 0.5 * iv.duration_s == 0.0:
+            continue
         wav = ricker_value(centers, RickerParams(0.5 * iv.duration_s, 0.5 * (iv.start_s + iv.end_s)))
         values[:, p.class_id - 1] += p.score * wav
     return FusedWavelet(values, grid)

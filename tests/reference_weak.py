@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from pseudotal.core import (
-    Interval,
     SnippetPredictions,
     TimeGrid,
     pairwise_tiou,
@@ -21,7 +20,7 @@ from pseudotal.core import (
     snippet_centers,
 )
 from pseudotal.weak_branch import VideoLabel, compute_sps
-from segment_objects import Proposal
+from segment_objects import Interval, Proposal
 
 
 def extract_proposals(

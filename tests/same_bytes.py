@@ -43,10 +43,13 @@ soft-NMS decays the intersecting pairs) and `fuse --strategy gauss` (which
 groups them); then `fuse --strategy gauss` of a video whose proposals of
 each class all overlap, with tied scores, equal starts and partners of the
 top proposal at exactly tIoU 0.5, one a whole leader length before it;
-then `eval` of back-to-back ground-truth segments against
-predictions shifted off them, where each prediction intersects few of the
-many segments of its video and class; last, `simulate` of a one-class
-corpus at a low score temperature, whose SP rows repeat one row.
+then the ricker `fuse`, with `--wavelet-csv`, of a proposal 5e-324 s long,
+whose half-duration rounds to 0.0, and one other (the script exits nonzero
+unless it writes the bytes it writes without that proposal); then `eval`
+of back-to-back ground-truth segments against predictions shifted off
+them, where each prediction intersects few of the many segments of its
+video and class; last, `simulate` of a one-class corpus at a low score
+temperature, whose SP rows repeat one row.
 This is a script, not a collected test.
 """
 from __future__ import annotations
@@ -171,6 +174,29 @@ def _write_dense(props: Path, grid: Path) -> None:
         for s, e, c, p in rows))
     grid.write_text(json.dumps({"video_id": "v", "num_snippets": 40, "snippet_duration_s": 0.5,
                                 "class_count": 2}) + "\n")
+
+
+def _same_without_least_duration(work: Path, out: Path) -> None:
+    """The ricker `fuse`, with `--wavelet-csv`, of [0, 5e-324], whose
+    half-duration rounds to 0.0, and [2, 5] writes the bytes it writes on
+    [2, 5] alone."""
+    grid = work / "grid_least_duration.jsonl"
+    grid.write_text(json.dumps({"video_id": "v", "num_snippets": 8, "snippet_duration_s": 1.0,
+                                "class_count": 1}) + "\n")
+    kept = {"video_id": "v", "start_s": 2.0, "end_s": 5.0, "class_id": 1, "score": 0.8}
+    short = {**kept, "start_s": 0.0, "end_s": 5e-324, "score": 0.9}
+    for name, rows, where in (("least_duration", [short, kept], out),
+                              ("least_duration_left_out", [kept], work)):
+        props = work / f"props_{name}.jsonl"
+        props.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        _run("fuse", "--input", props, "--input", grid, "--output", where / f"pseudo_{name}.jsonl",
+             "--wavelet-csv", where / f"wavelet_{name}.csv")
+    for name in ("pseudo_{}.jsonl", "wavelet_{}.csv"):
+        path = out / name.format("least_duration")
+        twin = work / name.format("least_duration_left_out")
+        if path.read_bytes() != twin.read_bytes():
+            raise SystemExit(f"{path.name} differs from {twin.name}, its twin without the "
+                             "proposal of the least duration")
 
 
 def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Path) -> None:
@@ -345,6 +371,8 @@ def run_chain(out: Path) -> list[Path]:
     _write_dense(dense_props, dense_grid)
     _run("fuse", "--input", dense_props, "--input", dense_grid, "--strategy", "gauss",
          "--output", out / "pseudo_dense_gauss.jsonl")
+
+    _same_without_least_duration(work, out)
 
     back_gt, back_preds = work / "gt_back_to_back.jsonl", work / "preds_back_to_back.jsonl"
     _write_back_to_back(back_gt, back_preds)

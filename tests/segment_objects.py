@@ -1,14 +1,15 @@
 """The per-object segment types of the loop oracles, and the conversions
 between them and `pseudotal.core.Segments`.
 
-`Proposal` (an interval, a score and a class) and `PseudoProposal` (an
-interval, a class and a nonnegative confidence) are the values the oracles
-in `reference_*.py` take and return, one frozen object per segment. The
-package carries the same segments as the columns of one `Segments` per
-video; a pseudo label's confidence is its score column. Tests convert with
-`to_segments` on the way in and `to_proposals`/`to_pseudos` on the way out,
-and compare the objects for equality. `span_tiou` is the oracles' scalar
-tIoU of two intervals' float endpoints.
+`Interval` is one [start_s, end_s), checked by the package's span rule
+`pseudotal.core.check_span`. `Proposal` (an interval, a score and a class)
+and `PseudoProposal` (an interval, a class and a nonnegative confidence)
+are the values the oracles in `reference_*.py` take and return, one frozen
+object per segment. The package carries the same segments as the columns of
+one `Segments` per video; a pseudo label's confidence is its score column.
+Tests convert with `to_segments` on the way in and `to_proposals`/
+`to_pseudos` on the way out, and compare the objects for equality.
+`span_tiou` is the oracles' scalar tIoU of two intervals' float endpoints.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from pseudotal.core import Interval, Segments
+from pseudotal.core import Segments, check_span
 
 
 def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
@@ -28,6 +29,22 @@ def span_tiou(a_start: float, a_end: float, b_start: float, b_end: float) -> flo
         return 0.0
     union = (a_end - a_start) + (b_end - b_start) - inter
     return inter / union
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Temporal interval [start_s, end_s): endpoints finite and at most
+    `pseudotal.core.MAX_TIME_S` in magnitude, start_s < end_s."""
+
+    start_s: float
+    end_s: float
+
+    def __post_init__(self) -> None:
+        check_span(self.start_s, self.end_s)
+
+    @property
+    def duration_s(self) -> float:
+        return self.end_s - self.start_s
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from pseudotal.config import PipelineConfig
-from pseudotal.core import Interval, Segment, Segments, TimeGrid
+from pseudotal.core import Segment, Segments, TimeGrid
 from pseudotal.evaluation import GroundTruthSet, average_precision
 from pseudotal.fusion import (
     RickerParams,
@@ -38,7 +38,9 @@ from pseudotal.targets import (
     total_loss,
 )
 from pseudotal.weak_branch import VideoLabel
-from segment_objects import Proposal, segments, segments_by_video, to_pseudos, to_segments
+from segment_objects import (
+    Interval, Proposal, segments, segments_by_video, to_pseudos, to_segments,
+)
 
 
 @contextmanager

@@ -16,7 +16,7 @@ import pytest
 from pseudotal import cli, readers
 from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig, SchemaError
-from pseudotal.core import MAX_GRID_CELLS
+from pseudotal.core import MAX_GRID_CELLS, Segments
 from pseudotal.fusion import STRATEGIES
 from pseudotal.sim import SimConfig
 from pseudotal.targets import ANCHOR_FIELDS
@@ -2081,6 +2081,47 @@ class TestValuesNearTheFloatRange:
         assert capsys.readouterr().err == ""
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
+    def test_a_proposal_of_the_least_duration(self, tmp_path, capsys):
+        # [0, 5e-324]: half its duration rounds to 0.0, so it has no wavelet;
+        # ricker leaves it out of the sum, as it leaves out a score <= 0
+        grid, short, rest = (tmp_path / n for n in ("grid.jsonl", "short.jsonl", "rest.jsonl"))
+        write_jsonl(grid, [GRID_ROW])
+        kept = {**SEGMENT_ROW, "score": 0.8}
+        write_jsonl(short, [{**SEGMENT_ROW, "start_s": 0.0, "end_s": 5e-324, "score": 0.9}, kept])
+        write_jsonl(rest, [kept])
+        for props in (short, rest):
+            for strategy in STRATEGIES:
+                assert run("fuse", "--strategy", strategy, "--input", props, "--input", grid,
+                           "--output", tmp_path / f"{props.stem}_{strategy}") == 0
+            assert run("fuse", "--input", props, "--input", grid, "--output",
+                       tmp_path / f"{props.stem}_csv", "--wavelet-csv",
+                       tmp_path / f"{props.stem}_wavelet") == 0
+        assert capsys.readouterr().err == ""
+        for name in ("ricker", "wavelet"):
+            assert (tmp_path / f"short_{name}").read_bytes() == (
+                tmp_path / f"rest_{name}").read_bytes()
+
+    # an endpoint fault of each kind, and rows of two faults, the bound's first
+    SPAN_FAULTS = [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+                   (-2e15, 1.0), (0.0, 2e15), (5.0, 5.0), (5.0, 2.0), (2e15, 1.0),
+                   (math.inf, 1.0), (3e15, math.nan)]
+
+    @pytest.mark.parametrize("start, end", SPAN_FAULTS)
+    def test_a_row_breaks_the_span_rule_as_the_columns_do(self, tmp_path, capsys, start, end):
+        # `eval` and `fuse` check each row by the rule and with the message
+        # that `Segments` applies to its columns
+        with pytest.raises(ValueError) as columns:
+            Segments([start], [end], [1], [0.9])
+        grid, props, gt, out = (tmp_path / n for n in ("grid.jsonl", "props.jsonl", "gt.jsonl",
+                                                       "out"))
+        write_jsonl(grid, [GRID_ROW])
+        write_jsonl(props, [{**SEGMENT_ROW, "start_s": start, "end_s": end}])
+        write_jsonl(gt, [{k: v for k, v in SEGMENT_ROW.items() if k != "score"}])
+        for argv in (["eval", "--input", props, "--gt", gt],
+                     ["fuse", "--input", props, "--input", grid]):
+            code = run(*argv, "--output", out)
+            self._refused(capsys, code, f"{props}: video v: {columns.value}", out)
+
     @pytest.mark.parametrize("rows, want", [
         ([(2.7, 4.9, 5e-324)], None),
         ([(2.7, 2.9, 5e-324)], None),
@@ -2409,6 +2450,13 @@ class TestConfigTypes:
         data = {"alpha": 0, "tau": 0.5, "thresholds": [0.5, 0.1]}
         assert PipelineConfig.from_dict(data).config_hash() == "3eef3343b9b9"
         assert PipelineConfig.from_dict({**data, "alpha": 0.0}).config_hash() == "9ffcf57b9b28"
+
+    def test_eval_tious_entries_are_floats(self):
+        # the one conversion: `eval_tious` stores its entries as floats, so
+        # [1] and [1.0] are one config, of one hash
+        ints, floats = (PipelineConfig.from_dict({"eval_tious": v}) for v in ([1], [1.0]))
+        assert ints.eval_tious == (1.0,) and type(ints.eval_tious[0]) is float
+        assert ints.config_hash() == floats.config_hash()
 
 
 class TestVideoIds:

@@ -56,7 +56,7 @@ GATE_ONLY = {"average_precision": "gate 4", "mask_for_proposal": "gate 5",
              "benchmark_many": "gate 8"}
 # members that the command line never reaches, kept because bench/tracing.py
 # reads them: `uncertain_count` in `union_after`, and `GroundTruthSet.segments`,
-# the ground truth as (Interval, class_id) pairs, in `map_after`
+# the ground truth as (Segment, class_id) pairs, in `map_after`
 BENCH_ONLY = {"uncertain_count", "segments"}
 
 

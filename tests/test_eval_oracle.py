@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_eval as ref
-from pseudotal.core import Interval, pairwise_tiou
+from pseudotal.core import pairwise_tiou
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     _interpolated_ap,
@@ -22,7 +22,9 @@ from pseudotal.evaluation import (
     map_table,
     pseudo_quality,
 )
-from segment_objects import Proposal, PseudoProposal, segments, segments_by_video, span_tiou
+from segment_objects import (
+    Interval, Proposal, PseudoProposal, segments, segments_by_video, span_tiou,
+)
 
 THRESHOLDS = (*DEFAULT_TIOU_THRESHOLDS, 0.75, 1.0)
 

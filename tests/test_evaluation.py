@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval
+from pseudotal.core import Segment
 from pseudotal.evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalReport,
@@ -58,7 +58,7 @@ class TestGroundTruthSet:
 
     def test_the_bench_view_gives_each_videos_rows_in_order(self, tmp_path):
         """`segments`, the view bench/tracing.py reads, gives each video's
-        (Interval, class_id) pairs in file row order, the rows of its `videos`
+        (Segment, class_id) pairs in file row order, the rows of its `videos`
         columns, when the rows of two videos interleave."""
         rows = [("b", 4.0, 6.0, 2), ("a", 0.0, 1.5, 1), ("b", 1.0, 2.0, 1), ("a", 3.0, 3.5, 3),
                 ("b", 0.5, 9.0, 2)]
@@ -66,14 +66,12 @@ class TestGroundTruthSet:
         path.write_text("".join(json.dumps({"video_id": v, "start_s": s, "end_s": e,
                                             "class_id": c}) + "\n" for v, s, e, c in rows))
         gt = parse_segments(str(path), with_score=False)
-        want = {vid: tuple((Interval(s, e), c) for v, s, e, c in rows if v == vid)
+        want = {vid: tuple((Segment(s, e, c, 1.0), c) for v, s, e, c in rows if v == vid)
                 for vid in ("b", "a")}
         assert list(gt.segments.items()) == list(want.items())
         for vid, pairs in gt.segments.items():
-            segs = gt.videos[vid]
-            assert [(iv.start_s, iv.end_s, c) for iv, c in pairs] == list(
-                zip(segs.start_s.tolist(), segs.end_s.tolist(), segs.class_id.tolist()))
-            assert all(type(c) is int for _, c in pairs)
+            assert [row for row, _ in pairs] == list(gt.videos[vid])
+            assert all(type(row) is Segment and type(c) is int for row, c in pairs)
 
 
 class TestAveragePrecision:

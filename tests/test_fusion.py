@@ -83,6 +83,15 @@ class TestFuseRicker:
         w = fuse_ricker(segments((1, 4, 1, 0.0), (1, 4, 1, -2.0)), grid)
         assert np.all(w.values == 0.0)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_half_duration_of_zero_excluded(self, first):
+        # [0, 5e-324]: half of its duration rounds to 0.0, so it has no wavelet
+        grid = TimeGrid(8, 1.0, 1)
+        assert 0.5 * 5e-324 == 0.0
+        kept, short = (2, 5, 1, 0.8), (0.0, 5e-324, 1, 0.9)
+        fused = fuse_ricker(segments(*((short, kept) if first else (kept, short))), grid)
+        assert fused.values.tobytes() == fuse_ricker(segments(kept), grid).values.tobytes()
+
     def test_class_out_of_range(self):
         grid = TimeGrid(6, 1.0, 1)
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 
 import reference_fusion as ref
 from pseudotal import fusion
-from pseudotal.core import Interval, TimeGrid, snippet_centers
+from pseudotal.core import TimeGrid, snippet_centers
 from pseudotal.fusion import (
     SCORE_THRESHOLD,
     STRATEGIES,
@@ -27,7 +27,7 @@ from pseudotal.fusion import (
     ricker_value,
     segments_from_wavelet,
 )
-from segment_objects import Proposal, to_pseudos, to_segments
+from segment_objects import Interval, Proposal, to_pseudos, to_segments
 
 SEEDS = range(200)
 SCORE_LEVELS = (-0.5, 0.0, 0.25, 0.5, 1.0)

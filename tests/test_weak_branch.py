@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pseudotal.core import Interval, SnippetPredictions, TimeGrid
+from pseudotal.core import SnippetPredictions, TimeGrid
 from pseudotal.weak_branch import (
     VideoLabel,
     compute_sps,
@@ -13,7 +13,7 @@ from pseudotal.weak_branch import (
     soft_nms,
     weak_proposals,
 )
-from segment_objects import segments
+from segment_objects import Interval, segments
 
 
 class TestVideoLabel:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_weak as ref
-from pseudotal.core import Interval, SnippetPredictions, TimeGrid, threshold_runs
+from pseudotal.core import SnippetPredictions, TimeGrid, threshold_runs
 from pseudotal.weak_branch import (
     VideoLabel,
     compute_sps,
@@ -22,7 +22,7 @@ from pseudotal.weak_branch import (
     soft_nms,
     weak_proposals,
 )
-from segment_objects import Proposal, segments, to_proposals, to_segments
+from segment_objects import Interval, Proposal, segments, to_proposals, to_segments
 
 DEFAULT_THRESHOLDS = tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
 SEEDS = range(320)
