@@ -22,11 +22,9 @@ malformed input or a bad output path, 3 domain-constraint violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
-import reprlib
 import sys
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -34,7 +32,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import lazy_globals
-from .config import TOOL_VERSION, PipelineConfig, PyramidConfig, SchemaError, undecodable
+from .config import (TOOL_VERSION, PipelineConfig, PyramidConfig, SchemaError, blame, shown,
+                     undecodable)
 from .core import runs, snippet_centers
 
 __all__ = ["main"]
@@ -228,11 +227,9 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
         raise ValueError("wavelet CSV requires exactly one video in the input")
     rows = []
     for vid in sorted(proposals):
-        try:  # a strategy's fault, such as a fused sum past the float range
+        with blame(paths[0], vid):  # a strategy's fault, such as a fused sum past the float range
             pseudos = generate_pseudo_labels(args.strategy, proposals[vid], grids[vid],
                                              min_duration_s=cfg.min_duration_s(grids[vid]))
-        except ValueError as exc:
-            raise ValueError(f"{paths[0]}: video {vid}: {exc}") from None
         rows += [_segment_row(vid, *p) for p in pseudos]
     outputs = [(args.output, _jsonl(cfg, rows))]
     if args.wavelet_csv:
@@ -250,7 +247,7 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
 
 def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
     if not 0 <= args.epoch <= cfg.total_epochs:  # checked before any input is read
-        raise ValueError(f"--epoch {reprlib.repr(args.epoch)} lies outside [0, {cfg.total_epochs}]")
+        raise ValueError(f"--epoch {shown(args.epoch)} lies outside [0, {cfg.total_epochs}]")
     params = cfg.mask_params(args.epoch)
     pseudos, grids = segments_on_grids(_inputs(args, 2, 2, "pseudo file and grid source"))
     rows = []
@@ -306,15 +303,13 @@ def _cmd_losses(args, cfg: PipelineConfig) -> _Outputs:
         if sp and pred.snippet_probs is not None and label is None:
             raise ValueError(f"{args.gt}: no ground-truth labels for video {vid}")
         t0 = time.perf_counter()
-        try:  # the predictions disagree with the targets or the SP row
+        with blame(paths[0], vid):  # the predictions disagree with the targets or the SP row
             l_cls = cls_loss(pred, tgt, gamma=cfg.gamma_focal)
             l_reg = reg_loss(pred, tgt)
             l_att = 0.0
             if sp and pred.snippet_probs is not None:
                 z = compute_sps(sp[1].attention, sp[1].class_scores)
                 l_att = att_loss(pred.snippet_probs, z, cfg.tau, label, gamma=cfg.gamma_focal)
-        except ValueError as exc:
-            raise ValueError(f"{paths[0]}: video {vid}: {exc}") from None
         l_total = total_loss(l_reg, l_cls, l_att, cfg.lambda_att)
         elapsed += (time.perf_counter() - t0) * 1000.0
         has_pos = bool(((tgt.mask_bit == 1) & (tgt.class_label > 0)).any())
@@ -345,7 +340,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
 
 
 def _cmd_simulate(args, cfg: PipelineConfig) -> _Outputs:
-    with _config_faults(args.config):  # a section the simulator cannot realize
+    with blame(args.config):  # a section the simulator cannot realize
         layout = gen_corpus(args.sim)
     gt = layout.ground_truth.videos
 
@@ -369,7 +364,7 @@ def _cmd_benchmark(args, cfg: PipelineConfig) -> _Outputs:
     strategies = args.strategy or list(STRATEGIES)
     for name in strategies:
         lookup_strategy(name)  # a bad --strategy is no fault of the config file
-    with _config_faults(args.config):
+    with blame(args.config):
         result = run_benchmark(args.sim, strategies, cfg).to_dict()
     metrics = {"rng": RNG_NAME, "sim": dataclasses.asdict(args.sim),
                "strategies": result["strategies"]}
@@ -395,19 +390,6 @@ def _inputs(args, least: int, most: int, what: str) -> list[str]:
     return paths
 
 
-@contextlib.contextmanager
-def _config_faults(path: str | None):
-    """Blame the config file at `path`, if any, for a fault that `main` reports:
-    prefix `<path>: `; a `SchemaError` stays one, any other becomes a ValueError."""
-    try:
-        yield
-    except (ValueError, TypeError, OverflowError) as exc:
-        if path is None:
-            raise
-        schema = isinstance(exc, SchemaError)
-        raise (SchemaError if schema else ValueError)(f"{path}: {exc}") from None
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object of the config file, which names each key once."""
     keys = [key for key, _ in pairs]
@@ -419,15 +401,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
     if path is None:
         return PipelineConfig(), {}
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with _config_faults(path):
+    with open(path, "rb") as fh, blame(path):
         try:
-            raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except SchemaError:  # a repeated key, which `_unique_keys` names
-            raise
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(undecodable(exc)) from None
+            raw = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:  # a repeated key: `_unique_keys` names it
+            raise exc if isinstance(exc, SchemaError) else SchemaError(undecodable(exc)) from None
         if not isinstance(raw, dict):
             raise SchemaError("config must be a JSON object")
         raw_sim = raw.pop("sim", {})
@@ -509,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg, raw_sim = _load_config(args.config)
         if "seed" in args:  # simulate and benchmark, the readers of the 'sim' section
-            with _config_faults(args.config):
+            with blame(args.config):
                 args.sim = SimConfig.from_dict(raw_sim)
             if args.seed is not None:
                 args.sim = dataclasses.replace(args.sim, seed=args.seed)

@@ -2,10 +2,11 @@
 dict round-tripping and a content hash for report headers, the two value
 types whose range rules it applies (mask band ratios, anchor pyramid), and
 what a stage reads of it, checked once: the weak branch's arguments, the
-fusion's minimum duration and each epoch's mask band ratios. Also the one
-schema fault `SchemaError` (exit 2) and the message of undecodable JSON."""
+fusion's minimum duration and each epoch's mask band ratios. Also `SchemaError`
+(exit 2), `undecodable`, `shown` (a bounded repr) and `blame` (a fault's file)."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +43,32 @@ def undecodable(exc: ValueError | RecursionError) -> str:
     return f"invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
 
 
+def shown(value) -> str:
+    """A bounded repr of `value`, a tuple as its JSON list, even past `repr`'s digit limit."""
+    try:
+        return reprlib.repr(list(value) if isinstance(value, tuple) else value)
+    except ValueError:
+        what = "an integer" if isinstance(value, int) else "a list holding an integer"
+        return f"<{what} of more than {sys.get_int_max_str_digits()} digits>"
+
+
+@contextlib.contextmanager
+def blame(path: str | None, vid: str | None = None):
+    """Name the file at `path`, if any, in a fault that `cli.main` reports: a
+    `SchemaError` as `<path>: <message>` (exit 2); another ValueError, TypeError
+    or OverflowError (a huge JSON integer overflows) as a ValueError (exit 3),
+    `<path>: video <vid>: <message>`, or without `vid` `<path>: <message>`."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        if path is None:
+            raise
+        if isinstance(exc, SchemaError):
+            raise SchemaError(f"{path}: {exc}") from None
+        where = path if vid is None else f"{path}: video {vid}"
+        raise ValueError(f"{where}: {exc}") from None
+
+
 # The JSON values a field of each type takes: an int field a JSON integer (a
 # bool is none), a float field any JSON number, a str field a string; a tuple
 # field takes a JSON list (from Python, also a tuple) of its entry type.
@@ -64,10 +91,9 @@ def check_fields(config, what: str) -> None:
     holds its JSON type (`SchemaError`), then each number of a float field is
     finite: no NaN, infinity or integer past the float range (`ValueError`).
     A tuple field given a list stores it as a tuple, so the config stays
-    hashable; a tuple is shown as the JSON list, a value by a bounded repr, so
-    one nested near the decoder's depth limit cannot overflow the stack."""
+    hashable; a value is shown by `shown`, so one nested near the decoder's
+    depth limit cannot overflow the stack."""
     fields = [(f.name, getattr(config, f.name), str(f.type)) for f in dataclasses.fields(config)]
-    shown = {key: list(value) if isinstance(value, tuple) else value for key, value, _ in fields}
     for key, value, kind in fields:
         entry = kind.removeprefix("tuple[").split(",")[0]  # "tuple[int, int]": "int"
         types, noun = _JSON_TYPES[entry]
@@ -77,14 +103,13 @@ def check_fields(config, what: str) -> None:
             isinstance(v, bool) or not isinstance(v, types) for v in entries
         ):
             need = f"a JSON list of {noun}s" if many else f"a JSON {noun}"
-            got = reprlib.repr(shown[key])
-            raise SchemaError(f"{what} key {key!r} must be {need}, got {got}")
+            raise SchemaError(f"{what} key {key!r} must be {need}, got {shown(value)}")
         if many:
             object.__setattr__(config, key, tuple(value))
     for key, value, kind in fields:
         entries = value if isinstance(value, (tuple, list)) else (value,)
         if "float" in kind and not all(abs(v) <= sys.float_info.max for v in entries):
-            raise ValueError(f"{what} key {key!r} must be finite, got {reprlib.repr(shown[key])}")
+            raise ValueError(f"{what} key {key!r} must be finite, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +219,7 @@ class PipelineConfig:
         `beta` through `warmup_epochs`, then shrunk linearly to zero at
         `total_epochs`."""
         if not 0 <= epoch <= self.total_epochs:
-            raise ValueError(f"epoch {epoch} lies outside [0, {self.total_epochs}]")
+            raise ValueError(f"epoch {shown(epoch)} lies outside [0, {self.total_epochs}]")
         if epoch <= self.warmup_epochs:
             return MaskParams(self.alpha, self.beta)
         factor = (self.total_epochs - epoch) / (self.total_epochs - self.warmup_epochs)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lazy_globals
-from .config import PipelineConfig, check_fields, config_from_dict
+from .config import PipelineConfig, check_fields, config_from_dict, shown
 from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, first_cover,
                    snippet_centers)
 
@@ -118,8 +118,8 @@ class SimConfig:
         if cells > MAX_CORPUS_CELLS:
             raise ValueError(
                 f"sim config num_videos * snippets_per_video[1] * (class_count + 1) must be "
-                f"at most {MAX_CORPUS_CELLS}, got {self.num_videos} * "
-                f"{self.snippets_per_video[1]} * ({self.class_count} + 1)"
+                f"at most {MAX_CORPUS_CELLS}, got {shown(self.num_videos)} * "
+                f"{shown(self.snippets_per_video[1])} * ({shown(self.class_count)} + 1)"
             )
 
     @classmethod

@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import PyramidConfig
 from .core import Segments, TimeGrid, check_distribution_rows, first_cover, pairwise_tiou
-from .mask import SnippetMask
 
-if TYPE_CHECKING:  # an annotation only: the `targets` step loads no weak branch
+if TYPE_CHECKING:  # annotations only: `targets` loads no weak branch, `losses` no mask
+    from .mask import SnippetMask
     from .weak_branch import VideoLabel
 
 __all__ = [

@@ -5,9 +5,14 @@ Usage (from a checkout; the `pseudotal` found on PYTHONPATH is the one run):
     PYTHONPATH=src python tests/same_bytes.py OUT_DIR
 
 OUT_DIR must not exist yet. Every line printed is `<sha256>  <file name>`,
-sorted by name. Two checkouts produce the same bytes when the printed lines
-of two runs are identical, so a refactor that claims "same bytes" is
-checked with one `diff` of the two listings. The chain covers every
+sorted by name, one per output written. Two checkouts produce the same
+bytes when the printed lines of two runs are identical, so a refactor that
+claims "same bytes" is checked with one `diff` of the two listings. A step
+that exits nonzero is reported on stderr and the chain goes on; a later
+step or twin check that needs a file so left unwritten is skipped and
+reported too, so the chain run on code that refuses one case still prints
+the digest of every other output. The script exits 1 if a step was refused
+or skipped or a twin check failed, 0 otherwise. The chain covers every
 subcommand: `simulate`, then `extract` (with the default weak-branch
 settings, with `extract_on` "attention", and with settings under which
 soft-NMS drops proposals); for each fusion strategy `fuse`,
@@ -54,6 +59,7 @@ This is a script, not a collected test.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -102,10 +108,43 @@ SCHEDULE = {"alpha": 0.25, "beta": 0.2, "warmup_epochs": 5, "total_epochs": 17}
 OFF_DEFAULTS = {**WEAK_VARIANTS["nms_drops"], "sigma_nms": 0.3, "min_duration_snippets": 4}
 
 
+FAULTS: list[str] = []  # each refused or skipped step and failed twin check
+
+
+def _fault(message: str) -> None:
+    FAULTS.append(message)
+    print(message, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """Skip, and report, the rest of the block `what` once it reads a file
+    that an earlier step left unwritten."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        _fault(f"skipped {what}: no {exc.filename}")
+
+
 def _run(*argv) -> None:
+    """`pseudotal *argv`, skipped if a file it reads is missing (the
+    `--gt` of `simulate` it writes); a nonzero exit is reported."""
     argv = [str(a) for a in argv]
-    if cli.main(argv) != 0:
-        raise SystemExit(f"step failed: pseudotal {' '.join(argv)}")
+    step = f"pseudotal {' '.join(argv)}"
+    reads = ("--input", "--config") if argv[0] == "simulate" else ("--input", "--config", "--gt")
+    missing = [value for flag, value in zip(argv, argv[1:])
+               if flag in reads and not Path(value).exists()]
+    if missing:
+        _fault(f"skipped {step}: no {', '.join(missing)}")
+    elif cli.main(argv) != 0:
+        _fault(f"step failed: {step}")
+
+
+def _same(path: Path, twin: Path, why: str) -> None:
+    """Report unless `path` holds the bytes of `twin`, its twin `why`."""
+    with _reading(f"the check of {path.name} against {twin.name}"):
+        if path.read_bytes() != twin.read_bytes():
+            _fault(f"{path.name} differs from {twin.name}, {why}")
 
 
 def _rows(path: Path) -> list[dict]:
@@ -116,8 +155,9 @@ def _write_predictions(targets: Path, sp: Path, out: Path) -> None:
     """Seeded stand-in for the network heads: one row per targets row."""
     rng = np.random.default_rng(9)
     snippets = {row["video_id"]: row["num_snippets"] for row in _rows(sp)}
+    rows = _rows(targets)  # read before `out` is opened, so a missing file leaves no `out`
     with out.open("w", encoding="utf-8") as fh:
-        for row in _rows(targets):
+        for row in rows:
             n, width = len(row["class_label"]), row["class_count"] + 1
             fh.write(json.dumps({
                 "video_id": row["video_id"],
@@ -192,22 +232,20 @@ def _same_without_least_duration(work: Path, out: Path) -> None:
         _run("fuse", "--input", props, "--input", grid, "--output", where / f"pseudo_{name}.jsonl",
              "--wavelet-csv", where / f"wavelet_{name}.csv")
     for name in ("pseudo_{}.jsonl", "wavelet_{}.csv"):
-        path = out / name.format("least_duration")
-        twin = work / name.format("least_duration_left_out")
-        if path.read_bytes() != twin.read_bytes():
-            raise SystemExit(f"{path.name} differs from {twin.name}, its twin without the "
-                             "proposal of the least duration")
+        _same(out / name.format("least_duration"), work / name.format("least_duration_left_out"),
+              "its twin without the proposal of the least duration")
 
 
 def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Path) -> None:
     """`fuse`, `mask` and `targets` with a slim grid file made from `sp` as
     the grid source write the bytes they write with `sp` itself."""
     grid = work / "grid.jsonl"
-    grid.write_text("".join(json.dumps({
-        "video_id": row["video_id"], "num_snippets": row["num_snippets"],
-        "snippet_duration_s": row["snippet_duration_s"],
-        "class_count": len(row["class_scores"][0]) - 1,
-    }) + "\n" for row in _rows(sp)))
+    with _reading("the slim grid file"):
+        grid.write_text("".join(json.dumps({
+            "video_id": row["video_id"], "num_snippets": row["num_snippets"],
+            "snippet_duration_s": row["snippet_duration_s"],
+            "class_count": len(row["class_scores"][0]) - 1,
+        }) + "\n" for row in _rows(sp)))
     pseudo, mask, targets = (work / f"{name}_slim_grid.jsonl" for name in ("pseudo", "mask",
                                                                           "targets"))
     _run("fuse", *conf, "--input", props, "--input", grid, "--output", pseudo)
@@ -215,26 +253,24 @@ def _same_from_slim_grid(work: Path, out: Path, conf: tuple, props: Path, sp: Pa
     _run("targets", *conf, "--input", pseudo, "--input", grid, "--input", mask,
          "--output", targets)
     for path in (pseudo, mask, targets):
-        sp_sourced = out / path.name.replace("_slim_grid", "_default")
-        if path.read_bytes() != sp_sourced.read_bytes():
-            raise SystemExit(f"{path.name} differs from {sp_sourced.name}, its SP-sourced twin")
+        _same(path, out / path.name.replace("_slim_grid", "_default"), "its SP-sourced twin")
 
 
 def _same_from_permuted_gt(work: Path, out: Path, conf: tuple, sp: Path, gt: Path) -> None:
     """`extract`, and the ricker `losses` with `sp` and `--gt`, on `gt` with
     its rows in a seeded order write the bytes they write with `gt` itself."""
-    rows = _rows(gt)
     permuted = work / "gt_permuted.jsonl"
-    permuted.write_text("".join(json.dumps(rows[i]) + "\n"
-                                for i in np.random.default_rng(17).permutation(len(rows)).tolist()))
+    with _reading("the permuted ground truth"):
+        rows = _rows(gt)
+        permuted.write_text("".join(
+            json.dumps(rows[i]) + "\n"
+            for i in np.random.default_rng(17).permutation(len(rows)).tolist()))
     props, losses = out / "props_permuted_gt.jsonl", out / "losses_ricker_permuted_gt.json"
     _run("extract", *conf, "--input", sp, "--gt", permuted, "--output", props)
     _run("losses", *conf, "--input", work / "preds_ricker.jsonl", "--input",
          out / "targets_ricker.jsonl", "--input", sp, "--gt", permuted, "--output", losses)
     for path, sorted_twin in ((props, out / "props.jsonl"), (losses, out / "losses_ricker.json")):
-        if path.read_bytes() != sorted_twin.read_bytes():
-            raise SystemExit(f"{path.name} differs from {sorted_twin.name}, its twin of the "
-                             "ground truth as written")
+        _same(path, sorted_twin, "its twin of the ground truth as written")
 
 
 def run_chain(out: Path) -> list[Path]:
@@ -266,7 +302,8 @@ def run_chain(out: Path) -> list[Path]:
         _run("mask", *conf, "--input", pseudo, "--input", sp, "--epoch", 25, "--output", mask)
         _run("targets", *conf, "--input", pseudo, "--input", sp, "--input", mask,
              "--output", targets)
-        _write_predictions(targets, sp, preds)
+        with _reading(f"the predictions {preds.name}"):
+            _write_predictions(targets, sp, preds)
         _run("losses", *conf, "--input", preds, "--input", targets, "--input", sp,
              "--gt", gt, "--output", out / f"losses_{name}.json")
         _run("losses", *conf, "--input", preds, "--input", targets,
@@ -275,13 +312,14 @@ def run_chain(out: Path) -> list[Path]:
 
     # every other SP video, neither the first nor the last: `losses` passes
     # over SP rows before, between and after the videos it scores
-    keep = {row["video_id"] for row in _rows(sp)[1:-1:2]}
     sparse_targets, sparse_preds = work / "targets_sparse.jsonl", work / "preds_sparse.jsonl"
-    sparse_targets.write_text("".join(
-        json.dumps(row) + "\n" for row in _rows(out / "targets_ricker.jsonl")
-        if row["video_id"] in keep
-    ))
-    _write_predictions(sparse_targets, sp, sparse_preds)
+    with _reading("the sparse targets and predictions"):
+        keep = {row["video_id"] for row in _rows(sp)[1:-1:2]}
+        sparse_targets.write_text("".join(
+            json.dumps(row) + "\n" for row in _rows(out / "targets_ricker.jsonl")
+            if row["video_id"] in keep
+        ))
+        _write_predictions(sparse_targets, sp, sparse_preds)
     _run("losses", *conf, "--input", sparse_preds, "--input", sparse_targets, "--input", sp,
          "--gt", gt, "--output", out / "losses_sparse.json")
 
@@ -292,9 +330,10 @@ def run_chain(out: Path) -> list[Path]:
     _run("simulate", "--config", model_cfg, "--output", model_sp)
     _run("extract", *conf, "--input", model_sp, "--gt", gt, "--output", out / "props_model.jsonl")
     combined = work / "round.jsonl"
-    combined.write_bytes(b"".join(
-        p.read_bytes() for p in (out / "pseudo_ricker.jsonl", out / "props_model.jsonl")
-    ))
+    with _reading("the refinement round's input"):
+        combined.write_bytes(b"".join(
+            p.read_bytes() for p in (out / "pseudo_ricker.jsonl", out / "props_model.jsonl")
+        ))
     refined, refined_mask = out / "pseudo_refined.jsonl", out / "mask_refined.jsonl"
     _run("fuse", *conf, "--input", combined, "--input", sp, "--output", refined)
     _run("mask", *conf, "--input", refined, "--input", sp, "--epoch", 25, "--output", refined_mask)
@@ -319,10 +358,11 @@ def run_chain(out: Path) -> list[Path]:
     _run("mask", "--config", schedule_cfg, "--input", ricker, "--input", sp, "--epoch", 13,
          "--output", out / "mask_schedule.jsonl")
     one = work / "props_one_video.jsonl"
-    rows = _rows(props)
-    one.write_text("".join(
-        json.dumps(row) + "\n" for row in rows if row["video_id"] == rows[0]["video_id"]
-    ))
+    with _reading("the one-video proposals"):
+        rows = _rows(props)
+        one.write_text("".join(
+            json.dumps(row) + "\n" for row in rows if row["video_id"] == rows[0]["video_id"]
+        ))
     _run("fuse", *conf, "--input", one, "--input", sp, "--output", out / "pseudo_one_video.jsonl",
          "--wavelet-csv", out / "wavelet_one_video.csv")
     _run("benchmark", "--config", bench_cfg, "--output", out / "benchmark_default.json")
@@ -395,7 +435,7 @@ def main(argv: list[str]) -> int:
         return 2
     for path in run_chain(out):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
-    return 0
+    return 1 if FAULTS else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import pytest
 
 from pseudotal import cli, readers
 from pseudotal.cli import COMMANDS, main
-from pseudotal.config import TOOL_VERSION, PipelineConfig, SchemaError
+from pseudotal.config import TOOL_VERSION, PipelineConfig, SchemaError, blame
 from pseudotal.core import MAX_GRID_CELLS, Segments
 from pseudotal.fusion import STRATEGIES
 from pseudotal.sim import SimConfig
@@ -1695,6 +1695,69 @@ class TestExitCodes:
             assert not out.exists()
 
 
+
+class TestBlame:
+    """`config.blame` is the one rule that names the file of a fault, and the
+    video where one is given: a `SchemaError` stays one (exit 2), any other
+    value fault becomes a ValueError (exit 3)."""
+
+    @pytest.mark.parametrize("kind", [ValueError, TypeError, OverflowError])
+    @pytest.mark.parametrize("vid, prefix", [("v", "f.jsonl: video v: "), (None, "f.jsonl: ")])
+    def test_a_value_fault_becomes_a_value_error(self, kind, vid, prefix):
+        with pytest.raises(ValueError) as info:
+            with blame("f.jsonl", vid):
+                raise kind("bad")
+        assert (type(info.value), str(info.value)) == (ValueError, prefix + "bad")
+
+    @pytest.mark.parametrize("vid", ["v", None])
+    def test_a_schema_error_stays_one_and_names_no_video(self, vid):
+        with pytest.raises(SchemaError) as info:
+            with blame("f.jsonl", vid):
+                raise SchemaError("bad")
+        assert str(info.value) == "f.jsonl: bad"
+
+    @pytest.mark.parametrize("kind", [ValueError, TypeError, OverflowError, SchemaError])
+    @pytest.mark.parametrize("vid", ["v", None])
+    def test_no_path_passes_the_fault_unchanged(self, kind, vid):
+        fault = kind("bad")
+        with pytest.raises(kind) as info:
+            with blame(None, vid):
+                raise fault
+        assert info.value is fault
+
+    def test_other_faults_pass_unchanged(self):
+        with pytest.raises(KeyError, match="bad"):
+            with blame("f.jsonl", "v"):
+                raise KeyError("bad")
+
+    # a per-video library call of each handler, on the first video it reaches
+    CALLS = {"fuse": ("generate_pseudo_labels", ["props", "sp"]),
+             "losses": ("cls_loss", ["preds", "targets"])}
+
+    @pytest.mark.parametrize("step", CALLS)
+    @pytest.mark.parametrize("kind, code", [(TypeError, 3), (SchemaError, 2)])
+    def test_a_per_video_fault_names_the_file(self, tmp_path, monkeypatch, capsys, chain_files,
+                                              step, kind, code):
+        """A fault of the per-video call of `fuse` or `losses` names the
+        file it reads first: a TypeError exits 3 and names the video too, a
+        `SchemaError` exits 2. The call is replaced on `cli`, where `main`
+        keeps a name already bound."""
+        name, files = self.CALLS[step]
+
+        def raising(*args, **kwargs):
+            raise kind("bad")
+
+        monkeypatch.setattr(cli, name, raising)
+        first = chain_files[files[0]]
+        vid = min(row["video_id"] for row in read_jsonl(first)[1])
+        out = tmp_path / "out.json"
+        assert run(step, *(a for f in files for a in ("--input", chain_files[f])),
+                   "--output", out) == code
+        where = f"{first}: video {vid}" if kind is TypeError else f"{first}"
+        assert capsys.readouterr().err == f"error: {where}: bad\n"
+        assert not out.exists()
+
+
 # Besides --config and --output, the flags each subcommand reads.
 SUBCOMMAND_FLAGS = {
     "extract": {"--input", "--gt"},
@@ -2314,6 +2377,28 @@ class TestConfigTypes:
         # NaN sigma_nms or min_score would run a whole benchmark on wrong numbers
         with pytest.raises(ValueError, match=f"^{what} key '{key}' must be finite, got "):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("cls, what, key, value, shown", [
+        (PipelineConfig, "config", "alpha", 10**5000, "<an integer of more than"),
+        (PipelineConfig, "config", "eval_tious", (0.5, -10**5000),
+         "<a list holding an integer of more than"),
+        (SimConfig, "sim config", "snippet_duration_s", 10**5000, "<an integer of more than"),
+    ], ids=["alpha", "eval_tious", "snippet_duration_s"])  # no id from an integer without repr
+    def test_an_integer_past_the_digit_limit_is_shown_by_it(self, cls, what, key, value, shown):
+        # no repr writes an integer of more digits than
+        # `sys.get_int_max_str_digits()`: the message names the key and the limit
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as info:
+            cls(**{key: value})
+        assert str(info.value) == f"{what} key '{key}' must be finite, got {shown} {limit} digits>"
+
+    def test_a_corpus_past_the_digit_limit_is_shown_by_it(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as info:
+            SimConfig(num_videos=10**5000)
+        assert str(info.value) == (
+            "sim config num_videos * snippets_per_video[1] * (class_count + 1) must be at most "
+            f"16777216, got <an integer of more than {limit} digits> * 128 * (5 + 1)")
 
     @pytest.mark.parametrize("cls, what, key, value, need", [
         (SimConfig, "sim config", "num_videos", 2.5, "a JSON integer"),

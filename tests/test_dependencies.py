@@ -4,6 +4,7 @@ resolves, and the package itself uses it and each method and property of
 its classes, unless an acceptance gate or the benchmark tracer is the one
 caller."""
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -143,7 +144,7 @@ def chain(tmp_path_factory):
 
     d = tmp_path_factory.mktemp("chain")
     f = {name: str(d / f"{name}.jsonl") for name in ("sp", "gt", "props", "pseudos", "mask",
-                                                      "targets", "preds")}
+                                                      "targets", "preds", "preds_att")}
     f["config"] = str(d / "config.json")
     Path(f["config"]).write_text(json.dumps({"sim": {"seed": 1, "num_videos": 3,
                                                      "class_count": 2}}))
@@ -158,12 +159,17 @@ def chain(tmp_path_factory):
     rows = [json.loads(line) for line in Path(f["props"]).read_text().splitlines()[1:]]
     Path(f["props1"]).write_text("".join(json.dumps(row) + "\n" for row in rows
                                          if row["video_id"] == rows[0]["video_id"]))
-    with open(f["preds"], "w", encoding="utf-8") as fh:
+    # `preds_att` adds snippet probabilities, so `losses` with the SP file adds
+    # its attention term
+    with open(f["preds"], "w", encoding="utf-8") as fh, open(f["preds_att"], "w") as att:
         for line in Path(f["targets"]).read_text(encoding="utf-8").splitlines()[1:]:
             row = json.loads(line)
             n = len(row["class_label"])
-            fh.write(json.dumps({"video_id": row["video_id"], "class_probs": [[0.5] * 3] * n,
-                                 "reg_left": [1.0] * n, "reg_right": [1.0] * n}) + "\n")
+            pred = {"video_id": row["video_id"], "class_probs": [[0.5] * 3] * n,
+                    "reg_left": [1.0] * n, "reg_right": [1.0] * n}
+            fh.write(json.dumps(pred) + "\n")
+            snippet_probs = [[0.5] * 3] * row["num_snippets"]
+            att.write(json.dumps({**pred, "snippet_probs": snippet_probs}) + "\n")
     f["out"], f["csv"] = str(d / "out"), str(d / "wavelet.csv")
     return f
 
@@ -180,9 +186,9 @@ STEPS = {
     "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"],
                 {"readers", "mask", "targets"}),
     "losses": (["--input", "preds", "--input", "targets", "--input", "sp", "--gt", "gt"],
-               {"readers", "mask", "targets", "weak_branch"}),
+               {"readers", "targets", "weak_branch"}),
     "losses without an SP file": (["--input", "preds", "--input", "targets"],
-                                  {"readers", "mask", "targets", "weak_branch"}),
+                                  {"readers", "targets", "weak_branch"}),
     "extract": (["--input", "sp", "--gt", "gt"], {"readers", "weak_branch"}),
     "fuse": (["--input", "props", "--input", "sp"], {"readers", "fusion"}),
     "fuse --wavelet-csv": (["--input", "props1", "--input", "sp", "--wavelet-csv", "csv"],
@@ -243,6 +249,67 @@ def test_each_subcommand_loads_only_its_modules(chain, step):
     assert (first_read is None) == ("readers" not in extra)
     assert ("numpy.random" in modules) == (eager or step in ("simulate", "benchmark"))
     assert {"fractions", "decimal"} & set(modules) == set()
+
+
+WEAK_FIELDS = {"thresholds", "oic_inflation", "sigma_nms", "min_score", "extract_on"}
+# each subcommand with its arguments (names of `chain` files) and the config
+# fields it reads; `losses` runs its attention term
+READS = {
+    "simulate": (["--config", "config"], set()),
+    "extract": (["--input", "sp", "--gt", "gt"], WEAK_FIELDS),
+    "fuse": (["--input", "props", "--input", "sp"], {"min_duration_snippets"}),
+    "mask": (["--input", "pseudos", "--input", "sp"],
+             {"alpha", "beta", "warmup_epochs", "total_epochs"}),
+    "targets": (["--input", "pseudos", "--input", "sp", "--input", "mask"], {"num_levels"}),
+    "losses": (["--input", "preds_att", "--input", "targets", "--input", "sp", "--gt", "gt"],
+               {"tau", "lambda_att", "gamma_focal"}),
+    "eval": (["--input", "props", "--gt", "gt"], {"eval_tious"}),
+    "benchmark": (["--config", "config", "--strategy", "soft"],
+                  WEAK_FIELDS | {"min_duration_snippets", "eval_tious"}),
+}
+
+
+def test_each_subcommand_reads_its_config_fields(chain, monkeypatch):
+    """The `PipelineConfig` fields each subcommand reads, besides the hash of
+    them all in every output's header: `cli._load_config` returns a config
+    that records the reads of its fields once it is built, outside
+    `config_hash`, and each subcommand runs on the chain. No subcommand reads
+    `k_ratio`."""
+    from pseudotal import cli
+    from pseudotal.config import PipelineConfig
+
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+
+    class Recorder(PipelineConfig):
+        def __getattribute__(self, name):
+            reads = object.__getattribute__(self, "__dict__").get("reads")
+            if reads is not None and name in fields:
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+        def config_hash(self) -> str:
+            reads = self.__dict__.pop("reads")
+            try:
+                return super().config_hash()
+            finally:
+                self.__dict__["reads"] = reads
+
+    load, loaded = cli._load_config, []
+
+    def recording(path):
+        cfg, raw_sim = load(path)
+        recorder = Recorder.from_dict(cfg.to_dict())
+        recorder.__dict__["reads"] = set()  # the constructor's checks are no reads
+        loaded.append(recorder)
+        return recorder, raw_sim
+
+    monkeypatch.setattr(cli, "_load_config", recording)
+    read = {}
+    for step, (argv, _) in READS.items():
+        assert cli.main([step, *(chain.get(a, a) for a in argv), "--output", chain["out"]]) == 0
+        read[step] = loaded.pop().reads
+    assert read == {step: expected for step, (_, expected) in READS.items()}
+    assert fields - set().union(*read.values()) == {"k_ratio"}
 
 
 def test_the_tracer_finds_and_wraps_its_cli_names(chain):

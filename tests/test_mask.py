@@ -217,6 +217,13 @@ class TestDecaySchedule:
         with pytest.raises(ValueError):
             PipelineConfig(warmup_epochs=38, total_epochs=38)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_epoch_past_the_digit_limit_breaks_the_epoch_rule(self, sign):
+        # an integer of more digits than `sys.get_int_max_str_digits()` has no
+        # repr: the message states the rule, not the interpreter's limit
+        with pytest.raises(ValueError, match=r"^epoch <.+> lies outside \[0, 38\]$"):
+            self.config.mask_params(sign * 10**5000)
+
     def test_uncertain_set_shrinks_monotonically(self):
         grid = TimeGrid(60, 1.0, 1)
         p = Segment(20, 40, 1, 1.0)
