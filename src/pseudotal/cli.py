@@ -32,8 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import lazy_globals
-from .config import (TOOL_VERSION, PipelineConfig, PyramidConfig, SchemaError, blame, shown,
-                     undecodable)
+from .config import TOOL_VERSION, PipelineConfig, PyramidConfig, SchemaError, blame, undecodable
 from .core import runs, snippet_centers
 
 __all__ = ["main"]
@@ -41,14 +40,14 @@ __all__ = ["main"]
 
 # The one float formatter of every output: 6 significant digits. A JSON value
 # is the float its text parses to, written as Python's shortest repr (123456.0,
-# 1234570.0, 1e-05, NaN): `_round6` goes through json, `_array_text` writes the
-# same text from `%.6g` itself, formatting each distinct row of a 2-D array
-# once. The wavelet CSV keeps the raw text.
-_G6 = "{:.6g}".format
+# 1234570.0, 1e-05, NaN): `_round6` rounds one float by this spec, and
+# `_array_text` rounds each distinct value of an array by it in one %-call.
+# The wavelet CSV keeps the raw text.
+_G6 = "%.6g"
 
 
 def _round6(x: float) -> float:
-    return float(_G6(float(x)))
+    return float(_G6 % float(x))
 
 
 def _jsonable(value):
@@ -73,61 +72,32 @@ def _jsonable(value):
     return value
 
 
-# Below this bound `%.6g` writes every float positionally or, under 1e-4, with
-# the exponent that repr also uses, so its text is the JSON of the rounded value
-# once ".0" follows each integer-shaped cell. From 999999.5 up `%.6g` writes
-# 1e+06 where repr writes 1000000.0. Under TINY (subnormals) two 6-digit texts
-# can name one float, so repr may print fewer digits.
-_TEXT_BOUND = 999999.5
-_TINY = np.finfo(np.float64).tiny
-_FLOAT_CELLS = ("%.6g", "%.6g.0")
-
-
 def _array_text(a: np.ndarray) -> str | None:
-    """The JSON of a numeric array from one %-format call over its values;
-    None for an array the general path writes: 0-d, empty, bool, object,
-    or float with a value non-finite, subnormal or of |x| >= _TEXT_BOUND.
-    A 2-D array (an SP file's class scores: one row per snippet class)
-    formats each distinct row, by its bytes, once."""
+    """The JSON of a numeric array; None for an array the general path writes:
+    0-d, empty, bool or object. An integer array is one json.dumps of its
+    tolist(). A float array is cut into the rows of its last axis (an SP
+    file's class scores: one row per snippet); each distinct row, by its
+    bytes, is written once, from the distinct values of those rows, by their
+    float64 bits, each rounded as `_round6` does, in one %-call."""
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "iuf":
         return None
-    if a.ndim != 2:
-        text = _cells_text(a, ", ")
-        return None if text is None else "[" + text + "]"
-    data, width = a.tobytes(), a.shape[1] * a.itemsize
+    if a.dtype.kind != "f":
+        return json.dumps(a.tolist())
+    data, width = a.tobytes(), a.shape[-1] * a.itemsize
     distinct: dict[bytes, int] = {}
     order = [distinct.setdefault(data[i : i + width], len(distinct))
              for i in range(0, len(data), width)]
-    rows = np.frombuffer(b"".join(distinct), dtype=a.dtype).reshape(len(distinct), -1)
-    text = _cells_text(rows, "\n")
-    if text is None:
-        return None
-    texts = text.split("\n")
-    return "[" + ", ".join([texts[i] for i in order]) + "]"
-
-
-def _cells_text(a: np.ndarray, sep: str) -> str | None:
-    """The JSON texts of `a`'s top-level entries, joined by `sep`, from one
-    %-format call; None as `_array_text` says."""
-    values = a.ravel().tolist()
-    if a.dtype.kind == "f":
-        x = a.astype(np.float64, copy=False).ravel()
-        m = np.abs(x)
-        if not m.max() < _TEXT_BOUND or np.any((m > 0) & (m < _TINY)):
-            return None
-        r = np.rint(x)
-        integer = x == r
-        # a cell rounds to an integer at 6 digits only within 5e-6 relative of
-        # one (from 5e4 up every cell is that near): its own text decides
-        near = ~integer & (np.abs(x - r) <= 1e-5 * m)
-        for i in np.flatnonzero(near).tolist():
-            integer[i] = _G6(values[i]).lstrip("-").isdigit()
-        cells = [_FLOAT_CELLS[b] for b in integer.tolist()]
-    else:
-        cells = ["%d"] * a.size
-    for n in reversed(a.shape[1:]):
-        cells = ["[" + ", ".join(cells[i : i + n]) + "]" for i in range(0, len(cells), n)]
-    return sep.join(cells) % tuple(values)
+    block = np.frombuffer(b"".join(distinct), dtype=a.dtype).astype(np.float64)
+    keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    values = keys.view(np.float64).tolist()
+    rounded = map(float, ("\n".join([_G6] * len(values)) % tuple(values)).split("\n"))
+    texts = json.dumps(list(rounded))[1:-1].split(", ")
+    cells, n = [texts[i] for i in inverse.tolist()], a.shape[-1]
+    rows = ["[" + ", ".join(cells[i : i + n]) + "]" for i in range(0, len(cells), n)]
+    nested = [rows[i] for i in order]
+    for n in reversed(a.shape[:-1]):
+        nested = ["[" + ", ".join(nested[i : i + n]) + "]" for i in range(0, len(nested), n)]
+    return nested[0]
 
 
 def _value_text(value) -> str:
@@ -239,16 +209,14 @@ def _cmd_fuse(args, cfg: PipelineConfig) -> _Outputs:
         outputs.append((args.wavelet_csv, [
             f"# config_hash={cfg.config_hash()} tool_version={TOOL_VERSION}",
             "t," + ",".join(f"class_{c}" for c in range(1, grid.class_count + 1)),
-            *(_G6(t) + "," + ",".join(map(_G6, row))
+            *(",".join([_G6] * (len(row) + 1)) % (t, *row)
               for t, row in zip(snippet_centers(grid).tolist(), wavelet.values.tolist())),
         ]))
     return outputs
 
 
 def _cmd_mask(args, cfg: PipelineConfig) -> _Outputs:
-    if not 0 <= args.epoch <= cfg.total_epochs:  # checked before any input is read
-        raise ValueError(f"--epoch {shown(args.epoch)} lies outside [0, {cfg.total_epochs}]")
-    params = cfg.mask_params(args.epoch)
+    params = cfg.mask_params(args.epoch)  # checked before any input is read
     pseudos, grids = segments_on_grids(_inputs(args, 2, 2, "pseudo file and grid source"))
     rows = []
     for vid in sorted(pseudos):
@@ -330,10 +298,9 @@ def _cmd_eval(args, cfg: PipelineConfig) -> _Outputs:
     preds_path, gt_path = _inputs(args, 1, 1, "a predictions file")[0], _need(args.gt, "--gt")
     preds = parse_segments(preds_path, with_score=True)
     gt = parse_segments(gt_path, with_score=False)
-    if not gt.videos:
-        raise ValueError(f"{args.gt}: ground truth holds no segments")
     t0 = time.perf_counter()
-    report = map_table(preds, gt, cfg.eval_tious)
+    with blame(gt_path):  # ground truth that holds no segments
+        report = map_table(preds, gt, cfg.eval_tious)
     elapsed = (time.perf_counter() - t0) * 1000.0
     timings = {"eval": elapsed} if args.timings else None
     return [(args.output, _report(cfg, report.to_dict(), timings))]

@@ -3,7 +3,7 @@ dict round-tripping and a content hash for report headers, the two value
 types whose range rules it applies (mask band ratios, anchor pyramid), and
 what a stage reads of it, checked once: the weak branch's arguments, the
 fusion's minimum duration and each epoch's mask band ratios. Also `SchemaError`
-(exit 2), `undecodable`, `shown` (a bounded repr) and `blame` (a fault's file)."""
+(exit 2), `undecodable` and `blame` (a fault's file)."""
 from __future__ import annotations
 
 import contextlib
@@ -11,11 +11,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import reprlib
 import sys
 from dataclasses import dataclass
 
-from .core import MAX_GRID_CELLS
+from .core import MAX_GRID_CELLS, shown
 
 __all__ = ["PipelineConfig", "SchemaError", "TOOL_VERSION", "MaskParams", "PyramidConfig"]
 
@@ -41,15 +40,6 @@ def undecodable(exc: ValueError | RecursionError) -> str:
     if isinstance(exc, RecursionError):
         return "invalid JSON (nested too deep)"
     return f"invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
-
-
-def shown(value) -> str:
-    """A bounded repr of `value`, a tuple as its JSON list, even past `repr`'s digit limit."""
-    try:
-        return reprlib.repr(list(value) if isinstance(value, tuple) else value)
-    except ValueError:
-        what = "an integer" if isinstance(value, int) else "a list holding an integer"
-        return f"<{what} of more than {sys.get_int_max_str_digits()} digits>"
 
 
 @contextlib.contextmanager
@@ -121,9 +111,10 @@ class MaskParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+        # finite as in `check_fields`: an int past the float range is not
+        if not 0 <= self.alpha <= sys.float_info.max:
             raise ValueError("alpha must be nonnegative")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        if not 0 <= self.beta <= sys.float_info.max:
             raise ValueError("beta must be nonnegative")
         if self.beta >= 0.5:
             raise ValueError("beta must be < 0.5 or the bands swallow the proposal")

@@ -8,7 +8,8 @@ same-key pairs of intervals (one join, `overlap_pairs`, within one set or
 across two), equal-value runs (of one array, of True in every row of a mask,
 and above every threshold of many columns at once), snippet centers, and the
 cover rule: which segment, first in some order, holds each time, and the
-rules of one segment row (its span's and its class id's). The scored
+rules of one segment row (its span's and its class id's); also `shown`,
+the bounded repr that refusal messages show a value by. The scored
 segments of one video, proposals and pseudo labels alike, travel between
 the stages as one `Segments` value: four read-only columns, checked once in
 its constructor. A corpus's ground truth, which gives the weak branch its
@@ -21,6 +22,8 @@ and all functions are pure.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,6 +46,7 @@ __all__ = [
     "check_span",
     "check_class_id",
     "class_ids",
+    "shown",
 ]
 
 
@@ -83,18 +87,20 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.num_snippets < 1:
             raise ValueError("num_snippets must be >= 1")
-        if not (math.isfinite(self.snippet_duration_s) and self.snippet_duration_s > 0):
+        if not 0 < self.snippet_duration_s <= sys.float_info.max:
             raise ValueError("snippet_duration_s must be a positive finite real")
         if self.class_count < 1:
             raise ValueError("class_count must be >= 1")
         if self.num_snippets * (self.class_count + 1) > MAX_GRID_CELLS:
             raise ValueError(
                 f"num_snippets * (class_count + 1) must be at most {MAX_GRID_CELLS}, got "
-                f"{self.num_snippets} * ({self.class_count} + 1)"
+                f"{shown(self.num_snippets)} * ({shown(self.class_count)} + 1)"
             )
         if not self.duration_s <= MAX_TIME_S:
+            # shown as a float: an int duration's exact extent may pass the float range
+            extent = self.num_snippets * float(self.snippet_duration_s)
             raise ValueError("num_snippets * snippet_duration_s must be at most "
-                             f"{MAX_TIME_S:g} s, got {self.duration_s:g}")
+                             f"{MAX_TIME_S:g} s, got {extent:g}")
 
     @property
     def duration_s(self) -> float:
@@ -349,7 +355,7 @@ def check_span(start: float, end: float) -> None:
     messages: endpoints finite and at most MAX_TIME_S in magnitude, then
     start < end. Plain Python, for a file's rows one at a time."""
     if not (abs(start) <= MAX_TIME_S and abs(end) <= MAX_TIME_S):
-        finite = math.isfinite(start) and math.isfinite(end)
+        finite = abs(start) < math.inf and abs(end) < math.inf  # an int stays an int
         raise ValueError(_TIME_BOUND if finite else _NOT_FINITE)
     if not start < end:
         raise ValueError(_NOT_ORDERED)
@@ -360,7 +366,8 @@ def check_class_id(c, class_count: int | None = None) -> int:
     [1, MAX_CLASS_ID] and at most `class_count` if given, else ValueError."""
     whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
     if not (whole and 1 <= int(c) <= MAX_CLASS_ID):
-        raise ValueError(f"class_id {c} is not an int64 integer >= 1")
+        text = shown(c) if isinstance(c, int) else c  # an int past repr's digit limit
+        raise ValueError(f"class_id {text} is not an int64 integer >= 1")
     if class_count is not None and int(c) > class_count:
         raise ValueError(f"class_id {c} lies outside the {class_count} classes of its grid")
     return int(c)
@@ -378,3 +385,12 @@ def class_ids(values, class_count: int | None = None) -> np.ndarray:
     items = list(values) if isinstance(values, (list, tuple)) else ids.ravel().tolist()
     return np.array([check_class_id(c, class_count) for c in items],
                     dtype=np.int64).reshape(ids.shape)
+
+
+def shown(value) -> str:
+    """A bounded repr of `value`, a tuple as its JSON list, even past `repr`'s digit limit."""
+    try:
+        return reprlib.repr(list(value) if isinstance(value, tuple) else value)
+    except ValueError:
+        what = "an integer" if isinstance(value, int) else "a list holding an integer"
+        return f"<{what} of more than {sys.get_int_max_str_digits()} digits>"

@@ -15,9 +15,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .config import SchemaError, blame, shown, undecodable
+from .config import SchemaError, blame, undecodable
 from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, check_class_id,
-                   check_span)
+                   check_span, shown)
 
 __all__ = ["parse_sp_file", "parse_grid_file", "parse_segments", "video_label", "by_video",
            "parse_mask_file", "parse_targets_file", "parse_anchor_predictions",

@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lazy_globals
-from .config import PipelineConfig, check_fields, config_from_dict, shown
-from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, first_cover,
+from .config import PipelineConfig, check_fields, config_from_dict
+from .core import (GroundTruthSet, Segments, SnippetPredictions, TimeGrid, first_cover, shown,
                    snippet_centers)
 
 __all__ = [

@@ -347,9 +347,9 @@ class TestMaskTargets:
     @pytest.mark.parametrize("epoch, config", [
         (-1, {}), (39, {}), (11, {"warmup_epochs": 5, "total_epochs": 10})])
     def test_mask_epoch_outside_the_schedule(self, tmp_path, capsys, epoch, config):
-        """An `--epoch` outside [0, total_epochs] exits 3 naming the flag, the
-        value and the bounds, before any input is read: the inputs here do
-        not exist."""
+        """An `--epoch` outside [0, total_epochs] exits 3 by the config's epoch
+        rule, naming the value and the bounds, before any input is read: the
+        inputs here do not exist."""
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         total = PipelineConfig(**config).total_epochs
@@ -357,7 +357,7 @@ class TestMaskTargets:
         missing = tmp_path / "missing.jsonl"
         assert run("mask", "--config", cfg, "--input", missing, "--input", missing,
                    "--epoch", epoch, "--output", out) == 3
-        assert capsys.readouterr().err == f"error: --epoch {epoch} lies outside [0, {total}]\n"
+        assert capsys.readouterr().err == f"error: epoch {epoch} lies outside [0, {total}]\n"
         assert not out.exists()
 
     def test_mask_epoch_schedule(self, tmp_path):

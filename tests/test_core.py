@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,38 @@ class TestTypes:
                 check_span(start, end)
             with pytest.raises(ValueError, match=bound):
                 Segments([0.0, start], [1.0, end], [1, 1], [0.5, 0.5])
+
+    # an integer of more digits than `sys.get_int_max_str_digits()` has no repr
+    # and no float: each call reports its rule, showing such a value by `shown`
+    HUGE = 10**5000
+    LIMIT = f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+
+    def test_a_huge_snippet_count_reports_the_cell_rule(self):
+        message = f"must be at most {MAX_GRID_CELLS}, got {self.LIMIT} * (1 + 1)"
+        with pytest.raises(ValueError, match=f"^num_snippets .*{re.escape(message)}$"):
+            TimeGrid(self.HUGE, 1.0, 1)
+
+    def test_a_huge_class_count_reports_the_cell_rule(self):
+        message = f"must be at most {MAX_GRID_CELLS}, got 4 * ({self.LIMIT} + 1)"
+        with pytest.raises(ValueError, match=f"^num_snippets .*{re.escape(message)}$"):
+            TimeGrid(4, 1.0, self.HUGE)
+
+    def test_a_huge_snippet_duration_reports_its_rule(self):
+        with pytest.raises(ValueError, match="^snippet_duration_s must be a positive finite real$"):
+            TimeGrid(4, self.HUGE, 1)
+        # within the float range, but an extent past it
+        with pytest.raises(ValueError, match=r"must be at most 1e\+15 s, got inf$"):
+            TimeGrid(2, 10**308, 1)
+
+    def test_a_huge_class_id_reports_the_int64_rule(self):
+        with pytest.raises(ValueError, match=_int64_fault(self.LIMIT)):
+            check_class_id(self.HUGE, 3)
+
+    def test_a_huge_endpoint_reports_the_time_bound(self):
+        bound = re.escape("interval endpoints must lie in [-1e+15, 1e+15] s")
+        for start, end in [(0.0, self.HUGE), (-self.HUGE, 0.0)]:
+            with pytest.raises(ValueError, match=f"^{bound}$"):
+                check_span(start, end)
 
     def test_interval_rejects_degenerate(self):
         for start, end in [(5.0, 5.0), (5.0, 2.0), (0.0, float("inf"))]:

@@ -32,6 +32,13 @@ class TestMaskParams:
         with pytest.raises(ValueError):
             MaskParams(0.1, 0.5)
 
+    def test_a_huge_ratio_breaks_the_band_rule(self):
+        # an integer past the float range is not finite, and has no float
+        with pytest.raises(ValueError, match="^alpha must be nonnegative$"):
+            MaskParams(10**5000, 0.1)
+        with pytest.raises(ValueError, match="^beta must be nonnegative$"):
+            MaskParams(0.1, 10**5000)
+
 
 class TestSnippetMask:
     def test_length_and_bit_validation(self):

@@ -108,20 +108,27 @@ def test_object_and_string_arrays():
     same_bytes(np.array(["a", "bc"]))
 
 
-# ------------------------------------------- arrays written by one %-format call
+# ---------------------------------------------- arrays written by `_array_text`
 
 # around the bound where `%.6g` switches to an exponent, and cells that are no
 # integer but round to one at 6 digits (or just fail to)
 BOUND = [999999.4, 999999.5, 999999.6]
 NEAR_INTEGERS = [99999.95, 99999.96, 12345.96, 0.9999996, 2.0000001]
+# subnormals: 5e-324 is "4.94066e-324" in %.6g, a text that parses back to 5e-324
+SUBNORMALS = [5e-324, 1e-310, -2.5e-320]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def written(a):
+    """`_array_text` itself writes `a`, with the reference writer's bytes."""
+    assert cli._array_text(a) == ref._dump(a)
 
 
 def test_text_bound_spelled_out():
     assert cli._dump(np.array(BOUND)) == "[999999.0, 1000000.0, 1000000.0]"
-    assert cli._array_text(np.array(BOUND[:1])) == "[999999.0]"
-    # 999999.6 is "1e+06" in %.6g: those arrays take the general path
-    for value in BOUND[1:]:
-        assert cli._array_text(np.array([value])) is None
+    # 999999.5 and 999999.6 are "1e+06" in %.6g, which parses back to 1000000.0
+    for value in BOUND:
+        written(np.array([value]))
 
 
 def test_near_integers_spelled_out():
@@ -134,12 +141,10 @@ def test_near_integers_spelled_out():
 def test_bound_and_near_integers(dtype):
     with np.errstate(over="ignore"):
         a = np.array(BOUND + NEAR_INTEGERS, dtype=dtype)
-    same_bytes(a)
+    written(a)
     for value in a.tolist():
-        same_bytes(np.array([value, -value, 0.5], dtype=dtype))
-    below = a[np.abs(a.astype(np.float64)) < cli._TEXT_BOUND]
-    assert cli._array_text(below) is not None
-    same_bytes(below.reshape(1, -1))
+        written(np.array([value, -value, 0.5], dtype=dtype))
+    written(a.reshape(1, -1))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
@@ -159,19 +164,16 @@ def test_rows_that_differ_only_by_the_sign_of_zero(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_a_repeated_row_that_holds_nan(dtype):
-    # the block of distinct rows is refused, so the whole array takes the general path
     a = np.array([[0.25, np.nan], [0.5, 0.5], [0.25, np.nan]], dtype=dtype)
-    assert cli._array_text(a) is None
     assert cli._dump(a) == "[[0.25, NaN], [0.5, 0.5], [0.25, NaN]]"
-    same_bytes(a)
+    written(a)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
 def test_one_row_and_one_column(shape):
     a = (np.arange(5, dtype=np.float64) % 2 / 3.0).reshape(shape)
-    assert cli._array_text(a) is not None
-    same_bytes(a)
-    same_bytes(a.astype(np.float32))
+    written(a)
+    written(a.astype(np.float32))
 
 
 def test_two_dimensional_int64_with_repeated_rows():
@@ -196,17 +198,49 @@ def test_three_dimensional_array():
     shape = (3, 4, 5)
     a = np.round(rng.uniform(-50, 50, size=shape) * 10.0 ** rng.integers(0, 5, size=shape))
     a = a / 10.0 ** rng.integers(0, 6, size=shape)
-    assert cli._array_text(a) is not None
-    same_bytes(a)
-    same_bytes(a.astype(np.float32))
-    same_bytes(np.arange(60, dtype=np.int64).reshape(3, 4, 5) - 30)
+    written(a)
+    written(a.astype(np.float32))
+    written(np.arange(60, dtype=np.int64).reshape(3, 4, 5) - 30)
 
 
-def test_subnormals_take_the_general_path():
-    # 5e-324 is "4.94066e-324" in %.6g, but that text parses back to 5e-324
-    a = np.array([5e-324, 1e-310, 0.5])
+def test_subnormals_are_written_by_the_array_text():
+    a = np.array(SUBNORMALS + [0.5])
+    assert cli._dump(a) == "[5e-324, 1e-310, -2.5e-320, 0.5]"
+    written(a)
+    written(np.array([1e-45, -1e-40, 0.5], dtype=np.float32))
+    written(np.array([6e-8, -3e-6, 0.5], dtype=np.float16))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_every_float_array_is_written_by_the_array_text(dtype):
+    """Every special value, in 1-3 dimensions, with repeated rows and as a
+    non-contiguous view: no float array is left to the general path."""
+    values = BOUND + NEAR_INTEGERS + SUBNORMALS + NON_FINITE + [-0.0, 0.0, 0.1, 1e16, 1e-5, 2 / 3]
+    with np.errstate(over="ignore"):
+        a = np.array(values * 3, dtype=dtype)  # 60 cells
+    written(a)
+    written(a.reshape(3, 20))  # three equal rows
+    written(a.reshape(3, 4, 5))
+    written(a.reshape(12, 5).T)
+    written(a.reshape(3, 4, 5)[::-1, 1:, ::2])
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.int32, np.uint8])
+def test_every_integer_array_is_written_by_the_array_text(dtype):
+    info = np.iinfo(dtype)
+    a = np.array([info.min, info.max, 0, 1, info.max - 1, info.min], dtype=dtype)
+    written(a)
+    written(a.reshape(2, 3))
+    written(a.reshape(3, 1, 2)[::-1])
+    if dtype is np.uint64:
+        assert cli._dump(a[1:2]) == f"[{2**64 - 1}]"  # past 2**63
+
+
+@pytest.mark.parametrize("a", [
+    np.array(1.5), np.zeros((2, 0)), np.array([True, False]), np.array([0.5, None], dtype=object),
+], ids=["0-d", "empty", "bool", "object"])
+def test_only_these_arrays_take_the_general_path(a):
     assert cli._array_text(a) is None
-    same_bytes(a)
 
 
 def test_row_mixing_arrays_scalars_tuples_and_dicts():
