@@ -1,9 +1,9 @@
-"""Pipeline configuration: one frozen bundle of every knob, with strict
-dict round-tripping and a content hash for report headers, the two value
-types whose range rules it applies (mask band ratios, anchor pyramid), and
-what a stage reads of it, checked once: the weak branch's arguments, the
-fusion's minimum duration and each epoch's mask band ratios. Also `SchemaError`
-(exit 2), `undecodable` and `blame` (a fault's file)."""
+"""Pipeline configuration: one frozen bundle of every knob, with strict dict
+round-tripping and a content hash for report headers; the two value types whose
+range rules it applies (mask band ratios, anchor pyramid); `check_setting`, the
+rule of each setting that a stage function also takes; what a stage reads of it,
+checked once (the weak branch's arguments, the fusion's minimum duration, each
+epoch's mask band ratios); `SchemaError` (exit 2), `undecodable` and `blame`."""
 from __future__ import annotations
 
 import contextlib
@@ -102,6 +102,27 @@ def check_fields(config, what: str) -> None:
             raise ValueError(f"{what} key {key!r} must be finite, got {shown(value)}")
 
 
+_SETTING_RULES = {
+    "thresholds": (lambda ts: len(ts) > 0 and all(0.0 < t < 1.0 for t in ts),
+                   "thresholds must be a nonempty subset of (0, 1)"),
+    "oic_inflation": (lambda v: 0.0 < v <= 1.0, "oic_inflation must lie in (0, 1]"),
+    "sigma_nms": (lambda v: v > 0, "sigma_nms must be positive"),
+    "extract_on": (lambda v: v in ("sps", "attention"), "extract_on must be 'sps' or 'attention'"),
+    "tau": (lambda v: 0.0 < v < 1.0, "tau must lie in (0, 1)"),
+    "eval_tious": (lambda ts: len(ts) > 0 and all(0.0 < t <= 1.0 for t in ts),
+                   "eval_tious must be a nonempty subset of (0, 1]"),
+}
+
+
+def check_setting(key: str, value) -> None:
+    """`value` by the range rule of `key`, a `PipelineConfig` setting that a stage
+    function also takes, else ValueError with the rule: `PipelineConfig` and the
+    stage function check through this one test, which NaN fails."""
+    test, rule = _SETTING_RULES[key]
+    if not test(value):
+        raise ValueError(rule)
+
+
 @dataclass(frozen=True)
 class MaskParams:
     """Uncertainty-mask boundary-band ratios: alpha expands outward, beta
@@ -111,11 +132,11 @@ class MaskParams:
     beta: float
 
     def __post_init__(self) -> None:
-        # finite as in `check_fields`: an int past the float range is not
-        if not 0 <= self.alpha <= sys.float_info.max:
-            raise ValueError("alpha must be nonnegative")
-        if not 0 <= self.beta <= sys.float_info.max:
-            raise ValueError("beta must be nonnegative")
+        for key, ratio in (("alpha", self.alpha), ("beta", self.beta)):
+            if not abs(ratio) <= sys.float_info.max:  # as in `check_fields`: a huge int is not
+                raise ValueError(f"{key} must be finite")
+            if ratio < 0:
+                raise ValueError(f"{key} must be nonnegative")
         if self.beta >= 0.5:
             raise ValueError("beta must be < 0.5 or the bands swallow the proposal")
 
@@ -168,21 +189,14 @@ class PipelineConfig:
         check_fields(self, "config")
         if self.k_ratio < 1:
             raise ValueError("k_ratio must be >= 1")
-        if not self.thresholds or any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must be a nonempty subset of (0, 1)")
-        if not 0.0 < self.oic_inflation <= 1.0:
-            raise ValueError("oic_inflation must lie in (0, 1]")
-        if self.sigma_nms <= 0:
-            raise ValueError("sigma_nms must be positive")
-        if self.extract_on not in ("sps", "attention"):
-            raise ValueError("extract_on must be 'sps' or 'attention'")
+        for key in ("thresholds", "oic_inflation", "sigma_nms", "extract_on"):
+            check_setting(key, getattr(self, key))
         if self.min_duration_snippets < 0:
             raise ValueError("min_duration_snippets must be nonnegative")
         if self.min_duration_snippets > MAX_GRID_CELLS:  # no grid holds a longer run
             raise ValueError(f"min_duration_snippets must be at most {MAX_GRID_CELLS}")
         MaskParams(self.alpha, self.beta)  # the mask checks its band ratios
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
+        check_setting("tau", self.tau)
         if self.lambda_att < 0:
             raise ValueError("lambda_att must be nonnegative")
         if self.gamma_focal < 0:
@@ -190,10 +204,8 @@ class PipelineConfig:
         PyramidConfig(self.num_levels)  # the anchor pyramid checks its level count
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ValueError("need 0 <= warmup_epochs < total_epochs")
-        evs = tuple(float(t) for t in self.eval_tious)
-        if not evs or any(not 0.0 < t <= 1.0 for t in evs):
-            raise ValueError("eval_tious must be a nonempty subset of (0, 1]")
-        object.__setattr__(self, "eval_tious", evs)
+        check_setting("eval_tious", self.eval_tious)
+        object.__setattr__(self, "eval_tious", tuple(float(t) for t in self.eval_tious))
 
     def weak_branch(self) -> dict:
         """The keyword arguments of `weak_branch.weak_proposals` from the config."""

@@ -366,7 +366,7 @@ def check_class_id(c, class_count: int | None = None) -> int:
     [1, MAX_CLASS_ID] and at most `class_count` if given, else ValueError."""
     whole = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
     if not (whole and 1 <= int(c) <= MAX_CLASS_ID):
-        text = shown(c) if isinstance(c, int) else c  # an int past repr's digit limit
+        text = shown(c) if isinstance(c, (int, str)) else c  # a str quoted, a huge int bounded
         raise ValueError(f"class_id {text} is not an int64 integer >= 1")
     if class_count is not None and int(c) > class_count:
         raise ValueError(f"class_id {c} lies outside the {class_count} classes of its grid")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TIOU_THRESHOLDS
+from .config import DEFAULT_TIOU_THRESHOLDS, check_setting
 from .core import GroundTruthSet, Segments, overlap_pairs
 
 __all__ = [
@@ -252,8 +252,7 @@ def map_table(
     caller has built it already; `pseudo_quality` shares one with its
     set-level matching.
     """
-    if not thresholds:
-        raise ValueError("at least one tIoU threshold required")
+    check_setting("eval_tious", thresholds)
     class_ids = ground_truth.class_ids
     if not class_ids:
         raise ValueError("ground truth holds no segments")

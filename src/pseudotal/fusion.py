@@ -161,7 +161,7 @@ def segments_from_wavelet(wavelet: FusedWavelet, min_duration_s: float = 0.0) ->
     `min_duration_s` are dropped. Confidence is the run's peak value. The
     labels come sorted by (class, start, end).
     """
-    if min_duration_s < 0:
+    if not min_duration_s >= 0:  # NaN too
         raise ValueError("min_duration_s must be nonnegative")
     grid = wavelet.grid
     t = grid.num_snippets

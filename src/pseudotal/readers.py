@@ -41,14 +41,10 @@ def _rows(path: str, kind: str, convert: Callable[[str, Callable[[str], object]]
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8")
-                try:  # JSON takes its own whitespace; no copy of the line is stripped
-                    row = json.loads(line)
-                except ValueError:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {undecodable(exc)}") from None
             if not isinstance(row, dict):

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import PyramidConfig
+from .config import PyramidConfig, check_setting
 from .core import Segments, TimeGrid, check_distribution_rows, first_cover, pairwise_tiou
 
 if TYPE_CHECKING:  # annotations only: `targets` loads no weak branch, `losses` no mask
@@ -264,8 +264,7 @@ def att_loss(
     class is either background or present in the video label. The loss
     averages focal(predicted prob at that pair) over the picks.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
+    check_setting("tau", tau)
     probs = np.asarray(snippet_probs, dtype=np.float64)
     z = np.asarray(sps, dtype=np.float64)
     if probs.shape != z.shape:

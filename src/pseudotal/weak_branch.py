@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_setting
 from .core import (
     Segments,
     SnippetPredictions,
@@ -85,11 +86,7 @@ def extract_proposals(
     are deduplicated; proposals come sorted by (class, first, last).
     Scores are left at 0 and assigned by `oic_scores`.
     """
-    if len(thresholds) == 0:
-        raise ValueError("thresholds must be nonempty")
-    for th in thresholds:
-        if not 0.0 < th < 1.0:
-            raise ValueError("thresholds must lie in (0, 1)")
+    check_setting("thresholds", thresholds)
     z = np.asarray(sps, dtype=np.float64)
     if z.shape[0] != grid.num_snippets or z.shape[1] != grid.class_count + 1:
         raise ValueError("SP matrix shape disagrees with grid")
@@ -112,8 +109,7 @@ def oic_scores(
     the video extent. Snippet membership is decided by the snippet center.
     If both flanks clip away entirely the outer mean is taken as 0.
     """
-    if not 0.0 < inflation <= 1.0:
-        raise ValueError("inflation must lie in (0, 1]")
+    check_setting("oic_inflation", inflation)
     z = np.asarray(sps, dtype=np.float64)
     if z.shape[0] != grid.num_snippets:
         raise ValueError("SP column length disagrees with grid")
@@ -152,8 +148,7 @@ def soft_nms(
     score descending, then by class, start and end; intervals and classes
     are never modified.
     """
-    if sigma_nms <= 0:
-        raise ValueError("sigma_nms must be positive")
+    check_setting("sigma_nms", sigma_nms)
     start, end, class_id = proposals.start_s, proposals.end_s, proposals.class_id
     at, partner, overlap = overlap_pairs(class_id, start, end)
     decay = np.exp(-(overlap**2) / sigma_nms).tolist()
@@ -209,13 +204,10 @@ def weak_proposals(
     attention track (the same runs for every labelled class, later
     separated by their per-class contrast scores).
     """
+    check_setting("extract_on", extract_on)
     z = compute_sps(preds.attention, preds.class_scores)
-    if extract_on == "sps":
-        source = z
-    elif extract_on == "attention":
-        source = np.repeat(preds.attention[:, None], grid.class_count + 1, axis=1)
-    else:
-        raise ValueError("extract_on must be 'sps' or 'attention'")
+    source = z if extract_on == "sps" else np.repeat(
+        preds.attention[:, None], grid.class_count + 1, axis=1)
     raw = extract_proposals(source, grid, thresholds, label)
     scored = dataclasses.replace(raw, score=oic_scores(z, raw, grid, oic_inflation))
     return soft_nms(scored, sigma_nms=sigma_nms, min_score=min_score)

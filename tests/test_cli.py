@@ -11,15 +11,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudotal import cli, readers
 from pseudotal.cli import COMMANDS, main
 from pseudotal.config import TOOL_VERSION, PipelineConfig, SchemaError, blame
-from pseudotal.core import MAX_GRID_CELLS, Segments
+from pseudotal.core import MAX_GRID_CELLS, GroundTruthSet, Segments, SnippetPredictions, TimeGrid
+from pseudotal.evaluation import map_table
 from pseudotal.fusion import STRATEGIES
 from pseudotal.sim import SimConfig
-from pseudotal.targets import ANCHOR_FIELDS
+from pseudotal.targets import ANCHOR_FIELDS, att_loss
+from pseudotal.weak_branch import (
+    VideoLabel, extract_proposals, oic_scores, soft_nms, weak_proposals,
+)
 
 
 def run(*argv):
@@ -2528,6 +2533,46 @@ class TestConfigTypes:
     def test_the_constructor_refuses_values_out_of_range(self, key, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig(**{key: value})
+
+    @staticmethod
+    def _stage(key, value):
+        """The stage function that takes the setting `key`, called with `value`
+        on a 4-snippet, 1-class video."""
+        grid, label = TimeGrid(4, 1.0, 1), VideoLabel(np.array([1]))
+        sps = np.array([[0.1, 0.9], [0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
+        props = Segments(np.array([1.0]), np.array([3.0]), np.array([1]), np.array([0.5]))
+        calls = {
+            "thresholds": lambda: extract_proposals(sps, grid, value, label),
+            "oic_inflation": lambda: oic_scores(sps, props, grid, value),
+            "sigma_nms": lambda: soft_nms(props, sigma_nms=value),
+            "extract_on": lambda: weak_proposals(SnippetPredictions(np.ones(4), sps), grid,
+                                                 label, (0.5,), extract_on=value),
+            "tau": lambda: att_loss(sps, sps, value, label),
+            "eval_tious": lambda: map_table({}, GroundTruthSet({"v": props}), value),
+        }
+        return calls[key]()
+
+    @pytest.mark.parametrize("key, value", [
+        ("thresholds", ()), ("thresholds", (0.5, 1.0)), ("thresholds", (0.0,)),
+        ("oic_inflation", 0.0), ("oic_inflation", 1.5), ("sigma_nms", 0.0),
+        ("sigma_nms", -0.5), ("extract_on", "both"), ("tau", 0.0), ("tau", 1.0),
+        ("eval_tious", ()), ("eval_tious", (0.0,)), ("eval_tious", (1.5,)),
+    ])
+    def test_a_stage_function_refuses_what_the_config_refuses(self, key, value):
+        # each setting's rule is written once, in `config`, so both give its message
+        with pytest.raises(ValueError) as config_fault:
+            PipelineConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config_fault.value))}$"):
+            self._stage(key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("thresholds", (math.nan,)), ("oic_inflation", math.nan), ("sigma_nms", math.nan),
+        ("extract_on", math.nan), ("tau", math.nan), ("eval_tious", (math.nan,)),
+    ])
+    def test_a_stage_function_refuses_nan(self, key, value):
+        # NaN fails every rule's test; the config refuses it earlier, as not finite
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            self._stage(key, value)
 
     def test_values_are_not_converted(self):
         # values pass unconverted: alpha 0 stays the int 0, whose hash differs

@@ -391,11 +391,12 @@ class TestClassIds:
             "bool", "bool among ints", "numpy bool among ints", "bool array", "zero",
             "negative", "int32 zero", "2**63", "10**30", "uint64 2**63", "numpy 2**64 - 1"])
     def test_refusals(self, values, bad):
-        with pytest.raises(ValueError, match=_int64_fault(bad)):
+        fault = _int64_fault(repr(bad) if isinstance(bad, str) else bad)  # a string by its repr
+        with pytest.raises(ValueError, match=fault):
             class_ids(values)
-        with pytest.raises(ValueError, match=_int64_fault(bad)):
+        with pytest.raises(ValueError, match=fault):
             class_ids(values, 5)  # the int64 rule comes before the grid's
-        with pytest.raises(ValueError, match=_int64_fault(bad)):
+        with pytest.raises(ValueError, match=fault):
             check_class_id(bad, 5)
 
     @pytest.mark.parametrize("values", [[], (), np.array([]), np.zeros(0, dtype=np.int64)])

@@ -136,7 +136,7 @@ class TestFuseRicker:
 
 
 class TestSegmentsFromWavelet:
-    @pytest.mark.parametrize("min_duration_s", [-1.0, -1e-9])
+    @pytest.mark.parametrize("min_duration_s", [-1.0, -1e-9, math.nan])
     def test_negative_min_duration(self, min_duration_s):
         w = fuse_ricker(segments((2, 6, 1, 1.0)), TimeGrid(10, 1.0, 1))
         with pytest.raises(ValueError, match="^min_duration_s must be nonnegative$"):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,11 +34,12 @@ class TestMaskParams:
             MaskParams(0.1, 0.5)
 
     def test_a_huge_ratio_breaks_the_band_rule(self):
-        # an integer past the float range is not finite, and has no float
-        with pytest.raises(ValueError, match="^alpha must be nonnegative$"):
-            MaskParams(10**5000, 0.1)
-        with pytest.raises(ValueError, match="^beta must be nonnegative$"):
-            MaskParams(0.1, 10**5000)
+        # a ratio is finite as in a config: no infinity, NaN or integer past the float range
+        for ratio in (math.inf, math.nan, 10**5000):
+            with pytest.raises(ValueError, match="^alpha must be finite$"):
+                MaskParams(ratio, 0.1)
+            with pytest.raises(ValueError, match="^beta must be finite$"):
+                MaskParams(0.1, ratio)
 
 
 class TestSnippetMask:

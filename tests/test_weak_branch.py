@@ -70,13 +70,10 @@ class TestExtractProposals:
     def setup_method(self):
         self.label = VideoLabel(np.array([1]))
 
-    @pytest.mark.parametrize("thresholds, message", [
-        ([], "thresholds must be nonempty"),
-        ([0.5, 1.0], re.escape("thresholds must lie in (0, 1)")),
-        ([0.0], re.escape("thresholds must lie in (0, 1)")),
-    ])
-    def test_threshold_rules(self, thresholds, message):
+    @pytest.mark.parametrize("thresholds", [[], [0.5, 1.0], [0.0]])
+    def test_threshold_rules(self, thresholds):
         z = _sps_matrix([0, 0.9, 0.9, 0, 0])
+        message = re.escape("thresholds must be a nonempty subset of (0, 1)")
         with pytest.raises(ValueError, match=f"^{message}$"):
             extract_proposals(z, TimeGrid(5, 1.0, 1), thresholds, self.label)
 
